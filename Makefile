@@ -4,10 +4,14 @@ GO ?= go
 # SERVE_BENCH matches BenchmarkServeMissCascade (the cascade+int8 path),
 # BenchmarkStreamWindow (the real-time sliding-window gate) and the
 # BenchmarkCluster pair (remote hit, hedged dispatch); NN_BENCH covers
-# the quantized inference kernels they ride on.
+# the inference kernels they ride on (int8 forward, the float64 blocked
+# mat-vec and RNN step); HMM_BENCH and ASR_BENCH the Viterbi column and the
+# post-acoustic half of a stream window.
 BENCH ?= BenchmarkDetectHotPath|BenchmarkBatchFeatures
 SERVE_BENCH ?= BenchmarkServe|BenchmarkStreamWindow|BenchmarkCluster
-NN_BENCH ?= BenchmarkQuantizedForward
+NN_BENCH ?= BenchmarkQuantizedForward|BenchmarkMatVec|BenchmarkRNNStep
+HMM_BENCH ?= BenchmarkViterbiStep
+ASR_BENCH ?= BenchmarkDecodeWindow
 BENCHTIME ?= 25x
 # Interleaved suite rounds per `make bench` (see cmd/benchmed): every
 # benchmark is sampled once per round, so machine drift spreads evenly
@@ -65,6 +69,8 @@ bench:
 	$(GO) run ./cmd/benchmed -rounds $(BENCHROUNDS) -bench '$(BENCH)' -benchtime $(BENCHTIME) . | tee BENCH_detect.txt
 	$(GO) run ./cmd/benchmed -rounds $(BENCHROUNDS) -bench '$(SERVE_BENCH)' ./internal/server | tee BENCH_serve.txt
 	$(GO) run ./cmd/benchmed -rounds $(BENCHROUNDS) -bench '$(NN_BENCH)' ./internal/nn | tee BENCH_nn.txt
+	$(GO) run ./cmd/benchmed -rounds $(BENCHROUNDS) -bench '$(HMM_BENCH)' ./internal/hmm | tee BENCH_hmm.txt
+	$(GO) run ./cmd/benchmed -rounds $(BENCHROUNDS) -bench '$(ASR_BENCH)' ./internal/asr | tee BENCH_asr.txt
 
 # Short-budget fuzz runs over the parsers that face untrusted bytes: the
 # batch WAV decoder, the streaming WAV decoder, the WebSocket frame

@@ -30,6 +30,9 @@ type FeatureCache struct {
 	samples []float64
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
+	// tail is the post-acoustic work the clip's engines share (energy
+	// gate sums, lexicon matches); mu is held across each engine's use.
+	tail tailWork
 }
 
 type cacheEntry struct {
@@ -49,6 +52,7 @@ func (c *FeatureCache) Reset(samples []float64) {
 	c.mu.Lock()
 	c.samples = samples
 	clear(c.entries)
+	c.tail.reset()
 	c.mu.Unlock()
 }
 
@@ -81,7 +85,7 @@ func PutFeatureCache(c *FeatureCache) {
 // Extract returns the MFCC features of the cache's clip under m's
 // configuration, computing them at most once per distinct fingerprint.
 func (c *FeatureCache) Extract(m *dsp.MFCC) ([][]float64, error) {
-	key := m.Config().Fingerprint()
+	key := m.Fingerprint()
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok {
@@ -93,6 +97,49 @@ func (c *FeatureCache) Extract(m *dsp.MFCC) ([][]float64, error) {
 		e.feats, e.err = m.Extract(c.samples)
 	})
 	return e.feats, e.err
+}
+
+// clipFeatures validates the clip for an engine running at rate and
+// returns its MFCCs under m, through the shared cache when there is one.
+func clipFeatures(clip *audio.Clip, rate int, m *dsp.MFCC, cache *FeatureCache, id EngineID) ([][]float64, error) {
+	if err := validateClip(clip, rate); err != nil {
+		return nil, err
+	}
+	var (
+		feats [][]float64
+		err   error
+	)
+	if cache != nil {
+		feats, err = cache.Extract(m)
+	} else {
+		feats, err = m.Extract(clip.Samples)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("asr: %s feature extraction: %w", id, err)
+	}
+	return feats, nil
+}
+
+// transcribeLabels is the tail of every frame-labelling engine's
+// Transcribe: the whole-clip energy gate, then the word decode. With a
+// cache, the gate's sums and the decoder's lexicon matches are shared
+// with the clip's other engines.
+func transcribeLabels(labels []int, clip *audio.Clip, m *dsp.MFCC, dec *Decoder, cache *FeatureCache, id EngineID) (string, error) {
+	var w *tailWork
+	if cache != nil {
+		cache.mu.Lock()
+		defer cache.mu.Unlock()
+		w = &cache.tail
+	} else {
+		w = new(tailWork)
+	}
+	mc := m.Config()
+	labels = w.gate(labels, 0, clip.Samples, 0, len(clip.Samples), mc.FrameLen, mc.Hop, energyGateRatio)
+	text, err := dec.decode(labels, w)
+	if err != nil {
+		return "", fmt.Errorf("asr: %s decoding: %w", id, err)
+	}
+	return text, nil
 }
 
 // Len reports how many distinct front-end configurations have been

@@ -43,20 +43,9 @@ func (e *CTCEngine) Name() string { return string(e.ID) }
 // logProbs runs the acoustic model and returns per-frame CTC
 // log-probabilities.
 func (e *CTCEngine) logProbs(clip *audio.Clip, cache *FeatureCache) ([][]float64, error) {
-	if err := validateClip(clip, e.SampleRate); err != nil {
-		return nil, err
-	}
-	var (
-		feats [][]float64
-		err   error
-	)
-	if cache != nil {
-		feats, err = cache.Extract(e.MFCC)
-	} else {
-		feats, err = e.MFCC.Extract(clip.Samples)
-	}
+	feats, err := clipFeatures(clip, e.SampleRate, e.MFCC, cache, e.ID)
 	if err != nil {
-		return nil, fmt.Errorf("asr: %s feature extraction: %w", e.ID, err)
+		return nil, err
 	}
 	out := make([][]float64, len(feats))
 	stacked := make([]float64, (2*e.Context+1)*e.MFCC.Config().NumCoeffs)

@@ -1,6 +1,7 @@
 package asr
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -21,6 +22,7 @@ type Decoder struct {
 
 	words   []string
 	pronIDs [][]int
+	maxPron int // longest pronunciation: sizes the edit-distance rows
 }
 
 // NewDecoder builds a decoder over the global lexicon.
@@ -41,6 +43,7 @@ func NewDecoder(model *lm.Model, lmWeight float64, topK int) (*Decoder, error) {
 			return nil, fmt.Errorf("asr: lexicon word %q: %w", w, err)
 		}
 		d.pronIDs[i] = ids
+		d.maxPron = max(d.maxPron, len(ids))
 	}
 	return d, nil
 }
@@ -103,6 +106,114 @@ func (d *Decoder) segments(labels []int) [][]int {
 	return segs
 }
 
+// tailWork is what the engines of one detection, or of one stream
+// session, share after their acoustic models have run: the energy gate's
+// sums over the signal and the word decoder's lexicon matches. Both are
+// pure functions — of the (append-only) signal and of a phoneme segment —
+// so whichever engine asks first computes them, in the order a lone engine
+// would, and the rest reuse the value. The owner is a FeatureCache (under
+// its mutex, cleared between clips) or an EnsembleStream (one goroutine,
+// dropped with the session); the zero value serves a lone Transcribe.
+type tailWork struct {
+	// sum is Σv² over samples[sumA:sumB], the last range asked for: the
+	// whole clip in a batch detection, the current window in a stream.
+	sumA, sumB int
+	sum        float64
+	energies   []frameEnergies
+
+	prev, cur []int // edit-distance rows
+	key       []byte
+	top       map[segKey][]candidate
+}
+
+// frameEnergies holds the mean-square energy of every frame that lies
+// wholly inside the signal, for one frame geometry. A frame the signal
+// does not cover yet (a stream's newest) or never will (a clip's last) is
+// summed on demand over the part that exists.
+type frameEnergies struct {
+	frameLen, hop int
+	mean          []float64
+}
+
+// segKey identifies one decoder's view of one phoneme segment.
+type segKey struct {
+	dec *Decoder
+	seg string // the phoneme ids, one uvarint each
+}
+
+// reset forgets everything computed for the previous clip, keeping the
+// allocated buffers.
+func (w *tailWork) reset() {
+	w.sumA, w.sumB = 0, 0
+	for i := range w.energies {
+		w.energies[i].mean = w.energies[i].mean[:0]
+	}
+	clear(w.top)
+}
+
+func sumSquares(x []float64) float64 {
+	var e float64
+	for _, v := range x {
+		e += v * v
+	}
+	return e
+}
+
+// rangeSum returns Σv² over samples[a:b], summed from a upward.
+func (w *tailWork) rangeSum(samples []float64, a, b int) float64 {
+	if a != w.sumA || b != w.sumB {
+		w.sumA, w.sumB, w.sum = a, b, sumSquares(samples[a:b])
+	}
+	return w.sum
+}
+
+// frameMeans returns the cached energies for the geometry, extended to
+// every frame samples now covers completely.
+func (w *tailWork) frameMeans(samples []float64, frameLen, hop int) []float64 {
+	var fe *frameEnergies
+	for i := range w.energies {
+		if w.energies[i].frameLen == frameLen && w.energies[i].hop == hop {
+			fe = &w.energies[i]
+			break
+		}
+	}
+	if fe == nil {
+		w.energies = append(w.energies, frameEnergies{frameLen: frameLen, hop: hop})
+		fe = &w.energies[len(w.energies)-1]
+	}
+	for start := len(fe.mean) * hop; start+frameLen <= len(samples); start += hop {
+		fe.mean = append(fe.mean, sumSquares(samples[start:start+frameLen])/float64(frameLen))
+	}
+	return fe.mean
+}
+
+// gate returns labels — the labels of frames first, first+1, … — with
+// every frame forced to silence whose mean-square energy is below ratio²
+// times that of samples[a:b], or that starts past the signal's end.
+func (w *tailWork) gate(labels []int, first int, samples []float64, a, b, frameLen, hop int, ratio float64) []int {
+	threshold := ratio * ratio * (w.rangeSum(samples, a, b) / float64(b-a))
+	means := w.frameMeans(samples, frameLen, hop)
+	sil := phoneme.SilIndex()
+	out := make([]int, len(labels))
+	copy(out, labels)
+	for k := range out {
+		f := first + k
+		var mean float64
+		if f < len(means) {
+			mean = means[f]
+		} else if start := f * hop; start < len(samples) {
+			mean = sumSquares(samples[start:]) / float64(len(samples)-start)
+		} else {
+			out[k] = sil
+			continue
+		}
+		if mean < threshold {
+			out[k] = sil
+		}
+	}
+	return out
+}
+
 // ApplyEnergyGate forces frames whose RMS energy is below ratio times the
 // whole-clip RMS to silence. This suppresses spurious labels on the
 // zero-padded final frame and in long pauses.
@@ -110,34 +221,7 @@ func ApplyEnergyGate(labels []int, samples []float64, frameLen, hop int, ratio f
 	if frameLen <= 0 || hop <= 0 || len(samples) == 0 {
 		return labels
 	}
-	var total float64
-	for _, v := range samples {
-		total += v * v
-	}
-	clipRMS := total / float64(len(samples))
-	threshold := ratio * ratio * clipRMS
-	sil := phoneme.SilIndex()
-	out := make([]int, len(labels))
-	copy(out, labels)
-	for f := range labels {
-		start := f * hop
-		if start >= len(samples) {
-			out[f] = sil
-			continue
-		}
-		end := start + frameLen
-		if end > len(samples) {
-			end = len(samples)
-		}
-		var e float64
-		for _, v := range samples[start:end] {
-			e += v * v
-		}
-		if e/float64(end-start) < threshold {
-			out[f] = sil
-		}
-	}
-	return out
+	return new(tailWork).gate(labels, 0, samples, 0, len(samples), frameLen, hop, ratio)
 }
 
 // candidate is a lexicon word scored against a phoneme segment.
@@ -146,20 +230,12 @@ type candidate struct {
 	dist float64 // normalized phoneme edit distance
 }
 
-// decodeScratch holds the per-Decode working buffers (edit-distance DP
-// rows and the top-K heap), so scoring the whole lexicon per segment does
-// not allocate per word. One scratch belongs to one Decode call; the
-// Decoder itself stays safe for concurrent use.
-type decodeScratch struct {
-	prev, cur []int
-	top       []candidate
-}
-
 // topCandidates returns the TopK lexicon words closest to the phoneme
 // sequence, ties broken alphabetically (the word list is sorted, and
 // insertion keeps the earlier of equally distant words first — the same
-// order the previous stable full sort produced).
-func (d *Decoder) topCandidates(seg []int, s *decodeScratch) []candidate {
+// order the previous stable full sort produced). The result depends on
+// nothing but (d, seg), so w remembers it; callers must not modify it.
+func (d *Decoder) topCandidates(seg []int, w *tailWork) []candidate {
 	k := d.TopK
 	if k > len(d.words) {
 		k = len(d.words)
@@ -167,12 +243,19 @@ func (d *Decoder) topCandidates(seg []int, s *decodeScratch) []candidate {
 	if k <= 0 {
 		return nil
 	}
-	if cap(s.top) < k {
-		s.top = make([]candidate, 0, k)
+	w.key = w.key[:0]
+	for _, id := range seg {
+		w.key = binary.AppendUvarint(w.key, uint64(id))
 	}
-	top := s.top[:0]
-	for i, w := range d.words {
-		dist := phoneme.EditDistanceBuf(seg, d.pronIDs[i], s.prev, s.cur)
+	if top, ok := w.top[segKey{d, string(w.key)}]; ok {
+		return top
+	}
+	if cap(w.prev) <= d.maxPron {
+		w.prev, w.cur = make([]int, d.maxPron+1), make([]int, d.maxPron+1)
+	}
+	top := make([]candidate, 0, k)
+	for i, word := range d.words {
+		dist := phoneme.EditDistanceBuf(seg, d.pronIDs[i], w.prev, w.cur)
 		denom := len(seg)
 		if len(d.pronIDs[i]) > denom {
 			denom = len(d.pronIDs[i])
@@ -191,9 +274,12 @@ func (d *Decoder) topCandidates(seg []int, s *decodeScratch) []candidate {
 			top = append(top, candidate{})
 		}
 		copy(top[pos+1:], top[pos:len(top)-1])
-		top[pos] = candidate{word: w, dist: nd}
+		top[pos] = candidate{word: word, dist: nd}
 	}
-	s.top = top
+	if w.top == nil {
+		w.top = make(map[segKey][]candidate)
+	}
+	w.top[segKey{d, string(w.key)}] = top
 	return top
 }
 
@@ -220,35 +306,30 @@ func (d *Decoder) DecodePhonemes(ids []int) (string, error) {
 	if len(cur) > 0 {
 		segs = append(segs, cur)
 	}
-	return d.wordsFromSegments(segs), nil
+	return d.wordsFromSegments(segs, new(tailWork)), nil
 }
 
 // Decode converts per-frame phoneme labels into a transcription.
 func (d *Decoder) Decode(labels []int) (string, error) {
+	return d.decode(labels, new(tailWork))
+}
+
+// decode is Decode with the lexicon matches remembered in w.
+func (d *Decoder) decode(labels []int, w *tailWork) (string, error) {
 	if len(labels) == 0 {
 		return "", fmt.Errorf("asr: no frame labels to decode")
 	}
 	segs := d.segments(SmoothLabels(labels))
-	return d.wordsFromSegments(segs), nil
+	return d.wordsFromSegments(segs, w), nil
 }
 
 // wordsFromSegments maps each phoneme segment to its best lexicon word
 // with LM rescoring and joins the words.
-func (d *Decoder) wordsFromSegments(segs [][]int) string {
-	maxPron := 0
-	for _, p := range d.pronIDs {
-		if len(p) > maxPron {
-			maxPron = len(p)
-		}
-	}
-	scratch := &decodeScratch{
-		prev: make([]int, maxPron+1),
-		cur:  make([]int, maxPron+1),
-	}
+func (d *Decoder) wordsFromSegments(segs [][]int, w *tailWork) string {
 	words := make([]string, 0, len(segs))
 	history := make([]string, 0, len(segs))
 	for _, seg := range segs {
-		cands := d.topCandidates(seg, scratch)
+		cands := d.topCandidates(seg, w)
 		if len(cands) == 0 {
 			continue
 		}

@@ -45,22 +45,7 @@ func (e *MLPEngine) NumFrames(numSamples int) int { return e.MFCC.NumFrames(numS
 // rawFeatures extracts the unstacked MFCC matrix, going through the
 // shared per-clip cache when one is supplied.
 func (e *MLPEngine) rawFeatures(clip *audio.Clip, cache *FeatureCache) ([][]float64, error) {
-	if err := validateClip(clip, e.SampleRate); err != nil {
-		return nil, err
-	}
-	var (
-		feats [][]float64
-		err   error
-	)
-	if cache != nil {
-		feats, err = cache.Extract(e.MFCC)
-	} else {
-		feats, err = e.MFCC.Extract(clip.Samples)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("asr: %s feature extraction: %w", e.ID, err)
-	}
-	return feats, nil
+	return clipFeatures(clip, e.SampleRate, e.MFCC, cache, e.ID)
 }
 
 // features extracts context-stacked MFCCs; when keepState is true the MFCC
@@ -145,13 +130,7 @@ func (e *MLPEngine) TranscribeWithCache(clip *audio.Clip, cache *FeatureCache) (
 	if err != nil {
 		return "", err
 	}
-	mc := e.MFCC.Config()
-	labels = ApplyEnergyGate(labels, clip.Samples, mc.FrameLen, mc.Hop, energyGateRatio)
-	text, err := e.Dec.Decode(labels)
-	if err != nil {
-		return "", fmt.Errorf("asr: %s decoding: %w", e.ID, err)
-	}
-	return text, nil
+	return transcribeLabels(labels, clip, e.MFCC, e.Dec, cache, e.ID)
 }
 
 // TargetLoss implements GradientModel: the mean framewise cross-entropy of

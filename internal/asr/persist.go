@@ -293,13 +293,17 @@ func restoreHMM(snap hmmSnap) (*hmm.HMM, error) {
 			}
 			emitters[i] = g
 		case es.GMM != nil:
-			mix := &hmm.GMM{Weights: es.GMM.Weights}
-			for _, cs := range es.GMM.Components {
+			comps := make([]*hmm.Gaussian, len(es.GMM.Components))
+			for j, cs := range es.GMM.Components {
 				c, err := hmm.NewGaussian(cs.Mean, cs.Var)
 				if err != nil {
 					return nil, err
 				}
-				mix.Components = append(mix.Components, c)
+				comps[j] = c
+			}
+			mix, err := hmm.NewGMM(es.GMM.Weights, comps)
+			if err != nil {
+				return nil, err
 			}
 			emitters[i] = mix
 		default:

@@ -44,33 +44,31 @@ func (e *RNNEngine) Features(clip *audio.Clip) ([][]float64, error) {
 }
 
 func (e *RNNEngine) features(clip *audio.Clip, cache *FeatureCache) ([][]float64, error) {
-	if err := validateClip(clip, e.SampleRate); err != nil {
-		return nil, err
-	}
-	var (
-		feats [][]float64
-		err   error
-	)
-	if cache != nil {
-		feats, err = cache.Extract(e.MFCC)
-	} else {
-		feats, err = e.MFCC.Extract(clip.Samples)
-	}
+	feats, err := clipFeatures(clip, e.SampleRate, e.MFCC, cache, e.ID)
 	if err != nil {
-		return nil, fmt.Errorf("asr: %s feature extraction: %w", e.ID, err)
+		return nil, err
 	}
 	if !e.UseDeltas {
 		return feats, nil
 	}
-	deltas := dsp.Deltas(feats, 2)
+	// MFCC‖delta rows share one backing array, like the MFCC matrix.
+	width := 2 * e.MFCC.Config().NumCoeffs
 	out := make([][]float64, len(feats))
+	rows := make([]float64, len(feats)*width)
 	for t := range feats {
-		v := make([]float64, 0, len(feats[t])*2)
-		v = append(v, feats[t]...)
-		v = append(v, deltas[t]...)
-		out[t] = v
+		out[t] = rows[t*width : (t+1)*width : (t+1)*width]
+		deltaRow(feats, t, len(feats), out[t])
 	}
 	return out, nil
+}
+
+// deltaRow writes frame t's network input into dst: the MFCC row
+// followed by its width-2 regression delta, neighbours clamped to the n
+// frames that exist (dsp.DeltaInto).
+func deltaRow(feats [][]float64, t, n int, dst []float64) {
+	dim := len(feats[t])
+	copy(dst, feats[t])
+	dsp.DeltaInto(feats, t, n, 2, dst[dim:2*dim])
 }
 
 // FrameLabels implements FrameLabeler.
@@ -86,13 +84,19 @@ func (e *RNNEngine) frameLabels(clip *audio.Clip, cache *FeatureCache) ([]int, e
 	if e.qnet != nil {
 		return e.frameLabelsQuantized(feats)
 	}
-	logits, _, err := e.Net.ForwardSeq(feats)
-	if err != nil {
-		return nil, fmt.Errorf("asr: %s forward: %w", e.ID, err)
-	}
-	labels := make([]int, len(logits))
-	for t, l := range logits {
-		labels[t] = nn.Argmax(l)
+	// Inference keeps no BPTT cache: two ping-pong hidden buffers and
+	// one logits buffer serve the whole clip (ForwardSeq is the same
+	// StepInto recurrence plus the per-frame copies training needs).
+	h := make([]float64, e.Net.Hidden)
+	nh := make([]float64, e.Net.Hidden)
+	y := make([]float64, e.Net.Out)
+	labels := make([]int, len(feats))
+	for t, x := range feats {
+		if err := e.Net.StepInto(x, h, nh, y); err != nil {
+			return nil, fmt.Errorf("asr: %s forward: frame %d: %w", e.ID, t, err)
+		}
+		h, nh = nh, h
+		labels[t] = nn.Argmax(y)
 	}
 	return labels, nil
 }
@@ -108,11 +112,5 @@ func (e *RNNEngine) TranscribeWithCache(clip *audio.Clip, cache *FeatureCache) (
 	if err != nil {
 		return "", err
 	}
-	mc := e.MFCC.Config()
-	labels = ApplyEnergyGate(labels, clip.Samples, mc.FrameLen, mc.Hop, energyGateRatio)
-	text, err := e.Dec.Decode(labels)
-	if err != nil {
-		return "", fmt.Errorf("asr: %s decoding: %w", e.ID, err)
-	}
-	return text, nil
+	return transcribeLabels(labels, clip, e.MFCC, e.Dec, cache, e.ID)
 }

@@ -8,7 +8,6 @@ import (
 	"mvpears/internal/dsp"
 	"mvpears/internal/hmm"
 	"mvpears/internal/nn"
-	"mvpears/internal/phoneme"
 )
 
 // This file is the frame-incremental counterpart of the clip-at-a-time
@@ -56,6 +55,10 @@ type EnsembleStream struct {
 	frontList []*streamFront
 	streams   []engineStream
 	finalized bool
+	// tail is the post-acoustic work every window, every engine and the
+	// final pass share (energy gate sums, lexicon matches). It lives and
+	// dies with the session, which MaxDuration bounds.
+	tail tailWork
 }
 
 // engineStream is the per-engine incremental state.
@@ -85,7 +88,7 @@ func NewEnsembleStream(engines []Recognizer, sampleRate int) (*EnsembleStream, e
 		if engineRate != sampleRate {
 			return nil, fmt.Errorf("asr: engine expects %d Hz, stream is %d Hz", engineRate, sampleRate)
 		}
-		fp := m.Config().Fingerprint()
+		fp := m.Fingerprint()
 		if f, ok := es.fronts[fp]; ok {
 			return f, nil
 		}
@@ -109,8 +112,7 @@ func NewEnsembleStream(engines []Recognizer, sampleRate int) (*EnsembleStream, e
 			if err != nil {
 				return nil, fmt.Errorf("asr: %s: %w", e.ID, err)
 			}
-			es.streams[i] = &rnnStream{e: e, feed: es, front: f,
-				h: make([]float64, e.Net.Hidden)}
+			es.streams[i] = newRNNStream(e, es, f)
 		case *GMMEngine:
 			f, err := front(e.MFCC, e.SampleRate)
 			if err != nil {
@@ -141,6 +143,17 @@ func (es *EnsembleStream) Total() int { return len(es.samples) }
 // slice is owned by the stream; callers must not mutate it.
 func (es *EnsembleStream) Samples() []float64 { return es.samples }
 
+// Reserve grows the sample buffer to hold n samples without further
+// copying — for callers that know the clip's length up front (a WAV
+// header that declares it).
+func (es *EnsembleStream) Reserve(n int) {
+	if n > cap(es.samples) {
+		grown := make([]float64, len(es.samples), n)
+		copy(grown, es.samples)
+		es.samples = grown
+	}
+}
+
 // Push appends a chunk of audio and advances every engine as far as its
 // commitment rule allows.
 func (es *EnsembleStream) Push(chunk []float64) error {
@@ -149,6 +162,11 @@ func (es *EnsembleStream) Push(chunk []float64) error {
 	}
 	if len(chunk) == 0 {
 		return nil
+	}
+	// Doubling keeps a session's total allocation linear in its length
+	// (append's 1.25x growth of large slices copies the clip five times).
+	if need := len(es.samples) + len(chunk); need > cap(es.samples) {
+		es.Reserve(max(need, 2*cap(es.samples)))
 	}
 	es.samples = append(es.samples, chunk...)
 	for _, f := range es.frontList {
@@ -226,59 +244,26 @@ func windowFrames(a, b, hop, emitted int) (first, end int) {
 	return first, end
 }
 
-// decodeWindowLabels gates and decodes labels for frames
-// [firstFrame, firstFrame+len(labels)) against the window's own energy:
-// frames whose RMS is below ratio times the window RMS are forced to
-// silence (the absolute-index analogue of ApplyEnergyGate — engine frame
-// geometries differ, so gating must index the shared sample buffer, not a
-// window-relative slice).
-func decodeWindowLabels(labels []int, firstFrame int, mc dsp.MFCCConfig, dec *Decoder, samples []float64, a, b int, id EngineID) (string, error) {
-	if len(labels) == 0 {
-		return "", nil
-	}
-	var total float64
-	for _, v := range samples[a:b] {
-		total += v * v
-	}
-	windowRMS := total / float64(b-a)
-	threshold := energyGateRatio * energyGateRatio * windowRMS
-	sil := phoneme.SilIndex()
-	gated := make([]int, len(labels))
-	copy(gated, labels)
-	for k := range gated {
-		start := (firstFrame + k) * mc.Hop
-		if start >= len(samples) {
-			gated[k] = sil
-			continue
-		}
-		end := start + mc.FrameLen
-		if end > len(samples) {
-			end = len(samples)
-		}
-		var e float64
-		for _, v := range samples[start:end] {
-			e += v * v
-		}
-		if e/float64(end-start) < threshold {
-			gated[k] = sil
-		}
-	}
-	text, err := dec.Decode(gated)
+// decodeFrames gates the labels of frames firstFrame, firstFrame+1, …
+// against the energy of samples [a,b) and decodes them to words. A window
+// passes its own range: frames whose RMS is below energyGateRatio times
+// the window's are forced to silence, indexed absolutely into the shared
+// sample buffer since engine frame geometries may differ. The final pass
+// passes the whole clip from frame 0, which is exactly the tail of
+// TranscribeWithCache.
+func (es *EnsembleStream) decodeFrames(labels []int, firstFrame int, m *dsp.MFCC, dec *Decoder, a, b int, id EngineID) (string, error) {
+	mc := m.Config()
+	gated := es.tail.gate(labels, firstFrame, es.samples, a, b, mc.FrameLen, mc.Hop, energyGateRatio)
+	text, err := dec.decode(gated, &es.tail)
 	if err != nil {
 		return "", fmt.Errorf("asr: %s decoding: %w", id, err)
 	}
 	return text, nil
 }
 
-// finalizeLabels applies the whole-clip energy gate and word decode —
-// exactly the tail of TranscribeWithCache.
-func finalizeLabels(labels []int, mc dsp.MFCCConfig, dec *Decoder, samples []float64, id EngineID) (string, error) {
-	labels = ApplyEnergyGate(labels, samples, mc.FrameLen, mc.Hop, energyGateRatio)
-	text, err := dec.Decode(labels)
-	if err != nil {
-		return "", fmt.Errorf("asr: %s decoding: %w", id, err)
-	}
-	return text, nil
+// decodeFinal is decodeFrames over the whole clip.
+func (es *EnsembleStream) decodeFinal(labels []int, m *dsp.MFCC, dec *Decoder, id EngineID) (string, error) {
+	return es.decodeFrames(labels, 0, m, dec, 0, len(es.samples), id)
 }
 
 // --- MLP -------------------------------------------------------------
@@ -328,8 +313,7 @@ func (s *mlpStream) labelsRange(from, to int) ([]int, error) {
 }
 
 func (s *mlpStream) windowText(a, b int) (string, error) {
-	mc := s.e.MFCC.Config()
-	first, end := windowFrames(a, b, mc.Hop, len(s.front.feats))
+	first, end := windowFrames(a, b, s.e.MFCC.Config().Hop, len(s.front.feats))
 	if first >= end {
 		return "", nil
 	}
@@ -337,11 +321,11 @@ func (s *mlpStream) windowText(a, b int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return decodeWindowLabels(labels, first, mc, s.e.Dec, s.feed.samples, a, b, s.e.ID)
+	return s.feed.decodeFrames(labels, first, s.e.MFCC, s.e.Dec, a, b, s.e.ID)
 }
 
 func (s *mlpStream) finalText() (string, error) {
-	return finalizeLabels(s.labels, s.e.MFCC.Config(), s.e.Dec, s.feed.samples, s.e.ID)
+	return s.feed.decodeFinal(s.labels, s.e.MFCC, s.e.Dec, s.e.ID)
 }
 
 // --- RNN -------------------------------------------------------------
@@ -352,61 +336,44 @@ type rnnStream struct {
 	front  *streamFront
 	labels []int     // committed labels
 	h      []float64 // hidden state after the last committed input
+	// Working buffers: the next hidden state, the provisional tail's
+	// ping-pong pair, the logits and the MFCC‖delta input row.
+	nh, ph, pnh, y, in []float64
+}
+
+func newRNNStream(e *RNNEngine, feed *EnsembleStream, front *streamFront) *rnnStream {
+	vec := func(n int) []float64 { return make([]float64, n) }
+	hid := e.Net.Hidden
+	return &rnnStream{e: e, feed: feed, front: front,
+		h: vec(hid), nh: vec(hid), ph: vec(hid), pnh: vec(hid), y: vec(e.Net.Out), in: vec(2 * e.MFCC.Config().NumCoeffs)}
 }
 
 // input builds the network input for frame t, replicating the batch
 // feature construction (MFCC row plus the width-2 regression deltas with
-// edges clamped to the current frame count n).
+// edges clamped to the current frame count n). The row is reused by the
+// next call.
 func (s *rnnStream) input(t, n int) []float64 {
 	feats := s.front.feats
 	if !s.e.UseDeltas {
 		return feats[t]
 	}
-	clamp := func(i int) int {
-		if i < 0 {
-			return 0
-		}
-		if i >= n {
-			return n - 1
-		}
-		return i
-	}
-	d := make([]float64, len(feats[t]))
-	var denom float64
-	for w := 1; w <= 2; w++ {
-		denom += 2 * float64(w*w)
-	}
-	for w := 1; w <= 2; w++ {
-		fw := float64(w)
-		plus, minus := feats[clamp(t+w)], feats[clamp(t-w)]
-		for j := range d {
-			d[j] += fw * (plus[j] - minus[j])
-		}
-	}
-	for j := range d {
-		d[j] /= denom
-	}
-	v := make([]float64, 0, len(feats[t])*2)
-	v = append(v, feats[t]...)
-	v = append(v, d...)
-	return v
+	deltaRow(feats, t, n, s.in)
+	return s.in
 }
 
 func (s *rnnStream) advance(final bool) error {
 	n := len(s.front.feats)
-	nh := make([]float64, s.e.Net.Hidden)
-	y := make([]float64, s.e.Net.Out)
 	for t := len(s.labels); t < n; t++ {
 		// A delta input reads frames t+1 and t+2; until they exist the
 		// clamped value is provisional, so the hidden state must wait.
 		if !final && s.e.UseDeltas && t+2 >= n {
 			break
 		}
-		if err := s.e.Net.StepInto(s.input(t, n), s.h, nh, y); err != nil {
+		if err := s.e.Net.StepInto(s.input(t, n), s.h, s.nh, s.y); err != nil {
 			return fmt.Errorf("asr: %s forward: %w", s.e.ID, err)
 		}
-		s.h, nh = nh, s.h
-		s.labels = append(s.labels, nn.Argmax(y))
+		s.h, s.nh = s.nh, s.h
+		s.labels = append(s.labels, nn.Argmax(s.y))
 	}
 	return nil
 }
@@ -423,24 +390,22 @@ func (s *rnnStream) labelsRange(from, to int) ([]int, error) {
 	// Provisional tail: run the recurrence on a copy of the hidden state
 	// from the first uncommitted input onward.
 	n := len(s.front.feats)
-	h := append([]float64(nil), s.h...)
-	nh := make([]float64, s.e.Net.Hidden)
-	y := make([]float64, s.e.Net.Out)
+	h, nh := s.ph, s.pnh
+	copy(h, s.h)
 	for t := c; t < to; t++ {
-		if err := s.e.Net.StepInto(s.input(t, n), h, nh, y); err != nil {
+		if err := s.e.Net.StepInto(s.input(t, n), h, nh, s.y); err != nil {
 			return nil, fmt.Errorf("asr: %s forward: %w", s.e.ID, err)
 		}
 		h, nh = nh, h
 		if t >= from {
-			out = append(out, nn.Argmax(y))
+			out = append(out, nn.Argmax(s.y))
 		}
 	}
 	return out, nil
 }
 
 func (s *rnnStream) windowText(a, b int) (string, error) {
-	mc := s.e.MFCC.Config()
-	first, end := windowFrames(a, b, mc.Hop, len(s.front.feats))
+	first, end := windowFrames(a, b, s.e.MFCC.Config().Hop, len(s.front.feats))
 	if first >= end {
 		return "", nil
 	}
@@ -448,11 +413,11 @@ func (s *rnnStream) windowText(a, b int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return decodeWindowLabels(labels, first, mc, s.e.Dec, s.feed.samples, a, b, s.e.ID)
+	return s.feed.decodeFrames(labels, first, s.e.MFCC, s.e.Dec, a, b, s.e.ID)
 }
 
 func (s *rnnStream) finalText() (string, error) {
-	return finalizeLabels(s.labels, s.e.MFCC.Config(), s.e.Dec, s.feed.samples, s.e.ID)
+	return s.feed.decodeFinal(s.labels, s.e.MFCC, s.e.Dec, s.e.ID)
 }
 
 // --- GMM -------------------------------------------------------------
@@ -472,18 +437,17 @@ func (s *gmmStream) advance(final bool) error {
 }
 
 func (s *gmmStream) windowText(a, b int) (string, error) {
-	mc := s.e.MFCC.Config()
-	first, end := windowFrames(a, b, mc.Hop, s.v.Len())
+	first, end := windowFrames(a, b, s.e.MFCC.Config().Hop, s.v.Len())
 	if first >= end {
 		return "", nil
 	}
 	// The provisional alignment is the best path given everything heard
-	// so far, backtraced on demand.
-	path, _, err := s.v.Path()
+	// so far, backtraced on demand as far back as the window reaches.
+	path, _, err := s.v.PathFrom(first)
 	if err != nil {
 		return "", fmt.Errorf("asr: %s Viterbi: %w", s.e.ID, err)
 	}
-	return decodeWindowLabels(path[first:end], first, mc, s.e.Dec, s.feed.samples, a, b, s.e.ID)
+	return s.feed.decodeFrames(path[:end-first], first, s.e.MFCC, s.e.Dec, a, b, s.e.ID)
 }
 
 func (s *gmmStream) finalText() (string, error) {
@@ -491,7 +455,7 @@ func (s *gmmStream) finalText() (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("asr: %s Viterbi: %w", s.e.ID, err)
 	}
-	return finalizeLabels(path, s.e.MFCC.Config(), s.e.Dec, s.feed.samples, s.e.ID)
+	return s.feed.decodeFinal(path, s.e.MFCC, s.e.Dec, s.e.ID)
 }
 
 // --- Weak ------------------------------------------------------------
@@ -539,16 +503,15 @@ func (s *weakStream) advance(final bool) error {
 }
 
 func (s *weakStream) windowText(a, b int) (string, error) {
-	mc := s.e.MFCC.Config()
-	first, end := windowFrames(a, b, mc.Hop, len(s.labels))
+	first, end := windowFrames(a, b, s.e.MFCC.Config().Hop, len(s.labels))
 	if first >= end {
 		return "", nil
 	}
-	return decodeWindowLabels(s.labels[first:end], first, mc, s.e.Dec, s.feed.samples, a, b, s.e.ID)
+	return s.feed.decodeFrames(s.labels[first:end], first, s.e.MFCC, s.e.Dec, a, b, s.e.ID)
 }
 
 func (s *weakStream) finalText() (string, error) {
-	return finalizeLabels(s.labels, s.e.MFCC.Config(), s.e.Dec, s.feed.samples, s.e.ID)
+	return s.feed.decodeFinal(s.labels, s.e.MFCC, s.e.Dec, s.e.ID)
 }
 
 // --- batch fallback --------------------------------------------------

@@ -37,20 +37,9 @@ func (e *WeakEngine) FrameLabels(clip *audio.Clip) ([]int, error) {
 }
 
 func (e *WeakEngine) frameLabels(clip *audio.Clip, cache *FeatureCache) ([]int, error) {
-	if err := validateClip(clip, e.SampleRate); err != nil {
-		return nil, err
-	}
-	var (
-		feats [][]float64
-		err   error
-	)
-	if cache != nil {
-		feats, err = cache.Extract(e.MFCC)
-	} else {
-		feats, err = e.MFCC.Extract(clip.Samples)
-	}
+	feats, err := clipFeatures(clip, e.SampleRate, e.MFCC, cache, e.ID)
 	if err != nil {
-		return nil, fmt.Errorf("asr: %s feature extraction: %w", e.ID, err)
+		return nil, err
 	}
 	labels := make([]int, len(feats))
 	q := make([]float64, e.MFCC.Config().NumCoeffs)
@@ -96,11 +85,5 @@ func (e *WeakEngine) TranscribeWithCache(clip *audio.Clip, cache *FeatureCache) 
 	if err != nil {
 		return "", err
 	}
-	mc := e.MFCC.Config()
-	labels = ApplyEnergyGate(labels, clip.Samples, mc.FrameLen, mc.Hop, energyGateRatio)
-	text, err := e.Dec.Decode(labels)
-	if err != nil {
-		return "", fmt.Errorf("asr: %s decoding: %w", e.ID, err)
-	}
-	return text, nil
+	return transcribeLabels(labels, clip, e.MFCC, e.Dec, cache, e.ID)
 }

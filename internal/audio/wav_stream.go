@@ -58,6 +58,14 @@ func NewWAVStreamReader(r io.Reader, maxDataBytes int64) (*WAVStreamReader, erro
 // SampleRate returns the stream's sample rate.
 func (w *WAVStreamReader) SampleRate() int { return w.sampleRate }
 
+// DeclaredSamples returns how many samples the header says the data
+// chunk holds, and false when the size is unknown until EOF. It is a
+// claim, not a promise: consumers may size buffers by it but must bound
+// it themselves.
+func (w *WAVStreamReader) DeclaredSamples() (int, bool) {
+	return int(w.declared / 2), !w.unknown
+}
+
 // ReadSamples decodes up to len(out) samples into out, returning how
 // many were produced. It returns (0, io.EOF) once the payload is fully
 // consumed — after verifying any trailer when the data size was

@@ -15,16 +15,19 @@ import (
 
 // fftPlan holds the precomputed tables for one transform size: the
 // bit-reversal permutation and the forward/inverse twiddle factors
-// w_n^k = exp(∓i·2πk/n) for k < n/2. A stage of size s reads the table
-// with stride n/s, so one table serves every stage. Each twiddle is
-// evaluated directly with cmplx.Exp instead of the classic w *= wStep
-// recurrence, which accumulates one rounding error per butterfly and
-// visibly degrades long transforms.
+// w_n^k = exp(∓i·2πk/n) for k < n/2. Each twiddle is evaluated directly
+// with cmplx.Exp instead of the classic w *= wStep recurrence, which
+// accumulates one rounding error per butterfly and visibly degrades long
+// transforms. A stage of size s uses every (n/s)-th table entry; the
+// per-stage slices hold exactly those entries in butterfly order, so the
+// butterfly loop indexes three equally long slices and carries no bounds
+// checks.
 type fftPlan struct {
-	n      int
-	bitrev []int32
-	fwd    []complex128
-	inv    []complex128
+	n         int
+	bitrev    []int32
+	fwd       []complex128   // forward table; RealPowerInto's untangle reads it whole
+	fwdStages [][]complex128 // stage log2(size)-1: fwd[k*n/size], k < size/2
+	invStages [][]complex128
 }
 
 // planCache maps transform size -> *fftPlan. Plans are immutable after
@@ -44,11 +47,21 @@ func getPlan(n int) *fftPlan {
 	}
 	half := n / 2
 	p.fwd = make([]complex128, half)
-	p.inv = make([]complex128, half)
+	inv := make([]complex128, half)
 	for k := 0; k < half; k++ {
 		angle := 2 * math.Pi * float64(k) / float64(n)
 		p.fwd[k] = cmplx.Exp(complex(0, -angle))
-		p.inv[k] = cmplx.Exp(complex(0, angle))
+		inv[k] = cmplx.Exp(complex(0, angle))
+	}
+	for size := 2; size <= n; size <<= 1 {
+		stride := n / size
+		f := make([]complex128, size/2)
+		v := make([]complex128, size/2)
+		for k := range f {
+			f[k], v[k] = p.fwd[k*stride], inv[k*stride]
+		}
+		p.fwdStages = append(p.fwdStages, f)
+		p.invStages = append(p.invStages, v)
 	}
 	actual, _ := planCache.LoadOrStore(n, p)
 	return actual.(*fftPlan)
@@ -85,30 +98,44 @@ func fftDir(x []complex128, inverse bool) error {
 		return nil
 	}
 	plan := getPlan(n)
-	for i, rev := range plan.bitrev {
+	if inverse {
+		plan.transform(x, plan.invStages)
+	} else {
+		plan.transform(x, plan.fwdStages)
+	}
+	return nil
+}
+
+// transform runs the bit-reversal and the butterflies over x (len p.n)
+// with one direction's per-stage twiddles. The first butterfly of every
+// block has the unit twiddle w^0 = 1∓0i and skips the multiplication:
+// b·(1∓0i) equals b except possibly in the sign of a zero component, and a
+// zero's sign never changes a nonzero value downstream (only sums and
+// products follow) and squares away in the power spectrum. No other
+// twiddle is exact in floating point — w^(n/4) is 6.1e-17∓i, not ∓i — so
+// every other product is kept.
+func (p *fftPlan) transform(x []complex128, stages [][]complex128) {
+	x = x[:p.n]
+	for i, rev := range p.bitrev {
 		if j := int(rev); j > i {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	tw := plan.fwd
-	if inverse {
-		tw = plan.inv
-	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		stride := n / size
-		for start := 0; start < n; start += size {
-			ti := 0
-			for k := start; k < start+half; k++ {
-				a := x[k]
-				b := x[k+half] * tw[ti]
-				x[k] = a + b
-				x[k+half] = a - b
-				ti += stride
+	for _, tw := range stages {
+		half := len(tw)
+		for start := 0; start+2*half <= len(x); start += 2 * half {
+			lo := x[start:][:half]
+			hi := x[start+half:][:half]
+			a, b := lo[0], hi[0]
+			lo[0], hi[0] = a+b, a-b
+			for k := 1; k < len(lo); k++ {
+				a := lo[k]
+				b := hi[k] * tw[k]
+				lo[k] = a + b
+				hi[k] = a - b
 			}
 		}
 	}
-	return nil
 }
 
 // RFFT computes the FFT of a real signal and returns the first n/2+1
@@ -180,12 +207,38 @@ func RealPowerInto(x []float64, buf []complex128, power []float64) error {
 	if len(power) < h+1 {
 		return fmt.Errorf("dsp: power buffer len %d < %d", len(power), h+1)
 	}
+	newRealPlan(n).power(x, buf, power)
+	return nil
+}
+
+// realPlan is what RealPowerInto needs for one frame size n: the
+// half-size complex plan and the size-n forward twiddles of the untangle
+// step. The MFCC extractors hold one for their FFT size, so the per-frame
+// path does no plan-cache lookups.
+type realPlan struct {
+	half *fftPlan     // nil when n == 2: a one-point transform is the identity
+	tw   []complex128 // getPlan(n).fwd
+}
+
+// newRealPlan returns the plan for a power-of-two n >= 2.
+func newRealPlan(n int) realPlan {
+	rp := realPlan{tw: getPlan(n).fwd}
+	if n >= 4 {
+		rp.half = getPlan(n / 2)
+	}
+	return rp
+}
+
+// power is RealPowerInto for buffers already known to fit: len(x) == n,
+// cap(buf) >= n/2, len(power) >= n/2+1.
+func (rp realPlan) power(x []float64, buf []complex128, power []float64) {
+	h := len(x) / 2
 	buf = buf[:h]
-	for j := 0; j < h; j++ {
+	for j := range buf {
 		buf[j] = complex(x[2*j], x[2*j+1])
 	}
-	if err := FFT(buf); err != nil {
-		return err
+	if rp.half != nil {
+		rp.half.transform(buf, rp.half.fwdStages)
 	}
 	// Untangle: with z_j = x_{2j} + i·x_{2j+1} and Z its H-point FFT, the
 	// even/odd spectra are E_k = (Z_k + conj(Z_{H-k}))/2 and
@@ -198,7 +251,7 @@ func RealPowerInto(x []float64, buf []complex128, power []float64) error {
 	ny := re0 - im0
 	power[0] = dc * dc
 	power[h] = ny * ny
-	tw := getPlan(n).fwd
+	tw := rp.tw
 	for k := 1; k < h; k++ {
 		a, b := real(buf[k]), imag(buf[k])
 		c, d := real(buf[h-k]), imag(buf[h-k])
@@ -209,7 +262,6 @@ func RealPowerInto(x []float64, buf []complex128, power []float64) error {
 		xi := ei + tr*oi + ti*or
 		power[k] = xr*xr + xi*xi
 	}
-	return nil
 }
 
 // NextPow2 returns the smallest power of two >= n (and at least 1).

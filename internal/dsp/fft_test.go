@@ -276,3 +276,130 @@ func TestRealPowerInto(t *testing.T) {
 		t.Error("short power buffer not rejected")
 	}
 }
+
+// refFFT and refRealPower are frozen copies of the transform as it ran
+// before the per-stage twiddle tables and the unit-twiddle shortcut: one
+// shared table read with a stride, every butterfly multiplied. The
+// current code must agree with them under == (which, like the power
+// spectrum, does not see the sign of a zero).
+func refFFT(x []complex128, inverse bool) {
+	n := len(x)
+	if n < 2 {
+		return
+	}
+	plan := getPlan(n)
+	for i, rev := range plan.bitrev {
+		if j := int(rev); j > i {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	tw := make([]complex128, n/2)
+	for k := range tw {
+		angle := 2 * math.Pi * float64(k) / float64(n)
+		if inverse {
+			tw[k] = cmplx.Exp(complex(0, angle))
+		} else {
+			tw[k] = cmplx.Exp(complex(0, -angle))
+		}
+	}
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		stride := n / size
+		for start := 0; start < n; start += size {
+			ti := 0
+			for k := start; k < start+half; k++ {
+				a := x[k]
+				b := x[k+half] * tw[ti]
+				x[k] = a + b
+				x[k+half] = a - b
+				ti += stride
+			}
+		}
+	}
+}
+
+func refRealPower(x []float64, power []float64) {
+	n := len(x)
+	h := n / 2
+	buf := make([]complex128, h)
+	for j := 0; j < h; j++ {
+		buf[j] = complex(x[2*j], x[2*j+1])
+	}
+	refFFT(buf, false)
+	re0, im0 := real(buf[0]), imag(buf[0])
+	dc := re0 + im0
+	ny := re0 - im0
+	power[0] = dc * dc
+	power[h] = ny * ny
+	for k := 1; k < h; k++ {
+		angle := 2 * math.Pi * float64(k) / float64(n)
+		w := cmplx.Exp(complex(0, -angle))
+		a, b := real(buf[k]), imag(buf[k])
+		c, d := real(buf[h-k]), imag(buf[h-k])
+		er, ei := 0.5*(a+c), 0.5*(b-d)
+		or, oi := 0.5*(b+d), -0.5*(a-c)
+		tr, ti := real(w), imag(w)
+		xr := er + tr*or - ti*oi
+		xi := ei + tr*oi + ti*or
+		power[k] = xr*xr + xi*xi
+	}
+}
+
+func TestFFTBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, n := range []int{1, 2, 4, 8, 16, 128, 256, 1024} {
+		for trial := 0; trial < 8; trial++ {
+			x := make([]complex128, n)
+			for i := range x {
+				x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+			if trial%2 == 1 { // a real, zero-padded frame like the MFCC path's
+				for i := range x {
+					x[i] = complex(real(x[i]), 0)
+					if i > n/2 {
+						x[i] = 0
+					}
+				}
+			}
+			for _, inverse := range []bool{false, true} {
+				got := append([]complex128(nil), x...)
+				want := append([]complex128(nil), x...)
+				if err := fftDir(got, inverse); err != nil {
+					t.Fatal(err)
+				}
+				refFFT(want, inverse)
+				for k := range want {
+					if got[k] != want[k] {
+						t.Fatalf("n=%d inverse=%v bin %d: %v, reference %v", n, inverse, k, got[k], want[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestRealPowerIntoBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for _, n := range []int{2, 4, 8, 64, 256, 512} {
+		plan := newRealPlan(n)
+		for trial := 0; trial < 16; trial++ {
+			x := make([]float64, n)
+			for i := range x[:n-rng.Intn(n/2+1)] { // zero-padded tail, as in the last frames of a clip
+				x[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(5)-2))
+			}
+			want := make([]float64, n/2+1)
+			refRealPower(x, want)
+			got := make([]float64, n/2+1)
+			if err := RealPowerInto(x, make([]complex128, n/2), got); err != nil {
+				t.Fatal(err)
+			}
+			held := make([]float64, n/2+1)
+			plan.power(x, make([]complex128, n/2), held)
+			for k := range want {
+				if got[k] != want[k] || held[k] != want[k] {
+					t.Fatalf("n=%d bin %d: RealPowerInto %v, held plan %v, reference %v", n, k, got[k], held[k], want[k])
+				}
+			}
+		}
+	}
+}

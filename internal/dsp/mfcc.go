@@ -77,8 +77,8 @@ func (c MFCCConfig) Validate() error {
 		return fmt.Errorf("dsp: frame length %d and hop %d must be positive", c.FrameLen, c.Hop)
 	case c.FFTSize < c.FrameLen:
 		return fmt.Errorf("dsp: FFT size %d smaller than frame length %d", c.FFTSize, c.FrameLen)
-	case c.FFTSize&(c.FFTSize-1) != 0:
-		return fmt.Errorf("dsp: FFT size %d is not a power of two", c.FFTSize)
+	case c.FFTSize < 2 || c.FFTSize&(c.FFTSize-1) != 0:
+		return fmt.Errorf("dsp: FFT size %d is not a power of two >= 2", c.FFTSize)
 	case c.NumFilters <= 0 || c.NumCoeffs <= 0:
 		return fmt.Errorf("dsp: filters %d and coefficients %d must be positive", c.NumFilters, c.NumCoeffs)
 	case c.NumCoeffs > c.NumFilters:
@@ -94,7 +94,9 @@ func (c MFCCConfig) Validate() error {
 // allocations per clip instead of several per frame.
 type MFCC struct {
 	cfg    MFCCConfig
+	fp     string // cfg.Fingerprint(), formatted once
 	window []float64
+	rfft   realPlan // power-spectrum plan for cfg.FFTSize
 	bank   *MelBank
 	dct    *DCT2Plan
 	pool   sync.Pool // *mfccScratch
@@ -125,7 +127,8 @@ func NewMFCC(cfg MFCCConfig) (*MFCC, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &MFCC{cfg: cfg, window: win, bank: bank, dct: NewDCT2Plan(cfg.NumFilters, cfg.NumCoeffs)}
+	m := &MFCC{cfg: cfg, fp: cfg.Fingerprint(), window: win, rfft: newRealPlan(cfg.FFTSize),
+		bank: bank, dct: NewDCT2Plan(cfg.NumFilters, cfg.NumCoeffs)}
 	m.pool.New = func() any {
 		return &mfccScratch{
 			buf:    make([]complex128, cfg.FFTSize),
@@ -140,6 +143,10 @@ func NewMFCC(cfg MFCCConfig) (*MFCC, error) {
 
 // Config returns the (defaulted) configuration of the extractor.
 func (m *MFCC) Config() MFCCConfig { return m.cfg }
+
+// Fingerprint returns Config().Fingerprint() without reformatting it:
+// the per-clip and per-session feature caches look it up on every call.
+func (m *MFCC) Fingerprint() string { return m.fp }
 
 // MFCCState captures the intermediate activations of one Extract call so
 // that Backward can propagate gradients to the waveform.
@@ -235,9 +242,7 @@ func (m *MFCC) extract(x []float64, keep bool) ([][]float64, *MFCCState, error) 
 			for i := avail; i < cfg.FFTSize; i++ {
 				frame[i] = 0
 			}
-			if err := RealPowerInto(frame, buf, power); err != nil {
-				return nil, nil, err
-			}
+			m.rfft.power(frame, buf, power)
 		}
 		mel, err := m.bank.ApplyInto(power, s.mel)
 		if err != nil {
@@ -330,41 +335,45 @@ func cmplxConj(c complex128) complex128 {
 }
 
 // Deltas computes first-order regression deltas over a feature matrix with
-// the standard +/-width window.
+// the standard +/-width window. The rows share one backing array.
 func Deltas(feats [][]float64, width int) [][]float64 {
+	n := len(feats)
+	out := make([][]float64, n)
+	if n == 0 {
+		return out
+	}
+	dim := len(feats[0])
+	rows := make([]float64, n*dim)
+	for t := range out {
+		out[t] = rows[t*dim : (t+1)*dim : (t+1)*dim]
+		DeltaInto(feats, t, n, width, out[t])
+	}
+	return out
+}
+
+// DeltaInto writes frame t's regression delta into dst (as wide as a
+// feature row), with neighbour indices clamped to [0, n): n is the number
+// of frames that exist so far, which lets a streaming consumer compute
+// the same provisional edge values a batch pass over feats[:n] would.
+func DeltaInto(feats [][]float64, t, n, width int, dst []float64) {
 	if width <= 0 {
 		width = 2
 	}
-	n := len(feats)
-	out := make([][]float64, n)
 	var denom float64
 	for w := 1; w <= width; w++ {
 		denom += 2 * float64(w*w)
 	}
-	clamp := func(i int) int {
-		if i < 0 {
-			return 0
+	clear(dst)
+	for w := 1; w <= width; w++ {
+		fw := float64(w)
+		plus, minus := feats[min(t+w, n-1)], feats[max(t-w, 0)]
+		for j := range dst {
+			dst[j] += fw * (plus[j] - minus[j])
 		}
-		if i >= n {
-			return n - 1
-		}
-		return i
 	}
-	for t := 0; t < n; t++ {
-		d := make([]float64, len(feats[t]))
-		for w := 1; w <= width; w++ {
-			fw := float64(w)
-			plus, minus := feats[clamp(t+w)], feats[clamp(t-w)]
-			for j := range d {
-				d[j] += fw * (plus[j] - minus[j])
-			}
-		}
-		for j := range d {
-			d[j] /= denom
-		}
-		out[t] = d
+	for j := range dst {
+		dst[j] /= denom
 	}
-	return out
 }
 
 // StackContext concatenates each frame with +/-context neighbouring frames

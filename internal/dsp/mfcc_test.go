@@ -470,4 +470,12 @@ func TestFingerprintDistinguishesConfigs(t *testing.T) {
 	if explicit.Fingerprint() != base.Fingerprint() {
 		t.Errorf("defaulted %q != explicit %q", base.Fingerprint(), explicit.Fingerprint())
 	}
+	// The extractor's held copy is the same key.
+	m, err := NewMFCC(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Fingerprint() != base.Fingerprint() {
+		t.Errorf("extractor fingerprint %q != config %q", m.Fingerprint(), base.Fingerprint())
+	}
 }

@@ -88,8 +88,11 @@ func (s *StreamingMFCC) Push(x []float64) ([][]float64, error) {
 	cfg := s.cfg
 	// Pre-emphasize the chunk, carrying x[-1] across the chunk boundary.
 	// This reproduces extract's s.pre[0]=x[0]; s.pre[i]=x[i]-a*x[i-1].
-	if cap(s.pre)-len(s.pre) < len(x) {
-		grown := make([]float64, len(s.pre), len(s.pre)+len(x))
+	// trim leaves less than one frame of tail between pushes, so a frame
+	// of slack makes this capacity fit every later chunk of the same size
+	// (growing to the exact need reallocated on almost every push).
+	if need := len(s.pre) + len(x); need > cap(s.pre) {
+		grown := make([]float64, len(s.pre), need+cfg.FrameLen)
 		copy(grown, s.pre)
 		s.pre = grown
 	}
@@ -185,9 +188,7 @@ func (s *StreamingMFCC) emit(f, avail int, out []float64) error {
 	for i := avail; i < cfg.FFTSize; i++ {
 		frame[i] = 0
 	}
-	if err := RealPowerInto(frame, s.buf, s.power); err != nil {
-		return err
-	}
+	s.m.rfft.power(frame, s.buf, s.power)
 	mel, err := s.m.bank.ApplyInto(s.power, s.mel)
 	if err != nil {
 		return err

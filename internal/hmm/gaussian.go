@@ -91,23 +91,68 @@ func FitGaussian(samples [][]float64) (*Gaussian, error) {
 	return NewGaussian(mean, variance)
 }
 
-// GMM is a mixture of diagonal Gaussians.
+// GMM is a mixture of diagonal Gaussians. Build one with NewGMM or
+// FitGMM: LogProb reads the cached log weights.
 type GMM struct {
 	Weights    []float64 // mixture weights, sum to 1
 	Components []*Gaussian
+	// logW caches log(Weights[i]). Unexported, so persistence (which
+	// snapshots the exported fields) never sees it; it is re-derived at
+	// load.
+	logW []float64
 }
 
-// LogProb returns the log density of x under the mixture.
+// NewGMM wraps mixture parameters, caching the log weights.
+func NewGMM(weights []float64, components []*Gaussian) (*GMM, error) {
+	if len(weights) != len(components) {
+		return nil, fmt.Errorf("hmm: %d mixture weights for %d components", len(weights), len(components))
+	}
+	m := &GMM{Weights: weights, Components: components, logW: make([]float64, len(weights))}
+	for i, w := range weights {
+		m.logW[i] = math.Log(w)
+	}
+	return m, nil
+}
+
+// LogProb returns the log density of x under the mixture. Components are
+// scored two at a time (logProbPair) and folded in index order.
 func (m *GMM) LogProb(x []float64) float64 {
 	out := math.Inf(-1)
-	for i, c := range m.Components {
-		if m.Weights[i] <= 0 {
-			continue
+	add := func(i int, p float64) {
+		if m.Weights[i] > 0 {
+			out = logSumExp(out, m.logW[i]+p)
 		}
-		v := math.Log(m.Weights[i]) + c.LogProb(x)
-		out = logSumExp(out, v)
+	}
+	cs := m.Components
+	i := 0
+	for ; i+2 <= len(cs); i += 2 {
+		p0, p1 := logProbPair(cs[i], cs[i+1], x)
+		add(i, p0)
+		add(i+1, p1)
+	}
+	if i < len(cs) {
+		add(i, cs[i].LogProb(x))
 	}
 	return out
+}
+
+// logProbPair returns a.LogProb(x) and b.LogProb(x). Each sum runs in
+// index order exactly as in Gaussian.LogProb; evaluating the two side by
+// side lets their divide-and-subtract chains overlap.
+func logProbPair(a, b *Gaussian, x []float64) (float64, float64) {
+	if len(x) != len(a.Mean) || len(x) != len(b.Mean) {
+		return a.LogProb(x), b.LogProb(x)
+	}
+	am, av := a.Mean[:len(x)], a.Var[:len(x)]
+	bm, bv := b.Mean[:len(x)], b.Var[:len(x)]
+	s0, s1 := a.logNorm, b.logNorm
+	for i, v := range x {
+		d0 := v - am[i]
+		d1 := v - bm[i]
+		s0 -= 0.5 * d0 * d0 / av[i]
+		s1 -= 0.5 * d1 * d1 / bv[i]
+	}
+	return s0, s1
 }
 
 func logSumExp(a, b float64) float64 {
@@ -263,5 +308,5 @@ func FitGMM(samples [][]float64, k, emIters int, rng *rand.Rand) (*GMM, error) {
 			gmm.Weights[c] = nc / float64(len(samples))
 		}
 	}
-	return gmm, nil
+	return NewGMM(gmm.Weights, gmm.Components)
 }

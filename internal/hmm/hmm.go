@@ -18,6 +18,11 @@ type HMM struct {
 	LogInit   []float64
 	LogTrans  [][]float64
 	Emitters  []Emitter
+	// transT is LogTrans transposed and flattened,
+	// transT[j*NumStates+i] = LogTrans[i][j]: the Viterbi update for
+	// state j scans its predecessors' scores as one contiguous column.
+	// Derived in NewHMM, never persisted.
+	transT []float64
 }
 
 // NewHMM validates shapes and wraps the parameters.
@@ -34,7 +39,13 @@ func NewHMM(logInit []float64, logTrans [][]float64, emitters []Emitter) (*HMM, 
 			return nil, fmt.Errorf("hmm: transition row %d has %d entries, want %d", i, len(row), n)
 		}
 	}
-	return &HMM{NumStates: n, LogInit: logInit, LogTrans: logTrans, Emitters: emitters}, nil
+	transT := make([]float64, n*n)
+	for i, row := range logTrans {
+		for j, v := range row {
+			transT[j*n+i] = v
+		}
+	}
+	return &HMM{NumStates: n, LogInit: logInit, LogTrans: logTrans, Emitters: emitters, transT: transT}, nil
 }
 
 // Viterbi returns the most likely state sequence for the observations and
@@ -45,6 +56,7 @@ func (h *HMM) Viterbi(obs [][]float64) ([]int, float64, error) {
 		return nil, 0, fmt.Errorf("hmm: empty observation sequence")
 	}
 	v := h.Stream()
+	v.chunkFrames = len(obs) // the whole lattice in one allocation
 	for _, o := range obs {
 		v.Step(o)
 	}

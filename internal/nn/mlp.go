@@ -85,26 +85,25 @@ func (m *MLP) forward(x []float64, keep bool) ([]float64, *MLPCache, error) {
 	}
 	cur := x
 	for l := 0; l < len(m.W); l++ {
-		in, out := m.Sizes[l], m.Sizes[l+1]
-		next := make([]float64, out)
-		w := m.W[l]
-		for o := 0; o < out; o++ {
-			s := m.B[l][o]
-			row := w[o*in : (o+1)*in]
-			for i, v := range cur {
-				s += row[i] * v
-			}
-			if l < len(m.W)-1 {
-				s = math.Tanh(s)
-			}
-			next[o] = s
-		}
+		next := make([]float64, m.Sizes[l+1])
+		m.layer(l, cur, next)
 		cur = next
 		if keep {
 			cache.acts = append(cache.acts, next)
 		}
 	}
 	return cur, cache, nil
+}
+
+// layer writes layer l's activations for input cur into next
+// (len Sizes[l+1]): bias plus weighted sum, through tanh on every layer
+// but the last.
+func (m *MLP) layer(l int, cur, next []float64) {
+	copy(next, m.B[l])
+	addMatVec(next, m.W[l], cur)
+	if l < len(m.W)-1 {
+		tanhInPlace(next)
+	}
 }
 
 // MLPScratch holds reusable per-layer activation buffers for
@@ -132,22 +131,9 @@ func (m *MLP) ForwardScratch(x []float64, scratch *MLPScratch) ([]float64, error
 		return nil, fmt.Errorf("nn: input size %d, want %d", len(x), m.InputSize())
 	}
 	cur := x
-	for l := 0; l < len(m.W); l++ {
-		in, out := m.Sizes[l], m.Sizes[l+1]
-		next := scratch.acts[l]
-		w := m.W[l]
-		for o := 0; o < out; o++ {
-			s := m.B[l][o]
-			row := w[o*in : (o+1)*in]
-			for i, v := range cur {
-				s += row[i] * v
-			}
-			if l < len(m.W)-1 {
-				s = math.Tanh(s)
-			}
-			next[o] = s
-		}
-		cur = next
+	for l := range m.W {
+		m.layer(l, cur, scratch.acts[l])
+		cur = scratch.acts[l]
 	}
 	return cur, nil
 }

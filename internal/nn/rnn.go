@@ -57,27 +57,17 @@ func (r *RNN) StepInto(x, h, nh, y []float64) error {
 	if len(x) != r.In {
 		return fmt.Errorf("nn: frame has size %d, want %d", len(x), r.In)
 	}
-	for j := 0; j < r.Hidden; j++ {
-		s := r.Bh[j]
-		rowX := r.Wx[j*r.In : (j+1)*r.In]
-		for i, v := range x {
-			s += rowX[i] * v
-		}
-		rowH := r.Wh[j*r.Hidden : (j+1)*r.Hidden]
-		for i, v := range h {
-			s += rowH[i] * v
-		}
-		nh[j] = math.Tanh(s)
-	}
+	// Each pre-activation is Bh[j] + Wx[j]·x + Wh[j]·h summed in that
+	// order: the second product continues the first one's chains.
+	nh = nh[:r.Hidden]
+	copy(nh, r.Bh)
+	addMatVec(nh, r.Wx, x)
+	addMatVec(nh, r.Wh, h[:r.Hidden])
+	tanhInPlace(nh)
 	if y != nil {
-		for o := 0; o < r.Out; o++ {
-			s := r.By[o]
-			row := r.Wy[o*r.Hidden : (o+1)*r.Hidden]
-			for i, v := range nh {
-				s += row[i] * v
-			}
-			y[o] = s
-		}
+		y = y[:r.Out]
+		copy(y, r.By)
+		addMatVec(y, r.Wy, nh)
 	}
 	return nil
 }

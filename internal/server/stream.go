@@ -291,6 +291,9 @@ func (s *Server) handleDetectStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer sess.Close()
+	if n, ok := wr.DeclaredSamples(); ok {
+		sess.Reserve(n)
+	}
 
 	// Full duplex: we interleave body reads with response writes; without
 	// this net/http drains the request body at the first write. Enabled

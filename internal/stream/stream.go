@@ -362,6 +362,17 @@ func (s *Session) Flagged() bool {
 	return s.earlyExit != nil
 }
 
+// Reserve sizes the session's sample buffer for a clip of the given
+// length (a WAV header's declared size), capped at MaxDuration, so the
+// buffer is allocated once instead of regrown as chunks arrive.
+func (s *Session) Reserve(samples int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed && !s.finalized {
+		s.es.Reserve(min(samples, s.m.maxSamples))
+	}
+}
+
 // Push ingests a chunk of audio and returns the provisional verdicts for
 // every window edge the chunk crossed. After an early exit the session
 // keeps accepting audio (the client may still want the final verdict)
