@@ -22,7 +22,7 @@ BENCHROUNDS ?= 5
 # invocation, so each target gets its own short run.
 FUZZTIME ?= 10s
 
-.PHONY: check vet lint build test race bench fuzz-smoke serve smoke metrics-docs check-metrics-docs
+.PHONY: check vet lint build test race bench loadgen-short fuzz-smoke serve smoke metrics-docs check-metrics-docs
 
 # The tier-1 gate: vet, build and test everything.
 check: vet
@@ -71,6 +71,13 @@ bench:
 	$(GO) run ./cmd/benchmed -rounds $(BENCHROUNDS) -bench '$(NN_BENCH)' ./internal/nn | tee BENCH_nn.txt
 	$(GO) run ./cmd/benchmed -rounds $(BENCHROUNDS) -bench '$(HMM_BENCH)' ./internal/hmm | tee BENCH_hmm.txt
 	$(GO) run ./cmd/benchmed -rounds $(BENCHROUNDS) -bench '$(ASR_BENCH)' ./internal/asr | tee BENCH_asr.txt
+
+# The benchmark's checker as a test: boot a real mvpearsd, drive every
+# workload for one short slice and validate every response (schema,
+# cached flags, duplicate pairs, stream protocol, bit-for-bit references,
+# reconcile_diff == 0). Exits 1 on any failed check; under 30 s.
+loadgen-short:
+	$(GO) run ./bench/loadgen -short
 
 # Short-budget fuzz runs over the parsers that face untrusted bytes: the
 # batch WAV decoder, the streaming WAV decoder, the WebSocket frame

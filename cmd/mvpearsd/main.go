@@ -98,6 +98,7 @@ import (
 	"strings"
 	"syscall"
 	"time"
+	"unicode"
 
 	"mvpears"
 	"mvpears/internal/obs"
@@ -107,13 +108,7 @@ import (
 
 // splitPeers parses the comma-separated -peers list, dropping empties.
 func splitPeers(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
+	return strings.FieldsFunc(s, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
 }
 
 func main() {

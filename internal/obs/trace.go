@@ -98,6 +98,7 @@ type Trace struct {
 
 	verdict      string
 	cached       bool
+	fresh        bool
 	collapsed    bool
 	shortCircuit bool
 	remote       bool
@@ -213,6 +214,22 @@ func (t *Trace) SetCached() {
 	t.mu.Unlock()
 }
 
+// SetFresh marks the request as having run a detection of its own and
+// reports whether this call was the first to say so: a request that serves
+// several fresh verdicts on one trace (a batch) feeds its spans into the
+// stage histograms once. A fresh trace never reports cached — the access
+// log's flag means every verdict of the request came from a cache.
+func (t *Trace) SetFresh() bool {
+	if t == nil {
+		return false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	first := !t.fresh
+	t.fresh = true
+	return first
+}
+
 // SetCollapsed marks the request as having shared another request's
 // in-flight detection (singleflight).
 func (t *Trace) SetCollapsed() {
@@ -273,7 +290,7 @@ func (t *Trace) Annotations() (verdict string, cached, collapsed bool) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.verdict, t.cached, t.collapsed
+	return t.verdict, t.cached && !t.fresh, t.collapsed
 }
 
 // StageTotals sums span durations by stage. Per-engine transcription spans

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"runtime/debug"
 	"time"
 )
 
@@ -51,22 +50,15 @@ func (s *Server) handleInfoz(w http.ResponseWriter, r *http.Request) {
 		GOMAXPROCS:       runtime.GOMAXPROCS(0),
 		UptimeSeconds:    time.Since(s.start).Seconds(),
 		Draining:         s.draining.Load(),
-		Reloads:          s.reloadCount.Load(),
+		Reloads:          s.reloadsTotal.Value(),
 		ReloadEnabled:    s.cfg.Reload != nil,
 	}
 	if s.node != nil {
 		info.ClusterSelf = s.node.Self()
 		info.ClusterPeers = s.node.HealthyPeers()
 	}
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, kv := range bi.Settings {
-			switch kv.Key {
-			case "vcs.revision":
-				info.BuildVCSRevision = kv.Value
-			case "vcs.time":
-				info.BuildVCSTime = kv.Value
-			}
-		}
+	if rev, at := buildVCS(); rev != "dev" {
+		info.BuildVCSRevision, info.BuildVCSTime = rev, at
 	}
 	writeJSON(w, http.StatusOK, info)
 }
@@ -82,17 +74,12 @@ type ReloadJSON struct {
 // is not configured, 409 when one is already running, 500 when the
 // replacement failed to load (the old model keeps serving).
 func (s *Server) handleReloadz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "use POST to trigger a reload")
-		return
-	}
 	switch err := s.Reload(); {
 	case err == nil:
 		writeJSON(w, http.StatusOK, ReloadJSON{
 			Reloaded:         true,
 			ModelFingerprint: s.state().modelFP,
-			Reloads:          s.reloadCount.Load(),
+			Reloads:          s.reloadsTotal.Value(),
 		})
 	case errors.Is(err, ErrReloadNotConfigured):
 		writeError(w, http.StatusNotFound, "%v", err)
@@ -124,6 +111,6 @@ func (s *Server) AdminHandler() http.Handler {
 	mux.HandleFunc("/statusz", s.handleStatusz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/reloadz", s.handleReloadz)
+	mux.HandleFunc("/reloadz", postOnly("use POST to trigger a reload", s.handleReloadz))
 	return mux
 }

@@ -15,6 +15,14 @@ const (
 	VerdictAdversarial = "adversarial"
 )
 
+// verdictOf is the wire string of a classification.
+func verdictOf(adversarial bool) string {
+	if adversarial {
+		return VerdictAdversarial
+	}
+	return VerdictBenign
+}
+
 // TimingJSON decomposes one detection's cost in milliseconds, mirroring
 // the paper's §V-I overhead split.
 type TimingJSON struct {
@@ -176,12 +184,8 @@ type ErrorJSON struct {
 // NewDetectionJSON converts a detection into its wire form. auxiliaries
 // is the system's auxiliary-name list, aligned with det.Scores.
 func NewDetectionJSON(det *mvpears.Detection, auxiliaries []string) DetectionJSON {
-	verdict := VerdictBenign
-	if det.Adversarial {
-		verdict = VerdictAdversarial
-	}
 	return DetectionJSON{
-		Verdict:        verdict,
+		Verdict:        verdictOf(det.Adversarial),
 		Adversarial:    det.Adversarial,
 		Scores:         det.Scores,
 		Auxiliaries:    auxiliaries,

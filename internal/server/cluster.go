@@ -51,28 +51,23 @@ type ClusterConfig struct {
 	// Listener optionally injects a pre-bound peer listener (tests).
 	Listener net.Listener
 	// HedgeAfter fixes the hedge delay. Zero derives it from the measured
-	// detection cost: HedgeFactor * expected cost.
+	// detection cost: hedgeFactor * expected cost, disarmed under hedgeFloor.
 	HedgeAfter time.Duration
-	// HedgeFactor scales the expected detection cost into the hedge delay
-	// (default 1.5; only used when HedgeAfter is zero).
-	HedgeFactor float64
-	// HedgeFloor disarms hedging when the expected detection cost is
-	// below it (default 20ms): duplicating cheap work on a peer costs
-	// more fleet capacity than the tail latency it saves.
-	HedgeFloor time.Duration
-	// GetProbeBytes is the payload size above which a cheap Get probe
-	// precedes the forward (default 256 KiB): for large clips, learning
-	// "remote hit" first avoids shipping megabytes the owner already has
-	// the answer for.
-	GetProbeBytes int
-	// DialTimeout / PeerTimeout / MaxInflight / DownFor / VirtualNodes
-	// pass through to cluster.Config.
-	DialTimeout  time.Duration
-	PeerTimeout  time.Duration
-	MaxInflight  int
-	DownFor      time.Duration
-	VirtualNodes int
 }
+
+const (
+	// hedgeFactor scales the expected detection cost into the hedge delay
+	// (when ClusterConfig.HedgeAfter is zero).
+	hedgeFactor = 1.5
+	// hedgeFloor disarms hedging when the expected detection cost is below
+	// it: duplicating cheap work on a peer costs more fleet capacity than
+	// the tail latency it saves.
+	hedgeFloor = 20 * time.Millisecond
+	// getProbeBytes is the payload size above which a cheap Get probe
+	// precedes the forward: for large clips, learning "remote hit" first
+	// avoids shipping megabytes the owner already has the answer for.
+	getProbeBytes = 256 << 10
+)
 
 // startCluster validates cc, binds the peer listener and joins the ring.
 func (s *Server) startCluster(cc *ClusterConfig) error {
@@ -94,19 +89,11 @@ func (s *Server) startCluster(cc *ClusterConfig) error {
 	if self == "" {
 		self = ln.Addr().String()
 	}
-	peerTimeout := cc.PeerTimeout
-	if peerTimeout <= 0 {
-		peerTimeout = s.cfg.RequestTimeout
-	}
 	node, err := cluster.New(cluster.Config{
 		Self:           self,
 		Peers:          cc.Peers,
 		Handler:        clusterHandler{s},
-		DialTimeout:    cc.DialTimeout,
-		RequestTimeout: peerTimeout,
-		MaxInflight:    cc.MaxInflight,
-		DownFor:        cc.DownFor,
-		VirtualNodes:   cc.VirtualNodes,
+		RequestTimeout: s.cfg.RequestTimeout,
 		ObserveRTT: func(peer string, d time.Duration) {
 			s.clusterRTTSeconds.With(peer).Observe(d.Seconds())
 		},
@@ -119,19 +106,6 @@ func (s *Server) startCluster(cc *ClusterConfig) error {
 		return err
 	}
 	s.node = node
-	s.hedgeAfter = cc.HedgeAfter
-	s.hedgeFactor = cc.HedgeFactor
-	if s.hedgeFactor <= 0 {
-		s.hedgeFactor = 1.5
-	}
-	s.hedgeFloor = cc.HedgeFloor
-	if s.hedgeFloor <= 0 {
-		s.hedgeFloor = 20 * time.Millisecond
-	}
-	s.getProbeBytes = cc.GetProbeBytes
-	if s.getProbeBytes <= 0 {
-		s.getProbeBytes = 256 << 10
-	}
 	//lint:allow ctxflow the peer listener's lifetime is the server's own, not any single request's
 	ctx, cancel := context.WithCancel(context.Background())
 	s.clusterCancel = cancel
@@ -165,16 +139,15 @@ func (h clusterHandler) GetCached(_ context.Context, key string) (*mvpears.Detec
 	if s.draining.Load() {
 		return nil, false
 	}
-	det, ok := s.vc.Get(key)
-	return det, ok
+	return s.lookup(key, false)
 }
 
 // Detect answers a forwarded detection strictly locally: verify the key
-// against our model, probe the cache, then run (or join) the detection
-// under the local singleflight. tc is the requester's propagated trace
-// context: the local trace adopts its ID (so this replica's logs join
-// the originating request's trace) and, when tc.Sampled, the recorded
-// spans are returned for the requester to stitch.
+// against our model, then resolve it through the same chain a local upload
+// takes, minus the cluster tier (fwd == nil). tc is the requester's
+// propagated trace context: the local trace adopts its ID (so this
+// replica's logs join the originating request's trace) and, when
+// tc.Sampled, the recorded spans are returned for the requester to stitch.
 func (h clusterHandler) Detect(ctx context.Context, tc obs.TraceContext, key string, sampleRate int, pcm []byte) (*mvpears.Detection, bool, []obs.Span, error) {
 	s := h.s
 	s.clusterServed.With("detect").Inc()
@@ -188,12 +161,12 @@ func (h clusterHandler) Detect(ctx context.Context, tc obs.TraceContext, key str
 	if localKey := vcache.KeyPCM16(st.modelFP, sampleRate, pcm); localKey != key {
 		return nil, false, nil, errors.New("model fingerprint mismatch (reload in progress?)")
 	}
-	if det, ok := s.vc.Get(key); ok {
+	if det, ok := s.lookup(key, false); ok {
 		return det, true, nil, nil
 	}
-	// pcm aliases the connection's frame buffer; DecodeInto below copies
-	// it into fresh float samples before this call returns.
-	clip, _, err := s.finishClipInto(st, audio.PCM16{SampleRate: sampleRate, Data: pcm}, nil)
+	// pcm aliases the connection's frame buffer; the engine's float decode
+	// copies it before this call returns.
+	eng, err := s.uploadEngine(st, audio.PCM16{SampleRate: sampleRate, Data: pcm})
 	if err != nil {
 		return nil, false, nil, err
 	}
@@ -206,19 +179,16 @@ func (h clusterHandler) Detect(ctx context.Context, tc obs.TraceContext, key str
 		id = obs.NewRequestID()
 	}
 	trace := obs.NewTrace(id)
-	det, how, err := s.detect(st, obs.WithTrace(ctx, trace), key, clip, nil, nil)
+	det, how, err := s.resolveMissed(obs.WithTrace(ctx, trace), st, key, nil, eng)
 	if err != nil {
 		return nil, false, nil, err
 	}
-	if how == howFresh {
-		s.observeDetection(st, det)
-		s.observeTrace(st, trace)
-	}
+	s.record(st, trace, "", "", det, how|forPeer, false)
 	var spans []obs.Span
 	if tc.Sampled {
 		spans = trace.Spans()
 	}
-	return det, how != howFresh, spans, nil
+	return det, how.cachedOnWire(), spans, nil
 }
 
 // forwardPCM is the canonical PCM payload a request carries into the
@@ -242,54 +212,45 @@ func (s *Server) newForwardPCM(key string, pcm audio.PCM16) *forwardPCM {
 
 // clusterFetch tries to answer a locally-missed key from its remote
 // owner. Outcomes: (det, how, true) on a remote answer; ok=false means
-// "proceed locally" (self-owned key, peer down, peer declined).
+// "proceed locally" (self-owned key, peer down, peer declined) — degrade,
+// never fail. A remote answer records the cluster_forward span with the
+// owner's own spans stitched in under it (anchored at this replica's
+// round-trip start, so no cross-process clock agreement is assumed).
 func (s *Server) clusterFetch(ctx context.Context, key string, fwd *forwardPCM) (*mvpears.Detection, detectHow, bool) {
 	owner, self := s.node.Owner(key)
 	if self {
 		return nil, howFresh, false
 	}
 	start := time.Now()
-	tc := obs.TraceFrom(ctx).Context(obs.StageClusterForward)
+	trace := obs.TraceFrom(ctx)
+	tc := trace.Context(obs.StageClusterForward)
+	var (
+		det    *mvpears.Detection
+		cached bool
+		spans  []obs.Span
+		err    error
+	)
 	// For large payloads a Get probe first: a remote hit then costs one
 	// small round trip instead of shipping the whole clip.
-	if len(fwd.data) > s.getProbeBytes {
-		det, ok, err := s.node.Get(ctx, owner, key, tc)
-		if err == nil && ok {
-			s.finishRemote(ctx, key, owner, det, start, nil)
-			s.clusterForwards.With("hit").Inc()
-			return det, howRemoteHit, true
-		}
-		if err != nil {
-			s.clusterForwards.With("error").Inc()
-			return nil, howFresh, false
-		}
+	if len(fwd.data) > getProbeBytes {
+		det, cached, err = s.node.Get(ctx, owner, key, tc)
 	}
-	det, cached, spans, err := s.node.Detect(ctx, owner, key, fwd.rate, fwd.data, tc)
+	if err == nil && !cached {
+		det, cached, spans, err = s.node.Detect(ctx, owner, key, fwd.rate, fwd.data, tc)
+	}
 	if err != nil {
-		// Degrade, never fail: the owner being down or declining makes
-		// this replica detect locally.
 		s.clusterForwards.With("error").Inc()
 		return nil, howFresh, false
 	}
-	s.finishRemote(ctx, key, owner, det, start, spans)
+	trace.Record(obs.StageClusterForward, "", start)
+	trace.RecordRemote(owner, start, spans)
+	s.pipelineSeconds.With(obs.StageClusterForward).Observe(time.Since(start).Seconds())
 	if cached {
 		s.clusterForwards.With("hit").Inc()
 		return det, howRemoteHit, true
 	}
 	s.clusterForwards.With("detected").Inc()
 	return det, howRemoteFresh, true
-}
-
-// finishRemote records a remotely-answered detection: local cache
-// population (repeats become local hits), the cluster_forward span, and
-// the owner's own spans stitched in under it (anchored at this replica's
-// round-trip start, so no cross-process clock agreement is assumed).
-func (s *Server) finishRemote(ctx context.Context, key, peer string, det *mvpears.Detection, start time.Time, spans []obs.Span) {
-	s.vc.Put(key, det, detectionSize(key, det))
-	trace := obs.TraceFrom(ctx)
-	trace.Record(obs.StageClusterForward, "", start)
-	trace.RecordRemote(peer, start, spans)
-	s.pipelineSeconds.With(obs.StageClusterForward).Observe(time.Since(start).Seconds())
 }
 
 // expectedDetectCost estimates one fresh detection's wall time: the
@@ -335,20 +296,16 @@ func (s *Server) hedgeDelay(st *backendState) (addr string, delay time.Duration,
 	if s.node == nil || !s.node.HasPeers() {
 		return "", 0, false
 	}
-	expected := s.expectedDetectCost(st)
-	if s.hedgeAfter > 0 {
-		delay = s.hedgeAfter
-	} else {
-		if expected < s.hedgeFloor {
+	delay = s.cfg.Cluster.HedgeAfter
+	if delay <= 0 {
+		expected := s.expectedDetectCost(st)
+		if expected < hedgeFloor {
 			return "", 0, false
 		}
-		delay = time.Duration(float64(expected) * s.hedgeFactor)
+		delay = time.Duration(float64(expected) * hedgeFactor)
 	}
 	addr = s.node.HedgeTarget()
-	if addr == "" {
-		return "", 0, false
-	}
-	return addr, delay, true
+	return addr, delay, addr != ""
 }
 
 // hedgedRun runs one local detection, optionally racing a budget-gated

@@ -99,45 +99,6 @@ func (h *Histogram) CountAtOrBelow(bound float64) uint64 {
 	return n
 }
 
-// Quantile estimates the q-quantile (0..1) by linear interpolation inside
-// the containing bucket, the same estimate Prometheus's histogram_quantile
-// computes. Returns 0 with no observations; values in the +Inf bucket
-// report the largest finite bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 || len(h.bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	rank := q * float64(h.total)
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if float64(cum) < rank {
-			continue
-		}
-		if i >= len(h.bounds) {
-			return h.bounds[len(h.bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		hi := h.bounds[i]
-		if c == 0 {
-			return hi
-		}
-		inBucket := rank - float64(cum-c)
-		return lo + (hi-lo)*(inBucket/float64(c))
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // snapshot returns cumulative bucket counts, the sum and the total.
 func (h *Histogram) snapshot() ([]uint64, float64, uint64) {
 	h.mu.Lock()

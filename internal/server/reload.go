@@ -60,9 +60,7 @@ func (s *Server) buildState(backend Backend) (*backendState, error) {
 		backend:  backend,
 		auxNames: backend.AuxiliaryNames(),
 	}
-	if co, ok := backend.(EngineCostObserver); ok {
-		st.costObserver = co
-	}
+	st.costObserver, _ = backend.(EngineCostObserver)
 	if s.vc != nil {
 		// With the cache (and possibly a cluster) live, a fingerprint is
 		// non-negotiable: unprefixed keys could serve another model's
@@ -117,22 +115,15 @@ func (s *Server) buildStreamManager(st *backendState) error {
 		MinWindows:       cfg.MinWindows,
 		DisableEarlyExit: cfg.DisableEarlyExit,
 		Hooks: stream.Hooks{
-			SessionOpened: func() { s.streamSessions.Inc() },
-			SessionRejected: func() {
-				s.streamRejected.Inc()
-				s.rejectedTotal.With(rejectStreamSessions).Inc()
-			},
+			SessionOpened:   func() { s.streamSessions.Inc() },
+			SessionRejected: func() { s.rejectedTotal.With(rejectStreamSessions).Inc() },
 			SessionClosed: func(evicted bool) {
 				if evicted {
 					s.streamEvicted.Inc()
 				}
 			},
 			Window: func(adversarial, earlyExit bool, d time.Duration) {
-				verdict := VerdictBenign
-				if adversarial {
-					verdict = VerdictAdversarial
-				}
-				s.streamWindows.With(verdict).Inc()
+				s.streamWindows.With(verdictOf(adversarial)).Inc()
 				if earlyExit {
 					s.streamEarlyExits.Inc()
 				}
@@ -173,7 +164,6 @@ func (s *Server) Reload() error {
 	}
 	old := s.be.Swap(st)
 	s.reloadsTotal.Inc()
-	s.reloadCount.Add(1)
 	if old != nil && old.stream != nil {
 		// Live streaming sessions keep running on the old model's
 		// manager; retire it once they finish (or after a grace bound).
@@ -188,7 +178,7 @@ func (s *Server) Reload() error {
 }
 
 // Reloads reports how many reloads have completed (for /infoz).
-func (s *Server) Reloads() uint64 { return s.reloadCount.Load() }
+func (s *Server) Reloads() uint64 { return s.reloadsTotal.Value() }
 
 // ModelFingerprint reports the current model's fingerprint ("" when the
 // cache — and so fingerprinting — is off).

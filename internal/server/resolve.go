@@ -1,0 +1,401 @@
+package server
+
+import (
+	"context"
+	"errors"
+	"time"
+
+	"mvpears"
+	"mvpears/internal/audio"
+	"mvpears/internal/obs"
+)
+
+// The resolution path (DESIGN.md §9). Every verdict the daemon serves — a
+// /v1/detect upload, a batch part, a stream final, a detection forwarded
+// by a peer — comes out of one chain of tiers,
+//
+//	cache ─► flight (join, or lead:) ─► cache again ─► remote owner ─► engine ─► store
+//
+// and is reported by one function: resolve walks the chain and says how the
+// verdict was obtained, record turns (verdict, how) into every signal.
+
+// detectHow classifies how a request got one verdict.
+type detectHow uint8
+
+const (
+	// howFresh: this request ran the detection on this replica.
+	howFresh detectHow = iota
+	// howCached: answered from the local verdict cache.
+	howCached
+	// howShared: joined a concurrent local request's in-flight detection.
+	howShared
+	// howRemoteHit: the key's owning replica answered from its cache.
+	howRemoteHit
+	// howRemoteFresh: the detection ran on another replica (forwarded to
+	// the owner, or a hedged dispatch won the race).
+	howRemoteFresh
+
+	// forPeer flags a verdict resolved on behalf of another replica's
+	// request (the cluster owner path): its cost is observed here, where it
+	// ran, but it is counted, audited and encoded there, where it is served.
+	forPeer detectHow = 1 << 7
+)
+
+// ranHere reports whether this replica ran a detection for this request
+// (the only case that observes stage timings and engine spans).
+func (h detectHow) ranHere() bool { return h&^forPeer == howFresh }
+
+// cachedOnWire is the response's Cached flag: the verdict was served
+// without running a fresh detection anywhere for this request.
+func (h detectHow) cachedOnWire() bool {
+	h &^= forPeer
+	return h == howCached || h == howShared || h == howRemoteHit
+}
+
+// remote reports whether another replica answered.
+func (h detectHow) remote() bool { return h == howRemoteHit || h == howRemoteFresh }
+
+// engine is the chain's last tier: the fresh detection only this request
+// can supply. Exactly one of run and unused is called, exactly once.
+type engine struct {
+	// run performs the detection. From the moment it is called it owns
+	// whatever input it captured (a pooled clip).
+	run func(ctx context.Context) (*mvpears.Detection, error)
+	// unused (may be nil) is called instead of run when a tier above
+	// answered: the input was never shared with another goroutine, so the
+	// caller recycles it on the spot.
+	unused func()
+}
+
+func (e engine) drop() {
+	if e.unused != nil {
+		e.unused()
+	}
+}
+
+// uploadEngine is the engine for one upload that missed the cache: it pays
+// for the float decode (into a pooled sample buffer, the second-largest
+// allocation on the miss path after the feature matrices) and returns the
+// worker-pool job, behind the admission queue, that detects the clip.
+func (s *Server) uploadEngine(st *backendState, pcm audio.PCM16) (engine, error) {
+	samples := samplePool.Get().(*[]float64)
+	clip, pooled, err := s.decodeClip(st, pcm, (*samples)[:0])
+	if err != nil {
+		samplePool.Put(samples)
+		return engine{}, err
+	}
+	release := func() {}
+	if pooled {
+		release = func() { *samples = clip.Samples[:0]; samplePool.Put(samples) }
+	} else {
+		samplePool.Put(samples)
+	}
+	return engine{unused: release, run: func(ctx context.Context) (*mvpears.Detection, error) {
+		var det *mvpears.Detection
+		var detErr error
+		start := time.Now()
+		if err := s.pool.Do(ctx, func(jctx context.Context) {
+			// The job owns the clip: a caller that times out after
+			// enqueueing has already returned by the time the worker
+			// runs, so the pooled samples can only be recycled here.
+			defer release()
+			det, detErr = st.backend.DetectCtx(jctx, clip)
+		}); err != nil {
+			if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrPoolClosed) {
+				release() // never enqueued: the clip was never shared
+			}
+			return nil, err
+		}
+		if detErr == nil {
+			// Feed the hedge budget: expected detection cost tracks what
+			// detections actually cost here, in production.
+			s.observeDetectCost(time.Since(start))
+		}
+		return det, detErr
+	}}, nil
+}
+
+// lookup is the cache tier ("" = caching is off, always a miss). reprobe
+// marks a flight leader's second look at a key its request has already
+// missed — and counted — once.
+func (s *Server) lookup(key string, reprobe bool) (*mvpears.Detection, bool) {
+	switch {
+	case key == "":
+		return nil, false
+	case reprobe:
+		return s.vc.Peek(key)
+	}
+	return s.vc.Get(key)
+}
+
+// store is the chain's single cache write.
+func (s *Server) store(key string, det *mvpears.Detection) {
+	if key != "" {
+		s.vc.Put(key, det, detectionSize(key, det))
+	}
+}
+
+// resolve obtains the verdict for key through the whole chain. fwd carries
+// the upload into the cluster tier; nil skips that tier, which is also what
+// keeps an owner answering a forwarded detection from ever re-forwarding.
+func (s *Server) resolve(ctx context.Context, st *backendState, key string, fwd *forwardPCM, eng engine) (*mvpears.Detection, detectHow, error) {
+	if det, ok := s.lookup(key, false); ok {
+		eng.drop()
+		return det, howCached, nil
+	}
+	return s.resolveMissed(ctx, st, key, fwd, eng)
+}
+
+// resolveMissed is the chain below the cache tier, for callers that have
+// already called lookup: the upload paths probe on the raw PCM, before
+// paying for the float decode an engine needs. Concurrent duplicates
+// collapse onto one flight whose leader looks the key up once more — an
+// identical flight may have completed, and stored, between this request's
+// miss and its becoming leader — then tries the key's owning replica, then
+// runs the engine (hedged to an idle peer when slow), and stores the result.
+// So a fleet-wide duplicate storm costs one detection, at the owner.
+func (s *Server) resolveMissed(rctx context.Context, st *backendState, key string, fwd *forwardPCM, eng engine) (*mvpears.Detection, detectHow, error) {
+	ctx, cancel := context.WithTimeout(rctx, s.cfg.RequestTimeout)
+	defer cancel()
+	if key == "" {
+		det, err := eng.run(ctx)
+		return det, howFresh, err
+	}
+	var how detectHow // the leader's; written before the flight completes
+	det, shared, err := s.flight.Do(ctx, key, func(fctx context.Context) (det *mvpears.Detection, err error) {
+		// The flight's context is deliberately detached from any single
+		// caller's cancellation; re-attach this request's observability
+		// values (trace, explain flag) so the leader's detection records
+		// spans — and an explanation — for the request that led it.
+		det, how, err = s.lead(obs.Transfer(fctx, rctx), st, key, fwd, eng)
+		return det, err
+	})
+	switch {
+	case shared:
+		// A follower's engine was never touched by the flight.
+		eng.drop()
+		return det, howShared, err
+	case err != nil:
+		// The flight may still be running (and writing how) for others.
+		return nil, howFresh, err
+	}
+	return det, how, nil
+}
+
+// lead is a flight leader's walk down the rest of the chain.
+func (s *Server) lead(ctx context.Context, st *backendState, key string, fwd *forwardPCM, eng engine) (*mvpears.Detection, detectHow, error) {
+	if det, ok := s.lookup(key, true); ok {
+		eng.drop()
+		return det, howCached, nil
+	}
+	if fwd != nil {
+		if det, how, ok := s.clusterFetch(ctx, key, fwd); ok {
+			eng.drop()
+			s.store(key, det) // repeats become local hits
+			return det, how, nil
+		}
+	}
+	det, remote, err := s.hedgedRun(ctx, st, key, fwd, eng.run)
+	if err != nil {
+		return nil, howFresh, err
+	}
+	s.store(key, det)
+	if remote {
+		// The hedged peer answered first; the clip stays with the
+		// (cancelled) local job.
+		return det, howRemoteFresh, nil
+	}
+	return det, howFresh, nil
+}
+
+// record reports one served verdict and returns its wire form. It is the
+// only place a verdict is counted, observed, audited, explained and
+// encoded, and the only writer of the trace's annotations, so every route
+// and provenance emits each signal exactly once. The count, the SLO and
+// the audit line belong to the replica that serves the verdict (all but
+// forPeer); stage timings, cascade behaviour, similarity distributions and
+// spans to the request and replica that ran the detection (ranHere) —
+// re-observing them for cached, shared or remote verdicts would weight the
+// distributions by request popularity instead of by content. A batch calls
+// it once per part on one trace, which then keeps the worst verdict,
+// observes its spans once, and reports cached only if no part was fresh.
+func (s *Server) record(st *backendState, trace *obs.Trace, route, file string, det *mvpears.Detection, how detectHow, explain bool) DetectionJSON {
+	served := how&forPeer == 0
+	var verdict string
+	if served {
+		verdict = s.countVerdict(det)
+	}
+	if how.ranHere() {
+		s.observeDetection(st, det)
+		if trace.SetFresh() {
+			s.observeTrace(st, trace)
+		}
+		if c := det.Cascade; c != nil && c.ShortCircuit {
+			trace.SetShortCircuit()
+		}
+	}
+	if !served {
+		return DetectionJSON{}
+	}
+	switch how {
+	case howCached, howRemoteHit:
+		trace.SetCached()
+	case howShared:
+		trace.SetCollapsed()
+	}
+	if how.remote() {
+		trace.SetRemote()
+	}
+	if logged, _, _ := trace.Annotations(); det.Adversarial || logged == "" {
+		trace.SetVerdict(verdict)
+	}
+	s.audit(st, trace, route, file, det, verdict, !how.ranHere())
+	out := NewDetectionJSON(det, st.auxNames)
+	out.Cached = how.cachedOnWire()
+	out.Remote = how.remote()
+	if explain {
+		out.Explanation = s.explanationFor(st, det)
+	}
+	return out
+}
+
+// countVerdict counts one served verdict and returns its wire string. It
+// also feeds the verdict-quality SLO (a verdict served while any drift
+// family is tripped spends quality budget) and the verdict base-rate
+// drift family.
+func (s *Server) countVerdict(det *mvpears.Detection) string {
+	verdict := verdictOf(det.Adversarial)
+	s.detectionsTotal.With(verdict).Inc()
+	s.sloVerdicts.Add(1)
+	if s.driftMon.AnyDrifted() {
+		s.sloVerdictsDrifted.Add(1)
+	}
+	s.driftMon.ObserveEvent("adversarial_rate", det.Adversarial)
+	return verdict
+}
+
+// observeDetection records one fresh detection's stage timings, cascade
+// behavior and similarity-score distributions.
+func (s *Server) observeDetection(st *backendState, det *mvpears.Detection) {
+	s.stageSeconds.With("recognition").Observe(det.Timing.Recognition.Seconds())
+	s.stageSeconds.With("similarity").Observe(det.Timing.Similarity.Seconds())
+	s.stageSeconds.With("classify").Observe(det.Timing.Classify.Seconds())
+	casc := det.Cascade
+	if casc != nil {
+		s.cascadeEnginesRun.Observe(float64(len(casc.EnginesRun)))
+		if casc.ShortCircuit {
+			s.cascadeShortCircuits.Inc()
+		}
+		if casc.SampledFull {
+			s.cascadeSampledFull.Inc()
+		}
+		s.driftMon.ObserveEvent("short_circuit_rate", casc.ShortCircuit)
+	}
+	aux := st.auxNames
+	min, observed := 1.0, 0
+	for i, score := range det.Scores {
+		// Imputed dimensions hold benign fill means, not measurements —
+		// feeding them into the similarity distributions would fabricate
+		// perfectly-benign-looking scores for engines that never ran.
+		if casc != nil && i < len(casc.Imputed) && casc.Imputed[i] {
+			continue
+		}
+		observed++
+		if i < len(aux) {
+			s.engineSimilarity.With(aux[i]).Observe(score)
+			s.driftMon.ObserveScore("engine:"+aux[i], score)
+		}
+		if score < min {
+			min = score
+		}
+	}
+	if observed > 0 {
+		s.minSimilarity.Observe(min)
+		s.driftMon.ObserveScore("min_score", min)
+	}
+}
+
+// observeTrace feeds the request's pipeline spans into the stage and
+// engine histogram families, and forwards per-engine durations to the
+// backend's cost observer so the cascade scheduler sees production
+// latency, not just boot-time calibration.
+func (s *Server) observeTrace(st *backendState, t *obs.Trace) {
+	for _, sp := range t.Spans() {
+		if sp.Engine != "" {
+			s.engineSeconds.With(sp.Engine).Observe(sp.Dur.Seconds())
+			if st.costObserver != nil {
+				st.costObserver.ObserveEngineCost(sp.Engine, sp.Dur)
+			}
+			continue
+		}
+		s.pipelineSeconds.With(sp.Stage).Observe(sp.Dur.Seconds())
+	}
+}
+
+// minScore returns the smallest auxiliary score and its engine name.
+func minScore(scores []float64, aux []string) (string, float64) {
+	engine, min := "", 1.0
+	for i, score := range scores {
+		if score <= min {
+			min = score
+			if i < len(aux) {
+				engine = aux[i]
+			}
+		}
+	}
+	return engine, min
+}
+
+// audit appends one adversarial verdict to the audit sink (when enabled).
+func (s *Server) audit(st *backendState, t *obs.Trace, route, file string, det *mvpears.Detection, verdict string, cached bool) {
+	if s.cfg.Audit == nil || !det.Adversarial {
+		return
+	}
+	minEngine, min := minScore(det.Scores, st.auxNames)
+	err := s.cfg.Audit.Write(obs.AuditEntry{
+		Time:           time.Now().UTC(),
+		RequestID:      t.ID(),
+		Route:          route,
+		File:           file,
+		Verdict:        verdict,
+		Scores:         det.Scores,
+		MinScore:       min,
+		MinEngine:      minEngine,
+		Transcriptions: det.Transcriptions,
+		Cached:         cached,
+	})
+	if err != nil {
+		s.cfg.Logger.Printf("mvpearsd: audit sink: %v", err)
+	}
+}
+
+// explanationFor resolves a verdict explanation for the response: the one
+// computed with the detection when present, otherwise derived after the
+// fact (cache hits, shared flights) via the backend's Explainer.
+func (s *Server) explanationFor(st *backendState, det *mvpears.Detection) *ExplanationJSON {
+	exp := det.Explanation
+	if exp == nil {
+		if ex, ok := st.backend.(Explainer); ok {
+			exp = ex.Explain(det)
+		}
+	}
+	return NewExplanationJSON(exp)
+}
+
+// detectionSize approximates one cached verdict's resident bytes for the
+// cache's byte bound: key, scores, transcriptions, explanation (when the
+// detection ran under an explain request), struct overhead.
+func detectionSize(key string, det *mvpears.Detection) int64 {
+	size := int64(len(key)) + 128
+	size += int64(len(det.Scores)) * 8
+	for k, v := range det.Transcriptions {
+		size += int64(len(k)+len(v)) + 32
+	}
+	if exp := det.Explanation; exp != nil {
+		size += int64(len(exp.Method)) + 96
+		for _, e := range append([]mvpears.EngineEvidence{exp.Target}, exp.Auxiliaries...) {
+			size += int64(len(e.Engine)+len(e.Transcription)+len(e.Phonetic)) + 48
+		}
+	}
+	return size
+}

@@ -263,7 +263,8 @@ type Server struct {
 	cascadeSampledFull *Counter
 	// inFlight gauges requests currently inside a handler.
 	inFlight *Gauge
-	// queueRejected counts 429s from the admission queue.
+	// queueRejected is rejectedTotal's queue_full child: 429s from the
+	// admission queue.
 	queueRejected *Counter
 	// panicsTotal counts recovered handler panics.
 	panicsTotal *Counter
@@ -279,9 +280,8 @@ type Server struct {
 	// reloadInProgress gates /readyz to 503 while a replacement model is
 	// loading (the CPU-heavy part of a reload).
 	reloadInProgress atomic.Bool
-	// reloadCount counts completed reloads (for /infoz).
-	reloadCount atomic.Uint64
-	// reloadsTotal / reloadFailures are the metric faces of reloads.
+	// reloadsTotal counts completed reloads (also /infoz and /statusz);
+	// reloadFailures the ones that kept the old model.
 	reloadsTotal   *Counter
 	reloadFailures *Counter
 
@@ -295,11 +295,6 @@ type Server struct {
 	node *cluster.Node
 	// clusterCancel stops the peer listener's accept loop on Shutdown.
 	clusterCancel context.CancelFunc
-	// hedge policy (resolved from ClusterConfig in startCluster).
-	hedgeAfter    time.Duration
-	hedgeFactor   float64
-	hedgeFloor    time.Duration
-	getProbeBytes int
 	// detectCostNS tracks an EWMA of the local fresh-detection cost; it
 	// budgets the hedge delay alongside the backend's live engine costs.
 	detectCostNS atomic.Int64
@@ -313,7 +308,6 @@ type Server struct {
 	// Streaming metrics, always registered (zero when streaming is off)
 	// so the exposition shape does not depend on configuration.
 	streamSessions      *Counter
-	streamRejected      *Counter
 	streamEvicted       *Counter
 	streamWindows       *CounterVec
 	streamEarlyExits    *Counter
@@ -347,21 +341,25 @@ type Server struct {
 	buildVersion string
 }
 
-// resolveBuildVersion extracts the VCS revision baked into the binary,
-// falling back to "dev" for unstamped test builds.
-func resolveBuildVersion() string {
+// buildVCS extracts the VCS revision and commit time baked into the binary
+// ("dev" and "" for unstamped test builds).
+func buildVCS() (revision, time string) {
+	revision = "dev"
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, kv := range bi.Settings {
-			if kv.Key == "vcs.revision" && kv.Value != "" {
-				return kv.Value
+			switch {
+			case kv.Key == "vcs.revision" && kv.Value != "":
+				revision = kv.Value
+			case kv.Key == "vcs.time":
+				time = kv.Value
 			}
 		}
 	}
-	return "dev"
+	return revision, time
 }
 
 // New validates cfg, applies defaults and assembles a Server (no
-// listening socket yet — use Serve/ListenAndServe, or Handler for tests).
+// listening socket yet — use Serve, or Handler for tests).
 func New(cfg Config) (*Server, error) {
 	if cfg.Backend == nil {
 		return nil, fmt.Errorf("server: Config.Backend is required")
@@ -426,8 +424,6 @@ func New(cfg Config) (*Server, error) {
 	s.metrics.GaugeFunc(
 		"mvpears_queue_depth", "Detections waiting in the admission queue.",
 		func() float64 { return float64(s.pool.QueueLen()) })
-	s.queueRejected = s.metrics.Counter(
-		"mvpears_queue_rejected_total", "Requests rejected with 429 by the admission queue.")
 	s.panicsTotal = s.metrics.Counter(
 		"mvpears_handler_panics_total", "Handler panics recovered into 500s.")
 	s.metrics.GaugeFunc(
@@ -461,8 +457,6 @@ func New(cfg Config) (*Server, error) {
 
 	s.streamSessions = s.metrics.Counter(
 		"mvpears_stream_sessions_total", "Streaming sessions opened.")
-	s.streamRejected = s.metrics.Counter(
-		"mvpears_stream_rejected_total", "Streaming sessions rejected by the session limit.")
 	s.streamEvicted = s.metrics.Counter(
 		"mvpears_stream_evicted_total", "Streaming sessions evicted after the idle timeout.")
 	s.streamWindows = s.metrics.CounterVec(
@@ -514,6 +508,7 @@ func New(cfg Config) (*Server, error) {
 	for _, reason := range []string{rejectQueueFull, rejectStreamSessions, rejectPeerBusy} {
 		s.rejectedTotal.With(reason)
 	}
+	s.queueRejected = s.rejectedTotal.With(rejectQueueFull)
 
 	// Detection-quality drift: the monitor exists regardless of whether
 	// the backend carries a calibration reference (without one, scores
@@ -628,7 +623,7 @@ func New(cfg Config) (*Server, error) {
 	// Build/model identity gauges: constant 1, identity in the labels.
 	// The model gauge reads the live backend state at render time, so a
 	// hot reload flips /metrics and /infoz from the same atomic pointer.
-	s.buildVersion = resolveBuildVersion()
+	s.buildVersion, _ = buildVCS()
 	s.metrics.GaugeVecFunc(
 		"mvpears_build_info", "Build identity of the running daemon (constant 1).",
 		func() []LabeledValue {
@@ -655,9 +650,9 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
-	s.mux.Handle("/v1/detect", s.instrument("detect", s.handleDetect))
-	s.mux.Handle("/v1/detect/batch", s.instrument("detect_batch", s.handleDetectBatch))
-	s.mux.Handle("/v1/detect/stream", s.instrument("detect_stream", s.handleDetectStream))
+	s.mux.Handle("/v1/detect", s.instrument("detect", postOnly("use POST with a WAV body", s.handleDetect)))
+	s.mux.Handle("/v1/detect/batch", s.instrument("detect_batch", postOnly("use POST with multipart WAV parts", s.handleDetectBatch)))
+	s.mux.Handle("/v1/detect/stream", s.instrument("detect_stream", postOnly("use POST with a chunked WAV body", s.handleDetectStream)))
 	s.mux.Handle("/v1/detect/ws", s.instrument("detect_ws", s.handleDetectWS))
 	s.mux.Handle("/healthz", s.instrument("healthz", s.handleHealthz))
 	s.mux.Handle("/readyz", s.instrument("readyz", s.handleReadyz))
@@ -684,15 +679,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Serve accepts connections on ln until Shutdown. Like net/http, it
 // returns http.ErrServerClosed after a graceful shutdown.
 func (s *Server) Serve(ln net.Listener) error { return s.httpSrv.Serve(ln) }
-
-// ListenAndServe listens on addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("server: listening on %s: %w", addr, err)
-	}
-	return s.Serve(ln)
-}
 
 // Shutdown drains the server gracefully: readiness flips to 503, the
 // listener stops accepting, in-flight requests (and their queued

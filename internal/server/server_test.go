@@ -470,7 +470,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`mvpears_detect_stage_seconds_count{stage="recognition"} 1`,
 		"mvpears_in_flight_requests",
 		"mvpears_queue_depth 0",
-		"mvpears_queue_rejected_total 0",
+		`mvpears_rejected_total{reason="queue_full"} 0`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, out)

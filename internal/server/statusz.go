@@ -25,7 +25,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	if fp == "" {
 		fp = "(cache off: unfingerprinted)"
 	}
-	fmt.Fprintf(w, "model:    fingerprint=%.16s reloads=%d\n", fp, s.reloadCount.Load())
+	fmt.Fprintf(w, "model:    fingerprint=%.16s reloads=%d\n", fp, s.reloadsTotal.Value())
 	fmt.Fprintf(w, "uptime:   %s  draining=%v\n", now.Sub(s.start).Round(time.Second), s.draining.Load())
 
 	fmt.Fprintf(w, "\ncluster\n-------\n")

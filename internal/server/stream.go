@@ -113,8 +113,6 @@ type StreamEventJSON struct {
 	RequestID string `json:"request_id,omitempty"`
 }
 
-func msFloat(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
 // streamWindowJSON renders one session window with engine names.
 func (s *Server) streamWindowJSON(st *backendState, w stream.Window, rate int) *StreamWindowJSON {
 	tr := make(map[string]string, len(w.Aux)+1)
@@ -124,19 +122,15 @@ func (s *Server) streamWindowJSON(st *backendState, w stream.Window, rate int) *
 			tr[st.auxNames[i]] = text
 		}
 	}
-	verdict := VerdictBenign
-	if w.Adversarial {
-		verdict = VerdictAdversarial
-	}
 	return &StreamWindowJSON{
 		Index:          w.Index,
-		StartMS:        msFloat(sampleMS(w.Start, rate)),
-		EndMS:          msFloat(sampleMS(w.End, rate)),
-		Verdict:        verdict,
+		StartMS:        ms(sampleMS(w.Start, rate)),
+		EndMS:          ms(sampleMS(w.End, rate)),
+		Verdict:        verdictOf(w.Adversarial),
 		Scores:         w.Scores,
 		Transcriptions: tr,
 		EarlyExit:      w.EarlyExit,
-		ElapsedMS:      msFloat(w.Elapsed),
+		ElapsedMS:      ms(w.Elapsed),
 	}
 }
 
@@ -153,7 +147,7 @@ func streamEarlyExitJSON(e *stream.EarlyExit) *StreamEarlyExitJSON {
 		Engine:      e.Engine,
 		Score:       e.Score,
 		Floor:       e.Floor,
-		AudioTimeMS: msFloat(e.AudioTime),
+		AudioTimeMS: ms(e.AudioTime),
 	}
 }
 
@@ -174,30 +168,23 @@ type streamRun struct {
 	write     func(ev StreamEventJSON) error
 }
 
-// emitWindows writes the window events of one Push and returns whether
-// the early-exit flag fired (the client should stop sending).
-func (s *Server) emitWindows(run *streamRun, windows []stream.Window) (stopped bool, err error) {
+// emitWindows writes the window events of one Push; the window that
+// tripped the early-exit floor asks the client to stop sending.
+func (s *Server) emitWindows(run *streamRun, windows []stream.Window) error {
 	rate := run.st.backend.SampleRate()
 	for _, w := range windows {
-		ev := StreamEventJSON{
-			Event:  StreamEventWindow,
-			Window: s.streamWindowJSON(run.st, w, rate),
-		}
-		if w.EarlyExit {
-			ev.Stop = true
-			stopped = true
-		}
+		ev := StreamEventJSON{Event: StreamEventWindow, Window: s.streamWindowJSON(run.st, w, rate), Stop: w.EarlyExit}
 		if err := run.write(ev); err != nil {
-			return stopped, err
+			return err
 		}
 	}
-	return stopped, nil
+	return nil
 }
 
 // finishStream finalizes the session and writes the final event: the
-// whole-clip verdict (cache-probed by content, so a streamed re-send of
-// known audio is a cache hit), observed into the same metric families as
-// batch verdicts.
+// whole-clip verdict, resolved by content like any upload (a streamed
+// re-send of known audio is a cache hit) with an engine that hands over
+// the verdict the session has already built, and recorded like any other.
 func (s *Server) finishStream(ctx context.Context, run *streamRun) error {
 	// The accumulated incremental decode cost becomes the decode span,
 	// anchored to end now.
@@ -207,44 +194,51 @@ func (s *Server) finishStream(ctx context.Context, run *streamRun) error {
 		return err
 	}
 	st := run.st
-	var (
-		det    *mvpears.Detection
-		cached bool
-		key    string
-	)
+	key := ""
 	if s.vc != nil {
 		key = vcache.KeySamples(st.modelFP, st.backend.SampleRate(), fin.Samples)
-		det, cached = s.vc.Get(key)
 	}
-	if !cached {
-		det = st.backend.(StreamBackend).DetectionFromStream(fin)
-		if key != "" {
-			s.vc.Put(key, det, detectionSize(key, det))
-		}
+	det, how, err := s.resolve(ctx, st, key, nil, engine{run: func(context.Context) (*mvpears.Detection, error) {
+		return st.backend.(StreamBackend).DetectionFromStream(fin), nil
+	}})
+	if err != nil {
+		return err
 	}
-	var verdict string
-	if cached {
-		run.trace.SetCached()
-		verdict = s.countVerdict(det)
-	} else {
-		verdict = s.observe(st, det)
-		s.observeTrace(st, run.trace)
-	}
-	run.trace.SetVerdict(verdict)
-	s.audit(st, run.trace, run.route, "", det, verdict, cached)
-	out := NewDetectionJSON(det, st.auxNames)
-	out.Cached = cached
-	ev := StreamEventJSON{
+	out := s.record(st, run.trace, run.route, "", det, how, run.explain)
+	return run.write(StreamEventJSON{
 		Event:      StreamEventFinal,
 		Detection:  &out,
 		Windows:    fin.Windows,
-		DurationMS: msFloat(fin.Duration),
+		DurationMS: ms(fin.Duration),
 		EarlyExit:  streamEarlyExitJSON(fin.EarlyExit),
+	})
+}
+
+// openStream opens a streaming session for the request and wraps it in a
+// streamRun (the caller sets write), or answers the request — 429 +
+// Retry-After at the session limit — and returns nil.
+func (s *Server) openStream(w http.ResponseWriter, r *http.Request, st *backendState, route string) *streamRun {
+	sess, err := st.stream.Open()
+	switch {
+	case err == nil:
+		return &streamRun{sess: sess, st: st, trace: obs.TraceFrom(r.Context()), explain: explainRequested(r), route: route}
+	case errors.Is(err, stream.ErrTooManySessions):
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusTooManyRequests, "too many open streaming sessions")
+	default:
+		writeError(w, http.StatusServiceUnavailable, "opening stream session: %v", err)
 	}
-	if run.explain {
-		ev.Detection.Explanation = s.explanationFor(st, det)
-	}
-	return run.write(ev)
+	return nil
+}
+
+// fail reports a mid-stream failure as an error event: the 200 (or 101)
+// is already on the wire.
+func (run *streamRun) fail(format string, args ...any) {
+	_ = run.write(StreamEventJSON{
+		Event:     StreamEventError,
+		Error:     fmt.Sprintf(format, args...),
+		RequestID: run.trace.ID(),
+	})
 }
 
 // streamChunkSamples sizes the per-read sample buffer on the NDJSON
@@ -256,17 +250,11 @@ const streamChunkSamples = 2048
 // provisional window verdicts as the audio arrives, then one final
 // whole-clip verdict at EOF.
 func (s *Server) handleDetectStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "use POST with a chunked WAV body")
-		return
-	}
 	st := s.state()
 	if st.stream == nil {
 		writeError(w, http.StatusNotFound, "streaming is not enabled")
 		return
 	}
-	trace := obs.TraceFrom(r.Context())
 	rc := http.NewResponseController(w)
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes+1024)
 	decodeStart := time.Now()
@@ -280,19 +268,13 @@ func (s *Server) handleDetectStream(w http.ResponseWriter, r *http.Request) {
 			"streaming requires audio at the native %d Hz rate, got %d Hz", rate, wr.SampleRate())
 		return
 	}
-	sess, err := st.stream.Open()
-	if err != nil {
-		if errors.Is(err, stream.ErrTooManySessions) {
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, "too many open streaming sessions")
-			return
-		}
-		writeError(w, http.StatusServiceUnavailable, "opening stream session: %v", err)
+	run := s.openStream(w, r, st, "detect_stream")
+	if run == nil {
 		return
 	}
-	defer sess.Close()
+	defer run.sess.Close()
 	if n, ok := wr.DeclaredSamples(); ok {
-		sess.Reserve(n)
+		run.sess.Reserve(n)
 	}
 
 	// Full duplex: we interleave body reads with response writes; without
@@ -307,28 +289,12 @@ func (s *Server) handleDetectStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
-	run := &streamRun{
-		sess:      sess,
-		st:        st,
-		trace:     trace,
-		explain:   explainRequested(r),
-		route:     "detect_stream",
-		decodeDur: time.Since(decodeStart),
-		write: func(ev StreamEventJSON) error {
-			if err := enc.Encode(ev); err != nil {
-				return err
-			}
-			return rc.Flush()
-		},
-	}
-	// streamFail reports a mid-stream failure as an NDJSON error event:
-	// the 200 header is already on the wire.
-	streamFail := func(format string, args ...any) {
-		_ = run.write(StreamEventJSON{
-			Event:     StreamEventError,
-			Error:     fmt.Sprintf(format, args...),
-			RequestID: trace.ID(),
-		})
+	run.decodeDur = time.Since(decodeStart)
+	run.write = func(ev StreamEventJSON) error {
+		if err := enc.Encode(ev); err != nil {
+			return err
+		}
+		return rc.Flush()
 	}
 
 	ctx := r.Context()
@@ -338,12 +304,12 @@ func (s *Server) handleDetectStream(w http.ResponseWriter, r *http.Request) {
 		n, err := wr.ReadSamples(buf)
 		run.decodeDur += time.Since(readStart)
 		if n > 0 {
-			windows, perr := sess.Push(ctx, buf[:n])
-			if _, werr := s.emitWindows(run, windows); werr != nil {
+			windows, perr := run.sess.Push(ctx, buf[:n])
+			if werr := s.emitWindows(run, windows); werr != nil {
 				return // client gone
 			}
 			if perr != nil {
-				streamFail("stream session: %v", perr)
+				run.fail("stream session: %v", perr)
 				return
 			}
 		}
@@ -351,12 +317,12 @@ func (s *Server) handleDetectStream(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		if err != nil {
-			streamFail("decoding streamed WAV: %v", err)
+			run.fail("decoding streamed WAV: %v", err)
 			return
 		}
 	}
 	if err := s.finishStream(ctx, run); err != nil {
-		streamFail("finalizing stream: %v", err)
+		run.fail("finalizing stream: %v", err)
 	}
 }
 
@@ -371,45 +337,25 @@ func (s *Server) handleDetectWS(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "streaming is not enabled")
 		return
 	}
-	trace := obs.TraceFrom(r.Context())
-	sess, err := st.stream.Open()
-	if err != nil {
-		if errors.Is(err, stream.ErrTooManySessions) {
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, "too many open streaming sessions")
-			return
-		}
-		writeError(w, http.StatusServiceUnavailable, "opening stream session: %v", err)
+	run := s.openStream(w, r, st, "detect_ws")
+	if run == nil {
 		return
 	}
+	defer run.sess.Close()
 	conn, err := stream.UpgradeWS(w, r)
 	if err != nil {
-		sess.Close()
 		return // UpgradeWS already answered
 	}
 	defer conn.Close()
-	defer sess.Close()
-
-	run := &streamRun{
-		sess:    sess,
-		st:      st,
-		trace:   trace,
-		explain: explainRequested(r),
-		route:   "detect_ws",
-		write: func(ev StreamEventJSON) error {
-			payload, err := json.Marshal(ev)
-			if err != nil {
-				return err
-			}
-			return conn.WriteMessage(stream.OpText, payload)
-		},
+	run.write = func(ev StreamEventJSON) error {
+		payload, err := json.Marshal(ev)
+		if err != nil {
+			return err
+		}
+		return conn.WriteMessage(stream.OpText, payload)
 	}
 	wsFail := func(format string, args ...any) {
-		_ = run.write(StreamEventJSON{
-			Event:     StreamEventError,
-			Error:     fmt.Sprintf(format, args...),
-			RequestID: trace.ID(),
-		})
+		run.fail(format, args...)
 		_ = conn.WriteClose(1011) // internal error
 	}
 
@@ -444,8 +390,8 @@ func (s *Server) handleDetectWS(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			run.decodeDur += time.Since(decodeStart)
-			windows, perr := sess.Push(ctx, samples)
-			if _, werr := s.emitWindows(run, windows); werr != nil {
+			windows, perr := run.sess.Push(ctx, samples)
+			if werr := s.emitWindows(run, windows); werr != nil {
 				return
 			}
 			if perr != nil {

@@ -95,22 +95,31 @@ func (c *Cache[V]) shardFor(key string) *shard[V] {
 	return &c.shards[maphash.String(c.seed, key)%uint64(len(c.shards))]
 }
 
-// Get returns the cached value for key, refreshing its recency.
+// Get returns the cached value for key, refreshing its recency and
+// counting the lookup as a hit or a miss.
 func (c *Cache[V]) Get(key string) (V, bool) {
+	v, ok := c.Peek(key)
+	if ok {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	return v, ok
+}
+
+// Peek is Get without the hit/miss accounting: for a caller re-probing a
+// key whose lookup it has already counted.
+func (c *Cache[V]) Peek(key string) (V, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	el, ok := s.m[key]
 	if !ok {
-		s.mu.Unlock()
-		c.misses.Add(1)
 		var zero V
 		return zero, false
 	}
 	s.lru.MoveToFront(el)
-	v := el.Value.(*entry[V]).val
-	s.mu.Unlock()
-	c.hits.Add(1)
-	return v, true
+	return el.Value.(*entry[V]).val, true
 }
 
 // Put inserts (or refreshes) key with the given payload size, evicting

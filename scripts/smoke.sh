@@ -124,7 +124,10 @@ for seed in 11 12 13 14 15 16 17 18; do
 done
 [ -n "$REMOTE_JSON" ] || fail "no remote cache hit on B in 8 seeds (cluster tier dead?)"
 echo "$REMOTE_JSON" | grep -q '"cached":true' || fail "remote answer not marked cached: $REMOTE_JSON"
-curl -fsS "http://$PUB_B/metrics" | grep -q 'mvpears_cluster_forwards_total{outcome="hit"}' \
+# Scraped into a variable first: under pipefail, `curl | grep -q` fails
+# with curl's EPIPE whenever grep matches before the body is fully written.
+METRICS_B=$(curl -fsS "http://$PUB_B/metrics")
+echo "$METRICS_B" | grep -q 'mvpears_cluster_forwards_total{outcome="hit"}' \
     || fail "B's metrics missing the cluster forward-hit count"
 
 echo "== cluster: hot reload under load =="
@@ -163,7 +166,7 @@ echo "$METRICS_C" | grep -q 'mvpears_model_info{fingerprint=' || fail "C's metri
 echo "$METRICS_C" | grep -q 'mvpears_rejected_total{reason="queue_full"} 0' \
     || fail "C's metrics missing pre-created rejection reasons"
 # The requester side of the earlier remote hit timed the peer round trip.
-curl -fsS "http://$PUB_B/metrics" | grep -q 'mvpears_cluster_rtt_seconds_count{peer="' \
+echo "$METRICS_B" | grep -q 'mvpears_cluster_rtt_seconds_count{peer="' \
     || fail "B's metrics missing the per-peer RTT histogram after a forward"
 
 echo "smoke OK"
