@@ -6,12 +6,14 @@ GO ?= go
 # BenchmarkCluster pair (remote hit, hedged dispatch); NN_BENCH covers
 # the inference kernels they ride on (int8 forward, the float64 blocked
 # mat-vec and RNN step); HMM_BENCH and ASR_BENCH the Viterbi column and the
-# post-acoustic half of a stream window.
+# post-acoustic half of a stream window; DSP_BENCH the frame kernel and the
+# roster's shared front-end pass (GOMAXPROCS=1, i.e. -cpu 1).
 BENCH ?= BenchmarkDetectHotPath|BenchmarkBatchFeatures
 SERVE_BENCH ?= BenchmarkServe|BenchmarkStreamWindow|BenchmarkCluster
 NN_BENCH ?= BenchmarkQuantizedForward|BenchmarkMatVec|BenchmarkRNNStep
 HMM_BENCH ?= BenchmarkViterbiStep
 ASR_BENCH ?= BenchmarkDecodeWindow
+DSP_BENCH ?= BenchmarkPowerFrame|BenchmarkFrontEndRoster
 BENCHTIME ?= 25x
 # Interleaved suite rounds per `make bench` (see cmd/benchmed): every
 # benchmark is sampled once per round, so machine drift spreads evenly
@@ -71,6 +73,7 @@ bench:
 	$(GO) run ./cmd/benchmed -rounds $(BENCHROUNDS) -bench '$(NN_BENCH)' ./internal/nn | tee BENCH_nn.txt
 	$(GO) run ./cmd/benchmed -rounds $(BENCHROUNDS) -bench '$(HMM_BENCH)' ./internal/hmm | tee BENCH_hmm.txt
 	$(GO) run ./cmd/benchmed -rounds $(BENCHROUNDS) -bench '$(ASR_BENCH)' ./internal/asr | tee BENCH_asr.txt
+	GOMAXPROCS=1 $(GO) run ./cmd/benchmed -rounds $(BENCHROUNDS) -bench '$(DSP_BENCH)' ./internal/dsp | tee BENCH_dsp.txt
 
 # The benchmark's checker as a test: boot a real mvpearsd, drive every
 # workload for one short slice and validate every response (schema,
@@ -81,13 +84,17 @@ loadgen-short:
 
 # Short-budget fuzz runs over the parsers that face untrusted bytes: the
 # batch WAV decoder, the streaming WAV decoder, the WebSocket frame
-# parser, and the cluster peer-protocol wire codec. Seed corpora are in
-# the fuzz tests; crashers land in testdata/fuzz/ for triage.
+# parser, and the cluster peer-protocol wire codec — and two metamorphic
+# targets: any chunk schedule through the streaming front end gives the
+# batch feature matrices (dsp) and the batch transcriptions (asr). Seed
+# corpora are in the fuzz tests; crashers land in testdata/fuzz/ for triage.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadWAV$$' -fuzztime $(FUZZTIME) ./internal/audio
 	$(GO) test -run '^$$' -fuzz '^FuzzWAVStreamReader$$' -fuzztime $(FUZZTIME) ./internal/audio
 	$(GO) test -run '^$$' -fuzz '^FuzzWSFrame$$' -fuzztime $(FUZZTIME) ./internal/stream
 	$(GO) test -run '^$$' -fuzz '^FuzzWireCodec$$' -fuzztime $(FUZZTIME) ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzFrontEndChunking$$' -fuzztime $(FUZZTIME) ./internal/dsp
+	$(GO) test -run '^$$' -fuzz '^FuzzEnsembleStreamChunking$$' -fuzztime $(FUZZTIME) ./internal/asr
 
 # Boot a real daemon (bootstrap model, admin listener) and probe its
 # endpoints end to end: health, metrics, pprof, and a traced detection.

@@ -22,7 +22,7 @@ var (
 
 // testEngines trains one small engine set shared by all tests in this
 // package.
-func testEngines(t *testing.T) *EngineSet {
+func testEngines(t testing.TB) *EngineSet {
 	t.Helper()
 	quickSetOnce.Do(func() {
 		quickSet, quickSetErr = BuildEngines(QuickTrainConfig())

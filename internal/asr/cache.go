@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -13,37 +14,41 @@ import (
 )
 
 // FeatureCache memoizes MFCC extraction for ONE clip across engines.
-// MVP-EARS runs N+1 ASR engines on every input; engines whose feature
-// front ends are configured identically (e.g. DS0 and the CTC engine DS2
-// both use DefaultMFCCConfig) would otherwise each redo the same
-// FFT/filterbank/DCT work. Entries are keyed by the MFCCConfig
-// fingerprint, which covers every field of the defaulted configuration,
-// so two extractors share an entry exactly when they produce identical
-// features.
+// MVP-EARS runs N+1 ASR engines on every input. Engines whose front ends
+// are configured identically (DS0 and the CTC engine DS2) share one
+// matrix, keyed by the MFCCConfig fingerprint, which covers every field of
+// the defaulted configuration. Engines that agree only upstream of the mel
+// bank (DS0 and AT) form a spectrum group (dsp.FrontEnd): TranscribeInto
+// announces the extractors its call will ask for (expect), and the first
+// engine of a group to arrive runs one shared pass for the announced
+// members. A cascade phase therefore never extracts for an engine of a
+// later phase, and an unannounced Extract is a group of one.
 //
-// The cache is safe for concurrent use: when several engines ask for the
-// same fingerprint at once, one extracts and the rest wait. Cached
-// feature matrices are shared read-only — consumers must not modify the
-// returned rows (every engine in this repository copies or folds them
-// into fresh buffers).
+// The cache is safe for concurrent use: when several engines of one group
+// ask at once, one extracts and the rest wait. Cached feature matrices are
+// shared read-only — consumers must not modify the returned rows (every
+// engine in this repository copies or folds them into fresh buffers).
 type FeatureCache struct {
 	samples []float64
 	mu      sync.Mutex
-	entries map[string]*cacheEntry
+	entries map[string]*featureBatch // MFCC fingerprint -> the batch that computes it
 	// tail is the post-acoustic work the clip's engines share (energy
 	// gate sums, lexicon matches); mu is held across each engine's use.
 	tail tailWork
 }
 
-type cacheEntry struct {
+// featureBatch is the extractors of one spectrum group announced
+// together, and their features once the first of them has been asked for.
+type featureBatch struct {
 	once  sync.Once
-	feats [][]float64
+	ms    []*dsp.MFCC
+	feats [][][]float64 // indexed like ms
 	err   error
 }
 
 // NewFeatureCache builds a cache for one clip's samples.
 func NewFeatureCache(samples []float64) *FeatureCache {
-	return &FeatureCache{samples: samples, entries: make(map[string]*cacheEntry)}
+	return &FeatureCache{samples: samples, entries: make(map[string]*featureBatch)}
 }
 
 // Reset rebinds the cache to a new clip's samples, dropping every entry
@@ -60,7 +65,7 @@ func (c *FeatureCache) Reset(samples []float64) {
 // serving process allocates one per detection, and the map's buckets are
 // the only state worth keeping (entries are per-clip and cleared).
 var featureCachePool = sync.Pool{
-	New: func() any { return &FeatureCache{entries: make(map[string]*cacheEntry)} },
+	New: func() any { return &FeatureCache{entries: make(map[string]*featureBatch)} },
 }
 
 // GetFeatureCache returns a pooled cache bound to samples. Release it
@@ -82,21 +87,68 @@ func PutFeatureCache(c *FeatureCache) {
 	featureCachePool.Put(c)
 }
 
+// expect announces the engines a caller is about to run against the cache
+// (recognizers with no known front end are skipped). Their extractors not
+// yet in the cache are batched by spectrum group, so each group's first
+// Extract computes all of them in one pass.
+func (c *FeatureCache) expect(engines []Recognizer) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var opened []*featureBatch
+	for _, e := range engines {
+		m, _ := frontEndOf(e)
+		if m == nil || c.entries[m.Fingerprint()] != nil {
+			continue
+		}
+		i := slices.IndexFunc(opened, func(b *featureBatch) bool {
+			return b.ms[0].SpectrumFingerprint() == m.SpectrumFingerprint()
+		})
+		if i < 0 {
+			i = len(opened)
+			opened = append(opened, &featureBatch{})
+		}
+		opened[i].ms = append(opened[i].ms, m)
+		c.entries[m.Fingerprint()] = opened[i]
+	}
+}
+
 // Extract returns the MFCC features of the cache's clip under m's
 // configuration, computing them at most once per distinct fingerprint.
 func (c *FeatureCache) Extract(m *dsp.MFCC) ([][]float64, error) {
-	key := m.Fingerprint()
 	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok {
-		e = &cacheEntry{}
-		c.entries[key] = e
+	b := c.entries[m.Fingerprint()]
+	if b == nil { // unannounced: a group of one
+		b = &featureBatch{ms: []*dsp.MFCC{m}}
+		c.entries[m.Fingerprint()] = b
 	}
 	c.mu.Unlock()
-	e.once.Do(func() {
-		e.feats, e.err = m.Extract(c.samples)
+	b.once.Do(func() {
+		b.feats, b.err = dsp.NewFrontEnd(b.ms).Extract(c.samples)
 	})
-	return e.feats, e.err
+	if b.err != nil {
+		return nil, b.err
+	}
+	i := slices.IndexFunc(b.ms, func(o *dsp.MFCC) bool { return o.Fingerprint() == m.Fingerprint() })
+	return b.feats[i], nil
+}
+
+// frontEndOf returns the extractor a built-in engine draws its features
+// from and the sample rate it runs at, or nil for a recognizer the cache
+// and the streaming front end know nothing about.
+func frontEndOf(r Recognizer) (*dsp.MFCC, int) {
+	switch e := r.(type) {
+	case *MLPEngine:
+		return e.MFCC, e.SampleRate
+	case *RNNEngine:
+		return e.MFCC, e.SampleRate
+	case *GMMEngine:
+		return e.MFCC, e.SampleRate
+	case *WeakEngine:
+		return e.MFCC, e.SampleRate
+	case *CTCEngine:
+		return e.MFCC, e.SampleRate
+	}
+	return nil, 0
 }
 
 // clipFeatures validates the clip for an engine running at rate and
@@ -143,7 +195,7 @@ func transcribeLabels(labels []int, clip *audio.Clip, m *dsp.MFCC, dec *Decoder,
 }
 
 // Len reports how many distinct front-end configurations have been
-// extracted (for tests and instrumentation).
+// announced or extracted (for tests and instrumentation).
 func (c *FeatureCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -193,13 +245,18 @@ func TranscribeAllWithCacheCtx(ctx context.Context, engines []Recognizer, clip *
 // (len(out) >= len(engines)). It is the staged form of
 // TranscribeAllWithCacheCtx: the cascade scheduler calls it once per
 // phase with the SAME cache, so a front end extracted in phase one is
-// never redone when the remaining engines run in phase two.
+// never redone when the remaining engines run in phase two — and, since
+// only this call's engines are announced to the cache, phase one never
+// extracts for an engine that may not run.
 func TranscribeInto(ctx context.Context, engines []Recognizer, clip *audio.Clip, cache *FeatureCache, parallel bool, out []string) error {
 	if clip == nil {
 		return fmt.Errorf("asr: nil clip")
 	}
 	if len(out) < len(engines) {
 		return fmt.Errorf("asr: output slice has %d slots for %d engines", len(out), len(engines))
+	}
+	if cache != nil {
+		cache.expect(engines)
 	}
 	// A traced request gets one span per engine (concurrent engines record
 	// into the trace under its own lock); untraced requests skip the clock

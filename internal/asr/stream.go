@@ -3,6 +3,7 @@ package asr
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mvpears/internal/audio"
 	"mvpears/internal/dsp"
@@ -35,10 +36,10 @@ import (
 // is transcription-parity-gated for batch serving but is not part of the
 // streamed contract.
 
-// streamFront is one shared MFCC front end (engines with identical
-// configurations share it, like FeatureCache does for batch).
+// streamFront is one front-end configuration's frames so far; engines
+// with identical configurations share it, like FeatureCache entries do
+// for batch.
 type streamFront struct {
-	s     *dsp.StreamingMFCC
 	feats [][]float64 // every complete frame emitted so far
 }
 
@@ -47,12 +48,12 @@ type streamFront struct {
 type EnsembleStream struct {
 	rate    int
 	samples []float64
-	// fronts dedups MFCC front-ends by config fingerprint; frontList
-	// holds the same fronts in registration order so the push/finalize
-	// loops run deterministically (map order would pick which front's
-	// error surfaces first).
-	fronts    map[string]*streamFront
-	frontList []*streamFront
+	// front is the session's one streaming front end (one spectrum per
+	// spectrum group, one rolling signal per pre-emphasis coefficient);
+	// fronts holds its members' frames, indexed like its extractors: one
+	// per distinct config fingerprint, in registration order.
+	front     *dsp.FrontEndStream
+	fronts    []*streamFront
 	streams   []engineStream
 	finalized bool
 	// tail is the post-acoustic work every window, every engine and the
@@ -79,55 +80,40 @@ func NewEnsembleStream(engines []Recognizer, sampleRate int) (*EnsembleStream, e
 	if len(engines) == 0 {
 		return nil, fmt.Errorf("asr: ensemble stream needs at least one engine")
 	}
-	es := &EnsembleStream{
-		rate:    sampleRate,
-		fronts:  make(map[string]*streamFront),
-		streams: make([]engineStream, len(engines)),
-	}
-	front := func(m *dsp.MFCC, engineRate int) (*streamFront, error) {
-		if engineRate != sampleRate {
-			return nil, fmt.Errorf("asr: engine expects %d Hz, stream is %d Hz", engineRate, sampleRate)
-		}
-		fp := m.Fingerprint()
-		if f, ok := es.fronts[fp]; ok {
-			return f, nil
-		}
-		f := &streamFront{s: m.Stream()}
-		es.fronts[fp] = f
-		es.frontList = append(es.frontList, f)
-		return f, nil
-	}
+	es := &EnsembleStream{rate: sampleRate, streams: make([]engineStream, len(engines))}
+	var ms []*dsp.MFCC
 	for i, eng := range engines {
+		m, rate := frontEndOf(eng)
+		// CTC's beam search has no incremental form, front end or not.
+		if _, ctc := eng.(*CTCEngine); m == nil || ctc {
+			es.streams[i] = &batchStream{e: eng, feed: es}
+			continue
+		}
+		if rate != sampleRate {
+			return nil, fmt.Errorf("asr: %s: engine expects %d Hz, stream is %d Hz", eng.Name(), rate, sampleRate)
+		}
+		fi := slices.IndexFunc(ms, func(o *dsp.MFCC) bool { return o.Fingerprint() == m.Fingerprint() })
+		if fi < 0 {
+			fi = len(ms)
+			ms = append(ms, m)
+			es.fronts = append(es.fronts, &streamFront{})
+		}
+		f := es.fronts[fi]
 		switch e := eng.(type) {
 		case *MLPEngine:
-			f, err := front(e.MFCC, e.SampleRate)
-			if err != nil {
-				return nil, fmt.Errorf("asr: %s: %w", e.ID, err)
-			}
 			es.streams[i] = &mlpStream{e: e, feed: es, front: f,
-				stacked: make([]float64, (2*e.Context+1)*e.MFCC.Config().NumCoeffs),
+				stacked: make([]float64, (2*e.Context+1)*m.Config().NumCoeffs),
 				scratch: e.Net.NewScratch()}
 		case *RNNEngine:
-			f, err := front(e.MFCC, e.SampleRate)
-			if err != nil {
-				return nil, fmt.Errorf("asr: %s: %w", e.ID, err)
-			}
 			es.streams[i] = newRNNStream(e, es, f)
 		case *GMMEngine:
-			f, err := front(e.MFCC, e.SampleRate)
-			if err != nil {
-				return nil, fmt.Errorf("asr: %s: %w", e.ID, err)
-			}
 			es.streams[i] = &gmmStream{e: e, feed: es, front: f, v: e.Model.Stream()}
 		case *WeakEngine:
-			f, err := front(e.MFCC, e.SampleRate)
-			if err != nil {
-				return nil, fmt.Errorf("asr: %s: %w", e.ID, err)
-			}
 			es.streams[i] = &weakStream{e: e, feed: es, front: f}
-		default:
-			es.streams[i] = &batchStream{e: eng, feed: es}
 		}
+	}
+	if len(ms) > 0 {
+		es.front = dsp.NewFrontEnd(ms).Stream()
 	}
 	return es, nil
 }
@@ -169,12 +155,12 @@ func (es *EnsembleStream) Push(chunk []float64) error {
 		es.Reserve(max(need, 2*cap(es.samples)))
 	}
 	es.samples = append(es.samples, chunk...)
-	for _, f := range es.frontList {
-		rows, err := f.s.Push(chunk)
+	if es.front != nil {
+		rows, err := es.front.Push(chunk)
 		if err != nil {
 			return err
 		}
-		f.feats = append(f.feats, rows...)
+		es.collect(rows)
 	}
 	for _, st := range es.streams {
 		if err := st.advance(false); err != nil {
@@ -194,12 +180,12 @@ func (es *EnsembleStream) Finalize() error {
 	if len(es.samples) == 0 {
 		return fmt.Errorf("asr: cannot finalize an empty stream")
 	}
-	for _, f := range es.frontList {
-		tail, err := f.s.Flush()
+	if es.front != nil {
+		tail, err := es.front.Flush()
 		if err != nil {
 			return err
 		}
-		f.feats = append(f.feats, tail...)
+		es.collect(tail)
 	}
 	for _, st := range es.streams {
 		if err := st.advance(true); err != nil {
@@ -208,6 +194,14 @@ func (es *EnsembleStream) Finalize() error {
 	}
 	es.finalized = true
 	return nil
+}
+
+// collect appends the front end's newly emitted rows to its members'
+// frame lists.
+func (es *EnsembleStream) collect(rows [][][]float64) {
+	for i, f := range es.fronts {
+		f.feats = append(f.feats, rows[i]...)
+	}
 }
 
 // WindowText returns engine i's provisional transcription of the sample

@@ -107,13 +107,7 @@ func fftDir(x []complex128, inverse bool) error {
 }
 
 // transform runs the bit-reversal and the butterflies over x (len p.n)
-// with one direction's per-stage twiddles. The first butterfly of every
-// block has the unit twiddle w^0 = 1∓0i and skips the multiplication:
-// b·(1∓0i) equals b except possibly in the sign of a zero component, and a
-// zero's sign never changes a nonzero value downstream (only sums and
-// products follow) and squares away in the power spectrum. No other
-// twiddle is exact in floating point — w^(n/4) is 6.1e-17∓i, not ∓i — so
-// every other product is kept.
+// with one direction's per-stage twiddles.
 func (p *fftPlan) transform(x []complex128, stages [][]complex128) {
 	x = x[:p.n]
 	for i, rev := range p.bitrev {
@@ -121,18 +115,57 @@ func (p *fftPlan) transform(x []complex128, stages [][]complex128) {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	for _, tw := range stages {
-		half := len(tw)
-		for start := 0; start+2*half <= len(x); start += 2 * half {
-			lo := x[start:][:half]
-			hi := x[start+half:][:half]
-			a, b := lo[0], hi[0]
-			lo[0], hi[0] = a+b, a-b
-			for k := 1; k < len(lo); k++ {
-				a := lo[k]
-				b := hi[k] * tw[k]
-				lo[k] = a + b
-				hi[k] = a - b
+	butterflies(x, stages)
+}
+
+// butterflies runs the radix-2 stages over bit-reversed x, two per pass: a
+// block of 4H elements takes k, k+H, k+2H, k+3H through the two butterflies
+// of the half-size-H stage and then the two of the 2H stage — the same
+// butterflies on the same operands in the same order as separate sweeps,
+// so every value sees the identical sequence of roundings (fused loops,
+// not radix-4 algebra). An odd stage count runs the first stage alone.
+//
+// A butterfly with the unit twiddle w^0 = 1∓0i skips the multiplication:
+// b·(1∓0i) equals b except possibly in the sign of a zero component, and a
+// zero's sign never changes a nonzero value downstream (only sums and
+// products follow) and squares away in the power spectrum. No other
+// twiddle is exact in floating point — w^(n/4) is 6.1e-17∓i, not ∓i — so
+// every other product is kept.
+func butterflies(x []complex128, stages [][]complex128) {
+	if len(stages)%2 == 1 {
+		// Half-size 1: every twiddle is w^0.
+		for i := 0; i+1 < len(x); i += 2 {
+			a, b := x[i], x[i+1]
+			x[i], x[i+1] = a+b, a-b
+		}
+		stages = stages[1:]
+	}
+	for ; len(stages) >= 2; stages = stages[2:] {
+		t1 := stages[0]
+		h := len(t1)
+		t2lo, t2hi := stages[1][:h], stages[1][h:][:h]
+		for start := 0; start+4*h <= len(x); start += 4 * h {
+			q0 := x[start:][:h]
+			q1 := x[start+h:][:h]
+			q2 := x[start+2*h:][:h]
+			q3 := x[start+3*h:][:h]
+			// k = 0: w^0 in both butterflies of the first stage and in the
+			// second stage's first.
+			y0, y1 := q0[0]+q1[0], q0[0]-q1[0]
+			y2, y3 := q2[0]+q3[0], q2[0]-q3[0]
+			c3 := y3 * t2hi[0]
+			q0[0], q2[0] = y0+y2, y0-y2
+			q1[0], q3[0] = y1+c3, y1-c3
+			for k := 1; k < h; k++ {
+				w := t1[k]
+				b0 := q1[k] * w
+				b2 := q3[k] * w
+				y0, y1 := q0[k]+b0, q0[k]-b0
+				y2, y3 := q2[k]+b2, q2[k]-b2
+				c2 := y2 * t2lo[k]
+				c3 := y3 * t2hi[k]
+				q0[k], q2[k] = y0+c2, y0-c2
+				q1[k], q3[k] = y1+c3, y1-c3
 			}
 		}
 	}
@@ -207,60 +240,82 @@ func RealPowerInto(x []float64, buf []complex128, power []float64) error {
 	if len(power) < h+1 {
 		return fmt.Errorf("dsp: power buffer len %d < %d", len(power), h+1)
 	}
-	newRealPlan(n).power(x, buf, power)
+	ones, _ := Window(WindowRect, n) // cannot fail: the kind is known and n >= 2
+	newRealPlan(n).power(x, ones, buf, power)
 	return nil
 }
 
-// realPlan is what RealPowerInto needs for one frame size n: the
-// half-size complex plan and the size-n forward twiddles of the untangle
-// step. The MFCC extractors hold one for their FFT size, so the per-frame
-// path does no plan-cache lookups.
+// realPlan is the frame kernel's tables for one FFT size n: the half-size
+// complex plan's bit reversal and forward stages, and the size-n forward
+// twiddles of the untangle step. The MFCC extractors hold one for their
+// FFT size, so the per-frame path does no plan-cache lookups.
 type realPlan struct {
-	half *fftPlan     // nil when n == 2: a one-point transform is the identity
-	tw   []complex128 // getPlan(n).fwd
+	rev    []int32        // getPlan(n/2).bitrev
+	stages [][]complex128 // getPlan(n/2).fwdStages (none when n == 2)
+	tw     []complex128   // getPlan(n).fwd
 }
 
 // newRealPlan returns the plan for a power-of-two n >= 2.
 func newRealPlan(n int) realPlan {
-	rp := realPlan{tw: getPlan(n).fwd}
-	if n >= 4 {
-		rp.half = getPlan(n / 2)
-	}
-	return rp
+	half := getPlan(n / 2)
+	return realPlan{rev: half.bitrev, stages: half.fwdStages, tw: getPlan(n).fwd}
 }
 
-// power is RealPowerInto for buffers already known to fit: len(x) == n,
-// cap(buf) >= n/2, len(power) >= n/2+1.
-func (rp realPlan) power(x []float64, buf []complex128, power []float64) {
-	h := len(x) / 2
+// power is the one frame kernel of the inference front end: the power
+// spectrum (n/2+1 bins) of x·window zero-padded to n samples, where
+// len(x) <= len(window) <= n, cap(buf) >= n/2 and len(power) >= n/2+1.
+func (rp realPlan) power(x, window []float64, buf []complex128, power []float64) {
+	h := len(rp.rev)
 	buf = buf[:h]
-	for j := range buf {
-		buf[j] = complex(x[2*j], x[2*j+1])
+	window = window[:len(x)]
+	// Window, pack z_j = y_{2j} + i·y_{2j+1} and store z_j at its
+	// bit-reversed index in one pass: bit reversal is an involution, so
+	// this is the permutation the transform's swap pass applies.
+	pairs := len(x) / 2
+	for j, r := range rp.rev[:pairs] {
+		buf[r] = complex(x[2*j]*window[2*j], x[2*j+1]*window[2*j+1])
 	}
-	if rp.half != nil {
-		rp.half.transform(buf, rp.half.fwdStages)
+	rest := rp.rev[pairs:]
+	if len(x)&1 == 1 {
+		buf[rest[0]] = complex(x[len(x)-1]*window[len(x)-1], 0)
+		rest = rest[1:]
 	}
-	// Untangle: with z_j = x_{2j} + i·x_{2j+1} and Z its H-point FFT, the
-	// even/odd spectra are E_k = (Z_k + conj(Z_{H-k}))/2 and
-	// O_k = -i(Z_k - conj(Z_{H-k}))/2, and X_k = E_k + W_n^k·O_k. The DC
-	// and Nyquist bins collapse to sums of Z_0's parts. The loop is spelled
-	// out in real arithmetic: the complex128 form costs roughly as much as
-	// the half-size FFT it follows.
+	for _, r := range rest {
+		buf[r] = 0
+	}
+	butterflies(buf, rp.stages)
+	// Untangle: with Z the H-point FFT of z, the even/odd spectra are
+	// E_k = (Z_k + conj(Z_{H-k}))/2 and O_k = -i(Z_k - conj(Z_{H-k}))/2, and
+	// X_k = E_k + W_n^k·O_k, spelled out in real arithmetic. DC and Nyquist
+	// collapse to sums of Z_0's parts. Bin H-k reads the same two Z values
+	// as bin k with the roles swapped, so its er, or are bin k's (a+c ==
+	// c+a) and its ei, oi bin k's exactly negated (d-b == -(b-d); scaling
+	// by ±0.5 commutes with negation): both are finished per iteration,
+	// the middle bin alone.
 	re0, im0 := real(buf[0]), imag(buf[0])
 	dc := re0 + im0
 	ny := re0 - im0
 	power[0] = dc * dc
 	power[h] = ny * ny
-	tw := rp.tw
-	for k := 1; k < h; k++ {
+	tw := rp.tw[:h]
+	power = power[:h]
+	for k, m := 1, h-1; k <= m; k, m = k+1, m-1 {
 		a, b := real(buf[k]), imag(buf[k])
-		c, d := real(buf[h-k]), imag(buf[h-k])
+		c, d := real(buf[m]), imag(buf[m])
 		er, ei := 0.5*(a+c), 0.5*(b-d)
 		or, oi := 0.5*(b+d), -0.5*(a-c)
 		tr, ti := real(tw[k]), imag(tw[k])
 		xr := er + tr*or - ti*oi
 		xi := ei + tr*oi + ti*or
 		power[k] = xr*xr + xi*xi
+		if k == m {
+			break
+		}
+		ei, oi = -ei, -oi
+		tr, ti = real(tw[m]), imag(tw[m])
+		xr = er + tr*or - ti*oi
+		xi = ei + tr*oi + ti*or
+		power[m] = xr*xr + xi*xi
 	}
 }
 

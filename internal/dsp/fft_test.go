@@ -382,6 +382,7 @@ func TestRealPowerIntoBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for _, n := range []int{2, 4, 8, 64, 256, 512} {
 		plan := newRealPlan(n)
+		rect, _ := Window(WindowRect, n)
 		for trial := 0; trial < 16; trial++ {
 			x := make([]float64, n)
 			for i := range x[:n-rng.Intn(n/2+1)] { // zero-padded tail, as in the last frames of a clip
@@ -394,7 +395,7 @@ func TestRealPowerIntoBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			held := make([]float64, n/2+1)
-			plan.power(x, make([]complex128, n/2), held)
+			plan.power(x, rect, make([]complex128, n/2), held)
 			for k := range want {
 				if got[k] != want[k] || held[k] != want[k] {
 					t.Fatalf("n=%d bin %d: RealPowerInto %v, held plan %v, reference %v", n, k, got[k], held[k], want[k])

@@ -3,6 +3,7 @@ package dsp
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // HzToMel converts a frequency in Hz to the mel scale.
@@ -23,12 +24,15 @@ type MelBank struct {
 	NumBins    int
 	Weights    [][]float64
 
-	// Sparse view of Weights: each filter's triangle touches only a
-	// contiguous run of bins, so Apply iterates starts[f]..starts[f]+
-	// len(sparse[f]) instead of scanning all NumBins (the runs still skip
-	// exact zeros, keeping summation order identical to the dense scan).
-	starts []int
-	sparse [][]float64
+	// Sparse view of Weights, built by NewMelBank: each filter's triangle
+	// touches only a contiguous run of bins, so Apply iterates
+	// starts[f]..starts[f]+len(sparse[f]) instead of scanning all NumBins.
+	// zeroFree marks the runs without an interior zero (every trimmed
+	// triangle); any other run keeps the dense scan's skip of exact zeros,
+	// since 0·Inf would turn a sum into NaN.
+	starts   []int
+	sparse   [][]float64
+	zeroFree []bool
 }
 
 // NewMelBank constructs a triangular mel filterbank. fftSize is the FFT
@@ -75,6 +79,7 @@ func NewMelBank(numFilters, fftSize int, sampleRate, lowHz, highHz float64) (*Me
 func (m *MelBank) buildSparse() {
 	m.starts = make([]int, m.NumFilters)
 	m.sparse = make([][]float64, m.NumFilters)
+	m.zeroFree = make([]bool, m.NumFilters)
 	for f, w := range m.Weights {
 		lo, hi := 0, len(w)
 		for lo < hi && w[lo] == 0 {
@@ -85,6 +90,7 @@ func (m *MelBank) buildSparse() {
 		}
 		m.starts[f] = lo
 		m.sparse[f] = w[lo:hi]
+		m.zeroFree[f] = !slices.Contains(w[lo:hi], 0)
 	}
 }
 
@@ -99,24 +105,36 @@ func (m *MelBank) ApplyInto(power, out []float64) ([]float64, error) {
 	if len(power) != m.NumBins {
 		return nil, fmt.Errorf("dsp: spectrum has %d bins, filterbank expects %d", len(power), m.NumBins)
 	}
-	if m.sparse == nil {
-		m.buildSparse()
+	if len(m.sparse) != m.NumFilters {
+		return nil, fmt.Errorf("dsp: filterbank was not built by NewMelBank")
 	}
 	if cap(out) < m.NumFilters {
 		out = make([]float64, m.NumFilters)
 	}
 	out = out[:m.NumFilters]
+	m.apply(power, out)
+	return out, nil
+}
+
+// apply is ApplyInto for a constructor-built bank and buffers known to
+// fit: len(power) == NumBins, len(out) == NumFilters.
+func (m *MelBank) apply(power, out []float64) {
 	for f, w := range m.sparse {
-		base := power[m.starts[f]:]
+		base := power[m.starts[f]:][:len(w)]
 		var s float64
-		for k, wk := range w {
-			if wk != 0 {
+		if m.zeroFree[f] {
+			for k, wk := range w {
 				s += wk * base[k]
+			}
+		} else {
+			for k, wk := range w {
+				if wk != 0 {
+					s += wk * base[k]
+				}
 			}
 		}
 		out[f] = s
 	}
-	return out, nil
 }
 
 // ApplyTranspose maps a gradient over mel energies back to a gradient over
@@ -125,8 +143,8 @@ func (m *MelBank) ApplyTranspose(grad []float64) ([]float64, error) {
 	if len(grad) != m.NumFilters {
 		return nil, fmt.Errorf("dsp: gradient has %d filters, filterbank expects %d", len(grad), m.NumFilters)
 	}
-	if m.sparse == nil {
-		m.buildSparse()
+	if len(m.sparse) != m.NumFilters {
+		return nil, fmt.Errorf("dsp: filterbank was not built by NewMelBank")
 	}
 	out := make([]float64, m.NumBins)
 	for f, w := range m.sparse {

@@ -67,6 +67,17 @@ func (c MFCCConfig) Fingerprint() string {
 		c.PreEmph, int(c.Window), c.LowHz, c.HighHz, c.LogFloor)
 }
 
+// SpectrumFingerprint covers only the fields upstream of the mel bank:
+// extractors with equal spectrum fingerprints window, pad and transform
+// every frame identically, so one power spectrum per frame serves all of
+// them (a FrontEnd's spectrum group). The filterbank shape, the cepstrum
+// count and the log floor act after it and are left out.
+func (c MFCCConfig) SpectrumFingerprint() string {
+	c = c.withDefaults()
+	return fmt.Sprintf("sr=%d|frame=%d|hop=%d|fft=%d|preemph=%g|win=%d",
+		c.SampleRate, c.FrameLen, c.Hop, c.FFTSize, c.PreEmph, int(c.Window))
+}
+
 // Validate reports whether the configuration is internally consistent.
 func (c MFCCConfig) Validate() error {
 	c = c.withDefaults()
@@ -95,10 +106,12 @@ func (c MFCCConfig) Validate() error {
 type MFCC struct {
 	cfg    MFCCConfig
 	fp     string // cfg.Fingerprint(), formatted once
+	sfp    string // cfg.SpectrumFingerprint(), formatted once
 	window []float64
-	rfft   realPlan // power-spectrum plan for cfg.FFTSize
+	rfft   realPlan // frame-kernel plan for cfg.FFTSize
 	bank   *MelBank
 	dct    *DCT2Plan
+	solo   *FrontEnd // the one-member front end behind Extract and Stream
 	pool   sync.Pool // *mfccScratch
 }
 
@@ -107,7 +120,6 @@ type MFCC struct {
 type mfccScratch struct {
 	pre    []float64    // pre-emphasized signal (grown to clip length)
 	buf    []complex128 // FFTSize FFT workspace
-	frame  []float64    // FFTSize windowed real frame (inference path)
 	power  []float64    // FFTSize/2+1 power bins
 	mel    []float64    // NumFilters mel energies
 	logMel []float64    // NumFilters log energies
@@ -127,18 +139,20 @@ func NewMFCC(cfg MFCCConfig) (*MFCC, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &MFCC{cfg: cfg, fp: cfg.Fingerprint(), window: win, rfft: newRealPlan(cfg.FFTSize),
-		bank: bank, dct: NewDCT2Plan(cfg.NumFilters, cfg.NumCoeffs)}
-	m.pool.New = func() any {
-		return &mfccScratch{
-			buf:    make([]complex128, cfg.FFTSize),
-			frame:  make([]float64, cfg.FFTSize),
-			power:  make([]float64, cfg.FFTSize/2+1),
-			mel:    make([]float64, cfg.NumFilters),
-			logMel: make([]float64, cfg.NumFilters),
-		}
-	}
+	m := &MFCC{cfg: cfg, fp: cfg.Fingerprint(), sfp: cfg.SpectrumFingerprint(), window: win,
+		rfft: newRealPlan(cfg.FFTSize), bank: bank, dct: NewDCT2Plan(cfg.NumFilters, cfg.NumCoeffs)}
+	m.solo = NewFrontEnd([]*MFCC{m})
+	m.pool.New = func() any { return m.newScratch() }
 	return m, nil
+}
+
+func (m *MFCC) newScratch() *mfccScratch {
+	return &mfccScratch{
+		buf:    make([]complex128, m.cfg.FFTSize),
+		power:  make([]float64, m.cfg.FFTSize/2+1),
+		mel:    make([]float64, m.cfg.NumFilters),
+		logMel: make([]float64, m.cfg.NumFilters),
+	}
 }
 
 // Config returns the (defaulted) configuration of the extractor.
@@ -147,6 +161,10 @@ func (m *MFCC) Config() MFCCConfig { return m.cfg }
 // Fingerprint returns Config().Fingerprint() without reformatting it:
 // the per-clip and per-session feature caches look it up on every call.
 func (m *MFCC) Fingerprint() string { return m.fp }
+
+// SpectrumFingerprint returns Config().SpectrumFingerprint() without
+// reformatting it.
+func (m *MFCC) SpectrumFingerprint() string { return m.sfp }
 
 // MFCCState captures the intermediate activations of one Extract call so
 // that Backward can propagate gradients to the waveform.
@@ -163,112 +181,94 @@ func (m *MFCC) NumFrames(n int) int {
 
 // Extract computes the MFCC matrix (frames x NumCoeffs) of signal x.
 func (m *MFCC) Extract(x []float64) ([][]float64, error) {
-	feats, _, err := m.extract(x, false)
-	return feats, err
+	feats, err := m.solo.Extract(x)
+	if err != nil {
+		return nil, err
+	}
+	return feats[0], nil
+}
+
+// cepstra maps one frame's power spectrum to this extractor's
+// coefficients: sparse mel bank, floored log, DCT-II. s.mel is left
+// holding the mel energies.
+func (m *MFCC) cepstra(power []float64, s *mfccScratch, out []float64) {
+	m.bank.apply(power, s.mel)
+	for i, v := range s.mel {
+		s.logMel[i] = math.Log(v + m.cfg.LogFloor)
+	}
+	m.dct.Into(s.logMel, out)
+}
+
+// preEmphasized returns the first-order high-pass of x that every frame
+// is cut from — y[0] = x[0], y[i] = x[i] - coef·x[i-1] — in s.pre, or x
+// itself when coef is 0.
+func preEmphasized(x []float64, coef float64, s *mfccScratch) []float64 {
+	if coef == 0 {
+		return x
+	}
+	if cap(s.pre) < len(x) {
+		s.pre = make([]float64, len(x))
+	}
+	s.pre = s.pre[:len(x)]
+	s.pre[0] = x[0]
+	preEmphasize(s.pre[1:], x[1:], coef, x[0])
+	return s.pre
+}
+
+// preEmphasize writes dst[i] = x[i] - coef·x[i-1], with prev standing in
+// for x[-1] (the carry across a chunk boundary).
+func preEmphasize(dst, x []float64, coef, prev float64) {
+	for i, v := range x {
+		dst[i] = v - coef*prev
+		prev = v
+	}
 }
 
 // ExtractWithState computes MFCCs and also returns the state needed by
-// Backward.
+// Backward. The backward pass needs the full complex spectrum of every
+// frame, so the gradient path keeps the full-size transform; everything
+// downstream of the power spectrum is the inference path's.
 func (m *MFCC) ExtractWithState(x []float64) ([][]float64, *MFCCState, error) {
-	return m.extract(x, true)
-}
-
-func (m *MFCC) extract(x []float64, keep bool) ([][]float64, *MFCCState, error) {
 	if len(x) == 0 {
 		return nil, nil, fmt.Errorf("dsp: cannot extract MFCC from empty signal")
 	}
 	cfg := m.cfg
 	s := m.pool.Get().(*mfccScratch)
 	defer m.pool.Put(s)
-	pre := x
-	if cfg.PreEmph != 0 {
-		if cap(s.pre) < len(x) {
-			s.pre = make([]float64, len(x))
-		}
-		s.pre = s.pre[:len(x)]
-		s.pre[0] = x[0]
-		for i := 1; i < len(x); i++ {
-			s.pre[i] = x[i] - cfg.PreEmph*x[i-1]
-		}
-		pre = s.pre
-	}
+	pre := preEmphasized(x, cfg.PreEmph, s)
 	nf := NumFrames(len(x), cfg.FrameLen, cfg.Hop)
-	var st *MFCCState
-	if keep {
-		st = &MFCCState{
-			inputLen: len(x),
-			spectra:  make([][]complex128, 0, nf),
-			melPlus:  make([][]float64, 0, nf),
-		}
+	st := &MFCCState{
+		inputLen: len(x),
+		spectra:  make([][]complex128, nf),
+		melPlus:  make([][]float64, nf),
 	}
-	// All output rows share one backing array: two allocations for the
-	// whole clip regardless of frame count.
 	feats := make([][]float64, nf)
 	rows := make([]float64, nf*cfg.NumCoeffs)
 	buf := s.buf
-	for f := 0; f < nf; f++ {
+	for f := range feats {
 		start := f * cfg.Hop
-		avail := len(pre) - start
-		if avail > cfg.FrameLen {
-			avail = cfg.FrameLen
+		avail := min(max(len(pre)-start, 0), cfg.FrameLen)
+		for i := 0; i < avail; i++ {
+			buf[i] = complex(pre[start+i]*m.window[i], 0)
 		}
-		if avail < 0 {
-			avail = 0
+		for i := avail; i < cfg.FFTSize; i++ {
+			buf[i] = 0
 		}
-		power := s.power
-		if keep {
-			// The backward pass needs the full complex spectrum, so the
-			// gradient path keeps the full-size transform.
-			for i := 0; i < avail; i++ {
-				buf[i] = complex(pre[start+i]*m.window[i], 0)
-			}
-			for i := avail; i < cfg.FFTSize; i++ {
-				buf[i] = 0
-			}
-			if err := FFT(buf); err != nil {
-				return nil, nil, err
-			}
-			for k := range power {
-				re, im := real(buf[k]), imag(buf[k])
-				power[k] = re*re + im*im
-			}
-		} else {
-			// Inference only consumes the power spectrum: window into a
-			// real frame and use the half-size packed real FFT.
-			frame := s.frame
-			for i := 0; i < avail; i++ {
-				frame[i] = pre[start+i] * m.window[i]
-			}
-			for i := avail; i < cfg.FFTSize; i++ {
-				frame[i] = 0
-			}
-			m.rfft.power(frame, buf, power)
-		}
-		mel, err := m.bank.ApplyInto(power, s.mel)
-		if err != nil {
+		if err := FFT(buf); err != nil {
 			return nil, nil, err
 		}
-		logMel := s.logMel
-		var melPlus []float64
-		if keep {
-			melPlus = make([]float64, len(mel))
+		for k := range s.power {
+			re, im := real(buf[k]), imag(buf[k])
+			s.power[k] = re*re + im*im
 		}
-		for i, v := range mel {
-			vp := v + cfg.LogFloor
-			if keep {
-				melPlus[i] = vp
-			}
-			logMel[i] = math.Log(vp)
+		feats[f] = rows[f*cfg.NumCoeffs : (f+1)*cfg.NumCoeffs : (f+1)*cfg.NumCoeffs]
+		m.cepstra(s.power, s, feats[f])
+		melPlus := make([]float64, len(s.mel))
+		for i, v := range s.mel {
+			melPlus[i] = v + cfg.LogFloor
 		}
-		out := rows[f*cfg.NumCoeffs : (f+1)*cfg.NumCoeffs : (f+1)*cfg.NumCoeffs]
-		m.dct.Into(logMel, out)
-		feats[f] = out
-		if keep {
-			spec := make([]complex128, cfg.FFTSize)
-			copy(spec, buf)
-			st.spectra = append(st.spectra, spec)
-			st.melPlus = append(st.melPlus, melPlus)
-		}
+		st.melPlus[f] = melPlus
+		st.spectra[f] = append([]complex128(nil), buf...)
 	}
 	return feats, st, nil
 }

@@ -1,147 +1,122 @@
 package dsp
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// StreamingMFCC is the frame-incremental counterpart of MFCC.Extract for
-// live audio: samples arrive in arbitrary chunks via Push, and frames are
-// emitted the moment a full analysis window of signal exists. The
-// per-frame arithmetic is byte-for-byte the inference path of
-// MFCC.extract — the same pre-emphasis recurrence, window coefficients,
-// packed real FFT, mel filterbank, log floor, and DCT plan — so feeding a
-// clip through Push/Flush in any chunk schedule produces a feature matrix
-// bit-identical to one Extract call on the whole clip.
+// FrontEndStream is the frame-incremental counterpart of FrontEnd.Extract
+// for live audio: samples arrive in arbitrary chunks via Push, and every
+// spectrum group emits its frames the moment a full analysis window of
+// signal exists. The per-frame path is FrontEnd.emit itself — the same
+// pre-emphasis recurrence, frame kernel, mel banks, log floors and DCT
+// plans — so feeding a clip through Push/Flush in any chunk schedule gives
+// every member a feature matrix bit-identical to one Extract call on the
+// whole clip.
 //
-// A StreamingMFCC is stateful and owned by one goroutine (one per audio
-// session); the parent *MFCC stays shared and concurrency-safe.
-type StreamingMFCC struct {
-	m   *MFCC
-	cfg MFCCConfig
+// A FrontEndStream is stateful and owned by one goroutine (one per audio
+// session); the FrontEnd and its extractors stay shared.
+type FrontEndStream struct {
+	fe *FrontEnd
 
-	// pre holds the pre-emphasized (or raw, when PreEmph is 0) signal
-	// from absolute sample index base onward; consumed prefixes are
-	// dropped after each Push so memory stays O(FrameLen + chunk).
-	pre  []float64
-	base int
+	// pre holds one rolling pre-emphasized (or raw, when PreEmph is 0)
+	// signal per pre-emphasis group, from absolute sample base on; next is
+	// each spectrum group's next frame to emit. Prefixes no group will
+	// read again are dropped after each Push so memory stays
+	// O(FrameLen + chunk).
+	pre  [][]float64
+	base []int
+	next []int
 
 	total   int     // samples pushed so far
-	next    int     // index of the next frame to emit
 	lastRaw float64 // raw x[total-1], the pre-emphasis carry across chunks
 	flushed bool
 
-	// Dedicated scratch: the streaming path is single-owner, so it keeps
-	// its working set instead of round-tripping the extractor's pool.
-	buf    []complex128
-	frame  []float64
-	power  []float64
-	mel    []float64
-	logMel []float64
+	// Dedicated scratch and result slots: the streaming path is
+	// single-owner, so it keeps its working set instead of round-tripping
+	// the extractors' pools.
+	scratch []*mfccScratch
+	out     [][][]float64
 }
 
-// Stream returns a fresh streaming extractor over m's configuration.
-func (m *MFCC) Stream() *StreamingMFCC {
-	cfg := m.cfg
-	return &StreamingMFCC{
-		m:      m,
-		cfg:    cfg,
-		buf:    make([]complex128, cfg.FFTSize),
-		frame:  make([]float64, cfg.FFTSize),
-		power:  make([]float64, cfg.FFTSize/2+1),
-		mel:    make([]float64, cfg.NumFilters),
-		logMel: make([]float64, cfg.NumFilters),
+// Stream returns a fresh streaming front end over fe's extractors.
+func (fe *FrontEnd) Stream() *FrontEndStream {
+	s := &FrontEndStream{
+		fe:      fe,
+		pre:     make([][]float64, len(fe.pres)),
+		base:    make([]int, len(fe.pres)),
+		next:    make([]int, len(fe.groups)),
+		scratch: make([]*mfccScratch, len(fe.ms)),
+		out:     make([][][]float64, len(fe.ms)),
 	}
+	for i, m := range fe.ms {
+		s.scratch[i] = m.newScratch()
+	}
+	return s
 }
 
-// Config returns the (defaulted) configuration of the extractor.
-func (s *StreamingMFCC) Config() MFCCConfig { return s.cfg }
-
-// Total returns the number of samples pushed so far.
-func (s *StreamingMFCC) Total() int { return s.total }
-
-// Emitted returns the number of frames emitted so far.
-func (s *StreamingMFCC) Emitted() int { return s.next }
-
-// Reset returns the extractor to its initial state so a new stream can be
+// Reset returns the stream to its initial state so a new signal can be
 // fed without reallocating the working set.
-func (s *StreamingMFCC) Reset() {
-	s.pre = s.pre[:0]
-	s.base = 0
+func (s *FrontEndStream) Reset() {
+	for p := range s.pre {
+		s.pre[p] = s.pre[p][:0]
+	}
+	clear(s.base)
+	clear(s.next)
 	s.total = 0
-	s.next = 0
 	s.lastRaw = 0
 	s.flushed = false
 }
 
-// Push appends a chunk of samples and returns the frames completed by it:
-// every frame whose full FrameLen of signal now exists. Rows of one Push
-// share a backing array, as in Extract. The returned slice is valid
-// indefinitely (rows are not reused); it is nil when no frame completed.
-func (s *StreamingMFCC) Push(x []float64) ([][]float64, error) {
+// Push appends a chunk of samples and returns, indexed like the front
+// end's extractors, the frames it completed: every frame whose full
+// FrameLen of signal now exists (nil for a member with none). Rows of one
+// Push share a backing array per member, as in Extract, and stay valid
+// indefinitely; the outer slice is reused by the next Push or Flush.
+func (s *FrontEndStream) Push(x []float64) ([][][]float64, error) {
 	if s.flushed {
 		return nil, fmt.Errorf("dsp: Push after Flush on streaming MFCC")
 	}
+	clear(s.out)
 	if len(x) == 0 {
-		return nil, nil
+		return s.out, nil
 	}
-	cfg := s.cfg
-	// Pre-emphasize the chunk, carrying x[-1] across the chunk boundary.
-	// This reproduces extract's s.pre[0]=x[0]; s.pre[i]=x[i]-a*x[i-1].
-	// trim leaves less than one frame of tail between pushes, so a frame
-	// of slack makes this capacity fit every later chunk of the same size
-	// (growing to the exact need reallocated on almost every push).
-	if need := len(s.pre) + len(x); need > cap(s.pre) {
-		grown := make([]float64, len(s.pre), need+cfg.FrameLen)
-		copy(grown, s.pre)
-		s.pre = grown
-	}
-	if cfg.PreEmph != 0 {
-		prev := s.lastRaw
-		for i, v := range x {
-			if s.total == 0 && i == 0 {
-				s.pre = append(s.pre, v)
-			} else {
-				s.pre = append(s.pre, v-cfg.PreEmph*prev)
-			}
-			prev = v
+	for p, coef := range s.fe.pres {
+		// trim leaves less than one frame of tail between pushes, so a
+		// frame of slack makes this capacity fit every later chunk of the
+		// same size (growing to the exact need reallocated on almost
+		// every push).
+		n := len(s.pre[p])
+		if need := n + len(x); need > cap(s.pre[p]) {
+			s.pre[p] = append(make([]float64, 0, need+s.fe.slack), s.pre[p]...)
 		}
-	} else {
-		s.pre = append(s.pre, x...)
+		s.pre[p] = s.pre[p][:n+len(x)]
+		switch dst := s.pre[p][n:]; {
+		case coef == 0:
+			copy(dst, x)
+		case s.total == 0:
+			dst[0] = x[0]
+			preEmphasize(dst[1:], x[1:], coef, x[0])
+		default:
+			preEmphasize(dst, x, coef, s.lastRaw)
+		}
 	}
 	s.lastRaw = x[len(x)-1]
 	s.total += len(x)
-
 	// Emit every frame that now has FrameLen real samples. Partial tail
 	// frames wait for Flush, exactly matching NumFrames' zero-padding.
-	first := s.next
-	nReady := 0
-	for f := s.next; f*cfg.Hop+cfg.FrameLen <= s.total; f++ {
-		nReady++
-	}
-	if nReady == 0 {
-		return nil, nil
-	}
-	feats := make([][]float64, nReady)
-	rows := make([]float64, nReady*cfg.NumCoeffs)
-	for i := 0; i < nReady; i++ {
-		f := first + i
-		out := rows[i*cfg.NumCoeffs : (i+1)*cfg.NumCoeffs : (i+1)*cfg.NumCoeffs]
-		if err := s.emit(f, cfg.FrameLen, out); err != nil {
-			return nil, err
+	for gi := range s.fe.groups {
+		cfg := s.fe.groups[gi].lead.cfg
+		if s.total >= cfg.FrameLen {
+			s.emit(gi, (s.total-cfg.FrameLen)/cfg.Hop+1)
 		}
-		feats[i] = out
 	}
-	s.next = first + nReady
 	s.trim()
-	return feats, nil
+	return s.out, nil
 }
 
-// Flush emits the remaining zero-padded tail frames so that the total
-// frame count equals NumFrames(Total(), FrameLen, Hop), then seals the
-// stream. Flushing an empty stream is an error, mirroring Extract on an
-// empty signal.
-func (s *StreamingMFCC) Flush() ([][]float64, error) {
+// Flush emits the remaining zero-padded tail frames so that every
+// member's frame count equals NumFrames(total, FrameLen, Hop), then seals
+// the stream. Flushing an empty stream is an error, mirroring Extract on
+// an empty signal.
+func (s *FrontEndStream) Flush() ([][][]float64, error) {
 	if s.flushed {
 		return nil, fmt.Errorf("dsp: Flush called twice on streaming MFCC")
 	}
@@ -149,69 +124,66 @@ func (s *StreamingMFCC) Flush() ([][]float64, error) {
 		return nil, fmt.Errorf("dsp: cannot extract MFCC from empty signal")
 	}
 	s.flushed = true
-	cfg := s.cfg
-	nf := NumFrames(s.total, cfg.FrameLen, cfg.Hop)
-	if s.next >= nf {
-		return nil, nil
+	clear(s.out)
+	for gi := range s.fe.groups {
+		cfg := s.fe.groups[gi].lead.cfg
+		s.emit(gi, NumFrames(s.total, cfg.FrameLen, cfg.Hop))
 	}
-	nTail := nf - s.next
-	feats := make([][]float64, nTail)
-	rows := make([]float64, nTail*cfg.NumCoeffs)
-	for i := 0; i < nTail; i++ {
-		f := s.next + i
-		avail := s.total - f*cfg.Hop
-		if avail > cfg.FrameLen {
-			avail = cfg.FrameLen
-		}
-		if avail < 0 {
-			avail = 0
-		}
-		out := rows[i*cfg.NumCoeffs : (i+1)*cfg.NumCoeffs : (i+1)*cfg.NumCoeffs]
-		if err := s.emit(s.next+i, avail, out); err != nil {
-			return nil, err
-		}
-		feats[i] = out
-	}
-	s.next = nf
-	return feats, nil
+	return s.out, nil
 }
 
-// emit computes frame f (with avail real samples, zero-padded to FFTSize)
-// into out, replicating the inference branch of MFCC.extract.
-func (s *StreamingMFCC) emit(f, avail int, out []float64) error {
-	cfg := s.cfg
-	start := f*cfg.Hop - s.base
-	frame := s.frame
-	for i := 0; i < avail; i++ {
-		frame[i] = s.pre[start+i] * s.m.window[i]
-	}
-	for i := avail; i < cfg.FFTSize; i++ {
-		frame[i] = 0
-	}
-	s.m.rfft.power(frame, s.buf, s.power)
-	mel, err := s.m.bank.ApplyInto(s.power, s.mel)
-	if err != nil {
-		return err
-	}
-	for i, v := range mel {
-		s.logMel[i] = math.Log(v + cfg.LogFloor)
-	}
-	s.m.dct.Into(s.logMel, out)
-	return nil
-}
-
-// trim drops the consumed prefix of the pre-emphasized buffer: samples
-// before the next frame's start are never read again.
-func (s *StreamingMFCC) trim() {
-	keepFrom := s.next * s.cfg.Hop
-	if keepFrom > s.total {
-		keepFrom = s.total
-	}
-	off := keepFrom - s.base
-	if off <= 0 {
+// emit advances spectrum group gi to upTo emitted frames.
+func (s *FrontEndStream) emit(gi, upTo int) {
+	if upTo <= s.next[gi] {
 		return
 	}
-	n := copy(s.pre, s.pre[off:])
-	s.pre = s.pre[:n]
-	s.base = keepFrom
+	g := &s.fe.groups[gi]
+	s.fe.emit(g, s.pre[g.pre], s.base[g.pre], s.next[gi], upTo-s.next[gi], s.scratch, s.out)
+	s.next[gi] = upTo
+}
+
+// trim drops the consumed prefix of each rolling signal: samples before
+// the start of every reader's next frame are never read again.
+func (s *FrontEndStream) trim() {
+	for p := range s.pre {
+		keepFrom := s.total
+		for gi, g := range s.fe.groups {
+			if g.pre == p {
+				keepFrom = min(keepFrom, s.next[gi]*g.lead.cfg.Hop)
+			}
+		}
+		if off := keepFrom - s.base[p]; off > 0 {
+			s.pre[p] = s.pre[p][:copy(s.pre[p], s.pre[p][off:])]
+			s.base[p] = keepFrom
+		}
+	}
+}
+
+// StreamingMFCC is a FrontEndStream over one extractor.
+type StreamingMFCC struct{ s *FrontEndStream }
+
+// Stream returns a fresh streaming extractor over m's configuration.
+func (m *MFCC) Stream() *StreamingMFCC { return &StreamingMFCC{m.solo.Stream()} }
+
+// Reset returns the extractor to its initial state.
+func (s *StreamingMFCC) Reset() { s.s.Reset() }
+
+// Push appends a chunk of samples and returns the frames completed by it
+// (nil when none); see FrontEndStream.Push.
+func (s *StreamingMFCC) Push(x []float64) ([][]float64, error) {
+	rows, err := s.s.Push(x)
+	if err != nil {
+		return nil, err
+	}
+	return rows[0], nil
+}
+
+// Flush emits the zero-padded tail frames and seals the stream; see
+// FrontEndStream.Flush.
+func (s *StreamingMFCC) Flush() ([][]float64, error) {
+	rows, err := s.s.Flush()
+	if err != nil {
+		return nil, err
+	}
+	return rows[0], nil
 }

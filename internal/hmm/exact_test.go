@@ -247,3 +247,65 @@ func BenchmarkViterbiStep(b *testing.B) {
 		v.Step(obs[v.Len()])
 	}
 }
+
+// refLogSumExp is logSumExp as it ran before the exact prune: the full
+// expression on every call.
+func refLogSumExp(a, b float64) float64 {
+	if math.IsInf(a, -1) {
+		return b
+	}
+	if math.IsInf(b, -1) {
+		return a
+	}
+	if a < b {
+		a, b = b, a
+	}
+	return a + math.Log1p(math.Exp(b-a))
+}
+
+// sameFloat is == that also accepts NaN for NaN (the prune must not turn
+// a NaN into a number or back).
+func sameFloat(x, y float64) bool {
+	return x == y || (math.IsNaN(x) && math.IsNaN(y))
+}
+
+// TestLogSumExpPruneBitIdentical walks the prune's two thresholds from
+// both sides: |a| at 1, one ulp either side of it, every power of two up
+// to 2^60 and both signs, zero, infinities and NaN; b placed so that b−a
+// lands on −38, one ulp either side of it, far below it and above it.
+func TestLogSumExpPruneBitIdentical(t *testing.T) {
+	var as []float64
+	for _, m := range []float64{1, math.Nextafter(1, 0), math.Nextafter(1, 2), 1.5, 0.75, 1e-300, 0} {
+		as = append(as, m, -m)
+	}
+	for k := -4; k <= 60; k++ {
+		p := math.Ldexp(1, k)
+		as = append(as, p, -p, math.Nextafter(p, 0), -math.Nextafter(p, 0), math.Nextafter(p, math.Inf(1)), -math.Nextafter(p, math.Inf(1)))
+	}
+	as = append(as, math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, -math.MaxFloat64)
+	ds := []float64{-38, math.Nextafter(-38, 0), math.Nextafter(-38, math.Inf(-1)),
+		-37, -39, -37.999999, -38.000001, -50, -700, -745.2, -800, -1e300, math.Inf(-1), 0, -1e-9, -1, -20, math.NaN()}
+	pruned, checked := 0, 0
+	for _, a := range as {
+		for _, d := range ds {
+			// a+d rounds, so nudge b around it as well: the comparison in
+			// the function is on the computed b−a, whatever it comes to.
+			for _, b := range []float64{a + d, math.Nextafter(a+d, math.Inf(1)), math.Nextafter(a+d, math.Inf(-1))} {
+				for _, args := range [][2]float64{{a, b}, {b, a}} {
+					got, want := logSumExp(args[0], args[1]), refLogSumExp(args[0], args[1])
+					if !sameFloat(got, want) {
+						t.Fatalf("logSumExp(%v, %v) = %v, unpruned %v", args[0], args[1], got, want)
+					}
+					checked++
+					hi, lo := max(args[0], args[1]), min(args[0], args[1])
+					if lo-hi <= -38 && math.Abs(hi) >= 1 && !math.IsInf(lo, -1) {
+						pruned++
+					}
+				}
+			}
+		}
+	}
+	if pruned < checked/10 || pruned > checked*9/10 {
+		t.Fatalf("grid is one-sided: %d of %d calls meet the prune condition", pruned, checked)
+	}
+}

@@ -165,6 +165,16 @@ func logSumExp(a, b float64) float64 {
 	if a < b {
 		a, b = b, a
 	}
+	// Exact prune: when b-a <= -38 the correction term is at most
+	// log1p(exp(-38)) <= exp(-38) < 3.2e-17, and when also |a| >= 1 that is
+	// below half the spacing of the doubles around a (5.55e-17 at the
+	// tightest: a = -1, whose neighbour toward zero is 2^-53 away), so
+	// a + log1p(exp(b-a)) rounds to a — bit for bit what the full
+	// expression returns. NaN fails both tests and |a| < 1 the second; they
+	// take the full expression. +Inf returns +Inf either way.
+	if b-a <= -38 && (a >= 1 || a <= -1) {
+		return a
+	}
 	return a + math.Log1p(math.Exp(b-a))
 }
 
