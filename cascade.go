@@ -2,16 +2,16 @@ package mvpears
 
 import (
 	"fmt"
-	"time"
+	"strings"
 
-	"mvpears/internal/asr"
 	"mvpears/internal/detector"
 )
 
-// Serving-path acceleration: cascaded engine scheduling and int8
-// quantized inference. Both are pure inference-time toggles — they derive
-// state from the trained model at enable time, persist nothing, and leave
-// ModelFingerprint (and therefore verdict-cache keys) unchanged.
+// Serving-path acceleration: cascaded engine scheduling, a pure
+// inference-time toggle. It derives its state from the trained model at
+// enable time — deterministically, no clock involved — persists nothing,
+// and leaves ModelFingerprint (and therefore verdict-cache keys)
+// unchanged.
 
 // CascadeDecision reports how the cascade scheduler handled one input:
 // which auxiliary engines ran, which were skipped, and why.
@@ -22,11 +22,11 @@ type CascadeDecision struct {
 	ShortCircuit bool
 	SampledFull  bool
 	// EnginesRun / EnginesSkipped name auxiliary engines in evaluation
-	// (cheapest-first) order; the target always runs.
+	// order (leader first); the target always runs.
 	EnginesRun     []string
 	EnginesSkipped []string
 	// Margin is the benign-confidence margin in effect and FirstScore the
-	// cheapest auxiliary's similarity score it was checked against.
+	// leading auxiliary's similarity score it was checked against.
 	Margin     float64
 	FirstScore float64
 	// Imputed marks Scores dimensions (configured auxiliary order) that
@@ -49,38 +49,31 @@ func fromCascadeInfo(info *detector.CascadeInfo) *CascadeDecision {
 	}
 }
 
-// EnableQuantized switches every neural engine that passes the
-// transcription-parity gate to int8 batched inference (see
-// asr.EnableQuantized). Returns the engines enabled and those that failed
-// parity and kept float64. Quantized weights are derived in memory and
-// never saved; the model fingerprint is unchanged.
+// EnableQuantized and DisableQuantized are adapters for callers of the
+// removed int8 path (`mvpearsd -quantized`, bench/loadgen): the float64
+// blocked kernels are the fast path, so nothing is enabled, nothing falls
+// back, and every verdict is unchanged.
 func (s *System) EnableQuantized() (enabled, fellBack []EngineID, err error) {
-	return s.engines.EnableQuantized(nil)
+	return nil, nil, nil
 }
 
-// DisableQuantized restores float64 inference everywhere.
-func (s *System) DisableQuantized() { s.engines.DisableQuantized() }
+// DisableQuantized does nothing; see EnableQuantized.
+func (s *System) DisableQuantized() {}
 
 // EnableCascade attaches the cascade scheduler to the detector. margin 0
-// auto-calibrates from the training features (the no-flip construction:
-// strictly above the cheapest-auxiliary score of every training vector
-// the classifier flags adversarial); margin > 1 disables short-circuits.
-// sampleEvery runs the full ensemble on every Nth request for
-// distribution monitoring (0 = never). Engine costs are measured with a
-// boot-time calibration pass.
+// auto-calibrates per auxiliary from the training features (the no-flip
+// construction: strictly above that auxiliary's score on every training
+// vector the classifier flags adversarial); margin > 1 disables
+// short-circuits. sampleEvery runs the full ensemble on every Nth request
+// for distribution monitoring (0 = never). The leading auxiliary is the
+// one with the lowest expected work over the benign training features
+// (see detector.EnableCascade), so equal artifacts and flags always yield
+// the same scheduler.
 func (s *System) EnableCascade(margin float64, sampleEvery int) error {
 	if s.pools == nil {
 		return fmt.Errorf("mvpears: cascade needs a trained detector (training features unavailable)")
 	}
-	costs, err := asr.CalibrateCosts(s.det.Auxiliaries, s.engines.SampleRate)
-	if err != nil {
-		return fmt.Errorf("mvpears: calibrating engine costs: %w", err)
-	}
-	cfg := detector.CascadeConfig{
-		Margin:      margin,
-		SampleEvery: sampleEvery,
-		Costs:       costs,
-	}
+	cfg := detector.CascadeConfig{Margin: margin, SampleEvery: sampleEvery}
 	benignX := columnsToRows(s.pools.Benign)
 	aeX := columnsToRows(s.pools.AE)
 	if err := s.det.EnableCascade(cfg, benignX, aeX); err != nil {
@@ -93,16 +86,22 @@ func (s *System) EnableCascade(margin float64, sampleEvery int) error {
 // unconditional full ensemble.
 func (s *System) DisableCascade() { s.det.DisableCascade() }
 
-// CascadeStatus describes the active scheduler, for /healthz-style
-// introspection.
+// CascadeCandidate is one auxiliary's row in the leader election: its
+// no-flip margin, the predicted short-circuit share p with it leading,
+// its static work weight w and the expected cost w + (1-p)·Σ w_others.
+type CascadeCandidate = detector.LeaderCandidate
+
+// CascadeStatus describes the active scheduler, for the boot log and
+// /statusz.
 type CascadeStatus struct {
 	Enabled     bool
 	Margin      float64
 	SampleEvery int
-	// EngineOrder is the auxiliary evaluation order, cheapest first.
+	// EngineOrder is the auxiliary evaluation order: the leader, then the
+	// rest in configured order.
 	EngineOrder []string
-	// EngineCosts are the boot-time calibrated costs per auxiliary.
-	EngineCosts map[string]time.Duration
+	// Candidates is the election table in configured auxiliary order.
+	Candidates []CascadeCandidate
 }
 
 // Cascade returns the current scheduler status.
@@ -120,11 +119,22 @@ func (s *System) Cascade() CascadeStatus {
 		Margin:      c.Margin(),
 		SampleEvery: c.SampleEvery(),
 		EngineOrder: order,
-		EngineCosts: c.Costs(),
+		Candidates:  c.Candidates(),
 	}
 }
 
-// QuantizedEngines lists the engines currently running int8 inference.
-func (s *System) QuantizedEngines() []EngineID {
-	return s.engines.QuantizedEngines()
+// String renders the status as the one line the daemon logs at boot and
+// prints on /statusz: the leader, then every auxiliary's election row.
+func (st CascadeStatus) String() string {
+	if !st.Enabled {
+		return "cascade off"
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "cascade on: leader %s at margin %.4f, full ensemble on 1 request in %d (0: never);",
+		st.EngineOrder[0], st.Margin, st.SampleEvery)
+	for _, c := range st.Candidates {
+		fmt.Fprintf(&b, " %s[margin %.4f p %.3f weight %d expected cost %.0f]",
+			c.Engine, c.Margin, c.ShortCircuitShare, c.Weight, c.ExpectedCost)
+	}
+	return b.String()
 }

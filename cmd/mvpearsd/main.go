@@ -57,16 +57,18 @@
 // alerting bit that only trips when both windows burn hot.
 //
 // The cache-miss path can be accelerated without retraining or changing
-// the persisted model: -quantized switches the neural engines to int8
-// batched inference behind a boot-time transcription-parity gate (an
-// engine that fails parity keeps float64), and -cascade-margin attaches
-// the cascaded engine scheduler, which runs auxiliaries cheapest-first
-// and answers confidently benign clips from a partial similarity vector
-// (0 auto-calibrates the no-flip margin from the training features;
+// the persisted model: -cascade-margin attaches the cascaded engine
+// scheduler, which leads with the auxiliary that minimises expected work
+// over the benign training features (a deterministic choice: no clock,
+// the same leader on every boot and replica of one artifact) and answers
+// confidently benign clips from a partial similarity vector (0
+// auto-calibrates the no-flip margins from the training features;
 // negative keeps the cascade off). -cascade-sample N still runs the full
 // ensemble on every Nth cascaded request for distribution monitoring.
-// Neither toggle changes the model fingerprint, so verdict-cache keys
-// are shared with unaccelerated daemons of the same model.
+// The cascade does not change the model fingerprint, so verdict-cache
+// keys are shared with uncascaded daemons of the same model. -quantized
+// is accepted and ignored: int8 inference lost to the float64 blocked
+// kernels and was removed.
 //
 // With -cluster-addr and -peers, N replicas share the content-addressed
 // verdict cache: consistent hashing on the cache key decides which
@@ -145,7 +147,7 @@ func run(args []string) error {
 	sloQuality := fs.Float64("slo-quality-target", 0, "fraction of verdicts that must be served drift-free (default: 0.99)")
 	cascadeMargin := fs.Float64("cascade-margin", -1, "benign-confidence margin for cascaded engine scheduling (negative: off, 0: auto-calibrate, >1: cascade on but never short-circuits)")
 	cascadeSample := fs.Int("cascade-sample", 16, "run the full ensemble on every Nth cascaded request for monitoring (0: never)")
-	quantized := fs.Bool("quantized", false, "int8-quantize the neural engines, gated by a boot-time transcription-parity check (failing engines keep float64)")
+	quantized := fs.Bool("quantized", false, "accepted for compatibility, no effect: int8 inference was removed, the float64 kernels are the fast path")
 	streamOn := fs.Bool("stream", true, "serve the live streaming endpoints (/v1/detect/stream, /v1/detect/ws)")
 	streamWindow := fs.Duration("stream-window", 0, "sliding-window length for streaming verdicts (default: 1s of audio)")
 	streamHop := fs.Duration("stream-hop", 0, "hop between streaming windows (default: 250ms of audio)")
@@ -182,24 +184,19 @@ func run(args []string) error {
 		return fmt.Errorf("opening model %s: %w (pass -bootstrap to train a quick-scale one)", *model, err)
 	}
 
+	if *quantized {
+		logger.Printf("-quantized is accepted for compatibility and changes nothing: the float64 blocked kernels are the fast path (int8 inference was removed)")
+	}
+
 	// accelerate applies the boot-time accelerators to a freshly loaded
 	// system. Hot reload re-applies them to the replacement model, so a
 	// reloaded daemon keeps the exact acceleration it booted with.
 	accelerate := func(sys *mvpears.System) error {
-		if *quantized {
-			enabled, fellBack, err := sys.EnableQuantized()
-			if err != nil {
-				return fmt.Errorf("enabling int8 inference: %w", err)
-			}
-			logger.Printf("int8 inference enabled for %v (parity fallback to float64: %v)", enabled, fellBack)
-		}
 		if *cascadeMargin >= 0 {
 			if err := sys.EnableCascade(*cascadeMargin, *cascadeSample); err != nil {
 				return fmt.Errorf("enabling cascade: %w", err)
 			}
-			st := sys.Cascade()
-			logger.Printf("cascade enabled: margin %.4f, full-ensemble sample 1/%d, engine order %v (calibrated costs %v)",
-				st.Margin, st.SampleEvery, st.EngineOrder, st.EngineCosts)
+			logger.Print(sys.Cascade())
 		}
 		return nil
 	}

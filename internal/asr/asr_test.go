@@ -347,3 +347,59 @@ func TestDescribe(t *testing.T) {
 		t.Fatal("engine architectures not diverse")
 	}
 }
+
+// TestEnableQuantizedParity pins the adapter that outlived the int8
+// path: nothing is enabled, nothing falls back, and every engine
+// transcribes exactly as before, so callers that still pass -quantized
+// get the float64 kernels.
+func TestEnableQuantizedParity(t *testing.T) {
+	set := testEngines(t)
+	utts, err := speech.GenerateUtterances(speech.NewSynthesizer(set.SampleRate), 4, 424242)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := []Recognizer{set.DS0, set.DS1, set.GCS, set.AT}
+	transcribe := func() (out []string) {
+		for _, e := range engines {
+			for _, u := range utts {
+				text, err := e.Transcribe(u.Clip)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, text)
+			}
+		}
+		return out
+	}
+	ref := transcribe()
+	enabled, fellBack, err := set.EnableQuantized(nil)
+	if enabled != nil || fellBack != nil || err != nil {
+		t.Fatalf("EnableQuantized = %v, %v, %v; want nil, nil, nil", enabled, fellBack, err)
+	}
+	got := transcribe()
+	set.DisableQuantized()
+	for i := range ref {
+		if got[i] != ref[i] {
+			t.Fatalf("transcription %d changed: %q != %q", i, got[i], ref[i])
+		}
+	}
+}
+
+// TestParametersAreTheDescribedCounts: the work weight the cascade elects
+// its leader on is the parameter count Describe reports.
+func TestParametersAreTheDescribedCounts(t *testing.T) {
+	set := testEngines(t)
+	byID := map[EngineID]int{}
+	for _, info := range set.Describe() {
+		byID[info.ID] = info.Parameters
+	}
+	for _, e := range []Recognizer{set.DS0, set.DS1, set.GCS, set.AT, set.KLD} {
+		pc, ok := e.(interface{ Parameters() int })
+		if !ok {
+			t.Fatalf("%s has no Parameters method", e.Name())
+		}
+		if got := pc.Parameters(); got <= 0 || got != byID[EngineID(e.Name())] {
+			t.Errorf("%s: Parameters() %d, Describe %d", e.Name(), got, byID[EngineID(e.Name())])
+		}
+	}
+}

@@ -30,6 +30,48 @@ func mlpParams(sizes []int) int {
 	return total
 }
 
+// Parameters counts the acoustic model's trained parameters. Every
+// engine family has the method and reads each parameter once per frame,
+// so the count is also the static per-frame work weight the cascade
+// elects its leader on (detector.EnableCascade).
+func (e *MLPEngine) Parameters() int { return mlpParams(e.Net.Sizes) }
+
+// Parameters: see MLPEngine.Parameters.
+func (e *CTCEngine) Parameters() int { return mlpParams(e.Net.Sizes) }
+
+// Parameters: see MLPEngine.Parameters.
+func (e *RNNEngine) Parameters() int {
+	n := e.Net
+	return len(n.Wx) + len(n.Wh) + len(n.Wy) + len(n.Bh) + len(n.By)
+}
+
+// Parameters: means and variances of every mixture component, mixture
+// weights, and the transition matrix; see MLPEngine.Parameters.
+func (e *GMMEngine) Parameters() int {
+	params := e.Model.NumStates * e.Model.NumStates
+	for _, em := range e.Model.Emitters {
+		switch em := em.(type) {
+		case *hmm.Gaussian:
+			params += 2 * len(em.Mean)
+		case *hmm.GMM:
+			for _, c := range em.Components {
+				params += 2 * len(c.Mean)
+			}
+			params += len(em.Weights)
+		}
+	}
+	return params
+}
+
+// Parameters: see MLPEngine.Parameters.
+func (e *WeakEngine) Parameters() int {
+	params := 0
+	for _, c := range e.Centroids {
+		params += len(c)
+	}
+	return params
+}
+
 // Describe returns the architecture inventory of all trained engines.
 func (s *EngineSet) Describe() []EngineInfo {
 	var out []EngineInfo
@@ -38,7 +80,7 @@ func (s *EngineSet) Describe() []EngineInfo {
 			ID:           DS0,
 			Architecture: fmt.Sprintf("MLP frame classifier, layers %v, context ±%d", s.DS0.Net.Sizes, s.DS0.Context),
 			FrontEnd:     describeFrontEnd(s.DS0.MFCC.Config()),
-			Parameters:   mlpParams(s.DS0.Net.Sizes),
+			Parameters:   s.DS0.Parameters(),
 		})
 	}
 	if s.DS1 != nil {
@@ -46,7 +88,7 @@ func (s *EngineSet) Describe() []EngineInfo {
 			ID:           DS1,
 			Architecture: fmt.Sprintf("MLP frame classifier, layers %v, context ±%d", s.DS1.Net.Sizes, s.DS1.Context),
 			FrontEnd:     describeFrontEnd(s.DS1.MFCC.Config()),
-			Parameters:   mlpParams(s.DS1.Net.Sizes),
+			Parameters:   s.DS1.Parameters(),
 		})
 	}
 	if s.GCS != nil {
@@ -55,40 +97,23 @@ func (s *EngineSet) Describe() []EngineInfo {
 			ID:           GCS,
 			Architecture: fmt.Sprintf("Elman RNN, %d->%d->%d (+deltas)", n.In, n.Hidden, n.Out),
 			FrontEnd:     describeFrontEnd(s.GCS.MFCC.Config()),
-			Parameters:   len(n.Wx) + len(n.Wh) + len(n.Wy) + len(n.Bh) + len(n.By),
+			Parameters:   s.GCS.Parameters(),
 		})
 	}
 	if s.AT != nil {
-		params := 0
-		for _, e := range s.AT.Model.Emitters {
-			switch em := e.(type) {
-			case *hmm.Gaussian:
-				params += 2 * len(em.Mean)
-			case *hmm.GMM:
-				for _, c := range em.Components {
-					params += 2 * len(c.Mean)
-				}
-				params += len(em.Weights)
-			}
-		}
-		params += s.AT.Model.NumStates * s.AT.Model.NumStates // transitions
 		out = append(out, EngineInfo{
 			ID:           AT,
 			Architecture: fmt.Sprintf("GMM-HMM, %d states, Viterbi decoding", s.AT.Model.NumStates),
 			FrontEnd:     describeFrontEnd(s.AT.MFCC.Config()),
-			Parameters:   params,
+			Parameters:   s.AT.Parameters(),
 		})
 	}
 	if s.KLD != nil {
-		params := 0
-		for _, c := range s.KLD.Centroids {
-			params += len(c)
-		}
 		out = append(out, EngineInfo{
 			ID:           KLD,
 			Architecture: fmt.Sprintf("nearest-centroid (quantized, step %.1f) — deliberately weak", s.KLD.Quant),
 			FrontEnd:     describeFrontEnd(s.KLD.MFCC.Config()),
-			Parameters:   params,
+			Parameters:   s.KLD.Parameters(),
 		})
 	}
 	if s.CTC != nil {
@@ -96,7 +121,7 @@ func (s *EngineSet) Describe() []EngineInfo {
 			ID:           DS2,
 			Architecture: fmt.Sprintf("end-to-end CTC MLP, layers %v, prefix beam width %d", s.CTC.Net.Sizes, s.CTC.BeamWidth),
 			FrontEnd:     describeFrontEnd(s.CTC.MFCC.Config()),
-			Parameters:   mlpParams(s.CTC.Net.Sizes),
+			Parameters:   s.CTC.Parameters(),
 		})
 	}
 	return out

@@ -2,7 +2,6 @@ package asr
 
 import (
 	"fmt"
-	"sync"
 
 	"mvpears/internal/audio"
 	"mvpears/internal/dsp"
@@ -22,12 +21,6 @@ type MLPEngine struct {
 	MFCC       *dsp.MFCC
 	Net        *nn.MLP
 	Dec        *Decoder
-
-	// qnet is the optional int8 inference form of Net (EnableQuantized).
-	// Unexported on purpose: gob skips it, so persistence and model
-	// fingerprints never see quantized state — it is derived at load.
-	qnet  *nn.QuantizedMLP
-	qpool *sync.Pool // *nn.QuantScratch
 }
 
 var (
@@ -90,15 +83,10 @@ func (e *MLPEngine) FrameLogits(clip *audio.Clip) ([][]float64, error) {
 
 // frameLabels computes per-frame argmax phonemes with reusable stacking
 // and network buffers: the steady state does no per-frame allocations.
-// With EnableQuantized in effect the frames go through the int8 batched
-// forward instead of the per-frame float64 loop.
 func (e *MLPEngine) frameLabels(clip *audio.Clip, cache *FeatureCache) ([]int, error) {
 	raw, err := e.rawFeatures(clip, cache)
 	if err != nil {
 		return nil, err
-	}
-	if e.qnet != nil {
-		return e.frameLabelsQuantized(raw)
 	}
 	labels := make([]int, len(raw))
 	stacked := make([]float64, (2*e.Context+1)*e.MFCC.Config().NumCoeffs)

@@ -2,7 +2,6 @@ package asr
 
 import (
 	"fmt"
-	"sync"
 
 	"mvpears/internal/audio"
 	"mvpears/internal/dsp"
@@ -20,12 +19,6 @@ type RNNEngine struct {
 	UseDeltas  bool
 	Net        *nn.RNN
 	Dec        *Decoder
-
-	// qnet is the optional int8 inference form of Net (EnableQuantized).
-	// Unexported on purpose: gob skips it, so persistence and model
-	// fingerprints never see quantized state — it is derived at load.
-	qnet  *nn.QuantizedRNN
-	qpool *sync.Pool // *nn.RNNQuantScratch
 }
 
 var (
@@ -80,9 +73,6 @@ func (e *RNNEngine) frameLabels(clip *audio.Clip, cache *FeatureCache) ([]int, e
 	feats, err := e.features(clip, cache)
 	if err != nil {
 		return nil, err
-	}
-	if e.qnet != nil {
-		return e.frameLabelsQuantized(feats)
 	}
 	// Inference keeps no BPTT cache: two ping-pong hidden buffers and
 	// one logits buffer serve the whole clip (ForwardSeq is the same

@@ -32,9 +32,7 @@ import (
 //   - Anything else (CTC and external engines) falls back to batch
 //     transcription of the window / whole clip.
 //
-// Streaming always runs float64 inference: the int8 path (EnableQuantized)
-// is transcription-parity-gated for batch serving but is not part of the
-// streamed contract.
+// Streaming and batch run the same float64 kernels.
 
 // streamFront is one front-end configuration's frames so far; engines
 // with identical configurations share it, like FeatureCache entries do

@@ -73,6 +73,17 @@ func (s *EngineSet) Get(id EngineID) (Recognizer, error) {
 	}
 }
 
+// EnableQuantized and DisableQuantized are adapters kept for callers
+// pinned to the removed int8 path (bench/README.md): the float64 blocked
+// kernels are the fast path, so there is nothing to switch and nothing to
+// report.
+func (s *EngineSet) EnableQuantized([]speech.Utterance) (enabled, fellBack []EngineID, err error) {
+	return nil, nil, nil
+}
+
+// DisableQuantized does nothing; see EnableQuantized.
+func (s *EngineSet) DisableQuantized() {}
+
 // Target returns the attack-target engine (DS0).
 func (s *EngineSet) Target() *MLPEngine { return s.DS0 }
 

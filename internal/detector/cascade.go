@@ -3,8 +3,6 @@ package detector
 import (
 	"context"
 	"fmt"
-	"math"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -15,29 +13,42 @@ import (
 )
 
 // Cascade scheduling: make the miss path pay only for the confidence it
-// needs. Auxiliary engines are ordered cheapest-first (costs measured
-// once at boot); the detector first runs the target plus the cheapest
-// auxiliary, and if that single similarity score already clears a
+// needs. The detector first runs the target plus one leading auxiliary,
+// and if that single similarity score already clears the leader's
 // calibrated benign-confidence margin AND the partial vector (missing
 // dimensions imputed with benign means) classifies benign, the remaining
 // auxiliaries are skipped. Otherwise — any adversarial lean at all — the
 // full ensemble runs.
 //
+// Which auxiliary leads is decided once, in EnableCascade, by expected
+// work: for every auxiliary j whose margin is reachable, p_j is the share
+// of benign calibration rows that would short-circuit with j leading (the
+// runtime test, replayed on the training features) and w_j its static
+// work weight (parameters read per frame); the leader minimises
+// w_j + (1-p_j)·Σ_{k≠j} w_k. No clock is consulted, so a cascaded verdict
+// is a pure function of (artifact, clip, flags): two boots or two
+// replicas of one artifact lead with the same engine, apply the same
+// margin and impute the same dimensions.
+//
 // Why checking once is enough: the short-circuit condition is
 // min(observed scores) >= margin, and the running minimum over a prefix
-// is monotone non-increasing as engines are added. If the first (cheapest)
-// auxiliary's score fails the margin, every longer prefix fails it too,
-// so the general "check after each auxiliary" loop collapses to exactly
-// two phases: {target, cheapest aux} then {everything else}. One check,
-// no wasted intermediate classifications.
+// is monotone non-increasing as engines are added. If the leader's score
+// fails the margin, every longer prefix fails it too, so the general
+// "check after each auxiliary" loop collapses to exactly two phases:
+// {target, leader} then {everything else}. One check, no wasted
+// intermediate classifications.
 //
-// Why a short-circuit can never flip a verdict: the margin is calibrated
-// strictly above the cheapest-auxiliary score of every calibration sample
-// the *full* classifier flags adversarial. A clip resembling any known
-// adversarial vector therefore fails the margin and takes the full path,
-// reproducing the full ensemble's verdict bit for bit. The partial
-// prediction is a second, independent gate: even above the margin, a
-// partial vector the classifier dislikes falls through to the full run.
+// What keeps a short-circuit from flipping a verdict: every auxiliary's
+// margin is calibrated strictly above that auxiliary's score on every
+// calibration sample the *full* classifier flags adversarial. A clip
+// resembling any known adversarial vector therefore fails the margin and
+// takes the full path, reproducing the full ensemble's verdict bit for
+// bit — whichever auxiliary leads, since the construction is per engine.
+// The partial prediction is a second, independent gate: even above the
+// margin, a partial vector the classifier dislikes falls through to the
+// full run. The guarantee is over the calibration set: a never-seen clip
+// can clear both gates and still be flagged on the full vector (measured
+// and bounded in DESIGN §12).
 //
 // A deterministic 1-in-N sample of requests bypasses the cascade and runs
 // the full ensemble regardless, so the classifier's input distribution
@@ -54,127 +65,57 @@ type CascadeConfig struct {
 	// SampleEvery runs the full ensemble on every Nth request regardless
 	// of the margin (deterministic, counter-based). 0 disables sampling.
 	SampleEvery int
-	// Costs are measured per-engine transcription costs keyed by engine
-	// name (asr.CalibrateCosts). Missing engines keep their configured
-	// position. When nil, the configured auxiliary order is used as-is.
-	Costs map[string]time.Duration
 	// MarginSlack is added to the calibrated margin (auto-calibration
 	// only) as head room against float jitter between calibration and
 	// serving. Defaults to 0.02 when zero.
 	MarginSlack float64
 }
 
-// Cascade is the runtime state of the scheduler, attached to a Detector
-// by EnableCascade. Safe for concurrent use: all fields are read-only
-// after construction except the atomic sampling counter and the atomic
-// per-auxiliary cost estimates.
-type Cascade struct {
-	cfg     CascadeConfig
-	order   []int // auxiliary indices, boot-time cheapest first
-	margin  float64
-	margins []float64 // per-auxiliary no-flip margins (index = aux index)
-	fill    *classify.PartialFill
-	counter atomic.Uint64
-
-	// ewma holds a live exponentially-weighted moving average of each
-	// auxiliary's observed transcription cost in seconds (float64 bits;
-	// +Inf = never measured). Boot-time CalibrateCosts seeds it, and
-	// ObserveCost folds in what the engines actually cost in production,
-	// so phase-one selection tracks runtime reality: an engine that slows
-	// down (contention, thermal throttling, a regressed model revision)
-	// gets demoted without a restart.
-	ewma      []atomic.Uint64
-	idxByName map[string]int
+// LeaderCandidate is one auxiliary's line in the leader election: what
+// EnableCascade computed for it and therefore why it does or does not
+// lead.
+type LeaderCandidate struct {
+	Engine string
+	// Margin is the engine's no-flip margin; above 1 it is unreachable
+	// and the engine cannot lead.
+	Margin float64
+	// ShortCircuitShare is p: the share of benign calibration rows that
+	// short-circuit with this engine leading (0 when it cannot lead).
+	ShortCircuitShare float64
+	// Weight is the static work weight w: parameters read per frame
+	// (the engine's Parameters method; 1 for a recognizer without one).
+	Weight int
+	// ExpectedCost is w + (1-p)·Σ w_others, in the unit of Weight.
+	ExpectedCost float64
 }
 
-// costEWMAAlpha weights a new cost observation against the running
-// average. 0.2 reaches ~90% of a level shift in ten observations —
-// responsive to real slowdowns, deaf to single-request jitter.
-const costEWMAAlpha = 0.2
+// Cascade is the runtime state of the scheduler, attached to a Detector
+// by EnableCascade. Safe for concurrent use: every field is read-only
+// after construction except the atomic sampling counter.
+type Cascade struct {
+	cfg        CascadeConfig
+	order      []int             // evaluation order: the leader, then configured order
+	margin     float64           // the leader's
+	candidates []LeaderCandidate // index = auxiliary index
+	fill       *classify.PartialFill
+	counter    atomic.Uint64
+}
 
-// Margin returns the no-flip margin of the auxiliary phase one would
-// choose right now.
-func (c *Cascade) Margin() float64 { return c.margins[c.phaseOne()] }
+// Margin returns the leader's no-flip margin, the one every request is
+// checked against.
+func (c *Cascade) Margin() float64 { return c.margin }
 
 // Order returns the auxiliary evaluation order (indices into
-// Detector.Auxiliaries), cheapest first.
+// Detector.Auxiliaries): the leader, then the rest in configured order.
 func (c *Cascade) Order() []int { return append([]int(nil), c.order...) }
 
 // SampleEvery returns the configured full-ensemble sampling period.
 func (c *Cascade) SampleEvery() int { return c.cfg.SampleEvery }
 
-// Costs returns the calibrated per-engine costs the ordering came from
-// (nil when the configured order was used).
-func (c *Cascade) Costs() map[string]time.Duration {
-	if c.cfg.Costs == nil {
-		return nil
-	}
-	out := make(map[string]time.Duration, len(c.cfg.Costs))
-	for k, v := range c.cfg.Costs {
-		out[k] = v
-	}
-	return out
-}
-
-// LiveCosts returns the current EWMA cost estimate per auxiliary engine.
-// Engines never measured (no boot calibration, no observations yet) are
-// omitted.
-func (c *Cascade) LiveCosts() map[string]time.Duration {
-	out := make(map[string]time.Duration, len(c.ewma))
-	for name, idx := range c.idxByName {
-		v := math.Float64frombits(c.ewma[idx].Load())
-		if math.IsInf(v, 1) {
-			continue
-		}
-		out[name] = time.Duration(v * float64(time.Second))
-	}
-	return out
-}
-
-// ObserveCost folds one observed transcription duration for the named
-// auxiliary engine into its live cost estimate. Unknown engine names
-// (including the target, whose cost is paid on every path) are ignored.
-// Safe for concurrent use.
-func (c *Cascade) ObserveCost(engine string, d time.Duration) {
-	idx, ok := c.idxByName[engine]
-	if !ok || d < 0 {
-		return
-	}
-	obs := d.Seconds()
-	for {
-		old := c.ewma[idx].Load()
-		prev := math.Float64frombits(old)
-		next := obs
-		if !math.IsInf(prev, 1) {
-			next = (1-costEWMAAlpha)*prev + costEWMAAlpha*obs
-		}
-		if c.ewma[idx].CompareAndSwap(old, math.Float64bits(next)) {
-			return
-		}
-	}
-}
-
-// phaseOne picks the auxiliary the scheduler leads with right now: the
-// usable engine (no-flip margin reachable within [0,1]) with the lowest
-// live cost estimate. Ties and never-measured engines resolve by the
-// boot-time order, and if no engine is usable the boot-time head keeps
-// its place (the cascade then degrades to an always-full ensemble, which
-// is safe).
-func (c *Cascade) phaseOne() int {
-	best, bestCost := -1, math.Inf(1)
-	for _, idx := range c.order {
-		if c.margins[idx] > 1 {
-			continue
-		}
-		cost := math.Float64frombits(c.ewma[idx].Load())
-		if best == -1 || cost < bestCost {
-			best, bestCost = idx, cost
-		}
-	}
-	if best == -1 {
-		return c.order[0]
-	}
-	return best
+// Candidates returns the leader election's table, one row per auxiliary
+// in configured order.
+func (c *Cascade) Candidates() []LeaderCandidate {
+	return append([]LeaderCandidate(nil), c.candidates...)
 }
 
 // CascadeInfo reports, for one decision, which engines ran and why. It
@@ -193,7 +134,7 @@ type CascadeInfo struct {
 	EnginesRun     []string
 	EnginesSkipped []string
 	// Margin is the benign-confidence margin in effect; FirstScore is the
-	// cheapest auxiliary's similarity score the margin was checked
+	// leading auxiliary's similarity score the margin was checked
 	// against (only meaningful when Enabled and not SampledFull).
 	Margin     float64
 	FirstScore float64
@@ -204,9 +145,9 @@ type CascadeInfo struct {
 
 // EnableCascade attaches a cascade scheduler to the detector. benignX and
 // aeX are the classifier's training features (configured auxiliary
-// order); they supply both the benign fill means for partial vectors and
-// the margin auto-calibration set. The classifier must already be
-// trained.
+// order); they supply the benign fill means for partial vectors, the
+// margin auto-calibration set and the short-circuit shares the leader is
+// elected on. The classifier must already be trained.
 func (d *Detector) EnableCascade(cfg CascadeConfig, benignX, aeX [][]float64) error {
 	if d.Classifier == nil {
 		return fmt.Errorf("detector: cascade needs a trained classifier")
@@ -225,53 +166,29 @@ func (d *Detector) EnableCascade(cfg CascadeConfig, benignX, aeX [][]float64) er
 	if err != nil {
 		return err
 	}
-	order := costOrder(d.Auxiliaries, cfg.Costs)
-	margin := cfg.Margin
-	margins := make([]float64, len(d.Auxiliaries))
+	n := len(d.Auxiliaries)
+	var margins []float64
 	//lint:allow floateq 0 is the unset-option sentinel, assigned literally and never computed
-	if margin != 0 {
+	if cfg.Margin != 0 {
+		margins = make([]float64, n)
 		for j := range margins {
-			margins[j] = margin
+			margins[j] = cfg.Margin
 		}
-	} else {
-		margins, err = d.calibrateMargins(benignX, aeX, cfg.MarginSlack)
-		if err != nil {
-			return err
-		}
-		// Phase one wants the cheapest auxiliary whose no-flip margin is
-		// reachable at all: similarity scores live in [0, 1], so an engine
-		// on which some classifier-flagged calibration vector scores a
-		// perfect 1.0 gets a margin above 1 and can never short-circuit
-		// safely. Leading with it would silently degrade the cascade to an
-		// always-full ensemble — and since boot-time cost calibration is
-		// wall-clock noisy, which engine sorts cheapest can differ between
-		// otherwise identical boots. Picking the cheapest USABLE engine
-		// keeps the short-circuit alive deterministically; the remaining
-		// engines stay in cost order.
-		margin = margins[order[0]]
-		for k, idx := range order {
-			if margins[idx] <= 1 {
-				margin = margins[idx]
-				if k > 0 {
-					copy(order[1:k+1], order[:k])
-					order[0] = idx
-				}
-				break
-			}
+	} else if margins, err = d.calibrateMargins(benignX, aeX, cfg.MarginSlack); err != nil {
+		return err
+	}
+	candidates, leader, err := d.electLeader(margins, fill, benignX)
+	if err != nil {
+		return err
+	}
+	order := make([]int, 0, n)
+	order = append(order, leader)
+	for i := 0; i < n; i++ {
+		if i != leader {
+			order = append(order, i)
 		}
 	}
-	c := &Cascade{cfg: cfg, order: order, margin: margin, margins: margins, fill: fill,
-		ewma:      make([]atomic.Uint64, len(d.Auxiliaries)),
-		idxByName: make(map[string]int, len(d.Auxiliaries))}
-	for i, a := range d.Auxiliaries {
-		c.idxByName[a.Name()] = i
-		seed := math.Inf(1)
-		if cost, ok := cfg.Costs[a.Name()]; ok {
-			seed = cost.Seconds()
-		}
-		c.ewma[i].Store(math.Float64bits(seed))
-	}
-	d.Cascade = c
+	d.Cascade = &Cascade{cfg: cfg, order: order, margin: margins[leader], candidates: candidates, fill: fill}
 	return nil
 }
 
@@ -279,26 +196,61 @@ func (d *Detector) EnableCascade(cfg CascadeConfig, benignX, aeX [][]float64) er
 // ensemble.
 func (d *Detector) DisableCascade() { d.Cascade = nil }
 
-// costOrder returns auxiliary indices sorted by measured cost (ascending,
-// stable: engines without a measurement keep their configured position
-// and sort after measured ones).
-func costOrder(aux []asr.Recognizer, costs map[string]time.Duration) []int {
-	order := make([]int, len(aux))
-	for i := range order {
-		order[i] = i
-	}
-	if len(costs) == 0 {
-		return order
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ca, oka := costs[aux[order[a]].Name()]
-		cb, okb := costs[aux[order[b]].Name()]
-		if oka != okb {
-			return oka
+// electLeader fills in the election table and returns the auxiliary with
+// the lowest expected cost among those whose margin is reachable
+// (similarity scores live in [0, 1], so an engine on which some
+// classifier-flagged calibration vector scores ~1.0 has a margin above 1
+// and can never short-circuit safely). Ties resolve to configured order.
+// With no reachable margin the first auxiliary leads a cascade that
+// always runs the full ensemble — safe, just not fast.
+func (d *Detector) electLeader(margins []float64, fill *classify.PartialFill, benignX [][]float64) ([]LeaderCandidate, int, error) {
+	n := len(d.Auxiliaries)
+	candidates := make([]LeaderCandidate, n)
+	total := 0
+	for j, a := range d.Auxiliaries {
+		w := 1 // a recognizer that cannot say weighs the same as any other
+		if pc, ok := a.(interface{ Parameters() int }); ok {
+			w = pc.Parameters()
 		}
-		return oka && ca < cb
-	})
-	return order
+		candidates[j] = LeaderCandidate{Engine: a.Name(), Margin: margins[j], Weight: w}
+		total += w
+	}
+	observed := make([]float64, n)
+	have := make([]bool, n)
+	leader := -1
+	for j := range candidates {
+		c := &candidates[j]
+		if c.Margin <= 1 {
+			hits := 0
+			have[j] = true
+			for _, row := range benignX {
+				if len(row) < n {
+					return nil, 0, fmt.Errorf("detector: feature width %d for %d auxiliaries", len(row), n)
+				}
+				if row[j] < c.Margin {
+					continue
+				}
+				observed[j] = row[j]
+				pred, _, err := classify.PredictPartial(d.Classifier, fill, observed, have)
+				if err != nil {
+					return nil, 0, fmt.Errorf("detector: leader election: %w", err)
+				}
+				if pred == 0 {
+					hits++
+				}
+			}
+			have[j] = false
+			c.ShortCircuitShare = float64(hits) / float64(len(benignX))
+		}
+		c.ExpectedCost = float64(c.Weight) + (1-c.ShortCircuitShare)*float64(total-c.Weight)
+		if c.Margin <= 1 && (leader == -1 || c.ExpectedCost < candidates[leader].ExpectedCost) {
+			leader = j
+		}
+	}
+	if leader == -1 {
+		leader = 0
+	}
+	return candidates, leader, nil
 }
 
 // calibrateMargins computes, for every auxiliary dimension, the smallest
@@ -306,7 +258,7 @@ func costOrder(aux []asr.Recognizer, costs map[string]time.Duration) []int {
 // vector the full classifier flags adversarial, plus slack. A margin
 // above 1 (possible when adversarial training vectors score high on that
 // auxiliary) means the dimension can never short-circuit — safe, just not
-// fast — which EnableCascade uses to pick a usable phase-one engine.
+// fast — and electLeader passes it over.
 func (d *Detector) calibrateMargins(benignX, aeX [][]float64, slack float64) ([]float64, error) {
 	n := len(d.Auxiliaries)
 	maxAdv := make([]float64, n)
@@ -351,10 +303,8 @@ func (d *Detector) detectCascade(ctx context.Context, clip *audio.Clip, parallel
 	c := d.Cascade
 	trace := obs.TraceFrom(ctx)
 	n := len(d.Auxiliaries)
-	// Phase-one selection is live: the cheapest usable auxiliary by the
-	// current cost EWMA, with that engine's own no-flip margin.
-	first := c.phaseOne()
-	info := &CascadeInfo{Enabled: true, Margin: c.margins[first]}
+	first := c.order[0]
+	info := &CascadeInfo{Enabled: true, Margin: c.margin}
 
 	// Deterministic 1-in-N monitoring: every SampleEvery-th request runs
 	// the full ensemble through the plain path so the classifier's input
@@ -371,13 +321,13 @@ func (d *Detector) detectCascade(ctx context.Context, clip *audio.Clip, parallel
 	}
 
 	// One feature cache spans both phases, so a front end extracted for
-	// the target or the cheapest auxiliary is never redone in phase two.
+	// the target or the leader is never redone in phase two.
 	cache := asr.GetFeatureCache(clip.Samples)
 	defer asr.PutFeatureCache(cache)
 
 	texts := make([]string, n+1) // index 0 = target, i+1 = auxiliary i
 
-	// Phase one: target + cheapest usable auxiliary.
+	// Phase one: target + leader.
 	start := time.Now()
 	phase1 := []asr.Recognizer{d.Target, d.Auxiliaries[first]}
 	p1out := make([]string, 2)
@@ -393,7 +343,7 @@ func (d *Detector) detectCascade(ctx context.Context, clip *audio.Clip, parallel
 	timing.Similarity = time.Since(simStart)
 	info.FirstScore = firstScore
 
-	if firstScore >= c.margins[first] {
+	if firstScore >= c.margin {
 		// Margin cleared: classify the partial vector (benign means in
 		// the unobserved dimensions). Only a benign prediction may
 		// short-circuit; any adversarial lean runs everything.

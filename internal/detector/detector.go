@@ -49,7 +49,7 @@ type Detector struct {
 	// deterministic timing studies).
 	Sequential bool
 	// Cascade, when non-nil (EnableCascade), schedules Detect* calls
-	// cheapest-engine-first with a calibrated benign short-circuit.
+	// leader-first with a calibrated benign short-circuit.
 	// Training and batch feature extraction always use the full ensemble.
 	Cascade *Cascade
 }

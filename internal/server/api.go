@@ -119,7 +119,7 @@ type CascadeJSON struct {
 	ShortCircuit bool `json:"short_circuit"`
 	SampledFull  bool `json:"sampled_full,omitempty"`
 	// EnginesRun / EnginesSkipped name auxiliary engines in evaluation
-	// (cheapest-first) order; the target engine always runs.
+	// order (leader first); the target engine always runs.
 	EnginesRun     []string `json:"engines_run"`
 	EnginesSkipped []string `json:"engines_skipped,omitempty"`
 	Margin         float64  `json:"margin"`
@@ -153,9 +153,9 @@ func cascadeReason(c *mvpears.CascadeDecision) string {
 	case c.SampledFull:
 		return "deterministic 1-in-N monitoring sample: full ensemble ran regardless of scores"
 	case c.ShortCircuit:
-		return "cheapest auxiliary cleared the benign margin and the partial vector classified benign; remaining auxiliaries skipped"
+		return "leading auxiliary cleared its benign margin and the partial vector classified benign; remaining auxiliaries skipped"
 	case c.FirstScore < c.Margin:
-		return "cheapest auxiliary scored below the benign margin; full ensemble ran"
+		return "leading auxiliary scored below its benign margin; full ensemble ran"
 	default:
 		return "partial similarity vector did not classify confidently benign; full ensemble ran"
 	}

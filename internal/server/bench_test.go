@@ -17,6 +17,7 @@ import (
 
 	"mvpears"
 	"mvpears/internal/audio"
+	"mvpears/internal/speech"
 	"mvpears/internal/vcache"
 )
 
@@ -123,39 +124,47 @@ func scDetects(b *testing.B, sys *mvpears.System, body []byte) bool {
 	return det.Cascade != nil && det.Cascade.ShortCircuit
 }
 
-// BenchmarkServeMissCascade measures the accelerated miss path: cascade
-// scheduling (auto-calibrated margin, no monitoring samples so the benign
-// path is isolated) plus int8 inference, over never-seen content the
-// ensemble classifies benign — the traffic the short-circuit is built
-// for, on the same 2000-sample content scale as BenchmarkServeMiss.
-// Setup scans the noise-seed space for base clips the cascade actually
-// short-circuits (content every engine transcribes consistently), then
-// derives one body per iteration by flipping one PCM sample's low bit at
-// a varying position: acoustically the same clip, but a distinct content
-// fingerprint, so every timed request is a genuine cache miss down the
-// short-circuit path. Each variant's short-circuit is re-verified during
-// setup; clips the cascade escalates are excluded, since the
-// full-ensemble path is BenchmarkServeMiss's job.
+// BenchmarkServeMissCascade measures the cascaded miss path through the
+// HTTP handler: auto-calibrated margins, the leader the expected-cost
+// rule elects, no monitoring samples (so the benign path is isolated),
+// over never-seen benign speech — the traffic the short-circuit is built
+// for. The bases are the first four seeded utterances (1.3–1.9 s) the
+// cascade short-circuits; noise, which BenchmarkServeMiss serves, is no
+// use here because no two engine families hear the same words in it.
+// One body per iteration is derived by flipping one PCM sample's low bit
+// at a varying position: acoustically the same clip, but a distinct
+// content fingerprint, so every timed request is a genuine cache miss
+// down the short-circuit path. Each variant's short-circuit is
+// re-verified during setup; clips the cascade escalates are excluded,
+// since the full-ensemble path is BenchmarkServeMiss's job. The leader
+// is a function of the model alone, so every round times the same
+// bodies.
 func BenchmarkServeMissCascade(b *testing.B) {
 	sys := benchSystem(b)
-	if _, _, err := sys.EnableQuantized(); err != nil {
-		b.Fatalf("EnableQuantized: %v", err)
-	}
-	b.Cleanup(sys.DisableQuantized)
 	if err := sys.EnableCascade(0, 0); err != nil {
 		b.Fatalf("EnableCascade: %v", err)
 	}
 	b.Cleanup(sys.DisableCascade)
 
+	utts, err := speech.GenerateUtterances(speech.NewSynthesizer(sys.SampleRate()), 16, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var bases [][]byte
-	for seed := 2_000_000; seed < 2_020_000 && len(bases) < 4; seed++ {
-		body := benchWAV(b, 8000, 2000, seed)
-		if scDetects(b, sys, body) {
-			bases = append(bases, body)
+	for _, u := range utts {
+		if len(bases) == 4 {
+			break
+		}
+		var buf bytes.Buffer
+		if err := audio.WriteWAV(&buf, u.Clip); err != nil {
+			b.Fatal(err)
+		}
+		if scDetects(b, sys, buf.Bytes()) {
+			bases = append(bases, buf.Bytes())
 		}
 	}
 	if len(bases) == 0 {
-		b.Fatal("no short-circuiting base content found in seed range")
+		b.Fatal("no short-circuiting utterance among the seeded bases")
 	}
 
 	const wavHeader = 44 // canonical PCM16 header WriteWAV emits
@@ -179,6 +188,36 @@ func BenchmarkServeMissCascade(b *testing.B) {
 			b.Fatalf("status %d", code)
 		}
 	}
+}
+
+// BenchmarkCascadeDetect measures one in-process detection under the
+// cascade (auto-calibrated margins, no monitoring samples) over 64
+// seeded benign utterances, and reports the share that short-circuited:
+// the two numbers the leader election trades against each other.
+func BenchmarkCascadeDetect(b *testing.B) {
+	sys := benchSystem(b)
+	if err := sys.EnableCascade(0, 0); err != nil {
+		b.Fatalf("EnableCascade: %v", err)
+	}
+	b.Cleanup(sys.DisableCascade)
+	utts, err := speech.GenerateUtterances(speech.NewSynthesizer(sys.SampleRate()), 64, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	short := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		det, err := sys.DetectCtx(ctx, utts[i%len(utts)].Clip)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if det.Cascade.ShortCircuit {
+			short++
+		}
+	}
+	b.ReportMetric(float64(short)/float64(b.N), "short-circuit-share")
 }
 
 // BenchmarkStreamWindow measures one sliding-window evaluation on a live

@@ -171,15 +171,15 @@ func (h clusterHandler) Detect(ctx context.Context, tc obs.TraceContext, key str
 		return nil, false, nil, err
 	}
 	// A local trace under the requester's trace ID (fresh when untraced):
-	// the owner's engine spans feed its own stage metrics and cascade cost
-	// observer either way, and the ID join makes slow-log lines on both
-	// replicas greppable by one request ID.
+	// the owner's engine spans feed its own stage metrics either way, and
+	// the ID join makes slow-log lines on both replicas greppable by one
+	// request ID.
 	id := tc.TraceID
 	if id == "" {
 		id = obs.NewRequestID()
 	}
 	trace := obs.NewTrace(id)
-	det, how, err := s.resolveMissed(obs.WithTrace(ctx, trace), st, key, nil, eng)
+	det, how, err := s.resolveMissed(obs.WithTrace(ctx, trace), key, nil, eng)
 	if err != nil {
 		return nil, false, nil, err
 	}
@@ -253,25 +253,6 @@ func (s *Server) clusterFetch(ctx context.Context, key string, fwd *forwardPCM) 
 	return det, howRemoteFresh, true
 }
 
-// expectedDetectCost estimates one fresh detection's wall time: the
-// larger of the serving-layer EWMA and the backend's live per-engine
-// cost sum (which reacts faster to an engine slowing down).
-func (s *Server) expectedDetectCost(st *backendState) time.Duration {
-	cost := time.Duration(s.detectCostNS.Load())
-	if lc, ok := st.backend.(interface {
-		LiveEngineCosts() map[string]time.Duration
-	}); ok {
-		var sum time.Duration
-		for _, d := range lc.LiveEngineCosts() {
-			sum += d
-		}
-		if sum > cost {
-			cost = sum
-		}
-	}
-	return cost
-}
-
 // observeDetectCost folds one measured fresh-detection duration into the
 // EWMA (alpha 1/4) that budgets the hedge delay.
 func (s *Server) observeDetectCost(d time.Duration) {
@@ -292,13 +273,13 @@ func (s *Server) observeDetectCost(d time.Duration) {
 // hedgeDelay resolves the hedge policy for one locally-owned miss:
 // target peer and delay, or ok=false when hedging is disarmed (no
 // cluster, no healthy peer, expected cost under the floor).
-func (s *Server) hedgeDelay(st *backendState) (addr string, delay time.Duration, ok bool) {
+func (s *Server) hedgeDelay() (addr string, delay time.Duration, ok bool) {
 	if s.node == nil || !s.node.HasPeers() {
 		return "", 0, false
 	}
 	delay = s.cfg.Cluster.HedgeAfter
 	if delay <= 0 {
-		expected := s.expectedDetectCost(st)
+		expected := time.Duration(s.detectCostNS.Load())
 		if expected < hedgeFloor {
 			return "", 0, false
 		}
@@ -312,7 +293,7 @@ func (s *Server) hedgeDelay(st *backendState) (addr string, delay time.Duration,
 // duplicate dispatch to an idle peer. First result wins; the loser is
 // cancelled through ctx. remote reports a hedge win (the peer answered
 // first).
-func (s *Server) hedgedRun(ctx context.Context, st *backendState, key string, fwd *forwardPCM,
+func (s *Server) hedgedRun(ctx context.Context, key string, fwd *forwardPCM,
 	run func(ctx context.Context) (*mvpears.Detection, error)) (det *mvpears.Detection, remote bool, err error) {
 	var (
 		addr  string
@@ -320,7 +301,7 @@ func (s *Server) hedgedRun(ctx context.Context, st *backendState, key string, fw
 		armed bool
 	)
 	if fwd != nil {
-		addr, delay, armed = s.hedgeDelay(st)
+		addr, delay, armed = s.hedgeDelay()
 	}
 	if !armed {
 		det, err := run(ctx)

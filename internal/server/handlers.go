@@ -194,7 +194,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	if explain {
 		ctx = obs.WithExplain(ctx)
 	}
-	det, how, err := s.resolveMissed(ctx, st, key, fwd, eng)
+	det, how, err := s.resolveMissed(ctx, key, fwd, eng)
 	if err != nil {
 		s.writeDetectError(w, err)
 		return

@@ -33,9 +33,6 @@ type backendState struct {
 	// auxNames caches backend.AuxiliaryNames(): the per-call slice
 	// allocation is measurable on the cache-hit path.
 	auxNames []string
-	// costObserver is the backend's cascade cost feedback channel; nil
-	// when unimplemented.
-	costObserver EngineCostObserver
 	// stream manages live streaming sessions; nil when streaming is off.
 	stream *stream.Manager
 	// streamTargetName labels the target engine's windowed transcription.
@@ -60,7 +57,6 @@ func (s *Server) buildState(backend Backend) (*backendState, error) {
 		backend:  backend,
 		auxNames: backend.AuxiliaryNames(),
 	}
-	st.costObserver, _ = backend.(EngineCostObserver)
 	if s.vc != nil {
 		// With the cache (and possibly a cluster) live, a fingerprint is
 		// non-negotiable: unprefixed keys could serve another model's

@@ -138,12 +138,12 @@ func (s *Server) store(key string, det *mvpears.Detection) {
 // resolve obtains the verdict for key through the whole chain. fwd carries
 // the upload into the cluster tier; nil skips that tier, which is also what
 // keeps an owner answering a forwarded detection from ever re-forwarding.
-func (s *Server) resolve(ctx context.Context, st *backendState, key string, fwd *forwardPCM, eng engine) (*mvpears.Detection, detectHow, error) {
+func (s *Server) resolve(ctx context.Context, key string, fwd *forwardPCM, eng engine) (*mvpears.Detection, detectHow, error) {
 	if det, ok := s.lookup(key, false); ok {
 		eng.drop()
 		return det, howCached, nil
 	}
-	return s.resolveMissed(ctx, st, key, fwd, eng)
+	return s.resolveMissed(ctx, key, fwd, eng)
 }
 
 // resolveMissed is the chain below the cache tier, for callers that have
@@ -154,7 +154,7 @@ func (s *Server) resolve(ctx context.Context, st *backendState, key string, fwd 
 // miss and its becoming leader — then tries the key's owning replica, then
 // runs the engine (hedged to an idle peer when slow), and stores the result.
 // So a fleet-wide duplicate storm costs one detection, at the owner.
-func (s *Server) resolveMissed(rctx context.Context, st *backendState, key string, fwd *forwardPCM, eng engine) (*mvpears.Detection, detectHow, error) {
+func (s *Server) resolveMissed(rctx context.Context, key string, fwd *forwardPCM, eng engine) (*mvpears.Detection, detectHow, error) {
 	ctx, cancel := context.WithTimeout(rctx, s.cfg.RequestTimeout)
 	defer cancel()
 	if key == "" {
@@ -167,7 +167,7 @@ func (s *Server) resolveMissed(rctx context.Context, st *backendState, key strin
 		// caller's cancellation; re-attach this request's observability
 		// values (trace, explain flag) so the leader's detection records
 		// spans — and an explanation — for the request that led it.
-		det, how, err = s.lead(obs.Transfer(fctx, rctx), st, key, fwd, eng)
+		det, how, err = s.lead(obs.Transfer(fctx, rctx), key, fwd, eng)
 		return det, err
 	})
 	switch {
@@ -183,7 +183,7 @@ func (s *Server) resolveMissed(rctx context.Context, st *backendState, key strin
 }
 
 // lead is a flight leader's walk down the rest of the chain.
-func (s *Server) lead(ctx context.Context, st *backendState, key string, fwd *forwardPCM, eng engine) (*mvpears.Detection, detectHow, error) {
+func (s *Server) lead(ctx context.Context, key string, fwd *forwardPCM, eng engine) (*mvpears.Detection, detectHow, error) {
 	if det, ok := s.lookup(key, true); ok {
 		eng.drop()
 		return det, howCached, nil
@@ -195,7 +195,7 @@ func (s *Server) lead(ctx context.Context, st *backendState, key string, fwd *fo
 			return det, how, nil
 		}
 	}
-	det, remote, err := s.hedgedRun(ctx, st, key, fwd, eng.run)
+	det, remote, err := s.hedgedRun(ctx, key, fwd, eng.run)
 	if err != nil {
 		return nil, howFresh, err
 	}
@@ -228,7 +228,7 @@ func (s *Server) record(st *backendState, trace *obs.Trace, route, file string, 
 	if how.ranHere() {
 		s.observeDetection(st, det)
 		if trace.SetFresh() {
-			s.observeTrace(st, trace)
+			s.observeTrace(trace)
 		}
 		if c := det.Cascade; c != nil && c.ShortCircuit {
 			trace.SetShortCircuit()
@@ -316,16 +316,11 @@ func (s *Server) observeDetection(st *backendState, det *mvpears.Detection) {
 }
 
 // observeTrace feeds the request's pipeline spans into the stage and
-// engine histogram families, and forwards per-engine durations to the
-// backend's cost observer so the cascade scheduler sees production
-// latency, not just boot-time calibration.
-func (s *Server) observeTrace(st *backendState, t *obs.Trace) {
+// engine histogram families.
+func (s *Server) observeTrace(t *obs.Trace) {
 	for _, sp := range t.Spans() {
 		if sp.Engine != "" {
 			s.engineSeconds.With(sp.Engine).Observe(sp.Dur.Seconds())
-			if st.costObserver != nil {
-				st.costObserver.ObserveEngineCost(sp.Engine, sp.Dur)
-			}
 			continue
 		}
 		s.pipelineSeconds.With(sp.Stage).Observe(sp.Dur.Seconds())

@@ -74,7 +74,7 @@ func TestLeaderReprobeAnswersCached(t *testing.T) {
 		},
 		unused: func() { dropped = true },
 	}
-	det, how, err := s.resolveMissed(context.Background(), st, key, nil, eng)
+	det, how, err := s.resolveMissed(context.Background(), key, nil, eng)
 	if err != nil || det == nil {
 		t.Fatalf("resolveMissed = %v, %v", det, err)
 	}

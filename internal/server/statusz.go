@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"runtime"
 	"time"
+
+	"mvpears"
 )
 
 // handleStatusz renders a human-readable one-page fleet status on the
@@ -27,6 +29,9 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	}
 	fmt.Fprintf(w, "model:    fingerprint=%.16s reloads=%d\n", fp, s.reloadsTotal.Value())
 	fmt.Fprintf(w, "uptime:   %s  draining=%v\n", now.Sub(s.start).Round(time.Second), s.draining.Load())
+	if cs, ok := st.backend.(interface{ Cascade() mvpears.CascadeStatus }); ok {
+		fmt.Fprintf(w, "%s\n", cs.Cascade()) // the boot log's line, re-derived after a reload
+	}
 
 	fmt.Fprintf(w, "\ncluster\n-------\n")
 	if s.node == nil {

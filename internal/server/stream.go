@@ -43,16 +43,6 @@ type StreamBackend interface {
 
 var _ StreamBackend = (*mvpears.System)(nil)
 
-// EngineCostObserver is the runtime-cost feedback channel: backends that
-// implement it receive measured per-engine transcription durations from
-// the serving layer, letting the cascade scheduler demote an engine that
-// slows down in production. *mvpears.System implements it.
-type EngineCostObserver interface {
-	ObserveEngineCost(engine string, d time.Duration)
-}
-
-var _ EngineCostObserver = (*mvpears.System)(nil)
-
 // StreamConfig configures the streaming endpoints; see stream.Config for
 // the semantics and defaults of each field.
 type StreamConfig struct {
@@ -198,7 +188,7 @@ func (s *Server) finishStream(ctx context.Context, run *streamRun) error {
 	if s.vc != nil {
 		key = vcache.KeySamples(st.modelFP, st.backend.SampleRate(), fin.Samples)
 	}
-	det, how, err := s.resolve(ctx, st, key, nil, engine{run: func(context.Context) (*mvpears.Detection, error) {
+	det, how, err := s.resolve(ctx, key, nil, engine{run: func(context.Context) (*mvpears.Detection, error) {
 		return st.backend.(StreamBackend).DetectionFromStream(fin), nil
 	}})
 	if err != nil {

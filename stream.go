@@ -90,24 +90,3 @@ func (s *System) TargetName() string { return s.det.Target.Name() }
 func (s *System) DetectionFromStream(fin *stream.Final) *Detection {
 	return s.toDetection(fin.Decision, fin.Timing)
 }
-
-// ObserveEngineCost feeds one observed per-engine transcription cost
-// into the cascade scheduler's live EWMA (no-op when the cascade is
-// off or the engine name is not an auxiliary). The serving layer calls
-// this with measured span durations so the cascade's phase-one choice
-// tracks production behaviour instead of boot-time calibration.
-func (s *System) ObserveEngineCost(engine string, d time.Duration) {
-	if c := s.det.Cascade; c != nil {
-		c.ObserveCost(engine, d)
-	}
-}
-
-// LiveEngineCosts returns the cascade's current per-auxiliary cost
-// estimates (boot calibration blended with runtime observations), or nil
-// when the cascade is off.
-func (s *System) LiveEngineCosts() map[string]time.Duration {
-	if c := s.det.Cascade; c != nil {
-		return c.LiveCosts()
-	}
-	return nil
-}
