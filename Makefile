@@ -6,14 +6,18 @@ GO ?= go
 # BenchmarkStreamWindow (the real-time sliding-window gate) and the
 # BenchmarkCluster pair (remote hit, hedged dispatch); NN_BENCH covers
 # the inference kernels they ride on (the float64 blocked mat-vec and
-# RNN step); HMM_BENCH and ASR_BENCH the Viterbi column and the
-# post-acoustic half of a stream window; DSP_BENCH the frame kernel and the
-# roster's shared front-end pass (GOMAXPROCS=1, i.e. -cpu 1).
-BENCH ?= BenchmarkDetectHotPath|BenchmarkBatchFeatures
+# RNN step); HMM_BENCH and ASR_BENCH the Viterbi column, the
+# post-acoustic half of a stream window and the cold lexicon scan;
+# STREAM_BENCH whole sessions through a Manager (µs per hop, allocations
+# per window); DSP_BENCH the frame kernel and the roster's shared
+# front-end pass (GOMAXPROCS=1, i.e. -cpu 1). BenchmarkDetectBudget
+# attributes one detection to front end + engines (README, Performance).
+BENCH ?= BenchmarkDetectHotPath|BenchmarkBatchFeatures|BenchmarkDetectBudget
 SERVE_BENCH ?= BenchmarkServe|BenchmarkCascadeDetect|BenchmarkStreamWindow|BenchmarkCluster
 NN_BENCH ?= BenchmarkMatVec|BenchmarkRNNStep
 HMM_BENCH ?= BenchmarkViterbiStep
-ASR_BENCH ?= BenchmarkDecodeWindow
+ASR_BENCH ?= BenchmarkDecodeWindow|BenchmarkLexiconScanCold
+STREAM_BENCH ?= BenchmarkStreamSession
 DSP_BENCH ?= BenchmarkPowerFrame|BenchmarkFrontEndRoster
 BENCHTIME ?= 25x
 # Interleaved suite rounds per `make bench` (see cmd/benchmed): every
@@ -57,10 +61,12 @@ test:
 
 # Race-test the packages with concurrent hot paths (batch detection,
 # per-clip feature cache, shared FFT plans, the serving worker pool, the
-# cluster peer protocol), and boot one artifact three times over, five
-# times: a cascaded verdict is a function of (artifact, clip, flags).
+# cluster peer protocol) — the two that pass session buffers from owner to
+# owner (asr, stream) twice over — and boot one artifact three times over,
+# five times: a cascaded verdict is a function of (artifact, clip, flags).
 race:
-	$(GO) test -race ./internal/detector/... ./internal/asr/... ./internal/dsp/... ./internal/server/... ./internal/obs/... ./internal/stream/... ./internal/cluster/...
+	$(GO) test -race ./internal/detector/... ./internal/dsp/... ./internal/server/... ./internal/obs/... ./internal/cluster/...
+	$(GO) test -race -count=2 ./internal/asr/... ./internal/stream/...
 	$(GO) test -race -count=5 -run '^TestCascadeDeterministicAcrossBoots$$' .
 
 # Boot the detection daemon, bootstrapping a quick-scale model on first run.
@@ -80,6 +86,7 @@ bench:
 	$(GO) run ./cmd/benchmed -rounds $(BENCHROUNDS) -bench '$(NN_BENCH)' ./internal/nn | tee BENCH_nn.txt
 	$(GO) run ./cmd/benchmed -rounds $(BENCHROUNDS) -bench '$(HMM_BENCH)' ./internal/hmm | tee BENCH_hmm.txt
 	$(GO) run ./cmd/benchmed -rounds $(BENCHROUNDS) -bench '$(ASR_BENCH)' ./internal/asr | tee BENCH_asr.txt
+	$(GO) run ./cmd/benchmed -rounds $(BENCHROUNDS) -bench '$(STREAM_BENCH)' ./internal/stream | tee BENCH_stream.txt
 	GOMAXPROCS=1 $(GO) run ./cmd/benchmed -rounds $(BENCHROUNDS) -bench '$(DSP_BENCH)' ./internal/dsp | tee BENCH_dsp.txt
 
 # The benchmark's checker as a test: boot a real mvpearsd, drive every
@@ -93,7 +100,8 @@ loadgen-short:
 # batch WAV decoder, the streaming WAV decoder, the WebSocket frame
 # parser, and the cluster peer-protocol wire codec — and two metamorphic
 # targets: any chunk schedule through the streaming front end gives the
-# batch feature matrices (dsp) and the batch transcriptions (asr). Seed
+# batch feature matrices (dsp), and the batch transcriptions plus, window
+# by window, the frozen eager stream's texts and scores (asr). Seed
 # corpora are in the fuzz tests; crashers land in testdata/fuzz/ for triage.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadWAV$$' -fuzztime $(FUZZTIME) ./internal/audio

@@ -172,26 +172,44 @@ func clipFeatures(clip *audio.Clip, rate int, m *dsp.MFCC, cache *FeatureCache, 
 	return feats, nil
 }
 
-// transcribeLabels is the tail of every frame-labelling engine's
-// Transcribe: the whole-clip energy gate, then the word decode. With a
-// cache, the gate's sums and the decoder's lexicon matches are shared
-// with the clip's other engines.
-func transcribeLabels(labels []int, clip *audio.Clip, m *dsp.MFCC, dec *Decoder, cache *FeatureCache, id EngineID) (string, error) {
-	var w *tailWork
+// clipSilence is the whole-clip energy gate's verdict on each of the n
+// frames an engine with front end m labels: which of them transcription
+// forces to silence, whatever the acoustic model would say. With a cache
+// the gate's sums are shared with the clip's other engines, and the
+// result is the caller's own, to read outside the cache's lock.
+func clipSilence(clip *audio.Clip, n int, m *dsp.MFCC, cache *FeatureCache) []bool {
+	mc := m.Config()
+	if cache == nil {
+		return new(tailWork).silent(0, n, clip.Samples, 0, len(clip.Samples), mc.FrameLen, mc.Hop, energyGateRatio)
+	}
+	cache.mu.Lock()
+	defer cache.mu.Unlock()
+	return slices.Clone(cache.tail.silent(0, n, clip.Samples, 0, len(clip.Samples), mc.FrameLen, mc.Hop, energyGateRatio))
+}
+
+// decodeLabels is the end of every frame-labelling engine's Transcribe:
+// the word decode of its gated labels. With a cache, the decoder's
+// lexicon matches are shared with the clip's other engines.
+func decodeLabels(labels []int, dec *Decoder, cache *FeatureCache, id EngineID) (string, error) {
+	w := new(tailWork)
 	if cache != nil {
 		cache.mu.Lock()
 		defer cache.mu.Unlock()
 		w = &cache.tail
-	} else {
-		w = new(tailWork)
 	}
-	mc := m.Config()
-	labels = w.gate(labels, 0, clip.Samples, 0, len(clip.Samples), mc.FrameLen, mc.Hop, energyGateRatio)
 	text, err := dec.decode(labels, w)
 	if err != nil {
 		return "", fmt.Errorf("asr: %s decoding: %w", id, err)
 	}
 	return text, nil
+}
+
+// transcribeLabels gates and decodes the labels of an engine whose state
+// crosses frames, so that it has to label every one of them (a recurrent
+// network, a Viterbi path); labels is overwritten.
+func transcribeLabels(labels []int, clip *audio.Clip, m *dsp.MFCC, dec *Decoder, cache *FeatureCache, id EngineID) (string, error) {
+	silence(labels, clipSilence(clip, len(labels), m, cache))
+	return decodeLabels(labels, dec, cache, id)
 }
 
 // Len reports how many distinct front-end configurations have been

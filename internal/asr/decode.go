@@ -3,6 +3,8 @@ package asr
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 	"strings"
 
 	"mvpears/internal/lm"
@@ -20,9 +22,21 @@ type Decoder struct {
 	MinSegFrames int     // segments shorter than this are treated as noise
 	MinSilFrames int     // silence runs shorter than this do not split words
 
-	words   []string
-	pronIDs [][]int
-	maxPron int // longest pronunciation: sizes the edit-distance rows
+	words    []string
+	pronIDs  [][]int
+	pronMask []uint64 // the set of phonemes in each pronunciation (phonemeBit)
+	maxPron  int      // longest pronunciation: sizes the edit-distance rows
+}
+
+// phonemeBit is id's bit in a phoneme-set mask; ids that do not fit
+// (none of the inventory's 40) share the top bit.
+func phonemeBit(id int) uint64 { return 1 << min(uint(id), 63) }
+
+func phonemeSet(ids []int) (set uint64) {
+	for _, id := range ids {
+		set |= phonemeBit(id)
+	}
+	return set
 }
 
 // NewDecoder builds a decoder over the global lexicon.
@@ -36,13 +50,14 @@ func NewDecoder(model *lm.Model, lmWeight float64, topK int) (*Decoder, error) {
 	d := &Decoder{LM: model, LMWeight: lmWeight, TopK: topK, MinSegFrames: 2, MinSilFrames: 3}
 	d.words = phoneme.Words()
 	d.pronIDs = make([][]int, len(d.words))
+	d.pronMask = make([]uint64, len(d.words))
 	for i, w := range d.words {
 		p, _ := phoneme.Lookup(w)
 		ids, err := phoneme.Indices(p)
 		if err != nil {
 			return nil, fmt.Errorf("asr: lexicon word %q: %w", w, err)
 		}
-		d.pronIDs[i] = ids
+		d.pronIDs[i], d.pronMask[i] = ids, phonemeSet(ids)
 		d.maxPron = max(d.maxPron, len(ids))
 	}
 	return d, nil
@@ -51,19 +66,18 @@ func NewDecoder(model *lm.Model, lmWeight float64, topK int) (*Decoder, error) {
 // SmoothLabels applies a 3-frame majority filter, suppressing single-frame
 // label glitches that would otherwise fragment words.
 func SmoothLabels(labels []int) []int {
-	if len(labels) < 3 {
-		out := make([]int, len(labels))
-		copy(out, labels)
-		return out
-	}
-	out := make([]int, len(labels))
-	copy(out, labels)
+	return smoothInto(make([]int, 0, len(labels)), labels)
+}
+
+// smoothInto appends the smoothed labels to dst.
+func smoothInto(dst, labels []int) []int {
+	dst = append(dst, labels...)
 	for i := 1; i < len(labels)-1; i++ {
 		if labels[i-1] == labels[i+1] && labels[i] != labels[i-1] {
-			out[i] = labels[i-1]
+			dst[i] = labels[i-1]
 		}
 	}
-	return out
+	return dst
 }
 
 // segments splits smoothed frame labels on silence into per-word phoneme
@@ -72,21 +86,27 @@ func SmoothLabels(labels []int) []int {
 // inside words, while the inter-word pauses synthesized by the speech
 // substrate are much longer.
 func (d *Decoder) segments(labels []int) [][]int {
+	return d.segmentsInto(labels, new(tailWork))
+}
+
+// segmentsInto is segments cut from w's buffers, valid until w's next.
+func (d *Decoder) segmentsInto(labels []int, w *tailWork) [][]int {
 	sil := phoneme.SilIndex()
 	minSil := d.MinSilFrames
 	if minSil <= 0 {
 		minSil = 3
 	}
-	var segs [][]int
-	var cur []int
-	var curFrames int
-	var silRun int
+	// Sized up front: a segment must not move while later ones grow ids.
+	if cap(w.ids) < len(labels) {
+		w.ids = make([]int, 0, len(labels))
+	}
+	ids, segs := w.ids[:0], w.segs[:0]
+	start, curFrames, silRun := 0, 0, 0
 	flush := func() {
-		if curFrames >= d.MinSegFrames && len(cur) > 0 {
-			segs = append(segs, cur)
+		if curFrames >= d.MinSegFrames && len(ids) > start {
+			segs = append(segs, ids[start:len(ids):len(ids)])
 		}
-		cur = nil
-		curFrames = 0
+		start, curFrames = len(ids), 0
 	}
 	for _, l := range labels {
 		if l == sil {
@@ -98,32 +118,45 @@ func (d *Decoder) segments(labels []int) [][]int {
 		}
 		silRun = 0
 		curFrames++
-		if len(cur) == 0 || cur[len(cur)-1] != l {
-			cur = append(cur, l)
+		if len(ids) == start || ids[len(ids)-1] != l {
+			ids = append(ids, l)
 		}
 	}
 	flush()
+	w.ids, w.segs = ids, segs
 	return segs
 }
 
 // tailWork is what the engines of one detection, or of one stream
-// session, share after their acoustic models have run: the energy gate's
-// sums over the signal and the word decoder's lexicon matches. Both are
-// pure functions — of the (append-only) signal and of a phoneme segment —
-// so whichever engine asks first computes them, in the order a lone engine
-// would, and the rest reuse the value. The owner is a FeatureCache (under
-// its mutex, cleared between clips) or an EnsembleStream (one goroutine,
-// dropped with the session); the zero value serves a lone Transcribe.
+// session, share around their acoustic models: the energy gate's sums over
+// the signal, the word decoder's lexicon matches and rescored words, and
+// the scratch both work in. All of it is a pure function — of the
+// (append-only) signal, of a phoneme segment, of a segment and the words
+// before it — so whichever engine asks first computes a value, in the
+// order a lone engine would, and the rest reuse it. The owner is a
+// FeatureCache (under its mutex, cleared between clips) or an
+// EnsembleStream (one goroutine, cleared with the session); the zero value
+// serves a lone Transcribe.
 type tailWork struct {
 	// sum is Σv² over samples[sumA:sumB], the last range asked for: the
 	// whole clip in a batch detection, the current window in a stream.
 	sumA, sumB int
 	sum        float64
 	energies   []frameEnergies
+	mask       []bool // silent's result
 
-	prev, cur []int // edit-distance rows
-	key       []byte
-	top       map[segKey][]candidate
+	smooth, ids []int   // decode's smoothed labels and segment phonemes
+	segs        [][]int // decode's segments, cut from ids
+	said        []string
+	lmCands     []lm.Candidate
+
+	prev, cur    []int // edit-distance rows
+	key, wordKey []byte
+	top          map[segKey][]candidate
+	// word remembers the rescored word of (the LM context, a NUL, the
+	// segment): what the words before a segment can change about it.
+	word map[segKey]string
+	dps  int // edit-distance programs run, for the test that counts them
 }
 
 // frameEnergies holds the mean-square energy of every frame that lies
@@ -149,6 +182,7 @@ func (w *tailWork) reset() {
 		w.energies[i].mean = w.energies[i].mean[:0]
 	}
 	clear(w.top)
+	clear(w.word)
 }
 
 func sumSquares(x []float64) float64 {
@@ -187,16 +221,17 @@ func (w *tailWork) frameMeans(samples []float64, frameLen, hop int) []float64 {
 	return fe.mean
 }
 
-// gate returns labels — the labels of frames first, first+1, … — with
-// every frame forced to silence whose mean-square energy is below ratio²
-// times that of samples[a:b], or that starts past the signal's end.
-func (w *tailWork) gate(labels []int, first int, samples []float64, a, b, frameLen, hop int, ratio float64) []int {
+// silent reports, for frames first, first+1, … first+n-1, whether the
+// energy gate forces the frame to silence: its mean-square energy is below
+// ratio² times that of samples[a:b], or it starts past the signal's end.
+// It is a function of the samples alone, so it runs before the acoustic
+// model and a frame-independent classifier never labels a silent frame.
+// The result is w's, valid until the next call.
+func (w *tailWork) silent(first, n int, samples []float64, a, b, frameLen, hop int, ratio float64) []bool {
 	threshold := ratio * ratio * (w.rangeSum(samples, a, b) / float64(b-a))
 	means := w.frameMeans(samples, frameLen, hop)
-	sil := phoneme.SilIndex()
-	out := make([]int, len(labels))
-	copy(out, labels)
-	for k := range out {
+	w.mask = slices.Grow(w.mask[:0], n)[:n]
+	for k := range w.mask {
 		f := first + k
 		var mean float64
 		if f < len(means) {
@@ -204,13 +239,29 @@ func (w *tailWork) gate(labels []int, first int, samples []float64, a, b, frameL
 		} else if start := f * hop; start < len(samples) {
 			mean = sumSquares(samples[start:]) / float64(len(samples)-start)
 		} else {
-			out[k] = sil
+			w.mask[k] = true
 			continue
 		}
-		if mean < threshold {
-			out[k] = sil
+		w.mask[k] = mean < threshold
+	}
+	return w.mask
+}
+
+// silence overwrites the labels of silent frames with the silence phoneme.
+func silence(labels []int, silent []bool) {
+	sil := phoneme.SilIndex()
+	for k, s := range silent {
+		if s {
+			labels[k] = sil
 		}
 	}
+}
+
+// gate returns labels — the labels of frames first, first+1, … — with
+// every frame silent reports forced to silence.
+func (w *tailWork) gate(labels []int, first int, samples []float64, a, b, frameLen, hop int, ratio float64) []int {
+	out := slices.Clone(labels)
+	silence(out, w.silent(first, len(labels), samples, a, b, frameLen, hop, ratio))
 	return out
 }
 
@@ -235,6 +286,16 @@ type candidate struct {
 // insertion keeps the earlier of equally distant words first — the same
 // order the previous stable full sort produced). The result depends on
 // nothing but (d, seg), so w remembers it; callers must not modify it.
+//
+// Once the list is full a word enters only with a distance below the
+// list's worst, and most are ruled out without the dynamic program. An
+// alignment substitutes s phonemes, deletes d of seg's and inserts i of
+// the word's, with d-i the difference of the lengths; each distinct
+// phoneme of seg the word lacks sits at a position of its own that is
+// deleted or substituted (d+s ≥ onlySeg), and likewise i+s ≥ onlyPron.
+// The least i+d+s under the three is the bound. It is divided like the
+// distance, and division by one positive denominator is monotonic, so it
+// skips only words the comparison after the dynamic program would.
 func (d *Decoder) topCandidates(seg []int, w *tailWork) []candidate {
 	k := d.TopK
 	if k > len(d.words) {
@@ -253,14 +314,21 @@ func (d *Decoder) topCandidates(seg []int, w *tailWork) []candidate {
 	if cap(w.prev) <= d.maxPron {
 		w.prev, w.cur = make([]int, d.maxPron+1), make([]int, d.maxPron+1)
 	}
+	segSet := phonemeSet(seg)
 	top := make([]candidate, 0, k)
 	for i, word := range d.words {
-		dist := phoneme.EditDistanceBuf(seg, d.pronIDs[i], w.prev, w.cur)
-		denom := len(seg)
-		if len(d.pronIDs[i]) > denom {
-			denom = len(d.pronIDs[i])
+		pron, pronSet := d.pronIDs[i], d.pronMask[i]
+		denom := max(len(seg), len(pron))
+		if len(top) == k {
+			onlySeg, onlyPron := bits.OnesCount64(segSet&^pronSet), bits.OnesCount64(pronSet&^segSet)
+			longer := len(pron) - len(seg)
+			bound := max(onlySeg+max(longer, 0), onlyPron+max(-longer, 0))
+			if float64(bound)/float64(denom) >= top[k-1].dist {
+				continue
+			}
 		}
-		nd := float64(dist) / float64(denom)
+		w.dps++
+		nd := float64(phoneme.EditDistanceBuf(seg, pron, w.prev, w.cur)) / float64(denom)
 		if len(top) == k && nd >= top[k-1].dist {
 			continue
 		}
@@ -314,34 +382,58 @@ func (d *Decoder) Decode(labels []int) (string, error) {
 	return d.decode(labels, new(tailWork))
 }
 
-// decode is Decode with the lexicon matches remembered in w.
+// decode is Decode with w's scratch and memory of earlier decodes.
 func (d *Decoder) decode(labels []int, w *tailWork) (string, error) {
 	if len(labels) == 0 {
 		return "", fmt.Errorf("asr: no frame labels to decode")
 	}
-	segs := d.segments(SmoothLabels(labels))
-	return d.wordsFromSegments(segs, w), nil
+	w.smooth = smoothInto(w.smooth[:0], labels)
+	return d.wordsFromSegments(d.segmentsInto(w.smooth, w), w), nil
 }
 
 // wordsFromSegments maps each phoneme segment to its best lexicon word
 // with LM rescoring and joins the words.
 func (d *Decoder) wordsFromSegments(segs [][]int, w *tailWork) string {
-	words := make([]string, 0, len(segs))
-	history := make([]string, 0, len(segs))
+	w.said = w.said[:0]
 	for _, seg := range segs {
-		cands := d.topCandidates(seg, w)
-		if len(cands) == 0 {
-			continue
+		if word := d.bestWord(w.said, seg, w); word != "" {
+			w.said = append(w.said, word)
 		}
-		// Acoustic score: negative normalized distance; LM rescoring on
-		// top of it.
-		lmCands := make([]lm.Candidate, len(cands))
-		for i, c := range cands {
-			lmCands[i] = lm.Candidate{Word: c.word, Score: -4 * c.dist}
-		}
-		best := d.LM.Rescore(history, lmCands, d.LMWeight)[0].Word
-		words = append(words, best)
-		history = append(history, best)
 	}
-	return strings.Join(words, " ")
+	return strings.Join(w.said, " ")
+}
+
+// bestWord returns the lexicon word for seg after the words said so far
+// ("" when the decoder keeps no candidates): the closest candidates,
+// rescored by the language model. The model reads only the last Order-1
+// words, so w remembers the answer under those and the segment.
+func (d *Decoder) bestWord(said []string, seg []int, w *tailWork) string {
+	key := w.wordKey[:0]
+	for _, h := range said[max(0, len(said)-(d.LM.Order-1)):] {
+		key = append(append(key, h...), ' ')
+	}
+	key = append(key, 0)
+	for _, id := range seg {
+		key = binary.AppendUvarint(key, uint64(id))
+	}
+	w.wordKey = key
+	if word, ok := w.word[segKey{d, string(key)}]; ok {
+		return word
+	}
+	cands := d.topCandidates(seg, w)
+	if len(cands) == 0 {
+		return ""
+	}
+	// Acoustic score: negative normalized distance; LM rescoring on top
+	// of it.
+	w.lmCands = w.lmCands[:0]
+	for _, c := range cands {
+		w.lmCands = append(w.lmCands, lm.Candidate{Word: c.word, Score: -4 * c.dist})
+	}
+	best := d.LM.Rescore(said, w.lmCands, d.LMWeight)[0].Word
+	if w.word == nil {
+		w.word = make(map[segKey]string)
+	}
+	w.word[segKey{d, string(key)}] = best
+	return best
 }

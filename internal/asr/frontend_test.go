@@ -194,60 +194,38 @@ func TestFeatureCacheConcurrentGroups(t *testing.T) {
 // FuzzEnsembleStreamChunking is the asr-level metamorphic property of the
 // streaming contract: whatever chunk schedule the fuzzer picks, every
 // roster engine's streamed final transcription == TranscribeWithCache on
-// the whole clip.
+// the whole clip, and every window a session would evaluate on the way —
+// all of them, or only the first few when the top bit of which is set —
+// reads as the frozen eager stream's (streamAgainstEager).
 func FuzzEnsembleStreamChunking(f *testing.F) {
 	f.Add(uint8(0), []byte{1, 1, 255, 0, 40})
 	f.Add(uint8(1), []byte{255, 255, 255})
 	f.Add(uint8(2), []byte{})
 	f.Add(uint8(3), []byte{200, 3, 100, 7, 150})
+	f.Add(uint8(0x80|2<<2|1), []byte{180, 9, 255, 130})
 	set := testEngines(f)
 	engines := roster(set)
 	utts := exactCorpus(f, set.SampleRate, 4)
 	want := make([][]string, len(utts))
 	for i, u := range utts {
-		out := make([]string, len(engines))
-		cache := NewFeatureCache(u.Clip.Samples)
-		if err := TranscribeInto(context.Background(), engines, u.Clip, cache, false, out); err != nil {
-			f.Fatal(err)
-		}
-		want[i] = out
+		want[i] = batchTexts(f, engines, u.Clip)
 	}
 	f.Fuzz(func(t *testing.T, which uint8, chunks []byte) {
-		u := utts[int(which)%len(utts)]
-		x := u.Clip.Samples
-		es, err := NewEnsembleStream(engines, set.SampleRate)
-		if err != nil {
-			t.Fatal(err)
-		}
-		off := 0
-		for _, c := range chunks {
+		sched := make([]int, len(chunks))
+		for i, c := range chunks {
 			// Sizes 0..127 as they are (1-sample chunks included), larger
 			// bytes scaled so a single chunk can exceed the clip.
-			n := int(c)
+			sched[i] = int(c)
 			if c >= 128 {
-				n = (int(c) - 127) * 150
-			}
-			n = min(n, len(x)-off)
-			if err := es.Push(x[off : off+n]); err != nil {
-				t.Fatal(err)
-			}
-			off += n
-		}
-		if err := es.Push(x[off:]); err != nil {
-			t.Fatal(err)
-		}
-		if err := es.Finalize(); err != nil {
-			t.Fatal(err)
-		}
-		for i, e := range engines {
-			got, err := es.FinalText(i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want[int(which)%len(utts)][i] {
-				t.Fatalf("%s: streamed %q, batch %q", e.Name(), got, want[int(which)%len(utts)][i])
+				sched[i] = (int(c) - 127) * 150
 			}
 		}
+		stopAt := math.MaxInt
+		if which&0x80 != 0 {
+			stopAt = int(which>>2) & 7
+		}
+		u := int(which&3) % len(utts)
+		streamAgainstEager(t, set, engines, utts[u].Clip, sched, stopAt, want[u])
 	})
 }
 
@@ -379,7 +357,7 @@ func TestLogSumExpPruneInSitu(t *testing.T) {
 		if err := es.Finalize(); err != nil {
 			t.Fatal(err)
 		}
-		if finals[i], err = es.FinalText(0); err != nil {
+		if finals[i], err = es.FinalText(context.Background(), 0); err != nil {
 			t.Fatal(err)
 		}
 	}

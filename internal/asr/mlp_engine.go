@@ -6,6 +6,7 @@ import (
 	"mvpears/internal/audio"
 	"mvpears/internal/dsp"
 	"mvpears/internal/nn"
+	"mvpears/internal/phoneme"
 )
 
 // MLPEngine is a DeepSpeech-style acoustic model: context-stacked MFCC
@@ -81,30 +82,50 @@ func (e *MLPEngine) FrameLogits(clip *audio.Clip) ([][]float64, error) {
 	return out, nil
 }
 
-// frameLabels computes per-frame argmax phonemes with reusable stacking
-// and network buffers: the steady state does no per-frame allocations.
-func (e *MLPEngine) frameLabels(clip *audio.Clip, cache *FeatureCache) ([]int, error) {
-	raw, err := e.rawFeatures(clip, cache)
-	if err != nil {
-		return nil, err
-	}
-	labels := make([]int, len(raw))
+// frameLabeler returns the engine's per-frame classifier over a feature
+// matrix — the argmax phoneme of frame t, neighbours clamped to the frames
+// feats holds when called — with its own stacking and network buffers: the
+// steady state does no per-frame allocations.
+func (e *MLPEngine) frameLabeler() func(feats [][]float64, t int) (int, error) {
 	stacked := make([]float64, (2*e.Context+1)*e.MFCC.Config().NumCoeffs)
 	scratch := e.Net.NewScratch()
-	for t := range raw {
-		dsp.StackFrame(raw, t, e.Context, stacked)
+	return func(feats [][]float64, t int) (int, error) {
+		dsp.StackFrame(feats, t, e.Context, stacked)
 		logits, err := e.Net.ForwardScratch(stacked, scratch)
 		if err != nil {
-			return nil, fmt.Errorf("asr: %s frame %d: %w", e.ID, t, err)
+			return 0, fmt.Errorf("asr: %s frame %d: %w", e.ID, t, err)
 		}
-		labels[t] = nn.Argmax(logits)
+		return nn.Argmax(logits), nil
+	}
+}
+
+// labelFrames labels every frame of feats that silent (nil: none) does
+// not force to silence; a frame's label depends on no other label, so the
+// silent ones are never forwarded.
+func labelFrames(feats [][]float64, silent []bool, label func([][]float64, int) (int, error)) ([]int, error) {
+	labels := make([]int, len(feats))
+	for t := range feats {
+		if silent != nil && silent[t] {
+			labels[t] = phoneme.SilIndex()
+			continue
+		}
+		l, err := label(feats, t)
+		if err != nil {
+			return nil, err
+		}
+		labels[t] = l
 	}
 	return labels, nil
 }
 
-// FrameLabels implements FrameLabeler: per-frame argmax phonemes.
+// FrameLabels implements FrameLabeler: per-frame argmax phonemes, every
+// frame labelled (no energy gate).
 func (e *MLPEngine) FrameLabels(clip *audio.Clip) ([]int, error) {
-	return e.frameLabels(clip, nil)
+	raw, err := e.rawFeatures(clip, nil)
+	if err != nil {
+		return nil, err
+	}
+	return labelFrames(raw, nil, e.frameLabeler())
 }
 
 // Transcribe implements Recognizer.
@@ -114,11 +135,15 @@ func (e *MLPEngine) Transcribe(clip *audio.Clip) (string, error) {
 
 // TranscribeWithCache implements CacheTranscriber.
 func (e *MLPEngine) TranscribeWithCache(clip *audio.Clip, cache *FeatureCache) (string, error) {
-	labels, err := e.frameLabels(clip, cache)
+	raw, err := e.rawFeatures(clip, cache)
 	if err != nil {
 		return "", err
 	}
-	return transcribeLabels(labels, clip, e.MFCC, e.Dec, cache, e.ID)
+	labels, err := labelFrames(raw, clipSilence(clip, len(raw), e.MFCC, cache), e.frameLabeler())
+	if err != nil {
+		return "", err
+	}
+	return decodeLabels(labels, e.Dec, cache, e.ID)
 }
 
 // TargetLoss implements GradientModel: the mean framewise cross-entropy of

@@ -1,8 +1,8 @@
 package asr
 
 import (
+	"context"
 	"fmt"
-	"math"
 	"slices"
 
 	"mvpears/internal/audio"
@@ -22,13 +22,15 @@ import (
 //
 //   - MLP engines classify frame t from frames [t-Context, t+Context], so
 //     label t is final once frame t+Context exists (left edge clamps to
-//     frame 0, which always exists).
+//     frame 0, which always exists). A final label is computed the first
+//     time a window or the final pass reads it ungated: a frame the energy
+//     gate silences in every read is never forwarded.
+//   - Weak engines are per-frame classifiers: an MLP with no context.
 //   - RNN engines with deltas consume inputs built from frames t±2, so
 //     input t is final once frame t+2 exists; the hidden state advances
 //     only over final inputs, and provisional tails run on a copy.
 //   - GMM engines have no future context: the Viterbi lattice advances
 //     per frame, and a provisional path is a backtrace on demand.
-//   - Weak engines are per-frame classifiers: final immediately.
 //   - Anything else (CTC and external engines) falls back to batch
 //     transcription of the window / whole clip.
 //
@@ -54,22 +56,38 @@ type EnsembleStream struct {
 	fronts    []*streamFront
 	streams   []engineStream
 	finalized bool
-	// tail is the post-acoustic work every window, every engine and the
-	// final pass share (energy gate sums, lexicon matches). It lives and
-	// dies with the session, which MaxDuration bounds.
-	tail tailWork
+	// tail is the work around the acoustic models that every window,
+	// every engine and the final pass share (energy gate sums, lexicon
+	// matches, scratch). It lives and dies with the session, which
+	// MaxDuration bounds.
+	tail   tailWork
+	labels []int // the labels being decoded
 }
 
-// engineStream is the per-engine incremental state.
-type engineStream interface {
-	// advance consumes newly available frames; with final=true the
-	// tail frames are committed with end-of-clip clamping.
-	advance(final bool) error
-	// windowText transcribes the sample range [a,b) provisionally.
-	windowText(a, b int) (string, error)
-	// finalText transcribes the whole clip; only valid after
-	// advance(true). Bit-identical to the engine's batch Transcribe.
-	finalText() (string, error)
+// engineStream is one engine's place in the session: its incremental
+// labeller, or none for an engine without an incremental form (CTC,
+// external implementations), whose windows are transcribed as standalone
+// clips and whose final pass re-transcribes the accumulated signal, which
+// by construction matches the batch path.
+type engineStream struct {
+	e     Recognizer
+	m     *dsp.MFCC
+	dec   *Decoder
+	front *streamFront
+	frameLabels
+}
+
+// frameLabels is the per-architecture incremental state.
+type frameLabels interface {
+	// advance consumes the front's new frames; with final=true the tail
+	// frames are committed with end-of-clip clamping.
+	advance(feats [][]float64, final bool) error
+	// labels appends the labels of frames [from,to) to dst, committed
+	// ones as they are, the rest provisionally with the current
+	// right-edge clamp. silent is the energy gate's verdict on each: a
+	// labeller whose frames are independent leaves those unlabelled.
+	labels(ctx context.Context, dst []int, feats [][]float64, from, to int, silent []bool) ([]int, error)
+	reset()
 }
 
 // NewEnsembleStream builds incremental state for the given engines. All
@@ -81,10 +99,11 @@ func NewEnsembleStream(engines []Recognizer, sampleRate int) (*EnsembleStream, e
 	es := &EnsembleStream{rate: sampleRate, streams: make([]engineStream, len(engines))}
 	var ms []*dsp.MFCC
 	for i, eng := range engines {
+		st := &es.streams[i]
+		st.e = eng
 		m, rate := frontEndOf(eng)
 		// CTC's beam search has no incremental form, front end or not.
 		if _, ctc := eng.(*CTCEngine); m == nil || ctc {
-			es.streams[i] = &batchStream{e: eng, feed: es}
 			continue
 		}
 		if rate != sampleRate {
@@ -96,24 +115,43 @@ func NewEnsembleStream(engines []Recognizer, sampleRate int) (*EnsembleStream, e
 			ms = append(ms, m)
 			es.fronts = append(es.fronts, &streamFront{})
 		}
-		f := es.fronts[fi]
+		st.m, st.front = m, es.fronts[fi]
 		switch e := eng.(type) {
 		case *MLPEngine:
-			es.streams[i] = &mlpStream{e: e, feed: es, front: f,
-				stacked: make([]float64, (2*e.Context+1)*m.Config().NumCoeffs),
-				scratch: e.Net.NewScratch()}
-		case *RNNEngine:
-			es.streams[i] = newRNNStream(e, es, f)
-		case *GMMEngine:
-			es.streams[i] = &gmmStream{e: e, feed: es, front: f, v: e.Model.Stream()}
+			st.dec, st.frameLabels = e.Dec, &lazyLabels{context: e.Context, label: e.frameLabeler()}
 		case *WeakEngine:
-			es.streams[i] = &weakStream{e: e, feed: es, front: f}
+			st.dec, st.frameLabels = e.Dec, &lazyLabels{label: e.frameLabeler()}
+		case *RNNEngine:
+			st.dec, st.frameLabels = e.Dec, newRNNStream(e)
+		case *GMMEngine:
+			st.dec, st.frameLabels = e.Dec, &gmmStream{e: e, v: e.Model.Stream()}
 		}
 	}
 	if len(ms) > 0 {
 		es.front = dsp.NewFrontEnd(ms).Stream()
 	}
 	return es, nil
+}
+
+// Reset empties the stream for another session over the same engines:
+// everything heard, labelled and remembered is dropped, every buffer —
+// the samples, the front end's rows, the lattice — is kept. Slices handed
+// out before (Samples) are overwritten by the next session.
+func (es *EnsembleStream) Reset() {
+	es.samples = es.samples[:0]
+	if es.front != nil {
+		es.front.Reset()
+	}
+	for _, f := range es.fronts {
+		f.feats = f.feats[:0]
+	}
+	for _, st := range es.streams {
+		if st.frameLabels != nil {
+			st.reset()
+		}
+	}
+	es.finalized = false
+	es.tail.reset()
 }
 
 // NumEngines returns the engine count.
@@ -131,11 +169,7 @@ func (es *EnsembleStream) Samples() []float64 { return es.samples }
 // copying — for callers that know the clip's length up front (a WAV
 // header that declares it).
 func (es *EnsembleStream) Reserve(n int) {
-	if n > cap(es.samples) {
-		grown := make([]float64, len(es.samples), n)
-		copy(grown, es.samples)
-		es.samples = grown
-	}
+	es.samples = slices.Grow(es.samples, max(0, n-len(es.samples)))
 }
 
 // Push appends a chunk of audio and advances every engine as far as its
@@ -153,19 +187,14 @@ func (es *EnsembleStream) Push(chunk []float64) error {
 		es.Reserve(max(need, 2*cap(es.samples)))
 	}
 	es.samples = append(es.samples, chunk...)
-	if es.front != nil {
-		rows, err := es.front.Push(chunk)
-		if err != nil {
-			return err
-		}
-		es.collect(rows)
+	if es.front == nil {
+		return nil
 	}
-	for _, st := range es.streams {
-		if err := st.advance(false); err != nil {
-			return err
-		}
+	rows, err := es.front.Push(chunk)
+	if err != nil {
+		return err
 	}
-	return nil
+	return es.collect(rows, false)
 }
 
 // Finalize seals the stream: the zero-padded tail frames are emitted and
@@ -183,10 +212,7 @@ func (es *EnsembleStream) Finalize() error {
 		if err != nil {
 			return err
 		}
-		es.collect(tail)
-	}
-	for _, st := range es.streams {
-		if err := st.advance(true); err != nil {
+		if err := es.collect(tail, true); err != nil {
 			return err
 		}
 	}
@@ -195,11 +221,20 @@ func (es *EnsembleStream) Finalize() error {
 }
 
 // collect appends the front end's newly emitted rows to its members'
-// frame lists.
-func (es *EnsembleStream) collect(rows [][][]float64) {
+// frame lists and advances every engine over them.
+func (es *EnsembleStream) collect(rows [][][]float64, final bool) error {
 	for i, f := range es.fronts {
 		f.feats = append(f.feats, rows[i]...)
 	}
+	for _, st := range es.streams {
+		if st.frameLabels == nil {
+			continue
+		}
+		if err := st.advance(st.front.feats, final); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // WindowText returns engine i's provisional transcription of the sample
@@ -212,16 +247,30 @@ func (es *EnsembleStream) WindowText(i, a, b int) (string, error) {
 	if a < 0 || b > len(es.samples) || a >= b {
 		return "", fmt.Errorf("asr: window [%d,%d) out of range (have %d samples)", a, b, len(es.samples))
 	}
-	return es.streams[i].windowText(a, b)
+	st := &es.streams[i]
+	if st.frameLabels == nil {
+		return st.e.Transcribe(&audio.Clip{SampleRate: es.rate, Samples: es.samples[a:b]})
+	}
+	first, end := windowFrames(a, b, st.m.Config().Hop, len(st.front.feats))
+	if first >= end {
+		return "", nil
+	}
+	return es.decodeFrames(context.Background(), st, first, end, a, b)
 }
 
-// FinalText returns engine i's transcription of the whole streamed clip.
-// Must be preceded by Finalize.
-func (es *EnsembleStream) FinalText(i int) (string, error) {
+// FinalText returns engine i's transcription of the whole streamed clip,
+// bit-identical to the engine's batch Transcribe. Must be preceded by
+// Finalize. ctx is consulted while an engine labels frames no window ever
+// read (a session that stopped evaluating windows and kept listening).
+func (es *EnsembleStream) FinalText(ctx context.Context, i int) (string, error) {
 	if !es.finalized {
 		return "", fmt.Errorf("asr: FinalText before Finalize")
 	}
-	return es.streams[i].finalText()
+	st := &es.streams[i]
+	if st.frameLabels == nil {
+		return st.e.Transcribe(&audio.Clip{SampleRate: es.rate, Samples: es.samples})
+	}
+	return es.decodeFrames(ctx, st, 0, len(st.front.feats), 0, len(es.samples))
 }
 
 // windowFrames maps the sample range [a,b) to the engine frame range
@@ -236,295 +285,171 @@ func windowFrames(a, b, hop, emitted int) (first, end int) {
 	return first, end
 }
 
-// decodeFrames gates the labels of frames firstFrame, firstFrame+1, …
-// against the energy of samples [a,b) and decodes them to words. A window
-// passes its own range: frames whose RMS is below energyGateRatio times
-// the window's are forced to silence, indexed absolutely into the shared
-// sample buffer since engine frame geometries may differ. The final pass
-// passes the whole clip from frame 0, which is exactly the tail of
-// TranscribeWithCache.
-func (es *EnsembleStream) decodeFrames(labels []int, firstFrame int, m *dsp.MFCC, dec *Decoder, a, b int, id EngineID) (string, error) {
-	mc := m.Config()
-	gated := es.tail.gate(labels, firstFrame, es.samples, a, b, mc.FrameLen, mc.Hop, energyGateRatio)
-	text, err := dec.decode(gated, &es.tail)
+// decodeFrames transcribes frames [from,to) of one engine: the energy
+// gate against samples [a,b) first, then the labels of the frames it
+// leaves, then the word decode. A window passes its own range: frames
+// whose RMS is below energyGateRatio times the window's are forced to
+// silence, indexed absolutely into the shared sample buffer since engine
+// frame geometries may differ. The final pass passes the whole clip from
+// frame 0, which is exactly TranscribeWithCache.
+func (es *EnsembleStream) decodeFrames(ctx context.Context, st *engineStream, from, to, a, b int) (string, error) {
+	mc := st.m.Config()
+	silent := es.tail.silent(from, to-from, es.samples, a, b, mc.FrameLen, mc.Hop, energyGateRatio)
+	labels, err := st.labels(ctx, es.labels[:0], st.front.feats, from, to, silent)
 	if err != nil {
-		return "", fmt.Errorf("asr: %s decoding: %w", id, err)
+		return "", err
+	}
+	es.labels = labels
+	silence(labels, silent)
+	text, err := st.dec.decode(labels, &es.tail)
+	if err != nil {
+		return "", fmt.Errorf("asr: %s decoding: %w", st.e.Name(), err)
 	}
 	return text, nil
 }
 
-// decodeFinal is decodeFrames over the whole clip.
-func (es *EnsembleStream) decodeFinal(labels []int, m *dsp.MFCC, dec *Decoder, id EngineID) (string, error) {
-	return es.decodeFrames(labels, 0, m, dec, 0, len(es.samples), id)
+// --- MLP, Weak -------------------------------------------------------
+
+// lazyLabels is the state of a frame classifier that reads context
+// frames either side: known holds the label of every frame whose context
+// is complete, -1 until it is first needed.
+type lazyLabels struct {
+	context int
+	label   func(feats [][]float64, t int) (int, error)
+	known   []int
 }
 
-// --- MLP -------------------------------------------------------------
+func (s *lazyLabels) reset() { s.known = s.known[:0] }
 
-type mlpStream struct {
-	e       *MLPEngine
-	feed    *EnsembleStream
-	front   *streamFront
-	labels  []int // committed labels
-	stacked []float64
-	scratch *nn.MLPScratch
-}
-
-func (s *mlpStream) advance(final bool) error {
-	n := len(s.front.feats)
-	for t := len(s.labels); t < n; t++ {
-		if !final && t+s.e.Context >= n {
-			break
-		}
-		dsp.StackFrame(s.front.feats, t, s.e.Context, s.stacked)
-		logits, err := s.e.Net.ForwardScratch(s.stacked, s.scratch)
-		if err != nil {
-			return fmt.Errorf("asr: %s frame %d: %w", s.e.ID, t, err)
-		}
-		s.labels = append(s.labels, nn.Argmax(logits))
+func (s *lazyLabels) advance(feats [][]float64, final bool) error {
+	committed := len(feats)
+	if !final {
+		committed -= s.context
+	}
+	for len(s.known) < committed {
+		s.known = append(s.known, -1)
 	}
 	return nil
 }
 
-// labelsRange returns labels for frames [from,to): committed ones as-is,
-// the tail recomputed provisionally with the current right-edge clamp.
-func (s *mlpStream) labelsRange(from, to int) ([]int, error) {
-	out := make([]int, 0, to-from)
-	c := len(s.labels)
-	for t := from; t < to && t < c; t++ {
-		out = append(out, s.labels[t])
-	}
-	for t := max(from, c); t < to; t++ {
-		dsp.StackFrame(s.front.feats, t, s.e.Context, s.stacked)
-		logits, err := s.e.Net.ForwardScratch(s.stacked, s.scratch)
-		if err != nil {
-			return nil, fmt.Errorf("asr: %s frame %d: %w", s.e.ID, t, err)
+func (s *lazyLabels) labels(ctx context.Context, dst []int, feats [][]float64, from, to int, silent []bool) ([]int, error) {
+	for t := from; t < to; t++ {
+		l := -1
+		if t < len(s.known) {
+			l = s.known[t]
 		}
-		out = append(out, nn.Argmax(logits))
+		if l < 0 && !silent[t-from] {
+			// A session that stopped reading windows labels its whole
+			// backlog in the final pass: stay cancellable through it.
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			var err error
+			if l, err = s.label(feats, t); err != nil {
+				return nil, err
+			}
+			if t < len(s.known) {
+				s.known[t] = l
+			}
+		}
+		dst = append(dst, l)
 	}
-	return out, nil
-}
-
-func (s *mlpStream) windowText(a, b int) (string, error) {
-	first, end := windowFrames(a, b, s.e.MFCC.Config().Hop, len(s.front.feats))
-	if first >= end {
-		return "", nil
-	}
-	labels, err := s.labelsRange(first, end)
-	if err != nil {
-		return "", err
-	}
-	return s.feed.decodeFrames(labels, first, s.e.MFCC, s.e.Dec, a, b, s.e.ID)
-}
-
-func (s *mlpStream) finalText() (string, error) {
-	return s.feed.decodeFinal(s.labels, s.e.MFCC, s.e.Dec, s.e.ID)
+	return dst, nil
 }
 
 // --- RNN -------------------------------------------------------------
 
 type rnnStream struct {
-	e      *RNNEngine
-	feed   *EnsembleStream
-	front  *streamFront
-	labels []int     // committed labels
-	h      []float64 // hidden state after the last committed input
+	e     *RNNEngine
+	known []int     // committed labels
+	h     []float64 // hidden state after the last committed input
 	// Working buffers: the next hidden state, the provisional tail's
 	// ping-pong pair, the logits and the MFCC‖delta input row.
 	nh, ph, pnh, y, in []float64
 }
 
-func newRNNStream(e *RNNEngine, feed *EnsembleStream, front *streamFront) *rnnStream {
+func newRNNStream(e *RNNEngine) *rnnStream {
 	vec := func(n int) []float64 { return make([]float64, n) }
 	hid := e.Net.Hidden
-	return &rnnStream{e: e, feed: feed, front: front,
+	return &rnnStream{e: e,
 		h: vec(hid), nh: vec(hid), ph: vec(hid), pnh: vec(hid), y: vec(e.Net.Out), in: vec(2 * e.MFCC.Config().NumCoeffs)}
+}
+
+func (s *rnnStream) reset() {
+	s.known = s.known[:0]
+	clear(s.h)
 }
 
 // input builds the network input for frame t, replicating the batch
 // feature construction (MFCC row plus the width-2 regression deltas with
-// edges clamped to the current frame count n). The row is reused by the
+// edges clamped to the current frame count). The row is reused by the
 // next call.
-func (s *rnnStream) input(t, n int) []float64 {
-	feats := s.front.feats
+func (s *rnnStream) input(feats [][]float64, t int) []float64 {
 	if !s.e.UseDeltas {
 		return feats[t]
 	}
-	deltaRow(feats, t, n, s.in)
+	deltaRow(feats, t, len(feats), s.in)
 	return s.in
 }
 
-func (s *rnnStream) advance(final bool) error {
-	n := len(s.front.feats)
-	for t := len(s.labels); t < n; t++ {
+func (s *rnnStream) advance(feats [][]float64, final bool) error {
+	n := len(feats)
+	for t := len(s.known); t < n; t++ {
 		// A delta input reads frames t+1 and t+2; until they exist the
 		// clamped value is provisional, so the hidden state must wait.
 		if !final && s.e.UseDeltas && t+2 >= n {
 			break
 		}
-		if err := s.e.Net.StepInto(s.input(t, n), s.h, s.nh, s.y); err != nil {
+		if err := s.e.Net.StepInto(s.input(feats, t), s.h, s.nh, s.y); err != nil {
 			return fmt.Errorf("asr: %s forward: %w", s.e.ID, err)
 		}
 		s.h, s.nh = s.nh, s.h
-		s.labels = append(s.labels, nn.Argmax(s.y))
+		s.known = append(s.known, nn.Argmax(s.y))
 	}
 	return nil
 }
 
-func (s *rnnStream) labelsRange(from, to int) ([]int, error) {
-	out := make([]int, 0, to-from)
-	c := len(s.labels)
-	for t := from; t < to && t < c; t++ {
-		out = append(out, s.labels[t])
-	}
-	if to <= c {
-		return out, nil
-	}
+func (s *rnnStream) labels(_ context.Context, dst []int, feats [][]float64, from, to int, _ []bool) ([]int, error) {
+	c := len(s.known)
+	dst = append(dst, s.known[min(from, c):min(to, c)]...)
 	// Provisional tail: run the recurrence on a copy of the hidden state
 	// from the first uncommitted input onward.
-	n := len(s.front.feats)
 	h, nh := s.ph, s.pnh
 	copy(h, s.h)
 	for t := c; t < to; t++ {
-		if err := s.e.Net.StepInto(s.input(t, n), h, nh, s.y); err != nil {
+		if err := s.e.Net.StepInto(s.input(feats, t), h, nh, s.y); err != nil {
 			return nil, fmt.Errorf("asr: %s forward: %w", s.e.ID, err)
 		}
 		h, nh = nh, h
 		if t >= from {
-			out = append(out, nn.Argmax(s.y))
+			dst = append(dst, nn.Argmax(s.y))
 		}
 	}
-	return out, nil
-}
-
-func (s *rnnStream) windowText(a, b int) (string, error) {
-	first, end := windowFrames(a, b, s.e.MFCC.Config().Hop, len(s.front.feats))
-	if first >= end {
-		return "", nil
-	}
-	labels, err := s.labelsRange(first, end)
-	if err != nil {
-		return "", err
-	}
-	return s.feed.decodeFrames(labels, first, s.e.MFCC, s.e.Dec, a, b, s.e.ID)
-}
-
-func (s *rnnStream) finalText() (string, error) {
-	return s.feed.decodeFinal(s.labels, s.e.MFCC, s.e.Dec, s.e.ID)
+	return dst, nil
 }
 
 // --- GMM -------------------------------------------------------------
 
 type gmmStream struct {
-	e     *GMMEngine
-	feed  *EnsembleStream
-	front *streamFront
-	v     *hmm.ViterbiState
+	e *GMMEngine
+	v *hmm.ViterbiState
 }
 
-func (s *gmmStream) advance(final bool) error {
-	for t := s.v.Len(); t < len(s.front.feats); t++ {
-		s.v.Step(s.front.feats[t])
+func (s *gmmStream) reset() { s.v.Reset() }
+
+func (s *gmmStream) advance(feats [][]float64, final bool) error {
+	for t := s.v.Len(); t < len(feats); t++ {
+		s.v.Step(feats[t])
 	}
 	return nil
 }
 
-func (s *gmmStream) windowText(a, b int) (string, error) {
-	first, end := windowFrames(a, b, s.e.MFCC.Config().Hop, s.v.Len())
-	if first >= end {
-		return "", nil
-	}
-	// The provisional alignment is the best path given everything heard
-	// so far, backtraced on demand as far back as the window reaches.
-	path, _, err := s.v.PathFrom(first)
+// labels is the best path given everything heard so far, backtraced on
+// demand as far back as the range reaches.
+func (s *gmmStream) labels(_ context.Context, dst []int, _ [][]float64, from, to int, _ []bool) ([]int, error) {
+	path, _, err := s.v.PathFrom(from)
 	if err != nil {
-		return "", fmt.Errorf("asr: %s Viterbi: %w", s.e.ID, err)
+		return nil, fmt.Errorf("asr: %s Viterbi: %w", s.e.ID, err)
 	}
-	return s.feed.decodeFrames(path[:end-first], first, s.e.MFCC, s.e.Dec, a, b, s.e.ID)
-}
-
-func (s *gmmStream) finalText() (string, error) {
-	path, _, err := s.v.Path()
-	if err != nil {
-		return "", fmt.Errorf("asr: %s Viterbi: %w", s.e.ID, err)
-	}
-	return s.feed.decodeFinal(path, s.e.MFCC, s.e.Dec, s.e.ID)
-}
-
-// --- Weak ------------------------------------------------------------
-
-type weakStream struct {
-	e      *WeakEngine
-	feed   *EnsembleStream
-	front  *streamFront
-	labels []int
-}
-
-func (s *weakStream) advance(final bool) error {
-	e := s.e
-	q := make([]float64, e.MFCC.Config().NumCoeffs)
-	for t := len(s.labels); t < len(s.front.feats); t++ {
-		f := s.front.feats[t]
-		q = q[:len(f)]
-		for i, v := range f {
-			if e.Quant > 0 {
-				q[i] = math.Round(v/e.Quant) * e.Quant
-			} else {
-				q[i] = v
-			}
-		}
-		best, bestDist := -1, math.Inf(1)
-		for ph, c := range e.Centroids {
-			if c == nil {
-				continue
-			}
-			var dist float64
-			for i := range q {
-				d := q[i] - c[i]
-				dist += d * d
-			}
-			if dist < bestDist {
-				best, bestDist = ph, dist
-			}
-		}
-		if best < 0 {
-			return fmt.Errorf("asr: %s has no trained centroids", e.ID)
-		}
-		s.labels = append(s.labels, best)
-	}
-	return nil
-}
-
-func (s *weakStream) windowText(a, b int) (string, error) {
-	first, end := windowFrames(a, b, s.e.MFCC.Config().Hop, len(s.labels))
-	if first >= end {
-		return "", nil
-	}
-	return s.feed.decodeFrames(s.labels[first:end], first, s.e.MFCC, s.e.Dec, a, b, s.e.ID)
-}
-
-func (s *weakStream) finalText() (string, error) {
-	return s.feed.decodeFinal(s.labels, s.e.MFCC, s.e.Dec, s.e.ID)
-}
-
-// --- batch fallback --------------------------------------------------
-
-// batchStream wraps engines without an incremental form (CTC, external
-// implementations): windows are transcribed as standalone clips and the
-// final pass re-transcribes the accumulated signal, which by construction
-// matches the batch path.
-type batchStream struct {
-	e    Recognizer
-	feed *EnsembleStream
-}
-
-func (s *batchStream) advance(final bool) error { return nil }
-
-func (s *batchStream) windowText(a, b int) (string, error) {
-	clip := &audio.Clip{SampleRate: s.feed.rate, Samples: s.feed.samples[a:b]}
-	return s.e.Transcribe(clip)
-}
-
-func (s *batchStream) finalText() (string, error) {
-	clip := &audio.Clip{SampleRate: s.feed.rate, Samples: s.feed.samples}
-	return s.e.Transcribe(clip)
+	return append(dst, path[:to-from]...), nil
 }

@@ -1,6 +1,7 @@
 package asr
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -78,7 +79,7 @@ func TestEnsembleStreamFinalParity(t *testing.T) {
 			t.Fatalf("%s: Finalize: %v", schedName, err)
 		}
 		for i, e := range engines {
-			got, err := es.FinalText(i)
+			got, err := es.FinalText(context.Background(), i)
 			if err != nil {
 				t.Fatalf("%s/%s: FinalText: %v", schedName, e.Name(), err)
 			}
@@ -159,7 +160,7 @@ func TestEnsembleStreamValidation(t *testing.T) {
 	if err := es.Push(clip.Samples); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := es.FinalText(0); err == nil {
+	if _, err := es.FinalText(context.Background(), 0); err == nil {
 		t.Fatal("FinalText before Finalize should error")
 	}
 	if _, err := es.WindowText(0, 50, 200); err == nil {

@@ -31,19 +31,22 @@ var (
 // Name implements Recognizer.
 func (e *WeakEngine) Name() string { return string(e.ID) }
 
-// FrameLabels implements FrameLabeler.
+// FrameLabels implements FrameLabeler: every frame labelled (no energy
+// gate).
 func (e *WeakEngine) FrameLabels(clip *audio.Clip) ([]int, error) {
-	return e.frameLabels(clip, nil)
-}
-
-func (e *WeakEngine) frameLabels(clip *audio.Clip, cache *FeatureCache) ([]int, error) {
-	feats, err := clipFeatures(clip, e.SampleRate, e.MFCC, cache, e.ID)
+	feats, err := clipFeatures(clip, e.SampleRate, e.MFCC, nil, e.ID)
 	if err != nil {
 		return nil, err
 	}
-	labels := make([]int, len(feats))
+	return labelFrames(feats, nil, e.frameLabeler())
+}
+
+// frameLabeler returns the engine's per-frame classifier — the phoneme
+// whose centroid is nearest the quantized frame — with its own buffer.
+func (e *WeakEngine) frameLabeler() func(feats [][]float64, t int) (int, error) {
 	q := make([]float64, e.MFCC.Config().NumCoeffs)
-	for t, f := range feats {
+	return func(feats [][]float64, t int) (int, error) {
+		f := feats[t]
 		q = q[:len(f)]
 		for i, v := range f {
 			if e.Quant > 0 {
@@ -67,11 +70,10 @@ func (e *WeakEngine) frameLabels(clip *audio.Clip, cache *FeatureCache) ([]int, 
 			}
 		}
 		if best < 0 {
-			return nil, fmt.Errorf("asr: %s has no trained centroids", e.ID)
+			return 0, fmt.Errorf("asr: %s has no trained centroids", e.ID)
 		}
-		labels[t] = best
+		return best, nil
 	}
-	return labels, nil
 }
 
 // Transcribe implements Recognizer.
@@ -81,9 +83,13 @@ func (e *WeakEngine) Transcribe(clip *audio.Clip) (string, error) {
 
 // TranscribeWithCache implements CacheTranscriber.
 func (e *WeakEngine) TranscribeWithCache(clip *audio.Clip, cache *FeatureCache) (string, error) {
-	labels, err := e.frameLabels(clip, cache)
+	feats, err := clipFeatures(clip, e.SampleRate, e.MFCC, cache, e.ID)
 	if err != nil {
 		return "", err
 	}
-	return transcribeLabels(labels, clip, e.MFCC, e.Dec, cache, e.ID)
+	labels, err := labelFrames(feats, clipSilence(clip, len(feats), e.MFCC, cache), e.frameLabeler())
+	if err != nil {
+		return "", err
+	}
+	return decodeLabels(labels, e.Dec, cache, e.ID)
 }

@@ -72,25 +72,55 @@ func (fe *FrontEnd) Extract(x []float64) ([][][]float64, error) {
 			pres[g.pre] = preEmphasized(x, fe.pres[g.pre], scratch[g.members[0]])
 		}
 		nf := NumFrames(len(x), g.lead.cfg.FrameLen, g.lead.cfg.Hop)
-		fe.emit(g, pres[g.pre], 0, 0, nf, scratch, out)
+		fe.emit(g, pres[g.pre], 0, 0, nf, scratch, out, nil)
 	}
 	return out, nil
 }
 
-// emit computes frames [first, first+n) of spectrum group g and stores
-// each member's n rows (one backing array per member) in out. pre is the
-// group's pre-emphasized signal from absolute sample base onward; a frame
-// that reaches past its end is zero-padded. It is the whole per-frame
-// path of batch extraction, streaming pushes and the stream's flush.
-func (fe *FrontEnd) emit(g *specGroup, pre []float64, base, first, n int, scratch []*mfccScratch, out [][][]float64) {
-	for _, i := range g.members {
-		nc := fe.ms[i].cfg.NumCoeffs
-		rows := make([]float64, n*nc)
-		feats := make([][]float64, n)
-		for f := range feats {
-			feats[f] = rows[f*nc : (f+1)*nc : (f+1)*nc]
+// rowStore is the memory a stream's rows are cut from: fixed-size chunks
+// filled in order and kept across Reset, so a stream that is reused for
+// one signal after another stops allocating rows.
+type rowStore struct {
+	chunks   [][]float64
+	cur, off int
+}
+
+// rowChunk is the floats per chunk: about a second of the roster's rows.
+const rowChunk = 4096
+
+// rows appends n rows of nc floats to dst: from r's chunks, or, when r is
+// nil (a batch extraction), from one fresh array.
+func (r *rowStore) rows(dst [][]float64, n, nc int) [][]float64 {
+	if r == nil {
+		flat := make([]float64, n*nc)
+		dst = make([][]float64, 0, n)
+		for f := 0; f < n; f++ {
+			dst = append(dst, flat[f*nc:(f+1)*nc:(f+1)*nc])
 		}
-		out[i] = feats
+		return dst
+	}
+	for f := 0; f < n; f++ {
+		for r.cur < len(r.chunks) && r.off+nc > len(r.chunks[r.cur]) {
+			r.cur, r.off = r.cur+1, 0
+		}
+		if r.cur == len(r.chunks) {
+			r.chunks = append(r.chunks, make([]float64, max(rowChunk, nc)))
+		}
+		dst = append(dst, r.chunks[r.cur][r.off:r.off+nc:r.off+nc])
+		r.off += nc
+	}
+	return dst
+}
+
+// emit computes frames [first, first+n) of spectrum group g and stores
+// each member's n rows in out, cut from store (one fresh backing array
+// per member when it is nil). pre is the group's pre-emphasized signal
+// from absolute sample base onward; a frame that reaches past its end is
+// zero-padded. It is the whole per-frame path of batch extraction,
+// streaming pushes and the stream's flush.
+func (fe *FrontEnd) emit(g *specGroup, pre []float64, base, first, n int, scratch []*mfccScratch, out [][][]float64, store *rowStore) {
+	for _, i := range g.members {
+		out[i] = store.rows(out[i][:0], n, fe.ms[i].cfg.NumCoeffs)
 	}
 	lead, ls := g.lead, scratch[g.members[0]]
 	for f := 0; f < n; f++ {

@@ -29,11 +29,12 @@ type FrontEndStream struct {
 	lastRaw float64 // raw x[total-1], the pre-emphasis carry across chunks
 	flushed bool
 
-	// Dedicated scratch and result slots: the streaming path is
-	// single-owner, so it keeps its working set instead of round-tripping
-	// the extractors' pools.
+	// Dedicated scratch, result slots and row memory: the streaming path
+	// is single-owner, so it keeps its working set instead of
+	// round-tripping the extractors' pools.
 	scratch []*mfccScratch
 	out     [][][]float64
+	store   rowStore
 }
 
 // Stream returns a fresh streaming front end over fe's extractors.
@@ -53,11 +54,13 @@ func (fe *FrontEnd) Stream() *FrontEndStream {
 }
 
 // Reset returns the stream to its initial state so a new signal can be
-// fed without reallocating the working set.
+// fed without reallocating the working set. The rows of the previous
+// signal are overwritten by the next one's.
 func (s *FrontEndStream) Reset() {
 	for p := range s.pre {
 		s.pre[p] = s.pre[p][:0]
 	}
+	s.store.cur, s.store.off = 0, 0
 	clear(s.base)
 	clear(s.next)
 	s.total = 0
@@ -67,14 +70,14 @@ func (s *FrontEndStream) Reset() {
 
 // Push appends a chunk of samples and returns, indexed like the front
 // end's extractors, the frames it completed: every frame whose full
-// FrameLen of signal now exists (nil for a member with none). Rows of one
-// Push share a backing array per member, as in Extract, and stay valid
-// indefinitely; the outer slice is reused by the next Push or Flush.
+// FrameLen of signal now exists (none for a member without one). The
+// rows stay valid until Reset; the slices that list them are reused by
+// the next Push or Flush.
 func (s *FrontEndStream) Push(x []float64) ([][][]float64, error) {
 	if s.flushed {
 		return nil, fmt.Errorf("dsp: Push after Flush on streaming MFCC")
 	}
-	clear(s.out)
+	s.clearOut()
 	if len(x) == 0 {
 		return s.out, nil
 	}
@@ -124,12 +127,19 @@ func (s *FrontEndStream) Flush() ([][][]float64, error) {
 		return nil, fmt.Errorf("dsp: cannot extract MFCC from empty signal")
 	}
 	s.flushed = true
-	clear(s.out)
+	s.clearOut()
 	for gi := range s.fe.groups {
 		cfg := s.fe.groups[gi].lead.cfg
 		s.emit(gi, NumFrames(s.total, cfg.FrameLen, cfg.Hop))
 	}
 	return s.out, nil
+}
+
+// clearOut empties every member's result slot, keeping its capacity.
+func (s *FrontEndStream) clearOut() {
+	for i := range s.out {
+		s.out[i] = s.out[i][:0]
+	}
 }
 
 // emit advances spectrum group gi to upTo emitted frames.
@@ -138,7 +148,7 @@ func (s *FrontEndStream) emit(gi, upTo int) {
 		return
 	}
 	g := &s.fe.groups[gi]
-	s.fe.emit(g, s.pre[g.pre], s.base[g.pre], s.next[gi], upTo-s.next[gi], s.scratch, s.out)
+	s.fe.emit(g, s.pre[g.pre], s.base[g.pre], s.next[gi], upTo-s.next[gi], s.scratch, s.out, &s.store)
 	s.next[gi] = upTo
 }
 

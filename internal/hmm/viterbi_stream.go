@@ -40,6 +40,10 @@ func (h *HMM) Stream() *ViterbiState {
 	}
 }
 
+// Reset returns the state to before its first observation; the lattice's
+// memory serves the next sequence.
+func (v *ViterbiState) Reset() { v.t = 0 }
+
 // Len returns the number of observations consumed so far.
 func (v *ViterbiState) Len() int { return v.t }
 

@@ -7,8 +7,8 @@ package lm
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 const (
@@ -72,29 +72,42 @@ func (m *Model) vocabSize() float64 {
 }
 
 // LogProb returns the add-k smoothed log probability of word following the
-// context (the last Order-1 tokens of history are used).
+// context (the last Order-1 tokens of history are used). The two table
+// keys are built in one stack buffer: rescoring calls this for every
+// candidate of every decoded segment.
 func (m *Model) LogProb(history []string, word string) float64 {
-	word = strings.ToLower(word)
-	if !m.Vocab[word] && word != EOS {
-		word = UNK
-	}
-	ctxTokens := make([]string, 0, m.Order-1)
+	var buf [96]byte
+	key := buf[:0]
 	need := m.Order - 1
-	if len(history) >= need {
-		ctxTokens = append(ctxTokens, history[len(history)-need:]...)
-	} else {
-		for i := 0; i < need-len(history); i++ {
-			ctxTokens = append(ctxTokens, BOS)
-		}
-		ctxTokens = append(ctxTokens, history...)
+	for i := len(history); i < need; i++ {
+		key = append(append(key, BOS...), ' ')
 	}
-	for i, t := range ctxTokens {
-		ctxTokens[i] = strings.ToLower(t)
+	for _, t := range history[max(0, len(history)-need):] {
+		key = append(appendLower(key, t), ' ')
 	}
-	context := strings.Join(ctxTokens, " ")
-	num := m.counts[context+"\x00"+word] + m.K
-	den := m.ctx[context] + m.K*m.vocabSize()
+	if need > 0 {
+		key = key[:len(key)-1]
+	}
+	den := m.ctx[string(key)] + m.K*m.vocabSize()
+	key = append(key, 0)
+	n := len(key)
+	key = appendLower(key, word)
+	if w := key[n:]; !m.Vocab[string(w)] && string(w) != EOS {
+		key = append(key[:n], UNK...)
+	}
+	num := m.counts[string(key)] + m.K
 	return math.Log(num / den)
+}
+
+// appendLower appends strings.ToLower(s), which is s itself unless a byte
+// of it is an upper-case letter or starts a multi-byte rune.
+func appendLower(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c >= utf8.RuneSelf || 'A' <= c && c <= 'Z' {
+			return append(dst, strings.ToLower(s)...)
+		}
+	}
+	return append(dst, s...)
 }
 
 // SentenceLogProb scores a full tokenized sentence including the EOS
@@ -175,6 +188,12 @@ func (m *Model) Rescore(history []string, cands []Candidate, lmWeight float64) [
 	for i := range out {
 		out[i].Score += lmWeight * m.LogProb(history, out[i].Word)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
+	// A stable insertion sort: the handful of candidates a lexicon scan
+	// keeps does not pay for sort.SliceStable's reflection swapper.
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && out[j].Score > out[j-1].Score; j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
 	return out
 }

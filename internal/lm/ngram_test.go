@@ -2,6 +2,8 @@ package lm
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -163,5 +165,97 @@ func TestUnigramModel(t *testing.T) {
 	// "the" is the most common token.
 	if m.LogProb(nil, "the") <= m.LogProb(nil, "cat") {
 		t.Fatal("unigram frequencies not learned")
+	}
+}
+
+// oldLogProb and oldRescore are LogProb and Rescore as they were before
+// the keys moved into a stack buffer and the sort lost its reflection
+// swapper, frozen here as the reference.
+func oldLogProb(m *Model, history []string, word string) float64 {
+	word = strings.ToLower(word)
+	if !m.Vocab[word] && word != EOS {
+		word = UNK
+	}
+	ctxTokens := make([]string, 0, m.Order-1)
+	need := m.Order - 1
+	if len(history) >= need {
+		ctxTokens = append(ctxTokens, history[len(history)-need:]...)
+	} else {
+		for i := 0; i < need-len(history); i++ {
+			ctxTokens = append(ctxTokens, BOS)
+		}
+		ctxTokens = append(ctxTokens, history...)
+	}
+	for i, t := range ctxTokens {
+		ctxTokens[i] = strings.ToLower(t)
+	}
+	context := strings.Join(ctxTokens, " ")
+	num := m.counts[context+"\x00"+word] + m.K
+	den := m.ctx[context] + m.K*m.vocabSize()
+	return math.Log(num / den)
+}
+
+func oldRescore(m *Model, history []string, cands []Candidate, lmWeight float64) []Candidate {
+	out := make([]Candidate, len(cands))
+	copy(out, cands)
+	for i := range out {
+		out[i].Score += lmWeight * oldLogProb(m, history, out[i].Word)
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
+	return out
+}
+
+// TestLogProbRescoreUnchanged compares the allocation-free LogProb and
+// the insertion-sorted Rescore with the frozen originals, with == on
+// every score and on the order, over random histories and candidate lists
+// (mixed case, non-ASCII, unknown words, boundary tokens, tied scores) at
+// every supported order.
+func TestLogProbRescoreUnchanged(t *testing.T) {
+	pool := []string{"open", "the", "door", "window", "close", "is", "cat", "i", "you",
+		"Open", "THE", "dOOr", "zebra", "Zebra", "ÉCOLE", "straße", "İstanbul", "\xffbad", "",
+		BOS, EOS, UNK, "a-very-long-token-that-does-not-fit-the-stack-buffer-" + strings.Repeat("x", 90)}
+	rng := rand.New(rand.NewSource(41))
+	pick := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = pool[rng.Intn(len(pool))]
+		}
+		return out
+	}
+	for order := 1; order <= 4; order++ {
+		m, err := New(order, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Train(trainCorpus())
+		for trial := 0; trial < 2000; trial++ {
+			history := pick(rng.Intn(6))
+			word := pool[rng.Intn(len(pool))]
+			if got, want := m.LogProb(history, word), oldLogProb(m, history, word); got != want {
+				t.Fatalf("order %d: LogProb(%q, %q) = %v, frozen original %v", order, history, word, got, want)
+			}
+			cands := make([]Candidate, rng.Intn(7))
+			for i, w := range pick(len(cands)) {
+				// A few distinct scores, so ties are common and the
+				// stable order is what is compared.
+				cands[i] = Candidate{Word: w, Score: -float64(rng.Intn(3))}
+			}
+			weight := []float64{0, 0.3, 1}[rng.Intn(3)]
+			got, want := m.Rescore(history, cands, weight), oldRescore(m, history, cands, weight)
+			if len(got) != len(want) {
+				t.Fatalf("order %d: Rescore returned %d candidates, frozen original %d", order, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("order %d: Rescore(%q, %v)[%d] = %+v, frozen original %+v", order, history, cands, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	m, _ := New(2, 0.05)
+	m.Train(trainCorpus())
+	history := []string{"open", "the"}
+	if n := testing.AllocsPerRun(100, func() { m.LogProb(history, "door") }); n != 0 {
+		t.Fatalf("LogProb allocates %v times per call on lower-case input, want 0", n)
 	}
 }

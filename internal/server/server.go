@@ -464,7 +464,7 @@ func New(cfg Config) (*Server, error) {
 	s.streamEarlyExits = s.metrics.Counter(
 		"mvpears_stream_early_exits_total", "Streaming sessions flagged adversarial before end-of-stream.")
 	s.streamWindowSeconds = s.metrics.Histogram(
-		"mvpears_stream_window_seconds", "Per-window evaluation wall time (re-transcription through the ensemble).",
+		"mvpears_stream_window_seconds", "Per-window evaluation wall time: gate, the feedforward engines' first forward of each ungated frame the window covers (not paid when the audio arrived), decode, scoring.",
 		DefaultLatencyBuckets)
 	s.metrics.GaugeFunc(
 		"mvpears_stream_sessions_open", "Streaming sessions currently open.",

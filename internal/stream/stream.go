@@ -27,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -141,6 +142,12 @@ type Manager struct {
 	sessions map[uint64]*Session
 	nextID   uint64
 	closed   bool
+	// free holds the emptied streams of closed sessions (asr's
+	// EnsembleStream.Reset: buffers, no content) for the next Open, at
+	// most MaxSessions of them; spare is the fewest it held since the
+	// janitor last looked, which is how many nobody needed.
+	free  []*asr.EnsembleStream
+	spare int
 
 	stopJanitor chan struct{}
 	janitorDone chan struct{}
@@ -187,14 +194,18 @@ func (m *Manager) Open() (*Session, error) {
 		m.hook(m.cfg.Hooks.SessionRejected)
 		return nil, ErrTooManySessions
 	}
-	d := m.cfg.Detector
-	engines := make([]asr.Recognizer, 0, 1+len(d.Auxiliaries))
-	engines = append(engines, d.Target)
-	engines = append(engines, d.Auxiliaries...)
-	es, err := asr.NewEnsembleStream(engines, m.cfg.SampleRate)
-	if err != nil {
-		m.mu.Unlock()
-		return nil, err
+	var es *asr.EnsembleStream
+	if n := len(m.free) - 1; n >= 0 {
+		es, m.free = m.free[n], m.free[:n]
+		m.spare = min(m.spare, n)
+	} else {
+		d := m.cfg.Detector
+		var err error
+		es, err = asr.NewEnsembleStream(append([]asr.Recognizer{d.Target}, d.Auxiliaries...), m.cfg.SampleRate)
+		if err != nil {
+			m.mu.Unlock()
+			return nil, err
+		}
 	}
 	m.nextID++
 	s := &Session{
@@ -219,6 +230,7 @@ func (m *Manager) Close() {
 		return
 	}
 	m.closed = true
+	m.free = nil
 	open := make([]*Session, 0, len(m.sessions))
 	for _, s := range m.sessions {
 		open = append(open, s)
@@ -227,7 +239,7 @@ func (m *Manager) Close() {
 	close(m.stopJanitor)
 	<-m.janitorDone
 	for _, s := range open {
-		s.Close()
+		s.close(false, false)
 	}
 }
 
@@ -248,8 +260,20 @@ func (m *Manager) remove(s *Session, evicted bool) {
 	}
 }
 
+// recycle takes back the stream of a session that is done with it.
+func (m *Manager) recycle(es *asr.EnsembleStream) {
+	es.Reset()
+	m.mu.Lock()
+	if !m.closed && len(m.free) < m.cfg.MaxSessions {
+		m.free = append(m.free, es)
+	}
+	m.mu.Unlock()
+}
+
 // janitor evicts idle sessions — a streaming client that stalls without
-// closing must not pin a session-table slot (and its buffered audio).
+// closing must not pin a session-table slot (and its buffered audio) —
+// and lets go of the free streams nobody took since its last pass, so
+// what a burst of sessions leaves behind does not outlive it for long.
 func (m *Manager) janitor() {
 	defer close(m.janitorDone)
 	period := m.cfg.IdleTimeout / 4
@@ -265,6 +289,8 @@ func (m *Manager) janitor() {
 		case <-t.C:
 			cutoff := time.Now().Add(-m.cfg.IdleTimeout)
 			m.mu.Lock()
+			m.free = slices.Delete(m.free, 0, m.spare)
+			m.spare = len(m.free)
 			var idle []*Session
 			for _, s := range m.sessions {
 				s.mu.Lock()
@@ -275,7 +301,7 @@ func (m *Manager) janitor() {
 			}
 			m.mu.Unlock()
 			for _, s := range idle {
-				s.close(true)
+				s.close(false, true)
 			}
 		}
 	}
@@ -299,6 +325,9 @@ type Window struct {
 	EarlyExit bool
 	// Elapsed is the processing cost of this window (the latency budget:
 	// it must stay under Hop/SampleRate seconds for real-time operation).
+	// It includes the feedforward engines' first forward of every frame
+	// the window is the first to read ungated; Push pays only for the
+	// front end and the engines whose state crosses frames.
 	Elapsed time.Duration
 }
 
@@ -321,7 +350,9 @@ type Final struct {
 	Timing   detector.Timing
 	// Windows is how many provisional verdicts were emitted; Duration
 	// the audio length; Samples the accumulated clip (for the verdict
-	// cache probe — callers must not mutate it).
+	// cache probe — callers must not mutate it). Samples is the session's
+	// own buffer: valid until Session.Close, which hands it to the next
+	// session.
 	Windows   int
 	Duration  time.Duration
 	Samples   []float64
@@ -334,8 +365,11 @@ type Session struct {
 	m  *Manager
 	id uint64
 
-	mu         sync.Mutex
+	mu sync.Mutex
+	// es is the session's stream until Close (or eviction) returns it to
+	// the manager; total survives it.
 	es         *asr.EnsembleStream
+	total      int
 	lastActive time.Time
 	closed     bool
 	finalized  bool
@@ -352,7 +386,7 @@ func (s *Session) ID() uint64 { return s.id }
 func (s *Session) Total() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.es.Total()
+	return s.total
 }
 
 // Flagged reports whether the early-exit path has fired.
@@ -387,14 +421,15 @@ func (s *Session) Push(ctx context.Context, samples []float64) ([]Window, error)
 		return nil, fmt.Errorf("stream: Push after Finish")
 	}
 	s.lastActive = time.Now()
-	if s.es.Total()+len(samples) > s.m.maxSamples {
+	if s.total+len(samples) > s.m.maxSamples {
 		return nil, fmt.Errorf("%w (%v)", ErrTooLong, s.m.cfg.MaxDuration)
 	}
 	if err := s.es.Push(samples); err != nil {
 		return nil, err
 	}
+	s.total += len(samples)
 	var out []Window
-	for s.nextWindow <= s.es.Total() {
+	for s.nextWindow <= s.total {
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
@@ -415,28 +450,18 @@ func (s *Session) Push(ctx context.Context, samples []float64) ([]Window, error)
 	return out, nil
 }
 
-// evalWindow runs the ensemble over the window ending at sample pos and
-// classifies the similarity vector. Caller holds s.mu.
-func (s *Session) evalWindow(ctx context.Context, pos int) (Window, error) {
-	cfg := &s.m.cfg
-	d := cfg.Detector
-	trace := obs.TraceFrom(ctx)
-	a := pos - cfg.Window
-	if a < 0 {
-		a = 0
-	}
-	started := time.Now()
-
-	n := len(d.Auxiliaries)
-	texts := make([]string, n+1)
+// transcribe collects every engine's text (target first) from text,
+// with a span per engine and one over all of them.
+func (s *Session) transcribe(trace *obs.Trace, text func(i int) (string, error)) ([]string, error) {
+	d := s.m.cfg.Detector
+	texts := make([]string, 1+len(d.Auxiliaries))
 	start := time.Now()
 	for i := range texts {
 		engStart := time.Now()
-		text, err := s.es.WindowText(i, a, pos)
-		if err != nil {
-			return Window{}, fmt.Errorf("stream: window [%d,%d): %w", a, pos, err)
+		var err error
+		if texts[i], err = text(i); err != nil {
+			return nil, err
 		}
-		texts[i] = text
 		name := d.Target.Name()
 		if i > 0 {
 			name = d.Auxiliaries[i-1].Name()
@@ -444,27 +469,52 @@ func (s *Session) evalWindow(ctx context.Context, pos int) (Window, error) {
 		trace.Record(obs.StageTranscribe, name, engStart)
 	}
 	trace.Record(obs.StageTranscribe, "", start)
+	return texts, nil
+}
 
+// score is what detector.Detect does after recognition: phonetic
+// encoding, one similarity score per auxiliary, classification.
+func (s *Session) score(trace *obs.Trace, texts []string, timing *detector.Timing) (scores []float64, adversarial bool, err error) {
+	d := s.m.cfg.Detector
 	simStart := time.Now()
-	encTarget := d.Method.Encode(texts[0])
-	encAux := make([]string, n)
-	for i := 0; i < n; i++ {
-		encAux[i] = d.Method.Encode(texts[i+1])
+	enc := make([]string, len(texts))
+	for i, text := range texts {
+		enc[i] = d.Method.Encode(text)
 	}
 	trace.Record(obs.StagePhonetic, "", simStart)
 	scoreStart := time.Now()
-	scores := make([]float64, n)
-	for i, enc := range encAux {
-		scores[i] = d.Method.Score(encTarget, enc)
+	scores = make([]float64, len(d.Auxiliaries))
+	for i := range scores {
+		scores[i] = d.Method.Score(enc[0], enc[i+1])
 	}
 	trace.Record(obs.StageSimilarity, "", scoreStart)
+	timing.Similarity = time.Since(simStart)
 
 	clsStart := time.Now()
 	pred, err := d.Classifier.Predict(scores)
 	if err != nil {
-		return Window{}, fmt.Errorf("stream: window classification: %w", err)
+		return nil, false, fmt.Errorf("stream: classifying: %w", err)
 	}
 	trace.Record(obs.StageClassify, "", clsStart)
+	timing.Classify = time.Since(clsStart)
+	return scores, pred == 1, nil
+}
+
+// evalWindow runs the ensemble over the window ending at sample pos and
+// classifies the similarity vector. Caller holds s.mu.
+func (s *Session) evalWindow(ctx context.Context, pos int) (Window, error) {
+	cfg := &s.m.cfg
+	trace := obs.TraceFrom(ctx)
+	a := max(0, pos-cfg.Window)
+	started := time.Now()
+	texts, err := s.transcribe(trace, func(i int) (string, error) { return s.es.WindowText(i, a, pos) })
+	if err != nil {
+		return Window{}, fmt.Errorf("stream: window [%d,%d): %w", a, pos, err)
+	}
+	scores, adversarial, err := s.score(trace, texts, new(detector.Timing))
+	if err != nil {
+		return Window{}, err
+	}
 
 	w := Window{
 		Index:       s.windows,
@@ -473,7 +523,7 @@ func (s *Session) evalWindow(ctx context.Context, pos int) (Window, error) {
 		Target:      texts[0],
 		Aux:         texts[1:],
 		Scores:      scores,
-		Adversarial: pred == 1,
+		Adversarial: adversarial,
 		Elapsed:     time.Since(started),
 	}
 	s.windows++
@@ -486,7 +536,7 @@ func (s *Session) evalWindow(ctx context.Context, pos int) (Window, error) {
 	// window can dip under its floor while the ensemble still agrees.
 	// One window can be a boundary artifact either way; MinWindows
 	// consecutive ones flag the session.
-	if len(cfg.Floors) > 0 && pred == 1 && texts[0] != "" {
+	if len(cfg.Floors) > 0 && adversarial && texts[0] != "" {
 		worst, worstGap := -1, 0.0
 		for i, f := range cfg.Floors {
 			if gap := f - scores[i]; scores[i] < f && gap > worstGap {
@@ -498,7 +548,7 @@ func (s *Session) evalWindow(ctx context.Context, pos int) (Window, error) {
 			if s.offending >= cfg.MinWindows {
 				s.earlyExit = &EarlyExit{
 					Window:    w.Index,
-					Engine:    d.Auxiliaries[worst].Name(),
+					Engine:    cfg.Detector.Auxiliaries[worst].Name(),
 					Score:     scores[worst],
 					Floor:     cfg.Floors[worst],
 					AudioTime: sampleDuration(pos, cfg.SampleRate),
@@ -519,8 +569,17 @@ func (s *Session) evalWindow(ctx context.Context, pos int) (Window, error) {
 // Finish seals the stream and produces the final whole-clip verdict —
 // the same transcribe → phonetic-encode → score → classify sequence as
 // detector.Detect on the complete clip, from the incrementally built
-// state. The session leaves the table afterwards.
+// state. The session leaves the table; its buffers (Final.Samples among
+// them) stay its own until Close.
 func (s *Session) Finish(ctx context.Context) (*Final, error) {
+	fin, err := s.finish(ctx)
+	if err == nil {
+		s.m.remove(s, false)
+	}
+	return fin, err
+}
+
+func (s *Session) finish(ctx context.Context) (*Final, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -530,86 +589,60 @@ func (s *Session) Finish(ctx context.Context) (*Final, error) {
 		return nil, fmt.Errorf("stream: Finish called twice")
 	}
 	s.lastActive = time.Now()
-	d := s.m.cfg.Detector
 	trace := obs.TraceFrom(ctx)
 	var timing detector.Timing
 
 	if err := s.es.Finalize(); err != nil {
 		return nil, err
 	}
-	n := len(d.Auxiliaries)
-	texts := make([]string, n+1)
 	start := time.Now()
-	for i := range texts {
-		engStart := time.Now()
-		text, err := s.es.FinalText(i)
-		if err != nil {
-			return nil, fmt.Errorf("stream: final transcription: %w", err)
-		}
-		texts[i] = text
-		name := d.Target.Name()
-		if i > 0 {
-			name = d.Auxiliaries[i-1].Name()
-		}
-		trace.Record(obs.StageTranscribe, name, engStart)
-	}
-	trace.Record(obs.StageTranscribe, "", start)
-	timing.Recognition = time.Since(start)
-
-	simStart := time.Now()
-	encTarget := d.Method.Encode(texts[0])
-	encAux := make([]string, n)
-	for i := 0; i < n; i++ {
-		encAux[i] = d.Method.Encode(texts[i+1])
-	}
-	trace.Record(obs.StagePhonetic, "", simStart)
-	scoreStart := time.Now()
-	scores := make([]float64, n)
-	for i, enc := range encAux {
-		scores[i] = d.Method.Score(encTarget, enc)
-	}
-	trace.Record(obs.StageSimilarity, "", scoreStart)
-	timing.Similarity = time.Since(simStart)
-
-	clsStart := time.Now()
-	pred, err := d.Classifier.Predict(scores)
+	texts, err := s.transcribe(trace, func(i int) (string, error) { return s.es.FinalText(ctx, i) })
 	if err != nil {
-		return nil, fmt.Errorf("stream: classifying: %w", err)
+		return nil, fmt.Errorf("stream: final transcription: %w", err)
 	}
-	trace.Record(obs.StageClassify, "", clsStart)
-	timing.Classify = time.Since(clsStart)
-
-	s.finalized = true
-	fin := &Final{
+	timing.Recognition = time.Since(start)
+	scores, adversarial, err := s.score(trace, texts, &timing)
+	if err != nil {
+		return nil, err
+	}
+	s.finalized, s.closed = true, true
+	return &Final{
 		Decision: detector.Decision{
-			Adversarial:    pred == 1,
+			Adversarial:    adversarial,
 			Scores:         scores,
 			Transcriptions: detector.Transcriptions{Target: texts[0], Aux: texts[1:]},
 		},
 		Timing:    timing,
 		Windows:   s.windows,
-		Duration:  sampleDuration(s.es.Total(), s.m.cfg.SampleRate),
+		Duration:  sampleDuration(s.total, s.m.cfg.SampleRate),
 		Samples:   s.es.Samples(),
 		EarlyExit: s.earlyExit,
-	}
-	s.closed = true
-	go s.m.remove(s, false)
-	return fin, nil
+	}, nil
 }
 
-// Close abandons the session without a final verdict (client went away).
+// Close ends the session — abandoning it without a final verdict when the
+// client went away before Finish — and returns its buffers to the manager.
 // Idempotent.
-func (s *Session) Close() { s.close(false) }
+func (s *Session) Close() { s.close(true, false) }
 
-func (s *Session) close(evicted bool) {
+// close is Close for the owner, and the manager's eviction or shutdown
+// otherwise. The manager leaves alone a session its owner has finished or
+// closed: what Finish returned stays valid until the owner's Close.
+func (s *Session) close(byOwner, evicted bool) {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed && !byOwner {
 		s.mu.Unlock()
 		return
 	}
-	s.closed = true
+	es, open := s.es, !s.closed
+	s.es, s.closed = nil, true
 	s.mu.Unlock()
-	s.m.remove(s, evicted)
+	if open {
+		s.m.remove(s, evicted)
+	}
+	if es != nil {
+		s.m.recycle(es)
+	}
 }
 
 func sampleDuration(n, rate int) time.Duration {
