@@ -12,7 +12,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -20,24 +19,17 @@ import (
 	"os"
 	"strings"
 
-	"mvpears"
+	"mvpears/internal/obs/drift"
 	"mvpears/internal/server"
 )
 
 // docBackend satisfies server.Backend just far enough for server.New to
-// register every metric family. It never serves a request.
-type docBackend struct{}
+// register every metric family: it answers the two calls New makes and
+// never serves a request (the embedded nil Backend would panic if asked).
+type docBackend struct{ server.Backend }
 
-func (docBackend) DetectCtx(context.Context, *mvpears.Clip) (*mvpears.Detection, error) {
-	return nil, fmt.Errorf("genmetrics backend does not detect")
-}
-
-func (docBackend) DetectBatchCtx(context.Context, []*mvpears.Clip) ([]*mvpears.Detection, error) {
-	return nil, fmt.Errorf("genmetrics backend does not detect")
-}
-
-func (docBackend) SampleRate() int          { return 16000 }
-func (docBackend) AuxiliaryNames() []string { return []string{"DS1", "GCS"} }
+func (docBackend) AuxiliaryNames() []string         { return []string{"DS1", "GCS"} }
+func (docBackend) DriftReference() *drift.Reference { return nil }
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {

@@ -2,20 +2,11 @@
 //
 // Usage:
 //
-//	mvpearsd -model model.gob [-addr 127.0.0.1:8080] [-workers N] [-queue N]
-//	         [-max-upload 16777216] [-timeout 30s] [-drain 30s] [-bootstrap]
-//	         [-cache-entries 4096] [-cache-bytes 67108864] [-cache-off]
-//	         [-admin-addr 127.0.0.1:8081] [-log-sample 1.0] [-slow 1s]
-//	         [-access-log] [-audit audit.jsonl]
-//	         [-audit-rotate-bytes 67108864] [-audit-retain-bytes 268435456]
-//	         [-drift-threshold 0.25] [-drift-window 512]
-//	         [-slo-latency-target 0.99] [-slo-availability-target 0.999]
-//	         [-slo-quality-target 0.99]
-//	         [-cascade-margin -1] [-cascade-sample 16] [-quantized]
-//	         [-stream] [-stream-window 1s] [-stream-hop 250ms]
-//	         [-stream-max-sessions 64] [-stream-idle-timeout 30s]
-//	         [-cluster-addr 127.0.0.1:9090] [-peers host:9090,host2:9090]
-//	         [-hedge-after 0] [-reload]
+//	mvpearsd -model model.gob [flags]
+//
+// `mvpearsd -help` lists every flag with its default. A combination of
+// flags that cannot work together fails at boot, before the model is
+// opened, with one message naming every offending flag.
 //
 // The daemon boots from a persisted model artifact (written by
 // `mvpears detect -model` or by -bootstrap) — it never retrains at
@@ -34,64 +25,39 @@
 // With -admin-addr a second, operator-only listener serves /debug/pprof/,
 // /infoz (build + model identity), /statusz (a plain-text operator page:
 // build and model identity, SLO burn rates, drift verdicts, probe
-// suspicion), /metrics and /healthz — profiling never shares the public
-// serving port.
+// suspicion), /metrics, /healthz and POST /reloadz — profiling never
+// shares the public serving port.
 //
-// Every response carries an X-Request-ID header (propagated from the
-// request when present); with -access-log each request is logged as one
-// JSON line (sampled by -log-sample; requests slower than -slow always
-// log, with full span detail). -audit appends every adversarial verdict
-// and every drift episode to a JSONL file, rotated into gzipped segments
-// at -audit-rotate-bytes and pruned oldest-first past -audit-retain-bytes
-// (drops are counted in mvpears_audit_dropped_total, never blocking
-// serving).
+// Every response carries an X-Request-ID header; with -access-log each
+// request is logged as one JSON line (sampled by -log-sample; requests
+// slower than -slow and 5xx responses always log). -audit appends every
+// adversarial verdict and every drift episode to a rotated JSONL file.
+// Live per-engine score distributions are compared against the
+// calibration reference shipped inside the model artifact
+// (mvpears_drift_score), and three built-in SLOs are tracked as
+// multi-window burn rates (mvpears_slo_burn_rate).
 //
-// The daemon continuously compares its live per-engine score
-// distributions against the calibration-time reference shipped inside
-// the model artifact (total-variation distance over fixed histogram
-// sketches, exported as mvpears_drift_score); a family past
-// -drift-threshold emits a structured drift audit event and marks
-// verdicts as degraded for the quality SLO. Three built-in SLOs
-// (detect latency, availability, verdict quality) are tracked with
-// fast/slow multi-window burn rates (mvpears_slo_burn_rate) and an
-// alerting bit that only trips when both windows burn hot.
+// -cascade-margin attaches the cascaded engine scheduler to the miss
+// path: it leads with the auxiliary that minimises expected work (the
+// same leader on every boot and replica of one artifact) and answers
+// confidently benign clips from a partial similarity vector, without
+// changing the model fingerprint. -quantized is accepted and ignored:
+// int8 inference lost to the float64 blocked kernels and was removed.
 //
-// The cache-miss path can be accelerated without retraining or changing
-// the persisted model: -cascade-margin attaches the cascaded engine
-// scheduler, which leads with the auxiliary that minimises expected work
-// over the benign training features (a deterministic choice: no clock,
-// the same leader on every boot and replica of one artifact) and answers
-// confidently benign clips from a partial similarity vector (0
-// auto-calibrates the no-flip margins from the training features;
-// negative keeps the cascade off). -cascade-sample N still runs the full
-// ensemble on every Nth cascaded request for distribution monitoring.
-// The cascade does not change the model fingerprint, so verdict-cache
-// keys are shared with uncascaded daemons of the same model. -quantized
-// is accepted and ignored: int8 inference lost to the float64 blocked
-// kernels and was removed.
-//
-// With -cluster-addr and -peers, N replicas share the content-addressed
-// verdict cache: consistent hashing on the cache key decides which
-// replica owns each clip, local misses forward to the owner (remote hits
-// cost a fraction of a detection, and fleet-wide duplicate storms
-// collapse to one detection at the owner), and slow self-owned misses
-// hedge a duplicate dispatch to an idle peer. Any peer failure degrades
-// to local detection — a request is never failed because a peer is down.
-//
-// With -reload (default on), SIGHUP — or POST /reloadz on the admin
-// listener — re-opens the -model artifact and swaps it in with zero
-// downtime: in-flight requests finish on the old model, /readyz answers
-// 503 while the replacement loads, and the fingerprint change makes
-// stale cache entries unreachable fleet-wide with no epoch protocol.
-//
+// With -cluster-addr and -peers, replicas share the content-addressed
+// verdict cache through consistent hashing on the cache key; any peer
+// failure degrades to local detection. With -reload, SIGHUP (or POST
+// /reloadz) swaps in a re-opened -model artifact with zero downtime.
 // SIGINT/SIGTERM drain gracefully within -drain; the final metric values
 // are flushed to stderr on exit.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -104,13 +70,152 @@ import (
 
 	"mvpears"
 	"mvpears/internal/obs"
-	"mvpears/internal/obs/drift"
 	"mvpears/internal/server"
+	"mvpears/internal/stream"
 )
 
-// splitPeers parses the comma-separated -peers list, dropping empties.
-func splitPeers(s string) []string {
-	return strings.FieldsFunc(s, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
+// config is every mvpearsd option: the server's own Config plus the
+// fields only the daemon reads. Flags register straight onto its fields.
+type config struct {
+	server.Config
+	stream  server.StreamConfig
+	cluster server.ClusterConfig
+	audit   obs.AuditSinkOptions
+
+	model, addr, adminAddr, auditPath string
+	drain, streamWindow, streamHop    time.Duration
+	cascadeMargin                     float64
+	cascadeSample                     int
+	bootstrap, quantized, reload      bool
+	streamOn, accessLog               bool
+
+	// set holds the names of the flags given on the command line.
+	set map[string]bool
+}
+
+// parse builds the daemon configuration from args and validates it. The
+// flags are seeded from the defaults of the packages that own them, so
+// -help (written to usage) prints each real default exactly once.
+func parse(args []string, usage io.Writer) (*config, error) {
+	c := &config{Config: server.DefaultConfig(), set: map[string]bool{}}
+	fs := flag.NewFlagSet("mvpearsd", flag.ContinueOnError)
+	fs.SetOutput(usage)
+
+	fs.StringVar(&c.model, "model", "", "path to a persisted system artifact (required)")
+	fs.BoolVar(&c.bootstrap, "bootstrap", false, "train a quick-scale system and save it to -model when the artifact is missing")
+	fs.BoolVar(&c.reload, "reload", true, "enable zero-downtime hot model reload (SIGHUP or POST /reloadz on the admin listener)")
+	fs.StringVar(&c.addr, "addr", "127.0.0.1:8080", "listen address")
+	fs.StringVar(&c.adminAddr, "admin-addr", "", "operator listener address (pprof, /infoz, /metrics); empty disables it")
+	fs.DurationVar(&c.drain, "drain", 30*time.Second, "graceful shutdown budget")
+
+	fs.IntVar(&c.Workers, "workers", c.Workers, "concurrent detections")
+	fs.IntVar(&c.QueueDepth, "queue", c.QueueDepth, "admission queue depth (0: twice -workers)")
+	fs.Int64Var(&c.MaxUploadBytes, "max-upload", c.MaxUploadBytes, "max WAV upload size in bytes")
+	fs.DurationVar(&c.RequestTimeout, "timeout", c.RequestTimeout, "per-request detection deadline")
+	fs.IntVar(&c.CacheEntries, "cache-entries", c.CacheEntries, "verdict cache entry bound")
+	fs.Int64Var(&c.CacheBytes, "cache-bytes", c.CacheBytes, "verdict cache byte bound")
+
+	fs.BoolVar(&c.accessLog, "access-log", true, "write structured JSON request logs to stderr")
+	fs.Float64Var(c.LogSampleRate, "log-sample", *c.LogSampleRate, "fraction of ordinary requests to log (slow requests and 5xx always log)")
+	fs.DurationVar(&c.SlowRequestThreshold, "slow", c.SlowRequestThreshold, "latency above which a request always logs with full span detail")
+	fs.StringVar(&c.auditPath, "audit", "", "append adversarial verdicts to this JSONL file")
+	fs.Int64Var(&c.audit.MaxSegmentBytes, "audit-rotate-bytes", 64<<20, "rotate the audit file into a gzipped segment at this size (0: never rotate)")
+	fs.Int64Var(&c.audit.MaxTotalBytes, "audit-retain-bytes", 256<<20, "prune the oldest gzipped audit segments once they exceed this total (0: keep everything)")
+	fs.Float64Var(&c.Drift.Threshold, "drift-threshold", c.Drift.Threshold, "total-variation distance from the calibration reference at which a score family counts as drifted")
+	fs.IntVar(&c.Drift.WindowN, "drift-window", c.Drift.WindowN, "verdicts per rolling drift window")
+	fs.Float64Var(&c.SLO.Latency, "slo-latency-target", c.SLO.Latency, "fraction of detect requests that must answer within 250ms")
+	fs.Float64Var(&c.SLO.Availability, "slo-availability-target", c.SLO.Availability, "fraction of HTTP requests that must not 5xx")
+	fs.Float64Var(&c.SLO.Quality, "slo-quality-target", c.SLO.Quality, "fraction of verdicts that must be served drift-free")
+
+	fs.Float64Var(&c.cascadeMargin, "cascade-margin", -1, "benign-confidence margin for cascaded engine scheduling (negative: off, 0: auto-calibrate, >1: cascade on but never short-circuits)")
+	fs.IntVar(&c.cascadeSample, "cascade-sample", 16, "run the full ensemble on every Nth cascaded request for monitoring (0: never)")
+	fs.BoolVar(&c.quantized, "quantized", false, "accepted for compatibility, no effect: int8 inference was removed, the float64 kernels are the fast path")
+
+	fs.BoolVar(&c.streamOn, "stream", true, "serve the live streaming endpoints (/v1/detect/stream, /v1/detect/ws)")
+	fs.DurationVar(&c.streamWindow, "stream-window", stream.DefaultWindow, "sliding-window length of audio for streaming verdicts")
+	fs.DurationVar(&c.streamHop, "stream-hop", stream.DefaultHop, "audio between streaming windows")
+	fs.IntVar(&c.stream.MaxSessions, "stream-max-sessions", stream.DefaultMaxSessions, "max concurrent streaming sessions")
+	fs.DurationVar(&c.stream.IdleTimeout, "stream-idle-timeout", stream.DefaultIdleTimeout, "evict streaming sessions idle this long")
+
+	fs.StringVar(&c.cluster.Addr, "cluster-addr", "", "peer-protocol listen address; enables the distributed verdict-cache tier")
+	fs.StringVar(&c.cluster.Self, "cluster-self", "", "peer address advertised to other replicas (empty: the bound -cluster-addr)")
+	fs.Func("peers", "comma-separated peer `addresses` of the other replicas (requires -cluster-addr)", func(s string) error {
+		c.cluster.Peers = strings.FieldsFunc(s, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
+		return nil
+	})
+	fs.DurationVar(&c.cluster.HedgeAfter, "hedge-after", 0, "fixed hedge delay before duplicating a slow detection to an idle peer (0: derived from the measured detection cost)")
+
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	fs.Visit(func(f *flag.Flag) { c.set[f.Name] = true })
+	return c, c.validate()
+}
+
+// validate reports every flag combination that cannot work as asked, in
+// one joined error: a misconfigured daemon fails in milliseconds, before
+// a model is opened or trained, instead of silently ignoring a flag.
+func (c *config) validate() error {
+	var errs []error
+	bad := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
+	if c.model == "" {
+		bad("-model is required (train one with `mvpears detect -quick -model PATH -in clip.wav`, or pass -bootstrap)")
+	}
+	// Flags that only tune a feature another flag turns on.
+	for _, dep := range []struct {
+		flags []string
+		off   bool
+		why   string
+	}{
+		{[]string{"peers", "cluster-self", "hedge-after"}, c.cluster.Addr == "", "requires -cluster-addr"},
+		{[]string{"audit-rotate-bytes", "audit-retain-bytes"}, c.auditPath == "", "requires -audit"},
+		{[]string{"stream-window", "stream-hop", "stream-max-sessions", "stream-idle-timeout"}, !c.streamOn, "has no effect with -stream=false"},
+		{[]string{"log-sample", "slow"}, !c.accessLog, "has no effect with -access-log=false"},
+		{[]string{"cascade-sample"}, c.cascadeMargin < 0, "has no effect while -cascade-margin is negative (cascade off)"},
+	} {
+		for _, name := range dep.flags {
+			if dep.off && c.set[name] {
+				bad("-%s %s", name, dep.why)
+			}
+		}
+	}
+	if c.streamHop > c.streamWindow {
+		bad("-stream-hop %v exceeds -stream-window %v: audio between windows would never be scored", c.streamHop, c.streamWindow)
+	}
+	// Every value must lie in its flag's domain; none silently becomes a
+	// default.
+	logRate, slo, drift := *c.LogSampleRate, c.SLO, c.Drift.Threshold
+	for _, f := range []struct {
+		name string
+		v    any
+		ok   bool
+		want string
+	}{
+		{"stream-window", c.streamWindow, c.streamWindow > 0, "positive"},
+		{"stream-hop", c.streamHop, c.streamHop > 0, "positive"},
+		{"stream-idle-timeout", c.stream.IdleTimeout, c.stream.IdleTimeout > 0, "positive"},
+		{"log-sample", logRate, 0 <= logRate && logRate <= 1, "in [0,1]"},
+		{"slo-latency-target", slo.Latency, 0 < slo.Latency && slo.Latency < 1, "in (0,1)"},
+		{"slo-availability-target", slo.Availability, 0 < slo.Availability && slo.Availability < 1, "in (0,1)"},
+		{"slo-quality-target", slo.Quality, 0 < slo.Quality && slo.Quality < 1, "in (0,1)"},
+		{"drift-threshold", drift, 0 < drift && drift <= 1, "in (0,1]"},
+		{"workers", c.Workers, c.Workers >= 0, "non-negative"},
+		{"queue", c.QueueDepth, c.QueueDepth >= 0, "non-negative"},
+		{"cache-entries", c.CacheEntries, c.CacheEntries >= 0, "non-negative"},
+		{"cache-bytes", c.CacheBytes, c.CacheBytes >= 0, "non-negative"},
+		{"max-upload", c.MaxUploadBytes, c.MaxUploadBytes >= 0, "non-negative"},
+		{"timeout", c.RequestTimeout, c.RequestTimeout >= 0, "non-negative"},
+		{"drain", c.drain, c.drain >= 0, "non-negative"},
+		{"slow", c.SlowRequestThreshold, c.SlowRequestThreshold >= 0, "non-negative"},
+		{"drift-window", c.Drift.WindowN, c.Drift.WindowN >= 0, "non-negative"},
+		{"stream-max-sessions", c.stream.MaxSessions, c.stream.MaxSessions >= 0, "non-negative"},
+		{"cascade-sample", c.cascadeSample, c.cascadeSample >= 0, "non-negative"},
+	} {
+		if !f.ok {
+			bad("-%s %v must be %s", f.name, f.v, f.want)
+		}
+	}
+	return errors.Join(errs...)
 }
 
 func main() {
@@ -121,70 +226,31 @@ func main() {
 }
 
 func run(args []string) error {
-	fs := flag.NewFlagSet("mvpearsd", flag.ContinueOnError)
-	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
-	adminAddr := fs.String("admin-addr", "", "operator listener address (pprof, /infoz, /metrics); empty disables it")
-	model := fs.String("model", "", "path to a persisted system artifact (required)")
-	workers := fs.Int("workers", 0, "concurrent detections (default: GOMAXPROCS)")
-	queue := fs.Int("queue", 0, "admission queue depth (default: 2*workers)")
-	maxUpload := fs.Int64("max-upload", 16<<20, "max WAV upload size in bytes")
-	timeout := fs.Duration("timeout", 30*time.Second, "per-request detection deadline")
-	drain := fs.Duration("drain", 30*time.Second, "graceful shutdown budget")
-	bootstrap := fs.Bool("bootstrap", false, "train a quick-scale system and save it to -model when the artifact is missing")
-	cacheEntries := fs.Int("cache-entries", 0, "verdict cache entry bound (default: 4096)")
-	cacheBytes := fs.Int64("cache-bytes", 0, "verdict cache byte bound (default: 64 MiB)")
-	cacheOff := fs.Bool("cache-off", false, "disable the verdict cache and singleflight collapsing")
-	accessLog := fs.Bool("access-log", true, "write structured JSON request logs to stderr")
-	logSample := fs.Float64("log-sample", 1.0, "fraction of ordinary requests to log (slow requests and 5xx always log)")
-	slow := fs.Duration("slow", time.Second, "latency above which a request always logs with full span detail")
-	auditPath := fs.String("audit", "", "append adversarial verdicts to this JSONL file")
-	auditRotate := fs.Int64("audit-rotate-bytes", 64<<20, "rotate the audit file into a gzipped segment at this size (0: never rotate)")
-	auditRetain := fs.Int64("audit-retain-bytes", 256<<20, "prune the oldest gzipped audit segments once they exceed this total (0: keep everything)")
-	driftThreshold := fs.Float64("drift-threshold", 0, "total-variation distance from the calibration reference at which a score family counts as drifted (default: 0.25)")
-	driftWindow := fs.Int("drift-window", 0, "verdicts per rolling drift window (default: 512)")
-	sloLatency := fs.Float64("slo-latency-target", 0, "fraction of detect requests that must answer within 250ms (default: 0.99)")
-	sloAvailability := fs.Float64("slo-availability-target", 0, "fraction of HTTP requests that must not 5xx (default: 0.999)")
-	sloQuality := fs.Float64("slo-quality-target", 0, "fraction of verdicts that must be served drift-free (default: 0.99)")
-	cascadeMargin := fs.Float64("cascade-margin", -1, "benign-confidence margin for cascaded engine scheduling (negative: off, 0: auto-calibrate, >1: cascade on but never short-circuits)")
-	cascadeSample := fs.Int("cascade-sample", 16, "run the full ensemble on every Nth cascaded request for monitoring (0: never)")
-	quantized := fs.Bool("quantized", false, "accepted for compatibility, no effect: int8 inference was removed, the float64 kernels are the fast path")
-	streamOn := fs.Bool("stream", true, "serve the live streaming endpoints (/v1/detect/stream, /v1/detect/ws)")
-	streamWindow := fs.Duration("stream-window", 0, "sliding-window length for streaming verdicts (default: 1s of audio)")
-	streamHop := fs.Duration("stream-hop", 0, "hop between streaming windows (default: 250ms of audio)")
-	streamMaxSessions := fs.Int("stream-max-sessions", 0, "max concurrent streaming sessions (default: 64)")
-	streamIdle := fs.Duration("stream-idle-timeout", 0, "evict streaming sessions idle this long (default: 30s)")
-	clusterAddr := fs.String("cluster-addr", "", "peer-protocol listen address; enables the distributed verdict-cache tier")
-	clusterSelf := fs.String("cluster-self", "", "peer address advertised to other replicas (default: the bound -cluster-addr)")
-	peers := fs.String("peers", "", "comma-separated peer addresses of the other replicas (requires -cluster-addr)")
-	hedgeAfter := fs.Duration("hedge-after", 0, "fixed hedge delay before duplicating a slow detection to an idle peer (default: derived from the measured detection cost)")
-	reloadOn := fs.Bool("reload", true, "enable zero-downtime hot model reload (SIGHUP or POST /reloadz on the admin listener)")
-	if err := fs.Parse(args); err != nil {
+	c, err := parse(args, os.Stderr)
+	if err != nil {
 		return err
-	}
-	if *model == "" {
-		return fmt.Errorf("-model is required (train one with `mvpears detect -quick -model PATH -in clip.wav`, or pass -bootstrap)")
 	}
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 
-	sys, err := mvpears.Open(*model)
+	sys, err := mvpears.Open(c.model)
 	switch {
 	case err == nil:
-		logger.Printf("loaded model artifact %s", *model)
-	case *bootstrap:
-		logger.Printf("no usable artifact at %s (%v); bootstrapping a quick-scale system", *model, err)
+		logger.Printf("loaded model artifact %s", c.model)
+	case c.bootstrap:
+		logger.Printf("no usable artifact at %s (%v); bootstrapping a quick-scale system", c.model, err)
 		sys, err = mvpears.Build(mvpears.WithQuickScale())
 		if err != nil {
 			return fmt.Errorf("bootstrapping: %w", err)
 		}
-		if err := sys.SaveFile(*model); err != nil {
+		if err := sys.SaveFile(c.model); err != nil {
 			return fmt.Errorf("saving bootstrap artifact: %w", err)
 		}
-		logger.Printf("saved bootstrap artifact to %s", *model)
+		logger.Printf("saved bootstrap artifact to %s", c.model)
 	default:
-		return fmt.Errorf("opening model %s: %w (pass -bootstrap to train a quick-scale one)", *model, err)
+		return fmt.Errorf("opening model %s: %w (pass -bootstrap to train a quick-scale one)", c.model, err)
 	}
 
-	if *quantized {
+	if c.quantized {
 		logger.Printf("-quantized is accepted for compatibility and changes nothing: the float64 blocked kernels are the fast path (int8 inference was removed)")
 	}
 
@@ -192,8 +258,8 @@ func run(args []string) error {
 	// system. Hot reload re-applies them to the replacement model, so a
 	// reloaded daemon keeps the exact acceleration it booted with.
 	accelerate := func(sys *mvpears.System) error {
-		if *cascadeMargin >= 0 {
-			if err := sys.EnableCascade(*cascadeMargin, *cascadeSample); err != nil {
+		if c.cascadeMargin >= 0 {
+			if err := sys.EnableCascade(c.cascadeMargin, c.cascadeSample); err != nil {
 				return fmt.Errorf("enabling cascade: %w", err)
 			}
 			logger.Print(sys.Cascade())
@@ -204,60 +270,32 @@ func run(args []string) error {
 		return err
 	}
 
-	cfg := server.Config{
-		Backend:              sys,
-		Workers:              *workers,
-		QueueDepth:           *queue,
-		MaxUploadBytes:       *maxUpload,
-		RequestTimeout:       *timeout,
-		Logger:               logger,
-		CacheEntries:         *cacheEntries,
-		CacheBytes:           *cacheBytes,
-		CacheOff:             *cacheOff,
-		LogSampleRate:        *logSample,
-		SlowRequestThreshold: *slow,
-		Drift: drift.Config{
-			WindowN:   *driftWindow,
-			Threshold: *driftThreshold,
-		},
-		SLO: server.SLOTargets{
-			Latency:      *sloLatency,
-			Availability: *sloAvailability,
-			Quality:      *sloQuality,
-		},
-	}
-	if *accessLog {
+	cfg := c.Config
+	cfg.Backend = sys
+	cfg.Logger = logger
+	if c.accessLog {
 		cfg.AccessLog = os.Stderr
 	}
-	if *streamOn {
-		rate := sys.SampleRate()
-		toSamples := func(d time.Duration) int {
-			return int(float64(rate) * d.Seconds())
-		}
-		cfg.Stream = &server.StreamConfig{
-			Window:      toSamples(*streamWindow),
-			Hop:         toSamples(*streamHop),
-			MaxSessions: *streamMaxSessions,
-			IdleTimeout: *streamIdle,
-		}
+	if c.streamOn {
+		rate := float64(sys.SampleRate())
+		c.stream.Window = int(c.streamWindow.Seconds() * rate)
+		c.stream.Hop = int(c.streamHop.Seconds() * rate)
+		cfg.Stream = &c.stream
 	}
-	if *auditPath != "" {
-		sink, err := obs.OpenAuditSinkWith(*auditPath, obs.AuditSinkOptions{
-			MaxSegmentBytes: *auditRotate,
-			MaxTotalBytes:   *auditRetain,
-		})
+	if c.auditPath != "" {
+		sink, err := obs.OpenAuditSinkWith(c.auditPath, c.audit)
 		if err != nil {
 			return err
 		}
 		defer sink.Close()
 		cfg.Audit = sink
-		logger.Printf("auditing adversarial verdicts to %s (rotate %d B, retain %d B)", *auditPath, *auditRotate, *auditRetain)
+		logger.Printf("auditing adversarial verdicts to %s (rotate %d B, retain %d B)", c.auditPath, c.audit.MaxSegmentBytes, c.audit.MaxTotalBytes)
 	}
-	if *reloadOn {
+	if c.reload {
 		cfg.Reload = func() (server.Backend, error) {
-			nsys, err := mvpears.Open(*model)
+			nsys, err := mvpears.Open(c.model)
 			if err != nil {
-				return nil, fmt.Errorf("reopening model %s: %w", *model, err)
+				return nil, fmt.Errorf("reopening model %s: %w", c.model, err)
 			}
 			if err := accelerate(nsys); err != nil {
 				return nil, err
@@ -265,15 +303,8 @@ func run(args []string) error {
 			return nsys, nil
 		}
 	}
-	if *clusterAddr != "" {
-		cfg.Cluster = &server.ClusterConfig{
-			Addr:       *clusterAddr,
-			Self:       *clusterSelf,
-			Peers:      splitPeers(*peers),
-			HedgeAfter: *hedgeAfter,
-		}
-	} else if *peers != "" {
-		return fmt.Errorf("-peers requires -cluster-addr")
+	if c.cluster.Addr != "" {
+		cfg.Cluster = &c.cluster
 	}
 	s, err := server.New(cfg)
 	if err != nil {
@@ -288,26 +319,26 @@ func run(args []string) error {
 		defer signal.Stop(hup)
 		go func() {
 			for range hup {
-				logger.Printf("SIGHUP: hot-reloading model from %s", *model)
+				logger.Printf("SIGHUP: hot-reloading model from %s", c.model)
 				if err := s.Reload(); err != nil {
 					logger.Printf("hot reload failed: %v", err)
 				}
 			}
 		}()
 	}
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", c.addr)
 	if err != nil {
-		return fmt.Errorf("listening on %s: %w", *addr, err)
+		return fmt.Errorf("listening on %s: %w", c.addr, err)
 	}
 
 	// The admin listener is separate by design: operators can firewall it
 	// independently and a pprof profile can never contend for (or leak
 	// through) the public serving socket.
 	var adminSrv *http.Server
-	if *adminAddr != "" {
-		adminLn, err := net.Listen("tcp", *adminAddr)
+	if c.adminAddr != "" {
+		adminLn, err := net.Listen("tcp", c.adminAddr)
 		if err != nil {
-			return fmt.Errorf("listening on admin %s: %w", *adminAddr, err)
+			return fmt.Errorf("listening on admin %s: %w", c.adminAddr, err)
 		}
 		adminSrv = &http.Server{Handler: s.AdminHandler(), ReadHeaderTimeout: 10 * time.Second, ErrorLog: logger}
 		go func() {
@@ -319,7 +350,7 @@ func run(args []string) error {
 	}
 
 	logger.Printf("serving on http://%s (auxiliaries %v, %d Hz)", ln.Addr(), sys.AuxiliaryNames(), sys.SampleRate())
-	runErr := s.RunUntilSignal(ln, *drain, os.Interrupt, syscall.SIGTERM)
+	runErr := s.RunUntilSignal(ln, c.drain, os.Interrupt, syscall.SIGTERM)
 	if adminSrv != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		if err := adminSrv.Shutdown(ctx); err != nil {

@@ -28,8 +28,7 @@ type WAVStreamReader struct {
 	unknown    bool
 	maxBytes   int64
 	read       int64 // payload bytes consumed so far
-	carry      byte  // odd byte straddling a read boundary
-	hasCarry   bool
+	pcm        PCM16Decoder
 	done       bool
 	buf        []byte
 }
@@ -78,7 +77,10 @@ func (w *WAVStreamReader) ReadSamples(out []float64) (int, error) {
 	if len(out) == 0 {
 		return 0, nil
 	}
-	want := int64(len(out))*2 - boolInt64(w.hasCarry)
+	want := int64(len(out)) * 2
+	if w.pcm.hasCarry {
+		want--
+	}
 	if !w.unknown {
 		if remaining := int64(w.declared) - w.read; want > remaining {
 			want = remaining
@@ -99,17 +101,16 @@ func (w *WAVStreamReader) ReadSamples(out []float64) (int, error) {
 	if w.unknown && w.maxBytes > 0 && w.read > w.maxBytes {
 		return 0, fmt.Errorf("audio: %w: streamed data exceeds %d bytes", ErrTooLarge, w.maxBytes)
 	}
-	produced := w.decodeInto(out, w.buf[:n])
+	// want leaves room for exactly len(out) samples, so the append never
+	// outgrows out.
+	produced := len(w.pcm.Append(out[:0], w.buf[:n]))
 	if err == io.EOF {
 		// A reader may surface EOF together with the final data (io.Pipe
 		// successors, HTTP bodies): a payload that completed exactly is
 		// whole, with no trailer to verify.
 		if w.unknown || w.read >= int64(w.declared) {
+			// A dangling odd byte is tolerated like Decode's.
 			w.done = true
-			if w.hasCarry {
-				// A dangling odd byte is tolerated like Decode's.
-				w.hasCarry = false
-			}
 			if produced > 0 {
 				return produced, nil
 			}
@@ -136,48 +137,27 @@ func (w *WAVStreamReader) finish() error {
 	return io.EOF
 }
 
-// decodeInto converts raw payload bytes (plus any carried odd byte) into
-// float64 samples, stashing a new odd trailing byte for the next call.
-func (w *WAVStreamReader) decodeInto(out []float64, data []byte) int {
-	produced := 0
-	if w.hasCarry && len(data) > 0 {
-		s := int16(uint16(w.carry) | uint16(data[0])<<8)
-		out[produced] = float64(s) / 32767
-		produced++
-		data = data[1:]
-		w.hasCarry = false
+// PCM16Decoder converts little-endian 16-bit PCM that arrives split at
+// arbitrary byte offsets (WAV stream reads, WebSocket frames) into float64
+// samples with Decode's mapping: an odd byte straddling one chunk boundary
+// is carried into the next chunk. The zero value is ready to use.
+type PCM16Decoder struct {
+	carry    byte
+	hasCarry bool
+}
+
+// Append decodes data, after any byte carried from the previous call, and
+// appends the samples to dst; a trailing odd byte is carried forward.
+func (d *PCM16Decoder) Append(dst []float64, data []byte) []float64 {
+	if d.hasCarry && len(data) > 0 {
+		dst = append(dst, float64(int16(uint16(d.carry)|uint16(data[0])<<8))/32767)
+		data, d.hasCarry = data[1:], false
 	}
-	for len(data) >= 2 && produced < len(out) {
-		s := int16(binary.LittleEndian.Uint16(data))
-		out[produced] = float64(s) / 32767
-		produced++
-		data = data[2:]
+	for ; len(data) >= 2; data = data[2:] {
+		dst = append(dst, float64(int16(binary.LittleEndian.Uint16(data)))/32767)
 	}
 	if len(data) == 1 {
-		w.carry = data[0]
-		w.hasCarry = true
+		d.carry, d.hasCarry = data[0], true
 	}
-	return produced
-}
-
-// AppendPCM16 converts little-endian 16-bit PCM bytes to float64 samples
-// appended to dst, using the same mapping as WAV decoding. data must
-// hold whole samples (even length) — callers carrying a stream are
-// responsible for buffering a straddling odd byte.
-func AppendPCM16(dst []float64, data []byte) ([]float64, error) {
-	if len(data)%2 != 0 {
-		return dst, fmt.Errorf("audio: %w: odd PCM16 payload of %d bytes", ErrMalformed, len(data))
-	}
-	for i := 0; i+1 < len(data); i += 2 {
-		s := int16(binary.LittleEndian.Uint16(data[i:]))
-		dst = append(dst, float64(s)/32767)
-	}
-	return dst, nil
-}
-
-func boolInt64(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
+	return dst
 }

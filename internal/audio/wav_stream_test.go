@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 	"testing/iotest"
@@ -196,26 +197,35 @@ func TestWAVTransportErrorPreserved(t *testing.T) {
 	}
 }
 
-// TestAppendPCM16 pins the wire helper against the WAV decode mapping.
-func TestAppendPCM16(t *testing.T) {
+// TestPCM16Decoder pins the carry decoder against the WAV decode mapping
+// for every split of the payload into two chunks, odd offsets included,
+// and for a one-byte-at-a-time feed.
+func TestPCM16Decoder(t *testing.T) {
 	valid := validWAV(t, 8000, 32)
 	want, err := ReadWAV(bytes.NewReader(valid))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AppendPCM16(nil, valid[44:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want.Samples) {
-		t.Fatalf("%d samples, want %d", len(got), len(want.Samples))
-	}
-	for i := range got {
-		if got[i] != want.Samples[i] {
-			t.Fatalf("sample %d = %v, want %v", i, got[i], want.Samples[i])
+	pcm := valid[44:]
+	check := func(name string, got []float64) {
+		t.Helper()
+		if len(got) != len(want.Samples) {
+			t.Fatalf("%s: %d samples, want %d", name, len(got), len(want.Samples))
+		}
+		for i := range got {
+			if got[i] != want.Samples[i] {
+				t.Fatalf("%s: sample %d = %v, want %v", name, i, got[i], want.Samples[i])
+			}
 		}
 	}
-	if _, err := AppendPCM16(nil, valid[44:45]); err == nil {
-		t.Fatal("odd payload should error")
+	for cut := 0; cut <= len(pcm); cut++ {
+		var d PCM16Decoder
+		check(fmt.Sprintf("split at %d", cut), d.Append(d.Append(nil, pcm[:cut]), pcm[cut:]))
 	}
+	var d PCM16Decoder
+	var got []float64
+	for i := range pcm {
+		got = d.Append(got, pcm[i:i+1])
+	}
+	check("byte by byte", got)
 }

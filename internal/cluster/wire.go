@@ -25,19 +25,16 @@ import (
 // bounds-checked and fuzzed (FuzzWireCodec) — peers are trusted for
 // content but not for well-formedness.
 //
-// Version history: v1 shipped bare payloads; v2 appends an optional
-// trace-context tail to MsgGet/MsgDetect and an optional span-list tail
-// to MsgVerdict (cross-replica trace propagation). Both tails are
-// strictly additive and encoded only when non-empty, so a v2 decoder
-// reads v1 payloads unchanged ("no tail" simply parses as "no context"),
-// and the decoder accepts frames of either version. A v1 peer receiving
-// a v2 frame rejects it at the header, which surfaces as a peer error —
+// Version 2 is the only version: MsgGet/MsgDetect carry an optional
+// trace-context tail and MsgVerdict an optional span-list tail
+// (cross-replica trace propagation). Both tails are encoded only when
+// non-empty, so a tail-less payload is the untraced encoding. A frame of
+// any other version fails at the header, which surfaces as a peer error —
 // the requester degrades to local detection, never fails.
 const (
-	wireMagic0     = 'M'
-	wireMagic1     = 'V'
-	wireVersion    = 2
-	wireVersionMin = 1
+	wireMagic0  = 'M'
+	wireMagic1  = 'V'
+	wireVersion = 2
 
 	// frameHeaderLen is magic+version+type+length.
 	frameHeaderLen = 8
@@ -106,8 +103,8 @@ func parseFrameHeader(hdr []byte) (MsgType, uint32, error) {
 	if hdr[0] != wireMagic0 || hdr[1] != wireMagic1 {
 		return 0, 0, fmt.Errorf("%w: bad magic %x%x", ErrBadFrame, hdr[0], hdr[1])
 	}
-	if hdr[2] < wireVersionMin || hdr[2] > wireVersion {
-		return 0, 0, fmt.Errorf("%w: version %d (want %d..%d)", ErrBadFrame, hdr[2], wireVersionMin, wireVersion)
+	if hdr[2] != wireVersion {
+		return 0, 0, fmt.Errorf("%w: version %d (want %d)", ErrBadFrame, hdr[2], wireVersion)
 	}
 	t := MsgType(hdr[3])
 	if t < MsgGet || t > MsgErr {
@@ -229,13 +226,13 @@ func (p *parser) done() error {
 
 // --- message payloads ---
 
-// Trace-context tail flag bits (v2).
+// Trace-context tail flag bits.
 const tcSampled = 1 << 0
 
-// appendTraceContext appends the optional v2 trace-context tail. A zero
-// context appends nothing, which both keeps the untraced encoding as
-// compact as v1 and makes the encoding canonical (parse-then-append
-// round-trips to identical bytes).
+// appendTraceContext appends the optional trace-context tail. A zero
+// context appends nothing, which both keeps the untraced encoding compact
+// and makes the encoding canonical (parse-then-append round-trips to
+// identical bytes).
 func appendTraceContext(dst []byte, tc obs.TraceContext) []byte {
 	if tc == (obs.TraceContext{}) {
 		return dst
@@ -249,8 +246,8 @@ func appendTraceContext(dst []byte, tc obs.TraceContext) []byte {
 	return appendString(dst, tc.Parent)
 }
 
-// traceContext parses the optional trace-context tail: absent (v1 peers,
-// untraced requests) decodes as the zero context.
+// traceContext parses the optional trace-context tail: absent (untraced
+// requests) decodes as the zero context.
 func (p *parser) traceContext() (obs.TraceContext, error) {
 	if len(p.b) == 0 {
 		return obs.TraceContext{}, nil
@@ -342,7 +339,7 @@ const (
 
 // AppendVerdict encodes a MsgVerdict payload: the cached flag plus the
 // cacheable Detection fields (scores, transcriptions, timing, cascade
-// provenance), then the optional v2 span tail — the answering replica's
+// provenance), then the optional span tail — the answering replica's
 // own stage spans, shipped back only when the requester asked for them
 // (TraceContext.Sampled) so a remote answer stitches into the requester's
 // trace. Explanations are NOT shipped — they are deterministic in the

@@ -81,8 +81,9 @@ func TestGetDetectErrRoundTrip(t *testing.T) {
 }
 
 // TestWireV1BackCompat: payloads encoded without the optional trace /
-// span tails — exactly what a v1 peer sends — must still decode, with a
-// zero context and no spans.
+// span tails — the untraced encoding, byte-identical to the retired v1
+// payloads — must still decode, with a zero context and no spans; a
+// version-1 frame header is rejected.
 func TestWireV1BackCompat(t *testing.T) {
 	key := "fp:old-peer"
 	getV1 := appendString(nil, key)
@@ -96,7 +97,7 @@ func TestWireV1BackCompat(t *testing.T) {
 	if err != nil || k != key || rate != 16000 || !bytes.Equal(pcm, []byte{9, 8, 7}) || tc != (obs.TraceContext{}) {
 		t.Fatalf("v1 ParseDetect = (%q, %d, %v, %+v, %v)", k, rate, pcm, tc, err)
 	}
-	// A verdict with no span tail (v1, or an unsampled v2 reply).
+	// A verdict with no span tail (an unsampled reply).
 	det := &mvpears.Detection{Transcriptions: map[string]string{"target": "x"}}
 	wire := AppendVerdict(nil, det, true, nil)
 	d2, cached, spans, err := ParseVerdict(wire)
@@ -106,11 +107,11 @@ func TestWireV1BackCompat(t *testing.T) {
 	if !reflect.DeepEqual(d2, det) {
 		t.Fatalf("span-free verdict detection mismatch")
 	}
-	// And a v1-version frame header is still accepted.
+	// But a v1-version frame header is no longer accepted.
 	frame := AppendFrame(nil, MsgGet, getV1)
-	frame[2] = wireVersionMin
-	if _, _, err := DecodeFrame(frame); err != nil {
-		t.Fatalf("v1 frame rejected: %v", err)
+	frame[2] = 1
+	if _, _, err := DecodeFrame(frame); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("v1 frame: err = %v, want ErrBadFrame", err)
 	}
 }
 
@@ -207,7 +208,7 @@ func TestVerdictRoundTrip(t *testing.T) {
 
 // TestVerdictTruncations: every prefix of a valid verdict payload must
 // decode to an error, never panic or a silently partial verdict — with
-// one deliberate exception: the span tail is optional (v1 back-compat),
+// one deliberate exception: the span tail is optional (untraced replies),
 // so the single truncation that cuts it off exactly at its boundary
 // decodes as a complete span-free verdict.
 func TestVerdictTruncations(t *testing.T) {

@@ -205,7 +205,9 @@ type Config struct {
 	OnDrift func(Verdict)
 }
 
-func (c *Config) applyDefaults() {
+// ApplyDefaults fills the zero fields with their defaults (New does this
+// itself; callers that expose the knobs use it to show the real values).
+func (c *Config) ApplyDefaults() {
 	if c.WindowN <= 0 {
 		c.WindowN = 512
 	}
@@ -255,7 +257,7 @@ type Monitor struct {
 
 // New builds a Monitor.
 func New(cfg Config) *Monitor {
-	cfg.applyDefaults()
+	cfg.ApplyDefaults()
 	return &Monitor{cfg: cfg, index: make(map[string]*family)}
 }
 

@@ -265,20 +265,3 @@ func TestDetectErrorsAreNotCached(t *testing.T) {
 		t.Fatalf("backend ran %d detections, want a retry after the failure", got)
 	}
 }
-
-func TestCacheOffDisablesCollapsing(t *testing.T) {
-	stub, calls := countingStub()
-	s, ts := newTestServer(t, Config{Backend: &fpStub{stub, "model-a"}, CacheOff: true})
-	if s.vc != nil || s.flight != nil {
-		t.Fatal("CacheOff left the cache or singleflight enabled")
-	}
-	body := wavBody(t, 8000, 256)
-	for i := 0; i < 2; i++ {
-		if det := decodeBody[DetectionJSON](t, postWAV(t, ts.URL, body)); det.Cached {
-			t.Fatal("cache-off server marked a verdict cached")
-		}
-	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("backend ran %d detections, want 2", got)
-	}
-}

@@ -191,10 +191,9 @@ func TestDriftMonitorEndToEnd(t *testing.T) {
 	defer sink.Close()
 
 	_, ts := newTestServer(t, Config{
-		Backend:  &driftStub{stubBackend: stub, ref: ref},
-		CacheOff: true, // every request must reach the detector and be observed
-		Audit:    sink,
-		Drift:    drift.Config{WindowN: 64, MinSamples: 32, EvalEvery: 8, Threshold: 0.25},
+		Backend: &driftStub{stubBackend: stub, ref: ref},
+		Audit:   sink,
+		Drift:   drift.Config{WindowN: 64, MinSamples: 32, EvalEvery: 8, Threshold: 0.25},
 	})
 
 	post := func(n int) {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"log"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"mvpears"
 	"mvpears/internal/audio"
@@ -254,6 +257,53 @@ func TestAccessLogRecord(t *testing.T) {
 	}
 }
 
+// TestLogSampleZeroLogsOnlySlowAndErrors pins the sampling contract at its
+// edge: a rate of 0 logs slow requests and 5xx responses only, while a
+// Config that leaves the rate unset logs every request.
+func TestLogSampleZeroLogsOnlySlowAndErrors(t *testing.T) {
+	stub := instantStub()
+	stub.detect = func(_ context.Context, clip *mvpears.Clip) (*mvpears.Detection, error) {
+		switch len(clip.Samples) {
+		case 300:
+			time.Sleep(60 * time.Millisecond)
+		case 400:
+			return nil, errors.New("engine exploded")
+		}
+		return benignDetection(), nil
+	}
+	logLines := func(rate *float64, sizes []int) int {
+		t.Helper()
+		var buf syncBuffer
+		s, err := New(Config{
+			Backend:              stub,
+			Logger:               log.New(io.Discard, "", 0),
+			AccessLog:            &buf,
+			LogSampleRate:        rate,
+			SlowRequestThreshold: 30 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		for _, n := range sizes {
+			io.Copy(io.Discard, postWAV(t, ts.URL, wavBody(t, 8000, n)).Body)
+		}
+		ts.Close() // waits for every handler, and so every log line
+		return strings.Count(buf.String(), "\n")
+	}
+	sizes := []int{300, 400}
+	for i := 0; i < 20; i++ {
+		sizes = append(sizes, 256+i)
+	}
+	zero := 0.0
+	if got := logLines(&zero, sizes); got != 2 {
+		t.Errorf("rate 0 wrote %d access-log lines, want 2 (the slow request and the 500)", got)
+	}
+	if got := logLines(nil, sizes); got != len(sizes) {
+		t.Errorf("unset rate wrote %d access-log lines, want all %d", got, len(sizes))
+	}
+}
+
 // TestAuditSinkRecordsAdversarial wires an audit sink into the server and
 // asserts adversarial verdicts (and only those) are appended as JSONL.
 func TestAuditSinkRecordsAdversarial(t *testing.T) {
@@ -273,7 +323,7 @@ func TestAuditSinkRecordsAdversarial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sink.Close()
-	_, ts := newTestServer(t, Config{Backend: stub, CacheOff: true, Audit: sink})
+	_, ts := newTestServer(t, Config{Backend: stub, Audit: sink})
 
 	postWAV(t, ts.URL, wavBody(t, 8000, 256)) // benign: not audited
 	adversarial = true

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"mvpears"
 	"mvpears/internal/stream"
 )
 
@@ -35,8 +34,6 @@ type backendState struct {
 	auxNames []string
 	// stream manages live streaming sessions; nil when streaming is off.
 	stream *stream.Manager
-	// streamTargetName labels the target engine's windowed transcription.
-	streamTargetName string
 }
 
 // state snapshots the current backend identity. Handlers call it once
@@ -50,8 +47,8 @@ var ErrReloadNotConfigured = errors.New("server: reload not configured (set Conf
 var ErrReloadInProgress = errors.New("server: a reload is already in progress")
 
 // buildState assembles a backendState around backend, fingerprinting it
-// when the verdict cache is enabled and building the stream manager when
-// streaming is configured.
+// when the verdict cache is enabled and building the stream manager (with
+// the server's metric hooks) when streaming is configured.
 func (s *Server) buildState(backend Backend) (*backendState, error) {
 	st := &backendState{
 		backend:  backend,
@@ -72,45 +69,8 @@ func (s *Server) buildState(backend Backend) (*backendState, error) {
 		st.modelFP = fp
 	}
 	if s.cfg.Stream != nil {
-		if err := s.buildStreamManager(st); err != nil {
-			return nil, err
-		}
-	}
-	// Install the model's calibration-time drift reference (when the
-	// backend carries one) so live score distributions are compared
-	// against the model actually serving. A reload replaces the
-	// reference atomically with the backend swap's visibility.
-	if dr, ok := backend.(DriftReferencer); ok {
-		if ref := dr.DriftReference(); ref != nil {
-			if err := s.driftMon.SetReference(ref); err != nil {
-				return nil, fmt.Errorf("server: installing drift reference: %w", err)
-			}
-		}
-	}
-	return st, nil
-}
-
-// buildStreamManager attaches a streaming session manager for st's
-// backend (metrics hooks shared across reloads).
-func (s *Server) buildStreamManager(st *backendState) error {
-	sb, ok := st.backend.(StreamBackend)
-	if !ok {
-		return fmt.Errorf("server: Config.Stream set but the backend does not support streaming")
-	}
-	st.streamTargetName = "target"
-	if tn, ok := st.backend.(interface{ TargetName() string }); ok {
-		st.streamTargetName = tn.TargetName()
-	}
-	cfg := s.cfg.Stream
-	m, err := sb.NewStreamManager(mvpears.StreamOptions{
-		Window:           cfg.Window,
-		Hop:              cfg.Hop,
-		MaxSessions:      cfg.MaxSessions,
-		IdleTimeout:      cfg.IdleTimeout,
-		MaxDuration:      cfg.MaxDuration,
-		MinWindows:       cfg.MinWindows,
-		DisableEarlyExit: cfg.DisableEarlyExit,
-		Hooks: stream.Hooks{
+		opts := *s.cfg.Stream
+		opts.Hooks = stream.Hooks{
 			SessionOpened:   func() { s.streamSessions.Inc() },
 			SessionRejected: func() { s.rejectedTotal.With(rejectStreamSessions).Inc() },
 			SessionClosed: func(evicted bool) {
@@ -125,13 +85,23 @@ func (s *Server) buildStreamManager(st *backendState) error {
 				}
 				s.streamWindowSeconds.Observe(d.Seconds())
 			},
-		},
-	})
-	if err != nil {
-		return fmt.Errorf("server: building stream manager: %w", err)
+		}
+		m, err := backend.NewStreamManager(opts)
+		if err != nil {
+			return nil, fmt.Errorf("server: building stream manager: %w", err)
+		}
+		st.stream = m
 	}
-	st.stream = m
-	return nil
+	// Install the model's calibration-time drift reference (when it ships
+	// one) so live score distributions are compared against the model
+	// actually serving. A reload replaces the reference atomically with the
+	// backend swap's visibility.
+	if ref := backend.DriftReference(); ref != nil {
+		if err := s.driftMon.SetReference(ref); err != nil {
+			return nil, fmt.Errorf("server: installing drift reference: %w", err)
+		}
+	}
+	return st, nil
 }
 
 // Reload loads a fresh backend via Config.Reload and swaps it in with

@@ -366,13 +366,11 @@ func (s *Server) audit(st *backendState, t *obs.Trace, route, file string, det *
 
 // explanationFor resolves a verdict explanation for the response: the one
 // computed with the detection when present, otherwise derived after the
-// fact (cache hits, shared flights) via the backend's Explainer.
+// fact (cache hits, shared flights) by the backend.
 func (s *Server) explanationFor(st *backendState, det *mvpears.Detection) *ExplanationJSON {
 	exp := det.Explanation
 	if exp == nil {
-		if ex, ok := st.backend.(Explainer); ok {
-			exp = ex.Explain(det)
-		}
+		exp = st.backend.Explain(det)
 	}
 	return NewExplanationJSON(exp)
 }

@@ -34,6 +34,7 @@ import (
 	"mvpears/internal/obs"
 	"mvpears/internal/obs/drift"
 	"mvpears/internal/obs/slo"
+	"mvpears/internal/stream"
 	"mvpears/internal/vcache"
 )
 
@@ -46,26 +47,17 @@ const (
 	rejectPeerBusy       = "peer_busy"       // cluster busy-declines sent to peers
 )
 
-// DriftReferencer is implemented by backends that carry a
-// calibration-time drift reference with their model artifact
-// (*mvpears.System derives one from its benign score pools). Without it
-// the drift monitor still tracks distributions but never scores them.
-type DriftReferencer interface {
-	DriftReference() *drift.Reference
-}
-
 // SLOTargets declares the good-event fractions for the daemon's built-in
-// service-level objectives. Zero values get defaults.
+// service-level objectives. Zero values get defaults (applyDefaults).
 type SLOTargets struct {
 	// Latency is the fraction of detect requests that must answer within
-	// 250ms (default 0.99). The bound rides the existing request-latency
-	// histogram's 0.25s bucket boundary.
+	// 250ms. The bound rides the existing request-latency histogram's
+	// 0.25s bucket boundary.
 	Latency float64
-	// Availability is the fraction of HTTP requests that must not 5xx
-	// (default 0.999).
+	// Availability is the fraction of HTTP requests that must not 5xx.
 	Availability float64
 	// Quality is the fraction of verdicts that must be served while no
-	// drift family is tripped (default 0.99).
+	// drift family is tripped.
 	Quality float64
 }
 
@@ -85,9 +77,9 @@ func (t *SLOTargets) applyDefaults() {
 // sit on a DefaultLatencyBuckets boundary so CountAtOrBelow is exact.
 const sloDetectLatencyBound = 0.25
 
-// Backend is the detection capability the server fronts. *mvpears.System
-// satisfies it; tests substitute stubs to exercise overload and failure
-// paths without training engines.
+// Backend is everything the server asks of the detection system it
+// fronts. *mvpears.System satisfies it; tests substitute stubs to exercise
+// overload and failure paths without training engines.
 type Backend interface {
 	// DetectCtx classifies one clip, honoring ctx cancellation.
 	DetectCtx(ctx context.Context, clip *mvpears.Clip) (*mvpears.Detection, error)
@@ -97,6 +89,23 @@ type Backend interface {
 	SampleRate() int
 	// AuxiliaryNames lists the auxiliary engines, aligned with scores.
 	AuxiliaryNames() []string
+	// TargetName labels the target engine's windowed transcriptions.
+	TargetName() string
+	// Explain derives a verdict's explanation after the fact, for
+	// ?explain=1 requests answered from the cache or a shared flight: the
+	// encoding is deterministic in the transcriptions, so a late
+	// explanation equals one computed with the verdict.
+	Explain(det *mvpears.Detection) *mvpears.Explanation
+	// DriftReference is the calibration-time score reference shipped with
+	// the model artifact; nil leaves the drift monitor tracking
+	// distributions without scoring them.
+	DriftReference() *drift.Reference
+	// NewStreamManager builds the session manager behind the streaming
+	// endpoints (hooks included).
+	NewStreamManager(opts mvpears.StreamOptions) (*stream.Manager, error)
+	// DetectionFromStream converts a final streaming result into the
+	// public Detection form.
+	DetectionFromStream(fin *stream.Final) *mvpears.Detection
 }
 
 var _ Backend = (*mvpears.System)(nil)
@@ -107,51 +116,38 @@ var _ Backend = (*mvpears.System)(nil)
 // so a cache can never serve verdicts computed by a different model, and
 // because the fingerprint is derived from the artifact bytes, keys stay
 // valid across daemon restarts of the same model. A backend without a
-// fingerprint serves with the cache disabled.
+// fingerprint serves with the cache disabled — the cache-free seam
+// handler tests stand on.
 type ModelFingerprinter interface {
 	ModelFingerprint() (string, error)
 }
 
 var _ ModelFingerprinter = (*mvpears.System)(nil)
 
-// Explainer is implemented by backends that can derive a verdict
-// explanation from a Detection after the fact. The serving layer uses it
-// for ?explain=1 requests answered from the verdict cache or a shared
-// singleflight, where the stored Detection may predate the explain request
-// — the encoding is deterministic in the transcriptions, so a late
-// explanation is identical to one computed with the verdict.
-type Explainer interface {
-	Explain(det *mvpears.Detection) *mvpears.Explanation
-}
-
-var _ Explainer = (*mvpears.System)(nil)
-
-// Config parameterizes a Server. The zero value of every optional field
-// gets a sensible default in New.
+// Config parameterizes a Server. New gives every zero optional field its
+// default; DefaultConfig shows them.
 type Config struct {
 	// Backend is the trained detection system. Required.
 	Backend Backend
-	// Workers bounds concurrent detections (default GOMAXPROCS).
+	// Workers bounds concurrent detections.
 	Workers int
-	// QueueDepth bounds waiting detections (default 2*Workers). Work
+	// QueueDepth bounds waiting detections (zero: twice Workers). Work
 	// beyond Workers+QueueDepth is rejected with 429.
 	QueueDepth int
-	// MaxUploadBytes bounds one WAV payload (default 16 MiB).
+	// MaxUploadBytes bounds one WAV payload.
 	MaxUploadBytes int64
-	// MaxBatchFiles bounds the parts of one batch request (default 64).
+	// MaxBatchFiles bounds the parts of one batch request.
 	MaxBatchFiles int
-	// RequestTimeout is the per-request detection deadline (default 30s).
+	// RequestTimeout is the per-request detection deadline.
 	RequestTimeout time.Duration
-	// Logger receives request-level problems (default log.Default()).
+	// Logger receives request-level problems.
 	Logger *log.Logger
-	// CacheEntries bounds the verdict cache's entry count (default 4096).
+	// CacheEntries bounds the verdict cache's entry count.
 	CacheEntries int
-	// CacheBytes bounds the verdict cache's resident bytes (default 64 MiB).
+	// CacheBytes bounds the verdict cache's resident bytes. The cache (and
+	// singleflight collapsing) is on exactly when Backend implements
+	// ModelFingerprinter and fingerprints its model.
 	CacheBytes int64
-	// CacheOff disables the verdict cache and singleflight collapsing.
-	// The cache is also disabled (with a log line) when Backend does not
-	// implement ModelFingerprinter.
-	CacheOff bool
 	// Cache optionally injects a prebuilt verdict cache, e.g. one shared
 	// across Server instances in tests. Nil builds a private cache from
 	// CacheEntries/CacheBytes.
@@ -159,18 +155,18 @@ type Config struct {
 	// AccessLog receives structured JSON request logs (one line per
 	// sampled request). Nil disables access logging.
 	AccessLog io.Writer
-	// LogSampleRate is the fraction of ordinary requests to log (default
-	// 1 = all; slow requests and 5xx responses always log).
-	LogSampleRate float64
+	// LogSampleRate is the fraction of ordinary requests to log: 1 logs
+	// all, 0 none; slow requests and 5xx responses always log. Nil logs
+	// every request.
+	LogSampleRate *float64
 	// SlowRequestThreshold is the latency at which a request always logs
-	// with full span detail (default 1s).
+	// with full span detail.
 	SlowRequestThreshold time.Duration
 	// Audit, when non-nil, receives one JSONL entry per adversarial
 	// verdict served.
 	Audit *obs.AuditSink
 	// Stream, when non-nil, enables the live streaming endpoints
-	// (/v1/detect/stream and /v1/detect/ws). Requires a Backend that
-	// implements StreamBackend.
+	// (/v1/detect/stream and /v1/detect/ws).
 	Stream *StreamConfig
 	// Reload, when non-nil, loads a replacement backend for zero-downtime
 	// hot model reload (Server.Reload, POST /reloadz on the admin
@@ -181,12 +177,10 @@ type Config struct {
 	// hedges slow detections to idle peers. Requires the cache. See
 	// cluster.go.
 	Cluster *ClusterConfig
-	// Drift tunes the detection-quality drift monitor (always on; the
-	// zero value gets drift.Config defaults). Config.Drift.OnDrift is
-	// chained after the built-in audit hook.
+	// Drift tunes the detection-quality drift monitor (always on).
+	// Config.Drift.OnDrift is chained after the built-in audit hook.
 	Drift drift.Config
-	// SLO sets the built-in objectives' targets (zero values get
-	// defaults).
+	// SLO sets the built-in objectives' targets.
 	SLO SLOTargets
 }
 
@@ -215,13 +209,25 @@ func (c *Config) applyDefaults() {
 	if c.CacheBytes <= 0 {
 		c.CacheBytes = 64 << 20
 	}
-	if c.LogSampleRate <= 0 {
-		c.LogSampleRate = 1
+	if c.LogSampleRate == nil {
+		all := 1.0
+		c.LogSampleRate = &all
 	}
 	if c.SlowRequestThreshold <= 0 {
 		c.SlowRequestThreshold = time.Second
 	}
+	c.Drift.ApplyDefaults()
 	c.SLO.applyDefaults()
+}
+
+// DefaultConfig returns the values New gives the zero fields, except
+// QueueDepth, which New derives from Workers. mvpearsd seeds its flags
+// with it, so every default is written once, in applyDefaults.
+func DefaultConfig() Config {
+	var c Config
+	c.applyDefaults()
+	c.QueueDepth = 0
+	return c
 }
 
 // Server is one mvpearsd instance: handlers, worker pool and metrics.
@@ -373,20 +379,18 @@ func New(cfg Config) (*Server, error) {
 		start:   time.Now(),
 	}
 	if cfg.AccessLog != nil {
-		s.reqLog = obs.NewRequestLogger(cfg.AccessLog, cfg.LogSampleRate, cfg.SlowRequestThreshold)
+		s.reqLog = obs.NewRequestLogger(cfg.AccessLog, *cfg.LogSampleRate, cfg.SlowRequestThreshold)
 	}
-	if !cfg.CacheOff {
-		if fper, ok := cfg.Backend.(ModelFingerprinter); !ok {
-			cfg.Logger.Printf("mvpearsd: verdict cache disabled: backend exposes no model fingerprint")
-		} else if _, err := fper.ModelFingerprint(); err != nil {
-			cfg.Logger.Printf("mvpearsd: verdict cache disabled: fingerprinting model: %v", err)
-		} else {
-			s.vc = cfg.Cache
-			if s.vc == nil {
-				s.vc = vcache.New[*mvpears.Detection](cfg.CacheEntries, cfg.CacheBytes)
-			}
-			s.flight = &vcache.Group[*mvpears.Detection]{Timeout: cfg.RequestTimeout}
+	if fper, ok := cfg.Backend.(ModelFingerprinter); !ok {
+		cfg.Logger.Printf("mvpearsd: verdict cache disabled: backend exposes no model fingerprint")
+	} else if _, err := fper.ModelFingerprint(); err != nil {
+		cfg.Logger.Printf("mvpearsd: verdict cache disabled: fingerprinting model: %v", err)
+	} else {
+		s.vc = cfg.Cache
+		if s.vc == nil {
+			s.vc = vcache.New[*mvpears.Detection](cfg.CacheEntries, cfg.CacheBytes)
 		}
+		s.flight = &vcache.Group[*mvpears.Detection]{Timeout: cfg.RequestTimeout}
 	}
 	s.requestsTotal = s.metrics.CounterVec(
 		"mvpears_requests_total", "Finished HTTP requests.", "route", "code")

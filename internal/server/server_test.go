@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"mime/multipart"
@@ -15,6 +16,8 @@ import (
 
 	"mvpears"
 	"mvpears/internal/audio"
+	"mvpears/internal/obs/drift"
+	"mvpears/internal/stream"
 )
 
 // stubBackend lets handler tests script detection behavior (blocking,
@@ -41,8 +44,16 @@ func (b *stubBackend) DetectBatchCtx(ctx context.Context, clips []*mvpears.Clip)
 	return out, nil
 }
 
-func (b *stubBackend) SampleRate() int          { return b.rate }
-func (b *stubBackend) AuxiliaryNames() []string { return b.aux }
+func (b *stubBackend) SampleRate() int                                      { return b.rate }
+func (b *stubBackend) AuxiliaryNames() []string                             { return b.aux }
+func (b *stubBackend) TargetName() string                                   { return "target" }
+func (b *stubBackend) Explain(*mvpears.Detection) *mvpears.Explanation      { return nil }
+func (b *stubBackend) DriftReference() *drift.Reference                     { return nil }
+func (b *stubBackend) DetectionFromStream(*stream.Final) *mvpears.Detection { return nil }
+
+func (b *stubBackend) NewStreamManager(mvpears.StreamOptions) (*stream.Manager, error) {
+	return nil, errors.New("stub backend does not stream")
+}
 
 // benignDetection fabricates a plausible benign verdict.
 func benignDetection() *mvpears.Detection {

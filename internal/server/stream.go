@@ -31,29 +31,10 @@ import (
 // backend's native rate — a chunk boundary is not a resampling boundary,
 // so mismatched rates are rejected up front instead of resampled.
 
-// StreamBackend is the streaming capability a backend may offer.
-// *mvpears.System implements it.
-type StreamBackend interface {
-	// NewStreamManager builds the session manager (hooks included).
-	NewStreamManager(opts mvpears.StreamOptions) (*stream.Manager, error)
-	// DetectionFromStream converts a final streaming result into the
-	// public Detection form.
-	DetectionFromStream(fin *stream.Final) *mvpears.Detection
-}
-
-var _ StreamBackend = (*mvpears.System)(nil)
-
-// StreamConfig configures the streaming endpoints; see stream.Config for
-// the semantics and defaults of each field.
-type StreamConfig struct {
-	Window           int // samples; 0 = 1 s of audio
-	Hop              int // samples; 0 = 250 ms of audio
-	MaxSessions      int
-	IdleTimeout      time.Duration
-	MaxDuration      time.Duration
-	MinWindows       int
-	DisableEarlyExit bool
-}
+// StreamConfig configures the streaming endpoints: the options handed to
+// Backend.NewStreamManager, whose Hooks the server replaces with its
+// metric hooks. See stream.Config for each field's default.
+type StreamConfig = mvpears.StreamOptions
 
 // Stream event names on the wire.
 const (
@@ -106,7 +87,7 @@ type StreamEventJSON struct {
 // streamWindowJSON renders one session window with engine names.
 func (s *Server) streamWindowJSON(st *backendState, w stream.Window, rate int) *StreamWindowJSON {
 	tr := make(map[string]string, len(w.Aux)+1)
-	tr[st.streamTargetName] = w.Target
+	tr[st.backend.TargetName()] = w.Target
 	for i, text := range w.Aux {
 		if i < len(st.auxNames) {
 			tr[st.auxNames[i]] = text
@@ -189,7 +170,7 @@ func (s *Server) finishStream(ctx context.Context, run *streamRun) error {
 		key = vcache.KeySamples(st.modelFP, st.backend.SampleRate(), fin.Samples)
 	}
 	det, how, err := s.resolve(ctx, key, nil, engine{run: func(context.Context) (*mvpears.Detection, error) {
-		return st.backend.(StreamBackend).DetectionFromStream(fin), nil
+		return st.backend.DetectionFromStream(fin), nil
 	}})
 	if err != nil {
 		return err
@@ -351,9 +332,8 @@ func (s *Server) handleDetectWS(w http.ResponseWriter, r *http.Request) {
 
 	ctx := r.Context()
 	var (
-		carry    byte
-		hasCarry bool
-		samples  []float64
+		pcm     audio.PCM16Decoder // frames may split a sample
+		samples []float64
 	)
 	for {
 		op, payload, err := conn.ReadMessage()
@@ -365,20 +345,7 @@ func (s *Server) handleDetectWS(w http.ResponseWriter, r *http.Request) {
 		switch op {
 		case stream.OpBinary:
 			decodeStart := time.Now()
-			if hasCarry {
-				payload = append([]byte{carry}, payload...)
-				hasCarry = false
-			}
-			if len(payload)%2 == 1 {
-				carry = payload[len(payload)-1]
-				hasCarry = true
-				payload = payload[:len(payload)-1]
-			}
-			samples, err = audio.AppendPCM16(samples[:0], payload)
-			if err != nil {
-				wsFail("decoding PCM frame: %v", err)
-				return
-			}
+			samples = pcm.Append(samples[:0], payload)
 			run.decodeDur += time.Since(decodeStart)
 			windows, perr := run.sess.Push(ctx, samples)
 			if werr := s.emitWindows(run, windows); werr != nil {

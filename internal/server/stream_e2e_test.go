@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -299,13 +300,15 @@ func TestE2EStreamingWebSocket(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Odd-sized frames force the handler's carry-byte path.
-	const frame = 1001
-	for off := 0; off < len(pcm); off += frame {
-		end := min(off+frame, len(pcm))
+	// Frames split samples at odd byte offsets — one-byte frames
+	// included — so the carry decoder joins bytes across frames both ways.
+	frames := []int{1001, 1, 3, 998, 7, 1, 1024}
+	for off, i := 0, 0; off < len(pcm); i++ {
+		end := min(off+frames[i%len(frames)], len(pcm))
 		if err := c.WriteMessage(stream.OpBinary, pcm[off:end]); err != nil {
 			t.Fatal(err)
 		}
+		off = end
 	}
 	if err := c.WriteMessage(stream.OpText, []byte("end")); err != nil {
 		t.Fatal(err)
@@ -331,6 +334,14 @@ func TestE2EStreamingWebSocket(t *testing.T) {
 		t.Fatal("websocket stream produced no provisional windows")
 	}
 	assertDetectionEqual(t, "websocket benign", final.Detection, want)
+
+	// The same PCM through the NDJSON endpoint reaches the same final.
+	clip := audio.PCM16{SampleRate: benign.SampleRate, Data: pcm}.Decode()
+	_, ndjson := splitStreamEvents(t, streamNDJSON(t, base, encodeWAV(t, clip), 777))
+	if got, want := ndjson.Detection, final.Detection; got.Verdict != want.Verdict ||
+		!reflect.DeepEqual(got.Scores, want.Scores) || !reflect.DeepEqual(got.Transcriptions, want.Transcriptions) {
+		t.Fatalf("NDJSON final %+v, WebSocket final %+v", got, want)
+	}
 }
 
 // TestStreamSessionRejectionAndErrorRequestID covers the streaming legs

@@ -49,6 +49,14 @@ var (
 	ErrTooLong = errors.New("stream: clip exceeds maximum stream duration")
 )
 
+// Defaults for the zero Config fields a daemon exposes as flags.
+const (
+	DefaultWindow      = time.Second
+	DefaultHop         = 250 * time.Millisecond
+	DefaultMaxSessions = 64
+	DefaultIdleTimeout = 30 * time.Second
+)
+
 // Config configures a Manager.
 type Config struct {
 	// Detector supplies the engines, similarity method and classifier.
@@ -58,15 +66,14 @@ type Config struct {
 	// SampleRate is the only rate sessions accept; streaming does not
 	// resample (a chunk boundary is not a resampling boundary).
 	SampleRate int
-	// Window and Hop are the sliding-window geometry in samples.
-	// Defaults: one second and a quarter second of audio.
+	// Window and Hop are the sliding-window geometry in samples
+	// (defaults: DefaultWindow and DefaultHop of audio).
 	Window int
 	Hop    int
-	// MaxSessions bounds the session table (default 64). Open returns
+	// MaxSessions bounds the session table. Open returns
 	// ErrTooManySessions beyond it.
 	MaxSessions int
-	// IdleTimeout evicts sessions with no Push/Finish activity (default
-	// 30s).
+	// IdleTimeout evicts sessions with no Push/Finish activity.
 	IdleTimeout time.Duration
 	// MaxDuration bounds the audio a single session may accumulate
 	// (default 2 minutes) — sessions buffer the whole clip for the final
@@ -104,22 +111,22 @@ func (c *Config) withDefaults() error {
 		return fmt.Errorf("stream: sample rate %d must be positive", c.SampleRate)
 	}
 	if c.Window == 0 {
-		c.Window = c.SampleRate // 1 s
+		c.Window = int(DefaultWindow.Seconds() * float64(c.SampleRate))
 	}
 	if c.Hop == 0 {
-		c.Hop = c.SampleRate / 4 // 250 ms
+		c.Hop = int(DefaultHop.Seconds() * float64(c.SampleRate))
 	}
 	if c.Window <= 0 || c.Hop <= 0 {
 		return fmt.Errorf("stream: window %d and hop %d must be positive", c.Window, c.Hop)
 	}
 	if c.MaxSessions == 0 {
-		c.MaxSessions = 64
+		c.MaxSessions = DefaultMaxSessions
 	}
 	if c.MaxSessions < 0 {
 		return fmt.Errorf("stream: negative session limit %d", c.MaxSessions)
 	}
 	if c.IdleTimeout == 0 {
-		c.IdleTimeout = 30 * time.Second
+		c.IdleTimeout = DefaultIdleTimeout
 	}
 	if c.MaxDuration == 0 {
 		c.MaxDuration = 2 * time.Minute

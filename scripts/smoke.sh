@@ -22,6 +22,21 @@ echo "== build =="
 go build -o "$WORKDIR/mvpears" ./cmd/mvpears
 go build -o "$WORKDIR/mvpearsd" ./cmd/mvpearsd
 
+echo "== negative boot =="
+# A flag combination that cannot work fails before the model is opened or
+# trained: non-zero exit well inside the 2 s budget, no artifact written.
+set +e
+timeout 2 "$WORKDIR/mvpearsd" -model "$WORKDIR/none.gob" -bootstrap \
+    -peers 127.0.0.1:1 >"$WORKDIR/negboot.log" 2>&1
+RC=$?
+set -e
+if [ "$RC" -eq 0 ] || [ "$RC" -eq 124 ]; then
+    echo "FAIL: misconfigured boot exited $RC (want a prompt non-zero exit)"; cat "$WORKDIR/negboot.log"; exit 1
+fi
+[ ! -e "$WORKDIR/none.gob" ] || { echo "FAIL: misconfigured boot wrote none.gob"; exit 1; }
+grep -q -- '-peers requires -cluster-addr' "$WORKDIR/negboot.log" \
+    || { echo "FAIL: boot error does not name -peers"; cat "$WORKDIR/negboot.log"; exit 1; }
+
 echo "== fixture =="
 "$WORKDIR/mvpears" synth -text "open the front door" -out "$WORKDIR/clip.wav" -seed 7
 

@@ -23,9 +23,7 @@ type (
 )
 
 // StreamOptions configures NewStreamManager. Zero values take the
-// defaults documented on stream.Config (1 s window, 250 ms hop, 64
-// sessions, 30 s idle timeout, 2 min max duration, Window/Hop+1
-// consecutive offending windows to flag).
+// defaults documented on stream.Config.
 type StreamOptions struct {
 	Window      int // samples
 	Hop         int // samples
