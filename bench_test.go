@@ -135,7 +135,7 @@ func BenchmarkDetectHotPath(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := det.Detect(clip); err != nil {
+		if _, err := det.Detect(context.Background(), clip); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -167,7 +167,7 @@ func BenchmarkDetectBudget(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		if _, err := det.DetectCtx(ctx, clip); err != nil {
+		if _, err := det.Detect(ctx, clip); err != nil {
 			b.Fatal(err)
 		}
 		detect += time.Since(start)

@@ -74,7 +74,7 @@ func TestCascadeNoFlip(t *testing.T) {
 	s.DisableCascade()
 	full := make([]*Detection, len(clips))
 	for i, clip := range clips {
-		det, err := s.Detect(clip)
+		det, err := s.DetectCtx(context.Background(), clip)
 		if err != nil {
 			t.Fatalf("full-ensemble Detect clip %d: %v", i, err)
 		}
@@ -99,7 +99,7 @@ func TestCascadeNoFlip(t *testing.T) {
 
 	shortCircuits := 0
 	for i, clip := range clips {
-		det, err := s.Detect(clip)
+		det, err := s.DetectCtx(context.Background(), clip)
 		if err != nil {
 			t.Fatalf("cascade Detect clip %d: %v", i, err)
 		}
@@ -144,7 +144,7 @@ func TestCascadeSamplingDeterministic(t *testing.T) {
 	}
 	sampled := 0
 	for i := 0; i < 4; i++ {
-		det, err := s.Detect(clip)
+		det, err := s.DetectCtx(context.Background(), clip)
 		if err != nil {
 			t.Fatalf("Detect #%d: %v", i, err)
 		}
@@ -164,7 +164,7 @@ func TestCascadeSamplingDeterministic(t *testing.T) {
 	}
 
 	s.DisableCascade()
-	det, err := s.Detect(clip)
+	det, err := s.DetectCtx(context.Background(), clip)
 	if err != nil {
 		t.Fatalf("Detect after disable: %v", err)
 	}
@@ -227,7 +227,7 @@ func TestQuantizedVerdictParity(t *testing.T) {
 
 	run := func() (dets []*Detection, txs []map[string]string) {
 		for i, clip := range clips {
-			det, err := s.Detect(clip)
+			det, err := s.DetectCtx(context.Background(), clip)
 			if err != nil {
 				t.Fatalf("Detect clip %d: %v", i, err)
 			}
@@ -324,7 +324,7 @@ func TestCascadeDeterministicAcrossBoots(t *testing.T) {
 	}
 	short := 0
 	for i, u := range utts {
-		ref, err := boots[0].Detect(u.Clip)
+		ref, err := boots[0].DetectCtx(context.Background(), u.Clip)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +332,7 @@ func TestCascadeDeterministicAcrossBoots(t *testing.T) {
 			short++
 		}
 		for b, s := range boots[1:] {
-			got, err := s.Detect(u.Clip)
+			got, err := s.DetectCtx(context.Background(), u.Clip)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -403,11 +403,11 @@ func TestCascadeNoFlipUnderElectedLeader(t *testing.T) {
 	short, flagged, falseAlarmsRemoved := 0, 0, 0
 	for i, clip := range clips {
 		isAE := i >= len(utts)
-		want, err := full.Detect(clip)
+		want, err := full.DetectCtx(context.Background(), clip)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := casc.Detect(clip)
+		got, err := casc.DetectCtx(context.Background(), clip)
 		if err != nil {
 			t.Fatal(err)
 		}

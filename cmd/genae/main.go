@@ -50,15 +50,9 @@ func run(args []string) error {
 	}
 	var hostClip *mvpears.Clip
 	if *host != "" {
-		hostClip, err = mvpears.LoadWAV(*host)
+		hostClip, err = sys.LoadClip(*host)
 		if err != nil {
 			return err
-		}
-		if hostClip.SampleRate != sys.SampleRate() {
-			hostClip, err = hostClip.Resample(sys.SampleRate())
-			if err != nil {
-				return err
-			}
 		}
 	} else {
 		hostClip, err = sys.GenerateSpeech(*hostText, *seed)

@@ -19,8 +19,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 
 	"mvpears"
@@ -66,12 +68,17 @@ func run(args []string) (int, error) {
 }
 
 // buildSystem trains a system, or — when modelPath is set — loads a
-// cached one (training and caching it on first use).
+// cached one (training and caching it on first use). An artifact that
+// exists but does not load is an error, never overwritten.
 func buildSystem(quick bool, classifier, modelPath string, train bool) (*mvpears.System, error) {
 	if modelPath != "" && train {
-		if sys, err := mvpears.Open(modelPath); err == nil {
+		sys, err := mvpears.Open(modelPath)
+		if err == nil {
 			fmt.Fprintf(os.Stderr, "loaded cached models from %s\n", modelPath)
 			return sys, nil
+		}
+		if !errors.Is(err, fs.ErrNotExist) {
+			return nil, err
 		}
 	}
 	opts := []mvpears.Option{mvpears.WithClassifier(classifier)}
@@ -135,15 +142,9 @@ func runTranscribe(args []string) error {
 	if err != nil {
 		return err
 	}
-	clip, err := mvpears.LoadWAV(*in)
+	clip, err := sys.LoadClip(*in)
 	if err != nil {
 		return err
-	}
-	if clip.SampleRate != sys.SampleRate() {
-		clip, err = clip.Resample(sys.SampleRate())
-		if err != nil {
-			return err
-		}
 	}
 	all, err := sys.TranscribeAll(clip)
 	if err != nil {
@@ -179,17 +180,9 @@ func runDetect(args []string) (int, error) {
 	}
 	clips := make([]*mvpears.Clip, len(paths))
 	for i, p := range paths {
-		clip, err := mvpears.LoadWAV(p)
-		if err != nil {
+		if clips[i], err = sys.LoadClip(p); err != nil {
 			return 1, err
 		}
-		if clip.SampleRate != sys.SampleRate() {
-			clip, err = clip.Resample(sys.SampleRate())
-			if err != nil {
-				return 1, err
-			}
-		}
-		clips[i] = clip
 	}
 	ctx := context.Background()
 	if *explain {

@@ -58,6 +58,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"log"
 	"net"
 	"net/http"
@@ -236,8 +237,8 @@ func run(args []string) error {
 	switch {
 	case err == nil:
 		logger.Printf("loaded model artifact %s", c.model)
-	case c.bootstrap:
-		logger.Printf("no usable artifact at %s (%v); bootstrapping a quick-scale system", c.model, err)
+	case c.bootstrap && errors.Is(err, fs.ErrNotExist):
+		logger.Printf("no artifact at %s; bootstrapping a quick-scale system", c.model)
 		sys, err = mvpears.Build(mvpears.WithQuickScale())
 		if err != nil {
 			return fmt.Errorf("bootstrapping: %w", err)
@@ -247,7 +248,7 @@ func run(args []string) error {
 		}
 		logger.Printf("saved bootstrap artifact to %s", c.model)
 	default:
-		return fmt.Errorf("opening model %s: %w (pass -bootstrap to train a quick-scale one)", c.model, err)
+		return fmt.Errorf("opening model %s: %w (-bootstrap trains a quick-scale one only when the file is missing)", c.model, err)
 	}
 
 	if c.quantized {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"io"
@@ -73,6 +74,29 @@ func TestRunRejectsBadCombinations(t *testing.T) {
 				t.Errorf("rejected boot left a model artifact behind (stat: %v)", err)
 			}
 		})
+	}
+}
+
+// TestBootstrapKeepsUnreadableArtifact boots with -bootstrap over a model
+// file that exists but does not decode: -bootstrap only fills a missing
+// artifact, so run must fail fast, name the file, and leave it untouched
+// rather than train a new model over it.
+func TestBootstrapKeepsUnreadableArtifact(t *testing.T) {
+	model := filepath.Join(t.TempDir(), "bad.gob")
+	garbage := []byte("not a model artifact\x00\xff")
+	if err := os.WriteFile(model, garbage, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	err := run([]string{"-bootstrap", "-model", model, "-addr", "127.0.0.1:0"})
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("run took %v to fail, want < 1s", elapsed)
+	}
+	if err == nil || !strings.Contains(err.Error(), model) {
+		t.Fatalf("run error %v, want one naming %s", err, model)
+	}
+	if got, err := os.ReadFile(model); err != nil || !bytes.Equal(got, garbage) {
+		t.Fatalf("artifact changed: %q (read error %v)", got, err)
 	}
 }
 

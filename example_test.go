@@ -5,6 +5,7 @@ package mvpears_test
 // the test suite covers the same paths with shared fixtures.
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,7 +23,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	det, err := sys.Detect(clip)
+	det, err := sys.DetectCtx(context.Background(), clip)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func Example() {
 		log.Fatal(err)
 	}
 	if ae.Success {
-		det, err = sys.Detect(ae.AE)
+		det, err = sys.DetectCtx(context.Background(), ae.AE)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -89,12 +90,19 @@ func main() {
 	}
 	sort.Strings(files)
 	fmt.Printf("\nauditing %d files with the SVM detector:\n", len(files))
-	var tp, fp, fn, tn int
-	for _, f := range files {
-		det, err := sys.DetectFile(f)
-		if err != nil {
+	clips := make([]*mvpears.Clip, len(files))
+	for i, f := range files {
+		if clips[i], err = sys.LoadClip(f); err != nil {
 			log.Fatal(err)
 		}
+	}
+	dets, err := sys.DetectBatchCtx(context.Background(), clips)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var tp, fp, fn, tn int
+	for i, f := range files {
+		det := dets[i]
 		name := filepath.Base(f)
 		isAE := truth[name]
 		verdict := "benign     "
@@ -136,12 +144,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("threshold = %.3f\n", td.Threshold())
-	for _, f := range files {
-		clip, err := mvpears.LoadWAV(f)
-		if err != nil {
-			log.Fatal(err)
-		}
-		flagged, score, err := td.Detect(clip)
+	for i, f := range files {
+		flagged, score, err := td.Detect(clips[i])
 		if err != nil {
 			log.Fatal(err)
 		}

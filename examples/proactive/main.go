@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -75,7 +76,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if ae.Success {
-		det, err := sys.Detect(ae.AE)
+		det, err := sys.DetectCtx(context.Background(), ae.AE)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,7 +26,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	det, err := sys.Detect(benign)
+	det, err := sys.DetectCtx(context.Background(), benign)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func main() {
 
 	// 3. The detector flags it: the auxiliaries still hear (roughly) the
 	// host sentence, so the similarity scores collapse.
-	det, err = sys.Detect(ae.AE)
+	det, err = sys.DetectCtx(context.Background(), ae.AE)
 	if err != nil {
 		log.Fatal(err)
 	}

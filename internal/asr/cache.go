@@ -230,22 +230,16 @@ type CacheTranscriber interface {
 	TranscribeWithCache(clip *audio.Clip, cache *FeatureCache) (string, error)
 }
 
-// TranscribeAllWithCache transcribes one clip with every engine, sharing
-// a single per-clip feature cache so identical front ends extract MFCCs
-// once. When parallel is set the engines run concurrently (the paper's
-// serving architecture); otherwise in order. The result is indexed like
-// engines. On error, the first failing engine's error (by index) is
-// returned, wrapped with its name.
-func TranscribeAllWithCache(engines []Recognizer, clip *audio.Clip, parallel bool) ([]string, error) {
-	return TranscribeAllWithCacheCtx(context.Background(), engines, clip, parallel)
-}
-
-// TranscribeAllWithCacheCtx is TranscribeAllWithCache with cancellation:
-// the context is checked before each engine runs, so a cancelled or
-// expired request stops dispatching work at engine granularity (each
-// engine is a few milliseconds of pure CPU). A cancelled run returns the
-// context's error.
-func TranscribeAllWithCacheCtx(ctx context.Context, engines []Recognizer, clip *audio.Clip, parallel bool) ([]string, error) {
+// TranscribeAll transcribes one clip with every engine, sharing a single
+// per-clip feature cache so identical front ends extract MFCCs once. When
+// parallel is set the engines run concurrently (the paper's serving
+// architecture); otherwise in order. The result is indexed like engines.
+// On error, the first failing engine's error (by index) is returned,
+// wrapped with its name. The context is checked before each engine runs,
+// so a cancelled or expired request stops dispatching work at engine
+// granularity (each engine is a few milliseconds of pure CPU) and returns
+// the context's error.
+func TranscribeAll(ctx context.Context, engines []Recognizer, clip *audio.Clip, parallel bool) ([]string, error) {
 	if clip == nil {
 		return make([]string, len(engines)), fmt.Errorf("asr: nil clip")
 	}
@@ -260,12 +254,12 @@ func TranscribeAllWithCacheCtx(ctx context.Context, engines []Recognizer, clip *
 
 // TranscribeInto transcribes the clip with the given engines, sourcing
 // features from an externally owned cache and writing results into out
-// (len(out) >= len(engines)). It is the staged form of
-// TranscribeAllWithCacheCtx: the cascade scheduler calls it once per
-// phase with the SAME cache, so a front end extracted in phase one is
-// never redone when the remaining engines run in phase two — and, since
-// only this call's engines are announced to the cache, phase one never
-// extracts for an engine that may not run.
+// (len(out) >= len(engines)). It is the staged form of TranscribeAll: the
+// cascade scheduler calls it once per phase with the SAME cache, so a
+// front end extracted in phase one is never redone when the remaining
+// engines run in phase two — and, since only this call's engines are
+// announced to the cache, phase one never extracts for an engine that may
+// not run.
 func TranscribeInto(ctx context.Context, engines []Recognizer, clip *audio.Clip, cache *FeatureCache, parallel bool, out []string) error {
 	if clip == nil {
 		return fmt.Errorf("asr: nil clip")

@@ -1,6 +1,7 @@
 package asr
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -181,7 +182,7 @@ func TestTranscribeAllWithCacheMatchesDirect(t *testing.T) {
 			direct[j] = text
 		}
 		for _, parallel := range []bool{false, true} {
-			got, err := TranscribeAllWithCache(engines, clip, parallel)
+			got, err := TranscribeAll(context.Background(), engines, clip, parallel)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -74,19 +74,10 @@ func WriteWAV(w io.Writer, c *Clip) error {
 	return nil
 }
 
-// ReadWAV decodes a 16-bit mono PCM WAV stream with no size limit.
+// ReadWAV decodes a 16-bit mono PCM WAV stream with no size limit into
+// float samples: ReadWAVPCM followed by Decode.
 func ReadWAV(r io.Reader) (*Clip, error) {
-	return ReadWAVLimited(r, 0)
-}
-
-// ReadWAVLimited decodes a 16-bit mono PCM WAV stream, rejecting a data
-// payload larger than maxDataBytes with ErrTooLarge (0 means unlimited).
-// Decoding is hardened against hostile input: declared chunk sizes are
-// never trusted for up-front allocations, so a tiny truncated stream
-// claiming a 4 GiB payload fails with ErrTruncated instead of exhausting
-// memory. All rejections wrap one of the typed errors above.
-func ReadWAVLimited(r io.Reader, maxDataBytes int64) (*Clip, error) {
-	pcm, err := ReadWAVPCM(r, maxDataBytes, nil)
+	pcm, err := ReadWAVPCM(r, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -142,10 +133,12 @@ const readChunkBytes = 256 << 10
 // ReadWAVPCM decodes the structure of a 16-bit mono PCM WAV stream,
 // returning the sample rate and the raw PCM payload without converting to
 // float64. scratch, when non-nil, is reused for the payload (its capacity
-// is grown as needed); pass nil to allocate fresh. The same hardening as
-// ReadWAVLimited applies: declared sizes are never trusted for up-front
-// allocations and a payload over maxDataBytes fails with ErrTooLarge
-// (0 means unlimited).
+// is grown as needed); pass nil to allocate fresh. A payload over
+// maxDataBytes fails with ErrTooLarge (0 means unlimited). Decoding is
+// hardened against hostile input: declared chunk sizes are never trusted
+// for up-front allocations, so a tiny truncated stream claiming a 4 GiB
+// payload fails with ErrTruncated instead of exhausting memory. All
+// rejections wrap one of the typed errors above.
 func ReadWAVPCM(r io.Reader, maxDataBytes int64, scratch []byte) (PCM16, error) {
 	var none PCM16
 	sampleRate, size, scratch, err := readWAVHeader(r, scratch)

@@ -84,17 +84,17 @@ func TestReadWAVCorruptHeaders(t *testing.T) {
 	}
 }
 
-func TestReadWAVLimited(t *testing.T) {
+func TestReadWAVPCMLimit(t *testing.T) {
 	valid := validWAV(t, 8000, 64) // 128-byte payload
-	if _, err := ReadWAVLimited(bytes.NewReader(valid), 128); err != nil {
+	if _, err := ReadWAVPCM(bytes.NewReader(valid), 128, nil); err != nil {
 		t.Fatalf("payload at the limit rejected: %v", err)
 	}
-	_, err := ReadWAVLimited(bytes.NewReader(valid), 127)
+	_, err := ReadWAVPCM(bytes.NewReader(valid), 127, nil)
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("error %v, want ErrTooLarge", err)
 	}
 	// Unlimited mode must still accept.
-	if _, err := ReadWAVLimited(bytes.NewReader(valid), 0); err != nil {
+	if _, err := ReadWAVPCM(bytes.NewReader(valid), 0, nil); err != nil {
 		t.Fatal(err)
 	}
 }

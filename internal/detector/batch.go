@@ -91,53 +91,37 @@ func (d *Detector) runBatch(ctx context.Context, n int, fn func(i int, enginePar
 }
 
 // BatchDetect classifies every clip using a bounded worker pool
-// (GOMAXPROCS workers; sequential when d.Sequential is set). Decisions are
-// returned in input order; on error the first failure by index is
-// returned and the partial results are discarded.
-func (d *Detector) BatchDetect(clips []*audio.Clip) ([]Decision, error) {
-	decs, _, err := d.BatchDetectTimed(clips)
-	return decs, err
-}
-
-// BatchDetectCtx is BatchDetect with cancellation: a cancelled context
-// stops dispatching clips and the batch fails with the context's error.
-func (d *Detector) BatchDetectCtx(ctx context.Context, clips []*audio.Clip) ([]Decision, error) {
-	decs, _, err := d.BatchDetectTimedCtx(ctx, clips)
-	return decs, err
-}
-
-// BatchDetectTimed is BatchDetect plus the per-clip timing decomposition.
-func (d *Detector) BatchDetectTimed(clips []*audio.Clip) ([]Decision, []Timing, error) {
-	return d.BatchDetectTimedCtx(context.Background(), clips)
-}
-
-// BatchDetectTimedCtx is BatchDetectTimed with cancellation.
-func (d *Detector) BatchDetectTimedCtx(ctx context.Context, clips []*audio.Clip) ([]Decision, []Timing, error) {
+// (GOMAXPROCS workers; sequential when d.Sequential is set), each clip
+// exactly as Detect would, cascade included. Decisions are returned in
+// input order; on error the first failure by index is returned and the
+// partial results are discarded. A cancelled context stops dispatching
+// clips and the batch fails with the context's error.
+func (d *Detector) BatchDetect(ctx context.Context, clips []*audio.Clip) ([]Decision, error) {
 	decs := make([]Decision, len(clips))
-	timings := make([]Timing, len(clips))
 	err := d.runBatch(ctx, len(clips), func(i int, engineParallel bool) error {
-		dec, t, err := d.detectTimedP(ctx, clips[i], engineParallel)
+		dec, err := d.detect(ctx, clips[i], engineParallel)
 		if err != nil {
 			return fmt.Errorf("detector: clip %d: %w", i, err)
 		}
 		decs[i] = dec
-		timings[i] = t
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return decs, timings, nil
+	return decs, nil
 }
 
-// BatchFeatures extracts the similarity feature vector of every sample on
-// a bounded worker pool, returning the matrix and the {0,1} labels in
-// input order.
-func (d *Detector) BatchFeatures(samples []dataset.Sample) ([][]float64, []int, error) {
+// Features extracts the similarity feature vector of every sample on a
+// bounded worker pool (set Sequential for one-at-a-time extraction),
+// returning the matrix and the {0,1} labels in input order. Training and
+// calibration always use the full ensemble, never the cascade.
+func (d *Detector) Features(samples []dataset.Sample) ([][]float64, []int, error) {
+	ctx := context.TODO()
 	X := make([][]float64, len(samples))
 	y := make([]int, len(samples))
-	err := d.runBatch(context.Background(), len(samples), func(i int, engineParallel bool) error {
-		v, err := d.featureVectorP(context.Background(), samples[i].Clip, engineParallel)
+	err := d.runBatch(ctx, len(samples), func(i int, engineParallel bool) error {
+		v, err := d.featureVector(ctx, samples[i].Clip, engineParallel)
 		if err != nil {
 			return fmt.Errorf("detector: sample %d (%s): %w", i, samples[i].Kind, err)
 		}

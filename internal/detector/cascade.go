@@ -121,8 +121,9 @@ func (c *Cascade) Candidates() []LeaderCandidate {
 // CascadeInfo reports, for one decision, which engines ran and why. It
 // feeds the ?explain=1 surface and the cascade metrics.
 type CascadeInfo struct {
-	// Enabled is true when the decision went through the scheduler (it is
-	// false on the plain full-ensemble path, including batch/training).
+	// Enabled is true when the decision went through the scheduler: every
+	// Detect and BatchDetect call while a cascade is attached. Without one,
+	// and for training features, the Decision carries no CascadeInfo.
 	Enabled bool
 	// ShortCircuit is true when auxiliaries were skipped.
 	ShortCircuit bool
@@ -295,10 +296,10 @@ func (d *Detector) calibrateMargins(benignX, aeX [][]float64, slack float64) ([]
 	return margins, nil
 }
 
-// detectCascade is the scheduled form of detectTimedP. It preserves the
-// stage timing decomposition; trace spans are recorded per engine by
+// detectCascade is the scheduled form of detect. It preserves the stage
+// timing decomposition; trace spans are recorded per engine by
 // asr.TranscribeInto and per stage here, exactly like the full path.
-func (d *Detector) detectCascade(ctx context.Context, clip *audio.Clip, parallel bool) (Decision, Timing, error) {
+func (d *Detector) detectCascade(ctx context.Context, clip *audio.Clip, parallel bool) (Decision, error) {
 	var timing Timing
 	c := d.Cascade
 	trace := obs.TraceFrom(ctx)
@@ -310,14 +311,14 @@ func (d *Detector) detectCascade(ctx context.Context, clip *audio.Clip, parallel
 	// the full ensemble through the plain path so the classifier's input
 	// distribution stays observable.
 	if c.cfg.SampleEvery > 0 && c.counter.Add(1)%uint64(c.cfg.SampleEvery) == 0 {
-		dec, timing, err := d.detectFull(ctx, clip, parallel)
+		dec, err := d.detectFull(ctx, clip, parallel)
 		if err == nil {
 			info.SampledFull = true
 			info.EnginesRun = auxNames(d.Auxiliaries, c.order)
 			info.Imputed = make([]bool, n)
 			dec.Cascade = info
 		}
-		return dec, timing, err
+		return dec, err
 	}
 
 	// One feature cache spans both phases, so a front end extracted for
@@ -332,7 +333,7 @@ func (d *Detector) detectCascade(ctx context.Context, clip *audio.Clip, parallel
 	phase1 := []asr.Recognizer{d.Target, d.Auxiliaries[first]}
 	p1out := make([]string, 2)
 	if err := asr.TranscribeInto(ctx, phase1, clip, cache, parallel, p1out); err != nil {
-		return Decision{}, timing, fmt.Errorf("detector: %w", err)
+		return Decision{}, fmt.Errorf("detector: %w", err)
 	}
 	texts[0] = p1out[0]
 	texts[first+1] = p1out[1]
@@ -353,7 +354,7 @@ func (d *Detector) detectCascade(ctx context.Context, clip *audio.Clip, parallel
 		clsStart := time.Now()
 		pred, full, err := classify.PredictPartial(d.Classifier, c.fill, observed, have)
 		if err != nil {
-			return Decision{}, timing, fmt.Errorf("detector: partial classification: %w", err)
+			return Decision{}, fmt.Errorf("detector: partial classification: %w", err)
 		}
 		timing.Classify = time.Since(clsStart)
 		if pred == 0 {
@@ -370,7 +371,7 @@ func (d *Detector) detectCascade(ctx context.Context, clip *audio.Clip, parallel
 				}
 			}
 			tr := Transcriptions{Target: texts[0], Aux: texts[1:]}
-			return Decision{Adversarial: false, Scores: full, Transcriptions: tr, Cascade: info}, timing, nil
+			return Decision{Adversarial: false, Scores: full, Transcriptions: tr, Cascade: info, Timing: timing}, nil
 		}
 	}
 
@@ -389,7 +390,7 @@ func (d *Detector) detectCascade(ctx context.Context, clip *audio.Clip, parallel
 	}
 	p2out := make([]string, len(rest))
 	if err := asr.TranscribeInto(ctx, rest, clip, cache, parallel, p2out); err != nil {
-		return Decision{}, timing, fmt.Errorf("detector: %w", err)
+		return Decision{}, fmt.Errorf("detector: %w", err)
 	}
 	for k, i := range restIdx {
 		texts[i+1] = p2out[k]
@@ -409,7 +410,7 @@ func (d *Detector) detectCascade(ctx context.Context, clip *audio.Clip, parallel
 	clsStart := time.Now()
 	pred, err := d.Classifier.Predict(scores)
 	if err != nil {
-		return Decision{}, timing, fmt.Errorf("detector: classifying: %w", err)
+		return Decision{}, fmt.Errorf("detector: classifying: %w", err)
 	}
 	trace.Record(obs.StageClassify, "", clsStart)
 	timing.Classify = time.Since(clsStart)
@@ -417,7 +418,7 @@ func (d *Detector) detectCascade(ctx context.Context, clip *audio.Clip, parallel
 	info.EnginesRun = auxNames(d.Auxiliaries, c.order)
 	info.Imputed = make([]bool, n)
 	tr := Transcriptions{Target: texts[0], Aux: texts[1:]}
-	return Decision{Adversarial: pred == 1, Scores: scores, Transcriptions: tr, Cascade: info}, timing, nil
+	return Decision{Adversarial: pred == 1, Scores: scores, Transcriptions: tr, Cascade: info, Timing: timing}, nil
 }
 
 // auxNames lists auxiliary names in evaluation order.

@@ -1,6 +1,7 @@
 package detector
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -137,7 +138,7 @@ func TestCascadeLeaderElection(t *testing.T) {
 			}
 			// Every engine hears the target's text: all scores are 1.0,
 			// which short-circuits under any reachable margin.
-			dec, err := d.Detect(audio.NewClip(8000, 800))
+			dec, err := d.Detect(context.Background(), audio.NewClip(8000, 800))
 			if err != nil {
 				t.Fatal(err)
 			}

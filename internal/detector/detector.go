@@ -48,9 +48,9 @@ type Detector struct {
 	// architecture runs engines concurrently; sequential mode exists for
 	// deterministic timing studies).
 	Sequential bool
-	// Cascade, when non-nil (EnableCascade), schedules Detect* calls
-	// leader-first with a calibrated benign short-circuit.
-	// Training and batch feature extraction always use the full ensemble.
+	// Cascade, when non-nil (EnableCascade), schedules Detect and
+	// BatchDetect leader-first with a calibrated benign short-circuit.
+	// Training and calibration features always use the full ensemble.
 	Cascade *Cascade
 }
 
@@ -86,23 +86,23 @@ type Transcriptions struct {
 	Aux    []string
 }
 
-// transcribeAll runs the target and every auxiliary through the shared
-// transcription helper: engines run concurrently unless Sequential is
-// set, and engines with identical MFCC front ends share a per-clip
-// feature cache. The context cancels per-engine dispatch.
-func (d *Detector) transcribeAll(ctx context.Context, clip *audio.Clip) (Transcriptions, error) {
-	return d.transcribeAllP(ctx, clip, !d.Sequential)
+// TranscribeAll runs the target and every auxiliary on the clip and
+// returns their raw transcriptions. Engines run concurrently unless
+// Sequential is set, and engines with identical MFCC front ends share a
+// per-clip feature cache. The context cancels per-engine dispatch.
+func (d *Detector) TranscribeAll(ctx context.Context, clip *audio.Clip) (Transcriptions, error) {
+	return d.transcribeAll(ctx, clip, !d.Sequential)
 }
 
-// transcribeAllP is transcribeAll with the engine-level parallelism
-// decided by the caller. Batch operations pass false when their worker
-// pool already saturates the CPUs, so a batch does not multiply
-// pool-size × engine-count goroutines.
-func (d *Detector) transcribeAllP(ctx context.Context, clip *audio.Clip, parallel bool) (Transcriptions, error) {
+// transcribeAll is TranscribeAll with the engine-level parallelism decided
+// by the caller. Batch operations pass false when their worker pool
+// already saturates the CPUs, so a batch does not multiply pool-size ×
+// engine-count goroutines.
+func (d *Detector) transcribeAll(ctx context.Context, clip *audio.Clip, parallel bool) (Transcriptions, error) {
 	engines := make([]asr.Recognizer, 0, len(d.Auxiliaries)+1)
 	engines = append(engines, d.Target)
 	engines = append(engines, d.Auxiliaries...)
-	texts, err := asr.TranscribeAllWithCacheCtx(ctx, engines, clip, parallel)
+	texts, err := asr.TranscribeAll(ctx, engines, clip, parallel)
 	out := Transcriptions{}
 	if err != nil {
 		return out, fmt.Errorf("detector: %w", err)
@@ -110,12 +110,6 @@ func (d *Detector) transcribeAllP(ctx context.Context, clip *audio.Clip, paralle
 	out.Target = texts[0]
 	out.Aux = texts[1:]
 	return out, nil
-}
-
-// TranscribeAll runs the target and every auxiliary on the clip (exported
-// for callers that need raw transcriptions, e.g. the public System API).
-func (d *Detector) TranscribeAll(clip *audio.Clip) (Transcriptions, error) {
-	return d.transcribeAll(context.Background(), clip)
 }
 
 // Scores converts transcriptions into the similarity feature vector.
@@ -128,19 +122,14 @@ func (d *Detector) Scores(tr Transcriptions) []float64 {
 }
 
 // FeatureVector transcribes the clip on all engines and returns the
-// similarity scores.
-func (d *Detector) FeatureVector(clip *audio.Clip) ([]float64, error) {
-	return d.FeatureVectorCtx(context.Background(), clip)
+// similarity scores, without classifying them.
+func (d *Detector) FeatureVector(ctx context.Context, clip *audio.Clip) ([]float64, error) {
+	return d.featureVector(ctx, clip, !d.Sequential)
 }
 
-// FeatureVectorCtx is FeatureVector with cancellation.
-func (d *Detector) FeatureVectorCtx(ctx context.Context, clip *audio.Clip) ([]float64, error) {
-	return d.featureVectorP(ctx, clip, !d.Sequential)
-}
-
-// featureVectorP is FeatureVectorCtx with explicit engine parallelism.
-func (d *Detector) featureVectorP(ctx context.Context, clip *audio.Clip, parallel bool) ([]float64, error) {
-	tr, err := d.transcribeAllP(ctx, clip, parallel)
+// featureVector is FeatureVector with explicit engine parallelism.
+func (d *Detector) featureVector(ctx context.Context, clip *audio.Clip, parallel bool) ([]float64, error) {
+	tr, err := d.transcribeAll(ctx, clip, parallel)
 	if err != nil {
 		return nil, err
 	}
@@ -157,6 +146,8 @@ type Decision struct {
 	// When the cascade short-circuits, the skipped dimensions of Scores
 	// hold benign fill means — Cascade.Imputed marks them.
 	Cascade *CascadeInfo
+	// Timing decomposes the cost of producing the decision.
+	Timing Timing
 }
 
 // Timing decomposes one detection into the paper's §V-I overhead parts.
@@ -166,34 +157,18 @@ type Timing struct {
 	Classify    time.Duration // classifier inference
 }
 
-// Detect classifies the clip. The classifier must be trained.
-func (d *Detector) Detect(clip *audio.Clip) (Decision, error) {
-	dec, _, err := d.DetectTimed(clip)
-	return dec, err
+// Detect classifies the clip; the classifier must be trained. A cancelled
+// or expired context aborts the remaining per-engine work and returns the
+// context's error. With a cascade attached (EnableCascade) the scheduler
+// decides which engines run; otherwise the full ensemble does.
+func (d *Detector) Detect(ctx context.Context, clip *audio.Clip) (Decision, error) {
+	return d.detect(ctx, clip, !d.Sequential)
 }
 
-// DetectCtx is Detect with cancellation: a cancelled or expired context
-// aborts the remaining per-engine work and returns the context's error.
-func (d *Detector) DetectCtx(ctx context.Context, clip *audio.Clip) (Decision, error) {
-	dec, _, err := d.DetectTimedCtx(ctx, clip)
-	return dec, err
-}
-
-// DetectTimed is Detect plus the per-stage timing decomposition.
-func (d *Detector) DetectTimed(clip *audio.Clip) (Decision, Timing, error) {
-	return d.DetectTimedCtx(context.Background(), clip)
-}
-
-// DetectTimedCtx is DetectTimed with cancellation.
-func (d *Detector) DetectTimedCtx(ctx context.Context, clip *audio.Clip) (Decision, Timing, error) {
-	return d.detectTimedP(ctx, clip, !d.Sequential)
-}
-
-// detectTimedP is DetectTimedCtx with explicit engine parallelism: the
-// cascade scheduler when one is attached, the full ensemble otherwise.
-func (d *Detector) detectTimedP(ctx context.Context, clip *audio.Clip, parallel bool) (Decision, Timing, error) {
+// detect is Detect with explicit engine parallelism.
+func (d *Detector) detect(ctx context.Context, clip *audio.Clip, parallel bool) (Decision, error) {
 	if d.Classifier == nil {
-		return Decision{}, Timing{}, fmt.Errorf("detector: no classifier configured")
+		return Decision{}, fmt.Errorf("detector: no classifier configured")
 	}
 	if d.Cascade != nil {
 		return d.detectCascade(ctx, clip, parallel)
@@ -206,13 +181,13 @@ func (d *Detector) detectTimedP(ctx context.Context, clip *audio.Clip, parallel 
 // (transcribe, phonetic, similarity, classify; the per-engine
 // transcription spans are recorded inside internal/asr, and the decode
 // span by whoever decoded the audio).
-func (d *Detector) detectFull(ctx context.Context, clip *audio.Clip, parallel bool) (Decision, Timing, error) {
+func (d *Detector) detectFull(ctx context.Context, clip *audio.Clip, parallel bool) (Decision, error) {
 	var timing Timing
 	trace := obs.TraceFrom(ctx)
 	start := time.Now()
-	tr, err := d.transcribeAllP(ctx, clip, parallel)
+	tr, err := d.transcribeAll(ctx, clip, parallel)
 	if err != nil {
-		return Decision{}, timing, err
+		return Decision{}, err
 	}
 	trace.Record(obs.StageTranscribe, "", start)
 	timing.Recognition = time.Since(start)
@@ -239,11 +214,11 @@ func (d *Detector) detectFull(ctx context.Context, clip *audio.Clip, parallel bo
 	start = time.Now()
 	pred, err := d.Classifier.Predict(scores)
 	if err != nil {
-		return Decision{}, timing, fmt.Errorf("detector: classifying: %w", err)
+		return Decision{}, fmt.Errorf("detector: classifying: %w", err)
 	}
 	trace.Record(obs.StageClassify, "", start)
 	timing.Classify = time.Since(start)
-	return Decision{Adversarial: pred == 1, Scores: scores, Transcriptions: tr}, timing, nil
+	return Decision{Adversarial: pred == 1, Scores: scores, Transcriptions: tr, Timing: timing}, nil
 }
 
 // PhoneticEncode applies the detector's similarity method's phonetic
@@ -274,14 +249,6 @@ func (d *Detector) Train(benignX, aeX [][]float64) error {
 		return fmt.Errorf("detector: training classifier: %w", err)
 	}
 	return nil
-}
-
-// Features extracts the similarity feature vector of every sample,
-// returning the matrix and the {0,1} labels. Samples are processed on a
-// bounded worker pool (see BatchFeatures); set Sequential for one-at-a-time
-// extraction.
-func (d *Detector) Features(samples []dataset.Sample) ([][]float64, []int, error) {
-	return d.BatchFeatures(samples)
 }
 
 // TrainOnSamples extracts features from the samples and fits the

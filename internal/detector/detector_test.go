@@ -1,6 +1,7 @@
 package detector
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -87,7 +88,7 @@ func TestFeatureVectorSeparatesBenignFromAE(t *testing.T) {
 	// Benign samples: high scores everywhere.
 	var benignMin float64 = 2
 	for _, s := range ds.Benign[:6] {
-		v, err := d.FeatureVector(s.Clip)
+		v, err := d.FeatureVector(context.Background(), s.Clip)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +109,7 @@ func TestFeatureVectorSeparatesBenignFromAE(t *testing.T) {
 	// construction.
 	var aeMaxOfMin float64 = -1
 	for _, s := range ds.AEs()[:4] {
-		tr, err := d.TranscribeAll(s.Clip)
+		tr, err := d.TranscribeAll(context.Background(), s.Clip)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,12 +136,12 @@ func TestSequentialAndParallelAgree(t *testing.T) {
 	set, ds := fixture(t)
 	d := newDetector(t, set)
 	clip := ds.Benign[0].Clip
-	par, err := d.FeatureVector(clip)
+	par, err := d.FeatureVector(context.Background(), clip)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.Sequential = true
-	seq, err := d.FeatureVector(clip)
+	seq, err := d.FeatureVector(context.Background(), clip)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestTrainAndDetect(t *testing.T) {
 	// In-sample sanity: benign mostly pass, AEs mostly flagged.
 	var benignWrong, aeWrong int
 	for _, s := range ds.Benign {
-		dec, err := d.Detect(s.Clip)
+		dec, err := d.Detect(context.Background(), s.Clip)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +174,7 @@ func TestTrainAndDetect(t *testing.T) {
 	// independent engines — so they do not count toward the miss rate.
 	var aeTotal int
 	for _, s := range ds.AEs() {
-		dec, err := d.Detect(s.Clip)
+		dec, err := d.Detect(context.Background(), s.Clip)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,10 +200,11 @@ func TestDetectTimedReportsStages(t *testing.T) {
 	if err := d.TrainOnSamples(ds.All()); err != nil {
 		t.Fatal(err)
 	}
-	_, timing, err := d.DetectTimed(ds.Benign[0].Clip)
+	dec, err := d.Detect(context.Background(), ds.Benign[0].Clip)
 	if err != nil {
 		t.Fatal(err)
 	}
+	timing := dec.Timing
 	if timing.Recognition <= 0 {
 		t.Fatal("recognition time not measured")
 	}
@@ -216,11 +218,11 @@ func TestDetectTimedReportsStages(t *testing.T) {
 func TestDetectWithoutTraining(t *testing.T) {
 	set, ds := fixture(t)
 	d := newDetector(t, set)
-	if _, err := d.Detect(ds.Benign[0].Clip); err == nil {
+	if _, err := d.Detect(context.Background(), ds.Benign[0].Clip); err == nil {
 		t.Fatal("expected error for untrained classifier")
 	}
 	d.Classifier = nil
-	if _, err := d.Detect(ds.Benign[0].Clip); err == nil {
+	if _, err := d.Detect(context.Background(), ds.Benign[0].Clip); err == nil {
 		t.Fatal("expected error for nil classifier")
 	}
 	if err := d.Train(nil, nil); err == nil {
@@ -404,7 +406,7 @@ func TestClassifierSwap(t *testing.T) {
 		if err := d.TrainOnSamples(ds.All()); err != nil {
 			t.Fatalf("%s: %v", d.Classifier.Name(), err)
 		}
-		dec, err := d.Detect(ds.AEs()[0].Clip)
+		dec, err := d.Detect(context.Background(), ds.AEs()[0].Clip)
 		if err != nil {
 			t.Fatalf("%s: %v", d.Classifier.Name(), err)
 		}
@@ -431,7 +433,7 @@ func TestBatchDetectMatchesSequential(t *testing.T) {
 	for i, s := range samples {
 		clips[i] = s.Clip
 	}
-	batch, err := d.BatchDetect(clips)
+	batch, err := d.BatchDetect(context.Background(), clips)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +448,7 @@ func TestBatchDetectMatchesSequential(t *testing.T) {
 		Sequential:  true,
 	}
 	for i, clip := range clips {
-		want, err := seq.Detect(clip)
+		want, err := seq.Detect(context.Background(), clip)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -513,7 +515,7 @@ func TestBatchDoesNotNestParallelism(t *testing.T) {
 	for i := range clips {
 		clips[i] = audio.NewClip(8000, 160)
 	}
-	if _, err := d.BatchDetect(clips); err != nil {
+	if _, err := d.BatchDetect(context.Background(), clips); err != nil {
 		t.Fatal(err)
 	}
 	if got, workers := max.Load(), int64(4); got > workers {
@@ -530,7 +532,7 @@ func TestBatchDetectFailFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	clips := []*audio.Clip{ds.Benign[0].Clip, nil, nil, ds.Benign[1].Clip}
-	_, err := d.BatchDetect(clips)
+	_, err := d.BatchDetect(context.Background(), clips)
 	if err == nil {
 		t.Fatal("expected error for nil clip")
 	}
@@ -545,12 +547,12 @@ func TestBatchFeaturesMatchesSequential(t *testing.T) {
 	set, ds := fixture(t)
 	d := newDetector(t, set)
 	samples := ds.All()
-	X, y, err := d.BatchFeatures(samples)
+	X, y, err := d.Features(samples)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.Sequential = true
-	wantX, wantY, err := d.BatchFeatures(samples)
+	wantX, wantY, err := d.Features(samples)
 	if err != nil {
 		t.Fatal(err)
 	}

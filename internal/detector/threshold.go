@@ -45,7 +45,7 @@ func CalibrateThreshold(d *Detector, benignX [][]float64, maxFPR float64) (*Thre
 // Detect flags the clip as adversarial when its similarity score is below
 // the threshold.
 func (t *ThresholdDetector) Detect(clip *audio.Clip) (Decision, error) {
-	tr, err := t.Detector.transcribeAll(context.Background(), clip)
+	tr, err := t.Detector.TranscribeAll(context.TODO(), clip)
 	if err != nil {
 		return Decision{}, err
 	}

@@ -10,6 +10,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -152,7 +153,7 @@ func (e *Env) fillTexts() error {
 		go func() {
 			defer wg.Done()
 			for idx := range jobs {
-				texts, err := asr.TranscribeAllWithCache(engines, e.Samples[idx].Clip, false)
+				texts, err := asr.TranscribeAll(context.Background(), engines, e.Samples[idx].Clip, false)
 				if err != nil {
 					select {
 					case errCh <- fmt.Errorf("experiments: transcribing sample %d: %w", idx, err):

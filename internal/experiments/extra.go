@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -61,13 +62,13 @@ func Overhead(env *Env) (*Result, error) {
 			return nil, err
 		}
 		base1Total += time.Since(start)
-		_, timing, err := d.DetectTimed(clip)
+		dec, err := d.Detect(context.Background(), clip)
 		if err != nil {
 			return nil, err
 		}
-		recogTotal += timing.Recognition
-		simTotal += timing.Similarity
-		classifyTotal += timing.Classify
+		recogTotal += dec.Timing.Recognition
+		simTotal += dec.Timing.Similarity
+		classifyTotal += dec.Timing.Classify
 	}
 	base := baseTotal / time.Duration(n)
 	base1 := base1Total / time.Duration(n)

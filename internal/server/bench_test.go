@@ -117,7 +117,7 @@ func scDetects(b *testing.B, sys *mvpears.System, body []byte) bool {
 	if err != nil {
 		b.Fatal(err)
 	}
-	det, err := sys.Detect(clip)
+	det, err := sys.DetectCtx(context.Background(), clip)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -114,11 +114,11 @@ func TestE2EPersistedModelServing(t *testing.T) {
 	}
 
 	for _, p := range posts {
-		decoded, err := audio.ReadWAVLimited(bytes.NewReader(p.wav), 0)
+		decoded, err := audio.ReadWAV(bytes.NewReader(p.wav))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := sys.Detect(decoded)
+		want, err := sys.DetectCtx(context.Background(), decoded)
 		if err != nil {
 			t.Fatal(err)
 		}

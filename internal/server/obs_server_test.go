@@ -412,11 +412,11 @@ func TestE2EExplainAndStageMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	wav := encodeWAV(t, clip)
-	decoded, err := audio.ReadWAVLimited(bytes.NewReader(wav), 0)
+	decoded, err := audio.ReadWAV(bytes.NewReader(wav))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sys.Detect(decoded)
+	want, err := sys.DetectCtx(context.Background(), decoded)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,11 +161,11 @@ func TestE2EStreamingDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	benignWAV := encodeWAV(t, benign)
-	decoded, err := audio.ReadWAVLimited(bytes.NewReader(benignWAV), 0)
+	decoded, err := audio.ReadWAV(bytes.NewReader(benignWAV))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sys.Detect(decoded)
+	want, err := sys.DetectCtx(context.Background(), decoded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +220,11 @@ func TestE2EStreamingDetection(t *testing.T) {
 		t.Skip("white-box attack failed at quick scale; early-exit leg skipped")
 	}
 	aeWAV := encodeWAV(t, ae.AE)
-	aeClip, err := audio.ReadWAVLimited(bytes.NewReader(aeWAV), 0)
+	aeClip, err := audio.ReadWAV(bytes.NewReader(aeWAV))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantAE, err := sys.Detect(aeClip)
+	wantAE, err := sys.DetectCtx(context.Background(), aeClip)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestE2EStreamingWebSocket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sys.Detect(benign)
+	want, err := sys.DetectCtx(context.Background(), benign)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -237,7 +237,7 @@ func TestClusterExplainBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sys.Detect(clip)
+	want, err := sys.DetectCtx(context.Background(), clip)
 	if err != nil {
 		t.Fatal(err)
 	}

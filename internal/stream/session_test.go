@@ -225,7 +225,7 @@ func TestSessionBuffersNeverShared(t *testing.T) {
 						t.Errorf("session %d: Final.Samples before Close is not the audio pushed", s.ID())
 					}
 					if n%8 == 0 {
-						want, err := d.Detect(&audio.Clip{SampleRate: set.SampleRate, Samples: x})
+						want, err := d.Detect(ctx, &audio.Clip{SampleRate: set.SampleRate, Samples: x})
 						if err != nil {
 							t.Error(err)
 							return

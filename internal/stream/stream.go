@@ -354,7 +354,6 @@ type EarlyExit struct {
 // Final is the end-of-stream result.
 type Final struct {
 	Decision detector.Decision
-	Timing   detector.Timing
 	// Windows is how many provisional verdicts were emitted; Duration
 	// the audio length; Samples the accumulated clip (for the verdict
 	// cache probe — callers must not mutate it). Samples is the session's
@@ -618,8 +617,8 @@ func (s *Session) finish(ctx context.Context) (*Final, error) {
 			Adversarial:    adversarial,
 			Scores:         scores,
 			Transcriptions: detector.Transcriptions{Target: texts[0], Aux: texts[1:]},
+			Timing:         timing,
 		},
-		Timing:    timing,
 		Windows:   s.windows,
 		Duration:  sampleDuration(s.total, s.m.cfg.SampleRate),
 		Samples:   s.es.Samples(),

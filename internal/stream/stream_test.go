@@ -163,7 +163,7 @@ func TestSessionWindowsAndFinal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := d.Detect(clip)
+	want, err := d.Detect(ctx, clip)
 	if err != nil {
 		t.Fatal(err)
 	}

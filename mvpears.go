@@ -22,7 +22,7 @@
 //
 //	sys, err := mvpears.Build(mvpears.WithQuickScale())
 //	...
-//	det, err := sys.Detect(clip)
+//	det, err := sys.DetectCtx(ctx, clip)
 //	if det.Adversarial { ... }
 package mvpears
 
@@ -53,9 +53,6 @@ const (
 	KLD = asr.KLD // weak Kaldi-like engine (for the weak-auxiliary ablation)
 	DS2 = asr.DS2 // optional end-to-end CTC engine (WithCTCAuxiliary)
 )
-
-// LoadWAV reads a 16-bit mono PCM WAV file.
-func LoadWAV(path string) (*Clip, error) { return audio.LoadWAV(path) }
 
 // SaveWAV writes a clip as a 16-bit mono PCM WAV file.
 func SaveWAV(path string, c *Clip) error { return audio.SaveWAV(path, c) }

@@ -1,9 +1,14 @@
 package mvpears
 
 import (
+	"context"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
+
+	"mvpears/internal/obs"
 )
 
 var (
@@ -46,7 +51,7 @@ func TestDetectBenignAndAE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := s.Detect(benign)
+	det, err := s.DetectCtx(context.Background(), benign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +82,7 @@ func TestDetectBenignAndAE(t *testing.T) {
 	if !ae.Success {
 		t.Skip("white-box attack failed on this host at quick scale")
 	}
-	det, err = s.Detect(ae.AE)
+	det, err = s.DetectCtx(context.Background(), ae.AE)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +107,7 @@ func TestTranscribeAllAgreesOnBenign(t *testing.T) {
 	if len(all) != 4 {
 		t.Fatalf("got %d transcriptions", len(all))
 	}
-	v, err := s.FeatureVector(clip)
+	v, err := s.FeatureVector(context.Background(), clip)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,14 +128,18 @@ func TestDetectFileRoundTrip(t *testing.T) {
 	if err := SaveWAV(path, clip); err != nil {
 		t.Fatal(err)
 	}
-	det, err := s.DetectFile(path)
+	clip, err = s.LoadClip(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	det, err := s.DetectCtx(context.Background(), clip)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if det.Adversarial {
 		t.Error("benign WAV flagged")
 	}
-	if _, err := s.DetectFile(filepath.Join(t.TempDir(), "missing.wav")); err == nil {
+	if _, err := s.LoadClip(filepath.Join(t.TempDir(), "missing.wav")); err == nil {
 		t.Fatal("expected error for missing file")
 	}
 }
@@ -149,7 +158,11 @@ func TestDetectFileResamples(t *testing.T) {
 	if err := SaveWAV(path, hi); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.DetectFile(path); err != nil {
+	back, err := s.LoadClip(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.DetectCtx(context.Background(), back); err != nil {
 		t.Fatalf("16 kHz WAV should be resampled and accepted: %v", err)
 	}
 }
@@ -266,7 +279,7 @@ func TestWithoutTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Detect(clip); err == nil {
+	if _, err := s.DetectCtx(context.Background(), clip); err == nil {
 		t.Fatal("expected error detecting with untrained classifier")
 	}
 	if err := s.TrainDetector(); err == nil {
@@ -296,5 +309,52 @@ func TestWithCTCAuxiliary(t *testing.T) {
 	}
 	if _, ok := all["DS2"]; !ok {
 		t.Fatal("DS2 did not transcribe")
+	}
+}
+
+// TestDetectBatchCtxMatchesDetectCtx asserts the batch call answers every
+// clip exactly as the single call does — verdict, scores, transcriptions,
+// explanation and cascade provenance — with the cascade off and on.
+func TestDetectBatchCtxMatchesDetectCtx(t *testing.T) {
+	s := sharedSystem(t)
+	t.Cleanup(s.DisableCascade)
+	clips, kinds := cascadeCorpus(t, s)
+	if !slices.Contains(kinds, "ae") {
+		t.Fatal("no white-box attack in the corpus succeeded: the table has no AE")
+	}
+	ctx := obs.WithExplain(context.Background())
+	for _, cascade := range []bool{false, true} {
+		s.DisableCascade()
+		if cascade {
+			if err := s.EnableCascade(0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		batch, err := s.DetectBatchCtx(ctx, clips)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, clip := range clips {
+			want, err := s.DetectCtx(ctx, clip)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := batch[i]
+			if got.Adversarial != want.Adversarial || !slices.Equal(got.Scores, want.Scores) ||
+				!reflect.DeepEqual(got.Transcriptions, want.Transcriptions) {
+				t.Errorf("cascade %v, %s clip %d: batch %v %v %v, single %v %v %v", cascade, kinds[i], i,
+					got.Adversarial, got.Scores, got.Transcriptions, want.Adversarial, want.Scores, want.Transcriptions)
+			}
+			if got.Explanation == nil || want.Explanation == nil || !reflect.DeepEqual(*got.Explanation, *want.Explanation) {
+				t.Errorf("cascade %v, clip %d: batch explanation %+v, single %+v", cascade, i, got.Explanation, want.Explanation)
+			}
+			if (got.Cascade == nil) != !cascade || (want.Cascade == nil) != !cascade ||
+				(cascade && !slices.Equal(got.Cascade.EnginesRun, want.Cascade.EnginesRun)) {
+				t.Errorf("cascade %v, clip %d: batch provenance %+v, single %+v", cascade, i, got.Cascade, want.Cascade)
+			}
+			if got.Timing.Recognition <= 0 || want.Timing.Recognition <= 0 {
+				t.Errorf("cascade %v, clip %d: recognition time batch %v, single %v", cascade, i, got.Timing.Recognition, want.Timing.Recognition)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package mvpears
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"os"
@@ -31,11 +32,11 @@ func TestSystemSaveOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, err := s.Detect(benign)
+	d1, err := s.DetectCtx(context.Background(), benign)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := loaded.Detect(benign)
+	d2, err := loaded.DetectCtx(context.Background(), benign)
 	if err != nil {
 		t.Fatal(err)
 	}

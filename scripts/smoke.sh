@@ -36,6 +36,18 @@ fi
 [ ! -e "$WORKDIR/none.gob" ] || { echo "FAIL: misconfigured boot wrote none.gob"; exit 1; }
 grep -q -- '-peers requires -cluster-addr' "$WORKDIR/negboot.log" \
     || { echo "FAIL: boot error does not name -peers"; cat "$WORKDIR/negboot.log"; exit 1; }
+# -bootstrap fills only a missing artifact: one that exists but does not
+# load fails the boot promptly and is left byte-identical.
+printf 'not a model artifact\n' >"$WORKDIR/bad.gob"
+cp "$WORKDIR/bad.gob" "$WORKDIR/bad.gob.orig"
+set +e
+timeout 2 "$WORKDIR/mvpearsd" -model "$WORKDIR/bad.gob" -bootstrap >"$WORKDIR/badboot.log" 2>&1
+RC=$?
+set -e
+if [ "$RC" -eq 0 ] || [ "$RC" -eq 124 ]; then
+    echo "FAIL: boot on an unreadable artifact exited $RC (want a prompt non-zero exit)"; cat "$WORKDIR/badboot.log"; exit 1
+fi
+cmp "$WORKDIR/bad.gob" "$WORKDIR/bad.gob.orig" || { echo "FAIL: -bootstrap rewrote an unreadable artifact"; exit 1; }
 
 echo "== fixture =="
 "$WORKDIR/mvpears" synth -text "open the front door" -out "$WORKDIR/clip.wav" -seed 7

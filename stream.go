@@ -86,5 +86,5 @@ func (s *System) TargetName() string { return s.det.Target.Name() }
 // caching, explanation and audit logging treat streamed and batch
 // verdicts identically.
 func (s *System) DetectionFromStream(fin *stream.Final) *Detection {
-	return s.toDetection(fin.Decision, fin.Timing)
+	return s.toDetection(fin.Decision)
 }

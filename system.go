@@ -4,11 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"mvpears/internal/asr"
 	"mvpears/internal/attack"
+	"mvpears/internal/audio"
 	"mvpears/internal/classify"
+	"mvpears/internal/dataset"
 	"mvpears/internal/detector"
 	"mvpears/internal/obs"
 	"mvpears/internal/obs/drift"
@@ -74,23 +75,15 @@ type Explanation struct {
 }
 
 // DetectionTiming mirrors the paper's §V-I overhead decomposition.
-type DetectionTiming struct {
-	Recognition time.Duration
-	Similarity  time.Duration
-	Classify    time.Duration
-}
+type DetectionTiming = detector.Timing
 
-// toDetection converts a detector decision + timing into the public form.
-func (s *System) toDetection(dec detector.Decision, timing detector.Timing) *Detection {
+// toDetection converts a detector decision into the public form.
+func (s *System) toDetection(dec detector.Decision) *Detection {
 	out := &Detection{
 		Adversarial:    dec.Adversarial,
 		Scores:         dec.Scores,
 		Transcriptions: map[string]string{s.det.Target.Name(): dec.Transcriptions.Target},
-		Timing: DetectionTiming{
-			Recognition: timing.Recognition,
-			Similarity:  timing.Similarity,
-			Classify:    timing.Classify,
-		},
+		Timing:         dec.Timing,
 	}
 	for i, aux := range s.det.Auxiliaries {
 		out.Transcriptions[aux.Name()] = dec.Transcriptions.Aux[i]
@@ -99,24 +92,19 @@ func (s *System) toDetection(dec detector.Decision, timing detector.Timing) *Det
 	return out
 }
 
-// Detect classifies the clip as benign or adversarial. The System must
-// have a trained classifier (Build's default).
-func (s *System) Detect(clip *Clip) (*Detection, error) {
-	return s.DetectCtx(context.Background(), clip)
-}
-
-// DetectCtx is Detect with cancellation: a cancelled or expired context
-// aborts the remaining per-engine work and returns the context's error.
-// This is the entry point used by the mvpearsd serving layer to enforce
-// per-request deadlines. The context also carries observability state: an
-// obs.Trace collects per-stage spans, and obs.WithExplain makes the
-// returned Detection carry its Explanation.
+// DetectCtx classifies the clip as benign or adversarial. The System must
+// have a trained classifier (Build's default). A cancelled or expired
+// context aborts the remaining per-engine work and returns the context's
+// error; the mvpearsd serving layer enforces per-request deadlines this
+// way. The context also carries observability state: an obs.Trace
+// collects per-stage spans, and obs.WithExplain makes the returned
+// Detection carry its Explanation.
 func (s *System) DetectCtx(ctx context.Context, clip *Clip) (*Detection, error) {
-	dec, timing, err := s.det.DetectTimedCtx(ctx, clip)
+	dec, err := s.det.Detect(ctx, clip)
 	if err != nil {
 		return nil, err
 	}
-	det := s.toDetection(dec, timing)
+	det := s.toDetection(dec)
 	if obs.ExplainRequested(ctx) {
 		det.Explanation = s.Explain(det)
 	}
@@ -161,20 +149,14 @@ func (s *System) Explain(det *Detection) *Explanation {
 	return exp
 }
 
-// DetectFile loads a WAV file (resampling to the engines' rate if needed)
-// and runs Detect.
-func (s *System) DetectFile(path string) (*Detection, error) {
-	clip, err := LoadWAV(path)
-	if err != nil {
-		return nil, err
+// LoadClip reads a 16-bit mono PCM WAV file and resamples it to the
+// engines' rate when it differs.
+func (s *System) LoadClip(path string) (*Clip, error) {
+	clip, err := audio.LoadWAV(path)
+	if err != nil || clip.SampleRate == s.engines.SampleRate {
+		return clip, err
 	}
-	if clip.SampleRate != s.engines.SampleRate {
-		clip, err = clip.Resample(s.engines.SampleRate)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return s.Detect(clip)
+	return clip.Resample(s.engines.SampleRate)
 }
 
 // Transcribe runs the target engine (DS0) on the clip.
@@ -184,9 +166,11 @@ func (s *System) Transcribe(clip *Clip) (string, error) {
 
 // TranscribeAll runs every configured engine and returns name ->
 // transcription. Engines run concurrently and share a per-clip feature
-// cache when their MFCC front ends match.
+// cache when their MFCC front ends match. It is an offline convenience
+// whose signature predates context threading, so it always runs to
+// completion.
 func (s *System) TranscribeAll(clip *Clip) (map[string]string, error) {
-	tr, err := s.det.TranscribeAll(clip)
+	tr, err := s.det.TranscribeAll(context.TODO(), clip)
 	if err != nil {
 		return nil, err
 	}
@@ -198,26 +182,20 @@ func (s *System) TranscribeAll(clip *Clip) (map[string]string, error) {
 	return out, nil
 }
 
-// DetectBatch classifies every clip on a bounded worker pool
-// (GOMAXPROCS-sized), returning detections in input order. It fails fast:
-// the first per-clip error aborts the batch.
-func (s *System) DetectBatch(clips []*Clip) ([]*Detection, error) {
-	return s.DetectBatchCtx(context.Background(), clips)
-}
-
-// DetectBatchCtx is DetectBatch with cancellation: a cancelled context
-// stops dispatching clips and the whole batch fails with the context's
-// error. Like DetectCtx it honors obs.WithExplain, populating every
+// DetectBatchCtx classifies every clip as DetectCtx would, on a bounded
+// worker pool (GOMAXPROCS-sized), returning detections in input order. It
+// fails fast: the first per-clip error, or a cancelled context, aborts the
+// whole batch. Like DetectCtx it honors obs.WithExplain, populating every
 // detection's Explanation.
 func (s *System) DetectBatchCtx(ctx context.Context, clips []*Clip) ([]*Detection, error) {
-	decs, timings, err := s.det.BatchDetectTimedCtx(ctx, clips)
+	decs, err := s.det.BatchDetect(ctx, clips)
 	if err != nil {
 		return nil, err
 	}
 	explain := obs.ExplainRequested(ctx)
 	out := make([]*Detection, len(decs))
 	for i, dec := range decs {
-		out[i] = s.toDetection(dec, timings[i])
+		out[i] = s.toDetection(dec)
 		if explain {
 			out[i].Explanation = s.Explain(out[i])
 		}
@@ -227,8 +205,8 @@ func (s *System) DetectBatchCtx(ctx context.Context, clips []*Clip) ([]*Detectio
 
 // FeatureVector returns the similarity-score vector of the clip without
 // classifying it.
-func (s *System) FeatureVector(clip *Clip) ([]float64, error) {
-	return s.det.FeatureVector(clip)
+func (s *System) FeatureVector(ctx context.Context, clip *Clip) ([]float64, error) {
+	return s.det.FeatureVector(ctx, clip)
 }
 
 // SampleRate returns the audio sample rate the engines expect.
@@ -381,13 +359,13 @@ func (s *System) CalibrateThreshold(aux EngineID, benign []*Clip, maxFPR float64
 	if err != nil {
 		return nil, err
 	}
-	X := make([][]float64, 0, len(benign))
+	samples := make([]dataset.Sample, len(benign))
 	for i, clip := range benign {
-		v, err := single.FeatureVector(clip)
-		if err != nil {
-			return nil, fmt.Errorf("mvpears: calibration clip %d: %w", i, err)
-		}
-		X = append(X, v)
+		samples[i] = dataset.Sample{Clip: clip, Kind: dataset.KindBenign}
+	}
+	X, _, err := single.Features(samples)
+	if err != nil {
+		return nil, fmt.Errorf("mvpears: calibration: %w", err)
 	}
 	td, err := detector.CalibrateThreshold(single, X, maxFPR)
 	if err != nil {
