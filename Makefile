@@ -3,8 +3,8 @@ GO ?= go
 # Benchmarks tracked in BENCH_detect.json / BENCH_serve.json.
 # SERVE_BENCH matches BenchmarkServeMissCascade and BenchmarkCascadeDetect
 # (the cascaded miss through the handler and in process),
-# BenchmarkStreamWindow (the real-time sliding-window gate) and the
-# BenchmarkCluster pair (remote hit, hedged dispatch); NN_BENCH covers
+# BenchmarkStreamWindow (the real-time sliding-window gate) and
+# BenchmarkClusterRemoteHit (the remote cache hit); NN_BENCH covers
 # the inference kernels they ride on (the float64 blocked mat-vec and
 # RNN step); HMM_BENCH and ASR_BENCH the Viterbi column, the
 # post-acoustic half of a stream window and the cold lexicon scan;

@@ -144,7 +144,6 @@ func parse(args []string, usage io.Writer) (*config, error) {
 		c.cluster.Peers = strings.FieldsFunc(s, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
 		return nil
 	})
-	fs.DurationVar(&c.cluster.HedgeAfter, "hedge-after", 0, "fixed hedge delay before duplicating a slow detection to an idle peer (0: derived from the measured detection cost)")
 
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -168,7 +167,7 @@ func (c *config) validate() error {
 		off   bool
 		why   string
 	}{
-		{[]string{"peers", "cluster-self", "hedge-after"}, c.cluster.Addr == "", "requires -cluster-addr"},
+		{[]string{"peers", "cluster-self"}, c.cluster.Addr == "", "requires -cluster-addr"},
 		{[]string{"audit-rotate-bytes", "audit-retain-bytes"}, c.auditPath == "", "requires -audit"},
 		{[]string{"stream-window", "stream-hop", "stream-max-sessions", "stream-idle-timeout"}, !c.streamOn, "has no effect with -stream=false"},
 		{[]string{"log-sample", "slow"}, !c.accessLog, "has no effect with -access-log=false"},

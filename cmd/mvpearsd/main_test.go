@@ -29,7 +29,7 @@ func TestRunRejectsBadCombinations(t *testing.T) {
 		want []string // offending flags, one problem each
 	}{
 		{"peers without cluster", []string{"-peers", "127.0.0.1:1"}, []string{"-peers"}},
-		{"self and hedge without cluster", []string{"-cluster-self", "10.0.0.1:9090", "-hedge-after", "5ms"}, []string{"-cluster-self", "-hedge-after"}},
+		{"self without cluster", []string{"-cluster-self", "10.0.0.1:9090"}, []string{"-cluster-self"}},
 		{"audit knobs without audit", []string{"-audit-rotate-bytes", "1", "-audit-retain-bytes", "2"}, []string{"-audit-rotate-bytes", "-audit-retain-bytes"}},
 		{"stream knobs with stream off", []string{"-stream=false", "-stream-window", "2s", "-stream-hop", "500ms", "-stream-max-sessions", "3", "-stream-idle-timeout", "1m"},
 			[]string{"-stream-window", "-stream-hop", "-stream-max-sessions", "-stream-idle-timeout"}},
@@ -154,10 +154,10 @@ func TestHelpListsEveryFlagOnceWithItsDefault(t *testing.T) {
 		"cascade-margin": "-1", "cascade-sample": "16", "quantized": "",
 		"stream": "true", "stream-window": stream.DefaultWindow.String(), "stream-hop": stream.DefaultHop.String(),
 		"stream-max-sessions": strconv.Itoa(stream.DefaultMaxSessions), "stream-idle-timeout": stream.DefaultIdleTimeout.String(),
-		"cluster-addr": "", "cluster-self": "", "peers": "", "hedge-after": "",
+		"cluster-addr": "", "cluster-self": "", "peers": "",
 	}
-	if len(want) != 35 {
-		t.Fatalf("table lists %d flags, the daemon has 35", len(want))
+	if len(want) != 34 {
+		t.Fatalf("table lists %d flags, the daemon has 34", len(want))
 	}
 
 	var out strings.Builder

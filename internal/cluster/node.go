@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"net"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,8 +38,6 @@ import (
 // never re-forward, so ownership disagreement during membership skew
 // cannot loop a request between replicas.
 type Handler interface {
-	// GetCached returns the locally cached detection for key, if any.
-	GetCached(ctx context.Context, key string) (*mvpears.Detection, bool)
 	// Detect answers for key from local cache/flight/backend. cached
 	// reports that no fresh detection ran for this call. tc is the
 	// requester's propagated trace context; when tc.Sampled the handler
@@ -68,15 +65,10 @@ type Config struct {
 	// side of the protocol (default 4*GOMAXPROCS, min 4). Excess requests
 	// get MsgErr "busy" instead of queueing unboundedly.
 	MaxInflight int
-	// ConnsPerPeer bounds the idle persistent connections kept per peer
-	// (default 2).
-	ConnsPerPeer int
 	// DownFor is how long a peer is skipped after a transport failure
 	// (default 1s). The circuit keeps remote probes off a dead peer's
 	// dial timeout.
 	DownFor time.Duration
-	// VirtualNodes configures the ring (default DefaultVirtualNodes).
-	VirtualNodes int
 	// ObserveRTT, when set, receives every successful peer round trip's
 	// duration (the per-peer RTT histogram source). Called on the request
 	// path; must be cheap and must not block.
@@ -99,9 +91,6 @@ func (c *Config) applyDefaults() {
 			c.MaxInflight = 4
 		}
 	}
-	if c.ConnsPerPeer <= 0 {
-		c.ConnsPerPeer = 2
-	}
 	if c.DownFor <= 0 {
 		c.DownFor = time.Second
 	}
@@ -114,9 +103,6 @@ type Node struct {
 	ring *Ring
 	// peers maps advertised address -> client state (excludes Self).
 	peers map[string]*peer
-	// order lists peer addresses for round-robin hedge target selection.
-	order []string
-	rr    atomic.Uint64
 
 	// inflight is the fan-in semaphore for served peer requests.
 	inflight chan struct{}
@@ -134,7 +120,7 @@ func New(cfg Config) (*Node, error) {
 	}
 	cfg.applyDefaults()
 	members := append([]string{cfg.Self}, cfg.Peers...)
-	ring := NewRing(members, cfg.VirtualNodes)
+	ring := NewRing(members)
 	n := &Node{
 		cfg:      cfg,
 		ring:     ring,
@@ -146,8 +132,7 @@ func New(cfg Config) (*Node, error) {
 		if m == cfg.Self {
 			continue
 		}
-		n.peers[m] = &peer{addr: m, idle: make(chan *peerConn, cfg.ConnsPerPeer)}
-		n.order = append(n.order, m)
+		n.peers[m] = &peer{addr: m, idle: make(chan *peerConn, connsPerPeer)}
 	}
 	return n, nil
 }
@@ -190,29 +175,13 @@ type PeerStatus struct {
 // (the /statusz ring view).
 func (n *Node) PeerStatuses() []PeerStatus {
 	now := time.Now().UnixNano()
-	out := make([]PeerStatus, 0, len(n.order))
-	for _, addr := range n.order {
-		out = append(out, PeerStatus{Addr: addr, Down: n.peers[addr].downUntil.Load() > now})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
-}
-
-// HedgeTarget picks a healthy peer to duplicate work onto, round-robin
-// so consecutive hedges spread across the fleet ("" when none).
-func (n *Node) HedgeTarget() string {
-	if len(n.order) == 0 {
-		return ""
-	}
-	now := time.Now().UnixNano()
-	start := int(n.rr.Add(1)) % len(n.order)
-	for i := 0; i < len(n.order); i++ {
-		addr := n.order[(start+i)%len(n.order)]
-		if n.peers[addr].downUntil.Load() <= now {
-			return addr
+	out := make([]PeerStatus, 0, len(n.peers))
+	for _, addr := range n.ring.Members() {
+		if p := n.peers[addr]; p != nil {
+			out = append(out, PeerStatus{Addr: addr, Down: p.downUntil.Load() > now})
 		}
 	}
-	return ""
+	return out
 }
 
 // ErrPeerUnavailable wraps transport-level peer failures (the caller
@@ -222,29 +191,6 @@ var ErrPeerUnavailable = errors.New("cluster: peer unavailable")
 // ErrRemote wraps a MsgErr answer from a peer (the peer is up but
 // declined: busy, draining, fingerprint mismatch, detection failure).
 var ErrRemote = errors.New("cluster: remote error")
-
-// Get probes addr's verdict cache for key. ok=false with nil error is a
-// clean remote miss. tc propagates the requester's trace context (cache
-// hits carry no spans, so nothing stitches back on this path).
-func (n *Node) Get(ctx context.Context, addr, key string, tc obs.TraceContext) (det *mvpears.Detection, ok bool, err error) {
-	req := AppendGet(make([]byte, 0, len(key)+64), key, tc)
-	t, payload, err := n.roundTrip(ctx, addr, MsgGet, req)
-	if err != nil {
-		return nil, false, err
-	}
-	switch t {
-	case MsgMiss:
-		return nil, false, nil
-	case MsgVerdict:
-		det, _, _, err := ParseVerdict(payload)
-		return det, err == nil, err
-	case MsgErr:
-		msg, _ := ParseErr(payload)
-		return nil, false, fmt.Errorf("%w: %s", ErrRemote, msg)
-	default:
-		return nil, false, fmt.Errorf("%w: unexpected %d reply to Get", ErrBadFrame, t)
-	}
-}
 
 // Detect forwards one detection to addr: the owner answers from its
 // cache when possible, otherwise runs (or joins) the detection locally.
@@ -270,6 +216,9 @@ func (n *Node) Detect(ctx context.Context, addr, key string, sampleRate int, pcm
 }
 
 // --- client side: persistent connections with a down-peer circuit ---
+
+// connsPerPeer bounds the idle persistent connections kept per peer.
+const connsPerPeer = 2
 
 // peer is the client state for one remote replica.
 type peer struct {
@@ -321,8 +270,8 @@ func (n *Node) roundTrip(ctx context.Context, addr string, t MsgType, payload []
 		deadline = d
 	}
 	_ = pc.conn.SetDeadline(deadline)
-	// Cancel-on-first-result plumbing: a hedged RPC whose ctx is
-	// cancelled must unblock promptly, not at the deadline.
+	// An RPC whose ctx is cancelled (every caller of the flight gone)
+	// must unblock promptly, not at the deadline.
 	stop := context.AfterFunc(ctx, func() { _ = pc.conn.SetDeadline(time.Unix(0, 1)) })
 	rt, rp, err := pc.do(t, payload)
 	stop()
@@ -483,15 +432,6 @@ func (n *Node) handleFrame(ctx context.Context, dst []byte, t MsgType, payload [
 	rctx, cancel := context.WithTimeout(ctx, n.cfg.RequestTimeout)
 	defer cancel()
 	switch t {
-	case MsgGet:
-		key, _, err := ParseGet(payload)
-		if err != nil {
-			return AppendFrame(dst, MsgErr, AppendErr(nil, err.Error()))
-		}
-		if det, ok := n.cfg.Handler.GetCached(rctx, key); ok {
-			return AppendFrame(dst, MsgVerdict, AppendVerdict(nil, det, true, nil))
-		}
-		return AppendFrame(dst, MsgMiss, nil)
 	case MsgDetect:
 		key, rate, pcm, tc, err := ParseDetect(payload)
 		if err != nil {

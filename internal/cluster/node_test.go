@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"net"
@@ -25,13 +26,6 @@ type stubHandler struct {
 	err   error
 }
 
-func (h *stubHandler) GetCached(ctx context.Context, key string) (*mvpears.Detection, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	det, ok := h.cache[key]
-	return det, ok
-}
-
 func (h *stubHandler) Detect(ctx context.Context, tc obs.TraceContext, key string, sampleRate int, pcm []byte) (*mvpears.Detection, bool, []obs.Span, error) {
 	h.detects.Add(1)
 	if h.block != nil {
@@ -44,7 +38,9 @@ func (h *stubHandler) Detect(ctx context.Context, tc obs.TraceContext, key strin
 	if h.err != nil {
 		return nil, false, nil, h.err
 	}
-	if det, ok := h.GetCached(ctx, key); ok {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if det, ok := h.cache[key]; ok {
 		return det, true, h.spansFor(tc), nil
 	}
 	det := &mvpears.Detection{
@@ -52,9 +48,7 @@ func (h *stubHandler) Detect(ctx context.Context, tc obs.TraceContext, key strin
 		Scores:         []float64{0.1},
 		Transcriptions: map[string]string{"target": "t", "aux": "a"},
 	}
-	h.mu.Lock()
 	h.cache[key] = det
-	h.mu.Unlock()
 	return det, false, h.spansFor(tc), nil
 }
 
@@ -120,26 +114,6 @@ func twoNodes(t *testing.T, ha, hb Handler) (a, b *Node, addrA, addrB string) {
 	return a, b, addrA, addrB
 }
 
-func TestNodeGetHitAndMiss(t *testing.T) {
-	det := &mvpears.Detection{
-		Scores:         []float64{0.9},
-		Transcriptions: map[string]string{"target": "hello", "aux": "hello"},
-	}
-	hb := &stubHandler{cache: map[string]*mvpears.Detection{"fp:cached": det}}
-	a, _, _, addrB := twoNodes(t, &stubHandler{cache: map[string]*mvpears.Detection{}}, hb)
-
-	got, ok, err := a.Get(context.Background(), addrB, "fp:cached", obs.TraceContext{})
-	if err != nil || !ok {
-		t.Fatalf("Get(cached) = (%v, %v, %v), want hit", got, ok, err)
-	}
-	if got.Transcriptions["target"] != "hello" {
-		t.Errorf("remote hit transcription = %q", got.Transcriptions["target"])
-	}
-	if _, ok, err := a.Get(context.Background(), addrB, "fp:absent", obs.TraceContext{}); err != nil || ok {
-		t.Fatalf("Get(absent) = (ok=%v, err=%v), want clean miss", ok, err)
-	}
-}
-
 func TestNodeDetectForwardAndError(t *testing.T) {
 	hb := &stubHandler{cache: map[string]*mvpears.Detection{}}
 	a, _, _, addrB := twoNodes(t, &stubHandler{cache: map[string]*mvpears.Detection{}}, hb)
@@ -183,13 +157,13 @@ func TestNodeDownPeerCircuit(t *testing.T) {
 		c.DialTimeout = 200 * time.Millisecond
 	}, dead)
 
-	if _, _, err := n.Get(context.Background(), dead, "fp:k", obs.TraceContext{}); !errors.Is(err, ErrPeerUnavailable) {
-		t.Fatalf("Get(dead peer) = %v, want ErrPeerUnavailable", err)
+	if _, _, _, err := n.Detect(context.Background(), dead, "fp:k", 16000, []byte{1}, obs.TraceContext{}); !errors.Is(err, ErrPeerUnavailable) {
+		t.Fatalf("Detect(dead peer) = %v, want ErrPeerUnavailable", err)
 	}
 	// The circuit is now open: the next probe fails instantly without
 	// dialing.
 	start := time.Now()
-	_, _, err = n.Get(context.Background(), dead, "fp:k", obs.TraceContext{})
+	_, _, _, err = n.Detect(context.Background(), dead, "fp:k", 16000, []byte{1}, obs.TraceContext{})
 	if !errors.Is(err, ErrPeerUnavailable) || !strings.Contains(err.Error(), "backoff") {
 		t.Fatalf("circuit probe = %v, want backoff ErrPeerUnavailable", err)
 	}
@@ -198,9 +172,6 @@ func TestNodeDownPeerCircuit(t *testing.T) {
 	}
 	if got := n.HealthyPeers(); got != 0 {
 		t.Errorf("HealthyPeers = %d, want 0", got)
-	}
-	if got := n.HedgeTarget(); got != "" {
-		t.Errorf("HedgeTarget over a down fleet = %q, want \"\"", got)
 	}
 	// After DownFor the peer is probed again (and fails again, but the
 	// circuit did reset).
@@ -277,7 +248,50 @@ func TestNodeOwnerAndHedgeTarget(t *testing.T) {
 	if !a.HasPeers() {
 		t.Error("HasPeers = false with one peer configured")
 	}
-	if got := a.HedgeTarget(); got != addrB {
-		t.Errorf("HedgeTarget = %q, want %q", got, addrB)
+}
+
+// TestNodeDeclinesUnknownRequestType: a well-framed request of a type the
+// node does not serve — type 1, the retired cache probe an older replica
+// may still send, or an unassigned type — is answered with MsgErr on the
+// live connection, which then goes on serving detections.
+func TestNodeDeclinesUnknownRequestType(t *testing.T) {
+	hb := &stubHandler{cache: map[string]*mvpears.Detection{}}
+	_, addrB := startNode(t, hb, nil)
+	conn, err := net.Dial("tcp", addrB)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(conn)
+	roundTrip := func(typ MsgType, payload []byte) (MsgType, []byte) {
+		t.Helper()
+		if _, err := conn.Write(AppendFrame(nil, typ, payload)); err != nil {
+			t.Fatalf("type %d: write: %v", typ, err)
+		}
+		rt, rp, _, err := ReadFrame(br, nil)
+		if err != nil {
+			t.Fatalf("type %d: no reply on the connection: %v", typ, err)
+		}
+		return rt, rp
+	}
+	for _, typ := range []MsgType{1, 9} {
+		rt, rp := roundTrip(typ, appendString(nil, "fp:k"))
+		if rt != MsgErr {
+			t.Fatalf("type %d answered with type %d, want MsgErr", typ, rt)
+		}
+		if msg, err := ParseErr(rp); err != nil || !strings.Contains(msg, "unexpected request type") {
+			t.Errorf("type %d decline = (%q, %v)", typ, msg, err)
+		}
+	}
+	rt, rp := roundTrip(MsgDetect, AppendDetect(nil, "fp:k", 16000, []byte{1, 2}, obs.TraceContext{}))
+	if rt != MsgVerdict {
+		t.Fatalf("MsgDetect after the declines answered with type %d, want MsgVerdict", rt)
+	}
+	if det, cached, _, err := ParseVerdict(rp); err != nil || cached || !det.Adversarial {
+		t.Fatalf("MsgDetect verdict = (%+v, cached=%v, %v)", det, cached, err)
+	}
+	if n := hb.detects.Load(); n != 1 {
+		t.Errorf("handler ran Detect %d times, want 1", n)
 	}
 }

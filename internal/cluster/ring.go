@@ -5,12 +5,12 @@ import (
 	"strconv"
 )
 
-// DefaultVirtualNodes is the per-member virtual-node count on the ring.
-// 128 points per member keeps the largest/smallest ownership share within
+// virtualNodes is the per-member virtual-node count on the ring. 128
+// points per member keeps the largest/smallest ownership share within
 // ~±20% of uniform for small fleets (see ring_test.go) while the whole
 // ring for a 16-replica fleet still fits in one cache line count that a
 // binary search traverses in ~11 probes.
-const DefaultVirtualNodes = 128
+const virtualNodes = 128
 
 // Ring is an immutable consistent-hash ring over the fleet's advertised
 // peer addresses. Keys (verdict-cache keys) hash to the first virtual
@@ -65,14 +65,10 @@ func mix64(h uint64) uint64 {
 // ring.
 func ringHash(s string) uint64 { return mix64(fnv1a64(s)) }
 
-// NewRing builds a ring over members with vnodes virtual nodes each
-// (vnodes <= 0 uses DefaultVirtualNodes). Members are deduplicated and
-// sorted, so two replicas given the same set in any order build
-// identical rings.
-func NewRing(members []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
+// NewRing builds a ring over members, virtualNodes points each. Members
+// are deduplicated and sorted, so two replicas given the same set in any
+// order build identical rings.
+func NewRing(members []string) *Ring {
 	uniq := make([]string, 0, len(members))
 	seen := make(map[string]bool, len(members))
 	for _, m := range members {
@@ -85,10 +81,10 @@ func NewRing(members []string, vnodes int) *Ring {
 	sort.Strings(uniq)
 	r := &Ring{
 		members: uniq,
-		points:  make([]ringPoint, 0, len(uniq)*vnodes),
+		points:  make([]ringPoint, 0, len(uniq)*virtualNodes),
 	}
 	for i, m := range uniq {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			h := ringHash(m + "#" + strconv.Itoa(v))
 			r.points = append(r.points, ringPoint{hash: h, member: int32(i)})
 		}
@@ -120,28 +116,4 @@ func (r *Ring) Owner(key string) string {
 		i = 0
 	}
 	return r.members[r.points[i].member]
-}
-
-// With returns a new ring with member added (same vnode count as a
-// DefaultVirtualNodes ring; used by the join/leave movement tests).
-func (r *Ring) With(member string) *Ring {
-	return NewRing(append(append([]string(nil), r.members...), member), r.vnodesPerMember())
-}
-
-// Without returns a new ring with member removed.
-func (r *Ring) Without(member string) *Ring {
-	kept := make([]string, 0, len(r.members))
-	for _, m := range r.members {
-		if m != member {
-			kept = append(kept, m)
-		}
-	}
-	return NewRing(kept, r.vnodesPerMember())
-}
-
-func (r *Ring) vnodesPerMember() int {
-	if len(r.members) == 0 {
-		return DefaultVirtualNodes
-	}
-	return len(r.points) / len(r.members)
 }

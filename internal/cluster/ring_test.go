@@ -14,6 +14,22 @@ func syntheticKeys(n int) []string {
 	return keys
 }
 
+// ringWith returns a new ring over r's members plus member.
+func ringWith(r *Ring, member string) *Ring {
+	return NewRing(append(append([]string(nil), r.Members()...), member))
+}
+
+// ringWithout returns a new ring over r's members minus member.
+func ringWithout(r *Ring, member string) *Ring {
+	kept := make([]string, 0, len(r.Members()))
+	for _, m := range r.Members() {
+		if m != member {
+			kept = append(kept, m)
+		}
+	}
+	return NewRing(kept)
+}
+
 func fleet(n int) []string {
 	addrs := make([]string, n)
 	for i := range addrs {
@@ -27,9 +43,9 @@ func fleet(n int) []string {
 // ownership for every key — the whole design rests on it.
 func TestRingDeterministic(t *testing.T) {
 	members := fleet(5)
-	a := NewRing(members, 0)
+	a := NewRing(members)
 	shuffled := []string{members[3], "", members[1], members[4], members[0], members[2], members[1]}
-	b := NewRing(shuffled, 0)
+	b := NewRing(shuffled)
 	for _, k := range syntheticKeys(2000) {
 		if ao, bo := a.Owner(k), b.Owner(k); ao != bo {
 			t.Fatalf("rings disagree on %q: %q vs %q", k, ao, bo)
@@ -37,14 +53,14 @@ func TestRingDeterministic(t *testing.T) {
 	}
 }
 
-// TestRingUniformDistribution: with DefaultVirtualNodes, every member's
+// TestRingUniformDistribution: with virtualNodes per member, every member's
 // key share should be within a reasonable band of uniform (the vnode
 // count was chosen for ~±20%; allow ±35% so hash luck on synthetic keys
 // cannot flake the suite).
 func TestRingUniformDistribution(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 8} {
 		members := fleet(n)
-		r := NewRing(members, 0)
+		r := NewRing(members)
 		keys := syntheticKeys(20000)
 		counts := make(map[string]int, n)
 		for _, k := range keys {
@@ -68,9 +84,9 @@ func TestRingUniformDistribution(t *testing.T) {
 // every other assignment alone.
 func TestRingJoinMovesKOverN(t *testing.T) {
 	members := fleet(4)
-	before := NewRing(members, 0)
+	before := NewRing(members)
 	joiner := "10.0.0.99:7401"
-	after := before.With(joiner)
+	after := ringWith(before, joiner)
 	keys := syntheticKeys(20000)
 	moved := 0
 	for _, k := range keys {
@@ -93,9 +109,9 @@ func TestRingJoinMovesKOverN(t *testing.T) {
 // keys it owned, redistributing them without disturbing the rest.
 func TestRingLeaveMovesKOverN(t *testing.T) {
 	members := fleet(5)
-	before := NewRing(members, 0)
+	before := NewRing(members)
 	leaver := members[2]
-	after := before.Without(leaver)
+	after := ringWithout(before, leaver)
 	keys := syntheticKeys(20000)
 	moved := 0
 	for _, k := range keys {
@@ -118,16 +134,16 @@ func TestRingLeaveMovesKOverN(t *testing.T) {
 }
 
 func TestRingEdgeCases(t *testing.T) {
-	if got := NewRing(nil, 0).Owner("k"); got != "" {
+	if got := NewRing(nil).Owner("k"); got != "" {
 		t.Errorf("empty ring Owner = %q, want \"\"", got)
 	}
-	solo := NewRing([]string{"a:1"}, 0)
+	solo := NewRing([]string{"a:1"})
 	for _, k := range syntheticKeys(100) {
 		if got := solo.Owner(k); got != "a:1" {
 			t.Fatalf("single-member ring Owner(%q) = %q", k, got)
 		}
 	}
-	dup := NewRing([]string{"a:1", "a:1", "b:2"}, 0)
+	dup := NewRing([]string{"a:1", "a:1", "b:2"})
 	if got := len(dup.Members()); got != 2 {
 		t.Errorf("deduplicated member count = %d, want 2", got)
 	}

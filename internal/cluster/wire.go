@@ -25,12 +25,14 @@ import (
 // bounds-checked and fuzzed (FuzzWireCodec) — peers are trusted for
 // content but not for well-formedness.
 //
-// Version 2 is the only version: MsgGet/MsgDetect carry an optional
+// Version 2 is the only version: MsgDetect carries an optional
 // trace-context tail and MsgVerdict an optional span-list tail
 // (cross-replica trace propagation). Both tails are encoded only when
 // non-empty, so a tail-less payload is the untraced encoding. A frame of
 // any other version fails at the header, which surfaces as a peer error —
-// the requester degrades to local detection, never fails.
+// the requester degrades to local detection, never fails. The header
+// does not judge the message type: the receiver answers a request type it
+// does not serve with MsgErr on the live connection (handleFrame).
 const (
 	wireMagic0  = 'M'
 	wireMagic1  = 'V'
@@ -47,9 +49,9 @@ const (
 // MsgType identifies one frame's payload encoding.
 type MsgType byte
 
+// Type 1 (a key-only cache probe) and type 4 (its miss reply) are
+// retired; the numbers are not reused.
 const (
-	// MsgGet asks whether the receiver's verdict cache holds a key.
-	MsgGet MsgType = 1
 	// MsgDetect forwards a full detection: key, sample rate and raw PCM.
 	// The receiver answers from its cache or runs (or joins) a local
 	// detection — its singleflight is what collapses a fleet-wide
@@ -57,8 +59,6 @@ const (
 	MsgDetect MsgType = 2
 	// MsgVerdict is the positive response: a flag byte plus a Detection.
 	MsgVerdict MsgType = 3
-	// MsgMiss is the negative MsgGet response (key not cached).
-	MsgMiss MsgType = 4
 	// MsgErr carries a failure as text (receiver overloaded, fingerprint
 	// mismatch mid-reload, detection error). The sender degrades to local
 	// detection; a peer error never fails the user's request.
@@ -85,53 +85,27 @@ func ReadFrame(r io.Reader, buf []byte) (MsgType, []byte, []byte, error) {
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, buf, err
 	}
-	t, size, err := parseFrameHeader(hdr)
-	if err != nil {
-		return 0, nil, buf, err
+	if hdr[0] != wireMagic0 || hdr[1] != wireMagic1 {
+		return 0, nil, buf, fmt.Errorf("%w: bad magic %x%x", ErrBadFrame, hdr[0], hdr[1])
+	}
+	if hdr[2] != wireVersion {
+		return 0, nil, buf, fmt.Errorf("%w: version %d (want %d)", ErrBadFrame, hdr[2], wireVersion)
+	}
+	t, size := MsgType(hdr[3]), binary.LittleEndian.Uint32(hdr[4:8])
+	if size > MaxFramePayload {
+		return 0, nil, buf, fmt.Errorf("%w: payload of %d bytes exceeds %d", ErrBadFrame, size, MaxFramePayload)
 	}
 	if cap(buf) < int(size) {
 		buf = make([]byte, 0, size)
 	}
 	payload := buf[:size]
 	if _, err := io.ReadFull(r, payload); err != nil {
+		if err == io.EOF { // a header promised payload bytes
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, nil, buf, fmt.Errorf("cluster: short frame payload: %w", err)
 	}
 	return t, payload, buf, nil
-}
-
-func parseFrameHeader(hdr []byte) (MsgType, uint32, error) {
-	if hdr[0] != wireMagic0 || hdr[1] != wireMagic1 {
-		return 0, 0, fmt.Errorf("%w: bad magic %x%x", ErrBadFrame, hdr[0], hdr[1])
-	}
-	if hdr[2] != wireVersion {
-		return 0, 0, fmt.Errorf("%w: version %d (want %d)", ErrBadFrame, hdr[2], wireVersion)
-	}
-	t := MsgType(hdr[3])
-	if t < MsgGet || t > MsgErr {
-		return 0, 0, fmt.Errorf("%w: unknown message type %d", ErrBadFrame, t)
-	}
-	size := binary.LittleEndian.Uint32(hdr[4:8])
-	if size > MaxFramePayload {
-		return 0, 0, fmt.Errorf("%w: payload of %d bytes exceeds %d", ErrBadFrame, size, MaxFramePayload)
-	}
-	return t, size, nil
-}
-
-// DecodeFrame parses one complete frame from b (for the fuzz target; the
-// connection paths use ReadFrame). Trailing bytes are an error.
-func DecodeFrame(b []byte) (MsgType, []byte, error) {
-	if len(b) < frameHeaderLen {
-		return 0, nil, fmt.Errorf("%w: %d bytes is shorter than a header", ErrBadFrame, len(b))
-	}
-	t, size, err := parseFrameHeader(b[:frameHeaderLen])
-	if err != nil {
-		return 0, nil, err
-	}
-	payload := b[frameHeaderLen:]
-	if uint32(len(payload)) != size {
-		return 0, nil, fmt.Errorf("%w: declared %d payload bytes, have %d", ErrBadFrame, size, len(payload))
-	}
-	return t, payload, nil
 }
 
 // --- primitive append/parse helpers ---
@@ -265,24 +239,6 @@ func (p *parser) traceContext() (obs.TraceContext, error) {
 		return obs.TraceContext{}, err
 	}
 	return tc, nil
-}
-
-// AppendGet encodes a MsgGet payload: the verdict-cache key plus the
-// optional trace-context tail.
-func AppendGet(dst []byte, key string, tc obs.TraceContext) []byte {
-	return appendTraceContext(appendString(dst, key), tc)
-}
-
-// ParseGet decodes a MsgGet payload.
-func ParseGet(b []byte) (key string, tc obs.TraceContext, err error) {
-	p := parser{b}
-	if key, err = p.str(); err != nil {
-		return "", tc, err
-	}
-	if tc, err = p.traceContext(); err != nil {
-		return "", tc, err
-	}
-	return key, tc, p.done()
 }
 
 // AppendDetect encodes a MsgDetect payload: key, original sample rate,

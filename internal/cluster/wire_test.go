@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"reflect"
 	"testing"
@@ -15,42 +16,35 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	payload := []byte("hello cluster")
-	frame := AppendFrame(nil, MsgGet, payload)
-	typ, got, err := DecodeFrame(frame)
-	if err != nil {
-		t.Fatalf("DecodeFrame: %v", err)
-	}
-	if typ != MsgGet || !bytes.Equal(got, payload) {
-		t.Fatalf("round trip = (%d, %q), want (%d, %q)", typ, got, MsgGet, payload)
-	}
-	// And via the streaming reader, including buffer reuse across frames.
+	frame := AppendFrame(nil, MsgDetect, payload)
+	// Two frames through one reader, reusing the buffer across them.
 	var buf []byte
-	r := bytes.NewReader(append(append([]byte(nil), frame...), AppendFrame(nil, MsgMiss, nil)...))
-	typ, got, buf, err = ReadFrame(r, buf)
-	if err != nil || typ != MsgGet || !bytes.Equal(got, payload) {
-		t.Fatalf("ReadFrame #1 = (%d, %q, %v)", typ, got, err)
+	r := bytes.NewReader(append(append([]byte(nil), frame...), AppendFrame(nil, MsgVerdict, nil)...))
+	typ, got, buf, err := ReadFrame(r, buf)
+	if err != nil || typ != MsgDetect || !bytes.Equal(got, payload) {
+		t.Fatalf("ReadFrame #1 = (%d, %q, %v), want (%d, %q)", typ, got, err, MsgDetect, payload)
 	}
 	typ, got, _, err = ReadFrame(r, buf)
-	if err != nil || typ != MsgMiss || len(got) != 0 {
+	if err != nil || typ != MsgVerdict || len(got) != 0 {
 		t.Fatalf("ReadFrame #2 = (%d, %q, %v)", typ, got, err)
 	}
 }
 
 func TestFrameMalformed(t *testing.T) {
-	good := AppendFrame(nil, MsgGet, []byte("k"))
-	cases := map[string][]byte{
-		"short header":      good[:frameHeaderLen-1],
-		"bad magic":         append([]byte{'X', 'V'}, good[2:]...),
-		"bad version":       append([]byte{'M', 'V', 99}, good[3:]...),
-		"bad type":          append([]byte{'M', 'V', wireVersion, 0}, good[4:]...),
-		"truncated":         good[:len(good)-1],
-		"trailing":          append(append([]byte(nil), good...), 0xFF),
-		"oversized":         {'M', 'V', wireVersion, byte(MsgGet), 0xFF, 0xFF, 0xFF, 0xFF},
-		"type above MsgErr": append([]byte{'M', 'V', wireVersion, byte(MsgErr) + 1}, good[4:]...),
+	good := AppendFrame(nil, MsgDetect, []byte("k"))
+	cases := map[string]struct {
+		frame []byte
+		want  error
+	}{
+		"short header": {good[:frameHeaderLen-1], io.ErrUnexpectedEOF},
+		"bad magic":    {append([]byte{'X', 'V'}, good[2:]...), ErrBadFrame},
+		"bad version":  {append([]byte{'M', 'V', 99}, good[3:]...), ErrBadFrame},
+		"truncated":    {good[:len(good)-1], io.ErrUnexpectedEOF},
+		"oversized":    {[]byte{'M', 'V', wireVersion, byte(MsgDetect), 0xFF, 0xFF, 0xFF, 0xFF}, ErrBadFrame},
 	}
-	for name, b := range cases {
-		if _, _, err := DecodeFrame(b); !errors.Is(err, ErrBadFrame) {
-			t.Errorf("%s: err = %v, want ErrBadFrame", name, err)
+	for name, c := range cases {
+		if _, _, _, err := ReadFrame(bytes.NewReader(c.frame), nil); !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", name, err, c.want)
 		}
 	}
 }
@@ -58,12 +52,6 @@ func TestFrameMalformed(t *testing.T) {
 func TestGetDetectErrRoundTrip(t *testing.T) {
 	key := "fp:abcd1234"
 	sampled := obs.TraceContext{TraceID: "req-0042", Parent: "cluster_forward", Sampled: true}
-	for _, tc := range []obs.TraceContext{{}, sampled} {
-		got, tc2, err := ParseGet(AppendGet(nil, key, tc))
-		if err != nil || got != key || tc2 != tc {
-			t.Fatalf("ParseGet = (%q, %+v, %v), want (%q, %+v)", got, tc2, err, key, tc)
-		}
-	}
 	pcm := []byte{1, 2, 3, 4, 5, 6}
 	for _, tc := range []obs.TraceContext{{}, sampled} {
 		k, rate, p, tc2, err := ParseDetect(AppendDetect(nil, key, 16000, pcm, tc))
@@ -86,10 +74,6 @@ func TestGetDetectErrRoundTrip(t *testing.T) {
 // version-1 frame header is rejected.
 func TestWireV1BackCompat(t *testing.T) {
 	key := "fp:old-peer"
-	getV1 := appendString(nil, key)
-	if got, tc, err := ParseGet(getV1); err != nil || got != key || tc != (obs.TraceContext{}) {
-		t.Fatalf("v1 ParseGet = (%q, %+v, %v)", got, tc, err)
-	}
 	detectV1 := appendString(nil, key)
 	detectV1 = binary.AppendUvarint(detectV1, 16000)
 	detectV1 = appendBytes(detectV1, []byte{9, 8, 7})
@@ -108,9 +92,9 @@ func TestWireV1BackCompat(t *testing.T) {
 		t.Fatalf("span-free verdict detection mismatch")
 	}
 	// But a v1-version frame header is no longer accepted.
-	frame := AppendFrame(nil, MsgGet, getV1)
+	frame := AppendFrame(nil, MsgDetect, detectV1)
 	frame[2] = 1
-	if _, _, err := DecodeFrame(frame); !errors.Is(err, ErrBadFrame) {
+	if _, _, _, err := ReadFrame(bytes.NewReader(frame), nil); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("v1 frame: err = %v, want ErrBadFrame", err)
 	}
 }

@@ -63,28 +63,6 @@ func (s *Sketch) Counts() []uint64 {
 	return out
 }
 
-// Quantile estimates the q-quantile (0..1) of the sketched distribution
-// (bin midpoint of the containing bin). Returns 0 on an empty sketch.
-func (s *Sketch) Quantile(q float64) float64 {
-	if s.total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.total)
-	var cum float64
-	for i, c := range s.counts {
-		cum += float64(c)
-		if cum >= rank {
-			return (float64(i) + 0.5) / SketchBins
-		}
-	}
-	return 1
-}
-
 // SketchOf builds a sketch from a score slice (reference construction).
 func SketchOf(values []float64) *Sketch {
 	s := &Sketch{}

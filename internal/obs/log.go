@@ -70,14 +70,6 @@ func NewRequestLogger(w io.Writer, sampleRate float64, slow time.Duration) *Requ
 	}
 }
 
-// SlowThreshold returns the always-log latency threshold.
-func (l *RequestLogger) SlowThreshold() time.Duration {
-	if l == nil {
-		return 0
-	}
-	return l.slow
-}
-
 // Log records one finished request, applying the sampling policy. Nil-safe:
 // a nil logger drops everything.
 func (l *RequestLogger) Log(rec RequestRecord) {

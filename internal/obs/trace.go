@@ -33,9 +33,9 @@ const (
 	StageClassify   = "classify"   // classifier inference on the score vector
 
 	// StageClusterForward is the peer round trip of a request answered by
-	// its owning replica (remote cache hit, forwarded detection, or hedge
-	// win). It is not in Stages: it replaces the local pipeline rather
-	// than extending it. The owner's own stage spans come back on the wire
+	// its owning replica (remote cache hit or forwarded detection). It is
+	// not in Stages: it replaces the local pipeline rather than extending
+	// it. The owner's own stage spans come back on the wire
 	// and stitch in under this span (see Trace.RecordRemote).
 	StageClusterForward = "cluster_forward"
 )
@@ -79,7 +79,7 @@ type TraceContext struct {
 	// TraceID is the originating request's trace (request) ID.
 	TraceID string
 	// Parent names the requester-side span the remote work nests under
-	// (StageClusterForward on the forward and hedge paths).
+	// (StageClusterForward on the forward path).
 	Parent string
 	// Sampled asks the receiver to ship its stage spans back in the
 	// verdict so the requester can stitch them.

@@ -47,8 +47,8 @@ type DetectionJSON struct {
 	// Timing then describes the original detection, not this request.
 	Cached bool `json:"cached,omitempty"`
 	// Remote marks a verdict answered by another replica of the cluster
-	// tier (a remote cache hit, a detection forwarded to the key's owner,
-	// or a hedged dispatch that won the race).
+	// tier (a remote cache hit, or a detection forwarded to the key's
+	// owner).
 	Remote bool `json:"remote,omitempty"`
 	// Cascade reports how the cascade scheduler handled the detection —
 	// which engines ran, which were skipped, and why. Absent when the

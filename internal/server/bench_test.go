@@ -372,42 +372,6 @@ func BenchmarkClusterRemoteHit(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterHedgedMiss measures the hedged-dispatch machinery in
-// isolation: the serving replica owns the key, its local detection is
-// stalled, and a near-immediate hedge ships the work to the idle peer —
-// so ns/op is the full cost of arming the hedge, the peer wire round
-// trip, a (stubbed, instant) remote detection, and cancelling the local
-// leg. Stub backends keep real inference out of the number. Note the
-// floor: on an idle single-core process the runtime wakes a parked
-// timer with ~1ms slack, so ns/op reads as roughly (timer wake +
-// wire round trip), not the 20µs configured delay — production hedges
-// fire at >= the 20ms cost floor, where the slack is noise.
-func BenchmarkClusterHedgedMiss(b *testing.B) {
-	stall := instantStub()
-	stall.detect = func(ctx context.Context, _ *mvpears.Clip) (*mvpears.Detection, error) {
-		<-ctx.Done() // lose the race; unblocked by the hedge win's cancel
-		return nil, ctx.Err()
-	}
-	fast := instantStub()
-	sA, sB, _, _ := clusterPair(b, &fpStub{fast, "model-bench"}, &fpStub{stall, "model-bench"},
-		func(cfg *Config) { cfg.Cluster.HedgeAfter = 20 * time.Microsecond })
-	_ = sA
-	hB := sB.Handler()
-	// Bodies owned by B itself: locally-owned misses are the hedged path.
-	bodies := benchClusterBodies(b, sB, "model-bench", true, b.N, 4_000_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if code := serveDetect(hB, bodies[i]); code != http.StatusOK {
-			b.Fatalf("status %d", code)
-		}
-	}
-	b.StopTimer()
-	if wins := scrapeCounter(b, hB, "mvpears_cluster_hedge_wins_total"); wins != b.N {
-		b.Fatalf("%d of %d requests were hedge wins", wins, b.N)
-	}
-}
-
 // BenchmarkServeDuplicateStorm measures 16 concurrent identical uploads
 // of never-seen content per iteration: singleflight collapses them onto
 // one detection.

@@ -31,12 +31,6 @@ import (
 // request between replicas. The owner recomputes the key from the PCM
 // under its own model fingerprint and declines on mismatch, keeping a
 // mid-reload fleet from cross-pollinating verdicts between models.
-//
-// Hedging (hedgedRun): a locally-owned miss that is expected to be slow
-// (cost EWMA over the hedge floor) dispatches a duplicate detection to
-// an idle peer after a budgeted delay; first answer wins and cancels the
-// other via context. The loser's work is not wasted fleet-wide — a
-// remote loser still warms its replica's cache.
 
 // ClusterConfig configures the replica fleet membership of a Server.
 type ClusterConfig struct {
@@ -50,24 +44,7 @@ type ClusterConfig struct {
 	Peers []string
 	// Listener optionally injects a pre-bound peer listener (tests).
 	Listener net.Listener
-	// HedgeAfter fixes the hedge delay. Zero derives it from the measured
-	// detection cost: hedgeFactor * expected cost, disarmed under hedgeFloor.
-	HedgeAfter time.Duration
 }
-
-const (
-	// hedgeFactor scales the expected detection cost into the hedge delay
-	// (when ClusterConfig.HedgeAfter is zero).
-	hedgeFactor = 1.5
-	// hedgeFloor disarms hedging when the expected detection cost is below
-	// it: duplicating cheap work on a peer costs more fleet capacity than
-	// the tail latency it saves.
-	hedgeFloor = 20 * time.Millisecond
-	// getProbeBytes is the payload size above which a cheap Get probe
-	// precedes the forward: for large clips, learning "remote hit" first
-	// avoids shipping megabytes the owner already has the answer for.
-	getProbeBytes = 256 << 10
-)
 
 // startCluster validates cc, binds the peer listener and joins the ring.
 func (s *Server) startCluster(cc *ClusterConfig) error {
@@ -131,17 +108,6 @@ func (s *Server) ClusterSelf() string {
 // cache/flight/backend. It never re-forwards (see package comment).
 type clusterHandler struct{ s *Server }
 
-// GetCached probes the local verdict cache for a peer. The probe is a
-// synchronous in-memory lookup, so the context goes unused.
-func (h clusterHandler) GetCached(_ context.Context, key string) (*mvpears.Detection, bool) {
-	s := h.s
-	s.clusterServed.With("get").Inc()
-	if s.draining.Load() {
-		return nil, false
-	}
-	return s.lookup(key, false)
-}
-
 // Detect answers a forwarded detection strictly locally: verify the key
 // against our model, then resolve it through the same chain a local upload
 // takes, minus the cluster tier (fwd == nil). tc is the requester's
@@ -193,8 +159,8 @@ func (h clusterHandler) Detect(ctx context.Context, tc obs.TraceContext, key str
 
 // forwardPCM is the canonical PCM payload a request carries into the
 // cluster tier. The data is a private copy: the handler's pooled scratch
-// dies at handler return, while forwards and hedges can outlive it
-// inside a detached flight.
+// dies at handler return, while a forward can outlive it inside a
+// detached flight.
 type forwardPCM struct {
 	rate int
 	data []byte
@@ -224,20 +190,7 @@ func (s *Server) clusterFetch(ctx context.Context, key string, fwd *forwardPCM) 
 	start := time.Now()
 	trace := obs.TraceFrom(ctx)
 	tc := trace.Context(obs.StageClusterForward)
-	var (
-		det    *mvpears.Detection
-		cached bool
-		spans  []obs.Span
-		err    error
-	)
-	// For large payloads a Get probe first: a remote hit then costs one
-	// small round trip instead of shipping the whole clip.
-	if len(fwd.data) > getProbeBytes {
-		det, cached, err = s.node.Get(ctx, owner, key, tc)
-	}
-	if err == nil && !cached {
-		det, cached, spans, err = s.node.Detect(ctx, owner, key, fwd.rate, fwd.data, tc)
-	}
+	det, cached, spans, err := s.node.Detect(ctx, owner, key, fwd.rate, fwd.data, tc)
 	if err != nil {
 		s.clusterForwards.With("error").Inc()
 		return nil, howFresh, false
@@ -251,115 +204,4 @@ func (s *Server) clusterFetch(ctx context.Context, key string, fwd *forwardPCM) 
 	}
 	s.clusterForwards.With("detected").Inc()
 	return det, howRemoteFresh, true
-}
-
-// observeDetectCost folds one measured fresh-detection duration into the
-// EWMA (alpha 1/4) that budgets the hedge delay.
-func (s *Server) observeDetectCost(d time.Duration) {
-	for {
-		old := s.detectCostNS.Load()
-		var next int64
-		if old == 0 {
-			next = int64(d)
-		} else {
-			next = old + (int64(d)-old)/4
-		}
-		if s.detectCostNS.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// hedgeDelay resolves the hedge policy for one locally-owned miss:
-// target peer and delay, or ok=false when hedging is disarmed (no
-// cluster, no healthy peer, expected cost under the floor).
-func (s *Server) hedgeDelay() (addr string, delay time.Duration, ok bool) {
-	if s.node == nil || !s.node.HasPeers() {
-		return "", 0, false
-	}
-	delay = s.cfg.Cluster.HedgeAfter
-	if delay <= 0 {
-		expected := time.Duration(s.detectCostNS.Load())
-		if expected < hedgeFloor {
-			return "", 0, false
-		}
-		delay = time.Duration(float64(expected) * hedgeFactor)
-	}
-	addr = s.node.HedgeTarget()
-	return addr, delay, addr != ""
-}
-
-// hedgedRun runs one local detection, optionally racing a budget-gated
-// duplicate dispatch to an idle peer. First result wins; the loser is
-// cancelled through ctx. remote reports a hedge win (the peer answered
-// first).
-func (s *Server) hedgedRun(ctx context.Context, key string, fwd *forwardPCM,
-	run func(ctx context.Context) (*mvpears.Detection, error)) (det *mvpears.Detection, remote bool, err error) {
-	var (
-		addr  string
-		delay time.Duration
-		armed bool
-	)
-	if fwd != nil {
-		addr, delay, armed = s.hedgeDelay()
-	}
-	if !armed {
-		det, err := run(ctx)
-		return det, false, err
-	}
-	hctx, hcancel := context.WithCancel(ctx)
-	defer hcancel()
-	type result struct {
-		det    *mvpears.Detection
-		remote bool
-		err    error
-		// Hedge-leg trace stitch inputs: the dispatch time and the peer's
-		// returned spans.
-		start time.Time
-		spans []obs.Span
-	}
-	results := make(chan result, 2) // buffered: the loser must never block
-	go func() {
-		det, err := run(hctx)
-		results <- result{det: det, err: err}
-	}()
-	tc := obs.TraceFrom(ctx).Context(obs.StageClusterForward)
-	timer := time.AfterFunc(delay, func() {
-		s.clusterHedges.Inc()
-		start := time.Now()
-		det, _, spans, err := s.node.Detect(hctx, addr, key, fwd.rate, fwd.data, tc)
-		results <- result{det: det, remote: true, err: err, start: start, spans: spans}
-	})
-	defer timer.Stop()
-	hedgeWin := func(r result) {
-		s.clusterHedgeWins.Inc()
-		trace := obs.TraceFrom(ctx)
-		trace.Record(obs.StageClusterForward, "", r.start)
-		trace.RecordRemote(addr, r.start, r.spans)
-	}
-	first := <-results
-	if first.err == nil {
-		hcancel() // cancel the loser promptly (deadline poisoning unblocks its RPC)
-		if first.remote {
-			hedgeWin(first)
-		}
-		return first.det, first.remote, nil
-	}
-	// The first finisher failed. If the other leg is (or may be) running,
-	// give it the chance to answer before failing the request.
-	if first.remote || !timer.Stop() {
-		second := <-results
-		if second.err == nil {
-			if second.remote {
-				hedgeWin(second)
-			}
-			return second.det, second.remote, nil
-		}
-		if !second.remote {
-			// Both legs failed: the local error drives the HTTP mapping
-			// (queue-full, deadline), never a hedge transport error.
-			return nil, false, second.err
-		}
-	}
-	return nil, false, first.err
 }

@@ -258,49 +258,29 @@ func TestClusterDuplicateStormOneDetection(t *testing.T) {
 	}
 }
 
-// TestClusterHedgedDispatch: a slow locally-owned detection dispatches a
-// hedge to the peer after the configured delay; the peer's answer wins
-// and the response is marked Remote.
-func TestClusterHedgedDispatch(t *testing.T) {
-	release := make(chan struct{})
-	defer func() {
-		select {
-		case <-release:
-		default:
-			close(release)
-		}
-	}()
-	slow := instantStub()
-	innerSlow := slow.detect
+// TestClusterSlowLocalMissRunsOnce: a self-owned miss runs on its owner
+// and nowhere else, however long it takes — the cluster tier never
+// duplicates a detection onto a peer.
+func TestClusterSlowLocalMissRunsOnce(t *testing.T) {
+	slow, callsA := countingStub()
+	inner := slow.detect
 	slow.detect = func(ctx context.Context, clip *mvpears.Clip) (*mvpears.Detection, error) {
 		select {
-		case <-release:
+		case <-time.After(100 * time.Millisecond):
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		return innerSlow(ctx, clip)
+		return inner(ctx, clip)
 	}
-	fast, fastCalls := countingStub()
-	sA, sB, tsA, _ := clusterPair(t, &fpStub{slow, "model-a"}, &fpStub{fast, "model-a"},
-		func(cfg *Config) { cfg.Cluster.HedgeAfter = 20 * time.Millisecond })
-	_ = sB
+	peer, callsB := countingStub()
+	sA, _, tsA, _ := clusterPair(t, &fpStub{slow, "model-a"}, &fpStub{peer, "model-a"}, nil)
 	body := bodyOwnedBy(t, sA, "model-a", true)
 
 	det := decodeBody[DetectionJSON](t, postWAV(t, tsA.URL, body))
-	if !det.Remote {
-		t.Fatalf("hedged detect = remote=%v, want the peer's answer to win", det.Remote)
+	if det.Remote || det.Cached {
+		t.Fatalf("slow self-owned miss = cached=%v remote=%v, want fresh local", det.Cached, det.Remote)
 	}
-	if got := fastCalls.Load(); got != 1 {
-		t.Fatalf("hedge peer ran %d detections, want 1", got)
+	if a, b := callsA.Load(), callsB.Load(); a != 1 || b != 0 {
+		t.Fatalf("detections ran A=%d B=%d, want exactly one, on the owner", a, b)
 	}
-	metrics := metricsBody(t, tsA.URL)
-	for _, want := range []string{
-		"mvpears_cluster_hedges_total 1",
-		"mvpears_cluster_hedge_wins_total 1",
-	} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("metrics missing %q", want)
-		}
-	}
-	close(release)
 }

@@ -182,7 +182,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Snapshot the PCM for the cluster tier before the pooled scratch can
-	// be recycled: a forward or hedge may outlive this handler's buffers.
+	// be recycled: a forward may outlive this handler's buffers.
 	fwd := s.newForwardPCM(key, pcm)
 	eng, err := s.uploadEngine(st, pcm)
 	if err != nil {

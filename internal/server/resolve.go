@@ -31,8 +31,8 @@ const (
 	howShared
 	// howRemoteHit: the key's owning replica answered from its cache.
 	howRemoteHit
-	// howRemoteFresh: the detection ran on another replica (forwarded to
-	// the owner, or a hedged dispatch won the race).
+	// howRemoteFresh: the detection was forwarded to the key's owning
+	// replica, which ran it.
 	howRemoteFresh
 
 	// forPeer flags a verdict resolved on behalf of another replica's
@@ -93,7 +93,6 @@ func (s *Server) uploadEngine(st *backendState, pcm audio.PCM16) (engine, error)
 	return engine{unused: release, run: func(ctx context.Context) (*mvpears.Detection, error) {
 		var det *mvpears.Detection
 		var detErr error
-		start := time.Now()
 		if err := s.pool.Do(ctx, func(jctx context.Context) {
 			// The job owns the clip: a caller that times out after
 			// enqueueing has already returned by the time the worker
@@ -105,11 +104,6 @@ func (s *Server) uploadEngine(st *backendState, pcm audio.PCM16) (engine, error)
 				release() // never enqueued: the clip was never shared
 			}
 			return nil, err
-		}
-		if detErr == nil {
-			// Feed the hedge budget: expected detection cost tracks what
-			// detections actually cost here, in production.
-			s.observeDetectCost(time.Since(start))
 		}
 		return det, detErr
 	}}, nil
@@ -152,7 +146,7 @@ func (s *Server) resolve(ctx context.Context, key string, fwd *forwardPCM, eng e
 // collapse onto one flight whose leader looks the key up once more — an
 // identical flight may have completed, and stored, between this request's
 // miss and its becoming leader — then tries the key's owning replica, then
-// runs the engine (hedged to an idle peer when slow), and stores the result.
+// runs the engine, and stores the result.
 // So a fleet-wide duplicate storm costs one detection, at the owner.
 func (s *Server) resolveMissed(rctx context.Context, key string, fwd *forwardPCM, eng engine) (*mvpears.Detection, detectHow, error) {
 	ctx, cancel := context.WithTimeout(rctx, s.cfg.RequestTimeout)
@@ -195,16 +189,11 @@ func (s *Server) lead(ctx context.Context, key string, fwd *forwardPCM, eng engi
 			return det, how, nil
 		}
 	}
-	det, remote, err := s.hedgedRun(ctx, key, fwd, eng.run)
+	det, err := eng.run(ctx)
 	if err != nil {
 		return nil, howFresh, err
 	}
 	s.store(key, det)
-	if remote {
-		// The hedged peer answered first; the clip stays with the
-		// (cancelled) local job.
-		return det, howRemoteFresh, nil
-	}
 	return det, howFresh, nil
 }
 

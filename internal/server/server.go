@@ -173,9 +173,8 @@ type Config struct {
 	// listener, SIGHUP in mvpearsd). See reload.go.
 	Reload func() (Backend, error)
 	// Cluster, when non-nil, joins this server to a replica fleet that
-	// shares the verdict cache (consistent hashing on the cache key) and
-	// hedges slow detections to idle peers. Requires the cache. See
-	// cluster.go.
+	// shares the verdict cache (consistent hashing on the cache key).
+	// Requires the cache. See cluster.go.
 	Cluster *ClusterConfig
 	// Drift tunes the detection-quality drift monitor (always on).
 	// Config.Drift.OnDrift is chained after the built-in audit hook.
@@ -301,15 +300,10 @@ type Server struct {
 	node *cluster.Node
 	// clusterCancel stops the peer listener's accept loop on Shutdown.
 	clusterCancel context.CancelFunc
-	// detectCostNS tracks an EWMA of the local fresh-detection cost; it
-	// budgets the hedge delay alongside the backend's live engine costs.
-	detectCostNS atomic.Int64
 	// Cluster metrics, always registered (zero when clustering is off) so
 	// the exposition shape does not depend on configuration.
-	clusterForwards  *CounterVec
-	clusterServed    *CounterVec
-	clusterHedges    *Counter
-	clusterHedgeWins *Counter
+	clusterForwards *CounterVec
+	clusterServed   *CounterVec
 
 	// Streaming metrics, always registered (zero when streaming is off)
 	// so the exposition shape does not depend on configuration.
@@ -486,10 +480,6 @@ func New(cfg Config) (*Server, error) {
 		"mvpears_cluster_forwards_total", "Detect requests forwarded to their owning peer, by outcome.", "outcome")
 	s.clusterServed = s.metrics.CounterVec(
 		"mvpears_cluster_served_total", "Peer-protocol requests served for other replicas, by operation.", "op")
-	s.clusterHedges = s.metrics.Counter(
-		"mvpears_cluster_hedges_total", "Hedged duplicate detections dispatched to idle peers.")
-	s.clusterHedgeWins = s.metrics.Counter(
-		"mvpears_cluster_hedge_wins_total", "Hedged dispatches that answered before the local detection.")
 	s.metrics.GaugeFunc(
 		"mvpears_cluster_peers_healthy", "Configured peers currently outside the failure backoff.",
 		func() float64 {

@@ -170,60 +170,6 @@ func TestClusterRemoteHitTrace(t *testing.T) {
 	}
 }
 
-// TestClusterHedgedTrace: when a hedged dispatch wins, the peer's engine
-// span stitches into the requester's trace exactly like a forward.
-func TestClusterHedgedTrace(t *testing.T) {
-	release := make(chan struct{})
-	defer func() {
-		select {
-		case <-release:
-		default:
-			close(release)
-		}
-	}()
-	slow := instantStub()
-	innerSlow := slow.detect
-	slow.detect = func(ctx context.Context, clip *mvpears.Clip) (*mvpears.Detection, error) {
-		select {
-		case <-release:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		return innerSlow(ctx, clip)
-	}
-	buf := &syncBuffer{}
-	sA, sB, tsA, _ := clusterPair(t, &fpStub{slow, "model-a"}, &fpStub{tracingStub(), "model-a"},
-		func(cfg *Config) {
-			cfg.AccessLog = buf
-			cfg.SlowRequestThreshold = time.Nanosecond
-			cfg.Cluster.HedgeAfter = 20 * time.Millisecond
-		})
-	body := bodyOwnedBy(t, sA, "model-a", true) // owned by A: hedge path
-
-	det := decodeBody[DetectionJSON](t, postWAV(t, tsA.URL, body))
-	if !det.Remote {
-		t.Fatalf("hedged detect remote=%v, want the peer's answer", det.Remote)
-	}
-	var win *detectLogLine
-	waitFor(t, func() bool {
-		lines := detectLogLines(t, buf)
-		for i, l := range lines {
-			if l.rec["remote"] == true {
-				win = &lines[i]
-				return true
-			}
-		}
-		return false
-	})
-	remoteSpan := "transcribe:DS1@" + sB.ClusterSelf()
-	for _, want := range []string{"cluster_forward", remoteSpan} {
-		if !hasSpan(*win, want) {
-			t.Errorf("hedge-win trace missing span %q (have %v)", want, win.spans)
-		}
-	}
-	close(release)
-}
-
 // TestClusterExplainBitIdentical runs a real trained system on both
 // replicas and requires ?explain=1 evidence to be bit-identical no matter
 // how the verdict was served: locally fresh, forwarded to the remote

@@ -36,6 +36,16 @@ fi
 [ ! -e "$WORKDIR/none.gob" ] || { echo "FAIL: misconfigured boot wrote none.gob"; exit 1; }
 grep -q -- '-peers requires -cluster-addr' "$WORKDIR/negboot.log" \
     || { echo "FAIL: boot error does not name -peers"; cat "$WORKDIR/negboot.log"; exit 1; }
+# A removed flag is an unknown flag, not a silently ignored one.
+set +e
+timeout 2 "$WORKDIR/mvpearsd" -model "$WORKDIR/none.gob" -hedge-after 5ms >"$WORKDIR/negflag.log" 2>&1
+RC=$?
+set -e
+if [ "$RC" -eq 0 ] || [ "$RC" -eq 124 ]; then
+    echo "FAIL: boot with -hedge-after exited $RC (want a prompt non-zero exit)"; cat "$WORKDIR/negflag.log"; exit 1
+fi
+grep -q -- 'not defined: -hedge-after' "$WORKDIR/negflag.log" \
+    || { echo "FAIL: boot error does not name -hedge-after"; cat "$WORKDIR/negflag.log"; exit 1; }
 # -bootstrap fills only a missing artifact: one that exists but does not
 # load fails the boot promptly and is left byte-identical.
 printf 'not a model artifact\n' >"$WORKDIR/bad.gob"
@@ -156,6 +166,24 @@ echo "$REMOTE_JSON" | grep -q '"cached":true' || fail "remote answer not marked 
 METRICS_B=$(curl -fsS "http://$PUB_B/metrics")
 echo "$METRICS_B" | grep -q 'mvpears_cluster_forwards_total{outcome="hit"}' \
     || fail "B's metrics missing the cluster forward-hit count"
+
+echo "== cluster: forwarded detection =="
+# Never-seen clips posted to B only: when the key's owner is A or C, B
+# forwards the detection and the owner runs it ("remote":true without
+# "cached":true). Seeds B owns itself detect locally and are skipped.
+FWD_JSON=""
+for seed in 21 22 23 24 25 26 27 28; do
+    "$WORKDIR/mvpears" synth -text "switch off the kitchen lights" -out "$WORKDIR/fw.wav" -seed "$seed"
+    R=$(curl -fsS -X POST --data-binary @"$WORKDIR/fw.wav" -H 'Content-Type: audio/wav' \
+        "http://$PUB_B/v1/detect") || fail "forward detect on B (seed $seed)"
+    if echo "$R" | grep -q '"remote":true'; then FWD_JSON=$R; break; fi
+done
+[ -n "$FWD_JSON" ] || fail "no forwarded detection from B in 8 seeds"
+if echo "$FWD_JSON" | grep -q '"cached":true'; then fail "never-seen clip answered as cached: $FWD_JSON"; fi
+METRICS_B=$(curl -fsS "http://$PUB_B/metrics")
+echo "$METRICS_B" | grep -q 'mvpears_cluster_forwards_total{outcome="detected"}' \
+    || fail "B's metrics missing the forwarded-detection count"
+if echo "$METRICS_B" | grep -q 'mvpears_cluster_hedge'; then fail "B still exports a hedge metric family"; fi
 
 echo "== cluster: hot reload under load =="
 # Hammer C while its model hot-reloads; every request must answer 200.
