@@ -97,14 +97,16 @@ loadgen-short:
 	$(GO) run ./bench/loadgen -short
 
 # Short-budget fuzz runs over the parsers that face untrusted bytes: the
-# batch WAV decoder, the streaming WAV decoder, the WebSocket frame
-# parser, and the cluster peer-protocol wire codec — and two metamorphic
-# targets: any chunk schedule through the streaming front end gives the
+# batch WAV decoder, the verdict-cache key's in-place hash of the PCM it
+# yields (held to its copying reference and the float path), the
+# streaming WAV decoder, the WebSocket frame parser, and the cluster
+# peer-protocol wire codec — and two metamorphic targets: any chunk schedule through the streaming front end gives the
 # batch feature matrices (dsp), and the batch transcriptions plus, window
 # by window, the frozen eager stream's texts and scores (asr). Seed
 # corpora are in the fuzz tests; crashers land in testdata/fuzz/ for triage.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadWAV$$' -fuzztime $(FUZZTIME) ./internal/audio
+	$(GO) test -run '^$$' -fuzz '^FuzzKeyPCM16$$' -fuzztime $(FUZZTIME) ./internal/vcache
 	$(GO) test -run '^$$' -fuzz '^FuzzWAVStreamReader$$' -fuzztime $(FUZZTIME) ./internal/audio
 	$(GO) test -run '^$$' -fuzz '^FuzzWSFrame$$' -fuzztime $(FUZZTIME) ./internal/stream
 	$(GO) test -run '^$$' -fuzz '^FuzzWireCodec$$' -fuzztime $(FUZZTIME) ./internal/cluster

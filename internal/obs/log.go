@@ -1,10 +1,15 @@
 package obs
 
 import (
+	"context"
 	"io"
 	"log/slog"
+	"math"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // RequestRecord is one finished HTTP request, as the serving middleware
@@ -29,19 +34,42 @@ type RequestRecord struct {
 	Trace *Trace
 }
 
-// RequestLogger writes structured JSON request logs on log/slog. Ordinary
-// requests are sampled at a configurable rate (deterministic 1-in-N, so a
-// rate of 0.1 logs every 10th request); slow requests — those at or above
-// the Slow threshold — and server errors (status >= 500) always log, with
-// full span detail for slow ones.
+// RequestLogger writes structured JSON request logs, one line per logged
+// request. Ordinary requests are sampled at a configurable rate
+// (deterministic 1-in-N, so a rate of 0.1 logs every 10th request); slow
+// requests — those at or above the Slow threshold — and server errors
+// (status >= 500) always log, with full span detail for slow ones.
+//
+// Every line reads exactly as log/slog's JSONHandler would write it. Slow
+// lines go through slog; ordinary lines, the per-request common case, are
+// appended into one pooled buffer by appendLine, which skips slog's
+// attribute boxing and its json.Marshal per float. Both kinds of line are
+// written whole under one mutex, so they never interleave.
 type RequestLogger struct {
-	logger *slog.Logger
+	out *lockedWriter
+	// slowLog writes the slow lines, on out.
+	slowLog *slog.Logger
 	// every is the sampling stride: log request n when n%every == 0.
 	// 0 disables sampling entirely (only slow/error requests log).
 	every uint64
 	slow  time.Duration
 	n     atomic.Uint64
 }
+
+// lockedWriter serializes whole-line writes from both encoders.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (lw *lockedWriter) Write(p []byte) (int, error) {
+	lw.mu.Lock()
+	defer lw.mu.Unlock()
+	return lw.w.Write(p)
+}
+
+// lineBufs recycles ordinary-line buffers across requests.
+var lineBufs = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
 // NewRequestLogger builds a logger writing JSON lines to w. sampleRate is
 // the fraction of ordinary requests to log (clamped to [0,1]; 1 logs
@@ -63,10 +91,12 @@ func NewRequestLogger(w io.Writer, sampleRate float64, slow time.Duration) *Requ
 			every = 1
 		}
 	}
+	out := &lockedWriter{w: w}
 	return &RequestLogger{
-		logger: slog.New(slog.NewJSONHandler(w, nil)),
-		every:  every,
-		slow:   slow,
+		out:     out,
+		slowLog: slog.New(slog.NewJSONHandler(out, nil)),
+		every:   every,
+		slow:    slow,
 	}
 }
 
@@ -78,7 +108,11 @@ func (l *RequestLogger) Log(rec RequestRecord) {
 	}
 	slow := rec.Duration >= l.slow
 	failed := rec.Status >= 500
-	if !slow && !failed {
+	if slow {
+		l.logSlow(rec, failed)
+		return
+	}
+	if !failed {
 		if l.every == 0 {
 			return
 		}
@@ -86,7 +120,72 @@ func (l *RequestLogger) Log(rec RequestRecord) {
 			return
 		}
 	}
+	level := slog.LevelInfo
+	if failed {
+		level = slog.LevelError
+	}
+	bp := lineBufs.Get().(*[]byte)
+	*bp = appendLine((*bp)[:0], time.Now(), level, rec)
+	_, _ = l.out.Write(*bp) // dropped, as slog drops it: a log line has no caller to tell
+	lineBufs.Put(bp)
+}
 
+// appendLine appends rec's ordinary access-log line, newline included:
+// byte for byte what slog's JSONHandler writes for the attributes logSlow
+// builds (minus the span group), at time now.
+func appendLine(b []byte, now time.Time, level slog.Level, rec RequestRecord) []byte {
+	b = append(b, `{"time":"`...)
+	b = now.AppendFormat(b, time.RFC3339Nano)
+	b = append(b, `","level":"`...)
+	b = append(b, level.String()...)
+	b = append(b, `","msg":"request","request_id":`...)
+	b = appendJSONString(b, rec.RequestID)
+	b = append(b, `,"route":`...)
+	b = appendJSONString(b, rec.Route)
+	b = append(b, `,"method":`...)
+	b = appendJSONString(b, rec.Method)
+	b = append(b, `,"status":`...)
+	b = strconv.AppendInt(b, int64(rec.Status), 10)
+	b = append(b, `,"duration_ms":`...)
+	b = appendJSONFloat(b, durMS(rec.Duration))
+	if rec.Verdict != "" {
+		b = append(b, `,"verdict":`...)
+		b = appendJSONString(b, rec.Verdict)
+		b = append(b, `,"cached":`...)
+		b = strconv.AppendBool(b, rec.Cached)
+		b = append(b, `,"collapsed":`...)
+		b = strconv.AppendBool(b, rec.Collapsed)
+		if rec.ShortCircuit {
+			b = append(b, `,"short_circuit":true`...)
+		}
+		if rec.Remote {
+			b = append(b, `,"remote":true`...)
+		}
+	}
+	var totals [len(loggedStages)]time.Duration
+	if seen := rec.Trace.loggedStageTotals(&totals); seen != 0 {
+		b = append(b, `,"stages":{`...)
+		sep := ""
+		for i, stage := range loggedStages {
+			if seen&(1<<i) == 0 {
+				continue
+			}
+			b = append(b, sep...)
+			b = append(b, '"')
+			b = append(b, stage...)
+			b = append(b, `_ms":`...)
+			b = appendJSONFloat(b, durMS(totals[i]))
+			sep = ","
+		}
+		b = append(b, '}')
+	}
+	return append(b, "}\n"...)
+}
+
+// logSlow writes one slow request's line through slog, with full span
+// detail: every span, including the per-engine transcription spans, with
+// offsets.
+func (l *RequestLogger) logSlow(rec RequestRecord, failed bool) {
 	attrs := make([]slog.Attr, 0, 12)
 	attrs = append(attrs,
 		slog.String("request_id", rec.RequestID),
@@ -108,45 +207,103 @@ func (l *RequestLogger) Log(rec RequestRecord) {
 			attrs = append(attrs, slog.Bool("remote", true))
 		}
 	}
-	if totals := rec.Trace.StageTotals(); len(totals) > 0 {
-		stageAttrs := make([]any, 0, len(totals))
-		for _, stage := range Stages {
-			if d, ok := totals[stage]; ok {
-				stageAttrs = append(stageAttrs, slog.Float64(stage+"_ms", durMS(d)))
+	var totals [len(loggedStages)]time.Duration
+	if seen := rec.Trace.loggedStageTotals(&totals); seen != 0 {
+		stageAttrs := make([]any, 0, len(loggedStages))
+		for i, stage := range loggedStages {
+			if seen&(1<<i) != 0 {
+				stageAttrs = append(stageAttrs, slog.Float64(stage+"_ms", durMS(totals[i])))
 			}
-		}
-		if d, ok := totals[StageClusterForward]; ok {
-			stageAttrs = append(stageAttrs, slog.Float64(StageClusterForward+"_ms", durMS(d)))
 		}
 		attrs = append(attrs, slog.Group("stages", stageAttrs...))
 	}
-	level := slog.LevelInfo
-	msg := "request"
+	level := slog.LevelWarn
 	if failed {
 		level = slog.LevelError
 	}
-	if slow {
-		if !failed {
-			level = slog.LevelWarn
-		}
-		msg = "slow request"
-		// Full span detail for slow requests: every span, including the
-		// per-engine transcription spans, with offsets.
-		spans := rec.Trace.Spans()
-		spanAttrs := make([]any, 0, len(spans))
-		for i, sp := range spans {
-			spanAttrs = append(spanAttrs, slog.Group(itoa2(i),
-				slog.String("span", sp.Name()),
-				slog.Float64("start_ms", durMS(sp.Start)),
-				slog.Float64("dur_ms", durMS(sp.Dur)),
-			))
-		}
-		attrs = append(attrs, slog.Group("spans", spanAttrs...))
+	spans := rec.Trace.Spans()
+	spanAttrs := make([]any, 0, len(spans))
+	for i, sp := range spans {
+		spanAttrs = append(spanAttrs, slog.Group(itoa2(i),
+			slog.String("span", sp.Name()),
+			slog.Float64("start_ms", durMS(sp.Start)),
+			slog.Float64("dur_ms", durMS(sp.Dur)),
+		))
 	}
-	l.logger.LogAttrs(nil, level, msg, attrs...)
+	attrs = append(attrs, slog.Group("spans", spanAttrs...))
+	l.slowLog.LogAttrs(context.TODO(), level, "slow request", attrs...)
 }
 
 func durMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// appendJSONFloat formats f as encoding/json does (and so as slog's
+// JSONHandler does): shortest 'f' form, 'e' form outside [1e-6, 1e21),
+// with the exponent's leading zero dropped (e-07 → e-7). f is finite.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		n := len(b)
+		if n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// appendJSONString appends s as a quoted JSON string, escaped as slog's
+// JSONHandler escapes it: encoding/json's rules without HTML escaping —
+// quote, backslash and control bytes escaped, invalid UTF-8 as \ufffd,
+// U+2028 and U+2029 as \u2028 and \u2029.
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
+}
 
 // itoa2 formats a small span index without fmt overhead.
 func itoa2(i int) string {

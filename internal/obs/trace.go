@@ -314,6 +314,34 @@ func (t *Trace) StageTotals() map[string]time.Duration {
 	return out
 }
 
+// loggedStages are the stages an access-log line times, in the order it
+// lists them: Stages, then StageClusterForward.
+var loggedStages = [...]string{StageDecode, StageTranscribe, StagePhonetic, StageSimilarity, StageClassify, StageClusterForward}
+
+// loggedStageTotals is StageTotals restricted to loggedStages, summed into
+// out (indexed like loggedStages) instead of a fresh map. Bit i of seen is
+// set when loggedStages[i] has at least one span.
+func (t *Trace) loggedStageTotals(out *[len(loggedStages)]time.Duration) (seen uint8) {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, sp := range t.spans {
+		if sp.Engine != "" || sp.Peer != "" {
+			continue
+		}
+		for i, stage := range loggedStages {
+			if sp.Stage == stage {
+				out[i] += sp.Dur
+				seen |= 1 << i
+				break
+			}
+		}
+	}
+	return seen
+}
+
 type ctxKey int
 
 const (

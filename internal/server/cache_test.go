@@ -216,7 +216,7 @@ func TestBatchServesFromCache(t *testing.T) {
 // different models: the key's fingerprint prefix must keep their verdicts
 // apart.
 func TestCacheIsModelScoped(t *testing.T) {
-	shared := vcache.New[*mvpears.Detection](64, 1<<20)
+	shared := vcache.New[*verdictEntry](64, 1<<20)
 	stubA, callsA := countingStub()
 	stubB, callsB := countingStub()
 	_, tsA := newTestServer(t, Config{Backend: &fpStub{stubA, "model-a"}, Cache: shared})

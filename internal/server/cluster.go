@@ -127,8 +127,8 @@ func (h clusterHandler) Detect(ctx context.Context, tc obs.TraceContext, key str
 	if localKey := vcache.KeyPCM16(st.modelFP, sampleRate, pcm); localKey != key {
 		return nil, false, nil, errors.New("model fingerprint mismatch (reload in progress?)")
 	}
-	if det, ok := s.lookup(key, false); ok {
-		return det, true, nil, nil
+	if e, ok := s.lookup(key, false); ok {
+		return e.det, true, nil, nil
 	}
 	// pcm aliases the connection's frame buffer; the engine's float decode
 	// copies it before this call returns.

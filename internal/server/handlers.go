@@ -8,6 +8,7 @@ import (
 	"io"
 	"mime/multipart"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -48,9 +49,22 @@ func postOnly(hint string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// writeBody writes a 200 whose JSON body is already encoded.
+func writeBody(w http.ResponseWriter, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
+}
+
 // explainRequested reports whether the request asked for a verdict
-// explanation (?explain=1; any value but "0"/"false" counts).
+// explanation (?explain=1; any value but "0"/"false" counts). A request
+// without a query string skips the parse, and the map it allocates.
 func explainRequested(r *http.Request) bool {
+	if r.URL.RawQuery == "" {
+		return false
+	}
 	v := r.URL.Query().Get("explain")
 	return v != "" && v != "0" && v != "false"
 }
@@ -161,8 +175,9 @@ func (s *Server) writeDetectError(w http.ResponseWriter, err error) {
 // handleDetect serves POST /v1/detect: the request body is one WAV file,
 // the response one DetectionJSON. The serving path is content-addressed:
 // the upload is fingerprinted from its raw PCM, a cache hit answers with
-// zero detection work (no float decode, no worker-pool admission), and
-// concurrent misses for the same fingerprint collapse onto one detection.
+// zero detection work (no float decode, no worker-pool admission) — a
+// plain one with the entry's pre-encoded body — and concurrent misses for
+// the same fingerprint collapse onto one detection.
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	st := s.state()
 	trace := obs.TraceFrom(r.Context())
@@ -177,8 +192,13 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	}
 	key := s.uploadKey(st, pcm)
 	explain := explainRequested(r)
-	if det, ok := s.lookup(key, false); ok {
-		writeJSON(w, http.StatusOK, s.record(st, trace, "detect", "", det, howCached, explain))
+	if e, ok := s.lookup(key, false); ok {
+		if explain {
+			writeJSON(w, http.StatusOK, s.record(st, trace, "detect", "", e.det, howCached, true))
+			return
+		}
+		s.report(st, trace, "detect", "", e.det, howCached)
+		writeBody(w, s.plainHit(st, key, e))
 		return
 	}
 	// Snapshot the PCM for the cluster tier before the pooled scratch can
@@ -276,8 +296,8 @@ func (s *Server) handleDetectBatch(w http.ResponseWriter, r *http.Request) {
 	for i := range parts {
 		p := &parts[i]
 		p.key = s.uploadKey(st, p.pcm)
-		if det, ok := s.lookup(p.key, false); ok {
-			p.det, p.how = det, howCached
+		if e, ok := s.lookup(p.key, false); ok {
+			p.det, p.how = e.det, howCached
 			continue
 		}
 		clip, _, err := s.decodeClip(st, p.pcm, nil)

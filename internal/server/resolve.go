@@ -1,8 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"mvpears"
@@ -109,10 +113,26 @@ func (s *Server) uploadEngine(st *backendState, pcm audio.PCM16) (engine, error)
 	}}, nil
 }
 
+// verdictEntry is one verdict-cache value: the detection and, once a plain
+// hit has asked for it, the exact response body every later plain hit
+// writes.
+type verdictEntry struct {
+	det *mvpears.Detection
+	hit atomic.Pointer[hitBody]
+}
+
+// hitBody is a plain hit's pre-encoded response: the json.Encoder output,
+// trailing newline included, of the entry's cached:true DetectionJSON under
+// the auxiliary names it was built for.
+type hitBody struct {
+	aux  []string
+	body []byte
+}
+
 // lookup is the cache tier ("" = caching is off, always a miss). reprobe
 // marks a flight leader's second look at a key its request has already
 // missed — and counted — once.
-func (s *Server) lookup(key string, reprobe bool) (*mvpears.Detection, bool) {
+func (s *Server) lookup(key string, reprobe bool) (*verdictEntry, bool) {
 	switch {
 	case key == "":
 		return nil, false
@@ -125,17 +145,36 @@ func (s *Server) lookup(key string, reprobe bool) (*mvpears.Detection, bool) {
 // store is the chain's single cache write.
 func (s *Server) store(key string, det *mvpears.Detection) {
 	if key != "" {
-		s.vc.Put(key, det, detectionSize(key, det))
+		e := &verdictEntry{det: det}
+		s.vc.Put(key, e, detectionSize(key, e))
 	}
+}
+
+// plainHit returns e's plain-hit response under st, encoding it on first
+// use (or after a reload changed the auxiliary names) and re-charging the
+// entry's cache size for the stored bytes.
+func (s *Server) plainHit(st *backendState, key string, e *verdictEntry) []byte {
+	if hb := e.hit.Load(); hb != nil && slices.Equal(hb.aux, st.auxNames) {
+		return hb.body
+	}
+	out := NewDetectionJSON(e.det, st.auxNames)
+	out.Cached = true
+	var buf bytes.Buffer
+	// Dropped as writeJSON drops it: a DetectionJSON holds no value Encode
+	// rejects.
+	_ = json.NewEncoder(&buf).Encode(out)
+	e.hit.Store(&hitBody{aux: st.auxNames, body: buf.Bytes()})
+	s.vc.Put(key, e, detectionSize(key, e))
+	return buf.Bytes()
 }
 
 // resolve obtains the verdict for key through the whole chain. fwd carries
 // the upload into the cluster tier; nil skips that tier, which is also what
 // keeps an owner answering a forwarded detection from ever re-forwarding.
 func (s *Server) resolve(ctx context.Context, key string, fwd *forwardPCM, eng engine) (*mvpears.Detection, detectHow, error) {
-	if det, ok := s.lookup(key, false); ok {
+	if e, ok := s.lookup(key, false); ok {
 		eng.drop()
-		return det, howCached, nil
+		return e.det, howCached, nil
 	}
 	return s.resolveMissed(ctx, key, fwd, eng)
 }
@@ -178,9 +217,9 @@ func (s *Server) resolveMissed(rctx context.Context, key string, fwd *forwardPCM
 
 // lead is a flight leader's walk down the rest of the chain.
 func (s *Server) lead(ctx context.Context, key string, fwd *forwardPCM, eng engine) (*mvpears.Detection, detectHow, error) {
-	if det, ok := s.lookup(key, true); ok {
+	if e, ok := s.lookup(key, true); ok {
 		eng.drop()
-		return det, howCached, nil
+		return e.det, howCached, nil
 	}
 	if fwd != nil {
 		if det, how, ok := s.clusterFetch(ctx, key, fwd); ok {
@@ -198,17 +237,33 @@ func (s *Server) lead(ctx context.Context, key string, fwd *forwardPCM, eng engi
 }
 
 // record reports one served verdict and returns its wire form. It is the
-// only place a verdict is counted, observed, audited, explained and
-// encoded, and the only writer of the trace's annotations, so every route
-// and provenance emits each signal exactly once. The count, the SLO and
-// the audit line belong to the replica that serves the verdict (all but
-// forPeer); stage timings, cascade behaviour, similarity distributions and
-// spans to the request and replica that ran the detection (ranHere) —
-// re-observing them for cached, shared or remote verdicts would weight the
-// distributions by request popularity instead of by content. A batch calls
-// it once per part on one trace, which then keeps the worst verdict,
-// observes its spans once, and reports cached only if no part was fresh.
+// only place a verdict is encoded into a DetectionJSON; report is the only
+// place it is counted, observed, audited and annotated, so every route and
+// provenance emits each signal exactly once.
 func (s *Server) record(st *backendState, trace *obs.Trace, route, file string, det *mvpears.Detection, how detectHow, explain bool) DetectionJSON {
+	if !s.report(st, trace, route, file, det, how) {
+		return DetectionJSON{}
+	}
+	out := NewDetectionJSON(det, st.auxNames)
+	out.Cached = how.cachedOnWire()
+	out.Remote = how.remote()
+	if explain {
+		out.Explanation = s.explanationFor(st, det)
+	}
+	return out
+}
+
+// report turns (verdict, how) into every signal and reports whether this
+// replica serves the verdict. The count, the SLO and the audit line belong
+// to the replica that serves the verdict (all but forPeer); stage timings,
+// cascade behaviour, similarity distributions and spans to the request and
+// replica that ran the detection (ranHere) — re-observing them for cached,
+// shared or remote verdicts would weight the distributions by request
+// popularity instead of by content. It is also the only writer of the
+// trace's annotations. A batch calls it once per part on one trace, which
+// then keeps the worst verdict, observes its spans once, and reports
+// cached only if no part was fresh.
+func (s *Server) report(st *backendState, trace *obs.Trace, route, file string, det *mvpears.Detection, how detectHow) bool {
 	served := how&forPeer == 0
 	var verdict string
 	if served {
@@ -224,7 +279,7 @@ func (s *Server) record(st *backendState, trace *obs.Trace, route, file string, 
 		}
 	}
 	if !served {
-		return DetectionJSON{}
+		return false
 	}
 	switch how {
 	case howCached, howRemoteHit:
@@ -239,13 +294,7 @@ func (s *Server) record(st *backendState, trace *obs.Trace, route, file string, 
 		trace.SetVerdict(verdict)
 	}
 	s.audit(st, trace, route, file, det, verdict, !how.ranHere())
-	out := NewDetectionJSON(det, st.auxNames)
-	out.Cached = how.cachedOnWire()
-	out.Remote = how.remote()
-	if explain {
-		out.Explanation = s.explanationFor(st, det)
-	}
-	return out
+	return true
 }
 
 // countVerdict counts one served verdict and returns its wire string. It
@@ -364,10 +413,12 @@ func (s *Server) explanationFor(st *backendState, det *mvpears.Detection) *Expla
 	return NewExplanationJSON(exp)
 }
 
-// detectionSize approximates one cached verdict's resident bytes for the
+// detectionSize approximates one cache entry's resident bytes for the
 // cache's byte bound: key, scores, transcriptions, explanation (when the
-// detection ran under an explain request), struct overhead.
-func detectionSize(key string, det *mvpears.Detection) int64 {
+// detection ran under an explain request), the pre-encoded hit body once
+// built, struct overhead.
+func detectionSize(key string, e *verdictEntry) int64 {
+	det := e.det
 	size := int64(len(key)) + 128
 	size += int64(len(det.Scores)) * 8
 	for k, v := range det.Transcriptions {
@@ -375,9 +426,12 @@ func detectionSize(key string, det *mvpears.Detection) int64 {
 	}
 	if exp := det.Explanation; exp != nil {
 		size += int64(len(exp.Method)) + 96
-		for _, e := range append([]mvpears.EngineEvidence{exp.Target}, exp.Auxiliaries...) {
-			size += int64(len(e.Engine)+len(e.Transcription)+len(e.Phonetic)) + 48
+		for _, ev := range append([]mvpears.EngineEvidence{exp.Target}, exp.Auxiliaries...) {
+			size += int64(len(ev.Engine)+len(ev.Transcription)+len(ev.Phonetic)) + 48
 		}
+	}
+	if hb := e.hit.Load(); hb != nil {
+		size += int64(len(hb.body)) + 48
 	}
 	return size
 }

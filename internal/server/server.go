@@ -151,7 +151,7 @@ type Config struct {
 	// Cache optionally injects a prebuilt verdict cache, e.g. one shared
 	// across Server instances in tests. Nil builds a private cache from
 	// CacheEntries/CacheBytes.
-	Cache *vcache.Cache[*mvpears.Detection]
+	Cache *vcache.Cache[*verdictEntry]
 	// AccessLog receives structured JSON request logs (one line per
 	// sampled request). Nil disables access logging.
 	AccessLog io.Writer
@@ -291,7 +291,7 @@ type Server struct {
 	reloadFailures *Counter
 
 	// vc is the cross-request verdict cache; nil when caching is off.
-	vc *vcache.Cache[*mvpears.Detection]
+	vc *vcache.Cache[*verdictEntry]
 	// flight collapses concurrent duplicate detections onto one worker.
 	flight *vcache.Group[*mvpears.Detection]
 
@@ -382,7 +382,7 @@ func New(cfg Config) (*Server, error) {
 	} else {
 		s.vc = cfg.Cache
 		if s.vc == nil {
-			s.vc = vcache.New[*mvpears.Detection](cfg.CacheEntries, cfg.CacheBytes)
+			s.vc = vcache.New[*verdictEntry](cfg.CacheEntries, cfg.CacheBytes)
 		}
 		s.flight = &vcache.Group[*mvpears.Detection]{Timeout: cfg.RequestTimeout}
 	}

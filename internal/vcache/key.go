@@ -25,9 +25,11 @@
 package vcache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"strings"
 )
 
 // Canonical PCM: WAV decoding maps int16 s to float s/32767 and encoding
@@ -36,26 +38,44 @@ import (
 // treats -32768 as -32767; with that, fingerprinting the raw little-endian
 // payload and fingerprinting decoded float64 samples agree bit-for-bit.
 
-// hashChunkBytes sizes the stack staging buffer used while hashing, so
-// key derivation performs no heap allocation beyond the key string.
+// hashChunkBytes sizes the stack staging buffer KeySamples quantizes
+// into while hashing, so key derivation performs no heap allocation
+// beyond the key string.
 const hashChunkBytes = 8 << 10
+
+// canonicalMin is the little-endian int16 -32767: hashed in place of every
+// -32768 sample.
+var canonicalMin = [2]byte{0x01, 0x80}
 
 // KeyPCM16 derives the cache key for raw little-endian 16-bit PCM audio
 // under the given model fingerprint. A trailing odd byte is ignored (it
 // decodes to no sample).
+//
+// The payload is hashed in place, never copied: bytes.IndexByte finds each
+// 0x80 byte, and only one that is the high byte of an aligned 00 80 pair
+// (an int16 -32768) splits the write, with the canonical 01 80 hashed in
+// its place.
 func KeyPCM16(modelFP string, sampleRate int, data []byte) string {
 	h := sha256.New()
 	hashRateHeader(h, sampleRate)
-	var chunk [hashChunkBytes]byte
 	rest := data[:len(data)&^1]
-	for len(rest) > 0 {
-		n := copy(chunk[:], rest)
-		n &^= 1 // keep sample pairs intact across chunk boundaries
-		canonicalizePCM(chunk[:n])
-		h.Write(chunk[:n])
-		rest = rest[n:]
+	hashed := 0 // rest[:hashed] has been written to h
+	for from := 0; from < len(rest); {
+		i := bytes.IndexByte(rest[from:], 0x80)
+		if i < 0 {
+			break
+		}
+		i += from
+		from = i + 1
+		if i&1 == 1 && rest[i-1] == 0x00 {
+			h.Write(rest[hashed : i-1])
+			h.Write(canonicalMin[:])
+			hashed = i + 1
+		}
 	}
-	return finishKey(modelFP, h.Sum(chunk[:0]))
+	h.Write(rest[hashed:])
+	var sum [sha256.Size]byte
+	return finishKey(modelFP, h.Sum(sum[:0]))
 }
 
 // KeySamples derives the cache key for float64 samples in [-1, 1] — the
@@ -86,16 +106,6 @@ func hashRateHeader(h hashWriter, sampleRate int) {
 	h.Write(hdr[:])
 }
 
-// canonicalizePCM rewrites -32768 samples to -32767 in place (buf holds
-// little-endian int16 pairs).
-func canonicalizePCM(buf []byte) {
-	for i := 0; i+1 < len(buf); i += 2 {
-		if buf[i] == 0x00 && buf[i+1] == 0x80 {
-			buf[i] = 0x01
-		}
-	}
-}
-
 // quantize mirrors the WAV encoder: round(clamp(v,-1,1)*32767).
 func quantize(v float64) int16 {
 	if v < -1 {
@@ -115,11 +125,12 @@ func quantize(v float64) int16 {
 // goes in front unhashed so operators can read which model a key belongs
 // to in logs and a model swap visibly invalidates every key.
 func finishKey(modelFP string, sum []byte) string {
-	out := make([]byte, 0, len(modelFP)+1+hex.EncodedLen(len(sum)))
-	out = append(out, modelFP...)
-	out = append(out, ':')
 	var enc [sha256.Size * 2]byte
 	hex.Encode(enc[:], sum)
-	out = append(out, enc[:]...)
-	return string(out)
+	var out strings.Builder
+	out.Grow(len(modelFP) + 1 + len(enc))
+	out.WriteString(modelFP)
+	out.WriteByte(':')
+	out.Write(enc[:])
+	return out.String()
 }

@@ -3,6 +3,7 @@ package vcache
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -142,6 +143,78 @@ func TestKeyCanonicalizesInt16Min(t *testing.T) {
 	pcm := audio.PCM16{SampleRate: 8000, Data: min}
 	if KeySamples("m", 8000, pcm.Decode().Samples) != KeyPCM16("m", 8000, min) {
 		t.Fatal("float path diverged from raw path on int16 min")
+	}
+}
+
+// keyPCM16Copying is the reference derivation KeyPCM16 replaced: copy the
+// payload through a staging buffer, rewrite each aligned -32768 sample to
+// -32767 byte by byte, hash the copy.
+func keyPCM16Copying(modelFP string, sampleRate int, data []byte) string {
+	h := sha256.New()
+	hashRateHeader(h, sampleRate)
+	var chunk [hashChunkBytes]byte
+	rest := data[:len(data)&^1]
+	for len(rest) > 0 {
+		n := copy(chunk[:], rest) &^ 1
+		for i := 0; i+1 < n; i += 2 {
+			if chunk[i] == 0x00 && chunk[i+1] == 0x80 {
+				chunk[i] = 0x01
+			}
+		}
+		h.Write(chunk[:n])
+		rest = rest[n:]
+	}
+	return finishKey(modelFP, h.Sum(chunk[:0]))
+}
+
+// FuzzKeyPCM16 holds the in-place hash to the copying reference and to the
+// float path, so cache keys stay bit-identical to every earlier derivation.
+func FuzzKeyPCM16(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0x00, 0x80}, 4096+3)) // all -32768, across a staging chunk
+	// 00 80 pairs at odd offsets: a low byte 0x80 after a high byte 0x00
+	// is not -32768 and must hash as is.
+	f.Add([]byte{0x12, 0x00, 0x80, 0x34, 0x00, 0x80, 0x00})
+	f.Add([]byte{0x00, 0x80, 0x05, 0x06, 0x00, 0x80}) // first and last sample
+	f.Add([]byte{0x00, 0x80, 0x7f})                   // odd length
+	f.Add([]byte{0x80, 0x80, 0x80, 0x00, 0x80, 0x80, 0x00})
+	f.Add(func() []byte {
+		b := make([]byte, 3*hashChunkBytes+1)
+		for i := range b {
+			b[i] = byte(i * 7)
+		}
+		b[hashChunkBytes-2], b[hashChunkBytes-1] = 0x00, 0x80   // aligned, ends a chunk
+		b[2*hashChunkBytes-1], b[2*hashChunkBytes] = 0x00, 0x80 // misaligned, straddles one
+		return b
+	}())
+	f.Fuzz(func(t *testing.T, pcm []byte) {
+		got := KeyPCM16("m", 8000, pcm)
+		if want := keyPCM16Copying("m", 8000, pcm); got != want {
+			t.Fatalf("in-place key %s != copying reference %s", got, want)
+		}
+		dec := (audio.PCM16{SampleRate: 8000, Data: pcm}).DecodeInto(nil)
+		if want := KeySamples("m", 8000, dec.Samples); got != want {
+			t.Fatalf("raw key %s != float-path key %s", got, want)
+		}
+	})
+}
+
+var keySink string
+
+// BenchmarkKeyPCM16 fingerprints one 12 800-sample clip (25.6 KB, the
+// benchmark corpus's clip size) with -32768 samples sprinkled in.
+func BenchmarkKeyPCM16(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	pcm := make([]byte, 2*12800)
+	rng.Read(pcm)
+	for i := 0; i < len(pcm); i += 2 * 997 {
+		pcm[i], pcm[i+1] = 0x00, 0x80
+	}
+	b.SetBytes(int64(len(pcm)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		keySink = KeyPCM16("model", 8000, pcm)
 	}
 }
 
