@@ -35,8 +35,10 @@ type RequestRecord struct {
 }
 
 // RequestLogger writes structured JSON request logs, one line per logged
-// request. Ordinary requests are sampled at a configurable rate
-// (deterministic 1-in-N, so a rate of 0.1 logs every 10th request); slow
+// request. Ordinary requests are sampled at a configurable rate, exactly
+// and deterministically: ordinary request n logs when ⌊n·rate⌋ passes an
+// integer, so any n requests log ⌊n·rate⌋ lines (0.1 logs every 10th,
+// 0.7 logs 7 of every 10); slow
 // requests — those at or above the Slow threshold — and server errors
 // (status >= 500) always log, with full span detail for slow ones.
 //
@@ -49,11 +51,11 @@ type RequestLogger struct {
 	out *lockedWriter
 	// slowLog writes the slow lines, on out.
 	slowLog *slog.Logger
-	// every is the sampling stride: log request n when n%every == 0.
-	// 0 disables sampling entirely (only slow/error requests log).
-	every uint64
-	slow  time.Duration
-	n     atomic.Uint64
+	// rate is the sampled fraction of ordinary requests, in [0,1]; 0
+	// logs only slow and error requests.
+	rate float64
+	slow time.Duration
+	n    atomic.Uint64
 }
 
 // lockedWriter serializes whole-line writes from both encoders.
@@ -79,23 +81,11 @@ func NewRequestLogger(w io.Writer, sampleRate float64, slow time.Duration) *Requ
 	if slow <= 0 {
 		slow = time.Second
 	}
-	var every uint64
-	switch {
-	case sampleRate >= 1:
-		every = 1
-	case sampleRate <= 0:
-		every = 0
-	default:
-		every = uint64(1/sampleRate + 0.5)
-		if every == 0 {
-			every = 1
-		}
-	}
 	out := &lockedWriter{w: w}
 	return &RequestLogger{
 		out:     out,
 		slowLog: slog.New(slog.NewJSONHandler(out, nil)),
-		every:   every,
+		rate:    min(max(sampleRate, 0), 1),
 		slow:    slow,
 	}
 }
@@ -113,10 +103,8 @@ func (l *RequestLogger) Log(rec RequestRecord) {
 		return
 	}
 	if !failed {
-		if l.every == 0 {
-			return
-		}
-		if l.every > 1 && l.n.Add(1)%l.every != 0 {
+		n := float64(l.n.Add(1))
+		if math.Floor(n*l.rate) == math.Floor((n-1)*l.rate) {
 			return
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"strings"
 	"sync"
@@ -76,14 +77,6 @@ func TestContextPlumbing(t *testing.T) {
 	ctx = WithExplain(WithTrace(ctx, tr))
 	if TraceFrom(ctx) != tr || !ExplainRequested(ctx) {
 		t.Fatal("values lost")
-	}
-	// Transfer copies values without linking cancellation.
-	src := ctx
-	dst, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	out := Transfer(dst, src)
-	if TraceFrom(out) != tr || !ExplainRequested(out) {
-		t.Fatal("Transfer dropped values")
 	}
 }
 
@@ -159,6 +152,21 @@ func TestRequestLoggerSampling(t *testing.T) {
 	l.Log(RequestRecord{Status: 500, Duration: time.Millisecond})
 	if buf.Len() == 0 {
 		t.Fatal("error request not logged")
+	}
+}
+
+// TestRequestLoggerSampleRateIsExact: n ordinary requests log ⌊n·rate⌋
+// lines at any rate, not the nearest 1-in-N stride.
+func TestRequestLoggerSampleRateIsExact(t *testing.T) {
+	for _, rate := range []float64{1, 0.7, 0.5, 0.4, 0.3, 0.01, 0} {
+		var buf bytes.Buffer
+		l := NewRequestLogger(&buf, rate, time.Hour)
+		for i := 0; i < 1000; i++ {
+			l.Log(RequestRecord{Status: 200, Duration: time.Millisecond})
+		}
+		if got, want := strings.Count(buf.String(), "\n"), int(math.Floor(1000*rate)); got != want {
+			t.Errorf("rate %v: %d of 1000 requests logged, want %d", rate, got, want)
+		}
 	}
 }
 

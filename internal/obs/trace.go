@@ -373,20 +373,6 @@ func ExplainRequested(ctx context.Context) bool {
 	return v
 }
 
-// Transfer copies the observability values (trace and explain flag) of src
-// onto dst without linking their cancellation. The serving layer uses it
-// to carry a request's trace into a singleflight leader whose context is
-// deliberately detached from any single caller.
-func Transfer(dst, src context.Context) context.Context {
-	if t := TraceFrom(src); t != nil {
-		dst = WithTrace(dst, t)
-	}
-	if ExplainRequested(src) {
-		dst = WithExplain(dst)
-	}
-	return dst
-}
-
 // Request IDs: an 8-byte per-process random prefix plus an atomic counter.
 // Uniqueness across processes comes from the prefix, uniqueness within a
 // process from the counter, and generation costs one atomic add — cheap

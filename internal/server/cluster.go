@@ -132,10 +132,11 @@ func (h clusterHandler) Detect(ctx context.Context, tc obs.TraceContext, key str
 	}
 	// pcm aliases the connection's frame buffer; the engine's float decode
 	// copies it before this call returns.
-	eng, err := s.uploadEngine(st, audio.PCM16{SampleRate: sampleRate, Data: pcm})
+	eng, release, err := s.uploadEngine(st, audio.PCM16{SampleRate: sampleRate, Data: pcm})
 	if err != nil {
 		return nil, false, nil, err
 	}
+	defer release()
 	// A local trace under the requester's trace ID (fresh when untraced):
 	// the owner's engine spans feed its own stage metrics either way, and
 	// the ID join makes slow-log lines on both replicas greppable by one
@@ -157,23 +158,15 @@ func (h clusterHandler) Detect(ctx context.Context, tc obs.TraceContext, key str
 	return det, how.cachedOnWire(), spans, nil
 }
 
-// forwardPCM is the canonical PCM payload a request carries into the
-// cluster tier. The data is a private copy: the handler's pooled scratch
-// dies at handler return, while a forward can outlive it inside a
-// detached flight.
-type forwardPCM struct {
-	rate int
-	data []byte
-}
-
-// newForwardPCM decides whether this request participates in the cluster
-// tier and, if so, snapshots the PCM. Returns nil when clustering is off
-// or there is no live peer to talk to.
-func (s *Server) newForwardPCM(key string, pcm audio.PCM16) *forwardPCM {
+// forwardPCM returns the upload a request carries into the cluster tier:
+// pcm itself, or nil when clustering is off or there is no live peer to
+// talk to. A forward finishes inside the request's resolve call, and the
+// frame it sends is a copy, so the handler's buffer needs no snapshot.
+func (s *Server) forwardPCM(key string, pcm *audio.PCM16) *audio.PCM16 {
 	if s.node == nil || key == "" || !s.node.HasPeers() {
 		return nil
 	}
-	return &forwardPCM{rate: pcm.SampleRate, data: append([]byte(nil), pcm.Data...)}
+	return pcm
 }
 
 // clusterFetch tries to answer a locally-missed key from its remote
@@ -182,7 +175,7 @@ func (s *Server) newForwardPCM(key string, pcm audio.PCM16) *forwardPCM {
 // never fail. A remote answer records the cluster_forward span with the
 // owner's own spans stitched in under it (anchored at this replica's
 // round-trip start, so no cross-process clock agreement is assumed).
-func (s *Server) clusterFetch(ctx context.Context, key string, fwd *forwardPCM) (*mvpears.Detection, detectHow, bool) {
+func (s *Server) clusterFetch(ctx context.Context, key string, fwd *audio.PCM16) (*mvpears.Detection, detectHow, bool) {
 	owner, self := s.node.Owner(key)
 	if self {
 		return nil, howFresh, false
@@ -190,7 +183,7 @@ func (s *Server) clusterFetch(ctx context.Context, key string, fwd *forwardPCM) 
 	start := time.Now()
 	trace := obs.TraceFrom(ctx)
 	tc := trace.Context(obs.StageClusterForward)
-	det, cached, spans, err := s.node.Detect(ctx, owner, key, fwd.rate, fwd.data, tc)
+	det, cached, spans, err := s.node.Detect(ctx, owner, key, fwd.SampleRate, fwd.Data, tc)
 	if err != nil {
 		s.clusterForwards.With("error").Inc()
 		return nil, howFresh, false

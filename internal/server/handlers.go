@@ -105,8 +105,7 @@ func (s *Server) readPCM(r io.Reader, scratch *[]byte) (audio.PCM16, error) {
 }
 
 // samplePool recycles decoded float sample buffers across single-clip
-// detections (uploadEngine). Batch parts keep plain decoding: their clips
-// live inside a batch job whose lifetime is harder to pin down.
+// detections (uploadEngine). Batch parts keep plain decoding.
 var samplePool = sync.Pool{
 	New: func() any { b := make([]float64, 0, 8<<10); return &b },
 }
@@ -201,20 +200,18 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		writeBody(w, s.plainHit(st, key, e))
 		return
 	}
-	// Snapshot the PCM for the cluster tier before the pooled scratch can
-	// be recycled: a forward may outlive this handler's buffers.
-	fwd := s.newForwardPCM(key, pcm)
-	eng, err := s.uploadEngine(st, pcm)
+	eng, release, err := s.uploadEngine(st, pcm)
 	if err != nil {
 		writeError(w, decodeStatus(err), "decoding WAV: %v", err)
 		return
 	}
+	defer release()
 	trace.Record(obs.StageDecode, "", decodeStart)
 	ctx := r.Context()
 	if explain {
 		ctx = obs.WithExplain(ctx)
 	}
-	det, how, err := s.resolveMissed(ctx, key, fwd, eng)
+	det, how, err := s.resolveMissed(ctx, key, s.forwardPCM(key, &pcm), eng)
 	if err != nil {
 		s.writeDetectError(w, err)
 		return

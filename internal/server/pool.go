@@ -16,110 +16,75 @@ var (
 	ErrPoolClosed = errors.New("server: pool is draining")
 )
 
-// workerPool runs detection jobs on a fixed number of workers behind a
-// fixed-depth admission queue. It is the server's backpressure mechanism:
-// at most `workers` detections run concurrently, at most `depth` more
-// wait in the queue, and everything beyond that is rejected immediately
-// with ErrQueueFull instead of accumulating goroutines or memory.
+// workerPool bounds detection work with two counting semaphores. It is the
+// server's backpressure mechanism: at most `workers` detections run
+// concurrently, at most `depth` more wait for a turn, and everything beyond
+// that is rejected immediately with ErrQueueFull instead of accumulating
+// goroutines or memory. Work runs on the goroutine that submits it.
 type workerPool struct {
-	jobs chan *poolJob
-	wg   sync.WaitGroup // live workers
+	// admitted holds one token per call inside Do (workers+depth), taken
+	// without blocking; running holds one per call inside fn (workers),
+	// taken in arrival order.
+	admitted chan struct{}
+	running  chan struct{}
+	wg       sync.WaitGroup // admitted calls
 
 	mu     sync.Mutex
 	closed bool
 }
 
-type poolJob struct {
-	ctx  context.Context
-	run  func(ctx context.Context)
-	done chan struct{}
-	// panicked holds the recovered panic value when run blew up, so Do
-	// can resurface it on the submitting goroutine. Written by the worker
-	// before close(done), read after <-done.
-	panicked any
-}
-
-// newWorkerPool starts `workers` workers behind a queue of `depth` slots.
+// newWorkerPool bounds the pool at `workers` running and `depth` waiting.
 func newWorkerPool(workers, depth int) *workerPool {
-	if workers < 1 {
-		workers = 1
-	}
-	if depth < 0 {
-		depth = 0
-	}
-	p := &workerPool{jobs: make(chan *poolJob, depth)}
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
-	return p
-}
-
-func (p *workerPool) worker() {
-	defer p.wg.Done()
-	for j := range p.jobs {
-		// A job whose request already gave up (deadline, client gone)
-		// is skipped, not run: queued-but-abandoned work must not eat
-		// worker time.
-		if j.ctx.Err() == nil {
-			j.panicked = runGuarded(j)
-		}
-		close(j.done)
+	workers, depth = max(workers, 1), max(depth, 0)
+	return &workerPool{
+		admitted: make(chan struct{}, workers+depth),
+		running:  make(chan struct{}, workers),
 	}
 }
 
-// runGuarded executes the job, converting a panic into a return value so
-// one buggy job cannot kill the worker (and with it the process).
-func runGuarded(j *poolJob) (recovered any) {
-	defer func() { recovered = recover() }()
-	j.run(j.ctx)
-	return nil
-}
-
-// Do submits fn and waits for it to finish or for ctx to end. Admission
+// Do runs fn on the calling goroutine once a worker slot is free. Admission
 // is non-blocking: a full queue returns ErrQueueFull at once. When Do
-// returns nil, fn has completed. When it returns ctx.Err(), fn either
-// never ran (skipped while queued) or is finishing on a worker whose
-// result will be discarded; fn must therefore honor its ctx argument.
+// returns nil, fn has completed. When it returns ctx.Err(), fn never ran:
+// a call whose ctx ends while it waits for a slot is skipped, not run, so
+// abandoned work does not eat worker time. A panic in fn propagates to the
+// caller with both slots released.
 func (p *workerPool) Do(ctx context.Context, fn func(ctx context.Context)) error {
-	j := &poolJob{ctx: ctx, run: fn, done: make(chan struct{})}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return ErrPoolClosed
 	}
 	select {
-	case p.jobs <- j:
+	case p.admitted <- struct{}{}:
+		p.wg.Add(1)
 		p.mu.Unlock()
 	default:
 		p.mu.Unlock()
 		return ErrQueueFull
 	}
+	defer func() { <-p.admitted; p.wg.Done() }()
 	select {
-	case <-j.done:
-		if j.panicked != nil {
-			// Re-raise on the submitting goroutine, where the HTTP
-			// middleware's recover turns it into a 500.
-			panic(j.panicked)
-		}
-		return nil
+	case p.running <- struct{}{}:
 	case <-ctx.Done():
 		return ctx.Err()
 	}
+	defer func() { <-p.running }()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	fn(ctx)
+	return nil
 }
 
-// QueueLen reports how many jobs are waiting (not running).
-func (p *workerPool) QueueLen() int { return len(p.jobs) }
+// QueueLen reports how many admitted calls are waiting (not running).
+func (p *workerPool) QueueLen() int { return max(len(p.admitted)-len(p.running), 0) }
 
-// Close drains the pool: no new jobs are admitted, already-queued jobs
-// still run, and Close returns once every worker has exited. Safe to call
+// Close drains the pool: no new calls are admitted, and Close returns once
+// every admitted call — waiting or running — has finished. Safe to call
 // more than once.
 func (p *workerPool) Close() {
 	p.mu.Lock()
-	if !p.closed {
-		p.closed = true
-		close(p.jobs)
-	}
+	p.closed = true
 	p.mu.Unlock()
 	p.wg.Wait()
 }

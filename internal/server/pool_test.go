@@ -90,6 +90,43 @@ func TestPoolSkipsAbandonedJobs(t *testing.T) {
 	}
 }
 
+// TestPoolAbandonedWaiterFreesItsSlot: a queued call whose ctx ends gives
+// its admission slot back at once, so the next call is admitted instead of
+// bouncing with ErrQueueFull while the worker is still busy.
+func TestPoolAbandonedWaiterFreesItsSlot(t *testing.T) {
+	p := newWorkerPool(1, 1)
+	defer p.Close()
+	block := make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(block) })
+	defer unblock() // before Close, on a failure too
+	started := make(chan struct{})
+	go p.Do(context.Background(), func(context.Context) {
+		close(started)
+		<-block
+	})
+	<-started
+	ctx, cancel := context.WithCancel(context.Background())
+	abandoned := make(chan error, 1)
+	go func() { abandoned <- p.Do(ctx, func(context.Context) {}) }()
+	waitFor(t, func() bool { return p.QueueLen() == 1 })
+	cancel()
+	if err := <-abandoned; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned call: %v, want context.Canceled", err)
+	}
+	// The worker is still busy: the next call must be admitted and wait
+	// (here until its own deadline), not bounce.
+	wctx, wcancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer wcancel()
+	if err := p.Do(wctx, func(context.Context) {}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("call after an abandoned one: %v, want admitted (context.DeadlineExceeded)", err)
+	}
+	unblock()
+	var ran atomic.Bool
+	if err := p.Do(context.Background(), func(context.Context) { ran.Store(true) }); err != nil || !ran.Load() {
+		t.Fatalf("call after the worker freed up: %v, ran %v", err, ran.Load())
+	}
+}
+
 func TestPoolCloseDrainsQueuedJobs(t *testing.T) {
 	// Queue depth exactly matches the queued jobs below, so the polling
 	// Do calls later in the test bounce (ErrQueueFull/ErrPoolClosed)

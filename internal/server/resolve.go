@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -60,57 +59,38 @@ func (h detectHow) cachedOnWire() bool {
 func (h detectHow) remote() bool { return h == howRemoteHit || h == howRemoteFresh }
 
 // engine is the chain's last tier: the fresh detection only this request
-// can supply. Exactly one of run and unused is called, exactly once.
-type engine struct {
-	// run performs the detection. From the moment it is called it owns
-	// whatever input it captured (a pooled clip).
-	run func(ctx context.Context) (*mvpears.Detection, error)
-	// unused (may be nil) is called instead of run when a tier above
-	// answered: the input was never shared with another goroutine, so the
-	// caller recycles it on the spot.
-	unused func()
-}
-
-func (e engine) drop() {
-	if e.unused != nil {
-		e.unused()
-	}
-}
+// can supply. It runs, if at all, before the resolve call that was handed
+// it returns, so its input belongs to that call's caller throughout.
+type engine func(ctx context.Context) (*mvpears.Detection, error)
 
 // uploadEngine is the engine for one upload that missed the cache: it pays
 // for the float decode (into a pooled sample buffer, the second-largest
 // allocation on the miss path after the feature matrices) and returns the
-// worker-pool job, behind the admission queue, that detects the clip.
-func (s *Server) uploadEngine(st *backendState, pcm audio.PCM16) (engine, error) {
+// admission-bounded detection of the clip, plus the release of its samples
+// that the caller defers.
+func (s *Server) uploadEngine(st *backendState, pcm audio.PCM16) (engine, func(), error) {
 	samples := samplePool.Get().(*[]float64)
 	clip, pooled, err := s.decodeClip(st, pcm, (*samples)[:0])
 	if err != nil {
 		samplePool.Put(samples)
-		return engine{}, err
+		return nil, nil, err
 	}
-	release := func() {}
-	if pooled {
-		release = func() { *samples = clip.Samples[:0]; samplePool.Put(samples) }
-	} else {
+	release := func() {
+		if pooled {
+			*samples = clip.Samples[:0] // keep the buffer if it grew
+		}
 		samplePool.Put(samples)
 	}
-	return engine{unused: release, run: func(ctx context.Context) (*mvpears.Detection, error) {
+	return func(ctx context.Context) (*mvpears.Detection, error) {
 		var det *mvpears.Detection
 		var detErr error
-		if err := s.pool.Do(ctx, func(jctx context.Context) {
-			// The job owns the clip: a caller that times out after
-			// enqueueing has already returned by the time the worker
-			// runs, so the pooled samples can only be recycled here.
-			defer release()
-			det, detErr = st.backend.DetectCtx(jctx, clip)
+		if err := s.pool.Do(ctx, func(ctx context.Context) {
+			det, detErr = st.backend.DetectCtx(ctx, clip)
 		}); err != nil {
-			if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrPoolClosed) {
-				release() // never enqueued: the clip was never shared
-			}
 			return nil, err
 		}
 		return det, detErr
-	}}, nil
+	}, release, nil
 }
 
 // verdictEntry is one verdict-cache value: the detection and, once a plain
@@ -171,9 +151,8 @@ func (s *Server) plainHit(st *backendState, key string, e *verdictEntry) []byte 
 // resolve obtains the verdict for key through the whole chain. fwd carries
 // the upload into the cluster tier; nil skips that tier, which is also what
 // keeps an owner answering a forwarded detection from ever re-forwarding.
-func (s *Server) resolve(ctx context.Context, key string, fwd *forwardPCM, eng engine) (*mvpears.Detection, detectHow, error) {
+func (s *Server) resolve(ctx context.Context, key string, fwd *audio.PCM16, eng engine) (*mvpears.Detection, detectHow, error) {
 	if e, ok := s.lookup(key, false); ok {
-		eng.drop()
 		return e.det, howCached, nil
 	}
 	return s.resolveMissed(ctx, key, fwd, eng)
@@ -187,48 +166,42 @@ func (s *Server) resolve(ctx context.Context, key string, fwd *forwardPCM, eng e
 // miss and its becoming leader — then tries the key's owning replica, then
 // runs the engine, and stores the result.
 // So a fleet-wide duplicate storm costs one detection, at the owner.
-func (s *Server) resolveMissed(rctx context.Context, key string, fwd *forwardPCM, eng engine) (*mvpears.Detection, detectHow, error) {
-	ctx, cancel := context.WithTimeout(rctx, s.cfg.RequestTimeout)
+func (s *Server) resolveMissed(ctx context.Context, key string, fwd *audio.PCM16, eng engine) (*mvpears.Detection, detectHow, error) {
+	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
 	if key == "" {
-		det, err := eng.run(ctx)
+		det, err := eng(ctx)
 		return det, howFresh, err
 	}
 	var how detectHow // the leader's; written before the flight completes
 	det, shared, err := s.flight.Do(ctx, key, func(fctx context.Context) (det *mvpears.Detection, err error) {
-		// The flight's context is deliberately detached from any single
-		// caller's cancellation; re-attach this request's observability
-		// values (trace, explain flag) so the leader's detection records
-		// spans — and an explanation — for the request that led it.
-		det, how, err = s.lead(obs.Transfer(fctx, rctx), key, fwd, eng)
+		// fctx keeps this request's observability values (trace, explain
+		// flag), so the leader's detection records spans — and an
+		// explanation — for the request that led it.
+		det, how, err = s.lead(fctx, key, fwd, eng)
 		return det, err
 	})
 	switch {
 	case shared:
-		// A follower's engine was never touched by the flight.
-		eng.drop()
 		return det, howShared, err
 	case err != nil:
-		// The flight may still be running (and writing how) for others.
 		return nil, howFresh, err
 	}
 	return det, how, nil
 }
 
 // lead is a flight leader's walk down the rest of the chain.
-func (s *Server) lead(ctx context.Context, key string, fwd *forwardPCM, eng engine) (*mvpears.Detection, detectHow, error) {
+func (s *Server) lead(ctx context.Context, key string, fwd *audio.PCM16, eng engine) (*mvpears.Detection, detectHow, error) {
 	if e, ok := s.lookup(key, true); ok {
-		eng.drop()
 		return e.det, howCached, nil
 	}
 	if fwd != nil {
 		if det, how, ok := s.clusterFetch(ctx, key, fwd); ok {
-			eng.drop()
 			s.store(key, det) // repeats become local hits
 			return det, how, nil
 		}
 	}
-	det, err := eng.run(ctx)
+	det, err := eng(ctx)
 	if err != nil {
 		return nil, howFresh, err
 	}

@@ -8,9 +8,9 @@
 //   - GET  /healthz, /readyz — liveness / readiness
 //   - GET  /metrics          — Prometheus text format, hand-rolled
 //
-// Requests flow through a bounded worker pool behind a fixed-depth
-// admission queue: overload answers 429 with Retry-After instead of
-// growing goroutines, per-request deadlines cancel detection work via
+// Each detection runs on the goroutine of the request that asked for it,
+// behind a fixed admission bound: overload answers 429 with Retry-After
+// instead of growing goroutines, per-request deadlines cancel detection work via
 // context, and Shutdown drains gracefully (stop admitting, finish
 // in-flight, keep /metrics consistent).
 package server
@@ -292,7 +292,7 @@ type Server struct {
 
 	// vc is the cross-request verdict cache; nil when caching is off.
 	vc *vcache.Cache[*verdictEntry]
-	// flight collapses concurrent duplicate detections onto one worker.
+	// flight collapses concurrent duplicate detections onto one leader.
 	flight *vcache.Group[*mvpears.Detection]
 
 	// node is the cluster peer node; nil when clustering is off. See
@@ -675,9 +675,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Serve(ln net.Listener) error { return s.httpSrv.Serve(ln) }
 
 // Shutdown drains the server gracefully: readiness flips to 503, the
-// listener stops accepting, in-flight requests (and their queued
-// detection jobs) run to completion within ctx, then the worker pool is
-// closed. Safe to call once per Server.
+// listener stops accepting, in-flight requests run to completion within
+// ctx, then the admission bound closes and waits for every detection it
+// admitted. Safe to call once per Server.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	// Streaming sessions are cut, not drained: a live microphone never

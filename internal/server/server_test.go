@@ -459,6 +459,71 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	}
 }
 
+// TestShutdownWaitsForLeaderWhoseClientLeft: a flight leader's client
+// hangs up while a follower waits on the same key. The detection goes on
+// for the follower, which gets its 200, and Shutdown does not return until
+// that detection has ended.
+func TestShutdownWaitsForLeaderWhoseClientLeft(t *testing.T) {
+	block := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	stub := instantStub()
+	inner := stub.detect
+	stub.detect = func(ctx context.Context, clip *mvpears.Clip) (*mvpears.Detection, error) {
+		entered <- struct{}{}
+		<-block
+		return inner(ctx, clip)
+	}
+	s, ts := newTestServer(t, Config{Backend: &fpStub{stub, "model-a"}, Workers: 1})
+	body := wavBody(t, 8000, 256)
+
+	leaderCtx, leave := context.WithCancel(context.Background())
+	leaderDone := make(chan error, 1)
+	go func() {
+		req, _ := http.NewRequestWithContext(leaderCtx, http.MethodPost, ts.URL+"/v1/detect", bytes.NewReader(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		leaderDone <- err
+	}()
+	<-entered
+	follower := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/detect", "audio/wav", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			follower <- 0
+			return
+		}
+		defer resp.Body.Close()
+		follower <- resp.StatusCode
+	}()
+	waitFor(t, func() bool { return s.flight.Collapsed() == 1 })
+	leave()
+	if err := <-leaderDone; err == nil {
+		t.Fatal("the leader's request completed although its client hung up")
+	}
+
+	shutdownDone := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		shutdownDone <- s.Shutdown(ctx)
+	}()
+	select {
+	case <-shutdownDone:
+		t.Fatal("Shutdown returned while the detection was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(block)
+	if code := <-follower; code != http.StatusOK {
+		t.Fatalf("follower finished with %d, want 200", code)
+	}
+	if err := <-shutdownDone; err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Backend: instantStub()})
 	postWAV(t, ts.URL, wavBody(t, 8000, 256))

@@ -169,9 +169,9 @@ func (s *Server) finishStream(ctx context.Context, run *streamRun) error {
 	if s.vc != nil {
 		key = vcache.KeySamples(st.modelFP, st.backend.SampleRate(), fin.Samples)
 	}
-	det, how, err := s.resolve(ctx, key, nil, engine{run: func(context.Context) (*mvpears.Detection, error) {
+	det, how, err := s.resolve(ctx, key, nil, func(context.Context) (*mvpears.Detection, error) {
 		return st.backend.DetectionFromStream(fin), nil
-	}})
+	})
 	if err != nil {
 		return err
 	}

@@ -15,13 +15,14 @@
 //     engine/classifier artifact, so keys remain valid across daemon
 //     restarts but a different model can never serve another model's
 //     verdicts.
-//   - Cache: a sharded, mutex-striped LRU bounded by both entry count and
-//     resident bytes, with hit/miss/eviction/bytes counters.
+//   - Cache: one LRU under one mutex, bounded exactly by both entry count
+//     and resident bytes, with hit/miss/eviction/bytes counters.
 //   - Group: singleflight duplicate collapsing, so K concurrent requests
-//     for one fingerprint run one detection and share the result. Flights
-//     are context-correct: work runs under a flight-owned context that a
-//     single waiter's cancellation cannot cancel; it is cancelled only
-//     when every interested caller has gone away.
+//     for one fingerprint run one detection, on the first caller's
+//     goroutine, and share the result. Flights are context-correct: work
+//     runs under a flight-owned context that a single caller's
+//     cancellation cannot cancel; it is cancelled only when every
+//     interested caller has gone away.
 package vcache
 
 import (

@@ -221,7 +221,7 @@ func BenchmarkKeyPCM16(b *testing.B) {
 // --- cache ---
 
 func TestCacheLRUAndStats(t *testing.T) {
-	c := NewSharded[string](2, 1<<20, 1)
+	c := New[string](2, 1<<20)
 	c.Put("a", "A", 10)
 	c.Put("b", "B", 10)
 	if v, ok := c.Get("a"); !ok || v != "A" {
@@ -245,7 +245,7 @@ func TestCacheLRUAndStats(t *testing.T) {
 
 // TestCacheEvictsUnderBytePressure is the byte-bound acceptance check.
 func TestCacheEvictsUnderBytePressure(t *testing.T) {
-	c := NewSharded[int](100, 100, 1)
+	c := New[int](100, 100)
 	c.Put("a", 1, 40)
 	c.Put("b", 2, 40)
 	c.Put("c", 3, 40) // 120 bytes > 100: a (oldest) must go
@@ -271,7 +271,7 @@ func TestCacheEvictsUnderBytePressure(t *testing.T) {
 }
 
 func TestCacheUpdateResizesAccounting(t *testing.T) {
-	c := NewSharded[int](10, 100, 1)
+	c := New[int](10, 100)
 	c.Put("a", 1, 30)
 	c.Put("a", 2, 70)
 	if st := c.Stats(); st.Bytes != 70 || st.Entries != 1 {
@@ -286,8 +286,49 @@ func TestCacheUpdateResizesAccounting(t *testing.T) {
 	}
 }
 
-// TestCacheConcurrentMixedLoad hammers all shards from many goroutines;
-// run under -race it is the striping soundness check.
+// TestCacheHoldsItsEntryBound fills a cache with exactly as many distinct
+// keys as its entry bound: nothing may be evicted, whatever the keys hash
+// to.
+func TestCacheHoldsItsEntryBound(t *testing.T) {
+	const n = 4096
+	c := New[int](n, 1<<30)
+	for i := 0; i < n; i++ {
+		c.Put(fmt.Sprintf("model:%064x", i), i, 64)
+	}
+	if st := c.Stats(); st.Entries != n || st.Evictions != 0 {
+		t.Fatalf("%d distinct keys into a %d-entry cache: %+v, want every entry kept", n, n, st)
+	}
+	for i := 0; i < n; i++ {
+		if v, ok := c.Peek(fmt.Sprintf("model:%064x", i)); !ok || v != i {
+			t.Fatalf("key %d: %d %v", i, v, ok)
+		}
+	}
+}
+
+// TestCacheAdmitsEntryUpToByteBudget: the byte bound is the whole cache's,
+// so an entry up to the full budget is cached, and only a larger one is
+// refused.
+func TestCacheAdmitsEntryUpToByteBudget(t *testing.T) {
+	c := New[int](100, 1000)
+	c.Put("half", 1, 500)
+	if _, ok := c.Get("half"); !ok {
+		t.Fatal("a half-budget entry was refused")
+	}
+	c.Put("whole", 2, 1000) // fits only by evicting "half"
+	if _, ok := c.Get("whole"); !ok {
+		t.Fatal("a whole-budget entry was refused")
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != 1000 || st.Evictions != 1 {
+		t.Fatalf("stats %+v", st)
+	}
+	c.Put("over", 3, 1001)
+	if _, ok := c.Peek("over"); ok {
+		t.Fatal("an over-budget entry was admitted")
+	}
+}
+
+// TestCacheConcurrentMixedLoad hammers the cache from many goroutines;
+// run under -race it is the locking soundness check.
 func TestCacheConcurrentMixedLoad(t *testing.T) {
 	c := New[int](64, 1<<16)
 	var wg sync.WaitGroup
