@@ -121,11 +121,15 @@ fuzz-smoke:
 smoke:
 	./scripts/smoke.sh
 
-# Regenerate docs/METRICS.md from the server's metric registry. The file
-# is generated, never hand-edited: check-metrics-docs (run in CI) fails
-# when the committed copy has drifted from the code.
+# Regenerate docs/METRICS.md from the server's metric table, and the
+# masked /metrics golden (internal/server/testdata/exposition.golden)
+# that TestExpositionGolden compares a served exposition to. Both files
+# are generated, never hand-edited: check-metrics-docs (run in CI) fails
+# when the committed reference has drifted from the code, and the test
+# fails when the exposition has.
 metrics-docs:
 	$(GO) run ./cmd/genmetrics -o docs/METRICS.md
+	$(GO) test ./internal/server -run '^TestExpositionGolden$$' -count=1 -update
 
 check-metrics-docs:
 	@tmp="$$(mktemp)"; trap 'rm -f "$$tmp"' EXIT; \

@@ -1,8 +1,8 @@
 // Command genmetrics generates docs/METRICS.md — the reference for
 // every Prometheus family the serving daemon exports — straight from
-// the server's metric registry, so the docs can never drift from the
-// code. `make metrics-docs` regenerates the file; CI fails when the
-// committed copy is stale.
+// the server's metric table (server.Families), so the docs can never
+// drift from the code. `make metrics-docs` regenerates the file; CI
+// fails when the committed copy is stale.
 //
 // Usage:
 //
@@ -14,22 +14,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
-	"log"
 	"os"
 	"strings"
 
-	"mvpears/internal/obs/drift"
 	"mvpears/internal/server"
 )
-
-// docBackend satisfies server.Backend just far enough for server.New to
-// register every metric family: it answers the two calls New makes and
-// never serves a request (the embedded nil Backend would panic if asked).
-type docBackend struct{ server.Backend }
-
-func (docBackend) AuxiliaryNames() []string         { return []string{"DS1", "GCS"} }
-func (docBackend) DriftReference() *drift.Reference { return nil }
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -45,18 +34,7 @@ func run(args []string) error {
 		return err
 	}
 
-	s, err := server.New(server.Config{
-		Backend: docBackend{},
-		Workers: 1,
-		Logger:  log.New(io.Discard, "", 0),
-	})
-	if err != nil {
-		return fmt.Errorf("constructing registry: %w", err)
-	}
-	families := s.MetricFamilies()
-	if len(families) == 0 {
-		return fmt.Errorf("no metric families registered")
-	}
+	families := server.Families()
 
 	var b strings.Builder
 	b.WriteString("# Metrics reference\n\n")

@@ -49,7 +49,7 @@ func TestCtxflowGolden(t *testing.T) {
 
 func TestMetricnameGolden(t *testing.T) {
 	runGolden(t, "metricname",
-		&lint.Config{MetricRegistry: "metricname.Registry"},
+		&lint.Config{MetricTable: "metricname"},
 		[]*lint.Analyzer{lint.MetricnameAnalyzer})
 }
 

@@ -86,10 +86,11 @@ type Config struct {
 	// FloatEqPaths are the packages where ==/!= on floating-point
 	// operands is forbidden outside test files.
 	FloatEqPaths []string
-	// MetricRegistry names the metrics registry type as
-	// "import/path.TypeName"; calls to its registration methods must use
-	// constant, grammar-conforming family and label names.
-	MetricRegistry string
+	// MetricTable is the import path of the package whose metric table
+	// declares every family: its counter, gauge and histogram row
+	// constructors must be called with constant, grammar-conforming family
+	// and label names.
+	MetricTable string
 }
 
 // DefaultConfig returns the policy enforced on the mvpears module.
@@ -126,7 +127,7 @@ func DefaultConfig() *Config {
 			"mvpears/internal/detector",
 			"mvpears/internal/classify",
 		},
-		MetricRegistry: "mvpears/internal/server.Registry",
+		MetricTable: "mvpears/internal/server",
 	}
 }
 

@@ -1,7 +1,6 @@
 package lint_test
 
 import (
-	"strings"
 	"testing"
 
 	"mvpears/internal/lint"
@@ -39,11 +38,7 @@ func TestLoadModulePolicyPaths(t *testing.T) {
 	policy = append(policy, cfg.ServingPaths...)
 	policy = append(policy, cfg.CtxPaths...)
 	policy = append(policy, cfg.FloatEqPaths...)
-	regPath, _, ok := strings.Cut(cfg.MetricRegistry, ".")
-	if !ok {
-		t.Fatalf("MetricRegistry %q is not import/path.TypeName", cfg.MetricRegistry)
-	}
-	policy = append(policy, regPath)
+	policy = append(policy, cfg.MetricTable)
 	for _, p := range policy {
 		if !have[p] {
 			t.Errorf("DefaultConfig names %s, but the module has no such package", p)

@@ -4,17 +4,18 @@ import (
 	"go/ast"
 	"go/constant"
 	"regexp"
-	"strings"
 )
 
 // MetricnameAnalyzer enforces the exposition contract of the hand-rolled
-// metrics registry. The /metrics endpoint renders families straight into
+// metrics table. The /metrics endpoint renders families straight into
 // the Prometheus text format, so a family name outside the project
 // grammar (^mvpears_[a-z0-9_]+$) or a label name outside the identifier
-// grammar corrupts the scrape. Names and label keys must be compile-time
-// constants: the only dynamic strings on the exposition path are label
-// VALUES, which the registry escapes at render time — keeping that true
-// is exactly what makes a constant-name check sufficient.
+// grammar corrupts the scrape. Every family is one row of the table,
+// built by the table package's counter, gauge or histogram function;
+// names and label keys there must be compile-time constants: the only
+// dynamic strings on the exposition path are label VALUES, which the
+// registry escapes at render time — keeping that true is exactly what
+// makes a constant-name check sufficient.
 var MetricnameAnalyzer = &Analyzer{
 	Name: "metricname",
 	Doc:  "metric families must be constant mvpears_* names with constant, identifier-grammar label keys",
@@ -26,25 +27,19 @@ var (
 	metricLabelRE  = regexp.MustCompile(`^[a-z_][a-z0-9_]*$`)
 )
 
-// registration methods on the registry type, with the index of the
-// trailing variadic label-name parameter (-1 when the method takes none).
-var metricRegMethods = map[string]int{
-	"Counter":      -1,
-	"CounterFunc":  -1,
-	"CounterVec":   2,
-	"Gauge":        -1,
-	"GaugeFunc":    -1,
-	"GaugeVecFunc": 3,
-	"Histogram":    -1,
-	"HistogramVec": 3,
+// metricRowFuncs are the table's row constructors, with the index of the
+// trailing variadic label-name parameter.
+var metricRowFuncs = map[string]int{
+	"counter":   2,
+	"gauge":     2,
+	"histogram": 3,
 }
 
 func runMetricname(pass *Pass) {
-	pkgPath, typeName, ok := strings.Cut(pass.Cfg.MetricRegistry, ".")
-	if !ok {
-		return
+	table := pass.Cfg.MetricTable
+	if pass.Pkg.ImportPath != table {
+		return // the row constructors are unexported: only the table's package calls them
 	}
-	// Registry methods can be called from any package that imports it.
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -53,11 +48,11 @@ func runMetricname(pass *Pass) {
 				return true
 			}
 			fn := calleeFunc(info, call)
-			if fn == nil || !methodOn(fn, pkgPath, typeName) {
+			if fn == nil {
 				return true
 			}
-			labelStart, ok := metricRegMethods[fn.Name()]
-			if !ok || len(call.Args) == 0 {
+			labelStart, ok := metricRowFuncs[fn.Name()]
+			if !ok || !isPkgFunc(fn, table, fn.Name()) || len(call.Args) == 0 {
 				return true
 			}
 
@@ -67,13 +62,11 @@ func runMetricname(pass *Pass) {
 				pass.Reportf(call.Args[0].Pos(), "metric family %q does not match ^mvpears_[a-z0-9_]+$", name)
 			}
 
-			if labelStart >= 0 {
-				for _, arg := range call.Args[labelStart:] {
-					if label, isConst := constString(pass, arg); !isConst {
-						pass.Reportf(arg.Pos(), "metric label name must be a compile-time constant (only label values are escaped at render time)")
-					} else if !metricLabelRE.MatchString(label) {
-						pass.Reportf(arg.Pos(), "metric label %q does not match ^[a-z_][a-z0-9_]*$", label)
-					}
+			for _, arg := range call.Args[min(labelStart, len(call.Args)):] {
+				if label, isConst := constString(pass, arg); !isConst {
+					pass.Reportf(arg.Pos(), "metric label name must be a compile-time constant (only label values are escaped at render time)")
+				} else if !metricLabelRE.MatchString(label) {
+					pass.Reportf(arg.Pos(), "metric label %q does not match ^[a-z_][a-z0-9_]*$", label)
 				}
 			}
 			return true

@@ -1,44 +1,43 @@
-// Package metricname holds golden cases for the metricname analyzer.
-// Registry mirrors the registration surface of the real serving
-// registry; the golden Config points MetricRegistry at it.
+// Package metricname holds golden cases for the metricname analyzer. Its
+// row constructors mirror the serving metric table's; the golden Config
+// points MetricTable at this package.
 package metricname
 
-type (
-	// Registry stands in for mvpears/internal/server.Registry.
-	Registry     struct{}
-	Counter      struct{}
-	Gauge        struct{}
-	Histogram    struct{}
-	CounterVec   struct{}
-	HistogramVec struct{}
-)
+// Family stands in for mvpears/internal/server.Family.
+type Family struct {
+	Name, Help string
+	Labels     []string
+	Buckets    []float64
+}
 
-func (r *Registry) Counter(name, help string) *Counter { return nil }
+func counter(name, help string, labels ...string) Family {
+	return Family{Name: name, Help: help, Labels: labels}
+}
 
-func (r *Registry) Gauge(name, help string) *Gauge { return nil }
+func gauge(name, help string, labels ...string) Family {
+	return Family{Name: name, Help: help, Labels: labels}
+}
 
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram { return nil }
-
-func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec { return nil }
-
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	return nil
+func histogram(name, help string, buckets []float64, labels ...string) Family {
+	return Family{Name: name, Help: help, Labels: labels, Buckets: buckets}
 }
 
 const goodName = "mvpears_requests_total"
 
-// Register exercises family-name and label-name checks. Only names that
-// are compile-time constants in the project grammar pass.
-func Register(r *Registry, dynamic string) {
-	r.Counter(goodName, "requests served")
-	r.Counter("mvpears_cache_hits_total", "cache hits")
-	r.Counter("mvpearsd_requests_total", "stale daemon prefix") // want `metric family "mvpearsd_requests_total" does not match`
-	r.Gauge("mvpears_Replicas", "uppercase")                    // want `metric family "mvpears_Replicas" does not match`
-	r.Counter(dynamic, "computed name")                         // want `metric family name must be a compile-time constant`
-	r.Histogram("mvpears_latency_seconds", "latency", []float64{0.1, 1})
-	r.CounterVec("mvpears_verdicts_total", "verdicts by engine", "engine", "verdict")
-	r.CounterVec("mvpears_verdicts_total", "bad label", "Engine")    // want `metric label "Engine" does not match`
-	r.CounterVec("mvpears_verdicts_total", "dynamic label", dynamic) // want `metric label name must be a compile-time constant`
-	r.HistogramVec("mvpears_stage_seconds", "per-stage latency", []float64{0.1}, "stage")
-	r.HistogramVec("mvpears_stage_seconds", "bad vec label", []float64{0.1}, "stage-name") // want `metric label "stage-name" does not match`
+var dynamic = "computed"
+
+// table exercises family-name and label-name checks. Only names that are
+// compile-time constants in the project grammar pass.
+var table = []Family{
+	counter(goodName, "requests served"),
+	counter("mvpears_cache_hits_total", "cache hits"),
+	counter("mvpearsd_requests_total", "stale daemon prefix"), // want `metric family "mvpearsd_requests_total" does not match`
+	gauge("mvpears_Replicas", "uppercase"),                    // want `metric family "mvpears_Replicas" does not match`
+	counter(dynamic, "computed name"),                         // want `metric family name must be a compile-time constant`
+	histogram("mvpears_latency_seconds", "latency", []float64{0.1, 1}),
+	counter("mvpears_verdicts_total", "verdicts by engine", "engine", "verdict"),
+	counter("mvpears_verdicts_total", "bad label", "Engine"), // want `metric label "Engine" does not match`
+	gauge("mvpears_slo_burn_rate", "dynamic label", dynamic), // want `metric label name must be a compile-time constant`
+	histogram("mvpears_stage_seconds", "per-stage latency", []float64{0.1}, "stage"),
+	histogram("mvpears_stage_seconds", "bad label", []float64{0.1}, "stage-name"), // want `metric label "stage-name" does not match`
 }

@@ -20,16 +20,8 @@ type RequestRecord struct {
 	Method    string
 	Status    int
 	Duration  time.Duration
-	// Verdict / Cached / Collapsed / ShortCircuit come from the trace
-	// annotations and are zero for non-detection routes.
-	Verdict   string
-	Cached    bool
-	Collapsed bool
-	// Remote marks a verdict answered by another replica (cluster tier).
-	Remote bool
-	// ShortCircuit marks a verdict the cascade scheduler answered without
-	// running the full engine ensemble.
-	ShortCircuit bool
+	// Outcome is the trace's; zero for non-detection routes.
+	Outcome
 	// Trace supplies the per-stage timings; nil is fine.
 	Trace *Trace
 }
@@ -212,7 +204,7 @@ func (l *RequestLogger) logSlow(rec RequestRecord, failed bool) {
 	spans := rec.Trace.Spans()
 	spanAttrs := make([]any, 0, len(spans))
 	for i, sp := range spans {
-		spanAttrs = append(spanAttrs, slog.Group(itoa2(i),
+		spanAttrs = append(spanAttrs, slog.Group(strconv.Itoa(i),
 			slog.String("span", sp.Name()),
 			slog.Float64("start_ms", durMS(sp.Start)),
 			slog.Float64("dur_ms", durMS(sp.Dur)),
@@ -291,12 +283,4 @@ func appendJSONString(b []byte, s string) []byte {
 	}
 	b = append(b, s[start:]...)
 	return append(b, '"')
-}
-
-// itoa2 formats a small span index without fmt overhead.
-func itoa2(i int) string {
-	if i < 10 {
-		return string([]byte{'0' + byte(i)})
-	}
-	return string([]byte{'0' + byte(i/10%10), '0' + byte(i%10)})
 }

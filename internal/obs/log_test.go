@@ -90,15 +90,17 @@ func seededRecord(rng *rand.Rand) RequestRecord {
 		dur = time.Duration(rng.Intn(1000)) * time.Millisecond
 	}
 	rec := RequestRecord{
-		RequestID:    text(),
-		Route:        text(),
-		Method:       text(),
-		Status:       statuses[rng.Intn(len(statuses))],
-		Duration:     dur,
-		Cached:       rng.Intn(2) == 0,
-		Collapsed:    rng.Intn(2) == 0,
-		Remote:       rng.Intn(2) == 0,
-		ShortCircuit: rng.Intn(2) == 0,
+		RequestID: text(),
+		Route:     text(),
+		Method:    text(),
+		Status:    statuses[rng.Intn(len(statuses))],
+		Duration:  dur,
+		Outcome: Outcome{
+			Cached:       rng.Intn(2) == 0,
+			Collapsed:    rng.Intn(2) == 0,
+			Remote:       rng.Intn(2) == 0,
+			ShortCircuit: rng.Intn(2) == 0,
+		},
 	}
 	switch rng.Intn(3) {
 	case 0:
@@ -200,7 +202,7 @@ func TestAccessLogConcurrentLinesStayWhole(t *testing.T) {
 				if i%3 == 0 {
 					dur = time.Second // slow: the slog path
 				}
-				l.Log(RequestRecord{RequestID: tr.ID(), Route: "detect", Method: "POST", Status: 200, Duration: dur, Verdict: "benign", Trace: tr})
+				l.Log(RequestRecord{RequestID: tr.ID(), Route: "detect", Method: "POST", Status: 200, Duration: dur, Outcome: Outcome{Verdict: "benign"}, Trace: tr})
 			}
 		}(g)
 	}

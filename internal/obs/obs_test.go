@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -15,17 +17,15 @@ import (
 func TestNilTraceIsSafe(t *testing.T) {
 	var tr *Trace
 	tr.Record(StageDecode, "", time.Now())
-	tr.SetVerdict("benign")
-	tr.SetCached()
-	tr.SetCollapsed()
+	tr.Note(func(o *Outcome) { o.Verdict, o.Cached, o.Collapsed = "benign", true, true })
 	if tr.ID() != "" || tr.Spans() != nil || tr.Elapsed() != 0 {
 		t.Fatal("nil trace should be inert")
 	}
 	if totals := tr.StageTotals(); totals != nil {
 		t.Fatalf("nil trace totals = %v", totals)
 	}
-	if v, c, co := tr.Annotations(); v != "" || c || co {
-		t.Fatal("nil trace annotations should be zero")
+	if tr.Outcome() != (Outcome{}) {
+		t.Fatal("nil trace outcome should be zero")
 	}
 }
 
@@ -115,7 +115,7 @@ func TestRequestLoggerFieldsAndStageTimings(t *testing.T) {
 	tr.Record(StageDecode, "", time.Now())
 	l.Log(RequestRecord{
 		RequestID: "abc", Route: "detect", Method: "POST", Status: 200,
-		Duration: 5 * time.Millisecond, Verdict: "benign", Cached: true, Trace: tr,
+		Duration: 5 * time.Millisecond, Outcome: Outcome{Verdict: "benign", Cached: true}, Trace: tr,
 	})
 	m := logLine(t, &buf)
 	if m["request_id"] != "abc" || m["route"] != "detect" || m["status"] != float64(200) {
@@ -187,6 +187,30 @@ func TestRequestLoggerSlowAlwaysLogsWithSpans(t *testing.T) {
 	first := spans["0"].(map[string]any)
 	if first["span"] != "transcribe:DS1" {
 		t.Fatalf("span name = %v", first["span"])
+	}
+}
+
+// TestSlowLineSpanKeysAreDistinct logs a slow request with more than 100
+// spans (a large batch records ~8 per part): every span keeps its own key,
+// so none overwrites another when the line is decoded.
+func TestSlowLineSpanKeysAreDistinct(t *testing.T) {
+	var buf bytes.Buffer
+	l := NewRequestLogger(&buf, 0, 10*time.Millisecond)
+	tr := NewTrace("big-batch")
+	const n = 120
+	for i := 0; i < n; i++ {
+		tr.Record(StageTranscribe, fmt.Sprintf("E%d", i), time.Now())
+	}
+	l.Log(RequestRecord{Status: 200, Duration: 50 * time.Millisecond, Trace: tr})
+	spans, ok := logLine(t, &buf)["spans"].(map[string]any)
+	if !ok || len(spans) != n {
+		t.Fatalf("decoded %d distinct span keys, want %d", len(spans), n)
+	}
+	for i := 0; i < n; i++ {
+		sp, ok := spans[strconv.Itoa(i)].(map[string]any)
+		if !ok || sp["span"] != fmt.Sprintf("transcribe:E%d", i) {
+			t.Fatalf("span %d = %v", i, spans[strconv.Itoa(i)])
+		}
 	}
 }
 

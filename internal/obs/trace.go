@@ -86,22 +86,35 @@ type TraceContext struct {
 	Sampled bool
 }
 
-// Trace collects the spans and verdict annotations of one request. A nil
+// Trace collects the spans and the Outcome of one request. A nil
 // *Trace is valid and records nothing, so pipeline code never branches on
 // whether tracing is enabled.
 type Trace struct {
 	id    string
 	begin time.Time
 
-	mu    sync.Mutex
-	spans []Span
+	mu      sync.Mutex
+	spans   []Span
+	outcome Outcome
+}
 
-	verdict      string
-	cached       bool
-	fresh        bool
-	collapsed    bool
-	shortCircuit bool
-	remote       bool
+// Outcome is how a request's verdicts were served, as its access-log line
+// reports it; zero for requests that serve no verdict. A batch notes every
+// part on one trace.
+type Outcome struct {
+	// Verdict is the served verdict; a batch keeps its worst.
+	Verdict string
+	// Cached: every verdict came from a verdict cache (none was fresh).
+	Cached bool
+	// Fresh: the request ran a detection of its own.
+	Fresh bool
+	// Collapsed: the request shared another request's in-flight detection.
+	Collapsed bool
+	// ShortCircuit: the cascade answered without the full engine ensemble.
+	ShortCircuit bool
+	// Remote: another replica answered (remote cache hit or forwarded
+	// detection).
+	Remote bool
 }
 
 // NewTrace starts a trace identified by id (usually the request ID). The
@@ -194,103 +207,26 @@ func (t *Trace) Elapsed() time.Duration {
 	return time.Since(t.begin)
 }
 
-// SetVerdict annotates the trace with the served verdict string.
-func (t *Trace) SetVerdict(v string) {
+// Note applies f to the trace's outcome under the trace's lock (a no-op
+// on a nil trace). f must only read and write the Outcome: calling back
+// into the trace would deadlock.
+func (t *Trace) Note(f func(*Outcome)) {
 	if t == nil {
 		return
-	}
-	t.mu.Lock()
-	t.verdict = v
-	t.mu.Unlock()
-}
-
-// SetCached marks the request as answered from the verdict cache.
-func (t *Trace) SetCached() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.cached = true
-	t.mu.Unlock()
-}
-
-// SetFresh marks the request as having run a detection of its own and
-// reports whether this call was the first to say so: a request that serves
-// several fresh verdicts on one trace (a batch) feeds its spans into the
-// stage histograms once. A fresh trace never reports cached — the access
-// log's flag means every verdict of the request came from a cache.
-func (t *Trace) SetFresh() bool {
-	if t == nil {
-		return false
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	first := !t.fresh
-	t.fresh = true
-	return first
+	f(&t.outcome)
 }
 
-// SetCollapsed marks the request as having shared another request's
-// in-flight detection (singleflight).
-func (t *Trace) SetCollapsed() {
+// Outcome returns a copy of the trace's outcome (zero on a nil trace).
+func (t *Trace) Outcome() Outcome {
 	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.collapsed = true
-	t.mu.Unlock()
-}
-
-// SetShortCircuit marks the request's detection as having been answered
-// by the cascade scheduler without running the full engine ensemble.
-func (t *Trace) SetShortCircuit() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.shortCircuit = true
-	t.mu.Unlock()
-}
-
-// ShortCircuited reports whether SetShortCircuit was applied.
-func (t *Trace) ShortCircuited() bool {
-	if t == nil {
-		return false
+		return Outcome{}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.shortCircuit
-}
-
-// SetRemote marks the request as answered by another replica (a remote
-// cache hit or a detection forwarded to the key's owner).
-func (t *Trace) SetRemote() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.remote = true
-	t.mu.Unlock()
-}
-
-// Remote reports whether SetRemote was applied.
-func (t *Trace) Remote() bool {
-	if t == nil {
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.remote
-}
-
-// Annotations returns the verdict and the cached/collapsed flags.
-func (t *Trace) Annotations() (verdict string, cached, collapsed bool) {
-	if t == nil {
-		return "", false, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.verdict, t.cached && !t.fresh, t.collapsed
+	return t.outcome
 }
 
 // StageTotals sums span durations by stage. Per-engine transcription spans

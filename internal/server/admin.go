@@ -50,7 +50,7 @@ func (s *Server) handleInfoz(w http.ResponseWriter, r *http.Request) {
 		GOMAXPROCS:       runtime.GOMAXPROCS(0),
 		UptimeSeconds:    time.Since(s.start).Seconds(),
 		Draining:         s.draining.Load(),
-		Reloads:          s.reloadsTotal.Value(),
+		Reloads:          s.Reloads(),
 		ReloadEnabled:    s.cfg.Reload != nil,
 	}
 	if s.node != nil {
@@ -79,7 +79,7 @@ func (s *Server) handleReloadz(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, ReloadJSON{
 			Reloaded:         true,
 			ModelFingerprint: s.state().modelFP,
-			Reloads:          s.reloadsTotal.Value(),
+			Reloads:          s.Reloads(),
 		})
 	case errors.Is(err, ErrReloadNotConfigured):
 		writeError(w, http.StatusNotFound, "%v", err)

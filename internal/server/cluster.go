@@ -72,10 +72,10 @@ func (s *Server) startCluster(cc *ClusterConfig) error {
 		Handler:        clusterHandler{s},
 		RequestTimeout: s.cfg.RequestTimeout,
 		ObserveRTT: func(peer string, d time.Duration) {
-			s.clusterRTTSeconds.With(peer).Observe(d.Seconds())
+			s.m.histogram(mClusterRTTSeconds, peer).Observe(d.Seconds())
 		},
 		OnBusyDecline: func() {
-			s.rejectedTotal.With(rejectPeerBusy).Inc()
+			s.m.counter(mRejected, rejectPeerBusy).Inc()
 		},
 	})
 	if err != nil {
@@ -116,7 +116,7 @@ type clusterHandler struct{ s *Server }
 // tc.Sampled, the recorded spans are returned for the requester to stitch.
 func (h clusterHandler) Detect(ctx context.Context, tc obs.TraceContext, key string, sampleRate int, pcm []byte) (*mvpears.Detection, bool, []obs.Span, error) {
 	s := h.s
-	s.clusterServed.With("detect").Inc()
+	s.m.counter(mClusterServed, "detect").Inc()
 	if s.draining.Load() {
 		return nil, false, nil, errors.New("draining")
 	}
@@ -185,16 +185,16 @@ func (s *Server) clusterFetch(ctx context.Context, key string, fwd *audio.PCM16)
 	tc := trace.Context(obs.StageClusterForward)
 	det, cached, spans, err := s.node.Detect(ctx, owner, key, fwd.SampleRate, fwd.Data, tc)
 	if err != nil {
-		s.clusterForwards.With("error").Inc()
+		s.m.counter(mClusterForwards, "error").Inc()
 		return nil, howFresh, false
 	}
 	trace.Record(obs.StageClusterForward, "", start)
 	trace.RecordRemote(owner, start, spans)
-	s.pipelineSeconds.With(obs.StageClusterForward).Observe(time.Since(start).Seconds())
+	s.m.histogram(mStageSeconds, obs.StageClusterForward).Observe(time.Since(start).Seconds())
 	if cached {
-		s.clusterForwards.With("hit").Inc()
+		s.m.counter(mClusterForwards, "hit").Inc()
 		return det, howRemoteHit, true
 	}
-	s.clusterForwards.With("detected").Inc()
+	s.m.counter(mClusterForwards, "detected").Inc()
 	return det, howRemoteFresh, true
 }

@@ -157,7 +157,7 @@ func (s *Server) writeDetectError(w http.ResponseWriter, err error) {
 	}
 	switch {
 	case errors.Is(err, ErrQueueFull):
-		s.queueRejected.Inc()
+		s.m.counter(mRejected, rejectQueueFull).Inc()
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "server overloaded, retry later")
 	case errors.Is(err, ErrPoolClosed):
@@ -381,7 +381,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // handleMetrics serves the Prometheus text exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.metrics.Render(w); err != nil {
+	if err := s.m.Render(w); err != nil {
 		s.cfg.Logger.Printf("mvpearsd: rendering metrics: %v", err)
 	}
 }

@@ -103,7 +103,7 @@ func TestPlainHitServesEncodedRecord(t *testing.T) {
 			}
 			// Every hit is still counted like any served verdict.
 			verdict := verdictOf(det.Adversarial)
-			if got := s.detectionsTotal.With(verdict).Value(); got != 1+3+1 { // fresh, hits, encodedRecord
+			if got := s.m.counter(mDetections, verdict).Value(); got != 1+3+1 { // fresh, hits, encodedRecord
 				t.Fatalf("%s verdicts counted %d, want 5", verdict, got)
 			}
 		})

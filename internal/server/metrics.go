@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -11,10 +12,194 @@ import (
 	"sync/atomic"
 )
 
-// Hand-rolled Prometheus-style instrumentation: counters, gauges and
-// histograms with optional label vectors, rendered in the text exposition
-// format by a Registry. No external dependencies — the whole repo is
-// stdlib-only — and no global state: each Server owns one Registry.
+// Hand-rolled Prometheus-style instrumentation: every family the daemon
+// exports is one row of the families table, and a Registry renders the
+// table's live values in the text exposition format. No external
+// dependencies — the whole repo is stdlib-only — and no global state:
+// each Server owns one Registry.
+
+// Family is one metric family: a row of the families table. Build rows
+// with counter, gauge and histogram.
+type Family struct {
+	Name, Type, Help string
+	// Labels names the family's labels, at most two.
+	Labels []string
+	// Buckets are a histogram's upper bounds, ascending; +Inf is implicit.
+	Buckets []float64
+}
+
+func counter(name, help string, labels ...string) Family {
+	return Family{Name: name, Type: "counter", Help: help, Labels: labels}
+}
+
+func gauge(name, help string, labels ...string) Family {
+	return Family{Name: name, Type: "gauge", Help: help, Labels: labels}
+}
+
+func histogram(name, help string, buckets []float64, labels ...string) Family {
+	return Family{Name: name, Type: "histogram", Help: help, Labels: labels, Buckets: buckets}
+}
+
+// metricID indexes a family in the table a Registry was built from.
+type metricID int
+
+// The families mvpearsd exports, in exposition order.
+const (
+	mRequests metricID = iota
+	mRequestSeconds
+	mDetectStageSeconds
+	mStageSeconds
+	mEngineSeconds
+	mEngineSimilarity
+	mMinSimilarity
+	mDetections
+	mCascadeEnginesRun
+	mCascadeShortCircuits
+	mCascadeSampledFull
+	mInFlight
+	mQueueDepth
+	mPanics
+	mWorkerPoolSize
+	mCacheHits
+	mCacheMisses
+	mCacheEvictions
+	mCacheResidentBytes
+	mCacheEntries
+	mCollapsed
+	mStreamSessions
+	mStreamEvicted
+	mStreamWindows
+	mStreamEarlyExits
+	mStreamWindowSeconds
+	mStreamSessionsOpen
+	mClusterForwards
+	mClusterServed
+	mClusterPeersHealthy
+	mReloads
+	mReloadFailures
+	mClusterRTTSeconds
+	mRejected
+	mDriftScore
+	mProbeSuspicion
+	mAuditDropped
+	mSLOBurnRate
+	mSLOObjective
+	mSLOAlerting
+	mBuildInfo
+	mModelInfo
+)
+
+// families is the metric table. Every family is exported whatever the
+// configuration (zero when its feature is off), so the exposition shape
+// does not depend on flags or backend.
+var families = [...]Family{
+	mRequests: counter("mvpears_requests_total",
+		"Finished HTTP requests.", "route", "code"),
+	mRequestSeconds: histogram("mvpears_request_duration_seconds",
+		"End-to-end request latency.", DefaultLatencyBuckets, "route"),
+	mDetectStageSeconds: histogram("mvpears_detect_stage_seconds",
+		"Per-stage detection cost (recognition/similarity/classify).", DefaultLatencyBuckets, "stage"),
+	mStageSeconds: histogram("mvpears_stage_seconds",
+		"Traced pipeline span wall time by stage (decode/transcribe/phonetic/similarity/classify).", DefaultLatencyBuckets, "stage"),
+	mEngineSeconds: histogram("mvpears_engine_seconds",
+		"Per-engine transcription wall time.", DefaultLatencyBuckets, "engine"),
+	mEngineSimilarity: histogram("mvpears_engine_similarity",
+		"Target-vs-auxiliary similarity score distribution per auxiliary engine.", SimilarityBuckets, "engine"),
+	mMinSimilarity: histogram("mvpears_engine_min_similarity",
+		"Per-detection minimum auxiliary similarity score (transferable-AE early warning).", SimilarityBuckets),
+	mDetections: counter("mvpears_detections_total",
+		"Verdicts served.", "verdict"),
+	mCascadeEnginesRun: histogram("mvpears_cascade_engines_run",
+		"Auxiliary engines run per cascaded detection.", EngineCountBuckets),
+	mCascadeShortCircuits: counter("mvpears_cascade_short_circuits_total",
+		"Detections answered from a partial similarity vector (auxiliaries skipped)."),
+	mCascadeSampledFull: counter("mvpears_cascade_sampled_full_total",
+		"Deterministic 1-in-N full-ensemble monitoring runs under the cascade."),
+	mInFlight: gauge("mvpears_in_flight_requests",
+		"Requests currently being handled."),
+	mQueueDepth: gauge("mvpears_queue_depth",
+		"Detections waiting in the admission queue."),
+	mPanics: counter("mvpears_handler_panics_total",
+		"Handler panics recovered into 500s."),
+	mWorkerPoolSize: gauge("mvpears_worker_pool_size",
+		"Configured detection workers."),
+	mCacheHits: counter("mvpears_cache_hits_total",
+		"Verdicts served from the cross-request cache."),
+	mCacheMisses: counter("mvpears_cache_misses_total",
+		"Verdict-cache lookups that ran a detection."),
+	mCacheEvictions: counter("mvpears_cache_evictions_total",
+		"Verdicts evicted by entry or byte pressure."),
+	mCacheResidentBytes: gauge("mvpears_cache_resident_bytes",
+		"Approximate bytes held by cached verdicts."),
+	mCacheEntries: gauge("mvpears_cache_entries",
+		"Verdicts currently cached."),
+	mCollapsed: counter("mvpears_singleflight_collapsed_total",
+		"Requests that shared another request's in-flight detection."),
+	mStreamSessions: counter("mvpears_stream_sessions_total",
+		"Streaming sessions opened."),
+	mStreamEvicted: counter("mvpears_stream_evicted_total",
+		"Streaming sessions evicted after the idle timeout."),
+	mStreamWindows: counter("mvpears_stream_windows_total",
+		"Provisional sliding-window verdicts emitted.", "verdict"),
+	mStreamEarlyExits: counter("mvpears_stream_early_exits_total",
+		"Streaming sessions flagged adversarial before end-of-stream."),
+	mStreamWindowSeconds: histogram("mvpears_stream_window_seconds",
+		"Per-window evaluation wall time: gate, the feedforward engines' first forward of each ungated frame the window covers (not paid when the audio arrived), decode, scoring.", DefaultLatencyBuckets),
+	mStreamSessionsOpen: gauge("mvpears_stream_sessions_open",
+		"Streaming sessions currently open."),
+	mClusterForwards: counter("mvpears_cluster_forwards_total",
+		"Detect requests forwarded to their owning peer, by outcome.", "outcome"),
+	mClusterServed: counter("mvpears_cluster_served_total",
+		"Peer-protocol requests served for other replicas, by operation.", "op"),
+	mClusterPeersHealthy: gauge("mvpears_cluster_peers_healthy",
+		"Configured peers currently outside the failure backoff."),
+	mReloads: counter("mvpears_model_reloads_total",
+		"Completed hot model reloads."),
+	mReloadFailures: counter("mvpears_model_reload_failures_total",
+		"Hot model reloads that failed (old model kept serving)."),
+	mClusterRTTSeconds: histogram("mvpears_cluster_rtt_seconds",
+		"Peer RPC round-trip time as the requester sees it.", DefaultLatencyBuckets, "peer"),
+	mRejected: counter("mvpears_rejected_total",
+		"Deliberate load-shed rejections across all subsystems, by reason.", "reason"),
+	mDriftScore: gauge("mvpears_drift_score",
+		"Divergence of each live detection-quality family from its calibration reference (total-variation distance for distributions, absolute difference for rates).", "family"),
+	mProbeSuspicion: gauge("mvpears_probe_suspicion",
+		"Fraction of recent detect uploads that were near-duplicates of earlier uploads (mutate-one-sample probing signal)."),
+	mAuditDropped: counter("mvpears_audit_dropped_total",
+		"Audit entries dropped by the sink's retention or write-failure policy."),
+	mSLOBurnRate: gauge("mvpears_slo_burn_rate",
+		"Error-budget burn rate per objective and window (1 = spending exactly the budget).", "slo", "window"),
+	mSLOObjective: gauge("mvpears_slo_objective",
+		"Configured good-event target per objective.", "slo"),
+	mSLOAlerting: gauge("mvpears_slo_alerting",
+		"1 when both the fast and slow burn windows exceed the alerting burn rate.", "slo"),
+	mBuildInfo: gauge("mvpears_build_info",
+		"Build identity of the running daemon (constant 1).", "version", "go_version"),
+	mModelInfo: gauge("mvpears_model_info",
+		"Identity of the model currently serving (constant 1; empty fingerprint when caching is off).", "fingerprint"),
+}
+
+// Families returns the metric table in exposition order (the source of
+// the generated metrics reference; see cmd/genmetrics).
+func Families() []Family { return slices.Clone(families[:]) }
+
+// DefaultLatencyBuckets covers 1 ms .. 30 s, tuned for detection requests
+// whose recognition stage dominates at a few milliseconds per engine.
+var DefaultLatencyBuckets = []float64{
+	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
+}
+
+// SimilarityBuckets covers the [0,1] Jaro-Winkler score range, dense near
+// 1 where benign traffic concentrates — drift out of the top buckets is
+// the transferable-AE early-warning signal.
+var SimilarityBuckets = []float64{
+	0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 1,
+}
+
+// EngineCountBuckets covers "how many auxiliary engines ran": small
+// integer counts, one bucket per engine up to the largest plausible
+// ensemble.
+var EngineCountBuckets = []float64{0, 1, 2, 3, 4, 5, 6, 8}
 
 // Counter is a monotonically increasing uint64 metric.
 type Counter struct {
@@ -29,23 +214,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a metric that can go up and down.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.v.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram is a fixed-bucket cumulative histogram.
 type Histogram struct {
@@ -112,239 +280,142 @@ func (h *Histogram) snapshot() ([]uint64, float64, uint64) {
 	return cum, h.sum, h.total
 }
 
-// DefaultLatencyBuckets covers 1 ms .. 30 s, tuned for detection requests
-// whose recognition stage dominates at a few milliseconds per engine.
-var DefaultLatencyBuckets = []float64{
-	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
-}
+// sampler reads a sampled family at scrape time: it calls emit once per
+// child, with the label values in the family's label order.
+type sampler func(emit emitFunc)
 
-// SimilarityBuckets covers the [0,1] Jaro-Winkler score range, dense near
-// 1 where benign traffic concentrates — drift out of the top buckets is
-// the transferable-AE early-warning signal.
-var SimilarityBuckets = []float64{
-	0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 1,
-}
+type emitFunc = func(v float64, values ...string)
 
-// EngineCountBuckets covers "how many auxiliary engines ran": small
-// integer counts, one bucket per engine up to the largest plausible
-// ensemble.
-var EngineCountBuckets = []float64{0, 1, 2, 3, 4, 5, 6, 8}
-
-// labeled pairs one child metric with its rendered label set.
-type labeled[T any] struct {
-	key    string // rendered {a="x",b="y"} suffix, used for dedup + sorting
-	metric T
-}
-
-// vec is the shared label-vector machinery.
-type vec[T any] struct {
-	mu       sync.Mutex
-	labels   []string
-	children map[string]*labeled[T]
-	make     func() T
-}
-
-func (v *vec[T]) with(values ...string) T {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("server: metric wants %d label values, got %d", len(v.labels), len(values)))
-	}
-	key := renderLabels(v.labels, values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	child, ok := v.children[key]
-	if !ok {
-		child = &labeled[T]{key: key, metric: v.make()}
-		v.children[key] = child
-	}
-	return child.metric
-}
-
-func (v *vec[T]) sorted() []*labeled[T] {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	out := make([]*labeled[T], 0, len(v.children))
-	for _, c := range v.children {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
-	return out
-}
-
-// CounterVec is a Counter family partitioned by label values.
-type CounterVec struct {
-	vec[*Counter]
-}
-
-// With returns the child counter for the given label values (creating it
-// on first use).
-func (v *CounterVec) With(values ...string) *Counter { return v.with(values...) }
-
-// HistogramVec is a Histogram family partitioned by label values.
-type HistogramVec struct {
-	vec[*Histogram]
-}
-
-// With returns the child histogram for the given label values.
-func (v *HistogramVec) With(values ...string) *Histogram { return v.with(values...) }
-
-// Registry holds metrics in registration order and renders them in the
-// Prometheus text exposition format.
+// Registry holds the live values of one metric table and renders them in
+// the Prometheus text exposition format. A family is either sampled (its
+// sampler reads values owned elsewhere at scrape time) or updated on the
+// request path through counter and histogram.
 type Registry struct {
-	mu      sync.Mutex
-	metrics []metricEntry
+	table []Family
+	fams  []familyState // indexed like table
 }
 
-type metricEntry struct {
-	name, help, typ string
-	render          func(w io.Writer, name string)
+// maxLabels bounds a family's labels: a child is keyed by its label
+// values in a fixed-size array, so finding it allocates nothing.
+const maxLabels = 2
+
+type familyState struct {
+	sample   sampler
+	mu       sync.Mutex
+	children map[[maxLabels]string]*series
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{} }
-
-func (r *Registry) add(name, help, typ string, render func(io.Writer, string)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.metrics = append(r.metrics, metricEntry{name: name, help: help, typ: typ, render: render})
+// series is one child of a family: its rendered label set and its value.
+type series struct {
+	labels string // rendered {k="v",...} suffix, "" for a label-less family
+	count  Counter
+	hist   *Histogram // histogram families only
 }
 
-// Counter registers and returns a new counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.add(name, help, "counter", func(w io.Writer, n string) {
-		fmt.Fprintf(w, "%s %d\n", n, c.Value())
-	})
+// newRegistry builds a registry for table; samplers binds the sampled
+// families' read functions by ID. A label-less family that is not sampled
+// gets its one child now, so it renders (as zero) before its first use.
+func newRegistry(table []Family, samplers map[metricID]sampler) *Registry {
+	r := &Registry{table: table, fams: make([]familyState, len(table))}
+	for i, f := range table {
+		if len(f.Labels) > maxLabels {
+			panic(fmt.Sprintf("server: metric %s has %d labels, at most %d are supported", f.Name, len(f.Labels), maxLabels))
+		}
+		fs := &r.fams[i]
+		fs.sample = samplers[metricID(i)]
+		fs.children = make(map[[maxLabels]string]*series)
+		if fs.sample == nil && len(f.Labels) == 0 {
+			r.child(metricID(i), f.Type, nil)
+		}
+	}
+	return r
+}
+
+// counter returns the child counter of family id for the label values,
+// creating it on first use.
+func (r *Registry) counter(id metricID, values ...string) *Counter {
+	return &r.child(id, "counter", values).count
+}
+
+// histogram returns the child histogram of family id for the label
+// values, creating it on first use.
+func (r *Registry) histogram(id metricID, values ...string) *Histogram {
+	return r.child(id, "histogram", values).hist
+}
+
+func (r *Registry) child(id metricID, typ string, values []string) *series {
+	f := &r.table[id]
+	if f.Type != typ || len(values) != len(f.Labels) {
+		panic(fmt.Sprintf("server: metric %s is a %s with %d labels, used as a %s with %d", f.Name, f.Type, len(f.Labels), typ, len(values)))
+	}
+	var key [maxLabels]string
+	copy(key[:], values)
+	fs := &r.fams[id]
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	c := fs.children[key]
+	if c == nil {
+		c = &series{labels: renderLabels(f.Labels, values)}
+		if typ == "histogram" {
+			c.hist = &Histogram{bounds: f.Buckets, counts: make([]uint64, len(f.Buckets)+1)}
+		}
+		fs.children[key] = c
+	}
 	return c
 }
 
-// CounterVec registers and returns a new labeled counter family.
-func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	v := &CounterVec{vec[*Counter]{
-		labels:   labels,
-		children: make(map[string]*labeled[*Counter]),
-		make:     func() *Counter { return &Counter{} },
-	}}
-	r.add(name, help, "counter", func(w io.Writer, n string) {
-		for _, child := range v.sorted() {
-			fmt.Fprintf(w, "%s%s %d\n", n, child.key, child.metric.Value())
-		}
-	})
-	return v
-}
-
-// CounterFunc registers a counter whose value is sampled at render time
-// (for monotonic values owned elsewhere, e.g. cache hit counts).
-func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
-	r.add(name, help, "counter", func(w io.Writer, n string) {
-		fmt.Fprintf(w, "%s %d\n", n, fn())
-	})
-}
-
-// Gauge registers and returns a new gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.add(name, help, "gauge", func(w io.Writer, n string) {
-		fmt.Fprintf(w, "%s %d\n", n, g.Value())
-	})
-	return g
-}
-
-// GaugeFunc registers a gauge whose value is sampled at render time (for
-// values owned elsewhere, e.g. queue depth).
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.add(name, help, "gauge", func(w io.Writer, n string) {
-		fmt.Fprintf(w, "%s %s\n", n, formatFloat(fn()))
-	})
-}
-
-// LabeledValue is one (label values, value) sample of a GaugeVecFunc.
-type LabeledValue struct {
-	Values []string
-	Value  float64
-}
-
-// GaugeVecFunc registers a labeled gauge family whose full child set is
-// sampled at render time. The callback returns one LabeledValue per child;
-// children are sorted by rendered label key so exposition is deterministic
-// regardless of the callback's internal ordering.
-func (r *Registry) GaugeVecFunc(name, help string, fn func() []LabeledValue, labels ...string) {
-	r.add(name, help, "gauge", func(w io.Writer, n string) {
-		samples := fn()
-		lines := make([]string, 0, len(samples))
-		for _, s := range samples {
-			if len(s.Values) != len(labels) {
-				panic(fmt.Sprintf("server: metric %s wants %d label values, got %d", n, len(labels), len(s.Values)))
-			}
-			lines = append(lines, renderLabels(labels, s.Values)+" "+formatFloat(s.Value))
-		}
-		sort.Strings(lines)
-		for _, l := range lines {
-			fmt.Fprintf(w, "%s%s\n", n, l)
-		}
-	})
-}
-
-// Histogram registers and returns a new histogram with the given upper
-// bounds (ascending; +Inf is implicit).
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	h := newHistogram(bounds)
-	r.add(name, help, "histogram", func(w io.Writer, n string) {
-		renderHistogram(w, n, "", h)
-	})
-	return h
-}
-
-// HistogramVec registers and returns a labeled histogram family.
-func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
-	v := &HistogramVec{vec[*Histogram]{
-		labels:   labels,
-		children: make(map[string]*labeled[*Histogram]),
-		make:     func() *Histogram { return newHistogram(bounds) },
-	}}
-	r.add(name, help, "histogram", func(w io.Writer, n string) {
-		for _, child := range v.sorted() {
-			renderHistogram(w, n, child.key, child.metric)
-		}
-	})
-	return v
-}
-
-func newHistogram(bounds []float64) *Histogram {
-	b := append([]float64(nil), bounds...)
-	sort.Float64s(b)
-	return &Histogram{bounds: b, counts: make([]uint64, len(b)+1)}
-}
-
-// FamilyInfo describes one registered metric family (for the generated
-// metrics reference; see cmd/genmetrics).
-type FamilyInfo struct {
-	Name, Type, Help string
-}
-
-// Families returns every registered family's metadata in registration
-// order.
-func (r *Registry) Families() []FamilyInfo {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]FamilyInfo, 0, len(r.metrics))
-	for _, m := range r.metrics {
-		out = append(out, FamilyInfo{Name: m.name, Type: m.typ, Help: m.help})
-	}
-	return out
-}
-
-// Render writes every registered metric in the Prometheus text format.
+// Render writes every family in table order, children sorted by label
+// set.
 func (r *Registry) Render(w io.Writer) error {
-	r.mu.Lock()
-	metrics := append([]metricEntry(nil), r.metrics...)
-	r.mu.Unlock()
 	var b strings.Builder
-	for _, m := range metrics {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, m.typ)
-		m.render(&b, m.name)
+	for i, f := range r.table {
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.Name, f.Help, f.Name, f.Type)
+		fs := &r.fams[i]
+		if fs.sample != nil {
+			renderSampled(&b, f, fs.sample)
+			continue
+		}
+		fs.mu.Lock()
+		children := make([]*series, 0, len(fs.children))
+		for _, c := range fs.children {
+			children = append(children, c)
+		}
+		fs.mu.Unlock()
+		sort.Slice(children, func(i, j int) bool { return children[i].labels < children[j].labels })
+		for _, c := range children {
+			if c.hist != nil {
+				renderHistogram(&b, f.Name, c.labels, c.hist)
+			} else {
+				fmt.Fprintf(&b, "%s%s %d\n", f.Name, c.labels, c.count.Value())
+			}
+		}
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// renderSampled writes one sampled family's children. A counter's samples
+// render as integers, as the counters the request path updates do.
+func renderSampled(b *strings.Builder, f Family, sample sampler) {
+	type line struct {
+		labels string
+		v      float64
+	}
+	var lines []line
+	sample(func(v float64, values ...string) {
+		if len(values) != len(f.Labels) {
+			panic(fmt.Sprintf("server: metric %s wants %d label values, got %d", f.Name, len(f.Labels), len(values)))
+		}
+		lines = append(lines, line{renderLabels(f.Labels, values), v})
+	})
+	sort.Slice(lines, func(i, j int) bool { return lines[i].labels < lines[j].labels })
+	for _, l := range lines {
+		if f.Type == "counter" {
+			fmt.Fprintf(b, "%s%s %d\n", f.Name, l.labels, uint64(l.v))
+		} else {
+			fmt.Fprintf(b, "%s%s %s\n", f.Name, l.labels, formatFloat(l.v))
+		}
+	}
 }
 
 // renderHistogram writes the _bucket/_sum/_count series of one histogram.

@@ -24,31 +24,34 @@ func mustContain(t *testing.T, out string, lines ...string) {
 }
 
 func TestCounterAndGaugeRendering(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("jobs_total", "Jobs.")
-	g := r.Gauge("depth", "Depth.")
+	r := newRegistry([]Family{
+		counter("jobs_total", "Jobs."),
+		gauge("depth", "Depth."),
+		counter("sampled_total", "Sampled."),
+	}, map[metricID]sampler{
+		1: func(emit emitFunc) { emit(7) },
+		2: func(emit emitFunc) { emit(1e6) },
+	})
+	c := r.counter(0)
 	c.Inc()
 	c.Add(4)
-	g.Set(7)
-	g.Inc()
-	g.Dec()
 	mustContain(t, render(t, r),
 		"# HELP jobs_total Jobs.",
 		"# TYPE jobs_total counter",
 		"jobs_total 5",
 		"# TYPE depth gauge",
 		"depth 7",
+		"sampled_total 1000000\n", // a counter never renders as 1e+06
 	)
 }
 
 func TestCounterVecRendering(t *testing.T) {
-	r := NewRegistry()
-	v := r.CounterVec("requests_total", "Requests.", "route", "code")
-	v.With("detect", "200").Add(3)
-	v.With("detect", "429").Inc()
-	v.With("metrics", "200").Inc()
+	r := newRegistry([]Family{counter("requests_total", "Requests.", "route", "code")}, nil)
+	r.counter(0, "detect", "200").Add(3)
+	r.counter(0, "detect", "429").Inc()
+	r.counter(0, "metrics", "200").Inc()
 	// Same labels return the same child.
-	v.With("detect", "200").Inc()
+	r.counter(0, "detect", "200").Inc()
 	out := render(t, r)
 	mustContain(t, out,
 		`requests_total{route="detect",code="200"} 4`,
@@ -62,8 +65,8 @@ func TestCounterVecRendering(t *testing.T) {
 }
 
 func TestHistogramRendering(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("latency_seconds", "Latency.", []float64{0.1, 1})
+	r := newRegistry([]Family{histogram("latency_seconds", "Latency.", []float64{0.1, 1})}, nil)
+	h := r.histogram(0)
 	h.Observe(0.05)
 	h.Observe(0.1) // on the bound: counted in le="0.1"
 	h.Observe(0.5)
@@ -82,10 +85,9 @@ func TestHistogramRendering(t *testing.T) {
 }
 
 func TestHistogramVecRendering(t *testing.T) {
-	r := NewRegistry()
-	v := r.HistogramVec("stage_seconds", "Stages.", []float64{0.5}, "stage")
-	v.With("recognition").Observe(0.2)
-	v.With("classify").Observe(0.9)
+	r := newRegistry([]Family{histogram("stage_seconds", "Stages.", []float64{0.5}, "stage")}, nil)
+	r.histogram(0, "recognition").Observe(0.2)
+	r.histogram(0, "classify").Observe(0.9)
 	mustContain(t, render(t, r),
 		`stage_seconds_bucket{stage="recognition",le="0.5"} 1`,
 		`stage_seconds_bucket{stage="classify",le="0.5"} 0`,
@@ -96,12 +98,61 @@ func TestHistogramVecRendering(t *testing.T) {
 }
 
 func TestGaugeFuncAndLabelEscaping(t *testing.T) {
-	r := NewRegistry()
-	r.GaugeFunc("queue_depth", "Queue.", func() float64 { return 3 })
-	v := r.CounterVec("odd_total", "Odd.", "name")
-	v.With(`a"b\c`).Inc()
+	r := newRegistry([]Family{
+		gauge("queue_depth", "Queue."),
+		counter("odd_total", "Odd.", "name"),
+	}, map[metricID]sampler{0: func(emit emitFunc) { emit(3) }})
+	r.counter(1, `a"b\c`).Inc()
 	mustContain(t, render(t, r),
 		"queue_depth 3",
 		`odd_total{name="a\"b\\c"} 1`,
 	)
+}
+
+// TestMetricUpdatesDoNotAllocate pins the request path's metric cost: once
+// a child exists, finding it by its label values and updating it
+// allocates nothing.
+func TestMetricUpdatesDoNotAllocate(t *testing.T) {
+	r := newRegistry(families[:], nil)
+	route, code := "detect", "200"
+	allocs := testing.AllocsPerRun(100, func() {
+		r.counter(mRequests, route, code).Inc()
+		r.histogram(mRequestSeconds, route).Observe(0.003)
+	})
+	if allocs != 0 {
+		t.Fatalf("labeled counter Inc + histogram Observe: %v allocs, want 0", allocs)
+	}
+}
+
+// TestFamiliesAreExpositionSafe checks the metric table against what the
+// text exposition and the registry need: unique names, one-line help
+// without escapes, at most two labels, ascending histogram buckets. The
+// mvpearslint metricname analyzer checks the name and label grammar.
+func TestFamiliesAreExpositionSafe(t *testing.T) {
+	seen := map[string]bool{}
+	for id, f := range Families() {
+		if f.Name == "" {
+			t.Errorf("metric ID %d has no table row", id)
+			continue
+		}
+		if seen[f.Name] {
+			t.Errorf("%s: declared twice", f.Name)
+		}
+		seen[f.Name] = true
+		if f.Help == "" || strings.ContainsAny(f.Help, "\n\\") {
+			t.Errorf("%s: help %q is empty or holds a newline or backslash", f.Name, f.Help)
+		}
+		if len(f.Labels) > maxLabels {
+			t.Errorf("%s: %d labels, at most %d", f.Name, len(f.Labels), maxLabels)
+		}
+		if (f.Type == "histogram") != (len(f.Buckets) > 0) {
+			t.Errorf("%s: a %s with %d buckets", f.Name, f.Type, len(f.Buckets))
+		}
+		for i := 1; i < len(f.Buckets); i++ {
+			if !(f.Buckets[i-1] < f.Buckets[i]) {
+				t.Errorf("%s: buckets not ascending: %v", f.Name, f.Buckets)
+				break
+			}
+		}
+	}
 }

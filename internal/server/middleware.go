@@ -58,11 +58,11 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 		rec.Header().Set("X-Request-ID", reqID)
 		trace := obs.NewTrace(reqID)
 		r = r.WithContext(obs.WithTrace(r.Context(), trace))
-		s.inFlight.Inc()
+		s.inFlight.Add(1)
 		defer func() {
-			s.inFlight.Dec()
+			s.inFlight.Add(-1)
 			if p := recover(); p != nil {
-				s.panicsTotal.Inc()
+				s.m.counter(mPanics).Inc()
 				s.cfg.Logger.Printf("mvpearsd: panic in %s %s (request %s): %v", r.Method, r.URL.Path, reqID, p)
 				if rec.status == 0 {
 					http.Error(rec, "internal server error", http.StatusInternalServerError)
@@ -71,27 +71,22 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 			if rec.status == 0 {
 				rec.status = http.StatusOK
 			}
-			s.requestsTotal.With(route, strconv.Itoa(rec.status)).Inc()
-			s.requestSeconds.With(route).Observe(time.Since(start).Seconds())
+			s.m.counter(mRequests, route, strconv.Itoa(rec.status)).Inc()
+			s.m.histogram(mRequestSeconds, route).Observe(time.Since(start).Seconds())
 			// Availability SLO counters: every finished request, bad = 5xx.
 			s.sloHTTPTotal.Add(1)
 			if rec.status >= 500 {
 				s.sloHTTP5xx.Add(1)
 			}
 			if s.reqLog != nil {
-				verdict, cached, collapsed := trace.Annotations()
 				s.reqLog.Log(obs.RequestRecord{
-					RequestID:    reqID,
-					Route:        route,
-					Method:       r.Method,
-					Status:       rec.status,
-					Duration:     time.Since(start),
-					Verdict:      verdict,
-					Cached:       cached,
-					Collapsed:    collapsed,
-					Remote:       trace.Remote(),
-					ShortCircuit: trace.ShortCircuited(),
-					Trace:        trace,
+					RequestID: reqID,
+					Route:     route,
+					Method:    r.Method,
+					Status:    rec.status,
+					Duration:  time.Since(start),
+					Outcome:   trace.Outcome(),
+					Trace:     trace,
 				})
 			}
 		}()

@@ -26,8 +26,11 @@ import (
 // entirely (it would poison the sum forever) and negative values clamp to
 // zero (they land in every bucket but cannot drag the sum below zero).
 func TestHistogramObserveGuards(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("latency_seconds", "Latency.", []float64{1})
+	r := newRegistry([]Family{
+		histogram("latency_seconds", "Latency.", []float64{1}),
+		histogram("stage_seconds", "Stages.", []float64{1}, "stage"),
+	}, nil)
+	h := r.histogram(0)
 	h.Observe(math.NaN())
 	if h.Count() != 0 {
 		t.Fatalf("NaN was counted: count %d", h.Count())
@@ -39,20 +42,20 @@ func TestHistogramObserveGuards(t *testing.T) {
 		"latency_seconds_sum 0.5",
 		"latency_seconds_count 2",
 	)
-	// Vec children share the same guard.
-	v := r.HistogramVec("stage_seconds", "Stages.", []float64{1}, "stage")
-	v.With("decode").Observe(math.NaN())
-	v.With("decode").Observe(math.Inf(-1))
+	// Labeled children share the same guard.
+	r.histogram(1, "decode").Observe(math.NaN())
+	r.histogram(1, "decode").Observe(math.Inf(-1))
 	mustContain(t, render(t, r), `stage_seconds_count{stage="decode"} 1`)
 }
 
 // TestVecConcurrentCreateAndRender hammers label-child creation from many
 // goroutines while rendering concurrently; run under -race this pins the
-// vec maps' locking.
+// child maps' locking.
 func TestVecConcurrentCreateAndRender(t *testing.T) {
-	r := NewRegistry()
-	cv := r.CounterVec("requests_total", "Requests.", "route", "code")
-	hv := r.HistogramVec("stage_seconds", "Stages.", []float64{0.1, 1}, "stage")
+	r := newRegistry([]Family{
+		counter("requests_total", "Requests.", "route", "code"),
+		histogram("stage_seconds", "Stages.", []float64{0.1, 1}, "stage"),
+	}, nil)
 	stages := []string{"decode", "transcribe", "phonetic", "similarity", "classify"}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -60,9 +63,9 @@ func TestVecConcurrentCreateAndRender(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				cv.With("detect", "200").Inc()
-				cv.With("detect", "429").Inc()
-				hv.With(stages[(g+i)%len(stages)]).Observe(float64(i) / 100)
+				r.counter(0, "detect", "200").Inc()
+				r.counter(0, "detect", "429").Inc()
+				r.histogram(1, stages[(g+i)%len(stages)]).Observe(float64(i) / 100)
 			}
 		}(g)
 	}

@@ -71,19 +71,19 @@ func (s *Server) buildState(backend Backend) (*backendState, error) {
 	if s.cfg.Stream != nil {
 		opts := *s.cfg.Stream
 		opts.Hooks = stream.Hooks{
-			SessionOpened:   func() { s.streamSessions.Inc() },
-			SessionRejected: func() { s.rejectedTotal.With(rejectStreamSessions).Inc() },
+			SessionOpened:   func() { s.m.counter(mStreamSessions).Inc() },
+			SessionRejected: func() { s.m.counter(mRejected, rejectStreamSessions).Inc() },
 			SessionClosed: func(evicted bool) {
 				if evicted {
-					s.streamEvicted.Inc()
+					s.m.counter(mStreamEvicted).Inc()
 				}
 			},
 			Window: func(adversarial, earlyExit bool, d time.Duration) {
-				s.streamWindows.With(verdictOf(adversarial)).Inc()
+				s.m.counter(mStreamWindows, verdictOf(adversarial)).Inc()
 				if earlyExit {
-					s.streamEarlyExits.Inc()
+					s.m.counter(mStreamEarlyExits).Inc()
 				}
-				s.streamWindowSeconds.Observe(d.Seconds())
+				s.m.histogram(mStreamWindowSeconds).Observe(d.Seconds())
 			},
 		}
 		m, err := backend.NewStreamManager(opts)
@@ -120,16 +120,16 @@ func (s *Server) Reload() error {
 	defer s.reloadInProgress.Store(false)
 	backend, err := s.cfg.Reload()
 	if err != nil {
-		s.reloadFailures.Inc()
+		s.m.counter(mReloadFailures).Inc()
 		return fmt.Errorf("server: loading replacement backend: %w", err)
 	}
 	st, err := s.buildState(backend)
 	if err != nil {
-		s.reloadFailures.Inc()
+		s.m.counter(mReloadFailures).Inc()
 		return err
 	}
 	old := s.be.Swap(st)
-	s.reloadsTotal.Inc()
+	s.m.counter(mReloads).Inc()
 	if old != nil && old.stream != nil {
 		// Live streaming sessions keep running on the old model's
 		// manager; retire it once they finish (or after a grace bound).
@@ -144,7 +144,7 @@ func (s *Server) Reload() error {
 }
 
 // Reloads reports how many reloads have completed (for /infoz).
-func (s *Server) Reloads() uint64 { return s.reloadsTotal.Value() }
+func (s *Server) Reloads() uint64 { return s.m.counter(mReloads).Value() }
 
 // ModelFingerprint reports the current model's fingerprint ("" when the
 // cache — and so fingerprinting — is off).

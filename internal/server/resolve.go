@@ -233,7 +233,7 @@ func (s *Server) record(st *backendState, trace *obs.Trace, route, file string, 
 // replica that ran the detection (ranHere) — re-observing them for cached,
 // shared or remote verdicts would weight the distributions by request
 // popularity instead of by content. It is also the only writer of the
-// trace's annotations. A batch calls it once per part on one trace, which
+// trace's Outcome. A batch calls it once per part on one trace, which
 // then keeps the worst verdict, observes its spans once, and reports
 // cached only if no part was fresh.
 func (s *Server) report(st *backendState, trace *obs.Trace, route, file string, det *mvpears.Detection, how detectHow) bool {
@@ -242,29 +242,35 @@ func (s *Server) report(st *backendState, trace *obs.Trace, route, file string, 
 	if served {
 		verdict = s.countVerdict(det)
 	}
+	firstFresh := false
+	trace.Note(func(o *obs.Outcome) {
+		if how.ranHere() {
+			firstFresh = !o.Fresh
+			o.Fresh, o.Cached = true, false
+			o.ShortCircuit = o.ShortCircuit || det.Cascade != nil && det.Cascade.ShortCircuit
+		}
+		if !served {
+			return
+		}
+		switch how {
+		case howCached, howRemoteHit:
+			o.Cached = !o.Fresh
+		case howShared:
+			o.Collapsed = true
+		}
+		o.Remote = o.Remote || how.remote()
+		if det.Adversarial || o.Verdict == "" {
+			o.Verdict = verdict
+		}
+	})
 	if how.ranHere() {
 		s.observeDetection(st, det)
-		if trace.SetFresh() {
+		if firstFresh {
 			s.observeTrace(trace)
-		}
-		if c := det.Cascade; c != nil && c.ShortCircuit {
-			trace.SetShortCircuit()
 		}
 	}
 	if !served {
 		return false
-	}
-	switch how {
-	case howCached, howRemoteHit:
-		trace.SetCached()
-	case howShared:
-		trace.SetCollapsed()
-	}
-	if how.remote() {
-		trace.SetRemote()
-	}
-	if logged, _, _ := trace.Annotations(); det.Adversarial || logged == "" {
-		trace.SetVerdict(verdict)
 	}
 	s.audit(st, trace, route, file, det, verdict, !how.ranHere())
 	return true
@@ -276,7 +282,7 @@ func (s *Server) report(st *backendState, trace *obs.Trace, route, file string, 
 // drift family.
 func (s *Server) countVerdict(det *mvpears.Detection) string {
 	verdict := verdictOf(det.Adversarial)
-	s.detectionsTotal.With(verdict).Inc()
+	s.m.counter(mDetections, verdict).Inc()
 	s.sloVerdicts.Add(1)
 	if s.driftMon.AnyDrifted() {
 		s.sloVerdictsDrifted.Add(1)
@@ -288,17 +294,17 @@ func (s *Server) countVerdict(det *mvpears.Detection) string {
 // observeDetection records one fresh detection's stage timings, cascade
 // behavior and similarity-score distributions.
 func (s *Server) observeDetection(st *backendState, det *mvpears.Detection) {
-	s.stageSeconds.With("recognition").Observe(det.Timing.Recognition.Seconds())
-	s.stageSeconds.With("similarity").Observe(det.Timing.Similarity.Seconds())
-	s.stageSeconds.With("classify").Observe(det.Timing.Classify.Seconds())
+	s.m.histogram(mDetectStageSeconds, "recognition").Observe(det.Timing.Recognition.Seconds())
+	s.m.histogram(mDetectStageSeconds, "similarity").Observe(det.Timing.Similarity.Seconds())
+	s.m.histogram(mDetectStageSeconds, "classify").Observe(det.Timing.Classify.Seconds())
 	casc := det.Cascade
 	if casc != nil {
-		s.cascadeEnginesRun.Observe(float64(len(casc.EnginesRun)))
+		s.m.histogram(mCascadeEnginesRun).Observe(float64(len(casc.EnginesRun)))
 		if casc.ShortCircuit {
-			s.cascadeShortCircuits.Inc()
+			s.m.counter(mCascadeShortCircuits).Inc()
 		}
 		if casc.SampledFull {
-			s.cascadeSampledFull.Inc()
+			s.m.counter(mCascadeSampledFull).Inc()
 		}
 		s.driftMon.ObserveEvent("short_circuit_rate", casc.ShortCircuit)
 	}
@@ -313,7 +319,7 @@ func (s *Server) observeDetection(st *backendState, det *mvpears.Detection) {
 		}
 		observed++
 		if i < len(aux) {
-			s.engineSimilarity.With(aux[i]).Observe(score)
+			s.m.histogram(mEngineSimilarity, aux[i]).Observe(score)
 			s.driftMon.ObserveScore("engine:"+aux[i], score)
 		}
 		if score < min {
@@ -321,7 +327,7 @@ func (s *Server) observeDetection(st *backendState, det *mvpears.Detection) {
 		}
 	}
 	if observed > 0 {
-		s.minSimilarity.Observe(min)
+		s.m.histogram(mMinSimilarity).Observe(min)
 		s.driftMon.ObserveScore("min_score", min)
 	}
 }
@@ -331,10 +337,10 @@ func (s *Server) observeDetection(st *backendState, det *mvpears.Detection) {
 func (s *Server) observeTrace(t *obs.Trace) {
 	for _, sp := range t.Spans() {
 		if sp.Engine != "" {
-			s.engineSeconds.With(sp.Engine).Observe(sp.Dur.Seconds())
+			s.m.histogram(mEngineSeconds, sp.Engine).Observe(sp.Dur.Seconds())
 			continue
 		}
-		s.pipelineSeconds.With(sp.Stage).Observe(sp.Dur.Seconds())
+		s.m.histogram(mStageSeconds, sp.Stage).Observe(sp.Dur.Seconds())
 	}
 }
 

@@ -237,42 +237,10 @@ type Server struct {
 	httpSrv  *http.Server
 	draining atomic.Bool
 
-	metrics *Registry
-	// requestsTotal counts finished HTTP requests by route and status.
-	requestsTotal *CounterVec
-	// requestSeconds tracks request latency by route.
-	requestSeconds *HistogramVec
-	// stageSeconds tracks the per-stage detection cost (§V-I split).
-	stageSeconds *HistogramVec
-	// pipelineSeconds tracks the traced pipeline spans by stage (decode /
-	// transcribe / phonetic / similarity / classify).
-	pipelineSeconds *HistogramVec
-	// engineSeconds tracks per-engine transcription wall time.
-	engineSeconds *HistogramVec
-	// engineSimilarity tracks the target-vs-auxiliary similarity score
-	// distribution per auxiliary engine (score drift = AE early warning).
-	engineSimilarity *HistogramVec
-	// minSimilarity tracks the per-detection minimum auxiliary score.
-	minSimilarity *Histogram
-	// detectionsTotal counts verdicts served.
-	detectionsTotal *CounterVec
-	// cascadeEnginesRun tracks how many auxiliary engines each cascaded
-	// detection actually ran (short-circuits land in the low buckets).
-	cascadeEnginesRun *Histogram
-	// cascadeShortCircuits counts detections the cascade answered from the
-	// partial similarity vector without running the full ensemble.
-	cascadeShortCircuits *Counter
-	// cascadeSampledFull counts the deterministic 1-in-N full-ensemble
-	// monitoring runs; divided by cascadeEnginesRun's count it is the
-	// observed sampling fraction.
-	cascadeSampledFull *Counter
-	// inFlight gauges requests currently inside a handler.
-	inFlight *Gauge
-	// queueRejected is rejectedTotal's queue_full child: 429s from the
-	// admission queue.
-	queueRejected *Counter
-	// panicsTotal counts recovered handler panics.
-	panicsTotal *Counter
+	// m renders the metric table; inFlight counts requests inside a
+	// handler, read by mvpears_in_flight_requests at scrape time.
+	m        *Registry
+	inFlight atomic.Int64
 	// reqLog writes the structured access log; nil when disabled.
 	reqLog *obs.RequestLogger
 	// start anchors the daemon's uptime (for /infoz).
@@ -285,10 +253,6 @@ type Server struct {
 	// reloadInProgress gates /readyz to 503 while a replacement model is
 	// loading (the CPU-heavy part of a reload).
 	reloadInProgress atomic.Bool
-	// reloadsTotal counts completed reloads (also /infoz and /statusz);
-	// reloadFailures the ones that kept the old model.
-	reloadsTotal   *Counter
-	reloadFailures *Counter
 
 	// vc is the cross-request verdict cache; nil when caching is off.
 	vc *vcache.Cache[*verdictEntry]
@@ -300,25 +264,6 @@ type Server struct {
 	node *cluster.Node
 	// clusterCancel stops the peer listener's accept loop on Shutdown.
 	clusterCancel context.CancelFunc
-	// Cluster metrics, always registered (zero when clustering is off) so
-	// the exposition shape does not depend on configuration.
-	clusterForwards *CounterVec
-	clusterServed   *CounterVec
-
-	// Streaming metrics, always registered (zero when streaming is off)
-	// so the exposition shape does not depend on configuration.
-	streamSessions      *Counter
-	streamEvicted       *Counter
-	streamWindows       *CounterVec
-	streamEarlyExits    *Counter
-	streamWindowSeconds *Histogram
-
-	// clusterRTTSeconds tracks per-peer RPC round-trip time (the wire
-	// half of a forward, as the requester sees it).
-	clusterRTTSeconds *HistogramVec
-	// rejectedTotal unifies load-shed rejections across subsystems by
-	// reason (queue_full / stream_sessions / peer_busy).
-	rejectedTotal *CounterVec
 
 	// driftMon scores live detection-quality distributions against the
 	// model's calibration reference; probe watches query shapes for
@@ -329,9 +274,9 @@ type Server struct {
 	// time (no background goroutine; see internal/obs/slo).
 	sloEng *slo.Engine
 	// slo* atomics are the raw counters behind the availability and
-	// quality objectives (requestsTotal children are not introspectable
-	// per-status, and verdict quality needs the drift verdict at serve
-	// time).
+	// quality objectives (mvpears_requests_total children are not
+	// introspectable per status, and verdict quality needs the drift
+	// verdict at serve time).
 	sloHTTPTotal       atomic.Uint64
 	sloHTTP5xx         atomic.Uint64
 	sloVerdicts        atomic.Uint64
@@ -366,11 +311,10 @@ func New(cfg Config) (*Server, error) {
 	}
 	cfg.applyDefaults()
 	s := &Server{
-		cfg:     cfg,
-		pool:    newWorkerPool(cfg.Workers, cfg.QueueDepth),
-		mux:     http.NewServeMux(),
-		metrics: NewRegistry(),
-		start:   time.Now(),
+		cfg:   cfg,
+		pool:  newWorkerPool(cfg.Workers, cfg.QueueDepth),
+		mux:   http.NewServeMux(),
+		start: time.Now(),
 	}
 	if cfg.AccessLog != nil {
 		s.reqLog = obs.NewRequestLogger(cfg.AccessLog, *cfg.LogSampleRate, cfg.SlowRequestThreshold)
@@ -386,123 +330,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.flight = &vcache.Group[*mvpears.Detection]{Timeout: cfg.RequestTimeout}
 	}
-	s.requestsTotal = s.metrics.CounterVec(
-		"mvpears_requests_total", "Finished HTTP requests.", "route", "code")
-	s.requestSeconds = s.metrics.HistogramVec(
-		"mvpears_request_duration_seconds", "End-to-end request latency.",
-		DefaultLatencyBuckets, "route")
-	s.stageSeconds = s.metrics.HistogramVec(
-		"mvpears_detect_stage_seconds", "Per-stage detection cost (recognition/similarity/classify).",
-		DefaultLatencyBuckets, "stage")
-	s.pipelineSeconds = s.metrics.HistogramVec(
-		"mvpears_stage_seconds", "Traced pipeline span wall time by stage (decode/transcribe/phonetic/similarity/classify).",
-		DefaultLatencyBuckets, "stage")
-	s.engineSeconds = s.metrics.HistogramVec(
-		"mvpears_engine_seconds", "Per-engine transcription wall time.",
-		DefaultLatencyBuckets, "engine")
-	s.engineSimilarity = s.metrics.HistogramVec(
-		"mvpears_engine_similarity", "Target-vs-auxiliary similarity score distribution per auxiliary engine.",
-		SimilarityBuckets, "engine")
-	s.minSimilarity = s.metrics.Histogram(
-		"mvpears_engine_min_similarity", "Per-detection minimum auxiliary similarity score (transferable-AE early warning).",
-		SimilarityBuckets)
-	s.detectionsTotal = s.metrics.CounterVec(
-		"mvpears_detections_total", "Verdicts served.", "verdict")
-	// Cascade series are always registered (zero without -cascade-margin)
-	// so the exposition shape does not depend on backend configuration.
-	s.cascadeEnginesRun = s.metrics.Histogram(
-		"mvpears_cascade_engines_run", "Auxiliary engines run per cascaded detection.",
-		EngineCountBuckets)
-	s.cascadeShortCircuits = s.metrics.Counter(
-		"mvpears_cascade_short_circuits_total", "Detections answered from a partial similarity vector (auxiliaries skipped).")
-	s.cascadeSampledFull = s.metrics.Counter(
-		"mvpears_cascade_sampled_full_total", "Deterministic 1-in-N full-ensemble monitoring runs under the cascade.")
-	s.inFlight = s.metrics.Gauge(
-		"mvpears_in_flight_requests", "Requests currently being handled.")
-	s.metrics.GaugeFunc(
-		"mvpears_queue_depth", "Detections waiting in the admission queue.",
-		func() float64 { return float64(s.pool.QueueLen()) })
-	s.panicsTotal = s.metrics.Counter(
-		"mvpears_handler_panics_total", "Handler panics recovered into 500s.")
-	s.metrics.GaugeFunc(
-		"mvpears_worker_pool_size", "Configured detection workers.",
-		func() float64 { return float64(cfg.Workers) })
-	// Verdict-cache series are always registered (zero when disabled) so
-	// the exposition shape does not depend on the backend.
-	s.metrics.CounterFunc(
-		"mvpears_cache_hits_total", "Verdicts served from the cross-request cache.",
-		func() uint64 { return s.cacheStats().Hits })
-	s.metrics.CounterFunc(
-		"mvpears_cache_misses_total", "Verdict-cache lookups that ran a detection.",
-		func() uint64 { return s.cacheStats().Misses })
-	s.metrics.CounterFunc(
-		"mvpears_cache_evictions_total", "Verdicts evicted by entry or byte pressure.",
-		func() uint64 { return s.cacheStats().Evictions })
-	s.metrics.GaugeFunc(
-		"mvpears_cache_resident_bytes", "Approximate bytes held by cached verdicts.",
-		func() float64 { return float64(s.cacheStats().Bytes) })
-	s.metrics.GaugeFunc(
-		"mvpears_cache_entries", "Verdicts currently cached.",
-		func() float64 { return float64(s.cacheStats().Entries) })
-	s.metrics.CounterFunc(
-		"mvpears_singleflight_collapsed_total", "Requests that shared another request's in-flight detection.",
-		func() uint64 {
-			if s.flight == nil {
-				return 0
-			}
-			return s.flight.Collapsed()
-		})
-
-	s.streamSessions = s.metrics.Counter(
-		"mvpears_stream_sessions_total", "Streaming sessions opened.")
-	s.streamEvicted = s.metrics.Counter(
-		"mvpears_stream_evicted_total", "Streaming sessions evicted after the idle timeout.")
-	s.streamWindows = s.metrics.CounterVec(
-		"mvpears_stream_windows_total", "Provisional sliding-window verdicts emitted.", "verdict")
-	s.streamEarlyExits = s.metrics.Counter(
-		"mvpears_stream_early_exits_total", "Streaming sessions flagged adversarial before end-of-stream.")
-	s.streamWindowSeconds = s.metrics.Histogram(
-		"mvpears_stream_window_seconds", "Per-window evaluation wall time: gate, the feedforward engines' first forward of each ungated frame the window covers (not paid when the audio arrived), decode, scoring.",
-		DefaultLatencyBuckets)
-	s.metrics.GaugeFunc(
-		"mvpears_stream_sessions_open", "Streaming sessions currently open.",
-		func() float64 {
-			st := s.be.Load()
-			if st == nil || st.stream == nil {
-				return 0
-			}
-			return float64(st.stream.OpenSessions())
-		})
-
-	// Cluster + reload series are always registered (zero when the feature
-	// is off) so the exposition shape does not depend on configuration.
-	s.clusterForwards = s.metrics.CounterVec(
-		"mvpears_cluster_forwards_total", "Detect requests forwarded to their owning peer, by outcome.", "outcome")
-	s.clusterServed = s.metrics.CounterVec(
-		"mvpears_cluster_served_total", "Peer-protocol requests served for other replicas, by operation.", "op")
-	s.metrics.GaugeFunc(
-		"mvpears_cluster_peers_healthy", "Configured peers currently outside the failure backoff.",
-		func() float64 {
-			if s.node == nil {
-				return 0
-			}
-			return float64(s.node.HealthyPeers())
-		})
-	s.reloadsTotal = s.metrics.Counter(
-		"mvpears_model_reloads_total", "Completed hot model reloads.")
-	s.reloadFailures = s.metrics.Counter(
-		"mvpears_model_reload_failures_total", "Hot model reloads that failed (old model kept serving).")
-	s.clusterRTTSeconds = s.metrics.HistogramVec(
-		"mvpears_cluster_rtt_seconds", "Peer RPC round-trip time as the requester sees it.",
-		DefaultLatencyBuckets, "peer")
-	s.rejectedTotal = s.metrics.CounterVec(
-		"mvpears_rejected_total", "Deliberate load-shed rejections across all subsystems, by reason.", "reason")
-	// Pre-create the reason children so the exposition shape does not
-	// depend on which rejection fired first.
-	for _, reason := range []string{rejectQueueFull, rejectStreamSessions, rejectPeerBusy} {
-		s.rejectedTotal.With(reason)
-	}
-	s.queueRejected = s.rejectedTotal.With(rejectQueueFull)
 
 	// Detection-quality drift: the monitor exists regardless of whether
 	// the backend carries a calibration reference (without one, scores
@@ -528,27 +355,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.driftMon = drift.New(driftCfg)
 	s.probe = drift.NewProbeWatcher(0)
-	s.metrics.GaugeVecFunc(
-		"mvpears_drift_score", "Divergence of each live detection-quality family from its calibration reference (total-variation distance for distributions, absolute difference for rates).",
-		func() []LabeledValue {
-			verdicts := s.driftMon.Evaluate()
-			out := make([]LabeledValue, len(verdicts))
-			for i, v := range verdicts {
-				out[i] = LabeledValue{Values: []string{v.Family}, Value: v.Score}
-			}
-			return out
-		}, "family")
-	s.metrics.GaugeFunc(
-		"mvpears_probe_suspicion", "Fraction of recent detect uploads that were near-duplicates of earlier uploads (mutate-one-sample probing signal).",
-		func() float64 { return s.probe.Suspicion() })
-	s.metrics.CounterFunc(
-		"mvpears_audit_dropped_total", "Audit entries dropped by the sink's retention or write-failure policy.",
-		func() uint64 {
-			if cfg.Audit == nil {
-				return 0
-			}
-			return cfg.Audit.Dropped()
-		})
 
 	// Service-level objectives, evaluated lazily at scrape time from the
 	// counters the serving path already maintains.
@@ -557,7 +363,7 @@ func New(cfg Config) (*Server, error) {
 			Name:   "detect_latency",
 			Target: cfg.SLO.Latency,
 			Source: func() (bad, total float64) {
-				h := s.requestSeconds.With("detect")
+				h := s.m.histogram(mRequestSeconds, "detect")
 				n := float64(h.Count())
 				return n - float64(h.CountAtOrBelow(sloDetectLatencyBound)), n
 			},
@@ -577,61 +383,84 @@ func New(cfg Config) (*Server, error) {
 			},
 		},
 	}})
-	s.metrics.GaugeVecFunc(
-		"mvpears_slo_burn_rate", "Error-budget burn rate per objective and window (1 = spending exactly the budget).",
-		func() []LabeledValue {
-			st := s.sloEng.Status(time.Now())
-			out := make([]LabeledValue, 0, 2*len(st))
-			for _, o := range st {
-				out = append(out,
-					LabeledValue{Values: []string{o.Name, "fast"}, Value: o.FastBurn},
-					LabeledValue{Values: []string{o.Name, "slow"}, Value: o.SlowBurn})
+
+	// Every sampled family binds its read function here; the rest are
+	// updated on the request path.
+	s.buildVersion, _ = buildVCS()
+	s.m = newRegistry(families[:], map[metricID]sampler{
+		mInFlight:           func(emit emitFunc) { emit(float64(s.inFlight.Load())) },
+		mQueueDepth:         func(emit emitFunc) { emit(float64(s.pool.QueueLen())) },
+		mWorkerPoolSize:     func(emit emitFunc) { emit(float64(cfg.Workers)) },
+		mCacheHits:          func(emit emitFunc) { emit(float64(s.cacheStats().Hits)) },
+		mCacheMisses:        func(emit emitFunc) { emit(float64(s.cacheStats().Misses)) },
+		mCacheEvictions:     func(emit emitFunc) { emit(float64(s.cacheStats().Evictions)) },
+		mCacheResidentBytes: func(emit emitFunc) { emit(float64(s.cacheStats().Bytes)) },
+		mCacheEntries:       func(emit emitFunc) { emit(float64(s.cacheStats().Entries)) },
+		mCollapsed: func(emit emitFunc) {
+			var n uint64
+			if s.flight != nil {
+				n = s.flight.Collapsed()
 			}
-			return out
-		}, "slo", "window")
-	s.metrics.GaugeVecFunc(
-		"mvpears_slo_objective", "Configured good-event target per objective.",
-		func() []LabeledValue {
-			objs := s.sloEng.Objectives()
-			out := make([]LabeledValue, len(objs))
-			for i, o := range objs {
-				out[i] = LabeledValue{Values: []string{o.Name}, Value: o.Target}
+			emit(float64(n))
+		},
+		mStreamSessionsOpen: func(emit emitFunc) {
+			n := 0
+			if st := s.be.Load(); st != nil && st.stream != nil {
+				n = st.stream.OpenSessions()
 			}
-			return out
-		}, "slo")
-	s.metrics.GaugeVecFunc(
-		"mvpears_slo_alerting", "1 when both the fast and slow burn windows exceed the alerting burn rate.",
-		func() []LabeledValue {
-			st := s.sloEng.Status(time.Now())
-			out := make([]LabeledValue, len(st))
-			for i, o := range st {
+			emit(float64(n))
+		},
+		mClusterPeersHealthy: func(emit emitFunc) {
+			n := 0
+			if s.node != nil {
+				n = s.node.HealthyPeers()
+			}
+			emit(float64(n))
+		},
+		mDriftScore: func(emit emitFunc) {
+			for _, v := range s.driftMon.Evaluate() {
+				emit(v.Score, v.Family)
+			}
+		},
+		mProbeSuspicion: func(emit emitFunc) { emit(s.probe.Suspicion()) },
+		mAuditDropped:   func(emit emitFunc) { emit(float64(cfg.Audit.Dropped())) },
+		mSLOBurnRate: func(emit emitFunc) {
+			for _, o := range s.sloEng.Status(time.Now()) {
+				emit(o.FastBurn, o.Name, "fast")
+				emit(o.SlowBurn, o.Name, "slow")
+			}
+		},
+		mSLOObjective: func(emit emitFunc) {
+			for _, o := range s.sloEng.Objectives() {
+				emit(o.Target, o.Name)
+			}
+		},
+		mSLOAlerting: func(emit emitFunc) {
+			for _, o := range s.sloEng.Status(time.Now()) {
 				v := 0.0
 				if o.Alerting {
 					v = 1
 				}
-				out[i] = LabeledValue{Values: []string{o.Name}, Value: v}
+				emit(v, o.Name)
 			}
-			return out
-		}, "slo")
-
-	// Build/model identity gauges: constant 1, identity in the labels.
-	// The model gauge reads the live backend state at render time, so a
-	// hot reload flips /metrics and /infoz from the same atomic pointer.
-	s.buildVersion, _ = buildVCS()
-	s.metrics.GaugeVecFunc(
-		"mvpears_build_info", "Build identity of the running daemon (constant 1).",
-		func() []LabeledValue {
-			return []LabeledValue{{Values: []string{s.buildVersion, runtime.Version()}, Value: 1}}
-		}, "version", "go_version")
-	s.metrics.GaugeVecFunc(
-		"mvpears_model_info", "Identity of the model currently serving (constant 1; empty fingerprint when caching is off).",
-		func() []LabeledValue {
+		},
+		// Identity gauges: constant 1, identity in the labels. The model
+		// gauge reads the live backend state, so a hot reload flips
+		// /metrics and /infoz from the same atomic pointer.
+		mBuildInfo: func(emit emitFunc) { emit(1, s.buildVersion, runtime.Version()) },
+		mModelInfo: func(emit emitFunc) {
 			fp := ""
 			if st := s.be.Load(); st != nil {
 				fp = st.modelFP
 			}
-			return []LabeledValue{{Values: []string{fp}, Value: 1}}
-		}, "fingerprint")
+			emit(1, fp)
+		},
+	})
+	// Pre-create the rejection reasons so the exposition shape does not
+	// depend on which rejection fired first.
+	for _, reason := range []string{rejectQueueFull, rejectStreamSessions, rejectPeerBusy} {
+		s.m.counter(mRejected, reason)
+	}
 
 	st, err := s.buildState(cfg.Backend)
 	if err != nil {
@@ -703,14 +532,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // DumpMetrics renders the current metric values (the daemon's final
 // flush on shutdown).
 func (s *Server) DumpMetrics(w io.Writer) error {
-	return s.metrics.Render(w)
-}
-
-// MetricFamilies returns the metadata (name, type, help) of every metric
-// family the server registers, in registration order — the source of
-// truth for the generated metrics reference (see cmd/genmetrics).
-func (s *Server) MetricFamilies() []FamilyInfo {
-	return s.metrics.Families()
+	return s.m.Render(w)
 }
 
 // RunUntilSignal serves on ln until one of sigs arrives (or serving fails

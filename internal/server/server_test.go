@@ -223,8 +223,8 @@ func TestDetectPanicRecovery(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("status %d, want 500", resp.StatusCode)
 	}
-	if s.panicsTotal.Value() != 1 {
-		t.Fatalf("panic counter %d", s.panicsTotal.Value())
+	if n := s.m.counter(mPanics).Value(); n != 1 {
+		t.Fatalf("panic counter %d", n)
 	}
 	// The server must still answer after a panic.
 	if resp := postWAV(t, ts.URL, wavBody(t, 8000, 256)); resp.StatusCode != http.StatusInternalServerError {
@@ -272,8 +272,8 @@ func TestQueueSaturationYields429(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
-	if s.queueRejected.Value() != 1 {
-		t.Fatalf("rejected counter %d", s.queueRejected.Value())
+	if n := s.m.counter(mRejected, rejectQueueFull).Value(); n != 1 {
+		t.Fatalf("rejected counter %d", n)
 	}
 
 	close(block)

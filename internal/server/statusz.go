@@ -27,7 +27,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	if fp == "" {
 		fp = "(cache off: unfingerprinted)"
 	}
-	fmt.Fprintf(w, "model:    fingerprint=%.16s reloads=%d\n", fp, s.reloadsTotal.Value())
+	fmt.Fprintf(w, "model:    fingerprint=%.16s reloads=%d\n", fp, s.Reloads())
 	fmt.Fprintf(w, "uptime:   %s  draining=%v\n", now.Sub(s.start).Round(time.Second), s.draining.Load())
 	if cs, ok := st.backend.(interface{ Cascade() mvpears.CascadeStatus }); ok {
 		fmt.Fprintf(w, "%s\n", cs.Cascade()) // the boot log's line, re-derived after a reload
