@@ -3,17 +3,18 @@ GO ?= go
 # Benchmarks tracked in BENCH_detect.json / BENCH_serve.json.
 # SERVE_BENCH matches BenchmarkServeMissCascade and BenchmarkCascadeDetect
 # (the cascaded miss through the handler and in process),
-# BenchmarkStreamWindow (the real-time sliding-window gate) and
-# BenchmarkClusterRemoteHit (the remote cache hit); NN_BENCH covers
-# the inference kernels they ride on (the float64 blocked mat-vec and
-# RNN step); HMM_BENCH and ASR_BENCH the Viterbi column, the
+# BenchmarkStreamWindow (the real-time sliding-window gate),
+# BenchmarkClusterRemoteHit (the remote cache hit) and
+# BenchmarkCacheEntry (live heap bytes and objects per cached verdict);
+# NN_BENCH covers the inference kernels they ride on (the float64
+# blocked mat-vec and RNN step); HMM_BENCH and ASR_BENCH the Viterbi column, the
 # post-acoustic half of a stream window and the cold lexicon scan;
 # STREAM_BENCH whole sessions through a Manager (µs per hop, allocations
 # per window); DSP_BENCH the frame kernel and the roster's shared
 # front-end pass (GOMAXPROCS=1, i.e. -cpu 1). BenchmarkDetectBudget
 # attributes one detection to front end + engines (README, Performance).
 BENCH ?= BenchmarkDetectHotPath|BenchmarkBatchFeatures|BenchmarkDetectBudget
-SERVE_BENCH ?= BenchmarkServe|BenchmarkCascadeDetect|BenchmarkStreamWindow|BenchmarkCluster
+SERVE_BENCH ?= BenchmarkServe|BenchmarkCascadeDetect|BenchmarkStreamWindow|BenchmarkCluster|BenchmarkCacheEntry
 NN_BENCH ?= BenchmarkMatVec|BenchmarkRNNStep
 HMM_BENCH ?= BenchmarkViterbiStep
 ASR_BENCH ?= BenchmarkDecodeWindow|BenchmarkLexiconScanCold

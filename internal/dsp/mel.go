@@ -229,22 +229,31 @@ func (p *DCT2Plan) Into(x, dst []float64) {
 }
 
 // DCT2Transpose computes the adjoint of DCT2: given dL/dy for the first
-// len(grad) coefficients of an n-point DCT-II, it returns dL/dx.
+// len(grad) coefficients of an n-point DCT-II (at most n), it returns
+// dL/dx.
 func DCT2Transpose(grad []float64, n int) []float64 {
 	out := make([]float64, n)
-	scale0 := math.Sqrt(1 / float64(n))
-	scale := math.Sqrt(2 / float64(n))
-	for k, g := range grad {
+	NewDCT2Plan(n, len(grad)).TransposeInto(grad, out)
+	return out
+}
+
+// TransposeInto writes the adjoint of Into into dst (len n): given dL/dy
+// for the first len(grad) <= NumCoeffs coefficients, dL/dx. It reads the
+// plan's cosine table, so it is bit-identical to the direct formula and
+// makes no trig call.
+func (p *DCT2Plan) TransposeInto(grad, dst []float64) {
+	clear(dst[:p.n])
+	for k, g := range grad[:min(len(grad), p.numCoeffs)] {
 		if g == 0 {
 			continue
 		}
-		sc := scale
+		sc := p.scale
 		if k == 0 {
-			sc = scale0
+			sc = p.scale0
 		}
-		for i := 0; i < n; i++ {
-			out[i] += g * sc * math.Cos(math.Pi*float64(k)*(float64(i)+0.5)/float64(n))
+		row := p.cos[k*p.n : (k+1)*p.n]
+		for i, c := range row {
+			dst[i] += g * sc * c
 		}
 	}
-	return out
 }

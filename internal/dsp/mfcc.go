@@ -288,12 +288,13 @@ func (m *MFCC) Backward(grad [][]float64, st *MFCCState) ([]float64, error) {
 	nBins := cfg.FFTSize/2 + 1
 	frameGrads := make([][]float64, len(grad))
 	buf := make([]complex128, cfg.FFTSize)
+	dLogMel := make([]float64, cfg.NumFilters)
 	for f, g := range grad {
 		if len(g) != cfg.NumCoeffs {
 			return nil, fmt.Errorf("dsp: frame %d gradient has %d coeffs, want %d", f, len(g), cfg.NumCoeffs)
 		}
 		// DCT-II adjoint: d log-mel.
-		dLogMel := DCT2Transpose(g, cfg.NumFilters)
+		m.dct.TransposeInto(g, dLogMel)
 		// log adjoint: d mel.
 		dMel := make([]float64, cfg.NumFilters)
 		for i := range dMel {

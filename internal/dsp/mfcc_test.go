@@ -219,6 +219,57 @@ func TestDCT2TransposeAdjoint(t *testing.T) {
 	}
 }
 
+// dct2TransposeFrozen is DCT2Transpose as it was before it read a plan's
+// cosine table: one math.Cos per coefficient per output sample.
+func dct2TransposeFrozen(grad []float64, n int) []float64 {
+	out := make([]float64, n)
+	scale0 := math.Sqrt(1 / float64(n))
+	scale := math.Sqrt(2 / float64(n))
+	for k, g := range grad {
+		if g == 0 {
+			continue
+		}
+		sc := scale
+		if k == 0 {
+			sc = scale0
+		}
+		for i := 0; i < n; i++ {
+			out[i] += g * sc * math.Cos(math.Pi*float64(k)*(float64(i)+0.5)/float64(n))
+		}
+	}
+	return out
+}
+
+// TestDCT2TransposeMatchesFrozenLoop: the table-driven adjoint, through
+// DCT2Transpose and through a reused plan writing into a dirty buffer,
+// equals the direct formula bit for bit.
+func TestDCT2TransposeMatchesFrozenLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, tc := range []struct{ n, k int }{{20, 13}, {26, 13}, {40, 20}, {8, 8}, {5, 1}} {
+		plan := NewDCT2Plan(tc.n, tc.k)
+		dst := make([]float64, tc.n)
+		for trial := 0; trial < 20; trial++ {
+			g := make([]float64, tc.k)
+			for i := range g {
+				if rng.Intn(5) > 0 { // keep some exact zeros: the skipped rows
+					g[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+				}
+			}
+			want := dct2TransposeFrozen(g, tc.n)
+			for i := range dst {
+				dst[i] = rng.NormFloat64()
+			}
+			plan.TransposeInto(g, dst)
+			for i, got := range DCT2Transpose(g, tc.n) {
+				//lint:allow floateq the table holds the very cosines the formula computes: bit-identity is the claim
+				if got != want[i] || dst[i] != want[i] {
+					t.Fatalf("n=%d k=%d trial %d: out[%d] = %v (func), %v (plan), want %v", tc.n, tc.k, trial, i, got, dst[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestMFCCValidate(t *testing.T) {
 	bad := []MFCCConfig{
 		{SampleRate: 0, FrameLen: 256, Hop: 128, NumFilters: 20, NumCoeffs: 13},

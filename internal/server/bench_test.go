@@ -3,10 +3,12 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -403,5 +405,97 @@ func BenchmarkServeDuplicateStorm(b *testing.B) {
 	b.StopTimer()
 	if n := bad.Load(); n != 0 {
 		b.Fatalf("%d storm requests failed", n)
+	}
+}
+
+// cacheEntryDetection is the i-th verdict of a quick-scale roster (target
+// DS0, auxiliaries DS1, GCS, AT), allocated as the detector allocates
+// one: a fresh map, fresh transcription strings, fresh slices. cascaded
+// makes it a short-circuited cascade verdict, whose skipped engines'
+// transcriptions are empty.
+func cacheEntryDetection(i int, cascaded bool) *mvpears.Detection {
+	phrases := []string{"open the front door", "turn off the kitchen lights", "call my mother", "play some music please"}
+	text := func(j int) string { return strings.Clone(phrases[(i+j)%len(phrases)]) }
+	det := &mvpears.Detection{
+		Scores:         []float64{0.97 - float64(i%7)/100, 0.95, 0.91 + float64(i%5)/100},
+		Transcriptions: map[string]string{"DS0": text(0), "DS1": text(0), "GCS": text(1), "AT": text(0)},
+		Timing: mvpears.DetectionTiming{
+			Recognition: time.Duration(3_000_000 + i),
+			Similarity:  20 * time.Microsecond,
+			Classify:    2 * time.Microsecond,
+		},
+	}
+	if cascaded {
+		det.Transcriptions["DS1"], det.Transcriptions["GCS"] = "", ""
+		det.Cascade = &mvpears.CascadeDecision{
+			ShortCircuit:   true,
+			EnginesRun:     []string{"AT"},
+			EnginesSkipped: []string{"DS1", "GCS"},
+			Margin:         0.7343,
+			FirstScore:     det.Scores[2],
+			Imputed:        []bool{true, true, false},
+		}
+	}
+	return det
+}
+
+// measureCacheEntries stores n cacheEntryDetection verdicts, under real
+// 129-byte keys, in a fresh server's verdict cache through the serving
+// path's one cache write, then — with hits — builds every entry's
+// plain-hit body. It returns the live heap bytes and heap objects the
+// entries hold (the heap after a GC with them resident, less the heap
+// after purging them and another GC; the stored detections themselves
+// are garbage by then) and the bytes the cache charged, each per entry.
+func measureCacheEntries(tb testing.TB, cascaded, hits bool, n int) (heapPer, objectsPer, chargedPer float64) {
+	tb.Helper()
+	// A model fingerprint is 64 hex digits, so a key is 64 + 1 + 64 bytes.
+	fp := strings.Repeat("5e", 32)
+	s, err := New(Config{Backend: &fpStub{instantStub(), fp}, CacheEntries: n, Logger: log.New(io.Discard, "", 0)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	st := s.state()
+	var pcm [8]byte
+	for i := range n {
+		binary.LittleEndian.PutUint64(pcm[:], uint64(i))
+		key := vcache.KeyPCM16(st.modelFP, 8000, pcm[:])
+		s.store(key, cacheEntryDetection(i, cascaded))
+		if e, ok := s.lookup(key, false); ok && hits {
+			s.plainHit(st, key, e)
+		}
+	}
+	var full, empty runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&full)
+	stats := s.vc.Stats()
+	s.vc.Purge()
+	runtime.GC()
+	runtime.ReadMemStats(&empty)
+	runtime.KeepAlive(s)
+	if stats.Entries != int64(n) {
+		tb.Fatalf("%d entries resident, want %d", stats.Entries, n)
+	}
+	heapPer = float64(int64(full.HeapAlloc)-int64(empty.HeapAlloc)) / float64(n)
+	objectsPer = float64(int64(full.HeapObjects)-int64(empty.HeapObjects)) / float64(n)
+	return heapPer, objectsPer, float64(stats.Bytes) / float64(n)
+}
+
+// BenchmarkCacheEntry measures what one cached verdict costs the heap:
+// live bytes and objects per entry (key, cache bookkeeping and value) for
+// 4 096 stored full-ensemble and short-circuited cascade verdicts. ns/op
+// is the cost of filling the cache, two forced GCs included.
+func BenchmarkCacheEntry(b *testing.B) {
+	for _, kind := range []struct {
+		name     string
+		cascaded bool
+	}{{"full", false}, {"cascaded", true}} {
+		b.Run(kind.name, func(b *testing.B) {
+			var heap, objects float64
+			for range b.N {
+				heap, objects, _ = measureCacheEntries(b, kind.cascaded, false, 4096)
+			}
+			b.ReportMetric(heap, "B/entry")
+			b.ReportMetric(objects, "objects/entry")
+		})
 	}
 }

@@ -128,7 +128,7 @@ func (h clusterHandler) Detect(ctx context.Context, tc obs.TraceContext, key str
 		return nil, false, nil, errors.New("model fingerprint mismatch (reload in progress?)")
 	}
 	if e, ok := s.lookup(key, false); ok {
-		return e.det, true, nil, nil
+		return e.detection(), true, nil, nil
 	}
 	// pcm aliases the connection's frame buffer; the engine's float decode
 	// copies it before this call returns.

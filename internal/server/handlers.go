@@ -193,10 +193,10 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	explain := explainRequested(r)
 	if e, ok := s.lookup(key, false); ok {
 		if explain {
-			writeJSON(w, http.StatusOK, s.record(st, trace, "detect", "", e.det, howCached, true))
+			writeJSON(w, http.StatusOK, s.record(st, trace, "detect", "", e.detection(), howCached, true))
 			return
 		}
-		s.report(st, trace, "detect", "", e.det, howCached)
+		s.report(st, trace, "detect", "", verdict{e: e}, howCached)
 		writeBody(w, s.plainHit(st, key, e))
 		return
 	}
@@ -294,7 +294,7 @@ func (s *Server) handleDetectBatch(w http.ResponseWriter, r *http.Request) {
 		p := &parts[i]
 		p.key = s.uploadKey(st, p.pcm)
 		if e, ok := s.lookup(p.key, false); ok {
-			p.det, p.how = e.det, howCached
+			p.det, p.how = e.detection(), howCached
 			continue
 		}
 		clip, _, err := s.decodeClip(st, p.pcm, nil)

@@ -130,7 +130,7 @@ var families = [...]Family{
 	mCacheEvictions: counter("mvpears_cache_evictions_total",
 		"Verdicts evicted by entry or byte pressure."),
 	mCacheResidentBytes: gauge("mvpears_cache_resident_bytes",
-		"Approximate bytes held by cached verdicts."),
+		"Heap bytes held by cached verdicts, as charged to the byte bound: keys, records, scores, transcriptions, hit bodies, cache bookkeeping."),
 	mCacheEntries: gauge("mvpears_cache_entries",
 		"Verdicts currently cached."),
 	mCollapsed: counter("mvpears_singleflight_collapsed_total",

@@ -1,6 +1,9 @@
 package server
 
 import (
+	"io"
+	"log"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -154,5 +157,38 @@ func TestFamiliesAreExpositionSafe(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// TestScrapesExposeStableSeries: scraping creates no series. A fresh
+// server exposes the same series on its second scrape as on its first,
+// the detect route's latency histogram (read by the latency SLO at every
+// scrape) included.
+func TestScrapesExposeStableSeries(t *testing.T) {
+	s, err := New(Config{Backend: &fpStub{instantStub(), "model-a"}, Logger: log.New(io.Discard, "", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := func() []string {
+		var names []string
+		for _, line := range strings.Split(render(t, s.m), "\n") {
+			if line != "" && !strings.HasPrefix(line, "#") {
+				names = append(names, line[:strings.LastIndexByte(line, ' ')])
+			}
+		}
+		return names
+	}
+	first, second := series(), series()
+	if !slices.Equal(first, second) {
+		var created []string
+		for _, name := range second {
+			if !slices.Contains(first, name) {
+				created = append(created, name)
+			}
+		}
+		t.Fatalf("the first scrape created %d series: %q", len(created), created)
+	}
+	if !slices.Contains(first, `mvpears_request_duration_seconds_count{route="detect"}`) {
+		t.Fatal(`a fresh server does not expose mvpears_request_duration_seconds{route="detect"}`)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"mvpears"
@@ -93,22 +92,6 @@ func (s *Server) uploadEngine(st *backendState, pcm audio.PCM16) (engine, func()
 	}, release, nil
 }
 
-// verdictEntry is one verdict-cache value: the detection and, once a plain
-// hit has asked for it, the exact response body every later plain hit
-// writes.
-type verdictEntry struct {
-	det *mvpears.Detection
-	hit atomic.Pointer[hitBody]
-}
-
-// hitBody is a plain hit's pre-encoded response: the json.Encoder output,
-// trailing newline included, of the entry's cached:true DetectionJSON under
-// the auxiliary names it was built for.
-type hitBody struct {
-	aux  []string
-	body []byte
-}
-
 // lookup is the cache tier ("" = caching is off, always a miss). reprobe
 // marks a flight leader's second look at a key its request has already
 // missed — and counted — once.
@@ -122,11 +105,11 @@ func (s *Server) lookup(key string, reprobe bool) (*verdictEntry, bool) {
 	return s.vc.Get(key)
 }
 
-// store is the chain's single cache write.
+// store is the chain's single cache write: det's compact record.
 func (s *Server) store(key string, det *mvpears.Detection) {
 	if key != "" {
-		e := &verdictEntry{det: det}
-		s.vc.Put(key, e, detectionSize(key, e))
+		e := s.shapes.newVerdictEntry(det)
+		s.vc.Put(key, e, e.size(key))
 	}
 }
 
@@ -137,14 +120,14 @@ func (s *Server) plainHit(st *backendState, key string, e *verdictEntry) []byte 
 	if hb := e.hit.Load(); hb != nil && slices.Equal(hb.aux, st.auxNames) {
 		return hb.body
 	}
-	out := NewDetectionJSON(e.det, st.auxNames)
+	out := NewDetectionJSON(e.detection(), st.auxNames)
 	out.Cached = true
 	var buf bytes.Buffer
 	// Dropped as writeJSON drops it: a DetectionJSON holds no value Encode
 	// rejects.
 	_ = json.NewEncoder(&buf).Encode(out)
 	e.hit.Store(&hitBody{aux: st.auxNames, body: buf.Bytes()})
-	s.vc.Put(key, e, detectionSize(key, e))
+	s.vc.Put(key, e, e.size(key))
 	return buf.Bytes()
 }
 
@@ -153,7 +136,7 @@ func (s *Server) plainHit(st *backendState, key string, e *verdictEntry) []byte 
 // keeps an owner answering a forwarded detection from ever re-forwarding.
 func (s *Server) resolve(ctx context.Context, key string, fwd *audio.PCM16, eng engine) (*mvpears.Detection, detectHow, error) {
 	if e, ok := s.lookup(key, false); ok {
-		return e.det, howCached, nil
+		return e.detection(), howCached, nil
 	}
 	return s.resolveMissed(ctx, key, fwd, eng)
 }
@@ -193,7 +176,7 @@ func (s *Server) resolveMissed(ctx context.Context, key string, fwd *audio.PCM16
 // lead is a flight leader's walk down the rest of the chain.
 func (s *Server) lead(ctx context.Context, key string, fwd *audio.PCM16, eng engine) (*mvpears.Detection, detectHow, error) {
 	if e, ok := s.lookup(key, true); ok {
-		return e.det, howCached, nil
+		return e.detection(), howCached, nil
 	}
 	if fwd != nil {
 		if det, how, ok := s.clusterFetch(ctx, key, fwd); ok {
@@ -214,7 +197,7 @@ func (s *Server) lead(ctx context.Context, key string, fwd *audio.PCM16, eng eng
 // place it is counted, observed, audited and annotated, so every route and
 // provenance emits each signal exactly once.
 func (s *Server) record(st *backendState, trace *obs.Trace, route, file string, det *mvpears.Detection, how detectHow, explain bool) DetectionJSON {
-	if !s.report(st, trace, route, file, det, how) {
+	if !s.report(st, trace, route, file, verdict{det: det}, how) {
 		return DetectionJSON{}
 	}
 	out := NewDetectionJSON(det, st.auxNames)
@@ -236,18 +219,20 @@ func (s *Server) record(st *backendState, trace *obs.Trace, route, file string, 
 // trace's Outcome. A batch calls it once per part on one trace, which
 // then keeps the worst verdict, observes its spans once, and reports
 // cached only if no part was fresh.
-func (s *Server) report(st *backendState, trace *obs.Trace, route, file string, det *mvpears.Detection, how detectHow) bool {
+func (s *Server) report(st *backendState, trace *obs.Trace, route, file string, v verdict, how detectHow) bool {
 	served := how&forPeer == 0
-	var verdict string
+	adversarial := v.adversarial()
+	var wire string
 	if served {
-		verdict = s.countVerdict(det)
+		wire = s.countVerdict(adversarial)
 	}
 	firstFresh := false
 	trace.Note(func(o *obs.Outcome) {
 		if how.ranHere() {
+			casc := v.det.Cascade
 			firstFresh = !o.Fresh
 			o.Fresh, o.Cached = true, false
-			o.ShortCircuit = o.ShortCircuit || det.Cascade != nil && det.Cascade.ShortCircuit
+			o.ShortCircuit = o.ShortCircuit || casc != nil && casc.ShortCircuit
 		}
 		if !served {
 			return
@@ -259,12 +244,12 @@ func (s *Server) report(st *backendState, trace *obs.Trace, route, file string, 
 			o.Collapsed = true
 		}
 		o.Remote = o.Remote || how.remote()
-		if det.Adversarial || o.Verdict == "" {
-			o.Verdict = verdict
+		if adversarial || o.Verdict == "" {
+			o.Verdict = wire
 		}
 	})
 	if how.ranHere() {
-		s.observeDetection(st, det)
+		s.observeDetection(st, v.det)
 		if firstFresh {
 			s.observeTrace(trace)
 		}
@@ -272,22 +257,47 @@ func (s *Server) report(st *backendState, trace *obs.Trace, route, file string, 
 	if !served {
 		return false
 	}
-	s.audit(st, trace, route, file, det, verdict, !how.ranHere())
+	if adversarial && s.cfg.Audit != nil {
+		s.audit(st, trace, route, file, v.detection(), wire, !how.ranHere())
+	}
 	return true
+}
+
+// verdict is a served verdict as report reads it: a Detection, or the
+// cache entry of a plain hit, which is rebuilt into one only for a signal
+// that reads more than the verdict bit (an audit line). A verdict that ran
+// here always carries its Detection.
+type verdict struct {
+	det *mvpears.Detection
+	e   *verdictEntry
+}
+
+func (v verdict) adversarial() bool {
+	if v.det != nil {
+		return v.det.Adversarial
+	}
+	return v.e.adversarial
+}
+
+func (v verdict) detection() *mvpears.Detection {
+	if v.det != nil {
+		return v.det
+	}
+	return v.e.detection()
 }
 
 // countVerdict counts one served verdict and returns its wire string. It
 // also feeds the verdict-quality SLO (a verdict served while any drift
 // family is tripped spends quality budget) and the verdict base-rate
 // drift family.
-func (s *Server) countVerdict(det *mvpears.Detection) string {
-	verdict := verdictOf(det.Adversarial)
+func (s *Server) countVerdict(adversarial bool) string {
+	verdict := verdictOf(adversarial)
 	s.m.counter(mDetections, verdict).Inc()
 	s.sloVerdicts.Add(1)
 	if s.driftMon.AnyDrifted() {
 		s.sloVerdictsDrifted.Add(1)
 	}
-	s.driftMon.ObserveEvent("adversarial_rate", det.Adversarial)
+	s.driftMon.ObserveEvent("adversarial_rate", adversarial)
 	return verdict
 }
 
@@ -358,11 +368,8 @@ func minScore(scores []float64, aux []string) (string, float64) {
 	return engine, min
 }
 
-// audit appends one adversarial verdict to the audit sink (when enabled).
+// audit appends one adversarial verdict to the audit sink.
 func (s *Server) audit(st *backendState, t *obs.Trace, route, file string, det *mvpears.Detection, verdict string, cached bool) {
-	if s.cfg.Audit == nil || !det.Adversarial {
-		return
-	}
 	minEngine, min := minScore(det.Scores, st.auxNames)
 	err := s.cfg.Audit.Write(obs.AuditEntry{
 		Time:           time.Now().UTC(),
@@ -390,27 +397,4 @@ func (s *Server) explanationFor(st *backendState, det *mvpears.Detection) *Expla
 		exp = st.backend.Explain(det)
 	}
 	return NewExplanationJSON(exp)
-}
-
-// detectionSize approximates one cache entry's resident bytes for the
-// cache's byte bound: key, scores, transcriptions, explanation (when the
-// detection ran under an explain request), the pre-encoded hit body once
-// built, struct overhead.
-func detectionSize(key string, e *verdictEntry) int64 {
-	det := e.det
-	size := int64(len(key)) + 128
-	size += int64(len(det.Scores)) * 8
-	for k, v := range det.Transcriptions {
-		size += int64(len(k)+len(v)) + 32
-	}
-	if exp := det.Explanation; exp != nil {
-		size += int64(len(exp.Method)) + 96
-		for _, ev := range append([]mvpears.EngineEvidence{exp.Target}, exp.Auxiliaries...) {
-			size += int64(len(ev.Engine)+len(ev.Transcription)+len(ev.Phonetic)) + 48
-		}
-	}
-	if hb := e.hit.Load(); hb != nil {
-		size += int64(len(hb.body)) + 48
-	}
-	return size
 }

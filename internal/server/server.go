@@ -255,7 +255,9 @@ type Server struct {
 	reloadInProgress atomic.Bool
 
 	// vc is the cross-request verdict cache; nil when caching is off.
-	vc *vcache.Cache[*verdictEntry]
+	// shapes interns the parts of its entries that verdicts share.
+	vc     *vcache.Cache[*verdictEntry]
+	shapes shapeTable
 	// flight collapses concurrent duplicate detections onto one leader.
 	flight *vcache.Group[*mvpears.Detection]
 
@@ -457,10 +459,12 @@ func New(cfg Config) (*Server, error) {
 		},
 	})
 	// Pre-create the rejection reasons so the exposition shape does not
-	// depend on which rejection fired first.
+	// depend on which rejection fired first, and the detect route's latency
+	// histogram, which the latency SLO reads at every scrape.
 	for _, reason := range []string{rejectQueueFull, rejectStreamSessions, rejectPeerBusy} {
 		s.m.counter(mRejected, reason)
 	}
+	s.m.histogram(mRequestSeconds, "detect")
 
 	st, err := s.buildState(cfg.Backend)
 	if err != nil {

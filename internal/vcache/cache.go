@@ -41,6 +41,13 @@ type entry[V any] struct {
 	size int64
 }
 
+// EntryOverhead is the heap the cache itself holds per entry beyond the
+// key's bytes and the value: the LRU list element (48 B), the entry record
+// (32 B for a pointer-sized V) and a map slot (25 B, over 25–50 B per
+// entry as the map's load falls from 7/8 to 7/16 between doublings).
+// Callers whose byte bound should bound memory add it to every Put's size.
+const EntryOverhead = 112
+
 // New builds a cache bounded by maxEntries entries and maxBytes payload
 // bytes. Non-positive bounds are treated as 1 entry / 1 byte (an
 // effectively disabled cache — callers wanting no cache should not
