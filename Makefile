@@ -1,18 +1,17 @@
 GO ?= go
 
-# Benchmarks tracked in BENCH_detect.json / BENCH_serve.json.
-# SERVE_BENCH matches BenchmarkServeMissCascade and BenchmarkCascadeDetect
-# (the cascaded miss through the handler and in process),
-# BenchmarkStreamWindow (the real-time sliding-window gate),
-# BenchmarkClusterRemoteHit (the remote cache hit) and
-# BenchmarkCacheEntry (live heap bytes and objects per cached verdict);
-# NN_BENCH covers the inference kernels they ride on (the float64
-# blocked mat-vec and RNN step); HMM_BENCH and ASR_BENCH the Viterbi column, the
-# post-acoustic half of a stream window and the cold lexicon scan;
-# STREAM_BENCH whole sessions through a Manager (µs per hop, allocations
-# per window); DSP_BENCH the frame kernel and the roster's shared
-# front-end pass (GOMAXPROCS=1, i.e. -cpu 1). BenchmarkDetectBudget
-# attributes one detection to front end + engines (README, Performance).
+# Go benchmark sets `make bench` compares with cmd/abrun. BENCH is one
+# in-process detection (hot path, batch features, and
+# BenchmarkDetectBudget attributing a detection to front end + engines;
+# README, Performance); SERVE_BENCH the serving path (hit, miss,
+# duplicate storm, BenchmarkServeMissCascade and BenchmarkCascadeDetect
+# for the cascaded miss through the handler and in process,
+# BenchmarkStreamWindow, BenchmarkClusterRemoteHit, and
+# BenchmarkCacheEntry's live heap per cached verdict); NN_BENCH the
+# float64 blocked mat-vec and RNN step; HMM_BENCH and ASR_BENCH the
+# Viterbi column, the post-acoustic half of a stream window and the cold
+# lexicon scan; STREAM_BENCH whole sessions through a Manager; DSP_BENCH
+# the frame kernel and the roster's shared front-end pass (GOMAXPROCS=1).
 BENCH ?= BenchmarkDetectHotPath|BenchmarkBatchFeatures|BenchmarkDetectBudget
 SERVE_BENCH ?= BenchmarkServe|BenchmarkCascadeDetect|BenchmarkStreamWindow|BenchmarkCluster|BenchmarkCacheEntry
 NN_BENCH ?= BenchmarkMatVec|BenchmarkRNNStep
@@ -20,11 +19,10 @@ HMM_BENCH ?= BenchmarkViterbiStep
 ASR_BENCH ?= BenchmarkDecodeWindow|BenchmarkLexiconScanCold
 STREAM_BENCH ?= BenchmarkStreamSession
 DSP_BENCH ?= BenchmarkPowerFrame|BenchmarkFrontEndRoster
-BENCHTIME ?= 25x
-# Interleaved suite rounds per `make bench` (see cmd/benchmed): every
-# benchmark is sampled once per round, so machine drift spreads evenly
-# across the suite and the recorded noise bound is honest.
-BENCHROUNDS ?= 5
+# `make bench` measures the working checkout against BASE in PAIRS
+# order-alternated pairs per set.
+BASE ?= HEAD
+PAIRS ?= 10
 
 # Per-target budget for fuzz-smoke; go test accepts one -fuzz target per
 # invocation, so each target gets its own short run.
@@ -79,19 +77,19 @@ ADDR ?= 127.0.0.1:8080
 serve:
 	$(GO) run ./cmd/mvpearsd -model $(MODEL) -addr $(ADDR) -bootstrap
 
-# Run the tracked hot-path and serving-path benchmarks in BENCHROUNDS
-# interleaved rounds (cmd/benchmed) and print per-benchmark medians with
-# the session's measured noise bound; paste medians AND noise_pct into
-# BENCH_detect.json / BENCH_serve.json when they move. A delta inside
-# the recorded noise bound is machine drift, not a regression.
+# Compare the tracked benchmark sets of the working checkout (B) with
+# BASE (A) in alternated pairs (cmd/abrun) and append one judged row per
+# benchmark and unit to BENCH_ab.json. A row's verdict, not a single
+# run's number, is what a perf claim cites; `go run ./cmd/abrun -workload
+# W BASE .` does the same for a workload of bench/run.sh.
 bench:
-	$(GO) run ./cmd/benchmed -rounds $(BENCHROUNDS) -bench '$(BENCH)' -benchtime $(BENCHTIME) . | tee BENCH_detect.txt
-	$(GO) run ./cmd/benchmed -rounds $(BENCHROUNDS) -bench '$(SERVE_BENCH)' ./internal/server | tee BENCH_serve.txt
-	$(GO) run ./cmd/benchmed -rounds $(BENCHROUNDS) -bench '$(NN_BENCH)' ./internal/nn | tee BENCH_nn.txt
-	$(GO) run ./cmd/benchmed -rounds $(BENCHROUNDS) -bench '$(HMM_BENCH)' ./internal/hmm | tee BENCH_hmm.txt
-	$(GO) run ./cmd/benchmed -rounds $(BENCHROUNDS) -bench '$(ASR_BENCH)' ./internal/asr | tee BENCH_asr.txt
-	$(GO) run ./cmd/benchmed -rounds $(BENCHROUNDS) -bench '$(STREAM_BENCH)' ./internal/stream | tee BENCH_stream.txt
-	GOMAXPROCS=1 $(GO) run ./cmd/benchmed -rounds $(BENCHROUNDS) -bench '$(DSP_BENCH)' ./internal/dsp | tee BENCH_dsp.txt
+	$(GO) run ./cmd/abrun -pairs $(PAIRS) -bench '$(BENCH)' -pkg . $(BASE) .
+	$(GO) run ./cmd/abrun -pairs $(PAIRS) -bench '$(SERVE_BENCH)' -pkg ./internal/server $(BASE) .
+	$(GO) run ./cmd/abrun -pairs $(PAIRS) -bench '$(NN_BENCH)' -pkg ./internal/nn $(BASE) .
+	$(GO) run ./cmd/abrun -pairs $(PAIRS) -bench '$(HMM_BENCH)' -pkg ./internal/hmm $(BASE) .
+	$(GO) run ./cmd/abrun -pairs $(PAIRS) -bench '$(ASR_BENCH)' -pkg ./internal/asr $(BASE) .
+	$(GO) run ./cmd/abrun -pairs $(PAIRS) -bench '$(STREAM_BENCH)' -pkg ./internal/stream $(BASE) .
+	GOMAXPROCS=1 $(GO) run ./cmd/abrun -pairs $(PAIRS) -bench '$(DSP_BENCH)' -pkg ./internal/dsp $(BASE) .
 
 # The benchmark's checker as a test: boot a real mvpearsd, drive every
 # workload for one short slice and validate every response (schema,

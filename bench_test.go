@@ -128,7 +128,7 @@ func benchDetector(b *testing.B) *detector.Detector {
 
 // BenchmarkDetectHotPath times one end-to-end detection (parallel
 // transcription + similarity + classification) — the per-input serving
-// cost the §V-I overhead study is about. Tracked in BENCH_detect.json.
+// cost the §V-I overhead study is about. Compared with cmd/abrun (make bench).
 func BenchmarkDetectHotPath(b *testing.B) {
 	det := benchDetector(b)
 	clip := benchEnvironment(b).Samples[0].Clip
@@ -203,7 +203,7 @@ func BenchmarkDetectBudget(b *testing.B) {
 }
 
 // BenchmarkBatchFeatures times feature extraction over the whole sample
-// set — the training-path throughput. Tracked in BENCH_detect.json.
+// set — the training-path throughput. Compared with cmd/abrun (make bench).
 func BenchmarkBatchFeatures(b *testing.B) {
 	det := benchDetector(b)
 	samples := benchEnvironment(b).Samples

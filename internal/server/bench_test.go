@@ -23,11 +23,11 @@ import (
 	"mvpears/internal/vcache"
 )
 
-// Serving-path benchmarks over a real quick-scale system (tracked in
-// BENCH_serve.json): a cache hit answers from the verdict cache without
-// float decode, worker-pool admission or detection; a miss pays the full
-// pipeline; a duplicate storm collapses onto one detection via
-// singleflight.
+// Serving-path benchmarks over a real quick-scale system (SERVE_BENCH,
+// compared by `make bench` into BENCH_ab.json): a cache hit answers from
+// the verdict cache without float decode, worker-pool admission or
+// detection; a miss pays the full pipeline; a duplicate storm collapses
+// onto one detection via singleflight.
 
 // benchSystem shares the e2e quick-scale system with the benchmarks.
 func benchSystem(b *testing.B) *mvpears.System {
@@ -333,9 +333,9 @@ func scrapeCounter(b *testing.B, h http.Handler, name string) int {
 // two clustered replicas sharing one quick-scale system: every timed
 // request misses the serving replica's local cache and is answered by
 // the owning peer's cache over the real loopback peer protocol — wire
-// encode, TCP round trip, verdict decode, local cache fill. Tracked in
-// BENCH_serve.json; the acceptance bound is remote hit <= 1/3 of the
-// full cascade-miss pipeline.
+// encode, TCP round trip, verdict decode, local cache fill. Its
+// acceptance bound is remote hit <= 1/3 of the full cascade-miss
+// pipeline.
 func BenchmarkClusterRemoteHit(b *testing.B) {
 	sys := benchSystem(b)
 	// Every body is a distinct key (a repeat would be a LOCAL hit on the
@@ -441,8 +441,8 @@ func cacheEntryDetection(i int, cascaded bool) *mvpears.Detection {
 
 // measureCacheEntries stores n cacheEntryDetection verdicts, under real
 // 129-byte keys, in a fresh server's verdict cache through the serving
-// path's one cache write, then — with hits — builds every entry's
-// plain-hit body. It returns the live heap bytes and heap objects the
+// path's one cache write, then — with hits — serves every entry once as
+// a plain hit does. It returns the live heap bytes and heap objects the
 // entries hold (the heap after a GC with them resident, less the heap
 // after purging them and another GC; the stored detections themselves
 // are garbage by then) and the bytes the cache charged, each per entry.
@@ -461,7 +461,7 @@ func measureCacheEntries(tb testing.TB, cascaded, hits bool, n int) (heapPer, ob
 		key := vcache.KeyPCM16(st.modelFP, 8000, pcm[:])
 		s.store(key, cacheEntryDetection(i, cascaded))
 		if e, ok := s.lookup(key, false); ok && hits {
-			s.plainHit(st, key, e)
+			s.record(st, nil, "detect", "", e.detection(), howCached, false)
 		}
 	}
 	var full, empty runtime.MemStats

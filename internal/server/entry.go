@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"mvpears"
@@ -17,14 +16,13 @@ import (
 // (DESIGN.md §9): the verdict bit, the timing and the cascade's per-clip
 // score inline, the scores in one array, every transcription in one
 // string, and a pointer to the shape the entry shares with every verdict
-// of the same roster and cascade outcome. store builds it once; the paths
-// that read a whole Detection (explain hits, batch parts, stream finals,
-// a flight leader's second look, cluster peer answers, audit lines)
-// rebuild one with detection(), and a plain hit reads only the verdict bit
-// and its pre-encoded body.
+// of the same roster and cascade outcome. store builds it once; every path
+// that reads a whole Detection (plain and explain hits, batch parts,
+// stream finals, a flight leader's second look, cluster peer answers,
+// audit lines) rebuilds one with detection().
 
 // verdictEntry is one verdict-cache value. Nothing in it is written after
-// store builds it, except the plain-hit body, which plainHit encodes once.
+// store builds it.
 type verdictEntry struct {
 	adversarial bool
 	timing      mvpears.DetectionTiming
@@ -39,15 +37,6 @@ type verdictEntry struct {
 	// explanation is the one the detection carried (ran under ?explain=1);
 	// almost always nil.
 	explanation *mvpears.Explanation
-	hit         atomic.Pointer[hitBody]
-}
-
-// hitBody is a plain hit's pre-encoded response: the json.Encoder output,
-// trailing newline included, of the entry's cached:true DetectionJSON under
-// the auxiliary names it was built for.
-type hitBody struct {
-	aux  []string
-	body []byte
 }
 
 // verdictShape is the part of a verdict that whole classes of clips share:
@@ -199,16 +188,13 @@ func (e *verdictEntry) detection() *mvpears.Detection {
 }
 
 // size is what e costs the cache's byte bound under key: the cache's own
-// per-entry bookkeeping, the key, the record, its scores and texts, and
-// the hit body once encoded, each rounded up as the allocator rounds it.
+// per-entry bookkeeping, the key, the record, its scores and texts, each
+// rounded up as the allocator rounds it.
 // Interned shapes are shared and not charged; an explanation, present
 // only when the detection ran under ?explain=1, is.
 func (e *verdictEntry) size(key string) int64 {
 	n := vcache.EntryOverhead + allocSize(len(key)) + allocSize(int(unsafe.Sizeof(*e))) +
 		allocSize(8*len(e.scores)) + allocSize(len(e.texts))
-	if hb := e.hit.Load(); hb != nil {
-		n += allocSize(int(unsafe.Sizeof(*hb))) + allocSize(cap(hb.body))
-	}
 	if exp := e.explanation; exp != nil {
 		n += allocSize(int(unsafe.Sizeof(*exp))) + allocSize(len(exp.Method))
 		for _, ev := range append([]mvpears.EngineEvidence{exp.Target}, exp.Auxiliaries...) {

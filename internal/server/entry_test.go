@@ -303,8 +303,7 @@ func TestCompactRecordServesDetectionBytes(t *testing.T) {
 
 // TestCacheChargeMatchesHeap: the bytes the cache charges an entry are
 // within 15 % of the live heap the entry adds, for 4 096 full-ensemble and
-// 4 096 cascaded verdicts, before and after their plain-hit bodies are
-// built.
+// 4 096 cascaded verdicts, with and without a plain hit on each.
 func TestCacheChargeMatchesHeap(t *testing.T) {
 	for _, tc := range []struct {
 		name           string

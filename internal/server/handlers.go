@@ -8,7 +8,6 @@ import (
 	"io"
 	"mime/multipart"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -47,15 +46,6 @@ func postOnly(hint string, h http.HandlerFunc) http.HandlerFunc {
 		}
 		h(w, r)
 	}
-}
-
-// writeBody writes a 200 whose JSON body is already encoded.
-func writeBody(w http.ResponseWriter, body []byte) {
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
 }
 
 // explainRequested reports whether the request asked for a verdict
@@ -174,9 +164,8 @@ func (s *Server) writeDetectError(w http.ResponseWriter, err error) {
 // handleDetect serves POST /v1/detect: the request body is one WAV file,
 // the response one DetectionJSON. The serving path is content-addressed:
 // the upload is fingerprinted from its raw PCM, a cache hit answers with
-// zero detection work (no float decode, no worker-pool admission) — a
-// plain one with the entry's pre-encoded body — and concurrent misses for
-// the same fingerprint collapse onto one detection.
+// zero detection work (no float decode, no worker-pool admission), and
+// concurrent misses for the same fingerprint collapse onto one detection.
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	st := s.state()
 	trace := obs.TraceFrom(r.Context())
@@ -192,12 +181,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	key := s.uploadKey(st, pcm)
 	explain := explainRequested(r)
 	if e, ok := s.lookup(key, false); ok {
-		if explain {
-			writeJSON(w, http.StatusOK, s.record(st, trace, "detect", "", e.detection(), howCached, true))
-			return
-		}
-		s.report(st, trace, "detect", "", verdict{e: e}, howCached)
-		writeBody(w, s.plainHit(st, key, e))
+		writeJSON(w, http.StatusOK, s.record(st, trace, "detect", "", e.detection(), howCached, explain))
 		return
 	}
 	eng, release, err := s.uploadEngine(st, pcm)

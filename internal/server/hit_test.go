@@ -52,8 +52,8 @@ func readAll(t *testing.T, resp *http.Response) []byte {
 	return b
 }
 
-// encodedRecord is what a plain hit answered before hits were
-// pre-encoded: record's DetectionJSON through a json.Encoder.
+// encodedRecord is what a plain hit must answer: record's DetectionJSON
+// through a json.Encoder.
 func encodedRecord(t *testing.T, s *Server, det *mvpears.Detection) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -64,9 +64,8 @@ func encodedRecord(t *testing.T, s *Server, det *mvpears.Detection) []byte {
 }
 
 // TestPlainHitServesEncodedRecord: a plain hit's body is byte-equal to the
-// encoded record of the same detection, on the first hit (which builds
-// it) and every later one (which reuses it), for a cascade verdict and an
-// adversarial one whose text needs JSON escaping.
+// encoded record of the same detection, on every hit, for a cascade
+// verdict and an adversarial one whose text needs JSON escaping.
 func TestPlainHitServesEncodedRecord(t *testing.T) {
 	cascade := *benignDetection()
 	cascade.Cascade = &mvpears.CascadeDecision{
@@ -110,8 +109,8 @@ func TestPlainHitServesEncodedRecord(t *testing.T) {
 	}
 }
 
-// TestExplainHitStillExplains: ?explain=1 on a key whose plain-hit body is
-// already built takes the encoding path and carries an explanation.
+// TestExplainHitStillExplains: ?explain=1 on a key that has already served
+// a plain hit carries an explanation.
 func TestExplainHitStillExplains(t *testing.T) {
 	_, ts := newTestServer(t, Config{Backend: explainingStub{&fpStub{instantStub(), "model-a"}}})
 	body := wavBody(t, 8000, 256)
@@ -150,7 +149,7 @@ func TestReloadNeverServesStaleHitBody(t *testing.T) {
 	}
 	after := readAll(t, postWAV(t, ts.URL, body))
 	if bytes.Equal(after, before) {
-		t.Fatal("the reloaded model served the old model's pre-encoded body")
+		t.Fatal("the reloaded model served the old model's body")
 	}
 	if want := encodedRecord(t, s, benignDetection()); !bytes.Equal(after, want) {
 		t.Fatalf("hit body after reload:\n got %s\nwant %s", after, want)
@@ -161,29 +160,8 @@ func TestReloadNeverServesStaleHitBody(t *testing.T) {
 	}
 }
 
-// TestHitBodyChargedToCache: building the hit body re-charges the entry's
-// size, so Stats().Bytes covers the stored bytes; reusing it does not.
-func TestHitBodyChargedToCache(t *testing.T) {
-	s, ts := newTestServer(t, Config{Backend: &fpStub{instantStub(), "model-a"}})
-	body := wavBody(t, 8000, 256)
-	readAll(t, postWAV(t, ts.URL, body))
-	fresh := s.vc.Stats().Bytes
-	hit := readAll(t, postWAV(t, ts.URL, body))
-	built := s.vc.Stats().Bytes
-	if built-fresh < int64(len(hit)) {
-		t.Fatalf("cache bytes grew %d on the first hit, less than the %d-byte body", built-fresh, len(hit))
-	}
-	readAll(t, postWAV(t, ts.URL, body))
-	if again := s.vc.Stats().Bytes; again != built {
-		t.Fatalf("cache bytes %d after a second hit, want %d", again, built)
-	}
-	if st := s.vc.Stats(); st.Entries != 1 {
-		t.Fatalf("%d entries, want 1", st.Entries)
-	}
-}
-
 // TestConcurrentFirstHitsAgree: many goroutines take a key's first plain
-// hits at once; whichever builds the body, every one serves the same bytes.
+// hits at once; every one serves the same bytes.
 func TestConcurrentFirstHitsAgree(t *testing.T) {
 	s, err := New(Config{Backend: &fpStub{instantStub(), "model-a"}})
 	if err != nil {

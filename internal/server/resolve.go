@@ -1,10 +1,7 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"slices"
 	"time"
 
 	"mvpears"
@@ -113,24 +110,6 @@ func (s *Server) store(key string, det *mvpears.Detection) {
 	}
 }
 
-// plainHit returns e's plain-hit response under st, encoding it on first
-// use (or after a reload changed the auxiliary names) and re-charging the
-// entry's cache size for the stored bytes.
-func (s *Server) plainHit(st *backendState, key string, e *verdictEntry) []byte {
-	if hb := e.hit.Load(); hb != nil && slices.Equal(hb.aux, st.auxNames) {
-		return hb.body
-	}
-	out := NewDetectionJSON(e.detection(), st.auxNames)
-	out.Cached = true
-	var buf bytes.Buffer
-	// Dropped as writeJSON drops it: a DetectionJSON holds no value Encode
-	// rejects.
-	_ = json.NewEncoder(&buf).Encode(out)
-	e.hit.Store(&hitBody{aux: st.auxNames, body: buf.Bytes()})
-	s.vc.Put(key, e, e.size(key))
-	return buf.Bytes()
-}
-
 // resolve obtains the verdict for key through the whole chain. fwd carries
 // the upload into the cluster tier; nil skips that tier, which is also what
 // keeps an owner answering a forwarded detection from ever re-forwarding.
@@ -197,7 +176,7 @@ func (s *Server) lead(ctx context.Context, key string, fwd *audio.PCM16, eng eng
 // place it is counted, observed, audited and annotated, so every route and
 // provenance emits each signal exactly once.
 func (s *Server) record(st *backendState, trace *obs.Trace, route, file string, det *mvpears.Detection, how detectHow, explain bool) DetectionJSON {
-	if !s.report(st, trace, route, file, verdict{det: det}, how) {
+	if !s.report(st, trace, route, file, det, how) {
 		return DetectionJSON{}
 	}
 	out := NewDetectionJSON(det, st.auxNames)
@@ -209,7 +188,7 @@ func (s *Server) record(st *backendState, trace *obs.Trace, route, file string, 
 	return out
 }
 
-// report turns (verdict, how) into every signal and reports whether this
+// report turns (det, how) into every signal and reports whether this
 // replica serves the verdict. The count, the SLO and the audit line belong
 // to the replica that serves the verdict (all but forPeer); stage timings,
 // cascade behaviour, similarity distributions and spans to the request and
@@ -219,9 +198,9 @@ func (s *Server) record(st *backendState, trace *obs.Trace, route, file string, 
 // trace's Outcome. A batch calls it once per part on one trace, which
 // then keeps the worst verdict, observes its spans once, and reports
 // cached only if no part was fresh.
-func (s *Server) report(st *backendState, trace *obs.Trace, route, file string, v verdict, how detectHow) bool {
+func (s *Server) report(st *backendState, trace *obs.Trace, route, file string, det *mvpears.Detection, how detectHow) bool {
 	served := how&forPeer == 0
-	adversarial := v.adversarial()
+	adversarial := det.Adversarial
 	var wire string
 	if served {
 		wire = s.countVerdict(adversarial)
@@ -229,7 +208,7 @@ func (s *Server) report(st *backendState, trace *obs.Trace, route, file string, 
 	firstFresh := false
 	trace.Note(func(o *obs.Outcome) {
 		if how.ranHere() {
-			casc := v.det.Cascade
+			casc := det.Cascade
 			firstFresh = !o.Fresh
 			o.Fresh, o.Cached = true, false
 			o.ShortCircuit = o.ShortCircuit || casc != nil && casc.ShortCircuit
@@ -249,7 +228,7 @@ func (s *Server) report(st *backendState, trace *obs.Trace, route, file string, 
 		}
 	})
 	if how.ranHere() {
-		s.observeDetection(st, v.det)
+		s.observeDetection(st, det)
 		if firstFresh {
 			s.observeTrace(trace)
 		}
@@ -258,32 +237,9 @@ func (s *Server) report(st *backendState, trace *obs.Trace, route, file string, 
 		return false
 	}
 	if adversarial && s.cfg.Audit != nil {
-		s.audit(st, trace, route, file, v.detection(), wire, !how.ranHere())
+		s.audit(st, trace, route, file, det, wire, !how.ranHere())
 	}
 	return true
-}
-
-// verdict is a served verdict as report reads it: a Detection, or the
-// cache entry of a plain hit, which is rebuilt into one only for a signal
-// that reads more than the verdict bit (an audit line). A verdict that ran
-// here always carries its Detection.
-type verdict struct {
-	det *mvpears.Detection
-	e   *verdictEntry
-}
-
-func (v verdict) adversarial() bool {
-	if v.det != nil {
-		return v.det.Adversarial
-	}
-	return v.e.adversarial
-}
-
-func (v verdict) detection() *mvpears.Detection {
-	if v.det != nil {
-		return v.det
-	}
-	return v.e.detection()
 }
 
 // countVerdict counts one served verdict and returns its wire string. It
