@@ -4,22 +4,27 @@
 // refs, each checked out into a temporary git worktree, or "." for the
 // working checkout. Pair i runs `bash bench/run.sh --workload W --seed i
 // --seconds S` (S: BENCHMARK.json's run_seconds) in both trees or, with
-// -bench, both trees' `go test -c` binaries.
+// -bench, both trees' `go test -c` binaries. On SIGINT or SIGTERM the
+// running child is stopped and both worktrees are removed.
 package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 	"os/exec"
+	"os/signal"
 	"path/filepath"
 	"regexp"
 	"slices"
 	"strconv"
 	"strings"
+	"syscall"
+	"time"
 )
 
 // row is one metric of one workload or go benchmark over all pairs, A's
@@ -46,13 +51,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: abrun [-pairs N] [-workload W | -bench RE -pkg P] [-out FILE] A B")
 		os.Exit(2)
 	}
-	if err := run([2]string{flag.Arg(0), flag.Arg(1)}, *pairs, *workload, *bench, *pkg, *out); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, [2]string{flag.Arg(0), flag.Arg(1)}, *pairs, *workload, *bench, *pkg, *out)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "abrun:", err)
 		os.Exit(1)
 	}
 }
 
-func run(refs [2]string, pairs int, workload, bench, pkg, out string) error {
+// run measures refs and appends the judged rows to out. Cancelling ctx
+// stops the running child; the worktrees are removed either way.
+func run(ctx context.Context, refs [2]string, pairs int, workload, bench, pkg, out string) error {
 	var sp struct {
 		RunSeconds float64 `json:"run_seconds"`
 		Workloads  []struct{ Name string }
@@ -77,23 +87,28 @@ func run(refs [2]string, pairs int, workload, bench, pkg, out string) error {
 	trees, ids, bins := [2]string{".", "."}, [2]string{".", "."}, [2]string{}
 	for side, ref := range refs {
 		if ref != "." {
-			sha, err := output("", "git", "rev-parse", "--short", ref+"^{commit}")
+			sha, err := output(ctx, "", "git", "rev-parse", "--short", ref+"^{commit}")
 			ids[side], trees[side] = strings.TrimSpace(string(sha)), filepath.Join(tmp, fmt.Sprint(side))
 			if err == nil {
-				_, err = output("", "git", "worktree", "add", "--detach", trees[side], ids[side])
+				_, err = output(ctx, "", "git", "worktree", "add", "--detach", trees[side], ids[side])
 			}
 			if err != nil {
 				return err
 			}
-			defer output("", "git", "worktree", "remove", "--force", trees[side])
+			defer output(context.WithoutCancel(ctx), "", "git", "worktree", "remove", "--force", trees[side])
 		}
 		bins[side] = filepath.Join(tmp, fmt.Sprint(side, ".test"))
 		if bench != "" {
-			_, err = output(trees[side], "go", "test", "-c", "-o", bins[side], pkg)
+			_, err = output(ctx, trees[side], "go", "test", "-c", "-o", bins[side], pkg)
 		} else if ref != "." {
 			// Workload runs share the working checkout's model cache: a
-			// tree's own trained artifact and AEs shift miss_full and mix_open.
-			_, err = output("", "cp", "-R", "--parents", ".bench_build/model", trees[side])
+			// tree's own trained artifact and AEs shift miss_full and
+			// mix_open. They start from its Go build cache too, when it
+			// has one, instead of compiling everything cold.
+			_, err = output(ctx, "", "cp", "-R", "--parents", ".bench_build/model", trees[side])
+			if _, statErr := os.Stat(".bench_build/gocache"); err == nil && statErr == nil {
+				_, err = output(ctx, "", "cp", "-R", "--parents", ".bench_build/gocache", trees[side])
+			}
 		}
 		if err != nil {
 			return err
@@ -118,7 +133,7 @@ func run(refs [2]string, pairs int, workload, bench, pkg, out string) error {
 		// ns/op and is left out.
 		cost := defs["cpu_ms_per_req"]
 		measure = func(side, _ int) error {
-			out, err := output(filepath.Join(trees[side], pkg), bins[side], "-test.run", "^$", "-test.bench", bench, "-test.benchmem", "-test.timeout", "30m")
+			out, err := output(ctx, filepath.Join(trees[side], pkg), bins[side], "-test.run", "^$", "-test.bench", bench, "-test.benchmem", "-test.timeout", "30m")
 			for _, line := range strings.Split(string(out), "\n") {
 				if name, metrics, ok := parseLine(line); ok {
 					for unit, v := range metrics {
@@ -141,7 +156,7 @@ func run(refs [2]string, pairs int, workload, bench, pkg, out string) error {
 			for _, w := range names {
 				// A run with failed operations exits non-zero but still
 				// ends with its contract line, which counts them.
-				stdout, runErr := output(trees[side], "bash", "bench/run.sh", "--workload", w, "--seed", fmt.Sprint(seed), "--seconds", fmt.Sprint(sp.RunSeconds))
+				stdout, runErr := output(ctx, trees[side], "bash", "bench/run.sh", "--workload", w, "--seed", fmt.Sprint(seed), "--seconds", fmt.Sprint(sp.RunSeconds))
 				c, err := parseContract(stdout)
 				if err != nil {
 					return fmt.Errorf("%s: %v (%v)", w, err, runErr)
@@ -193,9 +208,14 @@ func run(refs [2]string, pairs int, workload, bench, pkg, out string) error {
 }
 
 // output runs name in dir and returns its stdout; stderr passes through.
-func output(dir, name string, args ...string) ([]byte, error) {
-	cmd := exec.Command(name, args...)
+// The child leads its own process group, and cancelling ctx sends the
+// group SIGTERM, on which bench/run.sh's load generator stops its daemon.
+func output(ctx context.Context, dir, name string, args ...string) ([]byte, error) {
+	cmd := exec.CommandContext(ctx, name, args...)
 	cmd.Dir, cmd.Stderr = dir, os.Stderr
+	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
+	cmd.Cancel = func() error { return syscall.Kill(-cmd.Process.Pid, syscall.SIGTERM) }
+	cmd.WaitDelay = 10 * time.Second
 	out, err := cmd.Output()
 	if err != nil {
 		err = fmt.Errorf("%s %s: %w", name, strings.Join(args, " "), err)

@@ -1,7 +1,13 @@
 package main
 
 import (
+	"context"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 )
 
 // seq is n runs from start, step apart.
@@ -147,6 +153,97 @@ func TestParseLine(t *testing.T) {
 	} {
 		if name, _, ok := parseLine(line); ok {
 			t.Errorf("parseLine(%q) accepted as %q", line, name)
+		}
+	}
+}
+
+// gitIn runs git in dir and returns its stdout.
+func gitIn(t *testing.T, dir string, args ...string) string {
+	t.Helper()
+	cmd := exec.Command("git", args...)
+	cmd.Dir = dir
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("git %s: %v\n%s", strings.Join(args, " "), err, out)
+	}
+	return string(out)
+}
+
+// TestCancelRemovesWorktrees: a run cancelled in the middle of its first
+// pair stops the child with its own children (the stand-in's sleep) and
+// still removes both worktrees. The stand-in
+// bench/run.sh reports whether its tree was seeded with the checkout's Go
+// build cache, which happens only when the checkout has one.
+func TestCancelRemovesWorktrees(t *testing.T) {
+	for _, cached := range []bool{true, false} {
+		repo, mark := t.TempDir(), filepath.Join(t.TempDir(), "started")
+		t.Setenv("TMPDIR", t.TempDir())
+		t.Setenv("ABRUN_TEST_MARK", mark)
+		write := func(name, body string) {
+			t.Helper()
+			path := filepath.Join(repo, name)
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gitIn(t, repo, "init", "-q")
+		write("BENCHMARK.json", `{"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": [{"name": "throughput_rps", "better": "higher", "bound": 0.25}]}`)
+		write("bench/run.sh", `if [ -e .bench_build/gocache/entry ]; then s=seeded; else s=cold; fi
+echo "$s" > "$ABRUN_TEST_MARK.tmp" && mv "$ABRUN_TEST_MARK.tmp" "$ABRUN_TEST_MARK"
+sleep 60
+`)
+		write(".gitignore", ".bench_build/\n")
+		for i := 0; i < 2; i++ {
+			gitIn(t, repo, "add", "-A")
+			gitIn(t, repo, "-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "--allow-empty", "-m", "c")
+		}
+		write(".bench_build/model/model.gob", "m")
+		if cached {
+			write(".bench_build/gocache/entry", "c")
+		}
+		wd, err := os.Getwd()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chdir(repo); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { os.Chdir(wd) })
+
+		// The poller cancels run once the tree's stand-in run has written
+		// its mark, and hands the mark back over seen; the test cancels and
+		// joins it before reading, so it never outlives its iteration.
+		ctx, cancel := context.WithCancel(context.Background())
+		seen := make(chan []byte, 1)
+		go func() {
+			defer close(seen)
+			defer cancel()
+			for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline) && ctx.Err() == nil; time.Sleep(10 * time.Millisecond) {
+				if b, err := os.ReadFile(mark); err == nil {
+					seen <- b
+					return
+				}
+			}
+		}()
+		start := time.Now()
+		err = run(ctx, [2]string{"HEAD~1", "HEAD"}, 2, "", "", ".", filepath.Join(repo, "out.json"))
+		cancel()
+		state := <-seen
+		if err == nil {
+			t.Fatal("a cancelled run returned no error")
+		}
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Errorf("cancelled run took %v: the child's process group was not stopped", elapsed)
+		}
+		if want := map[bool]string{true: "seeded\n", false: "cold\n"}[cached]; string(state) != want {
+			t.Errorf("checkout cache %v: the tree's run saw %q, want %q", cached, state, want)
+		}
+		if trees := strings.Count(gitIn(t, repo, "worktree", "list", "--porcelain"), "worktree "); trees != 1 {
+			t.Errorf("git worktree list names %d trees after a cancelled run, want only the main tree:\n%s",
+				trees, gitIn(t, repo, "worktree", "list"))
 		}
 	}
 }

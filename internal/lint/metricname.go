@@ -30,9 +30,9 @@ var (
 // metricRowFuncs are the table's row constructors, with the index of the
 // trailing variadic label-name parameter.
 var metricRowFuncs = map[string]int{
-	"counter":   2,
-	"gauge":     2,
-	"histogram": 3,
+	"counter":   3,
+	"gauge":     3,
+	"histogram": 4,
 }
 
 func runMetricname(pass *Pass) {

@@ -38,13 +38,19 @@ func referenceLine(rec RequestRecord) []byte {
 			attrs = append(attrs, slog.Bool("remote", true))
 		}
 	}
-	if totals := rec.Trace.StageTotals(); len(totals) > 0 {
-		var stageAttrs []any
-		for _, stage := range append(append([]string(nil), Stages...), StageClusterForward) {
-			if d, ok := totals[stage]; ok {
-				stageAttrs = append(stageAttrs, slog.Float64(stage+"_ms", durMS(d)))
-			}
+	totals := map[string]time.Duration{}
+	for _, sp := range rec.Trace.Spans() {
+		if sp.Engine == "" && sp.Peer == "" {
+			totals[sp.Stage] += sp.Dur
 		}
+	}
+	var stageAttrs []any
+	for _, stage := range loggedStages {
+		if d, ok := totals[stage]; ok {
+			stageAttrs = append(stageAttrs, slog.Float64(stage+"_ms", durMS(d)))
+		}
+	}
+	if len(stageAttrs) > 0 {
 		attrs = append(attrs, slog.Group("stages", stageAttrs...))
 	}
 	level := slog.LevelInfo
@@ -112,7 +118,7 @@ func seededRecord(rng *rand.Rand) RequestRecord {
 		return rec // untraced
 	}
 	tr := NewTrace(rec.RequestID)
-	names := append(append([]string(nil), Stages...), StageClusterForward, "queue")
+	names := append(loggedStages[:], "queue")
 	for n := rng.Intn(12); n > 0; n-- {
 		sp := Span{
 			Stage: names[rng.Intn(len(names))],

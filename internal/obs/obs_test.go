@@ -21,8 +21,9 @@ func TestNilTraceIsSafe(t *testing.T) {
 	if tr.ID() != "" || tr.Spans() != nil || tr.Elapsed() != 0 {
 		t.Fatal("nil trace should be inert")
 	}
-	if totals := tr.StageTotals(); totals != nil {
-		t.Fatalf("nil trace totals = %v", totals)
+	var totals [len(loggedStages)]time.Duration
+	if seen := tr.loggedStageTotals(&totals); seen != 0 || totals != [len(loggedStages)]time.Duration{} {
+		t.Fatalf("nil trace totals = %v (seen %b)", totals, seen)
 	}
 	if tr.Outcome() != (Outcome{}) {
 		t.Fatal("nil trace outcome should be zero")
@@ -43,12 +44,14 @@ func TestTraceRecordsSpansAndTotals(t *testing.T) {
 	if spans[2].Engine != "DS1" || spans[2].Stage != StageTranscribe {
 		t.Fatalf("engine span = %+v", spans[2])
 	}
-	totals := tr.StageTotals()
-	if _, ok := totals[StageDecode]; !ok {
-		t.Fatal("decode missing from totals")
+	var totals [len(loggedStages)]time.Duration
+	seen := tr.loggedStageTotals(&totals)
+	// decode, transcribe and classify are loggedStages 0, 1 and 4.
+	if seen != 1<<0|1<<1|1<<4 {
+		t.Fatalf("seen stages %05b, want decode, transcribe and classify", seen)
 	}
-	if len(totals) != 3 {
-		t.Fatalf("totals should exclude per-engine spans: %v", totals)
+	if totals[0] != spans[0].Dur || totals[1] != spans[1].Dur || totals[4] != spans[3].Dur {
+		t.Fatalf("totals %v should be the stage spans alone, without the per-engine span: %+v", totals, spans)
 	}
 }
 

@@ -103,9 +103,6 @@ func New(cfg Config) *Engine {
 	return &Engine{cfg: cfg}
 }
 
-// Objectives returns the configured objective declarations.
-func (e *Engine) Objectives() []Objective { return e.cfg.Objectives }
-
 // AlertBurn returns the configured alerting burn rate.
 func (e *Engine) AlertBurn() float64 { return e.cfg.AlertBurn }
 

@@ -23,8 +23,8 @@ import (
 	"time"
 )
 
-// The pipeline stages, in execution order. These are the values of the
-// stage label on the mvpears_stage_seconds metric family.
+// The pipeline stages, in execution order: the span names a traced
+// request records and its access-log line sums as <stage>_ms.
 const (
 	StageDecode     = "decode"     // WAV decode + resample to the engine rate
 	StageTranscribe = "transcribe" // the parallel per-engine transcription fan-out
@@ -33,15 +33,12 @@ const (
 	StageClassify   = "classify"   // classifier inference on the score vector
 
 	// StageClusterForward is the peer round trip of a request answered by
-	// its owning replica (remote cache hit or forwarded detection). It is
-	// not in Stages: it replaces the local pipeline rather than extending
-	// it. The owner's own stage spans come back on the wire
-	// and stitch in under this span (see Trace.RecordRemote).
+	// its owning replica (remote cache hit or forwarded detection). It
+	// replaces the local pipeline rather than extending it. The owner's own
+	// stage spans come back on the wire and stitch in under this span (see
+	// Trace.RecordRemote).
 	StageClusterForward = "cluster_forward"
 )
-
-// Stages lists every pipeline stage in execution order.
-var Stages = []string{StageDecode, StageTranscribe, StagePhonetic, StageSimilarity, StageClassify}
 
 // Span is one timed unit of pipeline work. Engine is empty for
 // whole-stage spans and names the ASR engine for per-engine transcription
@@ -229,34 +226,17 @@ func (t *Trace) Outcome() Outcome {
 	return t.outcome
 }
 
-// StageTotals sums span durations by stage. Per-engine transcription spans
-// are excluded: the aggregate transcribe span already covers their wall
-// time, and the engines run concurrently so their sum is not a wall-time.
-// Remote spans are excluded too — the local cluster_forward span already
-// covers their wall time; they are attribution detail, not budget.
-func (t *Trace) StageTotals() map[string]time.Duration {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]time.Duration, len(Stages))
-	for _, sp := range t.spans {
-		if sp.Engine != "" || sp.Peer != "" {
-			continue
-		}
-		out[sp.Stage] += sp.Dur
-	}
-	return out
-}
-
 // loggedStages are the stages an access-log line times, in the order it
-// lists them: Stages, then StageClusterForward.
+// lists them: the pipeline, then StageClusterForward.
 var loggedStages = [...]string{StageDecode, StageTranscribe, StagePhonetic, StageSimilarity, StageClassify, StageClusterForward}
 
-// loggedStageTotals is StageTotals restricted to loggedStages, summed into
-// out (indexed like loggedStages) instead of a fresh map. Bit i of seen is
-// set when loggedStages[i] has at least one span.
+// loggedStageTotals sums span durations by stage into out (indexed like
+// loggedStages); bit i of seen is set when loggedStages[i] has at least
+// one span. Per-engine transcription spans are left out: the aggregate
+// transcribe span already covers their wall time, and the engines run
+// concurrently, so their sum is not a wall time. Remote spans are left out
+// too: the local cluster_forward span covers their wall time. Spans of any
+// other stage are ignored.
 func (t *Trace) loggedStageTotals(out *[len(loggedStages)]time.Duration) (seen uint8) {
 	if t == nil {
 		return 0

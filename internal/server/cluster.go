@@ -111,9 +111,9 @@ type clusterHandler struct{ s *Server }
 // Detect answers a forwarded detection strictly locally: verify the key
 // against our model, then resolve it through the same chain a local upload
 // takes, minus the cluster tier (fwd == nil). tc is the requester's
-// propagated trace context: the local trace adopts its ID (so this
-// replica's logs join the originating request's trace) and, when
-// tc.Sampled, the recorded spans are returned for the requester to stitch.
+// propagated trace context: when tc.Sampled, the detection is traced under
+// the requester's trace ID and its spans are returned for the requester to
+// stitch.
 func (h clusterHandler) Detect(ctx context.Context, tc obs.TraceContext, key string, sampleRate int, pcm []byte) (*mvpears.Detection, bool, []obs.Span, error) {
 	s := h.s
 	s.m.counter(mClusterServed, "detect").Inc()
@@ -137,25 +137,17 @@ func (h clusterHandler) Detect(ctx context.Context, tc obs.TraceContext, key str
 		return nil, false, nil, err
 	}
 	defer release()
-	// A local trace under the requester's trace ID (fresh when untraced):
-	// the owner's engine spans feed its own stage metrics either way, and
-	// the ID join makes slow-log lines on both replicas greppable by one
-	// request ID.
-	id := tc.TraceID
-	if id == "" {
-		id = obs.NewRequestID()
+	var trace *obs.Trace // nil records nothing
+	if tc.Sampled {
+		trace = obs.NewTrace(tc.TraceID)
+		ctx = obs.WithTrace(ctx, trace)
 	}
-	trace := obs.NewTrace(id)
-	det, how, err := s.resolveMissed(obs.WithTrace(ctx, trace), key, nil, eng)
+	det, how, err := s.resolveMissed(ctx, key, nil, eng)
 	if err != nil {
 		return nil, false, nil, err
 	}
 	s.record(st, trace, "", "", det, how|forPeer, false)
-	var spans []obs.Span
-	if tc.Sampled {
-		spans = trace.Spans()
-	}
-	return det, how.cachedOnWire(), spans, nil
+	return det, how.cachedOnWire(), trace.Spans(), nil
 }
 
 // forwardPCM returns the upload a request carries into the cluster tier:
@@ -190,7 +182,6 @@ func (s *Server) clusterFetch(ctx context.Context, key string, fwd *audio.PCM16)
 	}
 	trace.Record(obs.StageClusterForward, "", start)
 	trace.RecordRemote(owner, start, spans)
-	s.m.histogram(mStageSeconds, obs.StageClusterForward).Observe(time.Since(start).Seconds())
 	if cached {
 		s.m.counter(mClusterForwards, "hit").Inc()
 		return det, howRemoteHit, true

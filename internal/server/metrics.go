@@ -19,25 +19,26 @@ import (
 // each Server owns one Registry.
 
 // Family is one metric family: a row of the families table. Build rows
-// with counter, gauge and histogram.
+// with counter, gauge and histogram. Question is the one-line operator
+// question the family answers; docs/METRICS.md prints it.
 type Family struct {
-	Name, Type, Help string
+	Name, Type, Help, Question string
 	// Labels names the family's labels, at most two.
 	Labels []string
 	// Buckets are a histogram's upper bounds, ascending; +Inf is implicit.
 	Buckets []float64
 }
 
-func counter(name, help string, labels ...string) Family {
-	return Family{Name: name, Type: "counter", Help: help, Labels: labels}
+func counter(name, help, question string, labels ...string) Family {
+	return Family{Name: name, Type: "counter", Help: help, Question: question, Labels: labels}
 }
 
-func gauge(name, help string, labels ...string) Family {
-	return Family{Name: name, Type: "gauge", Help: help, Labels: labels}
+func gauge(name, help, question string, labels ...string) Family {
+	return Family{Name: name, Type: "gauge", Help: help, Question: question, Labels: labels}
 }
 
-func histogram(name, help string, buckets []float64, labels ...string) Family {
-	return Family{Name: name, Type: "histogram", Help: help, Labels: labels, Buckets: buckets}
+func histogram(name, help, question string, buckets []float64, labels ...string) Family {
+	return Family{Name: name, Type: "histogram", Help: help, Question: question, Labels: labels, Buckets: buckets}
 }
 
 // metricID indexes a family in the table a Registry was built from.
@@ -48,8 +49,6 @@ const (
 	mRequests metricID = iota
 	mRequestSeconds
 	mDetectStageSeconds
-	mStageSeconds
-	mEngineSeconds
 	mEngineSimilarity
 	mMinSimilarity
 	mDetections
@@ -59,7 +58,6 @@ const (
 	mInFlight
 	mQueueDepth
 	mPanics
-	mWorkerPoolSize
 	mCacheHits
 	mCacheMisses
 	mCacheEvictions
@@ -83,7 +81,6 @@ const (
 	mProbeSuspicion
 	mAuditDropped
 	mSLOBurnRate
-	mSLOObjective
 	mSLOAlerting
 	mBuildInfo
 	mModelInfo
@@ -94,89 +91,119 @@ const (
 // does not depend on flags or backend.
 var families = [...]Family{
 	mRequests: counter("mvpears_requests_total",
-		"Finished HTTP requests.", "route", "code"),
+		"Finished HTTP requests.",
+		"How much traffic does each route take, and how much of it fails?", "route", "code"),
 	mRequestSeconds: histogram("mvpears_request_duration_seconds",
-		"End-to-end request latency.", DefaultLatencyBuckets, "route"),
+		"End-to-end request latency.",
+		"How long do clients wait on each route?", DefaultLatencyBuckets, "route"),
 	mDetectStageSeconds: histogram("mvpears_detect_stage_seconds",
-		"Per-stage detection cost (recognition/similarity/classify).", DefaultLatencyBuckets, "stage"),
-	mStageSeconds: histogram("mvpears_stage_seconds",
-		"Traced pipeline span wall time by stage (decode/transcribe/phonetic/similarity/classify).", DefaultLatencyBuckets, "stage"),
-	mEngineSeconds: histogram("mvpears_engine_seconds",
-		"Per-engine transcription wall time.", DefaultLatencyBuckets, "engine"),
+		"Cost of each detection this replica runs, by stage (recognition/similarity/classify). Decode, queueing and encoding are not in it; cluster round trips are mvpears_cluster_rtt_seconds{peer}.",
+		"Where does a detection's time go: recognition, similarity or classify?", DefaultLatencyBuckets, "stage"),
 	mEngineSimilarity: histogram("mvpears_engine_similarity",
-		"Target-vs-auxiliary similarity score distribution per auxiliary engine.", SimilarityBuckets, "engine"),
+		"Target-vs-auxiliary similarity score distribution per auxiliary engine.",
+		"Is one auxiliary engine drifting away from the target on live traffic?", SimilarityBuckets, "engine"),
 	mMinSimilarity: histogram("mvpears_engine_min_similarity",
-		"Per-detection minimum auxiliary similarity score (transferable-AE early warning).", SimilarityBuckets),
+		"Per-detection minimum auxiliary similarity score (transferable-AE early warning).",
+		"Is live traffic moving toward the low scores a transferable AE produces?", SimilarityBuckets),
 	mDetections: counter("mvpears_detections_total",
-		"Verdicts served.", "verdict"),
+		"Verdicts served.",
+		"How many verdicts are served, and what share is adversarial?", "verdict"),
 	mCascadeEnginesRun: histogram("mvpears_cascade_engines_run",
-		"Auxiliary engines run per cascaded detection.", EngineCountBuckets),
+		"Auxiliary engines run per cascaded detection.",
+		"How many auxiliary engines does the cascade run per detection?", EngineCountBuckets),
 	mCascadeShortCircuits: counter("mvpears_cascade_short_circuits_total",
-		"Detections answered from a partial similarity vector (auxiliaries skipped)."),
+		"Detections answered from a partial similarity vector (auxiliaries skipped).",
+		"How often does the cascade answer without every auxiliary?"),
 	mCascadeSampledFull: counter("mvpears_cascade_sampled_full_total",
-		"Deterministic 1-in-N full-ensemble monitoring runs under the cascade."),
+		"Deterministic 1-in-N full-ensemble monitoring runs under the cascade.",
+		"Is the cascade's full-ensemble monitoring sample still running?"),
 	mInFlight: gauge("mvpears_in_flight_requests",
-		"Requests currently being handled."),
+		"Requests currently being handled.",
+		"How many requests is the replica handling right now?"),
 	mQueueDepth: gauge("mvpears_queue_depth",
-		"Detections waiting in the admission queue."),
+		"Detections waiting in the admission queue.",
+		"Are detections waiting for a worker?"),
 	mPanics: counter("mvpears_handler_panics_total",
-		"Handler panics recovered into 500s."),
-	mWorkerPoolSize: gauge("mvpears_worker_pool_size",
-		"Configured detection workers."),
+		"Handler panics recovered into 500s.",
+		"Is a handler crashing?"),
 	mCacheHits: counter("mvpears_cache_hits_total",
-		"Verdicts served from the cross-request cache."),
+		"Verdicts served from the cross-request cache.",
+		"How many requests does the verdict cache spare a detection?"),
 	mCacheMisses: counter("mvpears_cache_misses_total",
-		"Verdict-cache lookups that ran a detection."),
+		"Verdict-cache lookups that ran a detection.",
+		"What share of lookups miss the verdict cache?"),
 	mCacheEvictions: counter("mvpears_cache_evictions_total",
-		"Verdicts evicted by entry or byte pressure."),
+		"Verdicts evicted by entry or byte pressure.",
+		"Is the verdict cache too small for the working set?"),
 	mCacheResidentBytes: gauge("mvpears_cache_resident_bytes",
-		"Heap bytes held by cached verdicts, as charged to the byte bound: keys, records, scores, transcriptions, explanations, cache bookkeeping."),
+		"Heap bytes held by cached verdicts, as charged to the byte bound: keys, records, scores, transcriptions, explanations, cache bookkeeping.",
+		"How close is the verdict cache to its byte bound?"),
 	mCacheEntries: gauge("mvpears_cache_entries",
-		"Verdicts currently cached."),
+		"Verdicts currently cached.",
+		"How close is the verdict cache to its entry bound?"),
 	mCollapsed: counter("mvpears_singleflight_collapsed_total",
-		"Requests that shared another request's in-flight detection."),
+		"Requests that shared another request's in-flight detection.",
+		"How many concurrent duplicate uploads share one detection?"),
 	mStreamSessions: counter("mvpears_stream_sessions_total",
-		"Streaming sessions opened."),
+		"Streaming sessions opened.",
+		"How many streaming sessions do clients open?"),
 	mStreamEvicted: counter("mvpears_stream_evicted_total",
-		"Streaming sessions evicted after the idle timeout."),
+		"Streaming sessions evicted after the idle timeout.",
+		"Are streaming clients abandoning sessions mid-stream?"),
 	mStreamWindows: counter("mvpears_stream_windows_total",
-		"Provisional sliding-window verdicts emitted.", "verdict"),
+		"Provisional sliding-window verdicts emitted.",
+		"How many provisional window verdicts do streams emit, and how many flag?", "verdict"),
 	mStreamEarlyExits: counter("mvpears_stream_early_exits_total",
-		"Streaming sessions flagged adversarial before end-of-stream."),
+		"Streaming sessions flagged adversarial before end-of-stream.",
+		"How often does a stream flag an attack before it ends?"),
 	mStreamWindowSeconds: histogram("mvpears_stream_window_seconds",
-		"Per-window evaluation wall time: gate, the feedforward engines' first forward of each ungated frame the window covers (not paid when the audio arrived), decode, scoring.", DefaultLatencyBuckets),
+		"Per-window evaluation wall time: gate, the feedforward engines' first forward of each ungated frame the window covers (not paid when the audio arrived), decode, scoring.",
+		"Does window evaluation keep up with the hop?", DefaultLatencyBuckets),
 	mStreamSessionsOpen: gauge("mvpears_stream_sessions_open",
-		"Streaming sessions currently open."),
+		"Streaming sessions currently open.",
+		"How close are open sessions to the session cap?"),
 	mClusterForwards: counter("mvpears_cluster_forwards_total",
-		"Detect requests forwarded to their owning peer, by outcome.", "outcome"),
+		"Detect requests forwarded to their owning peer, by outcome.",
+		"How often does a miss go to its owning peer, and how often does that fail?", "outcome"),
 	mClusterServed: counter("mvpears_cluster_served_total",
-		"Peer-protocol requests served for other replicas, by operation.", "op"),
+		"Peer-protocol requests served for other replicas, by operation.",
+		"How much work does this replica do for its peers?", "op"),
 	mClusterPeersHealthy: gauge("mvpears_cluster_peers_healthy",
-		"Configured peers currently outside the failure backoff."),
+		"Configured peers currently outside the failure backoff.",
+		"Can this replica reach its peers?"),
 	mReloads: counter("mvpears_model_reloads_total",
-		"Completed hot model reloads."),
+		"Completed hot model reloads.",
+		"Did a hot model reload take effect?"),
 	mReloadFailures: counter("mvpears_model_reload_failures_total",
-		"Hot model reloads that failed (old model kept serving)."),
+		"Hot model reloads that failed (old model kept serving).",
+		"Did a hot model reload fail and leave the old model serving?"),
 	mClusterRTTSeconds: histogram("mvpears_cluster_rtt_seconds",
-		"Peer RPC round-trip time as the requester sees it.", DefaultLatencyBuckets, "peer"),
+		"Peer RPC round-trip time as the requester sees it.",
+		"Is one peer slow to answer?", DefaultLatencyBuckets, "peer"),
 	mRejected: counter("mvpears_rejected_total",
-		"Deliberate load-shed rejections across all subsystems, by reason.", "reason"),
+		"Deliberate load-shed rejections across all subsystems, by reason.",
+		"Is the replica shedding load, and which bound sheds it?", "reason"),
 	mDriftScore: gauge("mvpears_drift_score",
-		"Divergence of each live detection-quality family from its calibration reference (total-variation distance for distributions, absolute difference for rates).", "family"),
+		"Divergence of each live detection-quality family from its calibration reference (total-variation distance for distributions, absolute difference for rates).",
+		"Has live detection quality drifted from calibration?", "family"),
 	mProbeSuspicion: gauge("mvpears_probe_suspicion",
-		"Fraction of recent detect uploads that were near-duplicates of earlier uploads (mutate-one-sample probing signal)."),
+		"Fraction of recent detect uploads that were near-duplicates of earlier uploads (mutate-one-sample probing signal).",
+		"Is someone probing the detector with near-duplicate uploads?"),
 	mAuditDropped: counter("mvpears_audit_dropped_total",
-		"Audit entries dropped by the sink's retention or write-failure policy."),
+		"Audit entries dropped by the sink's retention or write-failure policy.",
+		"Is the audit trail losing adversarial verdicts?"),
 	mSLOBurnRate: gauge("mvpears_slo_burn_rate",
-		"Error-budget burn rate per objective and window (1 = spending exactly the budget).", "slo", "window"),
-	mSLOObjective: gauge("mvpears_slo_objective",
-		"Configured good-event target per objective.", "slo"),
+		"Error-budget burn rate per objective and window (1 = spending exactly the budget).",
+		"How fast is each objective spending its error budget?", "slo", "window"),
 	mSLOAlerting: gauge("mvpears_slo_alerting",
-		"1 when both the fast and slow burn windows exceed the alerting burn rate.", "slo"),
+		"1 when both the fast and slow burn windows exceed the alerting burn rate.",
+		"Should this objective page now?", "slo"),
 	mBuildInfo: gauge("mvpears_build_info",
-		"Build identity of the running daemon (constant 1).", "version", "go_version"),
+		"Build identity of the running daemon (constant 1).",
+		"Which build is each replica running?", "version", "go_version"),
 	mModelInfo: gauge("mvpears_model_info",
-		"Identity of the model currently serving (constant 1; empty fingerprint when caching is off).", "fingerprint"),
+		"Identity of the model currently serving (constant 1; empty fingerprint when caching is off).",
+		"Which model is each replica serving, and does the fleet agree?", "fingerprint"),
 }
 
 // Families returns the metric table in exposition order (the source of

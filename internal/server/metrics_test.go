@@ -28,9 +28,9 @@ func mustContain(t *testing.T, out string, lines ...string) {
 
 func TestCounterAndGaugeRendering(t *testing.T) {
 	r := newRegistry([]Family{
-		counter("jobs_total", "Jobs."),
-		gauge("depth", "Depth."),
-		counter("sampled_total", "Sampled."),
+		counter("jobs_total", "Jobs.", ""),
+		gauge("depth", "Depth.", ""),
+		counter("sampled_total", "Sampled.", ""),
 	}, map[metricID]sampler{
 		1: func(emit emitFunc) { emit(7) },
 		2: func(emit emitFunc) { emit(1e6) },
@@ -49,7 +49,7 @@ func TestCounterAndGaugeRendering(t *testing.T) {
 }
 
 func TestCounterVecRendering(t *testing.T) {
-	r := newRegistry([]Family{counter("requests_total", "Requests.", "route", "code")}, nil)
+	r := newRegistry([]Family{counter("requests_total", "Requests.", "", "route", "code")}, nil)
 	r.counter(0, "detect", "200").Add(3)
 	r.counter(0, "detect", "429").Inc()
 	r.counter(0, "metrics", "200").Inc()
@@ -68,7 +68,7 @@ func TestCounterVecRendering(t *testing.T) {
 }
 
 func TestHistogramRendering(t *testing.T) {
-	r := newRegistry([]Family{histogram("latency_seconds", "Latency.", []float64{0.1, 1})}, nil)
+	r := newRegistry([]Family{histogram("latency_seconds", "Latency.", "", []float64{0.1, 1})}, nil)
 	h := r.histogram(0)
 	h.Observe(0.05)
 	h.Observe(0.1) // on the bound: counted in le="0.1"
@@ -88,7 +88,7 @@ func TestHistogramRendering(t *testing.T) {
 }
 
 func TestHistogramVecRendering(t *testing.T) {
-	r := newRegistry([]Family{histogram("stage_seconds", "Stages.", []float64{0.5}, "stage")}, nil)
+	r := newRegistry([]Family{histogram("stage_seconds", "Stages.", "", []float64{0.5}, "stage")}, nil)
 	r.histogram(0, "recognition").Observe(0.2)
 	r.histogram(0, "classify").Observe(0.9)
 	mustContain(t, render(t, r),
@@ -102,8 +102,8 @@ func TestHistogramVecRendering(t *testing.T) {
 
 func TestGaugeFuncAndLabelEscaping(t *testing.T) {
 	r := newRegistry([]Family{
-		gauge("queue_depth", "Queue."),
-		counter("odd_total", "Odd.", "name"),
+		gauge("queue_depth", "Queue.", ""),
+		counter("odd_total", "Odd.", "", "name"),
 	}, map[metricID]sampler{0: func(emit emitFunc) { emit(3) }})
 	r.counter(1, `a"b\c`).Inc()
 	mustContain(t, render(t, r),

@@ -74,7 +74,6 @@ func TestFleetIdentityAndSLOMetricsExposed(t *testing.T) {
 				`mvpears_slo_burn_rate{slo="`+slo+`",window="`+window+`"}`)
 		}
 		mustContain(t, metrics,
-			`mvpears_slo_objective{slo="`+slo+`"}`,
 			`mvpears_slo_alerting{slo="`+slo+`"} 0`)
 	}
 	// One healthy detect against the defaults: no burn on availability.

@@ -27,8 +27,8 @@ import (
 // zero (they land in every bucket but cannot drag the sum below zero).
 func TestHistogramObserveGuards(t *testing.T) {
 	r := newRegistry([]Family{
-		histogram("latency_seconds", "Latency.", []float64{1}),
-		histogram("stage_seconds", "Stages.", []float64{1}, "stage"),
+		histogram("latency_seconds", "Latency.", "", []float64{1}),
+		histogram("stage_seconds", "Stages.", "", []float64{1}, "stage"),
 	}, nil)
 	h := r.histogram(0)
 	h.Observe(math.NaN())
@@ -53,8 +53,8 @@ func TestHistogramObserveGuards(t *testing.T) {
 // child maps' locking.
 func TestVecConcurrentCreateAndRender(t *testing.T) {
 	r := newRegistry([]Family{
-		counter("requests_total", "Requests.", "route", "code"),
-		histogram("stage_seconds", "Stages.", []float64{0.1, 1}, "stage"),
+		counter("requests_total", "Requests.", "", "route", "code"),
+		histogram("stage_seconds", "Stages.", "", []float64{0.1, 1}, "stage"),
 	}, nil)
 	stages := []string{"decode", "transcribe", "phonetic", "similarity", "classify"}
 	var wg sync.WaitGroup
@@ -398,12 +398,13 @@ func TestAdminHandler(t *testing.T) {
 // on a real trained system: a traced ?explain=1 request returns the exact
 // per-engine evidence the detector computed (bit-for-bit score equality),
 // a repeat of the same upload is answered from the verdict cache with an
-// identical after-the-fact explanation, and /metrics afterwards exposes
-// the mvpears_stage_seconds family for all five pipeline stages plus
-// mvpears_engine_seconds for every engine.
+// identical after-the-fact explanation, and the two requests' slow-log
+// lines carry one span per pipeline stage and one transcribe:<engine> span
+// per engine, all from the fresh detection.
 func TestE2EExplainAndStageMetrics(t *testing.T) {
 	sys := e2eSystem(t)
-	s, err := New(Config{Backend: sys, Workers: 2})
+	buf := &syncBuffer{}
+	s, err := New(Config{Backend: sys, Workers: 2, AccessLog: buf, SlowRequestThreshold: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,11 +501,25 @@ func TestE2EExplainAndStageMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	metrics := string(raw)
-	for _, stage := range obs.Stages {
-		mustContain(t, metrics, `mvpears_stage_seconds_count{stage="`+stage+`"} 1`)
+	var lines []detectLogLine
+	waitFor(t, func() bool {
+		lines = detectLogLines(t, buf)
+		return len(lines) >= 2
+	})
+	spans := map[string]int{}
+	for _, l := range lines {
+		for _, name := range l.spans {
+			spans[name]++
+		}
 	}
+	wantSpans := []string{obs.StageDecode, obs.StageTranscribe, obs.StagePhonetic, obs.StageSimilarity, obs.StageClassify}
 	for _, engine := range append([]string{"DS0"}, sys.AuxiliaryNames()...) {
-		mustContain(t, metrics, `mvpears_engine_seconds_count{engine="`+engine+`"} 1`)
+		wantSpans = append(wantSpans, obs.StageTranscribe+":"+engine)
+	}
+	for _, name := range wantSpans {
+		if spans[name] != 1 {
+			t.Errorf("span %q logged %d times over %d requests, want once (spans %v)", name, spans[name], len(lines), spans)
+		}
 	}
 	mustContain(t, metrics,
 		"mvpears_engine_min_similarity_count 1",

@@ -41,7 +41,7 @@ const (
 )
 
 // ranHere reports whether this replica ran a detection for this request
-// (the only case that observes stage timings and engine spans).
+// (the only case that observes stage timings).
 func (h detectHow) ranHere() bool { return h&^forPeer == howFresh }
 
 // cachedOnWire is the response's Cached flag: the verdict was served
@@ -191,13 +191,12 @@ func (s *Server) record(st *backendState, trace *obs.Trace, route, file string, 
 // report turns (det, how) into every signal and reports whether this
 // replica serves the verdict. The count, the SLO and the audit line belong
 // to the replica that serves the verdict (all but forPeer); stage timings,
-// cascade behaviour, similarity distributions and spans to the request and
-// replica that ran the detection (ranHere) — re-observing them for cached,
-// shared or remote verdicts would weight the distributions by request
-// popularity instead of by content. It is also the only writer of the
-// trace's Outcome. A batch calls it once per part on one trace, which
-// then keeps the worst verdict, observes its spans once, and reports
-// cached only if no part was fresh.
+// cascade behaviour and similarity distributions to the replica that ran
+// the detection (ranHere) — re-observing them for cached, shared or remote
+// verdicts would weight the distributions by request popularity instead of
+// by content. It is also the only writer of the trace's Outcome. A batch
+// calls it once per part on one trace, which then keeps the worst verdict
+// and reports cached only if no part was fresh.
 func (s *Server) report(st *backendState, trace *obs.Trace, route, file string, det *mvpears.Detection, how detectHow) bool {
 	served := how&forPeer == 0
 	adversarial := det.Adversarial
@@ -205,11 +204,9 @@ func (s *Server) report(st *backendState, trace *obs.Trace, route, file string, 
 	if served {
 		wire = s.countVerdict(adversarial)
 	}
-	firstFresh := false
 	trace.Note(func(o *obs.Outcome) {
 		if how.ranHere() {
 			casc := det.Cascade
-			firstFresh = !o.Fresh
 			o.Fresh, o.Cached = true, false
 			o.ShortCircuit = o.ShortCircuit || casc != nil && casc.ShortCircuit
 		}
@@ -229,9 +226,6 @@ func (s *Server) report(st *backendState, trace *obs.Trace, route, file string, 
 	})
 	if how.ranHere() {
 		s.observeDetection(st, det)
-		if firstFresh {
-			s.observeTrace(trace)
-		}
 	}
 	if !served {
 		return false
@@ -295,18 +289,6 @@ func (s *Server) observeDetection(st *backendState, det *mvpears.Detection) {
 	if observed > 0 {
 		s.m.histogram(mMinSimilarity).Observe(min)
 		s.driftMon.ObserveScore("min_score", min)
-	}
-}
-
-// observeTrace feeds the request's pipeline spans into the stage and
-// engine histogram families.
-func (s *Server) observeTrace(t *obs.Trace) {
-	for _, sp := range t.Spans() {
-		if sp.Engine != "" {
-			s.m.histogram(mEngineSeconds, sp.Engine).Observe(sp.Dur.Seconds())
-			continue
-		}
-		s.m.histogram(mStageSeconds, sp.Stage).Observe(sp.Dur.Seconds())
 	}
 }
 

@@ -392,7 +392,6 @@ func New(cfg Config) (*Server, error) {
 	s.m = newRegistry(families[:], map[metricID]sampler{
 		mInFlight:           func(emit emitFunc) { emit(float64(s.inFlight.Load())) },
 		mQueueDepth:         func(emit emitFunc) { emit(float64(s.pool.QueueLen())) },
-		mWorkerPoolSize:     func(emit emitFunc) { emit(float64(cfg.Workers)) },
 		mCacheHits:          func(emit emitFunc) { emit(float64(s.cacheStats().Hits)) },
 		mCacheMisses:        func(emit emitFunc) { emit(float64(s.cacheStats().Misses)) },
 		mCacheEvictions:     func(emit emitFunc) { emit(float64(s.cacheStats().Evictions)) },
@@ -430,11 +429,6 @@ func New(cfg Config) (*Server, error) {
 			for _, o := range s.sloEng.Status(time.Now()) {
 				emit(o.FastBurn, o.Name, "fast")
 				emit(o.SlowBurn, o.Name, "slow")
-			}
-		},
-		mSLOObjective: func(emit emitFunc) {
-			for _, o := range s.sloEng.Objectives() {
-				emit(o.Target, o.Name)
 			}
 		},
 		mSLOAlerting: func(emit emitFunc) {

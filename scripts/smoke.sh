@@ -2,7 +2,8 @@
 # Smoke test: boot a real mvpearsd (bootstrapping a quick-scale model),
 # probe the public and admin listeners, run one traced detection, and
 # assert the observability surface is live — /healthz, /metrics,
-# /debug/pprof/, and all five mvpears_stage_seconds pipeline stages.
+# /debug/pprof/, the traced request's five pipeline stages in its
+# access-log line, and the three mvpears_detect_stage_seconds stages.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -106,13 +107,16 @@ echo "$STREAM" | grep -q '"event":"window"' || fail "stream produced no provisio
 echo "$STREAM" | grep -q '"event":"final"' || fail "stream produced no final event: $STREAM"
 echo "$STREAM" | grep -q '"detection"' || fail "final stream event carries no detection: $STREAM"
 
-echo "== stage metrics =="
-METRICS=$(curl -fsS "http://$ADMIN_ADDR/metrics")
+echo "== stage timings =="
+LOGLINE=$(grep '"request_id":"smoke-1"' "$WORKDIR/daemon.log") || fail "no access-log line for smoke-1"
 for stage in decode transcribe phonetic similarity classify; do
-    echo "$METRICS" | grep -q "mvpears_stage_seconds_count{stage=\"$stage\"}" \
-        || fail "metrics missing stage \"$stage\""
+    echo "$LOGLINE" | grep -q "\"${stage}_ms\":" || fail "smoke-1 access-log line missing stage \"$stage\": $LOGLINE"
 done
-echo "$METRICS" | grep -q 'mvpears_engine_seconds_count{engine="DS0"}' || fail "metrics missing engine seconds"
+METRICS=$(curl -fsS "http://$ADMIN_ADDR/metrics")
+for stage in recognition similarity classify; do
+    echo "$METRICS" | grep -q "mvpears_detect_stage_seconds_count{stage=\"$stage\"}" \
+        || fail "metrics missing detect stage \"$stage\""
+done
 echo "$METRICS" | grep -q 'mvpears_stream_sessions_total 1' || fail "metrics missing streaming session count"
 echo "$METRICS" | grep -q 'mvpears_stream_windows_total' || fail "metrics missing streaming window counts"
 
