@@ -11,10 +11,11 @@ import (
 // payload then runs to EOF.
 const unknownDataSize = 0xFFFFFFFF
 
-// WAVStreamReader incrementally decodes a 16-bit mono PCM WAV stream:
-// the header is parsed up front, then samples are surfaced chunk by
-// chunk as the body arrives — the decoder for live uploads, where
-// waiting for the full payload would defeat streaming detection.
+// WAVStreamReader reads a 16-bit mono PCM WAV stream incrementally: the
+// header is parsed up front, then Read surfaces the data chunk's raw PCM
+// bytes as the body arrives — the reader for live uploads, where waiting
+// for the full payload would defeat streaming detection. Decoding the
+// bytes to samples is the caller's (PCM16Decoder).
 //
 // A declared data size of 0 or 0xFFFFFFFF means "unknown until EOF"
 // (live encoders cannot know the length when they emit the header); the
@@ -28,9 +29,7 @@ type WAVStreamReader struct {
 	unknown    bool
 	maxBytes   int64
 	read       int64 // payload bytes consumed so far
-	pcm        PCM16Decoder
 	done       bool
-	buf        []byte
 }
 
 // NewWAVStreamReader reads and validates the WAV header (through the
@@ -65,66 +64,47 @@ func (w *WAVStreamReader) DeclaredSamples() (int, bool) {
 	return int(w.declared / 2), !w.unknown
 }
 
-// ReadSamples decodes up to len(out) samples into out, returning how
-// many were produced. It returns (0, io.EOF) once the payload is fully
-// consumed — after verifying any trailer when the data size was
-// declared. A short read mid-payload surfaces ErrTruncated with the
-// transport cause wrapped (matchable with errors.As).
-func (w *WAVStreamReader) ReadSamples(out []float64) (int, error) {
+// Read reads up to len(p) bytes of the data chunk's payload into p. It
+// returns io.EOF once the payload is fully consumed — after verifying
+// any trailer when the data size was declared. A short read mid-payload
+// surfaces ErrTruncated with the transport cause wrapped (matchable with
+// errors.As).
+func (w *WAVStreamReader) Read(p []byte) (int, error) {
 	if w.done {
 		return 0, io.EOF
 	}
-	if len(out) == 0 {
+	if len(p) == 0 {
 		return 0, nil
 	}
-	want := int64(len(out)) * 2
-	if w.pcm.hasCarry {
-		want--
-	}
 	if !w.unknown {
-		if remaining := int64(w.declared) - w.read; want > remaining {
-			want = remaining
-		}
-		if want <= 0 {
+		remaining := int64(w.declared) - w.read
+		if remaining <= 0 {
 			return 0, w.finish()
 		}
+		p = p[:min(int64(len(p)), remaining)]
 	}
-	if cap(w.buf) < int(want) {
-		grow := int64(64 << 10)
-		if grow < want {
-			grow = want
-		}
-		w.buf = make([]byte, grow)
-	}
-	n, err := w.r.Read(w.buf[:want])
+	n, err := w.r.Read(p)
 	w.read += int64(n)
 	if w.unknown && w.maxBytes > 0 && w.read > w.maxBytes {
 		return 0, fmt.Errorf("audio: %w: streamed data exceeds %d bytes", ErrTooLarge, w.maxBytes)
 	}
-	// want leaves room for exactly len(out) samples, so the append never
-	// outgrows out.
-	produced := len(w.pcm.Append(out[:0], w.buf[:n]))
 	if err == io.EOF {
 		// A reader may surface EOF together with the final data (io.Pipe
 		// successors, HTTP bodies): a payload that completed exactly is
 		// whole, with no trailer to verify.
 		if w.unknown || w.read >= int64(w.declared) {
-			// A dangling odd byte is tolerated like Decode's.
 			w.done = true
-			if produced > 0 {
-				return produced, nil
+			if n > 0 {
+				return n, nil
 			}
 			return 0, io.EOF
 		}
-		return produced, fmt.Errorf("audio: %w: data chunk has %d of %d declared bytes", ErrTruncated, w.read, w.declared)
+		return n, fmt.Errorf("audio: %w: data chunk has %d of %d declared bytes", ErrTruncated, w.read, w.declared)
 	}
 	if err != nil {
-		return produced, fmt.Errorf("audio: %w: reading data chunk: %w", ErrTruncated, err)
+		return n, fmt.Errorf("audio: %w: reading data chunk: %w", ErrTruncated, err)
 	}
-	if !w.unknown && w.read >= int64(w.declared) && produced == 0 {
-		return 0, w.finish()
-	}
-	return produced, nil
+	return n, nil
 }
 
 // finish verifies the trailer once the declared payload is consumed and
@@ -138,9 +118,9 @@ func (w *WAVStreamReader) finish() error {
 }
 
 // PCM16Decoder converts little-endian 16-bit PCM that arrives split at
-// arbitrary byte offsets (WAV stream reads, WebSocket frames) into float64
-// samples with Decode's mapping: an odd byte straddling one chunk boundary
-// is carried into the next chunk. The zero value is ready to use.
+// arbitrary byte offsets (WAVStreamReader reads, WebSocket frames) into
+// float64 samples with Decode's mapping: an odd byte straddling one chunk
+// boundary is carried into the next chunk. The zero value is ready to use.
 type PCM16Decoder struct {
 	carry    byte
 	hasCarry bool

@@ -7,12 +7,13 @@ import (
 	"testing"
 )
 
-// FuzzWAVStreamReader hardens the incremental decoder and pins it to the
-// batch decoder: no panic on arbitrary bytes, accepted samples stay in
-// range and under the byte limit, and whenever both decoders accept the
-// same input they must produce bit-identical samples. The one sanctioned
-// divergence is a declared data size of zero: batch takes it literally
-// (zero samples), streaming treats it as "unknown, read to EOF".
+// FuzzWAVStreamReader hardens the incremental reader and pins it to the
+// batch decoder: no panic on arbitrary bytes, accepted payloads stay
+// under the byte limit and decode to in-range samples, and whenever both
+// accept the same input they must yield the same payload bytes and
+// bit-identical samples. The one sanctioned divergence is a declared data
+// size of zero: batch takes it literally (an empty payload), streaming
+// treats it as "unknown, read to EOF".
 func FuzzWAVStreamReader(f *testing.F) {
 	valid := func() []byte {
 		c := NewClip(8000, 48)
@@ -48,17 +49,22 @@ func FuzzWAVStreamReader(f *testing.F) {
 		if err != nil {
 			return // rejecting malformed input is fine
 		}
-		var streamed []float64
-		buf := make([]float64, 257) // odd length straddles sample boundaries
+		var (
+			raw      []byte
+			pcm      PCM16Decoder
+			streamed []float64
+		)
+		buf := make([]byte, 257) // odd length straddles sample boundaries
 		streamOK := false
 		for {
-			n, err := sr.ReadSamples(buf)
+			n, err := sr.Read(buf)
 			if n < 0 || n > len(buf) {
-				t.Fatalf("ReadSamples produced %d samples into a %d-sample buffer", n, len(buf))
+				t.Fatalf("Read returned %d bytes into a %d-byte buffer", n, len(buf))
 			}
-			streamed = append(streamed, buf[:n]...)
-			if len(streamed) > limit {
-				t.Fatalf("streamed %d samples from a %d-byte limit", len(streamed), limit)
+			raw = append(raw, buf[:n]...)
+			streamed = pcm.Append(streamed, buf[:n])
+			if len(raw) > limit {
+				t.Fatalf("streamed %d bytes past a %d-byte limit", len(raw), limit)
 			}
 			if err == io.EOF {
 				streamOK = true
@@ -74,18 +80,25 @@ func FuzzWAVStreamReader(f *testing.F) {
 			}
 		}
 
-		clip, batchErr := ReadWAV(bytes.NewReader(data))
+		batch, batchErr := ReadWAVPCM(bytes.NewReader(data), limit, nil)
 		if !streamOK || batchErr != nil {
 			return
 		}
-		// Both decoders accepted: the streaming-equals-batch contract.
-		if clip.SampleRate != sr.SampleRate() {
-			t.Fatalf("sample rate: stream %d, batch %d", sr.SampleRate(), clip.SampleRate)
+		// Both accepted: the streaming-equals-batch contract.
+		if batch.SampleRate != sr.SampleRate() {
+			t.Fatalf("sample rate: stream %d, batch %d", sr.SampleRate(), batch.SampleRate)
 		}
-		if len(clip.Samples) != len(streamed) {
-			if len(clip.Samples) == 0 {
+		if len(batch.Data) != len(raw) {
+			if len(batch.Data) == 0 {
 				return // declared size 0: batch literal, stream reads to EOF
 			}
+			t.Fatalf("payload: stream %d bytes, batch %d", len(raw), len(batch.Data))
+		}
+		if !bytes.Equal(raw, batch.Data) {
+			t.Fatal("payload bytes differ between stream and batch")
+		}
+		clip := batch.Decode()
+		if len(clip.Samples) != len(streamed) {
 			t.Fatalf("sample count: stream %d, batch %d", len(streamed), len(clip.Samples))
 		}
 		for i := range streamed {

@@ -10,19 +10,28 @@ import (
 	"testing/iotest"
 )
 
-// readAllStream drains a WAVStreamReader with the given per-call output
-// buffer size.
+// readAllStream drains a WAVStreamReader with the given per-call read
+// buffer size in bytes and decodes what it read.
 func readAllStream(t *testing.T, data []byte, bufSize int, maxBytes int64) ([]float64, error) {
 	t.Helper()
 	w, err := NewWAVStreamReader(bytes.NewReader(data), maxBytes)
 	if err != nil {
 		return nil, err
 	}
-	var all []float64
-	out := make([]float64, bufSize)
+	return drainStream(w, bufSize)
+}
+
+// drainStream reads w to its end through a bufSize-byte buffer, decoding
+// the bytes as the server's stream paths do.
+func drainStream(w *WAVStreamReader, bufSize int) ([]float64, error) {
+	var (
+		pcm PCM16Decoder
+		all []float64
+	)
+	buf := make([]byte, bufSize)
 	for {
-		n, err := w.ReadSamples(out)
-		all = append(all, out[:n]...)
+		n, err := w.Read(buf)
+		all = pcm.Append(all, buf[:n])
 		if err == io.EOF {
 			return all, nil
 		}
@@ -32,8 +41,9 @@ func readAllStream(t *testing.T, data []byte, bufSize int, maxBytes int64) ([]fl
 	}
 }
 
-// TestWAVStreamReaderParity checks the incremental decoder produces the
-// exact samples of the batch decoder for every chunking of the output.
+// TestWAVStreamReaderParity checks the incremental reader yields the exact
+// samples of the batch decoder for every read size, odd ones splitting
+// samples.
 func TestWAVStreamReaderParity(t *testing.T) {
 	valid := validWAV(t, 8000, 347)
 	want, err := ReadWAV(bytes.NewReader(valid))
@@ -62,20 +72,21 @@ func TestWAVStreamReaderParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var all []float64
-	out := make([]float64, 100)
-	for {
-		n, err := w.ReadSamples(out)
-		all = append(all, out[:n]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("data+EOF reader: %v", err)
-		}
+	all, err := drainStream(w, 200)
+	if err != nil {
+		t.Fatalf("data+EOF reader: %v", err)
 	}
 	if len(all) != len(want.Samples) {
 		t.Fatalf("data+EOF reader: %d samples, want %d", len(all), len(want.Samples))
+	}
+
+	// The reader keeps io.Reader's contract over the payload bytes.
+	w, err = NewWAVStreamReader(bytes.NewReader(valid), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := iotest.TestReader(w, valid[44:]); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -105,7 +116,7 @@ func TestWAVStreamReaderUnknownSize(t *testing.T) {
 }
 
 // TestWAVCorruptStreams is the corrupted-chunked-upload table: for both
-// the batch and the incremental decoder, a data chunk length that
+// the batch decoder and the incremental reader, a data chunk length that
 // disagrees with the bytes actually received must surface the right
 // typed error — never a short-read verdict computed on partial audio.
 func TestWAVCorruptStreams(t *testing.T) {
@@ -185,14 +196,7 @@ func TestWAVTransportErrorPreserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]float64, 256)
-	for {
-		_, err = w.ReadSamples(out)
-		if err != nil {
-			break
-		}
-	}
-	if !errors.Is(err, ErrTruncated) || !errors.Is(err, cause) {
+	if _, err = drainStream(w, 512); !errors.Is(err, ErrTruncated) || !errors.Is(err, cause) {
 		t.Fatalf("stream error %v, want ErrTruncated wrapping the transport cause", err)
 	}
 }

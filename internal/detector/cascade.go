@@ -375,9 +375,10 @@ func (d *Detector) detectCascade(ctx context.Context, clip *audio.Clip, parallel
 		}
 	}
 
-	// Phase two: every remaining auxiliary, then the ordinary full-vector
-	// classification. The running prefix minimum can only fall, so no
-	// further margin checks are needed (see package comment).
+	// Phase two: every remaining auxiliary, then Decide's full-vector
+	// classification (which encodes the target and leader again). The
+	// running prefix minimum can only fall, so no further margin checks
+	// are needed (see package comment).
 	start2 := time.Now()
 	rest := make([]asr.Recognizer, 0, n-1)
 	restIdx := make([]int, 0, n-1)
@@ -398,27 +399,16 @@ func (d *Detector) detectCascade(ctx context.Context, clip *audio.Clip, parallel
 	timing.Recognition += time.Since(start2)
 	trace.Record(obs.StageTranscribe, "", start)
 
-	simStart2 := time.Now()
-	scores := make([]float64, n)
-	scores[first] = firstScore
-	for _, i := range restIdx {
-		scores[i] = d.Method.Compare(texts[0], texts[i+1])
-	}
-	trace.Record(obs.StageSimilarity, "", simStart2)
-	timing.Similarity += time.Since(simStart2)
-
-	clsStart := time.Now()
-	pred, err := d.Classifier.Predict(scores)
+	dec, err := d.Decide(trace, Transcriptions{Target: texts[0], Aux: texts[1:]})
 	if err != nil {
-		return Decision{}, fmt.Errorf("detector: classifying: %w", err)
+		return Decision{}, err
 	}
-	trace.Record(obs.StageClassify, "", clsStart)
-	timing.Classify = time.Since(clsStart)
-
+	dec.Timing.Recognition = timing.Recognition
+	dec.Timing.Similarity += timing.Similarity
 	info.EnginesRun = auxNames(d.Auxiliaries, c.order)
 	info.Imputed = make([]bool, n)
-	tr := Transcriptions{Target: texts[0], Aux: texts[1:]}
-	return Decision{Adversarial: pred == 1, Scores: scores, Transcriptions: tr, Cascade: info, Timing: timing}, nil
+	dec.Cascade = info
+	return dec, nil
 }
 
 // auxNames lists auxiliary names in evaluation order.

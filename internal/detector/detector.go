@@ -178,11 +178,10 @@ func (d *Detector) detect(ctx context.Context, clip *audio.Clip, parallel bool) 
 
 // detectFull runs the unconditional full-ensemble pipeline. When the
 // context carries an obs.Trace, the pipeline records one span per stage
-// (transcribe, phonetic, similarity, classify; the per-engine
-// transcription spans are recorded inside internal/asr, and the decode
-// span by whoever decoded the audio).
+// (transcribe here, phonetic, similarity and classify in Decide; the
+// per-engine transcription spans are recorded inside internal/asr, and the
+// decode span by whoever decoded the audio).
 func (d *Detector) detectFull(ctx context.Context, clip *audio.Clip, parallel bool) (Decision, error) {
-	var timing Timing
 	trace := obs.TraceFrom(ctx)
 	start := time.Now()
 	tr, err := d.transcribeAll(ctx, clip, parallel)
@@ -190,11 +189,21 @@ func (d *Detector) detectFull(ctx context.Context, clip *audio.Clip, parallel bo
 		return Decision{}, err
 	}
 	trace.Record(obs.StageTranscribe, "", start)
-	timing.Recognition = time.Since(start)
+	recognition := time.Since(start)
+	dec, err := d.Decide(trace, tr)
+	dec.Timing.Recognition = recognition
+	return dec, err
+}
 
-	// Phonetic encoding and similarity scoring are timed as separate
-	// stages; Encode + Score compose to exactly Method.Compare, so the
-	// score vector is bit-identical to the untraced path's.
+// Decide is the detector's verdict on a set of transcriptions, the one
+// step every path shares after recognition: phonetic-encode each
+// transcription, score the target's encoding against each auxiliary's,
+// classify the score vector. It records the phonetic, similarity and
+// classify spans on trace (nil is fine) and sets Timing.Similarity
+// (encoding + scoring, the paper's §V-I meaning) and Timing.Classify;
+// Timing.Recognition is the caller's. Encode + Score compose to exactly
+// Method.Compare, so the scores equal Scores(tr) bit for bit.
+func (d *Detector) Decide(trace *obs.Trace, tr Transcriptions) (Decision, error) {
 	simStart := time.Now()
 	encTarget := d.Method.Encode(tr.Target)
 	encAux := make([]string, len(tr.Aux))
@@ -202,14 +211,13 @@ func (d *Detector) detectFull(ctx context.Context, clip *audio.Clip, parallel bo
 		encAux[i] = d.Method.Encode(aux)
 	}
 	trace.Record(obs.StagePhonetic, "", simStart)
-	start = time.Now()
+	start := time.Now()
 	scores := make([]float64, len(encAux))
 	for i, enc := range encAux {
 		scores[i] = d.Method.Score(encTarget, enc)
 	}
 	trace.Record(obs.StageSimilarity, "", start)
-	// Timing.Similarity keeps the paper's §V-I meaning: encoding + scoring.
-	timing.Similarity = time.Since(simStart)
+	similarity := time.Since(simStart)
 
 	start = time.Now()
 	pred, err := d.Classifier.Predict(scores)
@@ -217,7 +225,7 @@ func (d *Detector) detectFull(ctx context.Context, clip *audio.Clip, parallel bo
 		return Decision{}, fmt.Errorf("detector: classifying: %w", err)
 	}
 	trace.Record(obs.StageClassify, "", start)
-	timing.Classify = time.Since(start)
+	timing := Timing{Similarity: similarity, Classify: time.Since(start)}
 	return Decision{Adversarial: pred == 1, Scores: scores, Transcriptions: tr, Timing: timing}, nil
 }
 

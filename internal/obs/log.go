@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"context"
 	"io"
-	"log/slog"
 	"math"
 	"strconv"
 	"sync"
@@ -34,15 +32,13 @@ type RequestRecord struct {
 // requests — those at or above the Slow threshold — and server errors
 // (status >= 500) always log, with full span detail for slow ones.
 //
-// Every line reads exactly as log/slog's JSONHandler would write it. Slow
-// lines go through slog; ordinary lines, the per-request common case, are
-// appended into one pooled buffer by appendLine, which skips slog's
-// attribute boxing and its json.Marshal per float. Both kinds of line are
-// written whole under one mutex, so they never interleave.
+// Every line reads exactly as log/slog's JSONHandler would write it, but
+// appendLine appends it into one pooled buffer, skipping slog's attribute
+// boxing and its json.Marshal per float. Each line is written whole under
+// one mutex, so lines never interleave.
 type RequestLogger struct {
-	out *lockedWriter
-	// slowLog writes the slow lines, on out.
-	slowLog *slog.Logger
+	mu sync.Mutex
+	w  io.Writer
 	// rate is the sampled fraction of ordinary requests, in [0,1]; 0
 	// logs only slow and error requests.
 	rate float64
@@ -50,19 +46,7 @@ type RequestLogger struct {
 	n    atomic.Uint64
 }
 
-// lockedWriter serializes whole-line writes from both encoders.
-type lockedWriter struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-func (lw *lockedWriter) Write(p []byte) (int, error) {
-	lw.mu.Lock()
-	defer lw.mu.Unlock()
-	return lw.w.Write(p)
-}
-
-// lineBufs recycles ordinary-line buffers across requests.
+// lineBufs recycles line buffers across requests.
 var lineBufs = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
 // NewRequestLogger builds a logger writing JSON lines to w. sampleRate is
@@ -73,13 +57,7 @@ func NewRequestLogger(w io.Writer, sampleRate float64, slow time.Duration) *Requ
 	if slow <= 0 {
 		slow = time.Second
 	}
-	out := &lockedWriter{w: w}
-	return &RequestLogger{
-		out:     out,
-		slowLog: slog.New(slog.NewJSONHandler(out, nil)),
-		rate:    min(max(sampleRate, 0), 1),
-		slow:    slow,
-	}
+	return &RequestLogger{w: w, rate: min(max(sampleRate, 0), 1), slow: slow}
 }
 
 // Log records one finished request, applying the sampling policy. Nil-safe:
@@ -89,36 +67,40 @@ func (l *RequestLogger) Log(rec RequestRecord) {
 		return
 	}
 	slow := rec.Duration >= l.slow
-	failed := rec.Status >= 500
-	if slow {
-		l.logSlow(rec, failed)
-		return
-	}
-	if !failed {
+	if !slow && rec.Status < 500 {
 		n := float64(l.n.Add(1))
 		if math.Floor(n*l.rate) == math.Floor((n-1)*l.rate) {
 			return
 		}
 	}
-	level := slog.LevelInfo
-	if failed {
-		level = slog.LevelError
-	}
 	bp := lineBufs.Get().(*[]byte)
-	*bp = appendLine((*bp)[:0], time.Now(), level, rec)
-	_, _ = l.out.Write(*bp) // dropped, as slog drops it: a log line has no caller to tell
+	*bp = appendLine((*bp)[:0], time.Now(), slow, rec)
+	l.mu.Lock()
+	_, _ = l.w.Write(*bp) // dropped, as slog drops it: a log line has no caller to tell
+	l.mu.Unlock()
 	lineBufs.Put(bp)
 }
 
-// appendLine appends rec's ordinary access-log line, newline included:
-// byte for byte what slog's JSONHandler writes for the attributes logSlow
-// builds (minus the span group), at time now.
-func appendLine(b []byte, now time.Time, level slog.Level, rec RequestRecord) []byte {
+// appendLine appends rec's access-log line, newline included, at time
+// now: byte for byte what slog's JSONHandler writes for the same
+// attributes. A slow line is a WARN (ERROR on a 5xx) "slow request" with
+// every span, per-engine and remote ones included, in a trailing "spans"
+// group, which slog leaves out when it is empty.
+func appendLine(b []byte, now time.Time, slow bool, rec RequestRecord) []byte {
+	level, msg := "INFO", "request"
+	if slow {
+		level, msg = "WARN", "slow request"
+	}
+	if rec.Status >= 500 {
+		level = "ERROR"
+	}
 	b = append(b, `{"time":"`...)
 	b = now.AppendFormat(b, time.RFC3339Nano)
 	b = append(b, `","level":"`...)
-	b = append(b, level.String()...)
-	b = append(b, `","msg":"request","request_id":`...)
+	b = append(b, level...)
+	b = append(b, `","msg":"`...)
+	b = append(b, msg...)
+	b = append(b, `","request_id":`...)
 	b = appendJSONString(b, rec.RequestID)
 	b = append(b, `,"route":`...)
 	b = appendJSONString(b, rec.Route)
@@ -159,59 +141,29 @@ func appendLine(b []byte, now time.Time, level slog.Level, rec RequestRecord) []
 		}
 		b = append(b, '}')
 	}
-	return append(b, "}\n"...)
-}
-
-// logSlow writes one slow request's line through slog, with full span
-// detail: every span, including the per-engine transcription spans, with
-// offsets.
-func (l *RequestLogger) logSlow(rec RequestRecord, failed bool) {
-	attrs := make([]slog.Attr, 0, 12)
-	attrs = append(attrs,
-		slog.String("request_id", rec.RequestID),
-		slog.String("route", rec.Route),
-		slog.String("method", rec.Method),
-		slog.Int("status", rec.Status),
-		slog.Float64("duration_ms", durMS(rec.Duration)),
-	)
-	if rec.Verdict != "" {
-		attrs = append(attrs,
-			slog.String("verdict", rec.Verdict),
-			slog.Bool("cached", rec.Cached),
-			slog.Bool("collapsed", rec.Collapsed),
-		)
-		if rec.ShortCircuit {
-			attrs = append(attrs, slog.Bool("short_circuit", true))
-		}
-		if rec.Remote {
-			attrs = append(attrs, slog.Bool("remote", true))
-		}
+	var spans []Span
+	if slow {
+		spans = rec.Trace.Spans()
 	}
-	var totals [len(loggedStages)]time.Duration
-	if seen := rec.Trace.loggedStageTotals(&totals); seen != 0 {
-		stageAttrs := make([]any, 0, len(loggedStages))
-		for i, stage := range loggedStages {
-			if seen&(1<<i) != 0 {
-				stageAttrs = append(stageAttrs, slog.Float64(stage+"_ms", durMS(totals[i])))
-			}
-		}
-		attrs = append(attrs, slog.Group("stages", stageAttrs...))
-	}
-	level := slog.LevelWarn
-	if failed {
-		level = slog.LevelError
-	}
-	spans := rec.Trace.Spans()
-	spanAttrs := make([]any, 0, len(spans))
 	for i, sp := range spans {
-		spanAttrs = append(spanAttrs, slog.Group(strconv.Itoa(i),
-			slog.String("span", sp.Name()),
-			slog.Float64("start_ms", durMS(sp.Start)),
-			slog.Float64("dur_ms", durMS(sp.Dur)),
-		))
+		if i == 0 {
+			b = append(b, `,"spans":{"`...)
+		} else {
+			b = append(b, `,"`...)
+		}
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, `":{"span":`...)
+		b = appendJSONString(b, sp.Name())
+		b = append(b, `,"start_ms":`...)
+		b = appendJSONFloat(b, durMS(sp.Start))
+		b = append(b, `,"dur_ms":`...)
+		b = appendJSONFloat(b, durMS(sp.Dur))
+		b = append(b, '}')
 	}
-	attrs = append(attrs, slog.Group("spans", spanAttrs...))
-	l.slowLog.LogAttrs(context.TODO(), level, "slow request", attrs...)
+	if len(spans) > 0 {
+		b = append(b, '}')
+	}
+	return append(b, "}\n"...)
 }
 
 func durMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

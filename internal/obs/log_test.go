@@ -8,16 +8,18 @@ import (
 	"math"
 	"math/rand"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// referenceLine is the ordinary access-log line as RequestLogger wrote it
-// on log/slog before appendLine: the same attributes, through
-// slog.NewJSONHandler.
-func referenceLine(rec RequestRecord) []byte {
+// referenceLine is the access-log line as RequestLogger wrote it on
+// log/slog before appendLine: the same attributes, through
+// slog.NewJSONHandler. A slow line is a WARN (ERROR on a 5xx) "slow
+// request" and carries every span in a "spans" group.
+func referenceLine(rec RequestRecord, slow bool) []byte {
 	attrs := []slog.Attr{
 		slog.String("request_id", rec.RequestID),
 		slog.String("route", rec.Route),
@@ -53,12 +55,24 @@ func referenceLine(rec RequestRecord) []byte {
 	if len(stageAttrs) > 0 {
 		attrs = append(attrs, slog.Group("stages", stageAttrs...))
 	}
-	level := slog.LevelInfo
+	level, msg := slog.LevelInfo, "request"
+	if slow {
+		level, msg = slog.LevelWarn, "slow request"
+		var spanAttrs []any
+		for i, sp := range rec.Trace.Spans() {
+			spanAttrs = append(spanAttrs, slog.Group(strconv.Itoa(i),
+				slog.String("span", sp.Name()),
+				slog.Float64("start_ms", durMS(sp.Start)),
+				slog.Float64("dur_ms", durMS(sp.Dur)),
+			))
+		}
+		attrs = append(attrs, slog.Group("spans", spanAttrs...))
+	}
 	if rec.Status >= 500 {
 		level = slog.LevelError
 	}
 	var buf bytes.Buffer
-	slog.New(slog.NewJSONHandler(&buf, nil)).LogAttrs(nil, level, "request", attrs...)
+	slog.New(slog.NewJSONHandler(&buf, nil)).LogAttrs(nil, level, msg, attrs...)
 	return buf.Bytes()
 }
 
@@ -70,7 +84,7 @@ func stripTime(line []byte) string {
 	return timeValue.ReplaceAllString(string(line), `{"time":""`)
 }
 
-// seededRecord draws one ordinary (non-slow) request record: every status
+// seededRecord draws one request record: every status
 // class, every annotation, stage sets with and without cluster_forward
 // (plus engine, remote and unlogged spans the line must leave out), and
 // identifiers that need every kind of JSON escape.
@@ -137,24 +151,38 @@ func seededRecord(rng *rand.Rand) RequestRecord {
 	return rec
 }
 
-// TestAccessLogLineMatchesSlog holds appendLine to the slog line it
-// replaced: byte-identical apart from the time value.
+// TestAccessLogLineMatchesSlog holds appendLine to the slog lines it
+// replaced, ordinary and slow: byte-identical apart from the time value.
 func TestAccessLogLineMatchesSlog(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	withForward, withoutForward := 0, 0
+	withForward, withoutForward, slowLines, slowFailed, slowNoSpans := 0, 0, 0, 0, 0
 	for i := 0; i < 2000; i++ {
 		rec := seededRecord(rng)
+		threshold := 10 * time.Hour
+		if rng.Intn(2) == 0 {
+			threshold = time.Nanosecond
+		}
+		slow := rec.Duration >= threshold
 		var buf bytes.Buffer
-		l := NewRequestLogger(&buf, 1, 10*time.Hour)
+		l := NewRequestLogger(&buf, 1, threshold)
 		l.Log(rec)
-		want := stripTime(referenceLine(rec))
+		want := stripTime(referenceLine(rec, slow))
 		if got := stripTime(buf.Bytes()); got != want {
-			t.Fatalf("record %d %+v:\n got %s\nwant %s", i, rec, got, want)
+			t.Fatalf("record %d %+v (slow %v):\n got %s\nwant %s", i, rec, slow, got, want)
 		}
 		if strings.Contains(want, `"cluster_forward_ms"`) {
 			withForward++
 		} else if strings.Contains(want, `"stages"`) {
 			withoutForward++
+		}
+		if slow {
+			slowLines++
+			if rec.Status >= 500 {
+				slowFailed++
+			}
+			if len(rec.Trace.Spans()) == 0 {
+				slowNoSpans++
+			}
 		}
 		var m map[string]any
 		if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
@@ -166,6 +194,9 @@ func TestAccessLogLineMatchesSlog(t *testing.T) {
 	}
 	if withForward < 100 || withoutForward < 100 {
 		t.Fatalf("stage sets under-covered: %d with cluster_forward, %d without", withForward, withoutForward)
+	}
+	if slowLines < 500 || slowFailed < 50 || slowNoSpans < 50 {
+		t.Fatalf("slow lines under-covered: %d slow, %d with a 5xx, %d without spans", slowLines, slowFailed, slowNoSpans)
 	}
 }
 
@@ -206,7 +237,7 @@ func TestAccessLogConcurrentLinesStayWhole(t *testing.T) {
 				tr.Record(StageTranscribe, "DS0", time.Now())
 				dur := time.Millisecond
 				if i%3 == 0 {
-					dur = time.Second // slow: the slog path
+					dur = time.Second // slow: the line with spans
 				}
 				l.Log(RequestRecord{RequestID: tr.ID(), Route: "detect", Method: "POST", Status: 200, Duration: dur, Outcome: Outcome{Verdict: "benign"}, Trace: tr})
 			}

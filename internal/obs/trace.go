@@ -1,7 +1,7 @@
 // Package obs is the observability layer of MVP-EARS: a lightweight,
 // allocation-conscious pipeline tracer carried through context, request-ID
-// generation and propagation, structured JSON request logging on log/slog,
-// and an append-only JSONL audit sink for adversarial verdicts.
+// generation and propagation, structured JSON request logs in log/slog's
+// format, and an append-only JSONL audit sink for adversarial verdicts.
 //
 // The tracer is stdlib-only by design (no OpenTelemetry dependency): the
 // detection pipeline is a fixed five-stage chain — decode, per-engine

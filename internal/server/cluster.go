@@ -95,15 +95,6 @@ func (s *Server) startCluster(cc *ClusterConfig) error {
 	return nil
 }
 
-// ClusterSelf returns this replica's advertised peer address ("" when
-// clustering is off).
-func (s *Server) ClusterSelf() string {
-	if s.node == nil {
-		return ""
-	}
-	return s.node.Self()
-}
-
 // clusterHandler serves the peer protocol over the Server's local
 // cache/flight/backend. It never re-forwards (see package comment).
 type clusterHandler struct{ s *Server }

@@ -277,7 +277,7 @@ func TestE2ESignalDrainsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Give the drain a moment to begin, then release the backend.
-	waitFor(t, s.Draining)
+	waitFor(t, s.draining.Load)
 	close(block)
 
 	if code := <-result; code != http.StatusOK {

@@ -98,7 +98,7 @@ var families = [...]Family{
 		"How long do clients wait on each route?", DefaultLatencyBuckets, "route"),
 	mDetectStageSeconds: histogram("mvpears_detect_stage_seconds",
 		"Cost of each detection this replica runs, by stage (recognition/similarity/classify). Decode, queueing and encoding are not in it; cluster round trips are mvpears_cluster_rtt_seconds{peer}.",
-		"Where does a detection's time go: recognition, similarity or classify?", DefaultLatencyBuckets, "stage"),
+		"Where does a detection's time go: recognition, similarity or classify?", StageBuckets, "stage"),
 	mEngineSimilarity: histogram("mvpears_engine_similarity",
 		"Target-vs-auxiliary similarity score distribution per auxiliary engine.",
 		"Is one auxiliary engine drifting away from the target on live traffic?", SimilarityBuckets, "engine"),
@@ -215,6 +215,10 @@ func Families() []Family { return slices.Clone(families[:]) }
 var DefaultLatencyBuckets = []float64{
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
 }
+
+// StageBuckets covers 10 µs .. 30 s: a detection's similarity and
+// classify stages take tens of microseconds, its recognition milliseconds.
+var StageBuckets = append([]float64{0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005}, DefaultLatencyBuckets...)
 
 // SimilarityBuckets covers the [0,1] Jaro-Winkler score range, dense near
 // 1 where benign traffic concentrates — drift out of the top buckets is

@@ -71,9 +71,13 @@ func (s *Server) buildState(backend Backend) (*backendState, error) {
 	if s.cfg.Stream != nil {
 		opts := *s.cfg.Stream
 		opts.Hooks = stream.Hooks{
-			SessionOpened:   func() { s.m.counter(mStreamSessions).Inc() },
+			SessionOpened: func() {
+				s.streamSessions.Add(1)
+				s.m.counter(mStreamSessions).Inc()
+			},
 			SessionRejected: func() { s.m.counter(mRejected, rejectStreamSessions).Inc() },
 			SessionClosed: func(evicted bool) {
+				s.streamSessions.Add(-1)
 				if evicted {
 					s.m.counter(mStreamEvicted).Inc()
 				}
@@ -131,9 +135,20 @@ func (s *Server) Reload() error {
 	old := s.be.Swap(st)
 	s.m.counter(mReloads).Inc()
 	if old != nil && old.stream != nil {
-		// Live streaming sessions keep running on the old model's
-		// manager; retire it once they finish (or after a grace bound).
-		go s.retireStreamManager(old.stream)
+		// Live streaming sessions finish on the old model's manager, which
+		// then closes; Shutdown ends the wait early (see Server.retiring).
+		s.retireMu.Lock()
+		select {
+		case <-s.stopping: // Shutdown has begun: cut them now
+			old.stream.Close()
+		default:
+			s.retiring.Add(1)
+			go func() {
+				defer s.retiring.Done()
+				old.stream.Retire(retireStreamManagerGrace, s.stopping)
+			}()
+		}
+		s.retireMu.Unlock()
 	}
 	if st.modelFP != "" && old != nil && st.modelFP == old.modelFP {
 		s.cfg.Logger.Printf("mvpearsd: model reloaded (fingerprint unchanged %.12s; cache entries remain valid)", st.modelFP)
@@ -153,11 +168,3 @@ func (s *Server) ModelFingerprint() string { return s.state().modelFP }
 // retireStreamManagerGrace bounds how long a superseded stream manager
 // waits for its live sessions before being closed anyway.
 const retireStreamManagerGrace = 2 * time.Minute
-
-func (s *Server) retireStreamManager(m *stream.Manager) {
-	deadline := time.Now().Add(retireStreamManagerGrace)
-	for m.OpenSessions() > 0 && time.Now().Before(deadline) {
-		time.Sleep(100 * time.Millisecond)
-	}
-	m.Close()
-}

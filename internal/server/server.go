@@ -26,6 +26,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -253,6 +254,15 @@ type Server struct {
 	// reloadInProgress gates /readyz to 503 while a replacement model is
 	// loading (the CPU-heavy part of a reload).
 	reloadInProgress atomic.Bool
+	// retiring counts the goroutines retiring the stream managers Reload
+	// superseded; Shutdown closes stopping to end them at once. retireMu
+	// orders each retiring.Add before that close, so none races the Wait.
+	retireMu sync.Mutex
+	retiring sync.WaitGroup
+	stopping chan struct{}
+	// streamSessions counts open streaming sessions on every stream
+	// manager, superseded ones included.
+	streamSessions atomic.Int64
 
 	// vc is the cross-request verdict cache; nil when caching is off.
 	// shapes interns the parts of its entries that verdicts share.
@@ -313,10 +323,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	cfg.applyDefaults()
 	s := &Server{
-		cfg:   cfg,
-		pool:  newWorkerPool(cfg.Workers, cfg.QueueDepth),
-		mux:   http.NewServeMux(),
-		start: time.Now(),
+		cfg:      cfg,
+		pool:     newWorkerPool(cfg.Workers, cfg.QueueDepth),
+		mux:      http.NewServeMux(),
+		start:    time.Now(),
+		stopping: make(chan struct{}),
 	}
 	if cfg.AccessLog != nil {
 		s.reqLog = obs.NewRequestLogger(cfg.AccessLog, *cfg.LogSampleRate, cfg.SlowRequestThreshold)
@@ -404,13 +415,7 @@ func New(cfg Config) (*Server, error) {
 			}
 			emit(float64(n))
 		},
-		mStreamSessionsOpen: func(emit emitFunc) {
-			n := 0
-			if st := s.be.Load(); st != nil && st.stream != nil {
-				n = st.stream.OpenSessions()
-			}
-			emit(float64(n))
-		},
+		mStreamSessionsOpen: func(emit emitFunc) { emit(float64(s.streamSessions.Load())) },
 		mClusterPeersHealthy: func(emit emitFunc) {
 			n := 0
 			if s.node != nil {
@@ -508,8 +513,13 @@ func (s *Server) Serve(ln net.Listener) error { return s.httpSrv.Serve(ln) }
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	// Streaming sessions are cut, not drained: a live microphone never
-	// ends on its own, so open sessions fail fast with a stream error
-	// event instead of pinning the drain until its deadline.
+	// ends on its own, so open sessions — on the current model's manager
+	// and on any a reload superseded — fail fast with a stream error event
+	// instead of pinning the drain until its deadline.
+	s.retireMu.Lock()
+	close(s.stopping)
+	s.retireMu.Unlock()
+	s.retiring.Wait()
 	if st := s.state(); st.stream != nil {
 		st.stream.Close()
 	}
@@ -523,9 +533,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.pool.Close()
 	return err
 }
-
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // DumpMetrics renders the current metric values (the daemon's final
 // flush on shutdown).

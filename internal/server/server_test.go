@@ -544,6 +544,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		`mvpears_detections_total{verdict="benign"} 1`,
 		"mvpears_request_duration_seconds_bucket",
 		`mvpears_detect_stage_seconds_count{stage="recognition"} 1`,
+		// benignDetection's 20 µs similarity and 2 µs classify resolve
+		// below the request-latency buckets' 1 ms floor.
+		`mvpears_detect_stage_seconds_bucket{stage="similarity",le="0.0001"} 1`,
+		`mvpears_detect_stage_seconds_bucket{stage="classify",le="0.0001"} 1`,
+		`mvpears_detect_stage_seconds_bucket{stage="recognition",le="0.0001"} 0`,
 		"mvpears_in_flight_requests",
 		"mvpears_queue_depth 0",
 		`mvpears_rejected_total{reason="queue_full"} 0`,

@@ -95,18 +95,14 @@ func (s *Server) streamWindowJSON(st *backendState, w stream.Window, rate int) *
 	}
 	return &StreamWindowJSON{
 		Index:          w.Index,
-		StartMS:        ms(sampleMS(w.Start, rate)),
-		EndMS:          ms(sampleMS(w.End, rate)),
+		StartMS:        ms(stream.SampleDuration(w.Start, rate)),
+		EndMS:          ms(stream.SampleDuration(w.End, rate)),
 		Verdict:        verdictOf(w.Adversarial),
 		Scores:         w.Scores,
 		Transcriptions: tr,
 		EarlyExit:      w.EarlyExit,
 		ElapsedMS:      ms(w.Elapsed),
 	}
-}
-
-func sampleMS(n, rate int) time.Duration {
-	return time.Duration(float64(n) / float64(rate) * float64(time.Second))
 }
 
 func streamEarlyExitJSON(e *stream.EarlyExit) *StreamEarlyExitJSON {
@@ -123,8 +119,9 @@ func streamEarlyExitJSON(e *stream.EarlyExit) *StreamEarlyExitJSON {
 }
 
 // streamRun carries one streaming session through a handler: the session,
-// the event writer (NDJSON or WebSocket text frames), and the per-request
-// observability state.
+// the event writer (NDJSON or WebSocket text frames), the PCM decoder
+// both paths push their bytes through, and the per-request observability
+// state.
 type streamRun struct {
 	sess *stream.Session
 	// st pins the backendState the session opened under: a hot reload
@@ -133,23 +130,39 @@ type streamRun struct {
 	trace   *obs.Trace
 	explain bool
 	route   string
-	// decodeDur accumulates the WAV/PCM decode cost across chunks; it is
-	// recorded as the trace's decode span at finalize.
+	// pcm decodes pushed bytes, which may split a sample, into samples
+	// (reused across pushes); decodeDur accumulates the decode cost
+	// alone, recorded as the trace's decode span at finalize.
+	pcm       audio.PCM16Decoder
+	samples   []float64
 	decodeDur time.Duration
 	write     func(ev StreamEventJSON) error
+	// failed, when set, runs after fail has written its error event.
+	failed func()
 }
 
-// emitWindows writes the window events of one Push; the window that
-// tripped the early-exit floor asks the client to stop sending.
-func (s *Server) emitWindows(run *streamRun, windows []stream.Window) error {
+// push decodes one chunk of raw little-endian PCM16, hands the samples to
+// the session and writes the window events they completed; the window
+// that tripped the early-exit floor asks the client to stop sending. It
+// reports whether the stream goes on: false once the client is gone or
+// the session failed, which fail has reported.
+func (s *Server) push(ctx context.Context, run *streamRun, data []byte) bool {
+	start := time.Now()
+	run.samples = run.pcm.Append(run.samples[:0], data)
+	run.decodeDur += time.Since(start)
+	windows, err := run.sess.Push(ctx, run.samples)
 	rate := run.st.backend.SampleRate()
 	for _, w := range windows {
 		ev := StreamEventJSON{Event: StreamEventWindow, Window: s.streamWindowJSON(run.st, w, rate), Stop: w.EarlyExit}
-		if err := run.write(ev); err != nil {
-			return err
+		if run.write(ev) != nil {
+			return false // client gone
 		}
 	}
-	return nil
+	if err != nil {
+		run.fail("stream session: %v", err)
+		return false
+	}
+	return true
 }
 
 // finishStream finalizes the session and writes the final event: the
@@ -210,11 +223,14 @@ func (run *streamRun) fail(format string, args ...any) {
 		Error:     fmt.Sprintf(format, args...),
 		RequestID: run.trace.ID(),
 	})
+	if run.failed != nil {
+		run.failed()
+	}
 }
 
-// streamChunkSamples sizes the per-read sample buffer on the NDJSON
-// path: 1/8 s at 16 kHz, small enough to keep window latency low.
-const streamChunkSamples = 2048
+// streamReadBytes sizes the per-read buffer on the NDJSON path: 1/8 s of
+// 16 kHz PCM16, small enough to keep window latency low.
+const streamReadBytes = 4096
 
 // handleDetectStream serves POST /v1/detect/stream: a chunked WAV body
 // is ingested incrementally and NDJSON events flow back full-duplex —
@@ -228,7 +244,6 @@ func (s *Server) handleDetectStream(w http.ResponseWriter, r *http.Request) {
 	}
 	rc := http.NewResponseController(w)
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes+1024)
-	decodeStart := time.Now()
 	wr, err := audio.NewWAVStreamReader(body, s.cfg.MaxUploadBytes)
 	if err != nil {
 		writeError(w, decodeStatus(err), "decoding WAV header: %v", err)
@@ -260,7 +275,6 @@ func (s *Server) handleDetectStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
-	run.decodeDur = time.Since(decodeStart)
 	run.write = func(ev StreamEventJSON) error {
 		if err := enc.Encode(ev); err != nil {
 			return err
@@ -269,20 +283,11 @@ func (s *Server) handleDetectStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ctx := r.Context()
-	buf := make([]float64, streamChunkSamples)
+	buf := make([]byte, streamReadBytes)
 	for {
-		readStart := time.Now()
-		n, err := wr.ReadSamples(buf)
-		run.decodeDur += time.Since(readStart)
-		if n > 0 {
-			windows, perr := run.sess.Push(ctx, buf[:n])
-			if werr := s.emitWindows(run, windows); werr != nil {
-				return // client gone
-			}
-			if perr != nil {
-				run.fail("stream session: %v", perr)
-				return
-			}
+		n, err := wr.Read(buf)
+		if n > 0 && !s.push(ctx, run, buf[:n]) {
+			return
 		}
 		if err == io.EOF {
 			break
@@ -325,16 +330,9 @@ func (s *Server) handleDetectWS(w http.ResponseWriter, r *http.Request) {
 		}
 		return conn.WriteMessage(stream.OpText, payload)
 	}
-	wsFail := func(format string, args ...any) {
-		run.fail(format, args...)
-		_ = conn.WriteClose(1011) // internal error
-	}
+	run.failed = func() { _ = conn.WriteClose(1011) } // internal error
 
 	ctx := r.Context()
-	var (
-		pcm     audio.PCM16Decoder // frames may split a sample
-		samples []float64
-	)
 	for {
 		op, payload, err := conn.ReadMessage()
 		if err != nil {
@@ -344,24 +342,16 @@ func (s *Server) handleDetectWS(w http.ResponseWriter, r *http.Request) {
 		}
 		switch op {
 		case stream.OpBinary:
-			decodeStart := time.Now()
-			samples = pcm.Append(samples[:0], payload)
-			run.decodeDur += time.Since(decodeStart)
-			windows, perr := run.sess.Push(ctx, samples)
-			if werr := s.emitWindows(run, windows); werr != nil {
-				return
-			}
-			if perr != nil {
-				wsFail("stream session: %v", perr)
+			if !s.push(ctx, run, payload) {
 				return
 			}
 		case stream.OpText:
 			if string(payload) != "end" {
-				wsFail("unexpected text frame %q (only \"end\" is defined)", payload)
+				run.fail("unexpected text frame %q (only \"end\" is defined)", payload)
 				return
 			}
 			if err := s.finishStream(ctx, run); err != nil {
-				wsFail("finalizing stream: %v", err)
+				run.fail("finalizing stream: %v", err)
 				return
 			}
 			_ = conn.WriteClose(1000)

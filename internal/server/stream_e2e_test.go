@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -23,7 +24,7 @@ import (
 // short quick-scale fixtures span several windows.
 func streamE2EServer(t *testing.T, sys *mvpears.System) string {
 	t.Helper()
-	s, err := New(Config{
+	_, base := startE2EServer(t, Config{
 		Backend: sys,
 		Workers: 2,
 		Stream: &StreamConfig{
@@ -31,6 +32,14 @@ func streamE2EServer(t *testing.T, sys *mvpears.System) string {
 			Hop:    1000, // 125 ms
 		},
 	})
+	return base
+}
+
+// startE2EServer boots a server from cfg over real TCP and returns it
+// with its base URL; test cleanup shuts it down.
+func startE2EServer(t *testing.T, cfg Config) (*Server, string) {
+	t.Helper()
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +57,7 @@ func streamE2EServer(t *testing.T, sys *mvpears.System) string {
 		}
 		<-serveDone
 	})
-	return "http://" + ln.Addr().String()
+	return s, "http://" + ln.Addr().String()
 }
 
 // streamNDJSON POSTs wav to /v1/detect/stream in chunkSize-byte pieces
@@ -352,7 +361,7 @@ func TestE2EStreamingWebSocket(t *testing.T) {
 // like the batch error paths do.
 func TestStreamSessionRejectionAndErrorRequestID(t *testing.T) {
 	sys := e2eSystem(t)
-	s, err := New(Config{
+	_, base := startE2EServer(t, Config{
 		Backend: sys,
 		Workers: 2,
 		Stream: &StreamConfig{
@@ -361,24 +370,6 @@ func TestStreamSessionRejectionAndErrorRequestID(t *testing.T) {
 			MaxSessions: 1,
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveDone := make(chan struct{})
-	go func() { defer close(serveDone); _ = s.Serve(ln) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := s.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-		<-serveDone
-	})
-	base := "http://" + ln.Addr().String()
 
 	// Hold the single session open over WebSocket…
 	c, err := stream.DialWS("ws" + strings.TrimPrefix(base, "http") + "/v1/detect/ws")
@@ -465,5 +456,189 @@ func TestStreamSessionRejectionAndErrorRequestID(t *testing.T) {
 	}
 	if last.RequestID != "stream-err-1" {
 		t.Fatalf("error event request_id %q, want the client-supplied stream-err-1", last.RequestID)
+	}
+}
+
+// TestStreamDecodeSpanExcludesClientWait: the NDJSON decode span times
+// the PCM decode alone, not the wait for the client's next chunk. A
+// stream that pauses 300 ms mid-body must log a decode_ms far below it.
+func TestStreamDecodeSpanExcludesClientWait(t *testing.T) {
+	sys := e2eSystem(t)
+	var logBuf syncBuffer
+	_, base := startE2EServer(t, Config{
+		Backend:   sys,
+		Workers:   2,
+		AccessLog: &logBuf,
+		Stream:    &StreamConfig{Window: 4000, Hop: 1000},
+	})
+	clip, err := sys.GenerateSpeech("open the front door", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wav := encodeWAV(t, clip)
+	const pause = 300 * time.Millisecond
+	pr, pw := io.Pipe()
+	go func() {
+		half := len(wav) / 2
+		if _, err := pw.Write(wav[:half]); err != nil {
+			return
+		}
+		time.Sleep(pause)
+		_, _ = pw.Write(wav[half:])
+		pw.Close()
+	}()
+	req, err := http.NewRequest(http.MethodPost, base+"/v1/detect/stream", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "audio/wav")
+	req.Header.Set("X-Request-ID", "decode-span-1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(body), `"event":"final"`) {
+		t.Fatalf("stream ended without a final event: %s", body)
+	}
+
+	var line map[string]any
+	waitFor(t, func() bool {
+		for _, l := range strings.Split(logBuf.String(), "\n") {
+			if strings.Contains(l, `"request_id":"decode-span-1"`) {
+				return json.Unmarshal([]byte(l), &line) == nil
+			}
+		}
+		return false
+	})
+	stages, _ := line["stages"].(map[string]any)
+	decodeMS, ok := stages["decode_ms"].(float64)
+	if !ok {
+		t.Fatalf("access-log line has no stages.decode_ms: %v", line)
+	}
+	if limit := float64(pause/time.Millisecond) / 3; decodeMS >= limit {
+		t.Fatalf("decode_ms %.3f counts the client's %v pause (want < %.0f)", decodeMS, pause, limit)
+	}
+}
+
+// TestShutdownCutsStreamsOfSupersededModels: a session opened before a hot
+// reload streams on the superseded model's manager. It counts in the
+// open-sessions gauge, and Shutdown cuts it like a current one: an error
+// event, a prompt return, and no goroutine left behind.
+func TestShutdownCutsStreamsOfSupersededModels(t *testing.T) {
+	sys := e2eSystem(t)
+	baseline := runtime.NumGoroutine()
+	s, err := New(Config{
+		Backend: sys,
+		Workers: 2,
+		Stream:  &StreamConfig{Window: 4000, Hop: 1000},
+		Reload:  func() (Backend, error) { return sys, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan struct{})
+	go func() { defer close(serveDone); _ = s.Serve(ln) }()
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+	gauge := func() string {
+		var b bytes.Buffer
+		if err := s.DumpMetrics(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range strings.Split(b.String(), "\n") {
+			if strings.HasPrefix(l, "mvpears_stream_sessions_open ") {
+				return l
+			}
+		}
+		return ""
+	}
+
+	clip, err := sys.GenerateSpeech("open the front door", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wav := encodeWAV(t, clip)
+	half := len(wav) / 2
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	go func() { _, _ = pw.Write(wav[:half]) }()
+	resp, err := client.Post("http://"+ln.Addr().String()+"/v1/detect/stream", "audio/wav", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	events := make(chan StreamEventJSON, 64)
+	go func() {
+		defer close(events)
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			var ev StreamEventJSON
+			if json.Unmarshal(sc.Bytes(), &ev) == nil {
+				events <- ev
+			}
+		}
+	}()
+	if ev := <-events; ev.Event != StreamEventWindow {
+		t.Fatalf("first event %+v, want a window", ev)
+	}
+	if err := s.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	if got := gauge(); got != "mvpears_stream_sessions_open 1" {
+		t.Fatalf("gauge after reload reads %q, want the superseded session counted", got)
+	}
+
+	start := time.Now()
+	shutdownErr := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		shutdownErr <- s.Shutdown(ctx)
+	}()
+	waitFor(t, func() bool { return gauge() == "mvpears_stream_sessions_open 0" })
+	// The session's next push meets the cut.
+	go func() { _, _ = pw.Write(wav[half:]) }()
+	for cut := false; !cut; {
+		select {
+		case ev, ok := <-events:
+			if !ok || ev.Event == StreamEventFinal {
+				t.Fatalf("the superseded session ended without an error event (last %+v)", ev)
+			}
+			cut = ev.Event == StreamEventError
+		case <-time.After(5 * time.Second):
+			t.Fatal("the superseded session was not cut")
+		}
+	}
+	select {
+	case err := <-shutdownErr:
+		if err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown did not return")
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("Shutdown took %v: the superseded session held the drain", d)
+	}
+	<-serveDone
+	resp.Body.Close()
+	pw.Close()
+	client.CloseIdleConnections()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, baseline %d:\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

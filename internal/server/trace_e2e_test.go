@@ -122,7 +122,7 @@ func TestClusterForwardStitchedTrace(t *testing.T) {
 	if l.rec["remote"] != true {
 		t.Fatalf("log record not marked remote: %v", l.rec)
 	}
-	remoteSpan := "transcribe:DS1@" + sA.ClusterSelf()
+	remoteSpan := "transcribe:DS1@" + sA.node.Self()
 	for _, want := range []string{"decode", "cluster_forward", remoteSpan} {
 		if !hasSpan(l, want) {
 			t.Errorf("stitched trace missing span %q (have %v)", want, l.spans)
@@ -130,7 +130,7 @@ func TestClusterForwardStitchedTrace(t *testing.T) {
 	}
 	// The requester observed the round trip into the per-peer RTT family.
 	if !strings.Contains(metricsBody(t, tsB.URL),
-		`mvpears_cluster_rtt_seconds_count{peer="`+sA.ClusterSelf()+`"}`) {
+		`mvpears_cluster_rtt_seconds_count{peer="`+sA.node.Self()+`"}`) {
 		t.Error("requester metrics missing the per-peer RTT histogram")
 	}
 }

@@ -250,6 +250,26 @@ func (m *Manager) Close() {
 	}
 }
 
+// Retire closes the manager once its open sessions have ended, after
+// grace, or when stop is closed, whichever comes first, and returns then:
+// the end of a manager a new model superseded, whose live sessions finish
+// on the old model.
+func (m *Manager) Retire(grace time.Duration, stop <-chan struct{}) {
+	defer m.Close()
+	tick := time.NewTicker(100 * time.Millisecond)
+	defer tick.Stop()
+	deadline := time.After(grace)
+	for m.OpenSessions() > 0 {
+		select {
+		case <-tick.C:
+		case <-deadline:
+			return
+		case <-stop:
+			return
+		}
+	}
+}
+
 func (m *Manager) hook(f func()) {
 	if f != nil {
 		f()
@@ -458,7 +478,7 @@ func (s *Session) Push(ctx context.Context, samples []float64) ([]Window, error)
 
 // transcribe collects every engine's text (target first) from text,
 // with a span per engine and one over all of them.
-func (s *Session) transcribe(trace *obs.Trace, text func(i int) (string, error)) ([]string, error) {
+func (s *Session) transcribe(trace *obs.Trace, text func(i int) (string, error)) (detector.Transcriptions, error) {
 	d := s.m.cfg.Detector
 	texts := make([]string, 1+len(d.Auxiliaries))
 	start := time.Now()
@@ -466,7 +486,7 @@ func (s *Session) transcribe(trace *obs.Trace, text func(i int) (string, error))
 		engStart := time.Now()
 		var err error
 		if texts[i], err = text(i); err != nil {
-			return nil, err
+			return detector.Transcriptions{}, err
 		}
 		name := d.Target.Name()
 		if i > 0 {
@@ -475,35 +495,7 @@ func (s *Session) transcribe(trace *obs.Trace, text func(i int) (string, error))
 		trace.Record(obs.StageTranscribe, name, engStart)
 	}
 	trace.Record(obs.StageTranscribe, "", start)
-	return texts, nil
-}
-
-// score is what detector.Detect does after recognition: phonetic
-// encoding, one similarity score per auxiliary, classification.
-func (s *Session) score(trace *obs.Trace, texts []string, timing *detector.Timing) (scores []float64, adversarial bool, err error) {
-	d := s.m.cfg.Detector
-	simStart := time.Now()
-	enc := make([]string, len(texts))
-	for i, text := range texts {
-		enc[i] = d.Method.Encode(text)
-	}
-	trace.Record(obs.StagePhonetic, "", simStart)
-	scoreStart := time.Now()
-	scores = make([]float64, len(d.Auxiliaries))
-	for i := range scores {
-		scores[i] = d.Method.Score(enc[0], enc[i+1])
-	}
-	trace.Record(obs.StageSimilarity, "", scoreStart)
-	timing.Similarity = time.Since(simStart)
-
-	clsStart := time.Now()
-	pred, err := d.Classifier.Predict(scores)
-	if err != nil {
-		return nil, false, fmt.Errorf("stream: classifying: %w", err)
-	}
-	trace.Record(obs.StageClassify, "", clsStart)
-	timing.Classify = time.Since(clsStart)
-	return scores, pred == 1, nil
+	return detector.Transcriptions{Target: texts[0], Aux: texts[1:]}, nil
 }
 
 // evalWindow runs the ensemble over the window ending at sample pos and
@@ -513,23 +505,24 @@ func (s *Session) evalWindow(ctx context.Context, pos int) (Window, error) {
 	trace := obs.TraceFrom(ctx)
 	a := max(0, pos-cfg.Window)
 	started := time.Now()
-	texts, err := s.transcribe(trace, func(i int) (string, error) { return s.es.WindowText(i, a, pos) })
+	tr, err := s.transcribe(trace, func(i int) (string, error) { return s.es.WindowText(i, a, pos) })
 	if err != nil {
 		return Window{}, fmt.Errorf("stream: window [%d,%d): %w", a, pos, err)
 	}
-	scores, adversarial, err := s.score(trace, texts, new(detector.Timing))
+	dec, err := cfg.Detector.Decide(trace, tr)
 	if err != nil {
 		return Window{}, err
 	}
+	scores := dec.Scores
 
 	w := Window{
 		Index:       s.windows,
 		Start:       a,
 		End:         pos,
-		Target:      texts[0],
-		Aux:         texts[1:],
+		Target:      tr.Target,
+		Aux:         tr.Aux,
 		Scores:      scores,
-		Adversarial: adversarial,
+		Adversarial: dec.Adversarial,
 		Elapsed:     time.Since(started),
 	}
 	s.windows++
@@ -542,7 +535,7 @@ func (s *Session) evalWindow(ctx context.Context, pos int) (Window, error) {
 	// window can dip under its floor while the ensemble still agrees.
 	// One window can be a boundary artifact either way; MinWindows
 	// consecutive ones flag the session.
-	if len(cfg.Floors) > 0 && adversarial && texts[0] != "" {
+	if len(cfg.Floors) > 0 && dec.Adversarial && tr.Target != "" {
 		worst, worstGap := -1, 0.0
 		for i, f := range cfg.Floors {
 			if gap := f - scores[i]; scores[i] < f && gap > worstGap {
@@ -557,7 +550,7 @@ func (s *Session) evalWindow(ctx context.Context, pos int) (Window, error) {
 					Engine:    cfg.Detector.Auxiliaries[worst].Name(),
 					Score:     scores[worst],
 					Floor:     cfg.Floors[worst],
-					AudioTime: sampleDuration(pos, cfg.SampleRate),
+					AudioTime: SampleDuration(pos, cfg.SampleRate),
 				}
 				w.EarlyExit = true
 				w.Adversarial = true
@@ -572,10 +565,9 @@ func (s *Session) evalWindow(ctx context.Context, pos int) (Window, error) {
 	return w, nil
 }
 
-// Finish seals the stream and produces the final whole-clip verdict —
-// the same transcribe → phonetic-encode → score → classify sequence as
-// detector.Detect on the complete clip, from the incrementally built
-// state. The session leaves the table; its buffers (Final.Samples among
+// Finish seals the stream and produces the final whole-clip verdict:
+// the complete clip's transcriptions, from the incrementally built state,
+// through detector.Decide, as detector.Detect does. The session leaves the table; its buffers (Final.Samples among
 // them) stay its own until Close.
 func (s *Session) Finish(ctx context.Context) (*Final, error) {
 	fin, err := s.finish(ctx)
@@ -596,31 +588,25 @@ func (s *Session) finish(ctx context.Context) (*Final, error) {
 	}
 	s.lastActive = time.Now()
 	trace := obs.TraceFrom(ctx)
-	var timing detector.Timing
-
 	if err := s.es.Finalize(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	texts, err := s.transcribe(trace, func(i int) (string, error) { return s.es.FinalText(ctx, i) })
+	tr, err := s.transcribe(trace, func(i int) (string, error) { return s.es.FinalText(ctx, i) })
 	if err != nil {
 		return nil, fmt.Errorf("stream: final transcription: %w", err)
 	}
-	timing.Recognition = time.Since(start)
-	scores, adversarial, err := s.score(trace, texts, &timing)
+	recognition := time.Since(start)
+	dec, err := s.m.cfg.Detector.Decide(trace, tr)
 	if err != nil {
 		return nil, err
 	}
+	dec.Timing.Recognition = recognition
 	s.finalized, s.closed = true, true
 	return &Final{
-		Decision: detector.Decision{
-			Adversarial:    adversarial,
-			Scores:         scores,
-			Transcriptions: detector.Transcriptions{Target: texts[0], Aux: texts[1:]},
-			Timing:         timing,
-		},
+		Decision:  dec,
 		Windows:   s.windows,
-		Duration:  sampleDuration(s.total, s.m.cfg.SampleRate),
+		Duration:  SampleDuration(s.total, s.m.cfg.SampleRate),
 		Samples:   s.es.Samples(),
 		EarlyExit: s.earlyExit,
 	}, nil
@@ -651,6 +637,7 @@ func (s *Session) close(byOwner, evicted bool) {
 	}
 }
 
-func sampleDuration(n, rate int) time.Duration {
+// SampleDuration is the audio time of n samples at rate.
+func SampleDuration(n, rate int) time.Duration {
 	return time.Duration(float64(n) / float64(rate) * float64(time.Second))
 }

@@ -246,7 +246,7 @@ func TestSessionEarlyExit(t *testing.T) {
 	if fin.EarlyExit.Window != 1 || fin.EarlyExit.Score >= fin.EarlyExit.Floor {
 		t.Fatalf("early exit = %+v", fin.EarlyExit)
 	}
-	if want := sampleDuration(10000, 8000); fin.EarlyExit.AudioTime != want {
+	if want := SampleDuration(10000, 8000); fin.EarlyExit.AudioTime != want {
 		t.Fatalf("audio time at flag %v, want %v", fin.EarlyExit.AudioTime, want)
 	}
 	if !fin.Decision.Adversarial {

@@ -9,7 +9,7 @@ import (
 )
 
 // Group collapses concurrent duplicate work: the first caller for a key
-// becomes the flight's leader and runs fn once, on its own goroutine;
+// becomes the flight's leader and runs fn once, on the calling goroutine;
 // every concurrent caller for the same key waits for that one result
 // instead of repeating the work.
 //

@@ -135,7 +135,8 @@ start_replica() { # name pub-addr cluster-addr peers extra-args...
     ALL_PIDS="$ALL_PIDS $!"
 }
 start_replica replicaA "$PUB_A" "$CL_A" "$CL_B,$CL_C"
-start_replica replicaB "$PUB_B" "$CL_B" "$CL_A,$CL_C"
+# B logs every request as a slow line, with full span detail.
+start_replica replicaB "$PUB_B" "$CL_B" "$CL_A,$CL_C" -slow 1ns
 start_replica replicaC "$PUB_C" "$CL_C" "$CL_A,$CL_B" -admin-addr "$ADM_C"
 
 for pub in "$PUB_A" "$PUB_B" "$PUB_C"; do
@@ -175,15 +176,22 @@ echo "== cluster: forwarded detection =="
 # Never-seen clips posted to B only: when the key's owner is A or C, B
 # forwards the detection and the owner runs it ("remote":true without
 # "cached":true). Seeds B owns itself detect locally and are skipped.
-FWD_JSON=""
+FWD_JSON=""; FWD_ID=""
 for seed in 21 22 23 24 25 26 27 28; do
     "$WORKDIR/mvpears" synth -text "switch off the kitchen lights" -out "$WORKDIR/fw.wav" -seed "$seed"
     R=$(curl -fsS -X POST --data-binary @"$WORKDIR/fw.wav" -H 'Content-Type: audio/wav' \
+        -H "X-Request-ID: smoke-fwd-$seed" \
         "http://$PUB_B/v1/detect") || fail "forward detect on B (seed $seed)"
-    if echo "$R" | grep -q '"remote":true'; then FWD_JSON=$R; break; fi
+    if echo "$R" | grep -q '"remote":true'; then FWD_JSON=$R; FWD_ID=smoke-fwd-$seed; break; fi
 done
 [ -n "$FWD_JSON" ] || fail "no forwarded detection from B in 8 seeds"
 if echo "$FWD_JSON" | grep -q '"cached":true'; then fail "never-seen clip answered as cached: $FWD_JSON"; fi
+# B's access-log line for that forward is a slow line whose spans hold
+# the owner's transcription spans, stitched under the owner's address.
+FWD_LINE=$(grep "\"request_id\":\"$FWD_ID\"" "$WORKDIR/replicaB.log") || fail "no access-log line on B for $FWD_ID"
+echo "$FWD_LINE" | grep -q '"msg":"slow request"' || fail "B's line for $FWD_ID is not a slow line: $FWD_LINE"
+echo "$FWD_LINE" | grep -Eq '"span":"transcribe:[^"@]+@127\.0\.0\.1:191' \
+    || fail "B's line for $FWD_ID lacks a stitched owner transcribe span: $FWD_LINE"
 METRICS_B=$(curl -fsS "http://$PUB_B/metrics")
 echo "$METRICS_B" | grep -q 'mvpears_cluster_forwards_total{outcome="detected"}' \
     || fail "B's metrics missing the forwarded-detection count"
