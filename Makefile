@@ -35,12 +35,16 @@ check: vet
 	$(GO) build ./...
 	$(GO) test ./...
 
-# Static hygiene: go vet, the project-invariant lint suite, and gofmt
-# drift (fails listing the unformatted files and printing their diffs).
+# Static hygiene: go vet (whose asmdecl pass checks the amd64 lane
+# kernels' frames against their Go declarations), the same vet and a
+# build for arm64 (the GOARCH with no lane kernel, whose Go loops must
+# keep compiling), the project-invariant lint suite, and gofmt drift
+# (fails listing the unformatted files and printing their diffs).
 # internal/asr is clock-free without exception: a purity waiver there
 # fails the target even though mvpearslint would honour it.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 	$(GO) run ./cmd/mvpearslint ./...
 	@if grep -n 'lint:allow purity' $$(ls internal/asr/*.go | grep -v _test.go); then \
 		echo "internal/asr must stay clock-free: remove the purity waiver"; exit 1; fi
@@ -104,8 +108,10 @@ loadgen-short:
 # streaming WAV decoder, the WebSocket frame parser, and the cluster
 # peer-protocol wire codec — and two metamorphic targets: any chunk schedule through the streaming front end gives the
 # batch feature matrices (dsp), and the batch transcriptions plus, window
-# by window, the frozen eager stream's texts and scores (asr). Seed
-# corpora are in the fuzz tests; crashers land in testdata/fuzz/ for triage.
+# by window, the frozen eager stream's texts and scores (asr) — and the
+# two lane kernels held to the Go loops bit for bit over random shapes
+# and planted ±0, ±Inf, NaN and subnormals (nn, hmm). Seed corpora are in
+# the fuzz tests; crashers land in testdata/fuzz/ for triage.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadWAV$$' -fuzztime $(FUZZTIME) ./internal/audio
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyPCM16$$' -fuzztime $(FUZZTIME) ./internal/vcache
@@ -114,6 +120,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireCodec$$' -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzFrontEndChunking$$' -fuzztime $(FUZZTIME) ./internal/dsp
 	$(GO) test -run '^$$' -fuzz '^FuzzEnsembleStreamChunking$$' -fuzztime $(FUZZTIME) ./internal/asr
+	$(GO) test -run '^$$' -fuzz '^FuzzMatVecLanes$$' -fuzztime $(FUZZTIME) ./internal/nn
+	$(GO) test -run '^$$' -fuzz '^FuzzViterbiLanes$$' -fuzztime $(FUZZTIME) ./internal/hmm
 
 # Boot a real daemon (bootstrap model, admin listener) and probe its
 # endpoints end to end: health, metrics, pprof, and a traced detection.

@@ -23,6 +23,12 @@ type HMM struct {
 	// state j scans its predecessors' scores as one contiguous column.
 	// Derived in NewHMM, never persisted.
 	transT []float64
+	// trans is LogTrans flattened row-major, trans[i*NumStates+j] =
+	// LogTrans[i][j], the lane kernel's layout: the transitions out of
+	// predecessor i into four consecutive states are one load. Derived in
+	// NewHMM where there is a lane kernel (nil elsewhere), never
+	// persisted.
+	trans []float64
 }
 
 // NewHMM validates shapes and wraps the parameters.
@@ -45,7 +51,14 @@ func NewHMM(logInit []float64, logTrans [][]float64, emitters []Emitter) (*HMM, 
 			transT[j*n+i] = v
 		}
 	}
-	return &HMM{NumStates: n, LogInit: logInit, LogTrans: logTrans, Emitters: emitters, transT: transT}, nil
+	var trans []float64
+	if bestPredecessorsLanes != nil {
+		trans = make([]float64, 0, n*n)
+		for _, row := range logTrans {
+			trans = append(trans, row...)
+		}
+	}
+	return &HMM{NumStates: n, LogInit: logInit, LogTrans: logTrans, Emitters: emitters, transT: transT, trans: trans}, nil
 }
 
 // Viterbi returns the most likely state sequence for the observations and

@@ -69,7 +69,7 @@ func (v *ViterbiState) Step(obs []float64) {
 		v.t = 1
 		return
 	}
-	bestPredecessors(v.prevDelta[:n], h.transT, v.delta[:n], bt)
+	bestPredecessors(v.prevDelta[:n], h.trans, h.transT, v.delta[:n], bt)
 	for j, e := range h.Emitters {
 		v.delta[j] += e.LogProb(obs)
 	}
@@ -77,16 +77,36 @@ func (v *ViterbiState) Step(obs []float64) {
 	v.t++
 }
 
+// bestPredecessorsLanes is the lane kernel: bestPredecessors for the
+// states j < len(score), len(score) a multiple of 4, over the row-major
+// table, with predecessors' results bit for bit (DESIGN §7). It is set at
+// package init on CPUs that have one (viterbi_amd64.go) and nil
+// everywhere else, where predecessors is the only kernel.
+var bestPredecessorsLanes func(prev, trans, score []float64, arg []int32)
+
 // bestPredecessors is the transition half of a Viterbi column: for every
-// state j it writes max_i prev[i]+transT[j*n+i] to score[j] and the first
-// i attaining it to arg[j]. Four states advance per pass over prev —
-// each keeps its own running maximum, scanned in ascending i with a
-// strict comparison, so scores and tie-breaks are those of the one-state
-// loop while the four compare chains overlap.
-func bestPredecessors(prev, transT, score []float64, arg []int32) {
+// state j it writes max_i prev[i]+LogTrans[i][j] to score[j] and the
+// first i attaining it to arg[j]. The lane kernel takes the whole blocks
+// of 4 states when trans (HMM.trans) is set, predecessors the rest over
+// transT (HMM.transT).
+func bestPredecessors(prev, trans, transT, score []float64, arg []int32) {
+	from := 0
+	if trans != nil {
+		from = len(prev) &^ 3
+		bestPredecessorsLanes(prev, trans, score[:from], arg[:from])
+	}
+	predecessors(prev, transT, score, arg, from)
+}
+
+// predecessors is bestPredecessors in Go for the states j >= from. Four
+// states advance per pass over prev — each keeps its own running
+// maximum, scanned in ascending i with a strict comparison, so scores and
+// tie-breaks are those of the one-state loop while the four compare
+// chains overlap.
+func predecessors(prev, transT, score []float64, arg []int32, from int) {
 	n := len(prev)
 	negInf := math.Inf(-1)
-	j := 0
+	j := from
 	for ; j+4 <= n; j += 4 {
 		c0 := transT[j*n:][:n]
 		c1 := transT[(j+1)*n:][:n]

@@ -11,14 +11,22 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"sync/atomic"
 )
 
 // MLP is a fully connected feedforward network with tanh hidden layers and
 // a linear output layer (logits).
+//
+// The forward pass reads a copy of W in the lane kernel's layout, derived
+// on first use. SGD.Step drops it; any other in-place edit of W must come
+// before the model's first forward pass.
 type MLP struct {
 	Sizes []int       // layer widths, e.g. [65, 64, 41]
 	W     [][]float64 // W[l] is Sizes[l+1] x Sizes[l], row-major
 	B     [][]float64 // B[l] has Sizes[l+1] entries
+	// lanes holds panelOf(W[l]) per layer. Unexported, so persistence
+	// (which only sees exported fields) never writes it.
+	lanes atomic.Pointer[[][]float64]
 }
 
 // NewMLP builds a network with Xavier-style initialization drawn from rng.
@@ -95,12 +103,27 @@ func (m *MLP) forward(x []float64, keep bool) ([]float64, *MLPCache, error) {
 	return cur, cache, nil
 }
 
+// panels returns the lane panels of every layer, deriving them on first
+// use (nil panels without a lane kernel). Concurrent first calls derive
+// equal copies and the last one stored wins.
+func (m *MLP) panels() [][]float64 {
+	if p := m.lanes.Load(); p != nil {
+		return *p
+	}
+	p := make([][]float64, len(m.W))
+	for l, w := range m.W {
+		p[l] = panelOf(w, m.Sizes[l+1], m.Sizes[l])
+	}
+	m.lanes.Store(&p)
+	return p
+}
+
 // layer writes layer l's activations for input cur into next
 // (len Sizes[l+1]): bias plus weighted sum, through tanh on every layer
 // but the last.
 func (m *MLP) layer(l int, cur, next []float64) {
 	copy(next, m.B[l])
-	addMatVec(next, m.W[l], cur)
+	mulAdd(next, m.W[l], m.panels()[l], cur)
 	if l < len(m.W)-1 {
 		tanhInPlace(next)
 	}
@@ -263,6 +286,7 @@ func (s *SGD) Step(m *MLP, g *Grads, batchSize int) {
 			m.B[l][i] += s.vB[l][i]
 		}
 	}
+	m.lanes.Store(nil)
 }
 
 // Softmax returns the softmax of logits (numerically stabilized).

@@ -6,11 +6,16 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"sync/atomic"
 )
 
 // RNN is an Elman recurrent network: h_t = tanh(Wx x_t + Wh h_{t-1} + bh),
 // logits_t = Wy h_t + by. It is the acoustic model of the GCS-style ASR
 // engine, standing in for the LSTM-RNN behind Google Cloud Speech.
+//
+// Like MLP, a step reads lane copies of the weight matrices derived on
+// first use: RNNSGD.Step drops them, and any other in-place edit of Wx,
+// Wh or Wy must come before the first step.
 type RNN struct {
 	In, Hidden, Out int
 	Wx              []float64 // Hidden x In
@@ -18,6 +23,23 @@ type RNN struct {
 	Wy              []float64 // Out x Hidden
 	Bh              []float64
 	By              []float64
+	// lanes holds panelOf of Wx, Wh and Wy; never persisted.
+	lanes atomic.Pointer[[3][]float64]
+}
+
+// panels returns the lane panels of Wx, Wh and Wy, deriving them on
+// first use (nil panels without a lane kernel).
+func (r *RNN) panels() [3][]float64 {
+	if p := r.lanes.Load(); p != nil {
+		return *p
+	}
+	p := [3][]float64{
+		panelOf(r.Wx, r.Hidden, r.In),
+		panelOf(r.Wh, r.Hidden, r.Hidden),
+		panelOf(r.Wy, r.Out, r.Hidden),
+	}
+	r.lanes.Store(&p)
+	return p
 }
 
 // NewRNN builds an Elman network with scaled random initialization.
@@ -59,15 +81,16 @@ func (r *RNN) StepInto(x, h, nh, y []float64) error {
 	}
 	// Each pre-activation is Bh[j] + Wx[j]·x + Wh[j]·h summed in that
 	// order: the second product continues the first one's chains.
+	p := r.panels()
 	nh = nh[:r.Hidden]
 	copy(nh, r.Bh)
-	addMatVec(nh, r.Wx, x)
-	addMatVec(nh, r.Wh, h[:r.Hidden])
+	mulAdd(nh, r.Wx, p[0], x)
+	mulAdd(nh, r.Wh, p[1], h[:r.Hidden])
 	tanhInPlace(nh)
 	if y != nil {
 		y = y[:r.Out]
 		copy(y, r.By)
-		addMatVec(y, r.Wy, nh)
+		mulAdd(y, r.Wy, p[2], nh)
 	}
 	return nil
 }
@@ -240,6 +263,7 @@ func (s *RNNSGD) Step(r *RNN, g *RNNGrads, batchSize int) {
 	apply(r.Wy, g.Wy, s.v.Wy)
 	apply(r.Bh, g.Bh, s.v.Bh)
 	apply(r.By, g.By, s.v.By)
+	r.lanes.Store(nil)
 }
 
 // Save serializes the model with gob.

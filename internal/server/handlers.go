@@ -172,12 +172,14 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes+1024) // payload + header slack
 	scratch := getScratch()
 	defer putScratch(scratch)
-	decodeStart := time.Now()
 	pcm, err := s.readPCM(body, scratch)
 	if err != nil {
 		writeError(w, decodeStatus(err), "decoding WAV: %v", err)
 		return
 	}
+	// The decode span starts once the bytes are in: reading the body
+	// waits on the client, and that transfer is not decode work.
+	decodeStart := time.Now()
 	key := s.uploadKey(st, pcm)
 	explain := explainRequested(r)
 	if e, ok := s.lookup(key, false); ok {
@@ -223,7 +225,6 @@ func (s *Server) handleDetectBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "expected multipart/form-data: %v", err)
 		return
 	}
-	decodeStart := time.Now()
 
 	// part is one uploaded file on its way to a verdict.
 	type part struct {
@@ -271,6 +272,8 @@ func (s *Server) handleDetectBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "no WAV file parts in request")
 		return
 	}
+	// As in handleDetect, the decode span starts once every part is in.
+	decodeStart := time.Now()
 
 	var missed []*part
 	var clips []*mvpears.Clip

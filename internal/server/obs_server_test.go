@@ -8,6 +8,7 @@ import (
 	"io"
 	"log"
 	"math"
+	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -534,5 +535,93 @@ func TestExplainNotRequestedOmitsEvidence(t *testing.T) {
 	det := decodeBody[DetectionJSON](t, postWAV(t, ts.URL, wavBody(t, 8000, 256)))
 	if det.Explanation != nil {
 		t.Fatalf("unexpected explanation: %+v", det.Explanation)
+	}
+}
+
+// stallReader yields the first n bytes of b, sleeps for pause, then
+// yields the rest: a client whose upload stalls mid-body.
+type stallReader struct {
+	b     []byte
+	n     int
+	pause time.Duration
+}
+
+func (r *stallReader) Read(p []byte) (int, error) {
+	if len(r.b) == 0 {
+		return 0, io.EOF
+	}
+	if r.n == 0 && r.pause > 0 {
+		time.Sleep(r.pause)
+		r.pause = 0
+	}
+	k := len(r.b)
+	if r.n > 0 {
+		k = min(k, r.n)
+	}
+	k = copy(p, r.b[:k])
+	r.b, r.n = r.b[k:], max(r.n-k, 0)
+	return k, nil
+}
+
+// TestDecodeSpanExcludesUpload sends a /v1/detect body and a
+// /v1/detect/batch body that each stall 300 ms after their first 100
+// bytes: the transfer is the client's, so the logged decode span must
+// stay well under the stall.
+func TestDecodeSpanExcludesUpload(t *testing.T) {
+	const stall = 300 * time.Millisecond
+	var buf syncBuffer
+	_, ts := newTestServer(t, Config{Backend: instantStub(), AccessLog: &buf})
+	var batch bytes.Buffer
+	mw := multipart.NewWriter(&batch)
+	fw, err := mw.CreateFormFile("file", "0.wav")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw.Write(wavBody(t, 8000, 300))
+	mw.Close()
+	for _, c := range []struct {
+		route, path, contentType string
+		body                     []byte
+	}{
+		{"detect", "/v1/detect", "audio/wav", wavBody(t, 8000, 256)},
+		{"detect_batch", "/v1/detect/batch", mw.FormDataContentType(), batch.Bytes()},
+	} {
+		id := "stall-" + c.route
+		// ContentLength -1: the client streams the body as it reads it.
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+c.path, &stallReader{b: c.body, n: 100, pause: stall})
+		req.ContentLength = -1
+		req.Header.Set("Content-Type", c.contentType)
+		req.Header.Set("X-Request-ID", id)
+		start := time.Now()
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", c.path, resp.StatusCode)
+		}
+		if took := time.Since(start); took < stall {
+			t.Fatalf("%s: answered in %v, before the %v stall ended", c.path, took, stall)
+		}
+		waitFor(t, func() bool { return strings.Contains(buf.String(), id) })
+		var rec struct {
+			Stages map[string]float64 `json:"stages"`
+		}
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.Contains(line, id) {
+				if err := json.Unmarshal([]byte(line), &rec); err != nil {
+					t.Fatalf("%s: %v\n%s", c.path, err, line)
+				}
+			}
+		}
+		d, ok := rec.Stages[obs.StageDecode+"_ms"]
+		if !ok {
+			t.Fatalf("%s: no decode stage in %v", c.path, rec.Stages)
+		}
+		if d > 100 {
+			t.Fatalf("%s: decode_ms %v includes the %v upload stall", c.path, d, stall)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -130,30 +131,73 @@ func TestSessionBuffersNeverShared(t *testing.T) {
 	}
 	baseline := runtime.NumGoroutine()
 	const maxSessions = 16
-	m, err := NewManager(Config{Detector: d, SampleRate: set.SampleRate, MaxSessions: maxSessions, IdleTimeout: 300 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+	// The janitor evicts a session idle for 300 ms, and a Push counts as
+	// activity from its start: on a loaded machine (the race detector, a
+	// few packages tested side by side) a long Push or a stalled
+	// goroutine lets it evict a session this test is still driving. Such
+	// an eviction is a legitimate end — the session must then hold no
+	// stream, and every eviction the test takes for one must have been
+	// announced through Hooks.SessionClosed(evicted=true).
+	var evictions atomic.Int64
+	cfg := Config{Detector: d, SampleRate: set.SampleRate, MaxSessions: maxSessions, IdleTimeout: 300 * time.Millisecond,
+		Hooks: Hooks{SessionClosed: func(evicted bool) {
+			if evicted {
+				evictions.Add(1)
+			}
+		}}}
+	// evicted reports whether an operation on s failed because the
+	// janitor took s; nothing else closes a session before m.Close.
+	evicted := func(s *Session, err error) bool {
+		if !errors.Is(err, ErrSessionClosed) {
+			return false
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if !s.closed || s.es != nil {
+			t.Errorf("session %d: %v, but it is open or still holds its stream", s.ID(), err)
+		}
+		return true
 	}
 	// An eviction that loses the race with Finish must not take the
-	// buffers from under the Final.
-	s, err := m.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Push(context.Background(), clips[0]); err != nil {
-		t.Fatal(err)
-	}
-	fin, err := s.Finish(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.close(false, true)
-	if s.es == nil || len(m.free) != 0 || !slices.Equal(fin.Samples, clips[0]) {
-		t.Fatal("a late eviction released a finished session's buffers before its owner's Close")
-	}
-	s.Close()
-	if s.es != nil || len(m.free) != 1 {
-		t.Fatalf("Close after Finish returned %d streams to the manager, want 1", len(m.free))
+	// buffers from under the Final. A real eviction before Finish ends
+	// the attempt; the next one starts on a fresh manager.
+	var m *Manager
+	for attempt := 1; ; attempt++ {
+		var err error
+		if m, err = NewManager(cfg); err != nil {
+			t.Fatal(err)
+		}
+		before := evictions.Load()
+		s, err := m.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fin *Final
+		if _, err = s.Push(context.Background(), clips[0]); err == nil {
+			fin, err = s.Finish(context.Background())
+		}
+		if evicted(s, err) && evictions.Load() > before && attempt < 10 {
+			m.Close()
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.close(false, true)
+		m.mu.Lock()
+		free := len(m.free)
+		m.mu.Unlock()
+		if s.es == nil || free != 0 || !slices.Equal(fin.Samples, clips[0]) {
+			t.Fatal("a late eviction released a finished session's buffers before its owner's Close")
+		}
+		s.Close()
+		m.mu.Lock()
+		free = len(m.free)
+		m.mu.Unlock()
+		if s.es != nil || free != 1 {
+			t.Fatalf("Close after Finish returned %d streams to the manager, want 1", free)
+		}
+		break
 	}
 
 	var (
@@ -163,10 +207,19 @@ func TestSessionBuffersNeverShared(t *testing.T) {
 		recycled int
 		wg       sync.WaitGroup
 	)
-	claim := func(s *Session) {
+	seenEvicted := 0 // sessions this test took as evicted
+	ended := func() {
+		mu.Lock()
+		seenEvicted++
+		mu.Unlock()
+	}
+	claim := func(s *Session) bool {
 		s.mu.Lock()
 		es := s.es
 		s.mu.Unlock()
+		if es == nil && evicted(s, ErrSessionClosed) {
+			return false // evicted between Open and here
+		}
 		mu.Lock()
 		defer mu.Unlock()
 		if prev := owner[es]; prev != nil {
@@ -183,6 +236,7 @@ func TestSessionBuffersNeverShared(t *testing.T) {
 			t.Errorf("manager retains %d streams, limit %d", len(m.free), maxSessions)
 		}
 		m.mu.Unlock()
+		return true
 	}
 	ctx := context.Background()
 	for g := 0; g < 8; g++ {
@@ -196,7 +250,10 @@ func TestSessionBuffersNeverShared(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				claim(s)
+				if !claim(s) {
+					ended()
+					continue
+				}
 				x := clips[rng.Intn(len(clips))]
 				kind := rng.Intn(10)
 				if n == 24 {
@@ -206,17 +263,30 @@ func TestSessionBuffersNeverShared(t *testing.T) {
 				if kind >= 6 {
 					upTo = 1 + rng.Intn(len(x))
 				}
+				pushed := true
 				for off := 0; off < upTo; {
 					c := min(1+rng.Intn(2400), upTo-off)
 					if _, err := s.Push(ctx, x[off:off+c]); err != nil {
+						if evicted(s, err) {
+							pushed = false
+							break
+						}
 						t.Errorf("session %d: %v", s.ID(), err)
 						return
 					}
 					off += c
 				}
+				if !pushed {
+					ended()
+					continue
+				}
 				switch {
 				case kind < 6: // finished
 					fin, err := s.Finish(ctx)
+					if evicted(s, err) {
+						ended()
+						continue
+					}
 					if err != nil {
 						t.Errorf("session %d: %v", s.ID(), err)
 						return
@@ -251,6 +321,7 @@ func TestSessionBuffersNeverShared(t *testing.T) {
 							return
 						}
 					}
+					ended()
 				default: // left for Manager.Close (or the janitor, if it is quicker)
 					mu.Lock()
 					leftOpen = append(leftOpen, s)
@@ -265,6 +336,9 @@ func TestSessionBuffersNeverShared(t *testing.T) {
 		if _, err := s.Push(ctx, clips[0][:10]); !errors.Is(err, ErrSessionClosed) {
 			t.Errorf("session %d after Manager.Close: %v, want ErrSessionClosed", s.ID(), err)
 		}
+	}
+	if n := evictions.Load(); n < int64(seenEvicted) {
+		t.Fatalf("the test took %d sessions as evicted, the manager announced %d evictions", seenEvicted, n)
 	}
 	if recycled < 100 {
 		t.Fatalf("%d of 200 sessions ran on a recycled stream: the free list is not in use", recycled)
