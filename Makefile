@@ -63,16 +63,17 @@ test:
 	$(GO) test ./...
 
 # Race-test the packages with concurrent hot paths (batch detection,
-# per-clip feature cache, shared FFT plans, the serving admission bound, the
-# cluster peer protocol) — the two that pass session buffers from owner to
-# owner (asr, stream) twice over, the verdict cache and singleflight, whose
-# leader runs the detection on the caller's goroutine, three times — and
+# per-clip feature cache, shared FFT plans, the serving admission bound) —
+# the two that pass session buffers from owner to owner (asr, stream) twice
+# over, the verdict cache and singleflight, whose leader runs the detection
+# on the caller's goroutine, and the cluster peer protocol, whose pooled
+# connections hand read buffers between round trips, three times — and
 # boot one artifact five times: a cascaded verdict is a function of
 # (artifact, clip, flags).
 race:
-	$(GO) test -race ./internal/detector/... ./internal/dsp/... ./internal/server/... ./internal/obs/... ./internal/cluster/...
+	$(GO) test -race ./internal/detector/... ./internal/dsp/... ./internal/server/... ./internal/obs/...
 	$(GO) test -race -count=2 ./internal/asr/... ./internal/stream/...
-	$(GO) test -race -count=3 ./internal/vcache/...
+	$(GO) test -race -count=3 ./internal/vcache/... ./internal/cluster/...
 	$(GO) test -race -count=5 -run '^TestCascadeDeterministicAcrossBoots$$' .
 
 # Boot the detection daemon, bootstrapping a quick-scale model on first run.

@@ -46,7 +46,7 @@ type Handler interface {
 	Detect(ctx context.Context, tc obs.TraceContext, key string, sampleRate int, pcm []byte) (det *mvpears.Detection, cached bool, spans []obs.Span, err error)
 }
 
-// Config parameterizes a Node. Zero-valued optional fields get defaults.
+// Config parameterizes a Node. A zero RequestTimeout gets the default.
 type Config struct {
 	// Self is this replica's advertised peer address. Required, and must
 	// be a member of Peers (it is added if absent).
@@ -56,19 +56,9 @@ type Config struct {
 	Peers []string
 	// Handler serves requests arriving from peers. Required for Serve.
 	Handler Handler
-	// DialTimeout bounds one peer dial (default 500ms).
-	DialTimeout time.Duration
 	// RequestTimeout bounds one peer round trip including a forwarded
 	// detection (default 30s).
 	RequestTimeout time.Duration
-	// MaxInflight bounds concurrently served peer requests — the fan-in
-	// side of the protocol (default 4*GOMAXPROCS, min 4). Excess requests
-	// get MsgErr "busy" instead of queueing unboundedly.
-	MaxInflight int
-	// DownFor is how long a peer is skipped after a transport failure
-	// (default 1s). The circuit keeps remote probes off a dead peer's
-	// dial timeout.
-	DownFor time.Duration
 	// ObserveRTT, when set, receives every successful peer round trip's
 	// duration (the per-peer RTT histogram source). Called on the request
 	// path; must be cheap and must not block.
@@ -78,23 +68,13 @@ type Config struct {
 	OnBusyDecline func()
 }
 
-func (c *Config) applyDefaults() {
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 500 * time.Millisecond
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 30 * time.Second
-	}
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 4 * runtime.GOMAXPROCS(0)
-		if c.MaxInflight < 4 {
-			c.MaxInflight = 4
-		}
-	}
-	if c.DownFor <= 0 {
-		c.DownFor = time.Second
-	}
-}
+const (
+	// dialTimeout bounds one peer dial.
+	dialTimeout = 500 * time.Millisecond
+	// downFor is how long a peer is skipped after a transport failure. The
+	// circuit keeps remote probes off a dead peer's dial timeout.
+	downFor = time.Second
+)
 
 // Node is one replica's membership in the cluster: the ring, one
 // persistent-connection client per peer, and the peer-facing server.
@@ -104,7 +84,12 @@ type Node struct {
 	// peers maps advertised address -> client state (excludes Self).
 	peers map[string]*peer
 
-	// inflight is the fan-in semaphore for served peer requests.
+	// dialTimeout and downFor are the package constants; tests shorten
+	// them on a Node they have just built.
+	dialTimeout, downFor time.Duration
+	// inflight is the fan-in semaphore for served peer requests: past
+	// 4*GOMAXPROCS (at least 4) of them, a request gets MsgErr "busy"
+	// instead of queueing unboundedly.
 	inflight chan struct{}
 
 	mu     sync.Mutex
@@ -118,15 +103,19 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Self == "" {
 		return nil, errors.New("cluster: Config.Self is required")
 	}
-	cfg.applyDefaults()
+	if cfg.RequestTimeout <= 0 {
+		cfg.RequestTimeout = 30 * time.Second
+	}
 	members := append([]string{cfg.Self}, cfg.Peers...)
 	ring := NewRing(members)
 	n := &Node{
-		cfg:      cfg,
-		ring:     ring,
-		peers:    make(map[string]*peer),
-		inflight: make(chan struct{}, cfg.MaxInflight),
-		conns:    make(map[net.Conn]bool),
+		cfg:         cfg,
+		ring:        ring,
+		peers:       make(map[string]*peer),
+		dialTimeout: dialTimeout,
+		downFor:     downFor,
+		inflight:    make(chan struct{}, max(4, 4*runtime.GOMAXPROCS(0))),
+		conns:       make(map[net.Conn]bool),
 	}
 	for _, m := range ring.Members() {
 		if m == cfg.Self {
@@ -200,19 +189,20 @@ var ErrRemote = errors.New("cluster: remote error")
 // callers may pass pooled buffers.
 func (n *Node) Detect(ctx context.Context, addr, key string, sampleRate int, pcm []byte, tc obs.TraceContext) (det *mvpears.Detection, cached bool, spans []obs.Span, err error) {
 	req := AppendDetect(make([]byte, 0, len(key)+len(pcm)+88), key, sampleRate, pcm, tc)
-	t, payload, err := n.roundTrip(ctx, addr, MsgDetect, req)
-	if err != nil {
-		return nil, false, nil, err
+	if rtErr := n.roundTrip(ctx, addr, MsgDetect, req, func(t MsgType, payload []byte) {
+		switch t {
+		case MsgVerdict:
+			det, cached, spans, err = ParseVerdict(payload)
+		case MsgErr:
+			msg, _ := ParseErr(payload)
+			err = fmt.Errorf("%w: %s", ErrRemote, msg)
+		default:
+			err = fmt.Errorf("%w: unexpected %d reply to Detect", ErrBadFrame, t)
+		}
+	}); rtErr != nil {
+		return nil, false, nil, rtErr
 	}
-	switch t {
-	case MsgVerdict:
-		return ParseVerdict(payload)
-	case MsgErr:
-		msg, _ := ParseErr(payload)
-		return nil, false, nil, fmt.Errorf("%w: %s", ErrRemote, msg)
-	default:
-		return nil, false, nil, fmt.Errorf("%w: unexpected %d reply to Detect", ErrBadFrame, t)
-	}
+	return det, cached, spans, err
 }
 
 // --- client side: persistent connections with a down-peer circuit ---
@@ -247,23 +237,26 @@ func (n *Node) peerFor(addr string) (*peer, error) {
 	return p, nil
 }
 
-// roundTrip sends one request frame to addr and reads the response,
-// reusing an idle persistent connection when one is available. Transport
+// roundTrip sends one request frame to addr and hands the response frame
+// to reply, reusing an idle persistent connection when one is available.
+// The response payload aliases the connection's read buffer, which the
+// next round trip on it refills once it is back in the idle pool, so
+// reply runs before that and keeps nothing of the payload. Transport
 // failures close the connection, trip the peer's down circuit and return
 // ErrPeerUnavailable.
-func (n *Node) roundTrip(ctx context.Context, addr string, t MsgType, payload []byte) (MsgType, []byte, error) {
+func (n *Node) roundTrip(ctx context.Context, addr string, t MsgType, payload []byte, reply func(MsgType, []byte)) error {
 	p, err := n.peerFor(addr)
 	if err != nil {
-		return 0, nil, err
+		return err
 	}
 	now := time.Now()
 	if p.downUntil.Load() > now.UnixNano() {
-		return 0, nil, fmt.Errorf("%w: %s in failure backoff", ErrPeerUnavailable, addr)
+		return fmt.Errorf("%w: %s in failure backoff", ErrPeerUnavailable, addr)
 	}
 	pc, err := n.borrowConn(ctx, p)
 	if err != nil {
-		p.downUntil.Store(now.Add(n.cfg.DownFor).UnixNano())
-		return 0, nil, fmt.Errorf("%w: dialing %s: %v", ErrPeerUnavailable, addr, err)
+		p.downUntil.Store(now.Add(n.downFor).UnixNano())
+		return fmt.Errorf("%w: dialing %s: %v", ErrPeerUnavailable, addr, err)
 	}
 	deadline := now.Add(n.cfg.RequestTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
@@ -278,16 +271,17 @@ func (n *Node) roundTrip(ctx context.Context, addr string, t MsgType, payload []
 	if err != nil {
 		_ = pc.conn.Close()
 		if ctx.Err() == nil {
-			p.downUntil.Store(time.Now().Add(n.cfg.DownFor).UnixNano())
+			p.downUntil.Store(time.Now().Add(n.downFor).UnixNano())
 		}
-		return 0, nil, fmt.Errorf("%w: %s: %v", ErrPeerUnavailable, addr, err)
+		return fmt.Errorf("%w: %s: %v", ErrPeerUnavailable, addr, err)
 	}
+	reply(rt, rp)
 	_ = pc.conn.SetDeadline(time.Time{})
 	n.returnConn(p, pc)
 	if n.cfg.ObserveRTT != nil {
 		n.cfg.ObserveRTT(addr, time.Since(now))
 	}
-	return rt, rp, nil
+	return nil
 }
 
 // do writes one request frame and reads one response frame.
@@ -308,7 +302,7 @@ func (n *Node) borrowConn(ctx context.Context, p *peer) (*peerConn, error) {
 		return pc, nil
 	default:
 	}
-	d := net.Dialer{Timeout: n.cfg.DialTimeout}
+	d := net.Dialer{Timeout: n.dialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", p.addr)
 	if err != nil {
 		return nil, err
@@ -342,7 +336,7 @@ func (n *Node) returnConn(p *peer, pc *peerConn) {
 
 // Serve accepts peer connections on ln until ctx ends or Close. Each
 // connection serves frames sequentially; concurrency across connections
-// is bounded by MaxInflight.
+// is bounded by the inflight semaphore.
 func (n *Node) Serve(ctx context.Context, ln net.Listener) error {
 	if n.cfg.Handler == nil {
 		return errors.New("cluster: Serve requires Config.Handler")
@@ -417,7 +411,7 @@ func (n *Node) serveConn(ctx context.Context, conn net.Conn) {
 
 // handleFrame serves one request frame and appends the response frame.
 func (n *Node) handleFrame(ctx context.Context, dst []byte, t MsgType, payload []byte) []byte {
-	// Bounded fan-in: beyond MaxInflight concurrent requests the peer is
+	// Bounded fan-in: beyond cap(n.inflight) concurrent requests the peer is
 	// told "busy" immediately — it has a perfectly good local fallback,
 	// so queueing here would only move its latency onto our socket.
 	select {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -62,26 +63,26 @@ func (h *stubHandler) spansFor(tc obs.TraceContext) []obs.Span {
 }
 
 // startNode builds a Node serving on a loopback listener and returns it
-// with its bound address. peers are the OTHER replicas' addresses.
-func startNode(t *testing.T, h Handler, mutate func(*Config), peers ...string) (*Node, string) {
+// with its bound address. peers are the OTHER replicas' addresses; mutate,
+// when set, adjusts the built Node before it serves.
+func startNode(t *testing.T, h Handler, mutate func(*Node), peers ...string) (*Node, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	cfg := Config{
+	n, err := New(Config{
 		Self:           ln.Addr().String(),
 		Peers:          peers,
 		Handler:        h,
 		RequestTimeout: 5 * time.Second,
-		DownFor:        200 * time.Millisecond,
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	n, err := New(cfg)
+	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
+	}
+	n.downFor = 200 * time.Millisecond
+	if mutate != nil {
+		mutate(n)
 	}
 	go func() { _ = n.Serve(context.Background(), ln) }()
 	t.Cleanup(func() { _ = n.Close() })
@@ -98,17 +99,11 @@ func twoNodes(t *testing.T, ha, hb Handler) (a, b *Node, addrA, addrB string) {
 	}
 	addrB = lnB.Addr().String()
 	a, addrA = startNode(t, ha, nil, addrB)
-	cfgB := Config{
-		Self:           addrB,
-		Peers:          []string{addrA},
-		Handler:        hb,
-		RequestTimeout: 5 * time.Second,
-		DownFor:        200 * time.Millisecond,
-	}
-	b, err = New(cfgB)
+	b, err = New(Config{Self: addrB, Peers: []string{addrA}, Handler: hb, RequestTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatalf("New(B): %v", err)
 	}
+	b.downFor = 200 * time.Millisecond
 	go func() { _ = b.Serve(context.Background(), lnB) }()
 	t.Cleanup(func() { _ = b.Close() })
 	return a, b, addrA, addrB
@@ -153,8 +148,8 @@ func TestNodeDownPeerCircuit(t *testing.T) {
 	dead := ln.Addr().String()
 	_ = ln.Close()
 
-	n, _ := startNode(t, &stubHandler{cache: map[string]*mvpears.Detection{}}, func(c *Config) {
-		c.DialTimeout = 200 * time.Millisecond
+	n, _ := startNode(t, &stubHandler{cache: map[string]*mvpears.Detection{}}, func(n *Node) {
+		n.dialTimeout = 200 * time.Millisecond
 	}, dead)
 
 	if _, _, _, err := n.Detect(context.Background(), dead, "fp:k", 16000, []byte{1}, obs.TraceContext{}); !errors.Is(err, ErrPeerUnavailable) {
@@ -173,7 +168,7 @@ func TestNodeDownPeerCircuit(t *testing.T) {
 	if got := n.HealthyPeers(); got != 0 {
 		t.Errorf("HealthyPeers = %d, want 0", got)
 	}
-	// After DownFor the peer is probed again (and fails again, but the
+	// After downFor the peer is probed again (and fails again, but the
 	// circuit did reset).
 	time.Sleep(250 * time.Millisecond)
 	if got := n.HealthyPeers(); got != 1 {
@@ -190,10 +185,11 @@ func TestNodeBusyFanInLimit(t *testing.T) {
 	}
 	addrB := lnB.Addr().String()
 	a, _ := startNode(t, &stubHandler{cache: map[string]*mvpears.Detection{}}, nil, addrB)
-	b, err := New(Config{Self: addrB, Peers: []string{a.Self()}, Handler: hb, MaxInflight: 1, RequestTimeout: 5 * time.Second})
+	b, err := New(Config{Self: addrB, Peers: []string{a.Self()}, Handler: hb, RequestTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatalf("New(B): %v", err)
 	}
+	b.inflight = make(chan struct{}, 1)
 	go func() { _ = b.Serve(context.Background(), lnB) }()
 	t.Cleanup(func() { _ = b.Close() })
 
@@ -220,7 +216,7 @@ func TestNodeBusyFanInLimit(t *testing.T) {
 	}
 }
 
-func TestNodeOwnerAndHedgeTarget(t *testing.T) {
+func TestNodeOwner(t *testing.T) {
 	a, _, addrA, addrB := twoNodes(t, &stubHandler{cache: map[string]*mvpears.Detection{}}, &stubHandler{cache: map[string]*mvpears.Detection{}})
 	// Ownership is exhaustive and consistent with the ring.
 	keys := syntheticKeys(500)
@@ -247,6 +243,48 @@ func TestNodeOwnerAndHedgeTarget(t *testing.T) {
 	}
 	if !a.HasPeers() {
 		t.Error("HasPeers = false with one peer configured")
+	}
+}
+
+// keyEchoHandler answers every key with a verdict that carries the key in
+// both transcriptions.
+type keyEchoHandler struct{}
+
+func (keyEchoHandler) Detect(_ context.Context, _ obs.TraceContext, key string, _ int, _ []byte) (*mvpears.Detection, bool, []obs.Span, error) {
+	return &mvpears.Detection{Scores: []float64{0.5}, Transcriptions: map[string]string{"target": key, "aux": key}}, true, nil, nil
+}
+
+// TestNodeDetectOwnsReply: concurrent Detect calls to one peer share its
+// pooled connections, and each still gets its own key's verdict — a reply
+// is decoded before its connection, and the read buffer the reply sits
+// in, goes back to the idle pool for another round trip to refill.
+func TestNodeDetectOwnsReply(t *testing.T) {
+	const goroutines, calls = 8, 2000
+	_, addrB := startNode(t, keyEchoHandler{}, func(n *Node) {
+		n.inflight = make(chan struct{}, goroutines) // no busy declines
+	})
+	a, _ := startNode(t, keyEchoHandler{}, nil, addrB)
+	var wrong, failed atomic.Int64
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range calls {
+				key := fmt.Sprintf("fp:%d/%d", g, i)
+				det, _, _, err := a.Detect(context.Background(), addrB, key, 16000, []byte{1, 2}, obs.TraceContext{})
+				switch {
+				case err != nil:
+					failed.Add(1)
+				case det.Transcriptions["target"] != key || det.Transcriptions["aux"] != key:
+					wrong.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if w, f := wrong.Load(), failed.Load(); w != 0 || f != 0 {
+		t.Fatalf("%d of %d replies carried another key's verdict, %d failed", w, goroutines*calls, f)
 	}
 }
 

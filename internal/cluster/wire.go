@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"mvpears"
@@ -25,8 +25,9 @@ import (
 // bounds-checked and fuzzed (FuzzWireCodec) — peers are trusted for
 // content but not for well-formedness.
 //
-// Version 2 is the only version: MsgDetect carries an optional
-// trace-context tail and MsgVerdict an optional span-list tail
+// Version 3 is the only version: MsgVerdict carries a Detection in the
+// same record the verdict cache keeps (AppendDetection). MsgDetect has an
+// optional trace-context tail and MsgVerdict an optional span-list tail
 // (cross-replica trace propagation). Both tails are encoded only when
 // non-empty, so a tail-less payload is the untraced encoding. A frame of
 // any other version fails at the header, which surfaces as a peer error —
@@ -36,7 +37,7 @@ import (
 const (
 	wireMagic0  = 'M'
 	wireMagic1  = 'V'
-	wireVersion = 2
+	wireVersion = 3
 
 	// frameHeaderLen is magic+version+type+length.
 	frameHeaderLen = 8
@@ -57,7 +58,8 @@ const (
 	// detection — its singleflight is what collapses a fleet-wide
 	// duplicate storm to one detection.
 	MsgDetect MsgType = 2
-	// MsgVerdict is the positive response: a flag byte plus a Detection.
+	// MsgVerdict is the positive response: a cached byte plus a Detection
+	// record.
 	MsgVerdict MsgType = 3
 	// MsgErr carries a failure as text (receiver overloaded, fingerprint
 	// mismatch mid-reload, detection error). The sender degrades to local
@@ -120,6 +122,15 @@ func appendBytes(dst, b []byte) []byte {
 	return append(dst, b...)
 }
 
+// appendCount appends a slice or map length plus one, or 0 for a nil
+// one, so a decoder tells nil from empty.
+func appendCount(dst []byte, n int, isNil bool) []byte {
+	if isNil {
+		return append(dst, 0)
+	}
+	return binary.AppendUvarint(dst, uint64(n)+1)
+}
+
 func appendFloat(dst []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 }
@@ -144,9 +155,19 @@ func (p *parser) length(unit int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if unit < 1 {
-		unit = 1
+	return p.bound(v, unit)
+}
+
+// count reads an appendCount count, bounded as length is: -1 for nil.
+func (p *parser) count(unit int) (int, error) {
+	v, err := p.uvarint()
+	if err != nil || v == 0 {
+		return -1, err
 	}
+	return p.bound(v-1, unit)
+}
+
+func (p *parser) bound(v uint64, unit int) (int, error) {
 	if v > uint64(len(p.b)/unit) {
 		return 0, fmt.Errorf("%w: declared %d elements, %d bytes remain", ErrBadFrame, v, len(p.b))
 	}
@@ -284,76 +305,193 @@ func ParseErr(b []byte) (string, error) {
 	return msg, p.done()
 }
 
-// Verdict flag bits in a MsgVerdict payload.
+// verdictCached is the one flag of a MsgVerdict payload's leading byte:
+// served from the receiver's cache (or a shared flight).
+const verdictCached = 1 << 0
+
+// Detection record flag bits.
 const (
-	verdictCached      = 1 << 0 // served from the receiver's cache (or a shared flight)
-	verdictAdversarial = 1 << 1
-	verdictHasCascade  = 1 << 2
-	cascadeShort       = 1 << 0
-	cascadeSampled     = 1 << 1
+	detAdversarial = 1 << 0
+	detHasCascade  = 1 << 1
+	cascadeShort   = 1 << 2
+	cascadeSampled = 1 << 3
 )
 
-// AppendVerdict encodes a MsgVerdict payload: the cached flag plus the
-// cacheable Detection fields (scores, transcriptions, timing, cascade
-// provenance), then the optional span tail — the answering replica's
-// own stage spans, shipped back only when the requester asked for them
-// (TraceContext.Sampled) so a remote answer stitches into the requester's
-// trace. Explanations are NOT shipped — they are deterministic in the
-// transcriptions, so the requester derives them locally on demand,
-// keeping the hit path payload small.
+// AppendDetection appends det's one byte form — the record the verdict
+// cache keeps and a MsgVerdict carries — and returns it:
+//
+//	record  := flags(1) scores transcriptions timing [cascade]
+//	scores  := count float64...
+//	transcriptions := count (engine text)...   in sorted engine order
+//	timing  := varint(recognition) varint(similarity) varint(classify)
+//	cascade := run skipped float64(margin) float64(firstScore) imputed
+//	run, skipped := count string...            imputed := count byte...
+//
+// Every count is the length plus one, 0 for a nil slice or map, so
+// ParseDetection rebuilds a Detection reflect.DeepEqual to det, and the
+// sorted engine names make the bytes a function of the content.
+// Explanations are not encoded: they are deterministic in the
+// transcriptions, so a reader derives one on demand.
+func AppendDetection(dst []byte, det *mvpears.Detection) []byte {
+	var flags byte
+	if det.Adversarial {
+		flags |= detAdversarial
+	}
+	c := det.Cascade
+	if c != nil {
+		flags |= detHasCascade
+		if c.ShortCircuit {
+			flags |= cascadeShort
+		}
+		if c.SampledFull {
+			flags |= cascadeSampled
+		}
+	}
+	dst = appendCount(append(dst, flags), len(det.Scores), det.Scores == nil)
+	for _, s := range det.Scores {
+		dst = appendFloat(dst, s)
+	}
+	var buf [8]string
+	engines := buf[:0]
+	for name := range det.Transcriptions {
+		engines = append(engines, name)
+	}
+	slices.Sort(engines)
+	dst = appendCount(dst, len(engines), det.Transcriptions == nil)
+	for _, name := range engines {
+		dst = appendString(appendString(dst, name), det.Transcriptions[name])
+	}
+	dst = binary.AppendVarint(dst, int64(det.Timing.Recognition))
+	dst = binary.AppendVarint(dst, int64(det.Timing.Similarity))
+	dst = binary.AppendVarint(dst, int64(det.Timing.Classify))
+	if c == nil {
+		return dst
+	}
+	dst = appendStrings(dst, c.EnginesRun)
+	dst = appendStrings(dst, c.EnginesSkipped)
+	dst = appendFloat(appendFloat(dst, c.Margin), c.FirstScore)
+	dst = appendCount(dst, len(c.Imputed), c.Imputed == nil)
+	for _, imp := range c.Imputed {
+		v := byte(0)
+		if imp {
+			v = 1
+		}
+		dst = append(dst, v)
+	}
+	return dst
+}
+
+// ParseDetection decodes a record AppendDetection wrote into a fresh
+// Detection that shares no memory with b.
+func ParseDetection(b []byte) (*mvpears.Detection, error) {
+	p := parser{b}
+	det, err := p.detection()
+	if err != nil {
+		return nil, err
+	}
+	return det, p.done()
+}
+
+func (p *parser) detection() (*mvpears.Detection, error) {
+	flags, err := p.byteVal()
+	if err != nil {
+		return nil, err
+	}
+	det := &mvpears.Detection{Adversarial: flags&detAdversarial != 0}
+	nScores, err := p.count(8)
+	if err != nil {
+		return nil, err
+	}
+	if nScores >= 0 {
+		det.Scores = make([]float64, nScores)
+		for i := range det.Scores {
+			det.Scores[i], _ = p.float() // count bounded the bytes
+		}
+	}
+	nTr, err := p.count(2)
+	if err != nil {
+		return nil, err
+	}
+	if nTr >= 0 {
+		det.Transcriptions = make(map[string]string, nTr)
+	}
+	for range nTr {
+		engine, err := p.str()
+		if err != nil {
+			return nil, err
+		}
+		if det.Transcriptions[engine], err = p.str(); err != nil {
+			return nil, err
+		}
+	}
+	for _, d := range []*time.Duration{&det.Timing.Recognition, &det.Timing.Similarity, &det.Timing.Classify} {
+		v, n := binary.Varint(p.b)
+		if n <= 0 {
+			return nil, fmt.Errorf("%w: bad varint", ErrBadFrame)
+		}
+		p.b = p.b[n:]
+		*d = time.Duration(v)
+	}
+	if flags&detHasCascade == 0 {
+		return det, nil
+	}
+	c := &mvpears.CascadeDecision{ShortCircuit: flags&cascadeShort != 0, SampledFull: flags&cascadeSampled != 0}
+	if c.EnginesRun, err = p.strings(); err != nil {
+		return nil, err
+	}
+	if c.EnginesSkipped, err = p.strings(); err != nil {
+		return nil, err
+	}
+	if c.Margin, err = p.float(); err != nil {
+		return nil, err
+	}
+	if c.FirstScore, err = p.float(); err != nil {
+		return nil, err
+	}
+	nImp, err := p.count(1)
+	if err != nil {
+		return nil, err
+	}
+	if nImp >= 0 {
+		c.Imputed = make([]bool, nImp)
+		for i := range c.Imputed {
+			c.Imputed[i] = p.b[i] != 0
+		}
+		p.b = p.b[nImp:]
+	}
+	det.Cascade = c
+	return det, nil
+}
+
+// AppendVerdict encodes a MsgVerdict payload: the cached flag byte, the
+// Detection's record (AppendDetection), then the optional span tail — the
+// answering replica's own stage spans, shipped back only when the
+// requester asked for them (TraceContext.Sampled) so a remote answer
+// stitches into the requester's trace.
 func AppendVerdict(dst []byte, det *mvpears.Detection, cached bool, spans []obs.Span) []byte {
 	var flags byte
 	if cached {
 		flags |= verdictCached
 	}
-	if det.Adversarial {
-		flags |= verdictAdversarial
+	return appendSpans(AppendDetection(append(dst, flags), det), spans)
+}
+
+// ParseVerdict decodes a MsgVerdict payload into a fresh Detection plus
+// the answering replica's spans (nil when none were shipped). Nothing it
+// returns aliases b.
+func ParseVerdict(b []byte) (det *mvpears.Detection, cached bool, spans []obs.Span, err error) {
+	p := parser{b}
+	flags, err := p.byteVal()
+	if err != nil {
+		return nil, false, nil, err
 	}
-	if det.Cascade != nil {
-		flags |= verdictHasCascade
+	if det, err = p.detection(); err != nil {
+		return nil, false, nil, err
 	}
-	dst = append(dst, flags)
-	dst = binary.AppendUvarint(dst, uint64(len(det.Scores)))
-	for _, s := range det.Scores {
-		dst = appendFloat(dst, s)
+	if spans, err = p.spans(); err != nil {
+		return nil, false, nil, err
 	}
-	// Engine names sort so the encoding is deterministic in the content.
-	engines := make([]string, 0, len(det.Transcriptions))
-	for e := range det.Transcriptions {
-		engines = append(engines, e)
-	}
-	sort.Strings(engines)
-	dst = binary.AppendUvarint(dst, uint64(len(engines)))
-	for _, e := range engines {
-		dst = appendString(dst, e)
-		dst = appendString(dst, det.Transcriptions[e])
-	}
-	dst = binary.AppendUvarint(dst, uint64(det.Timing.Recognition))
-	dst = binary.AppendUvarint(dst, uint64(det.Timing.Similarity))
-	dst = binary.AppendUvarint(dst, uint64(det.Timing.Classify))
-	if c := det.Cascade; c != nil {
-		var cf byte
-		if c.ShortCircuit {
-			cf |= cascadeShort
-		}
-		if c.SampledFull {
-			cf |= cascadeSampled
-		}
-		dst = append(dst, cf)
-		dst = appendStrings(dst, c.EnginesRun)
-		dst = appendStrings(dst, c.EnginesSkipped)
-		dst = appendFloat(dst, c.Margin)
-		dst = appendFloat(dst, c.FirstScore)
-		dst = binary.AppendUvarint(dst, uint64(len(c.Imputed)))
-		for _, imp := range c.Imputed {
-			v := byte(0)
-			if imp {
-				v = 1
-			}
-			dst = append(dst, v)
-		}
-	}
-	return appendSpans(dst, spans)
+	return det, flags&verdictCached != 0, spans, p.done()
 }
 
 // appendSpans appends the optional span tail. Like the trace-context
@@ -413,8 +551,10 @@ func (p *parser) spans() ([]obs.Span, error) {
 	return out, nil
 }
 
+// appendStrings appends ss as a count (nil kept apart from empty) and
+// its strings.
 func appendStrings(dst []byte, ss []string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(ss)))
+	dst = appendCount(dst, len(ss), ss == nil)
 	for _, s := range ss {
 		dst = appendString(dst, s)
 	}
@@ -422,12 +562,9 @@ func appendStrings(dst []byte, ss []string) []byte {
 }
 
 func (p *parser) strings() ([]string, error) {
-	n, err := p.length(1)
-	if err != nil {
+	n, err := p.count(1)
+	if n < 0 || err != nil {
 		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
 	}
 	out := make([]string, n)
 	for i := range out {
@@ -436,96 +573,4 @@ func (p *parser) strings() ([]string, error) {
 		}
 	}
 	return out, nil
-}
-
-// ParseVerdict decodes a MsgVerdict payload into a fresh Detection plus
-// the answering replica's spans (nil when none were shipped).
-func ParseVerdict(b []byte) (det *mvpears.Detection, cached bool, spans []obs.Span, err error) {
-	p := parser{b}
-	flags, err := p.byteVal()
-	if err != nil {
-		return nil, false, nil, err
-	}
-	det = &mvpears.Detection{Adversarial: flags&verdictAdversarial != 0}
-	cached = flags&verdictCached != 0
-	nScores, err := p.length(8)
-	if err != nil {
-		return nil, false, nil, err
-	}
-	if nScores > 0 {
-		det.Scores = make([]float64, nScores)
-		for i := range det.Scores {
-			if det.Scores[i], err = p.float(); err != nil {
-				return nil, false, nil, err
-			}
-		}
-	}
-	nTr, err := p.length(2)
-	if err != nil {
-		return nil, false, nil, err
-	}
-	det.Transcriptions = make(map[string]string, nTr)
-	for i := 0; i < nTr; i++ {
-		engine, err := p.str()
-		if err != nil {
-			return nil, false, nil, err
-		}
-		text, err := p.str()
-		if err != nil {
-			return nil, false, nil, err
-		}
-		det.Transcriptions[engine] = text
-	}
-	for _, dur := range []*time.Duration{
-		&det.Timing.Recognition, &det.Timing.Similarity, &det.Timing.Classify,
-	} {
-		v, err := p.uvarint()
-		if err != nil {
-			return nil, false, nil, err
-		}
-		if v > math.MaxInt64 {
-			return nil, false, nil, fmt.Errorf("%w: timing overflows", ErrBadFrame)
-		}
-		*dur = time.Duration(v)
-	}
-	if flags&verdictHasCascade != 0 {
-		c := &mvpears.CascadeDecision{}
-		cf, err := p.byteVal()
-		if err != nil {
-			return nil, false, nil, err
-		}
-		c.ShortCircuit = cf&cascadeShort != 0
-		c.SampledFull = cf&cascadeSampled != 0
-		if c.EnginesRun, err = p.strings(); err != nil {
-			return nil, false, nil, err
-		}
-		if c.EnginesSkipped, err = p.strings(); err != nil {
-			return nil, false, nil, err
-		}
-		if c.Margin, err = p.float(); err != nil {
-			return nil, false, nil, err
-		}
-		if c.FirstScore, err = p.float(); err != nil {
-			return nil, false, nil, err
-		}
-		nImp, err := p.length(1)
-		if err != nil {
-			return nil, false, nil, err
-		}
-		if nImp > 0 {
-			c.Imputed = make([]bool, nImp)
-			for i := range c.Imputed {
-				v, err := p.byteVal()
-				if err != nil {
-					return nil, false, nil, err
-				}
-				c.Imputed[i] = v != 0
-			}
-		}
-		det.Cascade = c
-	}
-	if spans, err = p.spans(); err != nil {
-		return nil, false, nil, err
-	}
-	return det, cached, spans, p.done()
 }

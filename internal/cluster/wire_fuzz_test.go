@@ -40,6 +40,17 @@ func FuzzWireCodec(f *testing.F) {
 		},
 	}
 	f.Add(AppendFrame(nil, MsgVerdict, AppendVerdict(nil, det, true, nil)))
+	// The nil-versus-empty cases the cache record keeps apart.
+	for _, d := range []*mvpears.Detection{
+		{},
+		{Scores: []float64{}, Transcriptions: map[string]string{}},
+		{Cascade: &mvpears.CascadeDecision{EnginesRun: []string{}, EnginesSkipped: []string{}, Imputed: []bool{}}},
+		{Transcriptions: map[string]string{"DS0": "a"}, Cascade: &mvpears.CascadeDecision{
+			SampledFull: true, EnginesRun: []string{"GCS", "DS1"}, EnginesSkipped: []string{}, Imputed: []bool{false, false},
+		}},
+	} {
+		f.Add(AppendFrame(nil, MsgVerdict, AppendVerdict(nil, d, false, nil)))
+	}
 	f.Add(AppendFrame(nil, MsgVerdict, AppendVerdict(nil, det, false, []obs.Span{
 		{Stage: "transcribe", Engine: "DS1", Start: time.Millisecond, Dur: 2 * time.Millisecond},
 		{Stage: "classify", Dur: 30 * time.Microsecond},

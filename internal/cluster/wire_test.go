@@ -69,9 +69,9 @@ func TestGetDetectErrRoundTrip(t *testing.T) {
 }
 
 // TestWireV1BackCompat: payloads encoded without the optional trace /
-// span tails — the untraced encoding, byte-identical to the retired v1
-// payloads — must still decode, with a zero context and no spans; a
-// version-1 frame header is rejected.
+// span tails — the untraced encoding; a Detect payload is byte-identical
+// to a retired v1 one — must still decode, with a zero context and no
+// spans; a version-1 frame header is rejected.
 func TestWireV1BackCompat(t *testing.T) {
 	key := "fp:old-peer"
 	detectV1 := appendString(nil, key)
@@ -127,6 +127,9 @@ func TestVerdictSpanTail(t *testing.T) {
 	}
 }
 
+// TestVerdictRoundTrip: a verdict survives the codec reflect.DeepEqual —
+// nil and empty slices and maps told apart — with deterministic bytes,
+// and its record is the bytes AppendDetection writes.
 func TestVerdictRoundTrip(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -167,6 +170,26 @@ func TestVerdictRoundTrip(t *testing.T) {
 			},
 			cached: false,
 		},
+		// The cache keeps this record too, so nil and empty stay apart.
+		{name: "nil_everything", det: &mvpears.Detection{}},
+		{name: "empty_everything", det: &mvpears.Detection{Scores: []float64{}, Transcriptions: map[string]string{}}},
+		{
+			name: "empty_cascade",
+			det:  &mvpears.Detection{Cascade: &mvpears.CascadeDecision{EnginesRun: []string{}, EnginesSkipped: []string{}, Imputed: []bool{}}},
+		},
+		{
+			name: "run_through_empty_skipped",
+			det: &mvpears.Detection{
+				Scores:         []float64{0.9, 0.2},
+				Transcriptions: map[string]string{"DS0": "open", "DS1": "open", "GCS": "opens"},
+				Timing:         mvpears.DetectionTiming{Recognition: 3 * time.Millisecond},
+				Cascade: &mvpears.CascadeDecision{
+					SampledFull: true, EnginesRun: []string{"GCS", "DS1"}, EnginesSkipped: []string{},
+					Margin: 0.7343, FirstScore: 0.2, Imputed: []bool{false, false},
+				},
+			},
+			cached: true,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -185,6 +208,13 @@ func TestVerdictRoundTrip(t *testing.T) {
 			// names sort), so two encodes of one verdict are identical.
 			if again := AppendVerdict(nil, tc.det, tc.cached, nil); !bytes.Equal(wire, again) {
 				t.Errorf("encoding is not deterministic")
+			}
+			rec := AppendDetection(nil, tc.det)
+			if !bytes.Equal(wire[1:], rec) {
+				t.Errorf("verdict payload after the cached byte is not the Detection record")
+			}
+			if got, err := ParseDetection(rec); err != nil || !reflect.DeepEqual(got, tc.det) {
+				t.Errorf("ParseDetection = (%+v, %v), want %+v", got, err, tc.det)
 			}
 		})
 	}

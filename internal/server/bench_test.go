@@ -340,12 +340,11 @@ func BenchmarkClusterRemoteHit(b *testing.B) {
 	sys := benchSystem(b)
 	// Every body is a distinct key (a repeat would be a LOCAL hit on the
 	// requester), so both verdict caches must hold b.N entries at once.
-	// The entry budget splits evenly across the cache's 16 shards while
-	// keys hash unevenly, so a tight bound overflows hot shards and the
-	// resulting evictions turn timed requests into real detections; 4x
-	// headroom keeps every shard under budget.
+	// The cache is one LRU with an exact entry bound, so b.N entries need
+	// b.N slots; an eviction would turn a timed request into a real
+	// detection, which the remote-hit count below would catch.
 	sA, sB, _, _ := clusterPair(b, sys, sys, func(cfg *Config) {
-		cfg.CacheEntries = 4*b.N + 1024
+		cfg.CacheEntries = b.N
 		cfg.CacheBytes = 256 << 20
 	})
 	hB := sB.Handler()
@@ -443,7 +442,7 @@ func cacheEntryDetection(i int, cascaded bool) *mvpears.Detection {
 // 129-byte keys, in a fresh server's verdict cache through the serving
 // path's one cache write, then — with hits — serves every entry once as
 // a plain hit does. It returns the live heap bytes and heap objects the
-// entries hold (the heap after a GC with them resident, less the heap
+// entries hold (the heap after GCs with them resident, less the heap
 // after purging them and another GC; the stored detections themselves
 // are garbage by then) and the bytes the cache charged, each per entry.
 func measureCacheEntries(tb testing.TB, cascaded, hits bool, n int) (heapPer, objectsPer, chargedPer float64) {
@@ -465,6 +464,11 @@ func measureCacheEntries(tb testing.TB, cascaded, hits bool, n int) (heapPer, ob
 		}
 	}
 	var full, empty runtime.MemStats
+	// Two collections before the first reading: the first moves what the
+	// sync.Pools hold (earlier tests' 64 KiB upload buffers among them) to
+	// their victim caches and the second frees it, so pooled buffers are in
+	// neither reading, however many collections ran while the cache filled.
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&full)
 	stats := s.vc.Stats()

@@ -12,8 +12,8 @@ import (
 	"mime/multipart"
 	"net/http"
 	"reflect"
+	"runtime/debug"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -91,8 +91,8 @@ func TestVerdictEntryRebuildsDetection(t *testing.T) {
 	cases["nil_everything"] = &mvpears.Detection{}
 	cases["empty_everything"] = &mvpears.Detection{Scores: []float64{}, Transcriptions: map[string]string{}}
 	cases["empty_cascade"] = &mvpears.Detection{Cascade: &mvpears.CascadeDecision{EnginesRun: []string{}, EnginesSkipped: []string{}, Imputed: []bool{}}}
-	// A run-through's shape but for an empty, not nil, EnginesSkipped: one
-	// table must keep the two apart.
+	// A run-through but for an empty, not nil, EnginesSkipped: the record
+	// must keep the two apart.
 	emptySkipped := cloneDetection(cases["run_through/0"])
 	emptySkipped.Cascade.EnginesSkipped = []string{}
 	cases["run_through_empty_skipped"] = emptySkipped
@@ -101,10 +101,9 @@ func TestVerdictEntryRebuildsDetection(t *testing.T) {
 		Transcriptions: map[string]string{"DS0": "a", "DS1": "b"},
 		Explanation:    &mvpears.Explanation{Method: "PE_JaroWinkler", MinSimilarity: 0.5, MinEngine: "DS1"},
 	}
-	var shapes shapeTable
 	for name, det := range cases {
 		want := cloneDetection(det)
-		e := shapes.newVerdictEntry(det)
+		e := newVerdictEntry(det)
 		// Scribble over the stored Detection: the record must not share it.
 		for i := range det.Scores {
 			det.Scores[i] = -1
@@ -126,33 +125,6 @@ func TestVerdictEntryRebuildsDetection(t *testing.T) {
 			}
 		}
 	}
-	// The 32 seeded verdicts share four shapes (full, short-circuited, and
-	// run-through with and without SampledFull); each edge case has its own.
-	if n := len(shapes.m); n > 4+5 {
-		t.Fatalf("%d distinct shapes interned, want at most 9", n)
-	}
-}
-
-// TestShapeTableConcurrentStores: concurrent stores intern shapes into one
-// table (as concurrent misses do) and every record still rebuilds its own
-// Detection. Run under -race.
-func TestShapeTableConcurrentStores(t *testing.T) {
-	var shapes shapeTable
-	var wg sync.WaitGroup
-	for g := range 8 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, det := range seededDetections(int64(g), 4) {
-				want := cloneDetection(det)
-				if got := shapes.newVerdictEntry(det).detection(); !reflect.DeepEqual(got, want) {
-					t.Errorf("rebuilt %+v\nwant %+v", got, want)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // cloneDetection deep-copies det, nil-ness preserved.
@@ -321,5 +293,21 @@ func TestCacheChargeMatchesHeap(t *testing.T) {
 				t.Fatalf("charged %.0f B/entry against %.0f B/entry of live heap (off by more than 15%%)", charged, heap)
 			}
 		})
+	}
+}
+
+// TestCacheChargeIgnoresPooledBuffers: upload buffers an earlier request
+// left in scratchPool are not counted as entry heap, even when no
+// collection runs while the cache fills (the pool then survives into the
+// first reading).
+func TestCacheChargeIgnoresPooledBuffers(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for range 7 {
+		b := make([]byte, 0, 64<<10)
+		putScratch(&b)
+	}
+	heap, _, charged := measureCacheEntries(t, false, false, 4096)
+	if math.Abs(charged-heap) > 0.15*heap {
+		t.Fatalf("charged %.0f B/entry against %.0f B/entry of live heap (off by more than 15%%)", charged, heap)
 	}
 }

@@ -102,10 +102,10 @@ func (s *Server) lookup(key string, reprobe bool) (*verdictEntry, bool) {
 	return s.vc.Get(key)
 }
 
-// store is the chain's single cache write: det's compact record.
+// store is the chain's single cache write: det's record (entry.go).
 func (s *Server) store(key string, det *mvpears.Detection) {
 	if key != "" {
-		e := s.shapes.newVerdictEntry(det)
+		e := newVerdictEntry(det)
 		s.vc.Put(key, e, e.size(key))
 	}
 }

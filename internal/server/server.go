@@ -265,9 +265,7 @@ type Server struct {
 	streamSessions atomic.Int64
 
 	// vc is the cross-request verdict cache; nil when caching is off.
-	// shapes interns the parts of its entries that verdicts share.
-	vc     *vcache.Cache[*verdictEntry]
-	shapes shapeTable
+	vc *vcache.Cache[*verdictEntry]
 	// flight collapses concurrent duplicate detections onto one leader.
 	flight *vcache.Group[*mvpears.Detection]
 
