@@ -38,12 +38,13 @@ import (
 // never re-forward, so ownership disagreement during membership skew
 // cannot loop a request between replicas.
 type Handler interface {
-	// Detect answers for key from local cache/flight/backend. cached
-	// reports that no fresh detection ran for this call. tc is the
+	// Detect answers for key from local cache/flight/backend with the
+	// verdict's record (AppendDetection), which the node sends as it is.
+	// cached reports that no fresh detection ran for this call. tc is the
 	// requester's propagated trace context; when tc.Sampled the handler
 	// returns its local stage spans so the requester can stitch them into
 	// its trace.
-	Detect(ctx context.Context, tc obs.TraceContext, key string, sampleRate int, pcm []byte) (det *mvpears.Detection, cached bool, spans []obs.Span, err error)
+	Detect(ctx context.Context, tc obs.TraceContext, key string, sampleRate int, pcm []byte) (rec string, cached bool, spans []obs.Span, err error)
 }
 
 // Config parameterizes a Node. A zero RequestTimeout gets the default.
@@ -135,9 +136,6 @@ func (n *Node) Owner(key string) (addr string, self bool) {
 	return addr, addr == n.cfg.Self
 }
 
-// HasPeers reports whether the ring has any member besides Self.
-func (n *Node) HasPeers() bool { return len(n.peers) > 0 }
-
 // HealthyPeers counts peers currently outside the failure backoff.
 func (n *Node) HealthyPeers() int {
 	now := time.Now().UnixNano()
@@ -181,30 +179,6 @@ var ErrPeerUnavailable = errors.New("cluster: peer unavailable")
 // declined: busy, draining, fingerprint mismatch, detection failure).
 var ErrRemote = errors.New("cluster: remote error")
 
-// Detect forwards one detection to addr: the owner answers from its
-// cache when possible, otherwise runs (or joins) the detection locally.
-// cached reports the former. tc propagates the requester's trace context;
-// when tc.Sampled the owner's stage spans come back in spans for the
-// caller to stitch. The PCM bytes are only read before Detect returns, so
-// callers may pass pooled buffers.
-func (n *Node) Detect(ctx context.Context, addr, key string, sampleRate int, pcm []byte, tc obs.TraceContext) (det *mvpears.Detection, cached bool, spans []obs.Span, err error) {
-	req := AppendDetect(make([]byte, 0, len(key)+len(pcm)+88), key, sampleRate, pcm, tc)
-	if rtErr := n.roundTrip(ctx, addr, MsgDetect, req, func(t MsgType, payload []byte) {
-		switch t {
-		case MsgVerdict:
-			det, cached, spans, err = ParseVerdict(payload)
-		case MsgErr:
-			msg, _ := ParseErr(payload)
-			err = fmt.Errorf("%w: %s", ErrRemote, msg)
-		default:
-			err = fmt.Errorf("%w: unexpected %d reply to Detect", ErrBadFrame, t)
-		}
-	}); rtErr != nil {
-		return nil, false, nil, rtErr
-	}
-	return det, cached, spans, err
-}
-
 // --- client side: persistent connections with a down-peer circuit ---
 
 // connsPerPeer bounds the idle persistent connections kept per peer.
@@ -229,70 +203,67 @@ type peerConn struct {
 	rbuf []byte // frame read buffer
 }
 
-func (n *Node) peerFor(addr string) (*peer, error) {
-	p, ok := n.peers[addr]
-	if !ok {
-		return nil, fmt.Errorf("cluster: %q is not a configured peer", addr)
-	}
-	return p, nil
-}
-
-// roundTrip sends one request frame to addr and hands the response frame
-// to reply, reusing an idle persistent connection when one is available.
-// The response payload aliases the connection's read buffer, which the
-// next round trip on it refills once it is back in the idle pool, so
-// reply runs before that and keeps nothing of the payload. Transport
+// Detect forwards one detection to addr: the owner answers from its
+// cache when possible, otherwise runs (or joins) the detection locally.
+// cached reports the former. rec is the owner's record of the verdict and
+// det the Detection parsed from it (ParseVerdict). tc propagates the
+// requester's trace context; when tc.Sampled the owner's stage spans come
+// back in spans for the caller to stitch. The frame copies pcm. Transport
 // failures close the connection, trip the peer's down circuit and return
 // ErrPeerUnavailable.
-func (n *Node) roundTrip(ctx context.Context, addr string, t MsgType, payload []byte, reply func(MsgType, []byte)) error {
-	p, err := n.peerFor(addr)
-	if err != nil {
-		return err
+func (n *Node) Detect(ctx context.Context, addr, key string, sampleRate int, pcm []byte, tc obs.TraceContext) (rec string, det *mvpears.Detection, cached bool, spans []obs.Span, err error) {
+	p, ok := n.peers[addr]
+	if !ok {
+		return "", nil, false, nil, fmt.Errorf("cluster: %q is not a configured peer", addr)
 	}
 	now := time.Now()
 	if p.downUntil.Load() > now.UnixNano() {
-		return fmt.Errorf("%w: %s in failure backoff", ErrPeerUnavailable, addr)
+		return "", nil, false, nil, fmt.Errorf("%w: %s in failure backoff", ErrPeerUnavailable, addr)
 	}
 	pc, err := n.borrowConn(ctx, p)
 	if err != nil {
 		p.downUntil.Store(now.Add(n.downFor).UnixNano())
-		return fmt.Errorf("%w: dialing %s: %v", ErrPeerUnavailable, addr, err)
+		return "", nil, false, nil, fmt.Errorf("%w: dialing %s: %v", ErrPeerUnavailable, addr, err)
 	}
 	deadline := now.Add(n.cfg.RequestTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
 	_ = pc.conn.SetDeadline(deadline)
-	// An RPC whose ctx is cancelled (every caller of the flight gone)
+	// A forward whose ctx is cancelled (every caller of the flight gone)
 	// must unblock promptly, not at the deadline.
 	stop := context.AfterFunc(ctx, func() { _ = pc.conn.SetDeadline(time.Unix(0, 1)) })
-	rt, rp, err := pc.do(t, payload)
+	pc.wbuf = endFrame(AppendDetect(AppendFrame(pc.wbuf[:0], MsgDetect, nil), key, sampleRate, pcm, tc), 0)
+	var t MsgType
+	var payload []byte
+	if _, err = pc.conn.Write(pc.wbuf); err == nil {
+		t, payload, pc.rbuf, err = ReadFrame(pc.br, pc.rbuf)
+	}
 	stop()
 	if err != nil {
 		_ = pc.conn.Close()
 		if ctx.Err() == nil {
 			p.downUntil.Store(time.Now().Add(n.downFor).UnixNano())
 		}
-		return fmt.Errorf("%w: %s: %v", ErrPeerUnavailable, addr, err)
+		return "", nil, false, nil, fmt.Errorf("%w: %s: %v", ErrPeerUnavailable, addr, err)
 	}
-	reply(rt, rp)
+	// payload aliases the read buffer, which the next round trip on this
+	// connection refills once it is back in the idle pool: decode it first.
+	switch t {
+	case MsgVerdict:
+		rec, det, cached, spans, err = ParseVerdict(payload)
+	case MsgErr:
+		msg, _ := ParseErr(payload)
+		err = fmt.Errorf("%w: %s", ErrRemote, msg)
+	default:
+		err = fmt.Errorf("%w: unexpected %d reply to Detect", ErrBadFrame, t)
+	}
 	_ = pc.conn.SetDeadline(time.Time{})
 	n.returnConn(p, pc)
 	if n.cfg.ObserveRTT != nil {
 		n.cfg.ObserveRTT(addr, time.Since(now))
 	}
-	return nil
-}
-
-// do writes one request frame and reads one response frame.
-func (pc *peerConn) do(t MsgType, payload []byte) (MsgType, []byte, error) {
-	pc.wbuf = AppendFrame(pc.wbuf[:0], t, payload)
-	if _, err := pc.conn.Write(pc.wbuf); err != nil {
-		return 0, nil, err
-	}
-	rt, rp, rbuf, err := ReadFrame(pc.br, pc.rbuf)
-	pc.rbuf = rbuf
-	return rt, rp, err
+	return rec, det, cached, spans, err
 }
 
 // borrowConn takes an idle connection or dials a fresh one.
@@ -431,11 +402,11 @@ func (n *Node) handleFrame(ctx context.Context, dst []byte, t MsgType, payload [
 		if err != nil {
 			return AppendFrame(dst, MsgErr, AppendErr(nil, err.Error()))
 		}
-		det, cached, spans, err := n.cfg.Handler.Detect(rctx, tc, key, rate, pcm)
+		rec, cached, spans, err := n.cfg.Handler.Detect(rctx, tc, key, rate, pcm)
 		if err != nil {
 			return AppendFrame(dst, MsgErr, AppendErr(nil, err.Error()))
 		}
-		return AppendFrame(dst, MsgVerdict, AppendVerdict(nil, det, cached, spans))
+		return endFrame(AppendVerdict(AppendFrame(dst, MsgVerdict, nil), rec, cached, spans), len(dst))
 	default:
 		return AppendFrame(dst, MsgErr, AppendErr(nil, fmt.Sprintf("unexpected request type %d", t)))
 	}

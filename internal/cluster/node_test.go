@@ -19,7 +19,7 @@ import (
 // stubHandler is a scriptable cluster.Handler.
 type stubHandler struct {
 	mu      sync.Mutex
-	cache   map[string]*mvpears.Detection
+	cache   map[string]string
 	detects atomic.Int64
 	// block, when non-nil, is closed by the test to release in-flight
 	// Detect calls (for the fan-in limit test).
@@ -27,30 +27,30 @@ type stubHandler struct {
 	err   error
 }
 
-func (h *stubHandler) Detect(ctx context.Context, tc obs.TraceContext, key string, sampleRate int, pcm []byte) (*mvpears.Detection, bool, []obs.Span, error) {
+func (h *stubHandler) Detect(ctx context.Context, tc obs.TraceContext, key string, sampleRate int, pcm []byte) (string, bool, []obs.Span, error) {
 	h.detects.Add(1)
 	if h.block != nil {
 		select {
 		case <-h.block:
 		case <-ctx.Done():
-			return nil, false, nil, ctx.Err()
+			return "", false, nil, ctx.Err()
 		}
 	}
 	if h.err != nil {
-		return nil, false, nil, h.err
+		return "", false, nil, h.err
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if det, ok := h.cache[key]; ok {
-		return det, true, h.spansFor(tc), nil
+	if rec, ok := h.cache[key]; ok {
+		return rec, true, h.spansFor(tc), nil
 	}
-	det := &mvpears.Detection{
+	rec := string(AppendDetection(nil, &mvpears.Detection{
 		Adversarial:    true,
 		Scores:         []float64{0.1},
 		Transcriptions: map[string]string{"target": "t", "aux": "a"},
-	}
-	h.cache[key] = det
-	return det, false, h.spansFor(tc), nil
+	}))
+	h.cache[key] = rec
+	return rec, false, h.spansFor(tc), nil
 }
 
 // spansFor returns a recognizable remote span set when the requester
@@ -110,10 +110,10 @@ func twoNodes(t *testing.T, ha, hb Handler) (a, b *Node, addrA, addrB string) {
 }
 
 func TestNodeDetectForwardAndError(t *testing.T) {
-	hb := &stubHandler{cache: map[string]*mvpears.Detection{}}
-	a, _, _, addrB := twoNodes(t, &stubHandler{cache: map[string]*mvpears.Detection{}}, hb)
+	hb := &stubHandler{cache: map[string]string{}}
+	a, _, _, addrB := twoNodes(t, &stubHandler{cache: map[string]string{}}, hb)
 
-	det, cached, _, err := a.Detect(context.Background(), addrB, "fp:k1", 16000, []byte{1, 2}, obs.TraceContext{})
+	_, det, cached, _, err := a.Detect(context.Background(), addrB, "fp:k1", 16000, []byte{1, 2}, obs.TraceContext{})
 	if err != nil || cached {
 		t.Fatalf("Detect #1 = (cached=%v, err=%v), want fresh", cached, err)
 	}
@@ -121,7 +121,7 @@ func TestNodeDetectForwardAndError(t *testing.T) {
 		t.Errorf("forwarded verdict lost the adversarial flag")
 	}
 	// Second forward of the same key answers from B's cache.
-	if _, cached, _, err = a.Detect(context.Background(), addrB, "fp:k1", 16000, []byte{1, 2}, obs.TraceContext{}); err != nil || !cached {
+	if _, _, cached, _, err = a.Detect(context.Background(), addrB, "fp:k1", 16000, []byte{1, 2}, obs.TraceContext{}); err != nil || !cached {
 		t.Fatalf("Detect #2 = (cached=%v, err=%v), want cached", cached, err)
 	}
 	if n := hb.detects.Load(); n != 2 {
@@ -131,7 +131,7 @@ func TestNodeDetectForwardAndError(t *testing.T) {
 	// A handler error comes back as ErrRemote, not a transport failure —
 	// the peer stays healthy.
 	hb.err = errors.New("fingerprint mismatch")
-	if _, _, _, err := a.Detect(context.Background(), addrB, "fp:k2", 16000, []byte{3}, obs.TraceContext{}); !errors.Is(err, ErrRemote) {
+	if _, _, _, _, err := a.Detect(context.Background(), addrB, "fp:k2", 16000, []byte{3}, obs.TraceContext{}); !errors.Is(err, ErrRemote) {
 		t.Fatalf("handler error surfaced as %v, want ErrRemote", err)
 	}
 	if got := a.HealthyPeers(); got != 1 {
@@ -148,17 +148,17 @@ func TestNodeDownPeerCircuit(t *testing.T) {
 	dead := ln.Addr().String()
 	_ = ln.Close()
 
-	n, _ := startNode(t, &stubHandler{cache: map[string]*mvpears.Detection{}}, func(n *Node) {
+	n, _ := startNode(t, &stubHandler{cache: map[string]string{}}, func(n *Node) {
 		n.dialTimeout = 200 * time.Millisecond
 	}, dead)
 
-	if _, _, _, err := n.Detect(context.Background(), dead, "fp:k", 16000, []byte{1}, obs.TraceContext{}); !errors.Is(err, ErrPeerUnavailable) {
+	if _, _, _, _, err := n.Detect(context.Background(), dead, "fp:k", 16000, []byte{1}, obs.TraceContext{}); !errors.Is(err, ErrPeerUnavailable) {
 		t.Fatalf("Detect(dead peer) = %v, want ErrPeerUnavailable", err)
 	}
 	// The circuit is now open: the next probe fails instantly without
 	// dialing.
 	start := time.Now()
-	_, _, _, err = n.Detect(context.Background(), dead, "fp:k", 16000, []byte{1}, obs.TraceContext{})
+	_, _, _, _, err = n.Detect(context.Background(), dead, "fp:k", 16000, []byte{1}, obs.TraceContext{})
 	if !errors.Is(err, ErrPeerUnavailable) || !strings.Contains(err.Error(), "backoff") {
 		t.Fatalf("circuit probe = %v, want backoff ErrPeerUnavailable", err)
 	}
@@ -177,14 +177,14 @@ func TestNodeDownPeerCircuit(t *testing.T) {
 }
 
 func TestNodeBusyFanInLimit(t *testing.T) {
-	hb := &stubHandler{cache: map[string]*mvpears.Detection{}, block: make(chan struct{})}
+	hb := &stubHandler{cache: map[string]string{}, block: make(chan struct{})}
 	// B accepts exactly one in-flight peer request.
 	lnB, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
 	addrB := lnB.Addr().String()
-	a, _ := startNode(t, &stubHandler{cache: map[string]*mvpears.Detection{}}, nil, addrB)
+	a, _ := startNode(t, &stubHandler{cache: map[string]string{}}, nil, addrB)
 	b, err := New(Config{Self: addrB, Peers: []string{a.Self()}, Handler: hb, RequestTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatalf("New(B): %v", err)
@@ -195,7 +195,7 @@ func TestNodeBusyFanInLimit(t *testing.T) {
 
 	first := make(chan error, 1)
 	go func() {
-		_, _, _, err := a.Detect(context.Background(), addrB, "fp:slow", 16000, []byte{1}, obs.TraceContext{})
+		_, _, _, _, err := a.Detect(context.Background(), addrB, "fp:slow", 16000, []byte{1}, obs.TraceContext{})
 		first <- err
 	}()
 	// Wait until the slow detect is actually holding the semaphore.
@@ -206,7 +206,7 @@ func TestNodeBusyFanInLimit(t *testing.T) {
 	if hb.detects.Load() == 0 {
 		t.Fatal("first Detect never reached the handler")
 	}
-	_, _, _, err = a.Detect(context.Background(), addrB, "fp:other", 16000, []byte{2}, obs.TraceContext{})
+	_, _, _, _, err = a.Detect(context.Background(), addrB, "fp:other", 16000, []byte{2}, obs.TraceContext{})
 	if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "busy") {
 		t.Fatalf("over-limit Detect = %v, want busy ErrRemote", err)
 	}
@@ -217,7 +217,7 @@ func TestNodeBusyFanInLimit(t *testing.T) {
 }
 
 func TestNodeOwner(t *testing.T) {
-	a, _, addrA, addrB := twoNodes(t, &stubHandler{cache: map[string]*mvpears.Detection{}}, &stubHandler{cache: map[string]*mvpears.Detection{}})
+	a, _, addrA, addrB := twoNodes(t, &stubHandler{cache: map[string]string{}}, &stubHandler{cache: map[string]string{}})
 	// Ownership is exhaustive and consistent with the ring.
 	keys := syntheticKeys(500)
 	sawSelf, sawPeer := false, false
@@ -241,17 +241,14 @@ func TestNodeOwner(t *testing.T) {
 	if !sawSelf || !sawPeer {
 		t.Errorf("ownership not split across both replicas (self=%v peer=%v)", sawSelf, sawPeer)
 	}
-	if !a.HasPeers() {
-		t.Error("HasPeers = false with one peer configured")
-	}
 }
 
 // keyEchoHandler answers every key with a verdict that carries the key in
 // both transcriptions.
 type keyEchoHandler struct{}
 
-func (keyEchoHandler) Detect(_ context.Context, _ obs.TraceContext, key string, _ int, _ []byte) (*mvpears.Detection, bool, []obs.Span, error) {
-	return &mvpears.Detection{Scores: []float64{0.5}, Transcriptions: map[string]string{"target": key, "aux": key}}, true, nil, nil
+func (keyEchoHandler) Detect(_ context.Context, _ obs.TraceContext, key string, _ int, _ []byte) (string, bool, []obs.Span, error) {
+	return string(AppendDetection(nil, &mvpears.Detection{Scores: []float64{0.5}, Transcriptions: map[string]string{"target": key, "aux": key}})), true, nil, nil
 }
 
 // TestNodeDetectOwnsReply: concurrent Detect calls to one peer share its
@@ -272,7 +269,7 @@ func TestNodeDetectOwnsReply(t *testing.T) {
 			defer wg.Done()
 			for i := range calls {
 				key := fmt.Sprintf("fp:%d/%d", g, i)
-				det, _, _, err := a.Detect(context.Background(), addrB, key, 16000, []byte{1, 2}, obs.TraceContext{})
+				_, det, _, _, err := a.Detect(context.Background(), addrB, key, 16000, []byte{1, 2}, obs.TraceContext{})
 				switch {
 				case err != nil:
 					failed.Add(1)
@@ -293,7 +290,7 @@ func TestNodeDetectOwnsReply(t *testing.T) {
 // may still send, or an unassigned type — is answered with MsgErr on the
 // live connection, which then goes on serving detections.
 func TestNodeDeclinesUnknownRequestType(t *testing.T) {
-	hb := &stubHandler{cache: map[string]*mvpears.Detection{}}
+	hb := &stubHandler{cache: map[string]string{}}
 	_, addrB := startNode(t, hb, nil)
 	conn, err := net.Dial("tcp", addrB)
 	if err != nil {
@@ -326,7 +323,7 @@ func TestNodeDeclinesUnknownRequestType(t *testing.T) {
 	if rt != MsgVerdict {
 		t.Fatalf("MsgDetect after the declines answered with type %d, want MsgVerdict", rt)
 	}
-	if det, cached, _, err := ParseVerdict(rp); err != nil || cached || !det.Adversarial {
+	if _, det, cached, _, err := ParseVerdict(rp); err != nil || cached || !det.Adversarial {
 		t.Fatalf("MsgDetect verdict = (%+v, cached=%v, %v)", det, cached, err)
 	}
 	if n := hb.detects.Load(); n != 1 {

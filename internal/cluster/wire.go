@@ -26,9 +26,10 @@ import (
 // content but not for well-formedness.
 //
 // Version 3 is the only version: MsgVerdict carries a Detection in the
-// same record the verdict cache keeps (AppendDetection). MsgDetect has an
-// optional trace-context tail and MsgVerdict an optional span-list tail
-// (cross-replica trace propagation). Both tails are encoded only when
+// same record the verdict cache keeps (AppendDetection); the owner sends
+// its entry's bytes and the requester stores the bytes it got. MsgDetect
+// has an optional trace-context tail and MsgVerdict an optional span-list
+// tail (cross-replica trace propagation). Both tails are encoded only when
 // non-empty, so a tail-less payload is the untraced encoding. A frame of
 // any other version fails at the header, which surfaces as a peer error —
 // the requester degrades to local detection, never fails. The header
@@ -75,6 +76,13 @@ func AppendFrame(dst []byte, t MsgType, payload []byte) []byte {
 	dst = append(dst, wireMagic0, wireMagic1, wireVersion, byte(t))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
 	return append(dst, payload...)
+}
+
+// endFrame sets the length in the header at frame[start:] to that of the
+// payload appended after it, so a payload can be encoded in place.
+func endFrame(frame []byte, start int) []byte {
+	binary.LittleEndian.PutUint32(frame[start+4:], uint32(len(frame)-start-frameHeaderLen))
+	return frame
 }
 
 // ReadFrame reads one frame from r into buf (grown as needed), returning
@@ -135,13 +143,20 @@ func appendFloat(dst []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 }
 
-type parser struct {
-	b []byte
+// parser reads one payload. Over an immutable string (a cache entry, a
+// peer answer copied out of its frame) str returns substrings; over a
+// frame buffer the next read refills, str's conversion copies. Numbers
+// must be shortest-form, flag bytes set only defined bits and engine
+// names sort, so a verdict that parses is the bytes its values encode to
+// (a requester stores a peer's record as it came).
+type parser[T string | []byte] struct {
+	b T
 }
 
-func (p *parser) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(p.b)
-	if n <= 0 {
+func (p *parser[T]) uvarint() (uint64, error) {
+	var buf [binary.MaxVarintLen64]byte
+	v, n := binary.Uvarint(buf[:copy(buf[:], p.b)])
+	if n <= 0 || n > 1 && buf[n-1] == 0 {
 		return 0, fmt.Errorf("%w: bad uvarint", ErrBadFrame)
 	}
 	p.b = p.b[n:]
@@ -150,7 +165,7 @@ func (p *parser) uvarint() (uint64, error) {
 
 // length reads a uvarint length of unit-sized elements, bounded by the
 // bytes actually remaining so a hostile length cannot force allocation.
-func (p *parser) length(unit int) (int, error) {
+func (p *parser[T]) length(unit int) (int, error) {
 	v, err := p.uvarint()
 	if err != nil {
 		return 0, err
@@ -159,7 +174,7 @@ func (p *parser) length(unit int) (int, error) {
 }
 
 // count reads an appendCount count, bounded as length is: -1 for nil.
-func (p *parser) count(unit int) (int, error) {
+func (p *parser[T]) count(unit int) (int, error) {
 	v, err := p.uvarint()
 	if err != nil || v == 0 {
 		return -1, err
@@ -167,14 +182,14 @@ func (p *parser) count(unit int) (int, error) {
 	return p.bound(v-1, unit)
 }
 
-func (p *parser) bound(v uint64, unit int) (int, error) {
+func (p *parser[T]) bound(v uint64, unit int) (int, error) {
 	if v > uint64(len(p.b)/unit) {
 		return 0, fmt.Errorf("%w: declared %d elements, %d bytes remain", ErrBadFrame, v, len(p.b))
 	}
 	return int(v), nil
 }
 
-func (p *parser) str() (string, error) {
+func (p *parser[T]) str() (string, error) {
 	n, err := p.length(1)
 	if err != nil {
 		return "", err
@@ -184,35 +199,29 @@ func (p *parser) str() (string, error) {
 	return s, nil
 }
 
-func (p *parser) bytes() ([]byte, error) {
-	n, err := p.length(1)
-	if err != nil {
-		return nil, err
-	}
-	b := p.b[:n]
-	p.b = p.b[n:]
-	return b, nil
-}
-
-func (p *parser) float() (float64, error) {
-	if len(p.b) < 8 {
+func (p *parser[T]) float() (float64, error) {
+	var buf [8]byte
+	if copy(buf[:], p.b) < len(buf) {
 		return 0, fmt.Errorf("%w: truncated float64", ErrBadFrame)
 	}
-	f := math.Float64frombits(binary.LittleEndian.Uint64(p.b))
-	p.b = p.b[8:]
-	return f, nil
+	p.b = p.b[len(buf):]
+	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
 }
 
-func (p *parser) byteVal() (byte, error) {
+// flags reads a flag byte that may set only the bits in mask.
+func (p *parser[T]) flags(mask byte) (byte, error) {
 	if len(p.b) == 0 {
 		return 0, fmt.Errorf("%w: truncated byte", ErrBadFrame)
 	}
 	v := p.b[0]
+	if v&^mask != 0 {
+		return 0, fmt.Errorf("%w: flag byte %#x", ErrBadFrame, v)
+	}
 	p.b = p.b[1:]
 	return v, nil
 }
 
-func (p *parser) done() error {
+func (p *parser[T]) done() error {
 	if len(p.b) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, len(p.b))
 	}
@@ -243,11 +252,11 @@ func appendTraceContext(dst []byte, tc obs.TraceContext) []byte {
 
 // traceContext parses the optional trace-context tail: absent (untraced
 // requests) decodes as the zero context.
-func (p *parser) traceContext() (obs.TraceContext, error) {
+func (p *parser[T]) traceContext() (obs.TraceContext, error) {
 	if len(p.b) == 0 {
 		return obs.TraceContext{}, nil
 	}
-	flags, err := p.byteVal()
+	flags, err := p.flags(tcSampled)
 	if err != nil {
 		return obs.TraceContext{}, err
 	}
@@ -270,9 +279,10 @@ func AppendDetect(dst []byte, key string, sampleRate int, pcm []byte, tc obs.Tra
 	return appendTraceContext(appendBytes(dst, pcm), tc)
 }
 
-// ParseDetect decodes a MsgDetect payload. pcm aliases b.
+// ParseDetect decodes a MsgDetect payload. pcm aliases b; key and tc are
+// copies.
 func ParseDetect(b []byte) (key string, sampleRate int, pcm []byte, tc obs.TraceContext, err error) {
-	p := parser{b}
+	p := parser[[]byte]{b}
 	if key, err = p.str(); err != nil {
 		return "", 0, nil, tc, err
 	}
@@ -283,9 +293,11 @@ func ParseDetect(b []byte) (key string, sampleRate int, pcm []byte, tc obs.Trace
 	if rate == 0 || rate > 1<<31 {
 		return "", 0, nil, tc, fmt.Errorf("%w: sample rate %d", ErrBadFrame, rate)
 	}
-	if pcm, err = p.bytes(); err != nil {
+	n, err := p.length(1)
+	if err != nil {
 		return "", 0, nil, tc, err
 	}
+	pcm, p.b = p.b[:n], p.b[n:]
 	if tc, err = p.traceContext(); err != nil {
 		return "", 0, nil, tc, err
 	}
@@ -297,7 +309,7 @@ func AppendErr(dst []byte, msg string) []byte { return appendString(dst, msg) }
 
 // ParseErr decodes a MsgErr payload.
 func ParseErr(b []byte) (string, error) {
-	p := parser{b}
+	p := parser[[]byte]{b}
 	msg, err := p.str()
 	if err != nil {
 		return "", err
@@ -381,10 +393,10 @@ func AppendDetection(dst []byte, det *mvpears.Detection) []byte {
 	return dst
 }
 
-// ParseDetection decodes a record AppendDetection wrote into a fresh
-// Detection that shares no memory with b.
-func ParseDetection(b []byte) (*mvpears.Detection, error) {
-	p := parser{b}
+// ParseDetection decodes a record AppendDetection wrote. The Detection's
+// strings are substrings of rec, which strings keep immutable.
+func ParseDetection(rec string) (*mvpears.Detection, error) {
+	p := parser[string]{rec}
 	det, err := p.detection()
 	if err != nil {
 		return nil, err
@@ -392,8 +404,8 @@ func ParseDetection(b []byte) (*mvpears.Detection, error) {
 	return det, p.done()
 }
 
-func (p *parser) detection() (*mvpears.Detection, error) {
-	flags, err := p.byteVal()
+func (p *parser[T]) detection() (*mvpears.Detection, error) {
+	flags, err := p.flags(detAdversarial | detHasCascade | cascadeShort | cascadeSampled)
 	if err != nil {
 		return nil, err
 	}
@@ -415,24 +427,31 @@ func (p *parser) detection() (*mvpears.Detection, error) {
 	if nTr >= 0 {
 		det.Transcriptions = make(map[string]string, nTr)
 	}
-	for range nTr {
+	var last string
+	for i := range nTr {
 		engine, err := p.str()
 		if err != nil {
 			return nil, err
 		}
+		if i > 0 && engine <= last {
+			return nil, fmt.Errorf("%w: engine %q out of order", ErrBadFrame, engine)
+		}
 		if det.Transcriptions[engine], err = p.str(); err != nil {
 			return nil, err
 		}
+		last = engine
 	}
 	for _, d := range []*time.Duration{&det.Timing.Recognition, &det.Timing.Similarity, &det.Timing.Classify} {
-		v, n := binary.Varint(p.b)
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: bad varint", ErrBadFrame)
+		u, err := p.uvarint()
+		if err != nil {
+			return nil, err
 		}
-		p.b = p.b[n:]
-		*d = time.Duration(v)
+		*d = time.Duration(int64(u>>1) ^ -int64(u&1)) // zigzag, as binary.AppendVarint
 	}
 	if flags&detHasCascade == 0 {
+		if flags&^detAdversarial != 0 {
+			return nil, fmt.Errorf("%w: cascade flags without a cascade", ErrBadFrame)
+		}
 		return det, nil
 	}
 	c := &mvpears.CascadeDecision{ShortCircuit: flags&cascadeShort != 0, SampledFull: flags&cascadeSampled != 0}
@@ -455,43 +474,49 @@ func (p *parser) detection() (*mvpears.Detection, error) {
 	if nImp >= 0 {
 		c.Imputed = make([]bool, nImp)
 		for i := range c.Imputed {
-			c.Imputed[i] = p.b[i] != 0
+			v, err := p.flags(1)
+			if err != nil {
+				return nil, err
+			}
+			c.Imputed[i] = v != 0
 		}
-		p.b = p.b[nImp:]
 	}
 	det.Cascade = c
 	return det, nil
 }
 
-// AppendVerdict encodes a MsgVerdict payload: the cached flag byte, the
-// Detection's record (AppendDetection), then the optional span tail — the
+// AppendVerdict encodes a MsgVerdict payload: the cached flag byte, a
+// record AppendDetection wrote, then the optional span tail — the
 // answering replica's own stage spans, shipped back only when the
 // requester asked for them (TraceContext.Sampled) so a remote answer
 // stitches into the requester's trace.
-func AppendVerdict(dst []byte, det *mvpears.Detection, cached bool, spans []obs.Span) []byte {
+func AppendVerdict(dst []byte, rec string, cached bool, spans []obs.Span) []byte {
 	var flags byte
 	if cached {
 		flags |= verdictCached
 	}
-	return appendSpans(AppendDetection(append(dst, flags), det), spans)
+	return appendSpans(append(append(dst, flags), rec...), spans)
 }
 
-// ParseVerdict decodes a MsgVerdict payload into a fresh Detection plus
-// the answering replica's spans (nil when none were shipped). Nothing it
-// returns aliases b.
-func ParseVerdict(b []byte) (det *mvpears.Detection, cached bool, spans []obs.Span, err error) {
-	p := parser{b}
-	flags, err := p.byteVal()
+// ParseVerdict decodes a MsgVerdict payload, copied once into one string
+// and validated whole: rec is the record (a substring of that copy), det
+// the Detection parsed from it and spans the answering replica's spans
+// (nil when none were shipped). Nothing it returns aliases b.
+func ParseVerdict(b []byte) (rec string, det *mvpears.Detection, cached bool, spans []obs.Span, err error) {
+	p := parser[string]{string(b)}
+	flags, err := p.flags(verdictCached)
 	if err != nil {
-		return nil, false, nil, err
+		return "", nil, false, nil, err
 	}
+	whole := p.b
 	if det, err = p.detection(); err != nil {
-		return nil, false, nil, err
+		return "", nil, false, nil, err
 	}
+	rec = whole[:len(whole)-len(p.b)]
 	if spans, err = p.spans(); err != nil {
-		return nil, false, nil, err
+		return "", nil, false, nil, err
 	}
-	return det, flags&verdictCached != 0, spans, p.done()
+	return rec, det, flags&verdictCached != 0, spans, p.done()
 }
 
 // appendSpans appends the optional span tail. Like the trace-context
@@ -512,19 +537,19 @@ func appendSpans(dst []byte, spans []obs.Span) []byte {
 	return dst
 }
 
-// spans parses the optional span tail (nil when absent or empty).
-func (p *parser) spans() ([]obs.Span, error) {
+// spans parses the optional span tail (nil when absent).
+func (p *parser[T]) spans() ([]obs.Span, error) {
 	if len(p.b) == 0 {
 		return nil, nil
 	}
 	// A span is at least 4 bytes (two empty strings, two 1-byte uvarints),
-	// bounding a hostile count.
+	// bounding a hostile count. An empty list is encoded as no tail.
 	n, err := p.length(4)
 	if err != nil {
 		return nil, err
 	}
 	if n == 0 {
-		return nil, nil
+		return nil, fmt.Errorf("%w: empty span tail", ErrBadFrame)
 	}
 	out := make([]obs.Span, n)
 	for i := range out {
@@ -561,7 +586,7 @@ func appendStrings(dst []byte, ss []string) []byte {
 	return dst
 }
 
-func (p *parser) strings() ([]string, error) {
+func (p *parser[T]) strings() ([]string, error) {
 	n, err := p.count(1)
 	if n < 0 || err != nil {
 		return nil, err

@@ -12,10 +12,12 @@ import (
 // FuzzWireCodec throws arbitrary bytes at every decode path of the peer
 // protocol, framed by ReadFrame as on a live connection. Peers are
 // trusted for content but not well-formedness, so no input may panic or
-// over-allocate, and anything that decodes must survive a decode ->
-// encode -> decode round trip unchanged. (Byte identity is deliberately
-// NOT required: uvarints accept non-minimal encodings and verdict engine
-// order canonicalizes on encode.) Wired into `make fuzz-smoke`.
+// over-allocate. A request or error that decodes must survive a decode ->
+// encode -> decode round trip unchanged. A verdict that decodes must be
+// canonical, because the requester caches a peer's record as it came: its
+// record re-encodes to the same bytes from the parsed Detection, and the
+// payload re-encodes to the input byte for byte. Wired into `make
+// fuzz-smoke`.
 func FuzzWireCodec(f *testing.F) {
 	// Seed with valid frames of each type so the fuzzer starts from the
 	// interesting part of the input space, plus raw well-framed types the
@@ -39,7 +41,7 @@ func FuzzWireCodec(f *testing.F) {
 			Imputed: []bool{true, false},
 		},
 	}
-	f.Add(AppendFrame(nil, MsgVerdict, AppendVerdict(nil, det, true, nil)))
+	f.Add(AppendFrame(nil, MsgVerdict, verdictOf(det, true, nil)))
 	// The nil-versus-empty cases the cache record keeps apart.
 	for _, d := range []*mvpears.Detection{
 		{},
@@ -49,9 +51,9 @@ func FuzzWireCodec(f *testing.F) {
 			SampledFull: true, EnginesRun: []string{"GCS", "DS1"}, EnginesSkipped: []string{}, Imputed: []bool{false, false},
 		}},
 	} {
-		f.Add(AppendFrame(nil, MsgVerdict, AppendVerdict(nil, d, false, nil)))
+		f.Add(AppendFrame(nil, MsgVerdict, verdictOf(d, false, nil)))
 	}
-	f.Add(AppendFrame(nil, MsgVerdict, AppendVerdict(nil, det, false, []obs.Span{
+	f.Add(AppendFrame(nil, MsgVerdict, verdictOf(det, false, []obs.Span{
 		{Stage: "transcribe", Engine: "DS1", Start: time.Millisecond, Dur: 2 * time.Millisecond},
 		{Stage: "classify", Dur: 30 * time.Microsecond},
 	})))
@@ -77,18 +79,15 @@ func FuzzWireCodec(f *testing.F) {
 				}
 			}
 		case MsgVerdict:
-			if det, cached, spans, err := ParseVerdict(payload); err == nil {
-				wire := AppendVerdict(nil, det, cached, spans)
-				d2, c2, sp2, err := ParseVerdict(wire)
-				if err != nil {
-					t.Fatalf("re-encoded verdict failed to parse: %v", err)
+			// Bytes, not reflect.DeepEqual: fuzzed scores can be NaN,
+			// which is never equal to itself but must still survive the
+			// codec bit for bit.
+			if rec, det, cached, spans, err := ParseVerdict(payload); err == nil {
+				if again := AppendDetection(nil, det); string(again) != rec {
+					t.Fatalf("record %x re-encodes to %x", rec, again)
 				}
-				// Compare via the canonical encoding rather than
-				// reflect.DeepEqual: fuzzed scores can be NaN, which is
-				// never equal to itself but must still survive the codec
-				// bit-for-bit.
-				if c2 != cached || !bytes.Equal(AppendVerdict(nil, d2, c2, sp2), wire) {
-					t.Fatalf("MsgVerdict round trip mismatch")
+				if again := AppendVerdict(nil, rec, cached, spans); !bytes.Equal(again, payload) {
+					t.Fatalf("verdict %x re-encodes to %x", payload, again)
 				}
 			}
 		}

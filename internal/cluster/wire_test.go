@@ -83,8 +83,8 @@ func TestWireV1BackCompat(t *testing.T) {
 	}
 	// A verdict with no span tail (an unsampled reply).
 	det := &mvpears.Detection{Transcriptions: map[string]string{"target": "x"}}
-	wire := AppendVerdict(nil, det, true, nil)
-	d2, cached, spans, err := ParseVerdict(wire)
+	wire := verdictOf(det, true, nil)
+	_, d2, cached, spans, err := ParseVerdict(wire)
 	if err != nil || !cached || spans != nil {
 		t.Fatalf("span-free verdict = (cached=%v, spans=%v, err=%v)", cached, spans, err)
 	}
@@ -107,21 +107,21 @@ func TestVerdictSpanTail(t *testing.T) {
 		{Stage: "transcribe", Engine: "DS1", Start: 2 * time.Millisecond, Dur: 5 * time.Millisecond},
 		{Stage: "classify", Start: 8 * time.Millisecond, Dur: 10 * time.Microsecond},
 	}
-	wire := AppendVerdict(nil, det, false, spans)
-	_, _, got, err := ParseVerdict(wire)
+	wire := verdictOf(det, false, spans)
+	_, _, _, got, err := ParseVerdict(wire)
 	if err != nil {
 		t.Fatalf("ParseVerdict: %v", err)
 	}
 	if !reflect.DeepEqual(got, spans) {
 		t.Fatalf("span tail mismatch:\n got %+v\nwant %+v", got, spans)
 	}
-	if again := AppendVerdict(nil, det, false, spans); !bytes.Equal(wire, again) {
+	if again := verdictOf(det, false, spans); !bytes.Equal(wire, again) {
 		t.Errorf("span encoding is not deterministic")
 	}
 	// Negative offsets (clock weirdness) clamp to zero rather than
 	// corrupting the uvarint encoding.
-	neg := AppendVerdict(nil, det, false, []obs.Span{{Stage: "decode", Start: -time.Second, Dur: -time.Millisecond}})
-	_, _, clamped, err := ParseVerdict(neg)
+	neg := verdictOf(det, false, []obs.Span{{Stage: "decode", Start: -time.Second, Dur: -time.Millisecond}})
+	_, _, _, clamped, err := ParseVerdict(neg)
 	if err != nil || len(clamped) != 1 || clamped[0].Start != 0 || clamped[0].Dur != 0 {
 		t.Fatalf("negative span = (%+v, %v), want clamped zeros", clamped, err)
 	}
@@ -129,7 +129,8 @@ func TestVerdictSpanTail(t *testing.T) {
 
 // TestVerdictRoundTrip: a verdict survives the codec reflect.DeepEqual —
 // nil and empty slices and maps told apart — with deterministic bytes,
-// and its record is the bytes AppendDetection writes.
+// its record is the bytes AppendDetection writes, and nothing ParseVerdict
+// returns changes when the payload's buffer is overwritten.
 func TestVerdictRoundTrip(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -193,11 +194,16 @@ func TestVerdictRoundTrip(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			wire := AppendVerdict(nil, tc.det, tc.cached, nil)
-			got, cached, _, err := ParseVerdict(wire)
+			wire := verdictOf(tc.det, tc.cached, nil)
+			gotRec, got, cached, _, err := ParseVerdict(wire)
 			if err != nil {
 				t.Fatalf("ParseVerdict: %v", err)
 			}
+			// The payload sits in a frame buffer the next read refills.
+			for i := range wire {
+				wire[i] = 0xA5
+			}
+			wire = verdictOf(tc.det, tc.cached, nil)
 			if cached != tc.cached {
 				t.Errorf("cached = %v, want %v", cached, tc.cached)
 			}
@@ -206,14 +212,17 @@ func TestVerdictRoundTrip(t *testing.T) {
 			}
 			// The encoding must be deterministic in the content (engine
 			// names sort), so two encodes of one verdict are identical.
-			if again := AppendVerdict(nil, tc.det, tc.cached, nil); !bytes.Equal(wire, again) {
+			if again := verdictOf(tc.det, tc.cached, nil); !bytes.Equal(wire, again) {
 				t.Errorf("encoding is not deterministic")
 			}
 			rec := AppendDetection(nil, tc.det)
 			if !bytes.Equal(wire[1:], rec) {
 				t.Errorf("verdict payload after the cached byte is not the Detection record")
 			}
-			if got, err := ParseDetection(rec); err != nil || !reflect.DeepEqual(got, tc.det) {
+			if gotRec != string(rec) {
+				t.Errorf("ParseVerdict's record = %x, want %x", gotRec, rec)
+			}
+			if got, err := ParseDetection(string(rec)); err != nil || !reflect.DeepEqual(got, tc.det) {
 				t.Errorf("ParseDetection = (%+v, %v), want %+v", got, err, tc.det)
 			}
 		})
@@ -236,14 +245,56 @@ func TestVerdictTruncations(t *testing.T) {
 			Margin:     0.8, FirstScore: 0.9, Imputed: []bool{true},
 		},
 	}
-	wire := AppendVerdict(nil, det, false, []obs.Span{
+	wire := verdictOf(det, false, []obs.Span{
 		{Stage: "transcribe", Engine: "aux", Start: time.Millisecond, Dur: time.Millisecond},
 	})
-	tailStart := len(AppendVerdict(nil, det, false, nil))
+	tailStart := len(verdictOf(det, false, nil))
 	for i := 0; i < len(wire); i++ {
-		_, _, spans, err := ParseVerdict(wire[:i])
+		_, _, _, spans, err := ParseVerdict(wire[:i])
 		if err == nil && (i != tailStart || spans != nil) {
 			t.Fatalf("ParseVerdict accepted a %d/%d-byte truncation", i, len(wire))
+		}
+	}
+}
+
+// verdictOf is the MsgVerdict payload of det, as an owner whose entry
+// holds det's record sends it.
+func verdictOf(det *mvpears.Detection, cached bool, spans []obs.Span) []byte {
+	return AppendVerdict(nil, string(AppendDetection(nil, det)), cached, spans)
+}
+
+// TestVerdictRejectsNonCanonical: a payload that parses is the bytes its
+// values encode to, so each way of writing a verdict that AppendVerdict
+// never writes is refused.
+func TestVerdictRejectsNonCanonical(t *testing.T) {
+	timing := []byte{0, 0, 0}
+	engines := func(names ...string) []byte {
+		rec := []byte{0, 0, byte(len(names) + 1)} // flags, nil scores, count
+		for _, n := range names {
+			rec = appendString(appendString(rec, n), "x")
+		}
+		return append(rec, timing...)
+	}
+	imputed := verdictOf(&mvpears.Detection{Cascade: &mvpears.CascadeDecision{Imputed: []bool{true}}}, false, nil)
+	imputed[len(imputed)-1] = 2
+	cases := map[string][]byte{
+		"unknown verdict flag":     {2, 0, 0, 0, 0, 0, 0},
+		"unknown record flag":      {0, 1 << 4, 0, 0, 0, 0, 0},
+		"cascade flag, no cascade": {0, cascadeShort, 0, 0, 0, 0, 0},
+		"overlong count":           {0, 0, 0x80, 0, 0, 0, 0, 0},
+		"overlong timing":          {0, 0, 0, 0, 0x80, 0, 0, 0},
+		"engines out of order":     append([]byte{0}, engines("b", "a")...),
+		"engine twice":             append([]byte{0}, engines("a", "a")...),
+		"imputed byte 2":           imputed,
+		"empty span tail":          {0, 0, 0, 0, 0, 0, 0, 0},
+		"overlong span count":      {0, 0, 0, 0, 0, 0, 0, 0x81, 0, 1, 's', 0, 0, 0},
+	}
+	if _, _, _, _, err := ParseVerdict(append([]byte{0}, engines("a", "b")...)); err != nil {
+		t.Fatalf("sorted engines refused: %v", err)
+	}
+	for name, payload := range cases {
+		if _, _, _, _, err := ParseVerdict(payload); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: err = %v, want ErrBadFrame", name, err)
 		}
 	}
 }

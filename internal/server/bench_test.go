@@ -332,8 +332,9 @@ func scrapeCounter(b *testing.B, h http.Handler, name string) int {
 // BenchmarkClusterRemoteHit measures the distributed cache-hit path over
 // two clustered replicas sharing one quick-scale system: every timed
 // request misses the serving replica's local cache and is answered by
-// the owning peer's cache over the real loopback peer protocol — wire
-// encode, TCP round trip, verdict decode, local cache fill. Its
+// the owning peer's cache over the real loopback peer protocol — the
+// owner's record framed as it is, TCP round trip, one copy and parse of
+// the reply, the reply's record stored as the requester's entry. Its
 // acceptance bound is remote hit <= 1/3 of the full cascade-miss
 // pipeline.
 func BenchmarkClusterRemoteHit(b *testing.B) {
@@ -360,7 +361,7 @@ func BenchmarkClusterRemoteHit(b *testing.B) {
 			b.Fatal(err)
 		}
 		key := vcache.KeyPCM16(fp, pcm.SampleRate, pcm.Data)
-		sA.store(key, det)
+		sA.store(key, newVerdictEntry(det))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -458,7 +459,7 @@ func measureCacheEntries(tb testing.TB, cascaded, hits bool, n int) (heapPer, ob
 	for i := range n {
 		binary.LittleEndian.PutUint64(pcm[:], uint64(i))
 		key := vcache.KeyPCM16(st.modelFP, 8000, pcm[:])
-		s.store(key, cacheEntryDetection(i, cascaded))
+		s.store(key, newVerdictEntry(cacheEntryDetection(i, cascaded)))
 		if e, ok := s.lookup(key, false); ok && hits {
 			s.record(st, nil, "detect", "", e.detection(), howCached, false)
 		}

@@ -22,15 +22,17 @@ import (
 // owner answers from its cache (a remote hit, a small fraction of a
 // cascade miss) or runs the detection itself under its own singleflight —
 // which is what collapses a fleet-wide duplicate storm to exactly one
-// detection. The requester caches the answer locally, so repeats become
-// local hits. Any peer failure degrades to local detection; a request is
+// detection. The requester caches the owner's record as it came, so
+// repeats become local hits on the same bytes. Any peer failure, a reply
+// that does not parse included, degrades to local detection; a request is
 // never failed because a peer is.
 //
 // Owner side (clusterHandler): strictly local service — cache, flight,
 // backend — never re-forwarding, so membership skew cannot loop a
-// request between replicas. The owner recomputes the key from the PCM
-// under its own model fingerprint and declines on mismatch, keeping a
-// mid-reload fleet from cross-pollinating verdicts between models.
+// request between replicas; the key's entry's record goes onto the wire
+// as it is. The owner recomputes the key from the PCM under its own model
+// fingerprint and declines on mismatch, keeping a mid-reload fleet from
+// cross-pollinating verdicts between models.
 
 // ClusterConfig configures the replica fleet membership of a Server.
 type ClusterConfig struct {
@@ -105,27 +107,27 @@ type clusterHandler struct{ s *Server }
 // propagated trace context: when tc.Sampled, the detection is traced under
 // the requester's trace ID and its spans are returned for the requester to
 // stitch.
-func (h clusterHandler) Detect(ctx context.Context, tc obs.TraceContext, key string, sampleRate int, pcm []byte) (*mvpears.Detection, bool, []obs.Span, error) {
+func (h clusterHandler) Detect(ctx context.Context, tc obs.TraceContext, key string, sampleRate int, pcm []byte) (string, bool, []obs.Span, error) {
 	s := h.s
 	s.m.counter(mClusterServed, "detect").Inc()
 	if s.draining.Load() {
-		return nil, false, nil, errors.New("draining")
+		return "", false, nil, errors.New("draining")
 	}
 	st := s.state()
 	// The requester derived key under its model fingerprint; recompute it
 	// under ours. A mismatch means the fleet is mid-reload with skewed
 	// models — decline, and the requester detects locally.
 	if localKey := vcache.KeyPCM16(st.modelFP, sampleRate, pcm); localKey != key {
-		return nil, false, nil, errors.New("model fingerprint mismatch (reload in progress?)")
+		return "", false, nil, errors.New("model fingerprint mismatch (reload in progress?)")
 	}
 	if e, ok := s.lookup(key, false); ok {
-		return e.detection(), true, nil, nil
+		return e.rec, true, nil, nil
 	}
 	// pcm aliases the connection's frame buffer; the engine's float decode
 	// copies it before this call returns.
 	eng, release, err := s.uploadEngine(st, audio.PCM16{SampleRate: sampleRate, Data: pcm})
 	if err != nil {
-		return nil, false, nil, err
+		return "", false, nil, err
 	}
 	defer release()
 	var trace *obs.Trace // nil records nothing
@@ -133,50 +135,45 @@ func (h clusterHandler) Detect(ctx context.Context, tc obs.TraceContext, key str
 		trace = obs.NewTrace(tc.TraceID)
 		ctx = obs.WithTrace(ctx, trace)
 	}
-	det, how, err := s.resolveMissed(ctx, key, nil, eng)
+	e, det, how, err := s.resolveMissed(ctx, key, nil, eng)
 	if err != nil {
-		return nil, false, nil, err
+		return "", false, nil, err
 	}
-	s.record(st, trace, "", "", det, how|forPeer, false)
-	return det, how.cachedOnWire(), trace.Spans(), nil
-}
-
-// forwardPCM returns the upload a request carries into the cluster tier:
-// pcm itself, or nil when clustering is off or there is no live peer to
-// talk to. A forward finishes inside the request's resolve call, and the
-// frame it sends is a copy, so the handler's buffer needs no snapshot.
-func (s *Server) forwardPCM(key string, pcm *audio.PCM16) *audio.PCM16 {
-	if s.node == nil || key == "" || !s.node.HasPeers() {
-		return nil
+	if how.ranHere() { // the peer serves the verdict; this replica observes what it ran
+		s.record(st, trace, "", "", det, how|forPeer, false)
 	}
-	return pcm
+	return e.rec, how.cachedOnWire(), trace.Spans(), nil
 }
 
 // clusterFetch tries to answer a locally-missed key from its remote
-// owner. Outcomes: (det, how, true) on a remote answer; ok=false means
-// "proceed locally" (self-owned key, peer down, peer declined) — degrade,
-// never fail. A remote answer records the cluster_forward span with the
-// owner's own spans stitched in under it (anchored at this replica's
-// round-trip start, so no cross-process clock agreement is assumed).
-func (s *Server) clusterFetch(ctx context.Context, key string, fwd *audio.PCM16) (*mvpears.Detection, detectHow, bool) {
+// owner: (owner's record, Detection parsed from it, how, true), or
+// ok=false to proceed locally (clustering off, self-owned key, peer down
+// or declined, reply malformed) — degrade, never fail. A remote answer
+// records the cluster_forward span with the owner's spans stitched in
+// under it (anchored at this replica's round-trip start, so no
+// cross-process clock agreement is assumed). The frame copies fwd.
+func (s *Server) clusterFetch(ctx context.Context, key string, fwd *audio.PCM16) (string, *mvpears.Detection, detectHow, bool) {
+	if s.node == nil {
+		return "", nil, howFresh, false
+	}
 	owner, self := s.node.Owner(key)
 	if self {
-		return nil, howFresh, false
+		return "", nil, howFresh, false
 	}
 	start := time.Now()
 	trace := obs.TraceFrom(ctx)
 	tc := trace.Context(obs.StageClusterForward)
-	det, cached, spans, err := s.node.Detect(ctx, owner, key, fwd.SampleRate, fwd.Data, tc)
+	rec, det, cached, spans, err := s.node.Detect(ctx, owner, key, fwd.SampleRate, fwd.Data, tc)
 	if err != nil {
 		s.m.counter(mClusterForwards, "error").Inc()
-		return nil, howFresh, false
+		return "", nil, howFresh, false
 	}
 	trace.Record(obs.StageClusterForward, "", start)
 	trace.RecordRemote(owner, start, spans)
 	if cached {
 		s.m.counter(mClusterForwards, "hit").Inc()
-		return det, howRemoteHit, true
+		return rec, det, howRemoteHit, true
 	}
 	s.m.counter(mClusterForwards, "detected").Inc()
-	return det, howRemoteFresh, true
+	return rec, det, howRemoteFresh, true
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -17,6 +18,7 @@ import (
 
 	"mvpears"
 	"mvpears/internal/audio"
+	"mvpears/internal/cluster"
 	"mvpears/internal/vcache"
 )
 
@@ -282,5 +284,95 @@ func TestClusterSlowLocalMissRunsOnce(t *testing.T) {
 	}
 	if a, b := callsA.Load(), callsB.Load(); a != 1 || b != 0 {
 		t.Fatalf("detections ran A=%d B=%d, want exactly one, on the owner", a, b)
+	}
+}
+
+// malformedPeer is a peer replica that answers every MsgDetect with a
+// MsgVerdict frame carrying payload, one request per connection. asked
+// counts the requests it answered.
+func malformedPeer(t *testing.T, payload []byte) (addr string, asked *atomic.Int64) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	asked = new(atomic.Int64)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if typ, _, _, err := cluster.ReadFrame(bufio.NewReader(conn), nil); err == nil && typ == cluster.MsgDetect {
+				asked.Add(1)
+				conn.Write(cluster.AppendFrame(nil, cluster.MsgVerdict, payload))
+			}
+			conn.Close()
+		}
+	}()
+	return ln.Addr().String(), asked
+}
+
+// TestClusterMalformedPeerRecordNeverCached: a requester keeps a peer's
+// record as the bytes it came in, so a record that does not parse — cut
+// short, or with a count past the bytes that follow — must be a peer
+// error. The request is served by local detection with DetectCtx's
+// verdict, the key's entry holds the local record, and a repeat is a local
+// hit.
+func TestClusterMalformedPeerRecordNeverCached(t *testing.T) {
+	peerDet := benignDetection()
+	peerDet.Adversarial, peerDet.Scores = true, []float64{0.1, 0.2}
+	good := cluster.AppendVerdict(nil, string(cluster.AppendDetection(nil, peerDet)), true, nil)
+	badCount := bytes.Clone(good)
+	badCount[2] = 0x7F // the scores count: 126 float64s, past the payload's end
+	for name, payload := range map[string][]byte{
+		"truncated": good[:len(good)/2],
+		"bad_count": badCount,
+	} {
+		t.Run(name, func(t *testing.T) {
+			peer, asked := malformedPeer(t, payload)
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, ts := newTestServer(t, Config{
+				Backend: &fpStub{instantStub(), "model-a"},
+				Cluster: &ClusterConfig{Listener: ln, Peers: []string{peer}},
+				Logger:  log.New(io.Discard, "", 0),
+			})
+			body := bodyOwnedBy(t, s, "model-a", false)
+			st := s.state()
+			pcm, err := audio.ReadWAVPCM(bytes.NewReader(body), 1<<20, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := st.backend.DetectCtx(context.Background(), pcm.DecodeInto(nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			served := NewDetectionJSON(want, st.auxNames)
+			if got := readAll(t, postWAV(t, ts.URL, body)); !bytes.Equal(got, encodeJSON(t, served)) {
+				t.Fatalf("served %s\nwant the local detection %s", got, encodeJSON(t, served))
+			}
+			if n := asked.Load(); n != 1 {
+				t.Fatalf("the peer was asked %d times, want 1", n)
+			}
+			key := vcache.KeyPCM16(st.modelFP, pcm.SampleRate, pcm.Data)
+			if e, ok := s.lookup(key, true); !ok || e.rec != string(cluster.AppendDetection(nil, want)) {
+				t.Fatalf("the key's entry does not hold the local record (stored %v)", ok)
+			}
+			served.Cached = true
+			if got := readAll(t, postWAV(t, ts.URL, body)); !bytes.Equal(got, encodeJSON(t, served)) {
+				t.Fatalf("repeat served %s\nwant a local hit %s", got, encodeJSON(t, served))
+			}
+			if n := asked.Load(); n != 1 {
+				t.Fatalf("the repeat went to the peer (%d requests)", n)
+			}
+			if !strings.Contains(metricsBody(t, ts.URL), `mvpears_cluster_forwards_total{outcome="error"} 1`) {
+				t.Error("the malformed reply was not counted as a forward error")
+			}
+		})
 	}
 }

@@ -12,10 +12,10 @@ import (
 // verdictEntry is one verdict-cache value (DESIGN.md §9): the Detection's
 // one byte form, the record cluster.AppendDetection writes and a
 // MsgVerdict carries, plus the explanation the detection carried (it ran
-// under ?explain=1; almost always nil). Nothing in it is written after
-// store builds it; every path that reads a whole Detection (plain and
-// explain hits, batch parts, stream finals, a flight leader's second
-// look, cluster peer answers, audit lines) rebuilds one with detection().
+// under ?explain=1; almost always nil). Peers send and receive rec as it
+// is. Nothing in an entry is written after it is built; every path that
+// serves or observes a Detection (plain and explain hits, batch parts,
+// stream finals, audit lines) rebuilds one with detection().
 type verdictEntry struct {
 	rec         string
 	explanation *mvpears.Explanation
@@ -29,10 +29,10 @@ func newVerdictEntry(det *mvpears.Detection) *verdictEntry {
 }
 
 // detection rebuilds the Detection e was built from, reflect.DeepEqual to
-// it. Only its Explanation aliases the entry's.
+// it. Its strings are substrings of the immutable record and its
+// Explanation is the entry's; its slices and map are its own.
 func (e *verdictEntry) detection() *mvpears.Detection {
-	// ParseDetection only reads the bytes and copies out what it keeps.
-	det, err := cluster.ParseDetection(unsafe.Slice(unsafe.StringData(e.rec), len(e.rec)))
+	det, err := cluster.ParseDetection(e.rec)
 	if err != nil {
 		panic("server: verdict record does not parse: " + err.Error())
 	}

@@ -233,11 +233,11 @@ func TestCompactRecordServesDetectionBytes(t *testing.T) {
 			}
 
 			key := vcache.KeyPCM16(st.modelFP, pcm.SampleRate, pcm.Data)
-			peer, cached, _, err := clusterHandler{s}.Detect(context.Background(), obs.TraceContext{}, key, pcm.SampleRate, pcm.Data)
+			rec, cached, _, err := clusterHandler{s}.Detect(context.Background(), obs.TraceContext{}, key, pcm.SampleRate, pcm.Data)
 			if err != nil || !cached {
 				t.Fatalf("peer answer: cached %v, err %v", cached, err)
 			}
-			if got, want := cluster.AppendVerdict(nil, peer, true, nil), cluster.AppendVerdict(nil, det, true, nil); !bytes.Equal(got, want) {
+			if got, want := cluster.AppendVerdict(nil, rec, true, nil), cluster.AppendVerdict(nil, string(cluster.AppendDetection(nil, det)), true, nil); !bytes.Equal(got, want) {
 				t.Fatalf("peer answer on the wire:\n got %x\nwant %x", got, want)
 			}
 

@@ -197,10 +197,13 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	if explain {
 		ctx = obs.WithExplain(ctx)
 	}
-	det, how, err := s.resolveMissed(ctx, key, s.forwardPCM(key, &pcm), eng)
+	e, det, how, err := s.resolveMissed(ctx, key, &pcm, eng)
 	if err != nil {
 		s.writeDetectError(w, err)
 		return
+	}
+	if det == nil {
+		det = e.detection()
 	}
 	writeJSON(w, http.StatusOK, s.record(st, trace, "detect", "", det, how, explain))
 }
@@ -314,7 +317,9 @@ func (s *Server) handleDetectBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		for j, p := range missed {
 			p.det = dets[j]
-			s.store(p.key, p.det)
+			if p.key != "" {
+				s.store(p.key, newVerdictEntry(p.det))
+			}
 		}
 	}
 

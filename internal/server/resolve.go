@@ -102,12 +102,11 @@ func (s *Server) lookup(key string, reprobe bool) (*verdictEntry, bool) {
 	return s.vc.Get(key)
 }
 
-// store is the chain's single cache write: det's record (entry.go).
-func (s *Server) store(key string, det *mvpears.Detection) {
-	if key != "" {
-		e := newVerdictEntry(det)
-		s.vc.Put(key, e, e.size(key))
-	}
+// store is the chain's single cache write: e under key (not ""). It
+// returns e.
+func (s *Server) store(key string, e *verdictEntry) *verdictEntry {
+	s.vc.Put(key, e, e.size(key))
+	return e
 }
 
 // resolve obtains the verdict for key through the whole chain. fwd carries
@@ -117,7 +116,11 @@ func (s *Server) resolve(ctx context.Context, key string, fwd *audio.PCM16, eng 
 	if e, ok := s.lookup(key, false); ok {
 		return e.detection(), howCached, nil
 	}
-	return s.resolveMissed(ctx, key, fwd, eng)
+	e, det, how, err := s.resolveMissed(ctx, key, fwd, eng)
+	if err == nil && det == nil {
+		det = e.detection()
+	}
+	return det, how, err
 }
 
 // resolveMissed is the chain below the cache tier, for callers that have
@@ -128,47 +131,50 @@ func (s *Server) resolve(ctx context.Context, key string, fwd *audio.PCM16, eng 
 // miss and its becoming leader — then tries the key's owning replica, then
 // runs the engine, and stores the result.
 // So a fleet-wide duplicate storm costs one detection, at the owner.
-func (s *Server) resolveMissed(ctx context.Context, key string, fwd *audio.PCM16, eng engine) (*mvpears.Detection, detectHow, error) {
+// It returns the key's entry (nil for key "") and the Detection only if
+// this request ran or fetched it: a caller serving a stored or shared
+// verdict rebuilds it with e.detection().
+func (s *Server) resolveMissed(ctx context.Context, key string, fwd *audio.PCM16, eng engine) (*verdictEntry, *mvpears.Detection, detectHow, error) {
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
 	if key == "" {
 		det, err := eng(ctx)
-		return det, howFresh, err
+		return nil, det, howFresh, err
 	}
-	var how detectHow // the leader's; written before the flight completes
-	det, shared, err := s.flight.Do(ctx, key, func(fctx context.Context) (det *mvpears.Detection, err error) {
+	var det *mvpears.Detection // the leader's; written before the flight completes
+	var how detectHow
+	e, shared, err := s.flight.Do(ctx, key, func(fctx context.Context) (e *verdictEntry, err error) {
 		// fctx keeps this request's observability values (trace, explain
 		// flag), so the leader's detection records spans — and an
 		// explanation — for the request that led it.
-		det, how, err = s.lead(fctx, key, fwd, eng)
-		return det, err
+		e, det, how, err = s.lead(fctx, key, fwd, eng)
+		return e, err
 	})
 	switch {
 	case shared:
-		return det, howShared, err
+		return e, nil, howShared, err
 	case err != nil:
-		return nil, howFresh, err
+		return nil, nil, howFresh, err
 	}
-	return det, how, nil
+	return e, det, how, nil
 }
 
-// lead is a flight leader's walk down the rest of the chain.
-func (s *Server) lead(ctx context.Context, key string, fwd *audio.PCM16, eng engine) (*mvpears.Detection, detectHow, error) {
+// lead is a flight leader's walk down the rest of the chain. It stores a
+// peer's record as it came and encodes a fresh detection once.
+func (s *Server) lead(ctx context.Context, key string, fwd *audio.PCM16, eng engine) (*verdictEntry, *mvpears.Detection, detectHow, error) {
 	if e, ok := s.lookup(key, true); ok {
-		return e.detection(), howCached, nil
+		return e, nil, howCached, nil
 	}
 	if fwd != nil {
-		if det, how, ok := s.clusterFetch(ctx, key, fwd); ok {
-			s.store(key, det) // repeats become local hits
-			return det, how, nil
+		if rec, det, how, ok := s.clusterFetch(ctx, key, fwd); ok {
+			return s.store(key, &verdictEntry{rec: rec}), det, how, nil // repeats become local hits
 		}
 	}
 	det, err := eng(ctx)
 	if err != nil {
-		return nil, howFresh, err
+		return nil, nil, howFresh, err
 	}
-	s.store(key, det)
-	return det, howFresh, nil
+	return s.store(key, newVerdictEntry(det)), det, howFresh, nil
 }
 
 // record reports one served verdict and returns its wire form. It is the

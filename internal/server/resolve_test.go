@@ -70,9 +70,9 @@ func TestLeaderReprobeAnswersCached(t *testing.T) {
 	eng := engine(func(ctx context.Context) (*mvpears.Detection, error) {
 		return st.backend.DetectCtx(ctx, pcm.DecodeInto(nil))
 	})
-	det, how, err := s.resolveMissed(context.Background(), key, nil, eng)
-	if err != nil || det == nil {
-		t.Fatalf("resolveMissed = %v, %v", det, err)
+	e, _, how, err := s.resolveMissed(context.Background(), key, nil, eng)
+	if err != nil || e == nil {
+		t.Fatalf("resolveMissed = %v, %v", e, err)
 	}
 	if how != howCached {
 		t.Fatalf("how = %d, want howCached: the leader did not look the key up again", how)

@@ -177,8 +177,9 @@ type Config struct {
 	// shares the verdict cache (consistent hashing on the cache key).
 	// Requires the cache. See cluster.go.
 	Cluster *ClusterConfig
-	// Drift tunes the detection-quality drift monitor (always on).
-	// Config.Drift.OnDrift is chained after the built-in audit hook.
+	// Drift tunes the detection-quality drift monitor (always on). The
+	// server owns its OnDrift: a trip is logged and audited, and a caller's
+	// OnDrift is replaced.
 	Drift drift.Config
 	// SLO sets the built-in objectives' targets.
 	SLO SLOTargets
@@ -267,7 +268,7 @@ type Server struct {
 	// vc is the cross-request verdict cache; nil when caching is off.
 	vc *vcache.Cache[*verdictEntry]
 	// flight collapses concurrent duplicate detections onto one leader.
-	flight *vcache.Group[*mvpears.Detection]
+	flight *vcache.Group[*verdictEntry]
 
 	// node is the cluster peer node; nil when clustering is off. See
 	// cluster.go for the requester/owner split.
@@ -339,15 +340,13 @@ func New(cfg Config) (*Server, error) {
 		if s.vc == nil {
 			s.vc = vcache.New[*verdictEntry](cfg.CacheEntries, cfg.CacheBytes)
 		}
-		s.flight = &vcache.Group[*mvpears.Detection]{Timeout: cfg.RequestTimeout}
+		s.flight = &vcache.Group[*verdictEntry]{Timeout: cfg.RequestTimeout}
 	}
 
 	// Detection-quality drift: the monitor exists regardless of whether
 	// the backend carries a calibration reference (without one, scores
-	// stay 0 and drift never trips). The audit hook is built in; a
-	// user-supplied OnDrift chains after it.
+	// stay 0 and drift never trips). A trip is logged and audited.
 	driftCfg := cfg.Drift
-	userOnDrift := driftCfg.OnDrift
 	driftCfg.OnDrift = func(v drift.Verdict) {
 		cfg.Logger.Printf("mvpearsd: drift detected: family=%s score=%.3f threshold=%.3f samples=%d",
 			v.Family, v.Score, v.Threshold, v.Samples)
@@ -359,9 +358,6 @@ func New(cfg Config) (*Server, error) {
 				Threshold: v.Threshold,
 				Samples:   v.Samples,
 			})
-		}
-		if userOnDrift != nil {
-			userOnDrift(v)
 		}
 	}
 	s.driftMon = drift.New(driftCfg)

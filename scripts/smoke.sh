@@ -166,6 +166,17 @@ for seed in 11 12 13 14 15 16 17 18; do
 done
 [ -n "$REMOTE_JSON" ] || fail "no remote cache hit on B in 8 seeds (cluster tier dead?)"
 echo "$REMOTE_JSON" | grep -q '"cached":true' || fail "remote answer not marked cached: $REMOTE_JSON"
+# One verdict leaves every replica as the same bytes: A's local hit, B's
+# remote answer less its remote flag, and B's local hit on the record the
+# owner sent are byte-identical.
+HIT_A=$(curl -fsS -X POST --data-binary @"$WORKDIR/cl.wav" -H 'Content-Type: audio/wav' \
+    "http://$PUB_A/v1/detect") || fail "repeat detect on A"
+echo "$HIT_A" | grep -q '"cached":true' || fail "A's repeat is not a hit: $HIT_A"
+[ "$(printf '%s' "$REMOTE_JSON" | sed 's/,"remote":true//')" = "$HIT_A" ] \
+    || fail "B's remote answer differs from A's hit: $REMOTE_JSON vs $HIT_A"
+HIT_B=$(curl -fsS -X POST --data-binary @"$WORKDIR/cl.wav" -H 'Content-Type: audio/wav' \
+    "http://$PUB_B/v1/detect") || fail "repeat detect on B"
+[ "$HIT_B" = "$HIT_A" ] || fail "B's local hit differs from A's hit: $HIT_B vs $HIT_A"
 # Scraped into a variable first: under pipefail, `curl | grep -q` fails
 # with curl's EPIPE whenever grep matches before the body is fully written.
 METRICS_B=$(curl -fsS "http://$PUB_B/metrics")
