@@ -24,7 +24,7 @@
 //
 // With -admin-addr a second, operator-only listener serves /debug/pprof/,
 // /infoz (build + model identity), /statusz (a plain-text operator page:
-// build and model identity, SLO burn rates, drift verdicts, probe
+// build and model identity, cluster ring, drift verdicts, probe
 // suspicion), /metrics, /healthz and POST /reloadz — profiling never
 // shares the public serving port.
 //
@@ -34,8 +34,10 @@
 // adversarial verdict and every drift episode to a rotated JSONL file.
 // Live per-engine score distributions are compared against the
 // calibration reference shipped inside the model artifact
-// (mvpears_drift_score), and three built-in SLOs are tracked as
-// multi-window burn rates (mvpears_slo_burn_rate).
+// (mvpears_drift_score). Service-level objectives are alerting rules over
+// the exported counters (mvpears_requests_total and the
+// mvpears_request_duration_seconds buckets; see README), summed across
+// replicas by the scraper.
 //
 // -cascade-margin attaches the cascaded engine scheduler to the miss
 // path: it leads with the auxiliary that minimises expected work (the
@@ -124,9 +126,6 @@ func parse(args []string, usage io.Writer) (*config, error) {
 	fs.Int64Var(&c.audit.MaxTotalBytes, "audit-retain-bytes", 256<<20, "prune the oldest gzipped audit segments once they exceed this total (0: keep everything)")
 	fs.Float64Var(&c.Drift.Threshold, "drift-threshold", c.Drift.Threshold, "total-variation distance from the calibration reference at which a score family counts as drifted")
 	fs.IntVar(&c.Drift.WindowN, "drift-window", c.Drift.WindowN, "verdicts per rolling drift window")
-	fs.Float64Var(&c.SLO.Latency, "slo-latency-target", c.SLO.Latency, "fraction of detect requests that must answer within 250ms")
-	fs.Float64Var(&c.SLO.Availability, "slo-availability-target", c.SLO.Availability, "fraction of HTTP requests that must not 5xx")
-	fs.Float64Var(&c.SLO.Quality, "slo-quality-target", c.SLO.Quality, "fraction of verdicts that must be served drift-free")
 
 	fs.Float64Var(&c.cascadeMargin, "cascade-margin", -1, "benign-confidence margin for cascaded engine scheduling (negative: off, 0: auto-calibrate, >1: cascade on but never short-circuits)")
 	fs.IntVar(&c.cascadeSample, "cascade-sample", 16, "run the full ensemble on every Nth cascaded request for monitoring (0: never)")
@@ -184,7 +183,7 @@ func (c *config) validate() error {
 	}
 	// Every value must lie in its flag's domain; none silently becomes a
 	// default.
-	logRate, slo, drift := *c.LogSampleRate, c.SLO, c.Drift.Threshold
+	logRate, drift := *c.LogSampleRate, c.Drift.Threshold
 	for _, f := range []struct {
 		name string
 		v    any
@@ -195,9 +194,6 @@ func (c *config) validate() error {
 		{"stream-hop", c.streamHop, c.streamHop > 0, "positive"},
 		{"stream-idle-timeout", c.stream.IdleTimeout, c.stream.IdleTimeout > 0, "positive"},
 		{"log-sample", logRate, 0 <= logRate && logRate <= 1, "in [0,1]"},
-		{"slo-latency-target", slo.Latency, 0 < slo.Latency && slo.Latency < 1, "in (0,1)"},
-		{"slo-availability-target", slo.Availability, 0 < slo.Availability && slo.Availability < 1, "in (0,1)"},
-		{"slo-quality-target", slo.Quality, 0 < slo.Quality && slo.Quality < 1, "in (0,1)"},
 		{"drift-threshold", drift, 0 < drift && drift <= 1, "in (0,1]"},
 		{"workers", c.Workers, c.Workers >= 0, "non-negative"},
 		{"queue", c.QueueDepth, c.QueueDepth >= 0, "non-negative"},

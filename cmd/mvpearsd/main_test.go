@@ -38,8 +38,6 @@ func TestRunRejectsBadCombinations(t *testing.T) {
 		{"log sample above one", []string{"-log-sample", "1.5"}, []string{"-log-sample"}},
 		{"log sample below zero", []string{"-log-sample", "-0.1"}, []string{"-log-sample"}},
 		{"log knobs with access log off", []string{"-access-log=false", "-log-sample", "0.5", "-slow", "2s"}, []string{"-log-sample", "-slow"}},
-		{"slo targets outside (0,1)", []string{"-slo-latency-target", "1", "-slo-availability-target", "0", "-slo-quality-target", "1.2"},
-			[]string{"-slo-latency-target", "-slo-availability-target", "-slo-quality-target"}},
 		{"drift threshold zero", []string{"-drift-threshold", "0"}, []string{"-drift-threshold"}},
 		{"drift threshold above one", []string{"-drift-threshold", "1.5"}, []string{"-drift-threshold"}},
 		{"negative sizes and timeouts", []string{"-workers", "-1", "-queue", "-1", "-cache-entries", "-1", "-cache-bytes", "-1", "-max-upload", "-1",
@@ -150,14 +148,13 @@ func TestHelpListsEveryFlagOnceWithItsDefault(t *testing.T) {
 		"access-log": "true", "log-sample": f64(*d.LogSampleRate), "slow": d.SlowRequestThreshold.String(),
 		"audit": "", "audit-rotate-bytes": i64(64 << 20), "audit-retain-bytes": i64(256 << 20),
 		"drift-threshold": f64(d.Drift.Threshold), "drift-window": strconv.Itoa(d.Drift.WindowN),
-		"slo-latency-target": f64(d.SLO.Latency), "slo-availability-target": f64(d.SLO.Availability), "slo-quality-target": f64(d.SLO.Quality),
 		"cascade-margin": "-1", "cascade-sample": "16", "quantized": "",
 		"stream": "true", "stream-window": stream.DefaultWindow.String(), "stream-hop": stream.DefaultHop.String(),
 		"stream-max-sessions": strconv.Itoa(stream.DefaultMaxSessions), "stream-idle-timeout": stream.DefaultIdleTimeout.String(),
 		"cluster-addr": "", "cluster-self": "", "peers": "",
 	}
-	if len(want) != 34 {
-		t.Fatalf("table lists %d flags, the daemon has 34", len(want))
+	if len(want) != 31 {
+		t.Fatalf("table lists %d flags, the daemon has 31", len(want))
 	}
 
 	var out strings.Builder

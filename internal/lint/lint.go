@@ -106,7 +106,6 @@ func DefaultConfig() *Config {
 			"mvpears/internal/classify",
 			"mvpears/internal/asr",
 			"mvpears/internal/obs/drift",
-			"mvpears/internal/obs/slo",
 		},
 		ServingPaths: []string{
 			"mvpears/internal/server",

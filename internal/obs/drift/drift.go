@@ -230,7 +230,6 @@ type Monitor struct {
 	families  []*family // registration order; evaluation iterates this
 	index     map[string]*family
 	sinceEval int
-	any       bool // any family currently drifted (cached at evaluation)
 }
 
 // New builds a Monitor.
@@ -325,20 +324,15 @@ func (m *Monitor) tickLocked() []Verdict {
 // that newly crossed into drift (the edge for OnDrift).
 func (m *Monitor) evaluateLocked() []Verdict {
 	var fired []Verdict
-	any := false
 	for _, f := range m.families {
 		wasDrifted := f.drifted
 		f.score, f.samples = m.scoreFamily(f)
 		hasRef := f.hasRef || f.hasRefRate
 		f.drifted = hasRef && f.samples >= uint64(m.cfg.MinSamples) && f.score > m.cfg.Threshold
-		if f.drifted {
-			any = true
-			if !wasDrifted && m.cfg.OnDrift != nil {
-				fired = append(fired, m.verdictOf(f))
-			}
+		if f.drifted && !wasDrifted && m.cfg.OnDrift != nil {
+			fired = append(fired, m.verdictOf(f))
 		}
 	}
-	m.any = any
 	return fired
 }
 
@@ -416,12 +410,4 @@ func (m *Monitor) Verdicts() []Verdict {
 		out = append(out, m.verdictOf(f))
 	}
 	return out
-}
-
-// AnyDrifted reports whether any family was drifted at the last
-// evaluation (the quality-SLO input; a cheap cached read).
-func (m *Monitor) AnyDrifted() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.any
 }

@@ -89,9 +89,8 @@ func TestMonitorDetectsDistributionShift(t *testing.T) {
 	for _, v := range shiftedScores(256, 43) {
 		m.ObserveScore("engine:DS1", v)
 	}
-	m.Evaluate()
-	if !m.AnyDrifted() {
-		t.Fatal("shifted distribution did not trip AnyDrifted")
+	if !anyDrifted(m.Evaluate()) {
+		t.Fatal("shifted distribution did not drift")
 	}
 	if len(fired) != 1 {
 		t.Fatalf("drift fired %d events, want exactly 1 (edge-triggered)", len(fired))
@@ -121,16 +120,14 @@ func TestMonitorRateFamily(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		m.ObserveEvent("adversarial_rate", i%10 == 0)
 	}
-	m.Evaluate()
-	if m.AnyDrifted() {
+	if anyDrifted(m.Evaluate()) {
 		t.Fatal("10% adversarial rate drifted against threshold 0.25")
 	}
 	// 60% adversarial: well over.
 	for i := 0; i < 200; i++ {
 		m.ObserveEvent("adversarial_rate", i%5 != 0)
 	}
-	m.Evaluate()
-	if !m.AnyDrifted() {
+	if !anyDrifted(m.Evaluate()) {
 		t.Fatal("60% adversarial rate did not drift")
 	}
 }
@@ -157,10 +154,19 @@ func TestMonitorMinSamplesSuppression(t *testing.T) {
 	for _, v := range shiftedScores(32, 9) {
 		m.ObserveScore("engine:DS1", v)
 	}
-	m.Evaluate()
-	if m.AnyDrifted() {
+	if anyDrifted(m.Evaluate()) {
 		t.Fatal("drifted on 32 samples with MinSamples=64")
 	}
+}
+
+// anyDrifted reports whether any family in vs is drifted.
+func anyDrifted(vs []Verdict) bool {
+	for _, v := range vs {
+		if v.Drifted {
+			return true
+		}
+	}
+	return false
 }
 
 func TestReferenceValidate(t *testing.T) {

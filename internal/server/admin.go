@@ -96,7 +96,7 @@ func (s *Server) handleReloadz(w http.ResponseWriter, r *http.Request) {
 //
 //	GET  /debug/pprof/...  net/http/pprof profiles
 //	GET  /infoz            build + model + runtime identity (JSON)
-//	GET  /statusz          human-readable fleet/drift/SLO status page
+//	GET  /statusz          human-readable fleet/drift status page
 //	GET  /metrics          the same Prometheus exposition as the serving port
 //	GET  /healthz          liveness
 //	POST /reloadz          zero-downtime hot model reload

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"mvpears"
+	"mvpears/internal/obs"
 	"mvpears/internal/vcache"
 )
 
@@ -107,7 +108,8 @@ func TestDetectDuplicateStormRunsOneDetection(t *testing.T) {
 		}
 		return benignDetection(), nil
 	}
-	s, ts := newTestServer(t, Config{Backend: &fpStub{stub, "model-a"}, Workers: 4})
+	var logBuf syncBuffer
+	s, ts := newTestServer(t, Config{Backend: &fpStub{stub, "model-a"}, Workers: 4, AccessLog: &logBuf})
 	body := wavBody(t, 8000, 256)
 
 	type result struct {
@@ -159,6 +161,22 @@ func TestDetectDuplicateStormRunsOneDetection(t *testing.T) {
 	}
 	if !strings.Contains(metricsBody(t, ts.URL), fmt.Sprintf("mvpears_singleflight_collapsed_total %d", storm-1)) {
 		t.Error("metrics missing the singleflight collapse count")
+	}
+	// Only the leader float-decodes the upload: the followers are served
+	// the shared verdict without ever needing samples.
+	var lines []detectLogLine
+	waitFor(t, func() bool {
+		lines = detectLogLines(t, &logBuf)
+		return len(lines) >= storm
+	})
+	decoded := 0
+	for _, l := range lines {
+		if stages, ok := l.rec["stages"].(map[string]any); ok && stages[obs.StageDecode+"_ms"] != nil {
+			decoded++
+		}
+	}
+	if decoded != 1 {
+		t.Fatalf("%d of %d access-log lines carry a decode stage, want 1 (the leader's)", decoded, len(lines))
 	}
 }
 

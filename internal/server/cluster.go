@@ -125,11 +125,7 @@ func (h clusterHandler) Detect(ctx context.Context, tc obs.TraceContext, key str
 	}
 	// pcm aliases the connection's frame buffer; the engine's float decode
 	// copies it before this call returns.
-	eng, release, err := s.uploadEngine(st, audio.PCM16{SampleRate: sampleRate, Data: pcm})
-	if err != nil {
-		return "", false, nil, err
-	}
-	defer release()
+	eng := s.uploadEngine(st, audio.PCM16{SampleRate: sampleRate, Data: pcm})
 	var trace *obs.Trace // nil records nothing
 	if tc.Sampled {
 		trace = obs.NewTrace(tc.TraceID)

@@ -146,6 +146,8 @@ func (s *Server) writeDetectError(w http.ResponseWriter, err error) {
 		panic(pe.Value)
 	}
 	switch {
+	case errors.Is(err, audio.ErrMalformed): // the clip would not resample
+		writeError(w, http.StatusBadRequest, "decoding WAV: %v", err)
 	case errors.Is(err, ErrQueueFull):
 		s.m.counter(mRejected, rejectQueueFull).Inc()
 		w.Header().Set("Retry-After", "1")
@@ -177,27 +179,17 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		writeError(w, decodeStatus(err), "decoding WAV: %v", err)
 		return
 	}
-	// The decode span starts once the bytes are in: reading the body
-	// waits on the client, and that transfer is not decode work.
-	decodeStart := time.Now()
 	key := s.uploadKey(st, pcm)
 	explain := explainRequested(r)
 	if e, ok := s.lookup(key, false); ok {
 		writeJSON(w, http.StatusOK, s.record(st, trace, "detect", "", e.detection(), howCached, explain))
 		return
 	}
-	eng, release, err := s.uploadEngine(st, pcm)
-	if err != nil {
-		writeError(w, decodeStatus(err), "decoding WAV: %v", err)
-		return
-	}
-	defer release()
-	trace.Record(obs.StageDecode, "", decodeStart)
 	ctx := r.Context()
 	if explain {
 		ctx = obs.WithExplain(ctx)
 	}
-	e, det, how, err := s.resolveMissed(ctx, key, &pcm, eng)
+	e, det, how, err := s.resolveMissed(ctx, key, &pcm, s.uploadEngine(st, pcm))
 	if err != nil {
 		s.writeDetectError(w, err)
 		return

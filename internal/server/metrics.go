@@ -80,8 +80,6 @@ const (
 	mDriftScore
 	mProbeSuspicion
 	mAuditDropped
-	mSLOBurnRate
-	mSLOAlerting
 	mBuildInfo
 	mModelInfo
 )
@@ -192,12 +190,6 @@ var families = [...]Family{
 	mAuditDropped: counter("mvpears_audit_dropped_total",
 		"Audit entries dropped by the sink's retention or write-failure policy.",
 		"Is the audit trail losing adversarial verdicts?"),
-	mSLOBurnRate: gauge("mvpears_slo_burn_rate",
-		"Error-budget burn rate per objective and window (1 = spending exactly the budget).",
-		"How fast is each objective spending its error budget?", "slo", "window"),
-	mSLOAlerting: gauge("mvpears_slo_alerting",
-		"1 when both the fast and slow burn windows exceed the alerting burn rate.",
-		"Should this objective page now?", "slo"),
 	mBuildInfo: gauge("mvpears_build_info",
 		"Build identity of the running daemon (constant 1).",
 		"Which build is each replica running?", "version", "go_version"),
@@ -272,30 +264,6 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[i]++
 	h.sum += v
 	h.total++
-}
-
-// Count returns how many values have been observed.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
-
-// CountAtOrBelow returns how many observations fell at or below bound
-// (which should be one of the histogram's bucket bounds; an intermediate
-// value counts the buckets wholly at or below it). The SLO engine uses
-// this to turn a latency histogram into a good-events counter.
-func (h *Histogram) CountAtOrBelow(bound float64) uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var n uint64
-	for i, b := range h.bounds {
-		if b > bound {
-			break
-		}
-		n += h.counts[i]
-	}
-	return n
 }
 
 // snapshot returns cumulative bucket counts, the sum and the total.

@@ -82,8 +82,8 @@ func TestHistogramRendering(t *testing.T) {
 		"latency_seconds_sum 3.65",
 		"latency_seconds_count 4",
 	)
-	if h.Count() != 4 {
-		t.Fatalf("count %d", h.Count())
+	if _, _, n := h.snapshot(); n != 4 {
+		t.Fatalf("count %d", n)
 	}
 }
 
@@ -162,8 +162,8 @@ func TestFamiliesAreExpositionSafe(t *testing.T) {
 
 // TestScrapesExposeStableSeries: scraping creates no series. A fresh
 // server exposes the same series on its second scrape as on its first,
-// the detect route's latency histogram (read by the latency SLO at every
-// scrape) included.
+// the detect route's latency histogram (pre-created at boot for the
+// latency burn-rate rule) included.
 func TestScrapesExposeStableSeries(t *testing.T) {
 	s, err := New(Config{Backend: &fpStub{instantStub(), "model-a"}, Logger: log.New(io.Discard, "", 0)})
 	if err != nil {

@@ -73,11 +73,6 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 			}
 			s.m.counter(mRequests, route, strconv.Itoa(rec.status)).Inc()
 			s.m.histogram(mRequestSeconds, route).Observe(time.Since(start).Seconds())
-			// Availability SLO counters: every finished request, bad = 5xx.
-			s.sloHTTPTotal.Add(1)
-			if rec.status >= 500 {
-				s.sloHTTP5xx.Add(1)
-			}
 			if s.reqLog != nil {
 				s.reqLog.Log(obs.RequestRecord{
 					RequestID: reqID,

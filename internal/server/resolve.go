@@ -59,25 +59,27 @@ func (h detectHow) remote() bool { return h == howRemoteHit || h == howRemoteFre
 // it returns, so its input belongs to that call's caller throughout.
 type engine func(ctx context.Context) (*mvpears.Detection, error)
 
-// uploadEngine is the engine for one upload that missed the cache: it pays
-// for the float decode (into a pooled sample buffer, the second-largest
-// allocation on the miss path after the feature matrices) and returns the
-// admission-bounded detection of the clip, plus the release of its samples
-// that the caller defers.
-func (s *Server) uploadEngine(st *backendState, pcm audio.PCM16) (engine, func(), error) {
-	samples := samplePool.Get().(*[]float64)
-	clip, pooled, err := s.decodeClip(st, pcm, (*samples)[:0])
-	if err != nil {
-		samplePool.Put(samples)
-		return nil, nil, err
-	}
-	release := func() {
-		if pooled {
-			*samples = clip.Samples[:0] // keep the buffer if it grew
-		}
-		samplePool.Put(samples)
-	}
+// uploadEngine is the engine for one upload that missed the cache. Only
+// the request that runs it pays for the float decode — a duplicate that
+// joins a flight, or a key its owner answers, never does. The decode goes
+// into a pooled sample buffer (the second-largest allocation on the miss
+// path after the feature matrices), which is back in the pool before the
+// engine returns: pool.Do runs the detection on this goroutine.
+func (s *Server) uploadEngine(st *backendState, pcm audio.PCM16) engine {
 	return func(ctx context.Context) (*mvpears.Detection, error) {
+		start := time.Now()
+		samples := samplePool.Get().(*[]float64)
+		clip, pooled, err := s.decodeClip(st, pcm, (*samples)[:0])
+		defer func() {
+			if pooled {
+				*samples = clip.Samples[:0] // keep the buffer if it grew
+			}
+			samplePool.Put(samples)
+		}()
+		if err != nil {
+			return nil, err
+		}
+		obs.TraceFrom(ctx).Record(obs.StageDecode, "", start)
 		var det *mvpears.Detection
 		var detErr error
 		if err := s.pool.Do(ctx, func(ctx context.Context) {
@@ -86,7 +88,7 @@ func (s *Server) uploadEngine(st *backendState, pcm audio.PCM16) (engine, func()
 			return nil, err
 		}
 		return det, detErr
-	}, release, nil
+	}
 }
 
 // lookup is the cache tier ("" = caching is off, always a miss). reprobe
@@ -195,8 +197,8 @@ func (s *Server) record(st *backendState, trace *obs.Trace, route, file string, 
 }
 
 // report turns (det, how) into every signal and reports whether this
-// replica serves the verdict. The count, the SLO and the audit line belong
-// to the replica that serves the verdict (all but forPeer); stage timings,
+// replica serves the verdict. The count and the audit line belong to the
+// replica that serves the verdict (all but forPeer); stage timings,
 // cascade behaviour and similarity distributions to the replica that ran
 // the detection (ranHere) — re-observing them for cached, shared or remote
 // verdicts would weight the distributions by request popularity instead of
@@ -243,16 +245,10 @@ func (s *Server) report(st *backendState, trace *obs.Trace, route, file string, 
 }
 
 // countVerdict counts one served verdict and returns its wire string. It
-// also feeds the verdict-quality SLO (a verdict served while any drift
-// family is tripped spends quality budget) and the verdict base-rate
-// drift family.
+// also feeds the verdict base-rate drift family.
 func (s *Server) countVerdict(adversarial bool) string {
 	verdict := verdictOf(adversarial)
 	s.m.counter(mDetections, verdict).Inc()
-	s.sloVerdicts.Add(1)
-	if s.driftMon.AnyDrifted() {
-		s.sloVerdictsDrifted.Add(1)
-	}
 	s.driftMon.ObserveEvent("adversarial_rate", adversarial)
 	return verdict
 }

@@ -34,7 +34,6 @@ import (
 	"mvpears/internal/cluster"
 	"mvpears/internal/obs"
 	"mvpears/internal/obs/drift"
-	"mvpears/internal/obs/slo"
 	"mvpears/internal/stream"
 	"mvpears/internal/vcache"
 )
@@ -47,36 +46,6 @@ const (
 	rejectStreamSessions = "stream_sessions" // streaming session limit
 	rejectPeerBusy       = "peer_busy"       // cluster busy-declines sent to peers
 )
-
-// SLOTargets declares the good-event fractions for the daemon's built-in
-// service-level objectives. Zero values get defaults (applyDefaults).
-type SLOTargets struct {
-	// Latency is the fraction of detect requests that must answer within
-	// 250ms. The bound rides the existing request-latency histogram's
-	// 0.25s bucket boundary.
-	Latency float64
-	// Availability is the fraction of HTTP requests that must not 5xx.
-	Availability float64
-	// Quality is the fraction of verdicts that must be served while no
-	// drift family is tripped.
-	Quality float64
-}
-
-func (t *SLOTargets) applyDefaults() {
-	if t.Latency <= 0 {
-		t.Latency = 0.99
-	}
-	if t.Availability <= 0 {
-		t.Availability = 0.999
-	}
-	if t.Quality <= 0 {
-		t.Quality = 0.99
-	}
-}
-
-// sloDetectLatencyBound is the latency SLO's good-event bound. It must
-// sit on a DefaultLatencyBuckets boundary so CountAtOrBelow is exact.
-const sloDetectLatencyBound = 0.25
 
 // Backend is everything the server asks of the detection system it
 // fronts. *mvpears.System satisfies it; tests substitute stubs to exercise
@@ -181,8 +150,6 @@ type Config struct {
 	// server owns its OnDrift: a trip is logged and audited, and a caller's
 	// OnDrift is replaced.
 	Drift drift.Config
-	// SLO sets the built-in objectives' targets.
-	SLO SLOTargets
 }
 
 func (c *Config) applyDefaults() {
@@ -218,7 +185,6 @@ func (c *Config) applyDefaults() {
 		c.SlowRequestThreshold = time.Second
 	}
 	c.Drift.ApplyDefaults()
-	c.SLO.applyDefaults()
 }
 
 // DefaultConfig returns the values New gives the zero fields, except
@@ -281,17 +247,6 @@ type Server struct {
 	// mutate-one-sample probing campaigns. Both always exist.
 	driftMon *drift.Monitor
 	probe    *drift.ProbeWatcher
-	// sloEng evaluates the built-in objectives' burn rates at scrape
-	// time (no background goroutine; see internal/obs/slo).
-	sloEng *slo.Engine
-	// slo* atomics are the raw counters behind the availability and
-	// quality objectives (mvpears_requests_total children are not
-	// introspectable per status, and verdict quality needs the drift
-	// verdict at serve time).
-	sloHTTPTotal       atomic.Uint64
-	sloHTTP5xx         atomic.Uint64
-	sloVerdicts        atomic.Uint64
-	sloVerdictsDrifted atomic.Uint64
 	// buildVersion is resolved once from the embedded build info (for
 	// mvpears_build_info and /statusz).
 	buildVersion string
@@ -363,34 +318,6 @@ func New(cfg Config) (*Server, error) {
 	s.driftMon = drift.New(driftCfg)
 	s.probe = drift.NewProbeWatcher(0)
 
-	// Service-level objectives, evaluated lazily at scrape time from the
-	// counters the serving path already maintains.
-	s.sloEng = slo.New(slo.Config{Objectives: []slo.Objective{
-		{
-			Name:   "detect_latency",
-			Target: cfg.SLO.Latency,
-			Source: func() (bad, total float64) {
-				h := s.m.histogram(mRequestSeconds, "detect")
-				n := float64(h.Count())
-				return n - float64(h.CountAtOrBelow(sloDetectLatencyBound)), n
-			},
-		},
-		{
-			Name:   "availability",
-			Target: cfg.SLO.Availability,
-			Source: func() (bad, total float64) {
-				return float64(s.sloHTTP5xx.Load()), float64(s.sloHTTPTotal.Load())
-			},
-		},
-		{
-			Name:   "verdict_quality",
-			Target: cfg.SLO.Quality,
-			Source: func() (bad, total float64) {
-				return float64(s.sloVerdictsDrifted.Load()), float64(s.sloVerdicts.Load())
-			},
-		},
-	}})
-
 	// Every sampled family binds its read function here; the rest are
 	// updated on the request path.
 	s.buildVersion, _ = buildVCS()
@@ -424,21 +351,6 @@ func New(cfg Config) (*Server, error) {
 		},
 		mProbeSuspicion: func(emit emitFunc) { emit(s.probe.Suspicion()) },
 		mAuditDropped:   func(emit emitFunc) { emit(float64(cfg.Audit.Dropped())) },
-		mSLOBurnRate: func(emit emitFunc) {
-			for _, o := range s.sloEng.Status(time.Now()) {
-				emit(o.FastBurn, o.Name, "fast")
-				emit(o.SlowBurn, o.Name, "slow")
-			}
-		},
-		mSLOAlerting: func(emit emitFunc) {
-			for _, o := range s.sloEng.Status(time.Now()) {
-				v := 0.0
-				if o.Alerting {
-					v = 1
-				}
-				emit(v, o.Name)
-			}
-		},
 		// Identity gauges: constant 1, identity in the labels. The model
 		// gauge reads the live backend state, so a hot reload flips
 		// /metrics and /infoz from the same atomic pointer.
@@ -453,7 +365,8 @@ func New(cfg Config) (*Server, error) {
 	})
 	// Pre-create the rejection reasons so the exposition shape does not
 	// depend on which rejection fired first, and the detect route's latency
-	// histogram, which the latency SLO reads at every scrape.
+	// histogram, so a burn-rate rule over its le="0.25" bucket and its count
+	// sees the series, at 0, before the first request.
 	for _, reason := range []string{rejectQueueFull, rejectStreamSessions, rejectPeerBusy} {
 		s.m.counter(mRejected, reason)
 	}

@@ -164,6 +164,15 @@ func TestDetectResamplesUploads(t *testing.T) {
 	if gotRate != 8000 {
 		t.Fatalf("backend saw %d Hz, want resampled 8000", gotRate)
 	}
+
+	// A clip that cannot be resampled is a bad upload, not a failed
+	// detection: the engine's decode error answers 400.
+	broken := instantStub()
+	broken.rate = 0
+	_, ts = newTestServer(t, Config{Backend: broken})
+	if resp := postWAV(t, ts.URL, wavBody(t, 16000, 512)); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unresamplable upload: status %d, want 400", resp.StatusCode)
+	}
 }
 
 func TestDetectRejectsBadInput(t *testing.T) {

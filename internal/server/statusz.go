@@ -12,10 +12,9 @@ import (
 // handleStatusz renders a human-readable one-page fleet status on the
 // admin listener: what is running (build, model), who it is serving with
 // (ring membership, per-peer health), whether its detection quality is
-// where calibration put it (drift verdicts, probe suspicion), and how
-// the error budgets are burning (SLO state). Plain text on purpose —
-// this is the page an operator reads over a terminal during an incident;
-// the machine-readable faces are /metrics and /infoz.
+// where calibration put it (drift verdicts, probe suspicion). Plain text
+// on purpose — this is the page an operator reads over a terminal during
+// an incident; the machine-readable faces are /metrics and /infoz.
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	now := time.Now()
@@ -61,15 +60,4 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	}
 	fmt.Fprintf(w, "probe: suspicion=%.3f near_duplicates=%d\n",
 		s.probe.Suspicion(), s.probe.NearDuplicates())
-
-	fmt.Fprintf(w, "\nslo\n---\n")
-	for _, o := range s.sloEng.Status(now) {
-		state := "ok"
-		if o.Alerting {
-			state = "ALERTING"
-		}
-		fmt.Fprintf(w, "slo: %-18s target=%.4f burn_fast=%.2f burn_slow=%.2f %s\n",
-			o.Name, o.Target, o.FastBurn, o.SlowBurn, state)
-	}
-	fmt.Fprintf(w, "(alert when both windows burn > %.1f)\n", s.sloEng.AlertBurn())
 }

@@ -97,9 +97,10 @@ func traceLogPair(t *testing.T, backendA, backendB Backend) (sA, sB *Server, tsA
 
 // TestClusterForwardStitchedTrace is the trace-propagation acceptance
 // check: a detection forwarded to its remote owner produces ONE stitched
-// trace on the requester whose span list carries both local work (decode,
-// cluster_forward) and the owner's engine span, identified by the @peer
-// suffix — not an opaque remote wait.
+// trace on the requester whose span list carries the local round trip
+// (cluster_forward) and the owner's decode and engine spans, identified by
+// the @peer suffix — not an opaque remote wait. The requester never
+// float-decodes an upload its owner detects, so it has no local decode.
 func TestClusterForwardStitchedTrace(t *testing.T) {
 	sA, sB, _, tsB, buf := traceLogPair(t,
 		&fpStub{tracingStub(), "model-a"}, &fpStub{tracingStub(), "model-a"})
@@ -122,11 +123,14 @@ func TestClusterForwardStitchedTrace(t *testing.T) {
 	if l.rec["remote"] != true {
 		t.Fatalf("log record not marked remote: %v", l.rec)
 	}
-	remoteSpan := "transcribe:DS1@" + sA.node.Self()
-	for _, want := range []string{"decode", "cluster_forward", remoteSpan} {
+	owner := "@" + sA.node.Self()
+	for _, want := range []string{"cluster_forward", "decode" + owner, "transcribe:DS1" + owner} {
 		if !hasSpan(l, want) {
 			t.Errorf("stitched trace missing span %q (have %v)", want, l.spans)
 		}
+	}
+	if hasSpan(l, "decode") {
+		t.Errorf("requester decoded an upload its owner detected (spans %v)", l.spans)
 	}
 	// The requester observed the round trip into the per-peer RTT family.
 	if !strings.Contains(metricsBody(t, tsB.URL),
